@@ -59,12 +59,6 @@ func (r Result) Ratio(makespan int) float64 {
 	return 0
 }
 
-// edgeIdx maps the directed edge (leaving node id in direction d) to its
-// slot in a flat load table of length 4·N.
-func edgeIdx(id grid.NodeID, d grid.Dir) int {
-	return int(id)<<2 | int(d)
-}
-
 // canonicalDir picks the canonical dimension-order step out of a
 // profitable set: resolve the horizontal displacement first (East before
 // West, so torus wrap ties break deterministically), then the vertical
@@ -115,7 +109,7 @@ func (ps *PathSystem) Path(i int) []grid.Dir {
 // EdgeLoad returns the number of paths using the directed edge that
 // leaves node id in direction d.
 func (ps *PathSystem) EdgeLoad(id grid.NodeID, d grid.Dir) int {
-	return int(ps.load[edgeIdx(id, d)])
+	return int(ps.load[grid.EdgeIndex(id, d)])
 }
 
 // Analyze builds a minimal-path system for the demands and returns it
@@ -143,12 +137,12 @@ func Analyze(topo grid.Topology, demands []Demand) *PathSystem {
 				if !prof.Has(dir) {
 					continue
 				}
-				if l := ps.load[edgeIdx(cur, dir)]; best == grid.NoDir || l < bestLoad {
+				if l := ps.load[grid.EdgeIndex(cur, dir)]; best == grid.NoDir || l < bestLoad {
 					best, bestLoad = dir, l
 				}
 			}
 			seg[j] = best
-			ps.load[edgeIdx(cur, best)]++
+			ps.load[grid.EdgeIndex(cur, best)]++
 			cur, _ = ps.topo.Neighbor(cur, best)
 		}
 	}
@@ -165,7 +159,7 @@ func Analyze(topo grid.Topology, demands []Demand) *PathSystem {
 			for j, cur := 0, dem.Src; cur != dem.Dst; j++ {
 				dir := canonicalDir(topo.Profitable(cur, dem.Dst))
 				seg[j] = dir
-				ps.load[edgeIdx(cur, dir)]++
+				ps.load[grid.EdgeIndex(cur, dir)]++
 				cur, _ = topo.Neighbor(cur, dir)
 			}
 		}
@@ -186,7 +180,7 @@ func AnalyzeCanonical(topo grid.Topology, demands []Demand) *PathSystem {
 		topo:    topo,
 		demands: demands,
 		off:     make([]int32, len(demands)+1),
-		load:    make([]int32, 4*topo.N()),
+		load:    make([]int32, grid.NumDirs*topo.N()),
 	}
 	total, d := 0, 0
 	for _, dem := range demands {
@@ -203,7 +197,7 @@ func AnalyzeCanonical(topo grid.Topology, demands []Demand) *PathSystem {
 		for cur := dem.Src; cur != dem.Dst; {
 			dir := canonicalDir(topo.Profitable(cur, dem.Dst))
 			ps.dirs = append(ps.dirs, dir)
-			ps.load[edgeIdx(cur, dir)]++
+			ps.load[grid.EdgeIndex(cur, dir)]++
 			cur, _ = topo.Neighbor(cur, dir)
 		}
 	}
@@ -217,7 +211,7 @@ func AnalyzeCanonical(topo grid.Topology, demands []Demand) *PathSystem {
 func (ps *PathSystem) walkPath(i int, dem Demand, delta int32) {
 	cur := dem.Src
 	for _, dir := range ps.dirs[ps.off[i]:ps.off[i+1]] {
-		ps.load[edgeIdx(cur, dir)] += delta
+		ps.load[grid.EdgeIndex(cur, dir)] += delta
 		cur, _ = ps.topo.Neighbor(cur, dir)
 	}
 }
@@ -244,7 +238,7 @@ type Accumulator struct {
 
 // NewAccumulator returns an empty accumulator for the topology.
 func NewAccumulator(topo grid.Topology) *Accumulator {
-	return &Accumulator{topo: topo, load: make([]int32, 4*topo.N())}
+	return &Accumulator{topo: topo, load: make([]int32, grid.NumDirs*topo.N())}
 }
 
 // Admit accrues one src→dst demand: dilation takes the max with the
@@ -256,7 +250,7 @@ func (a *Accumulator) Admit(src, dst grid.NodeID) {
 	}
 	for cur := src; cur != dst; {
 		dir := canonicalDir(a.topo.Profitable(cur, dst))
-		i := edgeIdx(cur, dir)
+		i := grid.EdgeIndex(cur, dir)
 		a.load[i]++
 		if l := int(a.load[i]); l > a.res.Congestion {
 			a.res.Congestion = l

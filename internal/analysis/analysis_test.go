@@ -195,9 +195,9 @@ func TestAccumulatorMatchesCanonical(t *testing.T) {
 			}
 			for cur := pr.Src; cur != pr.Dst; {
 				dir := canonicalDir(topo.Profitable(cur, pr.Dst))
-				load[edgeIdx(cur, dir)]++
-				if load[edgeIdx(cur, dir)] > c {
-					c = load[edgeIdx(cur, dir)]
+				load[grid.EdgeIndex(cur, dir)]++
+				if load[grid.EdgeIndex(cur, dir)] > c {
+					c = load[grid.EdgeIndex(cur, dir)]
 				}
 				cur, _ = topo.Neighbor(cur, dir)
 			}

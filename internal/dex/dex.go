@@ -159,12 +159,7 @@ func (a *Adapter) fill(net *sim.Network, n *sim.Node) *NodeCtx {
 	c.Extra = &n.Extra
 	c.net = net
 	c.pids = net.PacketsOf(n)
-	c.Outlinks = 0
-	for d := grid.Dir(0); d < grid.NumDirs; d++ {
-		if _, ok := net.Topo.Neighbor(n.ID, d); ok {
-			c.Outlinks = c.Outlinks.Set(d)
-		}
-	}
+	c.Outlinks = net.Topo.Outlinks(n.ID)
 	c.Up = c.Outlinks &^ net.DownOutlinks(n.ID)
 	for tag := uint8(0); tag < 5; tag++ {
 		c.QueueLens[tag] = n.QueueLen(tag)

@@ -32,3 +32,15 @@ func BenchmarkMeshNeighbor(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTorusNeighbor measures link lookup at a corner, where every
+// second link wraps.
+func BenchmarkTorusNeighbor(b *testing.B) {
+	t := NewSquareTorus(256)
+	id := t.ID(XY(255, 0))
+	for i := 0; i < b.N; i++ {
+		for d := Dir(0); d < NumDirs; d++ {
+			t.Neighbor(id, d)
+		}
+	}
+}

@@ -10,7 +10,10 @@
 // southwest corner and increasing Y moves north.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Dir identifies one of the four mesh directions. The zero value is North.
 type Dir uint8
@@ -43,17 +46,10 @@ func (d Dir) String() string {
 
 // Opposite returns the reverse direction. Opposite of NoDir is NoDir.
 func (d Dir) Opposite() Dir {
-	switch d {
-	case North:
-		return South
-	case South:
-		return North
-	case East:
-		return West
-	case West:
-		return East
+	if d >= NumDirs {
+		return NoDir
 	}
-	return NoDir
+	return (d + 2) & 3
 }
 
 // Delta returns the coordinate change of one hop in direction d.
@@ -87,15 +83,7 @@ func (s DirSet) Set(d Dir) DirSet { return s | 1<<d }
 func (s DirSet) Has(d Dir) bool { return s&(1<<d) != 0 }
 
 // Count returns the number of directions in the set.
-func (s DirSet) Count() int {
-	c := 0
-	for d := Dir(0); d < NumDirs; d++ {
-		if s.Has(d) {
-			c++
-		}
-	}
-	return c
-}
+func (s DirSet) Count() int { return bits.OnesCount8(uint8(s)) }
 
 // Dirs returns the directions in the set in canonical order.
 func (s DirSet) Dirs() []Dir {
@@ -163,188 +151,188 @@ type Topology interface {
 	// Profitable returns the set of outlinks of from that strictly
 	// decrease the distance to dst.
 	Profitable(from, dst NodeID) DirSet
+	// Outlinks returns the set of outlinks that exist at id: exactly the
+	// directions for which Neighbor reports true.
+	Outlinks(id NodeID) DirSet
 	// Wraparound reports whether the topology is a torus.
 	Wraparound() bool
 }
 
-// Mesh is the n×m two-dimensional mesh (no wraparound links).
-type Mesh struct {
+// EdgeIndex numbers the directed edge leaving node id in direction d, densely
+// in [0, NumDirs*N): the slot of that outlink in any flat per-port table.
+func EdgeIndex(id NodeID, d Dir) int { return int(id)<<2 | int(d) }
+
+// Grid is the w×h two-dimensional mesh, or with wrap set the torus. The
+// engine asks for coordinates, neighbours and profitable outlinks several
+// times per packet per step, so no query divides: a node's row is its
+// identifier times the reciprocal of the width, computed once here.
+type Grid struct {
 	w, h int
+	wrap bool
+	inv  uint64 // ⌈2^63/w⌉
 }
 
-// NewMesh returns a w×h mesh. Width and height must be positive.
-func NewMesh(w, h int) *Mesh {
+func newGrid(w, h int, wrap bool) *Grid {
 	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("grid: invalid mesh size %dx%d", w, h))
+		panic(fmt.Sprintf("grid: invalid size %dx%d", w, h))
 	}
-	return &Mesh{w: w, h: h}
+	return &Grid{w: w, h: h, wrap: wrap, inv: (1<<63-1)/uint64(w) + 1}
 }
+
+// NewMesh returns a w×h mesh (no wraparound links). Width and height must
+// be positive.
+func NewMesh(w, h int) *Grid { return newGrid(w, h, false) }
 
 // NewSquareMesh returns the n×n mesh of the paper.
-func NewSquareMesh(n int) *Mesh { return NewMesh(n, n) }
+func NewSquareMesh(n int) *Grid { return newGrid(n, n, false) }
+
+// NewTorus returns a w×h torus (mesh with wraparound links). Width and
+// height must be positive.
+func NewTorus(w, h int) *Grid { return newGrid(w, h, true) }
+
+// NewSquareTorus returns the n×n torus.
+func NewSquareTorus(n int) *Grid { return newGrid(n, n, true) }
 
 // Width returns the number of columns.
-func (m *Mesh) Width() int { return m.w }
+func (g *Grid) Width() int { return g.w }
 
 // Height returns the number of rows.
-func (m *Mesh) Height() int { return m.h }
+func (g *Grid) Height() int { return g.h }
 
 // N returns the number of nodes.
-func (m *Mesh) N() int { return m.w * m.h }
+func (g *Grid) N() int { return g.w * g.h }
+
+// Wraparound reports whether the grid is a torus.
+func (g *Grid) Wraparound() bool { return g.wrap }
 
 // ID maps a coordinate to its node identifier.
-func (m *Mesh) ID(c Coord) NodeID {
-	if c.X < 0 || c.X >= m.w || c.Y < 0 || c.Y >= m.h {
-		panic(fmt.Sprintf("grid: coord %v out of %dx%d mesh", c, m.w, m.h))
+func (g *Grid) ID(c Coord) NodeID {
+	if c.X < 0 || c.X >= g.w || c.Y < 0 || c.Y >= g.h {
+		panic(fmt.Sprintf("grid: coord %v out of %dx%d grid", c, g.w, g.h))
 	}
-	return NodeID(c.Y*m.w + c.X)
+	return NodeID(c.Y*g.w + c.X)
+}
+
+// xy splits a node identifier into column and row. With inv = ⌈2^63/w⌉ =
+// (2^63+e)/w for some 0 ≤ e < w, id·inv/2^63 = id/w + e·id/(w·2^63), and
+// the error term stays below 1/w because e and id are both under 2^31: the
+// integer part is exactly ⌊id/w⌋.
+func (g *Grid) xy(id NodeID) (x, y int) {
+	hi, _ := bits.Mul64(g.inv, uint64(id)<<1)
+	y = int(hi)
+	return int(id) - y*g.w, y
 }
 
 // CoordOf maps a node identifier back to its coordinate.
-func (m *Mesh) CoordOf(id NodeID) Coord {
-	return Coord{X: int(id) % m.w, Y: int(id) / m.w}
+func (g *Grid) CoordOf(id NodeID) Coord {
+	x, y := g.xy(id)
+	return Coord{X: x, Y: y}
+}
+
+// Outlinks returns the set of outlinks that exist at id: all four on the
+// torus, those not crossing the boundary on the mesh.
+func (g *Grid) Outlinks(id NodeID) DirSet {
+	out := AllDirs
+	if g.wrap {
+		return out
+	}
+	x, y := g.xy(id)
+	if y == g.h-1 {
+		out &^= 1 << North
+	}
+	if x == g.w-1 {
+		out &^= 1 << East
+	}
+	if y == 0 {
+		out &^= 1 << South
+	}
+	if x == 0 {
+		out &^= 1 << West
+	}
+	return out
 }
 
 // Neighbor returns the node one hop away in direction d, if the outlink
-// exists (mesh edges have no wraparound).
-func (m *Mesh) Neighbor(id NodeID, d Dir) (NodeID, bool) {
-	c := m.CoordOf(id).Add(d)
-	if c.X < 0 || c.X >= m.w || c.Y < 0 || c.Y >= m.h {
+// exists. Torus links wrap around the edges (onto the node itself along a
+// dimension of size 1); mesh boundary nodes have no outlink there.
+func (g *Grid) Neighbor(id NodeID, d Dir) (NodeID, bool) {
+	x, y := g.xy(id)
+	dx, dy := d.Delta()
+	x, y = x+dx, y+dy
+	if g.wrap {
+		x, y = fold(x, g.w), fold(y, g.h)
+	} else if x < 0 || x >= g.w || y < 0 || y >= g.h {
 		return 0, false
 	}
-	return m.ID(c), true
+	return NodeID(y*g.w + x), true
 }
 
-// Dist returns the L1 distance between two nodes.
-func (m *Mesh) Dist(a, b NodeID) int {
-	ca, cb := m.CoordOf(a), m.CoordOf(b)
-	return abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
-}
-
-// Profitable returns the outlinks of from that move a packet closer to dst.
-func (m *Mesh) Profitable(from, dst NodeID) DirSet {
-	cf, cd := m.CoordOf(from), m.CoordOf(dst)
-	var s DirSet
-	if cd.X > cf.X {
-		s = s.Set(East)
-	} else if cd.X < cf.X {
-		s = s.Set(West)
+// fold brings a coordinate one step outside [0, m) back around the torus.
+func fold(v, m int) int {
+	switch {
+	case v < 0:
+		return v + m
+	case v >= m:
+		return v - m
 	}
-	if cd.Y > cf.Y {
-		s = s.Set(North)
-	} else if cd.Y < cf.Y {
-		s = s.Set(South)
+	return v
+}
+
+// Dist returns the shortest-path distance between two nodes: L1 on the
+// mesh, the shorter way around each dimension on the torus.
+func (g *Grid) Dist(a, b NodeID) int {
+	ax, ay := g.xy(a)
+	bx, by := g.xy(b)
+	dx, dy := abs(ax-bx), abs(ay-by)
+	if g.wrap {
+		if 2*dx > g.w {
+			dx = g.w - dx
+		}
+		if 2*dy > g.h {
+			dy = g.h - dy
+		}
+	}
+	return dx + dy
+}
+
+// Profitable returns the outlinks of from that move a packet closer to
+// dst. On the torus, when the two ways around a dimension are equidistant,
+// both directions are profitable.
+func (g *Grid) Profitable(from, dst NodeID) DirSet {
+	fx, fy := g.xy(from)
+	dx, dy := g.xy(dst)
+	return g.along(dx-fx, g.w, East, West) | g.along(dy-fy, g.h, North, South)
+}
+
+// along returns the profitable directions along one dimension of size m for
+// the displacement d = dst - from: up toward larger coordinates, down
+// toward smaller ones.
+func (g *Grid) along(d, m int, up, down Dir) DirSet {
+	if d == 0 {
+		return 0
+	}
+	if !g.wrap {
+		if d > 0 {
+			return 1 << up
+		}
+		return 1 << down
+	}
+	if d < 0 {
+		d += m // hops going up, around the edge; going down takes m-d
+	}
+	var s DirSet
+	if 2*d <= m {
+		s = 1 << up
+	}
+	if 2*d >= m {
+		s |= 1 << down
 	}
 	return s
 }
-
-// Wraparound reports false: the mesh has no wraparound links.
-func (m *Mesh) Wraparound() bool { return false }
-
-// Torus is the n×m two-dimensional torus (mesh with wraparound links).
-type Torus struct {
-	w, h int
-}
-
-// NewTorus returns a w×h torus. Width and height must be positive.
-func NewTorus(w, h int) *Torus {
-	if w <= 0 || h <= 0 {
-		panic(fmt.Sprintf("grid: invalid torus size %dx%d", w, h))
-	}
-	return &Torus{w: w, h: h}
-}
-
-// NewSquareTorus returns the n×n torus.
-func NewSquareTorus(n int) *Torus { return NewTorus(n, n) }
-
-// Width returns the number of columns.
-func (t *Torus) Width() int { return t.w }
-
-// Height returns the number of rows.
-func (t *Torus) Height() int { return t.h }
-
-// N returns the number of nodes.
-func (t *Torus) N() int { return t.w * t.h }
-
-// ID maps a coordinate to its node identifier.
-func (t *Torus) ID(c Coord) NodeID {
-	if c.X < 0 || c.X >= t.w || c.Y < 0 || c.Y >= t.h {
-		panic(fmt.Sprintf("grid: coord %v out of %dx%d torus", c, t.w, t.h))
-	}
-	return NodeID(c.Y*t.w + c.X)
-}
-
-// CoordOf maps a node identifier back to its coordinate.
-func (t *Torus) CoordOf(id NodeID) Coord {
-	return Coord{X: int(id) % t.w, Y: int(id) / t.w}
-}
-
-// Neighbor returns the node one hop away in direction d; on the torus every
-// outlink exists, wrapping around the edges.
-func (t *Torus) Neighbor(id NodeID, d Dir) (NodeID, bool) {
-	c := t.CoordOf(id).Add(d)
-	c.X = mod(c.X, t.w)
-	c.Y = mod(c.Y, t.h)
-	return t.ID(c), true
-}
-
-// Dist returns the torus shortest-path distance between two nodes.
-func (t *Torus) Dist(a, b NodeID) int {
-	ca, cb := t.CoordOf(a), t.CoordOf(b)
-	return wrapDist(ca.X, cb.X, t.w) + wrapDist(ca.Y, cb.Y, t.h)
-}
-
-// Profitable returns the outlinks of from that move a packet closer to dst
-// under the torus metric. When the two ways around a dimension are
-// equidistant, both directions are profitable.
-func (t *Torus) Profitable(from, dst NodeID) DirSet {
-	cf, cd := t.CoordOf(from), t.CoordOf(dst)
-	var s DirSet
-	if cf.X != cd.X {
-		fwd := mod(cd.X-cf.X, t.w) // hops going East
-		bwd := t.w - fwd           // hops going West
-		if fwd <= bwd {
-			s = s.Set(East)
-		}
-		if bwd <= fwd {
-			s = s.Set(West)
-		}
-	}
-	if cf.Y != cd.Y {
-		fwd := mod(cd.Y-cf.Y, t.h) // hops going North
-		bwd := t.h - fwd           // hops going South
-		if fwd <= bwd {
-			s = s.Set(North)
-		}
-		if bwd <= fwd {
-			s = s.Set(South)
-		}
-	}
-	return s
-}
-
-// Wraparound reports true.
-func (t *Torus) Wraparound() bool { return true }
 
 func abs(x int) int {
 	if x < 0 {
 		return -x
 	}
 	return x
-}
-
-func mod(x, m int) int {
-	x %= m
-	if x < 0 {
-		x += m
-	}
-	return x
-}
-
-func wrapDist(a, b, m int) int {
-	d := abs(a - b)
-	if m-d < d {
-		return m - d
-	}
-	return d
 }

@@ -336,3 +336,157 @@ func mustPanic(t *testing.T, f func()) {
 	}()
 	f()
 }
+
+// The closed-form geometry — id%w, id/w and modular arithmetic per query —
+// that Grid computes without dividing, kept as the reference it is checked
+// against.
+
+func refMod(x, m int) int {
+	x %= m
+	if x < 0 {
+		x += m
+	}
+	return x
+}
+
+func refWrapDist(a, b, m int) int {
+	d := abs(a - b)
+	if m-d < d {
+		return m - d
+	}
+	return d
+}
+
+type refGrid struct {
+	w, h int
+	wrap bool
+}
+
+func (r refGrid) coordOf(id NodeID) Coord { return Coord{X: int(id) % r.w, Y: int(id) / r.w} }
+
+func (r refGrid) neighbor(id NodeID, d Dir) (NodeID, bool) {
+	c := r.coordOf(id).Add(d)
+	if r.wrap {
+		c.X, c.Y = refMod(c.X, r.w), refMod(c.Y, r.h)
+	} else if c.X < 0 || c.X >= r.w || c.Y < 0 || c.Y >= r.h {
+		return 0, false
+	}
+	return NodeID(c.Y*r.w + c.X), true
+}
+
+func (r refGrid) dist(a, b NodeID) int {
+	ca, cb := r.coordOf(a), r.coordOf(b)
+	if r.wrap {
+		return refWrapDist(ca.X, cb.X, r.w) + refWrapDist(ca.Y, cb.Y, r.h)
+	}
+	return abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
+}
+
+func (r refGrid) profitable(from, dst NodeID) DirSet {
+	cf, cd := r.coordOf(from), r.coordOf(dst)
+	var s DirSet
+	if !r.wrap {
+		if cd.X > cf.X {
+			s = s.Set(East)
+		} else if cd.X < cf.X {
+			s = s.Set(West)
+		}
+		if cd.Y > cf.Y {
+			s = s.Set(North)
+		} else if cd.Y < cf.Y {
+			s = s.Set(South)
+		}
+		return s
+	}
+	if cf.X != cd.X {
+		fwd := refMod(cd.X-cf.X, r.w) // hops going East
+		bwd := r.w - fwd              // hops going West
+		if fwd <= bwd {
+			s = s.Set(East)
+		}
+		if bwd <= fwd {
+			s = s.Set(West)
+		}
+	}
+	if cf.Y != cd.Y {
+		fwd := refMod(cd.Y-cf.Y, r.h) // hops going North
+		bwd := r.h - fwd              // hops going South
+		if fwd <= bwd {
+			s = s.Set(North)
+		}
+		if bwd <= fwd {
+			s = s.Set(South)
+		}
+	}
+	return s
+}
+
+// TestGeometryMatchesClosedForm checks every query against the closed-form
+// reference, exhaustively over all nodes, directions and node pairs. The
+// sizes cover a dimension of 1 (a torus link wraps onto its own node), of 2
+// (both ways around reach the same neighbour), even sides (antipodal ties
+// profitable both ways) and non-square grids.
+func TestGeometryMatchesClosedForm(t *testing.T) {
+	sizes := [][2]int{{1, 1}, {1, 5}, {2, 2}, {2, 7}, {3, 4}, {4, 4}, {5, 5}, {6, 3}}
+	for _, wh := range sizes {
+		for _, wrap := range []bool{false, true} {
+			w, h := wh[0], wh[1]
+			g, ref := newGrid(w, h, wrap), refGrid{w, h, wrap}
+			if g.N() != w*h || g.Width() != w || g.Height() != h || g.Wraparound() != wrap {
+				t.Fatalf("%dx%d wrap=%v: dimensions %dx%d n=%d wrap=%v", w, h, wrap, g.Width(), g.Height(), g.N(), g.Wraparound())
+			}
+			for a := NodeID(0); int(a) < g.N(); a++ {
+				c := ref.coordOf(a)
+				if g.CoordOf(a) != c || g.ID(c) != a {
+					t.Fatalf("%dx%d wrap=%v: CoordOf(%d) = %v, ID(%v) = %d; want %v, %d", w, h, wrap, a, g.CoordOf(a), c, g.ID(c), c, a)
+				}
+				var out DirSet
+				for d := Dir(0); d < NumDirs; d++ {
+					nb, ok := g.Neighbor(a, d)
+					wantNb, wantOK := ref.neighbor(a, d)
+					if nb != wantNb || ok != wantOK {
+						t.Fatalf("%dx%d wrap=%v: Neighbor(%v, %v) = %d,%v; want %d,%v", w, h, wrap, c, d, nb, ok, wantNb, wantOK)
+					}
+					if wantOK {
+						out = out.Set(d)
+					}
+				}
+				if g.Outlinks(a) != out {
+					t.Fatalf("%dx%d wrap=%v: Outlinks(%v) = %v, want %v", w, h, wrap, c, g.Outlinks(a), out)
+				}
+				for b := NodeID(0); int(b) < g.N(); b++ {
+					if got, want := g.Dist(a, b), ref.dist(a, b); got != want {
+						t.Fatalf("%dx%d wrap=%v: Dist(%v, %v) = %d, want %d", w, h, wrap, c, ref.coordOf(b), got, want)
+					}
+					if got, want := g.Profitable(a, b), ref.profitable(a, b); got != want {
+						t.Fatalf("%dx%d wrap=%v: Profitable(%v, %v) = %v, want %v", w, h, wrap, c, ref.coordOf(b), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCoordOfExactAtExtremes checks the reciprocal multiplication that
+// replaces id/w at the widths and identifiers where a rounded reciprocal
+// would first go wrong: the largest identifiers, widths of one and of
+// nearly 2^31, and identifiers on either side of a row boundary.
+func TestCoordOfExactAtExtremes(t *testing.T) {
+	const maxID = 1<<31 - 1
+	rng := rand.New(rand.NewSource(7))
+	for _, w := range []int{1, 2, 3, 7, 96, 1<<15 + 1, 1<<16 - 1, 1 << 30, 1<<30 + 1, maxID - 1, maxID} {
+		g := NewMesh(w, 1) // the row count plays no part in CoordOf
+		ids := []int{0, 1, w - 1, w, w + 1, maxID / w * w, maxID/w*w - 1, maxID - 1, maxID}
+		for i := 0; i < 1000; i++ {
+			ids = append(ids, rng.Intn(maxID), rng.Intn(maxID/w+1)*w) // anywhere, and a row start
+		}
+		for _, id := range ids {
+			if id > maxID { // w+1 at the widest grids
+				continue
+			}
+			if got, want := g.CoordOf(NodeID(id)), (Coord{X: id % w, Y: id / w}); got != want {
+				t.Fatalf("w=%d: CoordOf(%d) = %v, want %v", w, id, got, want)
+			}
+		}
+	}
+}

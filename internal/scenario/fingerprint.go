@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"meshroute"
-	"meshroute/internal/grid"
 )
 
 // Fingerprint returns the canonical content hash of the Spec: the SHA-256
@@ -52,13 +51,9 @@ func (s *Spec) Fingerprint() (string, error) {
 		c.Queues = queueModelName(rspec.Queues)
 	}
 	if c.CheckInvariants == nil {
-		var topo grid.Topology
-		if c.Topology == TopoTorus {
-			topo = grid.NewSquareTorus(c.N)
-		} else {
-			topo = grid.NewSquareMesh(c.N)
-		}
-		c.CheckInvariants = Bool(rspec.Config(topo, c.K).CheckInvariants)
+		// Config only stores the topology it is given; the default does not
+		// depend on it.
+		c.CheckInvariants = Bool(rspec.Config(nil, c.K).CheckInvariants)
 	}
 	c.Workload.ApplyOnlineDefaults()
 	if c.Workload.Dynamic() && !c.Workload.Drain {

@@ -95,7 +95,7 @@ func (m *Metrics) noteOccupancy(maxQueue, maxNodeLoad int) {
 // installed metrics sink. Only called when a sink is installed; the sample
 // is a stack value and the loops below allocate nothing, so the disabled
 // path (nil sink) costs exactly one branch in StepOnce.
-func (net *Network) emitStepSample(step int, arrivals []arrival, delivered int) {
+func (net *Network) emitStepSample(step int, arrivals []Move, delivered int) {
 	s := obs.StepSample{
 		Step:           step,
 		Moves:          len(arrivals),
@@ -107,7 +107,7 @@ func (net *Network) emitStepSample(step int, arrivals []arrival, delivered int) 
 		Backlog:        net.backlogTotal,
 	}
 	for _, a := range arrivals {
-		s.LinkUse[a.dir]++
+		s.LinkUse[a.Travel]++
 	}
 	for _, id := range net.occ {
 		node := &net.nodes[id]

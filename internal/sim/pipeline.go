@@ -108,7 +108,7 @@ type workerScratch struct {
 	err   error
 	// P2 accept outputs: the arrivals accepted from this worker's target
 	// shard, grouped contiguously per target in target order.
-	arrivals []arrival
+	arrivals []Move
 	accept   []bool
 	// P4 apply outputs.
 	newOcc    []grid.NodeID // nodes that became occupied, in attach order
@@ -245,9 +245,9 @@ func (net *Network) growForArrivals() {
 	s := &net.scratch
 	arr := s.arrivals[s.nDeliv:]
 	for i := 0; i < len(arr); {
-		to := arr[i].to
+		to := arr[i].To
 		j := i + 1
-		for j < len(arr) && arr[j].to == to {
+		for j < len(arr) && arr[j].To == to {
 			j++
 		}
 		node := &net.nodes[to]

@@ -243,8 +243,9 @@ type Offer struct {
 	Travel grid.Dir
 }
 
-// Move describes one scheduled transmission, given to the exchange hook
-// (part (b)).
+// Move describes one transmission: scheduled, as given to the exchange
+// hook (part (b)), then — if accepted — applied in part (d) and reported to
+// the observer.
 type Move struct {
 	// P is the scheduled packet.
 	P PacketID
@@ -475,7 +476,7 @@ type stepScratch struct {
 	sendMark []int32
 	stamp    int32
 
-	arrivals []arrival
+	arrivals []Move
 	nDeliv   int           // length of the delivery prefix of arrivals
 	accept   []bool        // Accept decision buffer, sliced per target
 	senders  []grid.NodeID // distinct sending nodes of this step's arrivals
@@ -487,8 +488,7 @@ type stepScratch struct {
 	occBounds []int
 	tgtBounds []int
 
-	// Observer record buffers (reused only when an observer is set).
-	recMoves     []Move
+	// Observer record buffer (reused only when an observer is set).
 	recDelivered []int32
 }
 

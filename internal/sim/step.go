@@ -85,13 +85,6 @@ func (net *Network) run(ctx context.Context, alg Algorithm, maxSteps int, allowP
 	return net.step - start, nil
 }
 
-// arrival is one accepted transmission being applied in part (d).
-type arrival struct {
-	p   PacketID
-	to  grid.NodeID
-	dir grid.Dir
-}
-
 // StepOnce executes one synchronous step: outqueue scheduling, adversary
 // exchanges, inqueue acceptance, transmission, and state update. At steady
 // state (no injections, nil sink) it performs zero heap allocations — at
@@ -198,7 +191,7 @@ func (net *Network) StepOnce(alg Algorithm) error {
 			continue
 		}
 		if m.To == st.Dst[m.P] {
-			arrivals = append(arrivals, arrival{p: m.P, to: m.To, dir: m.Travel})
+			arrivals = append(arrivals, *m)
 			continue
 		}
 		if s.offMark[m.To] != s.stamp {
@@ -322,19 +315,14 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	}
 
 	if net.observer != nil {
-		rec := StepRecord{Step: t}
-		recMoves := s.recMoves[:0]
 		recDelivered := s.recDelivered[:0]
 		for _, a := range arrivals {
-			src, _ := net.Topo.Neighbor(a.to, a.dir.Opposite())
-			recMoves = append(recMoves, Move{P: a.p, From: src, To: a.to, Travel: a.dir})
-			if st.DeliverStep[a.p] == int32(t) {
-				recDelivered = append(recDelivered, a.p.ID())
+			if st.DeliverStep[a.P] == int32(t) {
+				recDelivered = append(recDelivered, a.P.ID())
 			}
 		}
-		rec.Moves, rec.Delivered = recMoves, recDelivered
-		s.recMoves, s.recDelivered = recMoves, recDelivered
-		net.observer(rec)
+		s.recDelivered = recDelivered
+		net.observer(StepRecord{Step: t, Moves: arrivals, Delivered: recDelivered})
 	}
 	return nil
 }
@@ -428,7 +416,7 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 // starts at offStart-offCount). It mutates only the given target nodes
 // (through alg.Accept) and dst, so disjoint target shards may run
 // concurrently. acceptBuf is the caller-owned reusable decision buffer.
-func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBuf *[]bool, dst []arrival) []arrival {
+func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBuf *[]bool, dst []Move) []Move {
 	s := &net.scratch
 	for _, to := range targets {
 		cnt := int(s.offCount[to])
@@ -444,7 +432,7 @@ func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBu
 		alg.Accept(net, &net.nodes[to], offs, acc)
 		for i, ok := range acc {
 			if ok {
-				dst = append(dst, arrival{p: offs[i].P, to: to, dir: offs[i].Travel})
+				dst = append(dst, Move{P: offs[i].P, From: offs[i].From, To: to, Travel: offs[i].Travel})
 			}
 		}
 	}
@@ -455,14 +443,13 @@ func (net *Network) acceptTargets(alg Algorithm, targets []grid.NodeID, acceptBu
 // the moving packets departing, and rebuilds the deduplicated distinct-
 // sender list in s.senders. Serial: it writes the shared departing column
 // and the sendMark epoch array.
-func (net *Network) markDepartures(arrivals []arrival) error {
+func (net *Network) markDepartures(arrivals []Move) error {
 	s := &net.scratch
 	st := &net.P
 	senders := s.senders[:0]
 	for _, a := range arrivals {
-		p := a.p
-		src, ok := net.Topo.Neighbor(a.to, a.dir.Opposite())
-		if !ok || st.At[p] != src {
+		p, src := a.P, a.From
+		if st.At[p] != src {
 			return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
 		}
 		node := &net.nodes[src]
@@ -513,18 +500,18 @@ func (net *Network) compactSenders(senders []grid.NodeID) {
 // are grouped per target, so disjoint shards of the arrival list touch
 // disjoint target nodes; queue regions must already have capacity for
 // every arrival (pre-grown by growForArrivals when parallel).
-func (net *Network) applyArrivals(arrivals []arrival, occOut *[]grid.NodeID) (delivered, sumDelay, hops int) {
+func (net *Network) applyArrivals(arrivals []Move, occOut *[]grid.NodeID) (delivered, sumDelay, hops int) {
 	st := &net.P
 	t := net.step
 	for _, a := range arrivals {
-		p := a.p
+		p := a.P
 		st.departing[p] = false
 		st.Hops[p]++
 		hops++
-		st.Arrived[p] = a.dir
+		st.Arrived[p] = a.Travel
 		st.ArrivedStep[p] = int32(t)
-		if a.to == st.Dst[p] {
-			st.At[p] = a.to
+		if a.To == st.Dst[p] {
+			st.At[p] = a.To
 			st.DeliverStep[p] = int32(t)
 			delivered++
 			sumDelay += t - int(st.InjectStep[p])
@@ -532,9 +519,9 @@ func (net *Network) applyArrivals(arrivals []arrival, occOut *[]grid.NodeID) (de
 		}
 		tag := uint8(0)
 		if net.Queues == PerInlinkQueues {
-			tag = uint8(a.dir.Opposite())
+			tag = uint8(a.Travel.Opposite())
 		}
-		net.attachTo(&net.nodes[a.to], p, tag, occOut)
+		net.attachTo(&net.nodes[a.To], p, tag, occOut)
 	}
 	return delivered, sumDelay, hops
 }
