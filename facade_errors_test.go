@@ -1,6 +1,7 @@
 package meshroute
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,9 +14,29 @@ func TestRouteUnknownRouter(t *testing.T) {
 }
 
 func TestRouteCLTBadSize(t *testing.T) {
-	perm := RandomPermutation(NewMesh(32), 1)
-	if _, err := RouteCLT(32, perm, CLTOptions{}); err == nil {
-		t.Fatal("n=32 (not a power of 3) must error")
+	// 27·3^j and n < 27 are the only sides the tilings fit. The multiples
+	// of 3 in this list used to pass New and panic inside Route.
+	for _, n := range []int{28, 30, 32, 36, 45, 54, 63, 72, 90, 108, 135, 162, 244} {
+		perm := RandomPermutation(NewMesh(n), 1)
+		_, err := RouteCLT(n, perm, CLTOptions{})
+		if err == nil || !strings.Contains(err.Error(), "not a power of 3") {
+			t.Errorf("n=%d must be refused as not a power of 3, got %v", n, err)
+		}
+	}
+}
+
+// A permutation of a larger mesh, or one with a negative id, is an error
+// naming the pair — not an index panic.
+func TestRouteCLTPairOutsideMesh(t *testing.T) {
+	if _, err := RouteCLT(27, RandomPermutation(NewMesh(81), 1), CLTOptions{}); err == nil ||
+		!strings.Contains(err.Error(), "outside the 27×27 mesh") {
+		t.Errorf("an 81×81 permutation on n=27: got %v", err)
+	}
+	for _, pair := range []Pair{{Src: 729, Dst: 0}, {Src: 0, Dst: 729}, {Src: -1, Dst: 5}, {Src: 5, Dst: -1}} {
+		_, err := RouteCLT(27, &Permutation{Pairs: []Pair{{Src: 1, Dst: 2}, pair}}, CLTOptions{})
+		if want := fmt.Sprintf("pair %d -> %d is outside", pair.Src, pair.Dst); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("pair %v: got %v, want an error containing %q", pair, err, want)
+		}
 	}
 }
 

@@ -1,106 +1,68 @@
 package clt
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // balance implements Step 4 of the Vertical Phase: Horizontal Balancing by
 // the 2-rule — every node holding more than two active packets transmits
-// east the active packet with the farthest east to go. Rows are
-// independent; the returned duration is the slowest row's, and Lemma 17
-// guarantees (checked here) that no packet ever overshoots its destination
-// column.
-func (r *Router) balance(td *tileData, xf xform, m int) (int, error) {
-	// Group actives by row.
-	rowsOf := map[int][]*pkt{}
-	var rowKeys []int
-	for _, p := range td.actives {
-		y := xf.to(p.cur).Y
-		if _, ok := rowsOf[y]; !ok {
-			rowKeys = append(rowKeys, y)
-		}
-		rowsOf[y] = append(rowsOf[y], p)
+// east the active packet with the farthest east to go, until the tile is
+// quiescent. Rows are independent, so the returned duration is the slowest
+// row's, and Lemma 17 guarantees (checked by move) that no packet ever
+// overshoots its destination column. A step's moves are applied in id
+// order.
+func (r *Router) balance(tile []act, m int) (int, error) {
+	cnt, win := r.cnt, r.goEast // per tile node y*m+x
+	node := func(a *act) int { return int(a.y)*m + int(a.x) }
+	for k := range tile {
+		cnt[node(&tile[k])]++
 	}
-	sort.Ints(rowKeys)
-
-	maxDur := 0
-	for _, y := range rowKeys {
-		dur, err := r.balanceRow(td, xf, rowsOf[y], m)
-		if err != nil {
-			return 0, err
-		}
-		if dur > maxDur {
-			maxDur = dur
-		}
-	}
-	// Lemma 24: at most two active packets end Balancing in one node.
-	counts := map[int]int{}
-	for _, p := range td.actives {
-		a := xf.to(p.cur)
-		counts[a.Y*r.n+a.X]++
-	}
-	for id, c := range counts {
-		if c > 2 {
-			return 0, fmt.Errorf("clt: Lemma 24 violated: %d actives at node %d after Balancing", c, id)
-		}
-	}
-	return maxDur, nil
-}
-
-// balanceRow runs the 2-rule on one row until quiescent.
-func (r *Router) balanceRow(td *tileData, xf xform, pkts []*pkt, m int) (int, error) {
-	nodes := map[int][]*pkt{} // by algorithm-space x
-	for _, p := range pkts {
-		x := xf.to(p.cur).X
-		nodes[x] = append(nodes[x], p)
-	}
-	dist := func(p *pkt) int { return xf.to(p.dst).X - xf.to(p.cur).X }
-
 	step := 0
 	for {
-		var moves []*pkt
-		for x, lst := range nodes {
-			if len(lst) <= 2 {
+		moves := r.moves[:0]
+		for k := range tile {
+			a, v := &tile[k], node(&tile[k])
+			if cnt[v] <= 2 {
 				continue
 			}
-			bi := 0
-			for j := 1; j < len(lst); j++ {
-				dj, db := dist(lst[j]), dist(lst[bi])
-				if dj > db || (dj == db && lst[j].id < lst[bi].id) {
-					bi = j
-				}
+			if w := win[v]; w < 0 {
+				moves = append(moves, int32(v))
+			} else if b := &tile[w]; !farther(a.dx-a.x, a.id, b.dx-b.x, b.id) {
+				continue
 			}
-			if dist(lst[bi]) <= 0 {
-				return 0, fmt.Errorf("clt: Lemma 16 violated: node x=%d holds >2 actives, all at their columns", x)
-			}
-			moves = append(moves, lst[bi])
+			win[v] = int32(k)
 		}
+		r.moves = moves[:0]
 		if len(moves) == 0 {
-			return step, nil
+			break
+		}
+		for j, v := range moves {
+			moves[j], win[v] = win[v], -1
+			if a := &tile[moves[j]]; a.dx <= a.x {
+				return 0, fmt.Errorf("clt: Lemma 16 violated: node x=%d holds >2 actives, all at their columns", a.x)
+			}
 		}
 		step++
 		if step > 3*m {
 			return 0, fmt.Errorf("clt: Balancing did not stabilize in %d steps", step)
 		}
-		// Deterministic application order.
-		sort.Slice(moves, func(a, b int) bool { return moves[a].id < moves[b].id })
-		for _, p := range moves {
-			x := xf.to(p.cur).X
-			removePkt2(nodes, x, p)
-			r.movePkt(p, xf, 1, 0, step)
-			nodes[x+1] = append(nodes[x+1], p)
+		slices.SortFunc(moves, func(j, k int32) int { return cmp.Compare(tile[j].id, tile[k].id) })
+		for _, k := range moves {
+			a := &tile[k]
+			cnt[node(a)]--
+			r.move(a, 1, 0, int32(step))
+			cnt[node(a)]++
 		}
 	}
-}
-
-func removePkt2(nodes map[int][]*pkt, x int, p *pkt) {
-	lst := nodes[x]
-	for i, q := range lst {
-		if q == p {
-			lst[i] = lst[len(lst)-1]
-			nodes[x] = lst[:len(lst)-1]
-			return
+	// Lemma 24: at most two active packets end Balancing in one node.
+	for k := range tile {
+		v := node(&tile[k])
+		if cnt[v] > 2 {
+			return 0, fmt.Errorf("clt: Lemma 24 violated: %d actives at node %d after Balancing", cnt[v], v)
 		}
+		cnt[v] = 0
 	}
+	return step, nil
 }

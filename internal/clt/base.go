@@ -2,9 +2,8 @@ package clt
 
 import (
 	"fmt"
-	"sort"
-
-	"meshroute/internal/grid"
+	"math/bits"
+	"slices"
 )
 
 // baseCase finishes a class pass with the dimension-order farthest-first
@@ -15,95 +14,75 @@ import (
 // whole pass and those bounds do not apply.
 func (r *Router) baseCase(class Class, afterIterations bool) error {
 	xf := newXform(r.n, class, false)
-	var live []*pkt
-	for _, p := range r.pkts {
-		if p.class == class && !p.done {
-			live = append(live, p)
+	r.orient(xf)
+	live := r.acts[:0]
+	for k := range r.pkts {
+		p := &r.pkts[k]
+		if p.class != class || p.done {
+			continue
 		}
-	}
-	if afterIterations {
-		for _, p := range live {
-			a, b := xf.to(p.cur), xf.to(p.dst)
-			if b.X-a.X > 2 || b.Y-a.Y > 2 {
-				return fmt.Errorf("clt: packet %d entered base case %d cols, %d rows from its destination (Lemma 18 allows 2)",
-					p.id, b.X-a.X, b.Y-a.Y)
-			}
+		a, b := xf.to(p.cur), xf.to(p.dst)
+		if afterIterations && (b.X-a.X > 2 || b.Y-a.Y > 2) {
+			return fmt.Errorf("clt: packet %d entered base case %d cols, %d rows from its destination (Lemma 18 allows 2)",
+				p.id, b.X-a.X, b.Y-a.Y)
 		}
+		live = append(live, act{p: p, id: int32(p.id), x: int32(a.X), y: int32(a.Y), dx: int32(b.X), dy: int32(b.Y)})
 	}
+	r.acts = live[:0]
 
 	limit := 14
 	if !afterIterations {
 		limit = 100 * r.n * r.n
 	}
 	step := 0
+	// outlink is the link a wants next and how far it has to go on it.
+	outlink := func(a *act) (win []int32, dist int32) {
+		if a.dx > a.x {
+			return r.goEast, a.dx - a.x
+		}
+		return r.goNorth, a.dy - a.y
+	}
+	hop := func(a *act, ex, ny int32) {
+		r.move(a, ex, ny, int32(step))
+		if a.x == a.dx && a.y == a.dy { // delivered: leaves the network
+			a.p.done = true
+			r.occ[r.nid(a.p.cur)]--
+		}
+	}
 	for len(live) > 0 {
 		step++
 		if step > limit {
 			return fmt.Errorf("clt: base case exceeded %d steps with %d packets left", limit, len(live))
 		}
-		// Group by node; one packet per outlink, dimension order
-		// (east first), farthest first.
-		nodes := map[grid.Coord][]*pkt{}
-		var keys []grid.Coord
-		for _, p := range live {
-			a := xf.to(p.cur)
-			if _, ok := nodes[a]; !ok {
-				keys = append(keys, a)
-			}
-			nodes[a] = append(nodes[a], p)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Y != keys[j].Y {
-				return keys[i].Y < keys[j].Y
-			}
-			return keys[i].X < keys[j].X
-		})
-		type mv struct {
-			p      *pkt
-			dx, dy int
-		}
-		var moves []mv
-		for _, k := range keys {
-			var east, north *pkt
-			for _, p := range nodes[k] {
-				a, b := xf.to(p.cur), xf.to(p.dst)
-				switch {
-				case b.X > a.X:
-					if east == nil || b.X-a.X > xf.to(east.dst).X-a.X ||
-						(b.X-a.X == xf.to(east.dst).X-a.X && p.id < east.id) {
-						east = p
-					}
-				case b.Y > a.Y:
-					if north == nil || b.Y-a.Y > xf.to(north.dst).Y-a.Y ||
-						(b.Y-a.Y == xf.to(north.dst).Y-a.Y && p.id < north.id) {
-						north = p
-					}
+		// One packet per node and outlink, dimension order (east
+		// first), farthest first.
+		for k := range live {
+			a := &live[k]
+			v := int(a.y)*r.n + int(a.x)
+			r.sending[v>>6] |= 1 << (v & 63)
+			win, dist := outlink(a)
+			if w := win[v]; w >= 0 {
+				if _, wd := outlink(&live[w]); !farther(dist, a.id, wd, live[w].id) {
+					continue
 				}
 			}
-			if east != nil {
-				moves = append(moves, mv{east, 1, 0})
-			}
-			if north != nil {
-				moves = append(moves, mv{north, 0, 1})
-			}
+			win[v] = int32(k)
 		}
-		if len(moves) == 0 {
-			return fmt.Errorf("clt: base case deadlocked with %d packets left", len(live))
-		}
-		for _, m := range moves {
-			r.movePkt(m.p, xf, m.dx, m.dy, step)
-			if m.p.cur == m.p.dst {
-				r.deliver(m.p)
-			}
-		}
-		w := 0
-		for _, p := range live {
-			if !p.done {
-				live[w] = p
-				w++
+		// Apply south to north, west to east, east link before north.
+		for w, word := range r.sending {
+			for r.sending[w] = 0; word != 0; word &= word - 1 {
+				v := w<<6 + bits.TrailingZeros64(word)
+				if k := r.goEast[v]; k >= 0 {
+					r.goEast[v] = -1
+					hop(&live[k], 1, 0)
+				}
+				if k := r.goNorth[v]; k >= 0 {
+					r.goNorth[v] = -1
+					hop(&live[k], 0, 1)
+				}
 			}
 		}
-		live = live[:w]
+		live = slices.DeleteFunc(live, func(a act) bool { return a.p.done })
 	}
 	r.res.BaseCaseSteps += step
 	formula := step // no closed form without iterations (n < 27)
@@ -116,44 +95,27 @@ func (r *Router) baseCase(class Class, afterIterations bool) error {
 	return nil
 }
 
-// deliver removes a packet from the network.
-func (r *Router) deliver(p *pkt) {
-	p.done = true
-	id := r.nid(p.cur)
-	lst := r.byNode[id]
-	for i, q := range lst {
-		if q == p {
-			lst[i] = lst[len(lst)-1]
-			r.byNode[id] = lst[:len(lst)-1]
-			return
-		}
-	}
-}
-
 // checkLemma16 (Verify mode) asserts the prefix property after
 // Sort-and-Smooth: for any row, any column c, and any s >= 1, the first s
 // nodes west of and including column c hold at most 2s active packets with
-// destination column at or west of c.
-func (r *Router) checkLemma16(td *tileData, xf xform, d, m int) error {
-	type rowKey = int
-	byRow := map[rowKey][]*pkt{}
-	for _, p := range td.actives {
-		a := xf.to(p.cur)
-		byRow[a.Y] = append(byRow[a.Y], p)
+// destination column at or west of c. cols is the number of real columns in
+// the tile (an edge tile overhangs the mesh).
+func checkLemma16(tile []act, cols int) error {
+	byRow := map[int32][]*act{}
+	for k := range tile {
+		byRow[tile[k].y] = append(byRow[tile[k].y], &tile[k])
 	}
-	for y, pkts := range byRow {
-		// positions and destination columns
-		for c := td.ax; c < td.ax+m && c < r.n; c++ {
+	for y, row := range byRow {
+		for c := int32(0); int(c) < cols; c++ {
 			count := 0
-			for s := 1; c-s+1 >= td.ax; s++ {
-				x := c - s + 1
-				for _, p := range pkts {
-					if xf.to(p.cur).X == x && xf.to(p.dst).X <= c {
+			for x := c; x >= 0; x-- {
+				for _, a := range row {
+					if a.x == x && a.dx <= c {
 						count++
 					}
 				}
-				if count > 2*s {
-					return fmt.Errorf("clt: Lemma 16 violated in row %d: %d (<=%d)-packets in window [%d..%d]",
+				if s := int(c - x + 1); count > 2*s {
+					return fmt.Errorf("clt: Lemma 16 violated in tile row %d: %d (<=%d)-packets in window [%d..%d]",
 						y, count, c, x, c)
 				}
 			}

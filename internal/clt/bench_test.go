@@ -13,6 +13,7 @@ func BenchmarkRoute(b *testing.B) {
 	for _, n := range []int{27, 81, 243} {
 		perm := workload.Random(grid.NewSquareMesh(n), 7)
 		b.Run(sizeName(n), func(b *testing.B) {
+			b.ReportAllocs()
 			var schedule int
 			for i := 0; i < b.N; i++ {
 				r, err := New(Config{N: n})

@@ -73,8 +73,8 @@ func ClassOf(src, dst grid.Coord) Class {
 
 // Config configures a Router.
 type Config struct {
-	// N is the mesh side. It must be a power of 3, or less than 27
-	// (pure base case).
+	// N is the mesh side. It must be 27·3^j, or less than 27 (pure base
+	// case).
 	N int
 	// ImprovedQ uses q = 102 for iterations j >= 1 (the 564n variant).
 	ImprovedQ bool
@@ -119,19 +119,39 @@ type Result struct {
 	Iterations int
 }
 
-// pkt is a packet in flight.
+// pkt is a packet in flight. Packets live in one slab, in permutation
+// order.
 type pkt struct {
 	id    int
 	cur   grid.Coord // real coordinates
 	dst   grid.Coord // real coordinates
 	class Class
 	done  bool
+	// hops counts link traversals; Route checks that it equals the L1
+	// source-destination distance on delivery (minimality).
+	hops int
+}
+
+// act is a packet taking part in the current phase, with what the phase
+// reads every step cached beside the pointer: position and destination in
+// algorithm space relative to the packet's tile (the whole mesh in the base
+// case), the destination strip, and March's last-move stamp.
+type act struct {
+	p            *pkt
+	tile         int32 // row-major index of the tile
+	id           int32
+	x, y, dx, dy int32
+	strip        int32 // destination strip i, 1-based
 	// lastMove is the step-within-phase of the packet's last move
 	// (March's "prefer the packet received from the south" rule).
-	lastMove int
-	// hops counts link traversals; minimality means hops equals the L1
-	// source-destination distance on delivery.
-	hops int
+	lastMove int32
+}
+
+// farther reports whether a packet with dist still to go and the given id
+// goes before another under "farthest first, lowest id on ties" — the
+// selection rule of Sort-and-Smooth, Balancing and the base case.
+func farther(dist, id, otherDist, otherID int32) bool {
+	return dist > otherDist || (dist == otherDist && id < otherID)
 }
 
 // Router routes permutations with the Section 6 algorithm.
@@ -139,12 +159,9 @@ type Router struct {
 	cfg Config
 	n   int
 
-	pkts []*pkt
-	// byNode holds the in-flight packets of the class currently being
-	// routed, indexed by real node id.
-	byNode [][]*pkt
-	// parked counts in-flight packets of all other classes per node.
-	parked []int
+	pkts []pkt
+	// occ counts the in-flight packets of all classes per real node.
+	occ []int32
 
 	// clock is the phase clock: the sum of the formula durations of all
 	// phases emitted so far (the start step of the next span under the
@@ -152,6 +169,20 @@ type Router struct {
 	clock int
 
 	res Result
+
+	// Phase scratch, sized once per Route and indexed by tile-local
+	// coordinates. Every phase leaves cnt zero and goEast/goNorth at -1.
+	acts, found []act      // the phase's actives in phase order / as found
+	count       []int32    // gather's counting sort: actives per tile column
+	east, north grid.Coord // one algorithm-space hop east / north, in real space
+	cnt         []int16    // March: [row][strip] actives; Balancing: actives per node
+	goEast      []int32    // per node: the act chosen to move east this step
+	goNorth     []int32    // per node (March: per row): likewise north
+	live, moves []int32
+	sending     []uint64  // base case: bitset of the nodes that transmit this step
+	hold, fq    [][]int32 // Sort-and-Smooth: per strip node, indices into the stream
+	head, recv  []int32   // fq read positions; packets received per strip i-2 node
+	sends       []send
 }
 
 // emitSpan records one completed phase on the configured sink (if any)
@@ -167,41 +198,62 @@ func (r *Router) emitSpan(name string, class Class, axis string, iter, tau, meas
 	r.clock += formula
 }
 
-// New creates a router for an n×n mesh.
+// New creates a router for an n×n mesh: n < 27 (pure base case) or
+// n = 27·3^j.
 func New(cfg Config) (*Router, error) {
 	n := cfg.N
 	if n < 1 {
 		return nil, fmt.Errorf("clt: invalid n = %d", n)
 	}
-	if n >= 27 {
-		for m := n; m > 27; m /= 3 {
-			if m%3 != 0 {
-				return nil, fmt.Errorf("clt: n = %d is not a power of 3", n)
-			}
-		}
+	m := n
+	for m > 27 && m%3 == 0 {
+		m /= 3
+	}
+	if n >= 27 && m != 27 {
+		return nil, fmt.Errorf("clt: n = %d is not a power of 3", n)
 	}
 	return &Router{cfg: cfg, n: n}, nil
 }
 
+// reset clears the run state and sizes the slab for up to packets packets
+// and the scratch for the whole mesh as one tile.
+func (r *Router) reset(packets int) {
+	n := r.n
+	r.res = Result{N: n}
+	r.clock = 0
+	r.pkts = make([]pkt, 0, packets)
+	r.occ = make([]int32, n*n)
+	r.cnt = make([]int16, n*max(n, 29))
+	r.goEast, r.goNorth = make([]int32, n*n), make([]int32, n*n)
+	for i := range r.goEast {
+		r.goEast[i], r.goNorth[i] = -1, -1
+	}
+	r.sending = make([]uint64, n*n/64+1)
+	strip := n/27 + 1 // strip nodes are numbered 1..d, d <= n/27
+	r.hold, r.fq = make([][]int32, strip), make([][]int32, strip)
+	r.head, r.recv = make([]int32, strip), make([]int32, strip)
+}
+
 // Route routes the permutation and returns the run statistics.
 func (r *Router) Route(perm *workload.Permutation) (*Result, error) {
+	nodes := grid.NodeID(r.n * r.n)
+	for _, pr := range perm.Pairs {
+		if pr.Src < 0 || pr.Src >= nodes || pr.Dst < 0 || pr.Dst >= nodes {
+			return nil, fmt.Errorf("clt: pair %d -> %d is outside the %d×%d mesh", pr.Src, pr.Dst, r.n, r.n)
+		}
+	}
 	if err := perm.Validate(); err != nil {
 		return nil, err
 	}
 	topo := grid.NewSquareMesh(r.n)
-	r.res = Result{N: r.n}
-	r.clock = 0
-	r.pkts = r.pkts[:0]
-	r.parked = make([]int, r.n*r.n)
-	r.byNode = make([][]*pkt, r.n*r.n)
+	r.reset(len(perm.Pairs))
 	for i, pr := range perm.Pairs {
 		src, dst := topo.CoordOf(pr.Src), topo.CoordOf(pr.Dst)
 		if src == dst {
 			continue // delivered at placement
 		}
-		p := &pkt{id: i, cur: src, dst: dst, class: ClassOf(src, dst)}
-		r.pkts = append(r.pkts, p)
-		r.parked[r.nid(src)]++
+		r.pkts = append(r.pkts, pkt{id: i, cur: src, dst: dst, class: ClassOf(src, dst)})
+		r.occ[r.nid(src)]++
 	}
 	r.res.Packets = len(r.pkts)
 
@@ -210,9 +262,13 @@ func (r *Router) Route(perm *workload.Permutation) (*Result, error) {
 			return nil, err
 		}
 	}
-	for _, p := range r.pkts {
+	for k := range r.pkts {
+		p, pr := &r.pkts[k], perm.Pairs[r.pkts[k].id]
 		if !p.done {
 			return nil, fmt.Errorf("clt: packet %d undelivered at %v (dst %v)", p.id, p.cur, p.dst)
+		}
+		if minimal := topo.Dist(pr.Src, pr.Dst); p.hops != minimal {
+			return nil, fmt.Errorf("clt: packet %d took %d hops, a minimal path has %d", p.id, p.hops, minimal)
 		}
 	}
 	res := r.res
@@ -224,23 +280,18 @@ func (r *Router) nid(c grid.Coord) int { return c.Y*r.n + c.X }
 
 // noteOccupancy refreshes the peak queue statistic for one node.
 func (r *Router) noteOccupancy(id int) {
-	occ := len(r.byNode[id]) + r.parked[id]
-	if occ > r.res.MaxQueue {
+	if occ := int(r.occ[id]); occ > r.res.MaxQueue {
 		r.res.MaxQueue = occ
 	}
 }
 
 // routeClass runs one full pass for a class.
 func (r *Router) routeClass(class Class) error {
-	// Move this class's packets from parked to active bookkeeping.
-	for _, p := range r.pkts {
-		if p.class != class || p.done {
-			continue
+	// The pass opens by taking stock of the nodes its packets wait in.
+	for k := range r.pkts {
+		if p := &r.pkts[k]; p.class == class && !p.done {
+			r.noteOccupancy(r.nid(p.cur))
 		}
-		id := r.nid(p.cur)
-		r.parked[id]--
-		r.byNode[id] = append(r.byNode[id], p)
-		r.noteOccupancy(id)
 	}
 
 	iter := 0
@@ -250,13 +301,13 @@ func (r *Router) routeClass(class Class) error {
 		if r.cfg.ImprovedQ && iter > 0 {
 			q = QImproved
 		}
-		tilings := []int{0}
+		tilings := 1
 		if iter > 0 {
-			tilings = []int{0, 1, 2}
+			tilings = 3
 		}
 		// Vertical Phase on each tiling, then Horizontal Phase on each.
 		for _, vertical := range []bool{true, false} {
-			for _, tau := range tilings {
+			for tau := 0; tau < tilings; tau++ {
 				if err := r.phase(class, vertical, m, d, q, tau, iter); err != nil {
 					return err
 				}
@@ -267,20 +318,5 @@ func (r *Router) routeClass(class Class) error {
 	if iter > r.res.Iterations {
 		r.res.Iterations = iter
 	}
-
-	if err := r.baseCase(class, iter > 0); err != nil {
-		return err
-	}
-
-	// Re-park whatever this class leaves behind (nothing: base case
-	// delivers everything, but keep the bookkeeping symmetric).
-	for id := range r.byNode {
-		for _, p := range r.byNode[id] {
-			if !p.done {
-				r.parked[id]++
-			}
-		}
-		r.byNode[id] = nil
-	}
-	return nil
+	return r.baseCase(class, iter > 0)
 }

@@ -96,10 +96,13 @@ func TestNewRejectsBadSizes(t *testing.T) {
 	if _, err := New(Config{N: 0}); err == nil {
 		t.Fatal("n=0 must fail")
 	}
-	if _, err := New(Config{N: 32}); err == nil {
-		t.Fatal("n=32 (not a power of 3) must fail")
+	// Only 27·3^j fits the tilings; 30, 54, 135 … are multiples of 3 too.
+	for _, n := range []int{28, 30, 32, 54, 80, 82, 108, 135, 242} {
+		if _, err := New(Config{N: n}); err == nil {
+			t.Fatalf("n=%d (not a power of 3) must fail", n)
+		}
 	}
-	for _, n := range []int{9, 26, 27, 81} {
+	for _, n := range []int{1, 9, 26, 27, 81, 243, 729} {
 		if _, err := New(Config{N: n}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -239,4 +242,69 @@ func TestPartialPermutation(t *testing.T) {
 	if res.Packets != 2 {
 		t.Fatalf("fixed points should not count: %d", res.Packets)
 	}
+}
+
+// Theorem 34 and Lemma 28 as assertions: the synchronized schedule is at
+// most 972n steps (564n with the improved q), every phase goes quiescent
+// within its closed form, and no node ever holds more than 834 packets.
+func TestTheorem34Bounds(t *testing.T) {
+	for _, n := range []int{27, 81, 243} {
+		if n == 243 && testing.Short() {
+			continue
+		}
+		topo := grid.NewSquareMesh(n)
+		for name, perm := range map[string]*workload.Permutation{
+			"random":    workload.Random(topo, 1),
+			"transpose": workload.Transpose(topo),
+			"reversal":  workload.Reversal(topo),
+		} {
+			for _, improved := range []bool{false, true} {
+				_, res := routePerm(t, n, perm, Config{ImprovedQ: improved})
+				bound := 972 * n
+				if improved {
+					bound = 564 * n
+				}
+				if res.TimeFormula > bound || res.TimeMeasured > res.TimeFormula {
+					t.Errorf("n=%d %s improved=%v: schedule %d (measured %d), Theorem 34 allows %d",
+						n, name, improved, res.TimeFormula, res.TimeMeasured, bound)
+				}
+				if res.MaxQueue > 834 {
+					t.Errorf("n=%d %s improved=%v: %d packets in one node, Lemma 28 allows 834", n, name, improved, res.MaxQueue)
+				}
+			}
+		}
+	}
+}
+
+// The Lemma 16 prefix property holds after every Sort-and-Smooth of a full
+// n=81 permutation (two tile iterations, three tilings).
+func TestVerify81(t *testing.T) {
+	n := 81
+	topo := grid.NewSquareMesh(n)
+	for _, perm := range []*workload.Permutation{workload.Random(topo, 2), workload.Reversal(topo)} {
+		r, _ := routePerm(t, n, perm, Config{Verify: true})
+		checkMinimal(t, r)
+	}
+}
+
+// A route allocates its slab and scratch once, not per column, stream or
+// step: PR 12 took 572,954 allocations for this route, the flat state ~55.
+// The gate sits where one allocation per column (81 columns × 32 phases)
+// would already trip it.
+func TestRouteAllocs(t *testing.T) {
+	n := 81
+	perm := workload.Random(grid.NewSquareMesh(n), 7)
+	allocs := testing.AllocsPerRun(3, func() {
+		r, err := New(Config{N: n})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Route(perm); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("one n=81 route made %.0f allocations, the gate is 1000", allocs)
+	}
+	t.Logf("%.0f allocations per n=81 route", allocs)
 }

@@ -2,48 +2,38 @@ package clt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"meshroute/internal/grid"
 )
 
-// tileData collects one tile's active packets for a phase.
-type tileData struct {
-	ax, ay  int // algorithm-space anchor (may be negative for edge tiles)
-	actives []*pkt
-}
-
-// relocate moves a packet to a new real coordinate, maintaining the
-// per-node lists and the occupancy statistic.
-func (r *Router) relocate(p *pkt, to grid.Coord) {
-	from := r.nid(p.cur)
-	lst := r.byNode[from]
-	for i, q := range lst {
-		if q == p {
-			lst[i] = lst[len(lst)-1]
-			r.byNode[from] = lst[:len(lst)-1]
-			break
-		}
+// move advances a one hop east (ex = 1) or north (ny = 1) in algorithm
+// space, maintaining the per-node occupancy and its peak. Every move is
+// checked to be minimal: it must not pass the packet's destination in
+// either dimension (Theorem 20).
+func (r *Router) move(a *act, ex, ny, phaseStep int32) {
+	a.x += ex
+	a.y += ny
+	if a.x > a.dx || a.y > a.dy {
+		panic(fmt.Sprintf("clt: non-minimal move of packet %d past its destination", a.id))
 	}
-	p.cur = to
-	id := r.nid(to)
-	r.byNode[id] = append(r.byNode[id], p)
+	p := a.p
+	r.occ[r.nid(p.cur)]--
+	p.cur.X += int(ex)*r.east.X + int(ny)*r.north.X
+	p.cur.Y += int(ex)*r.east.Y + int(ny)*r.north.Y
+	id := r.nid(p.cur)
+	r.occ[id]++
 	r.noteOccupancy(id)
+	a.lastMove = phaseStep
+	p.hops++
 }
 
-// movePkt advances p one hop in algorithm space. Every move is checked to
-// be minimal: it must not pass the packet's destination in either
-// dimension (Theorem 20).
-func (r *Router) movePkt(p *pkt, xf xform, dx, dy, phaseStep int) {
-	a := xf.to(p.cur)
-	a.X += dx
-	a.Y += dy
-	if b := xf.to(p.dst); a.X > b.X || a.Y > b.Y {
-		panic(fmt.Sprintf("clt: non-minimal move of packet %d past its destination", p.id))
-	}
-	r.relocate(p, xf.from(a))
-	p.lastMove = phaseStep
-	p.hops++
+// orient records what one algorithm-space hop east and north is in real
+// space under xf.
+func (r *Router) orient(xf xform) {
+	o := xf.from(grid.XY(0, 0))
+	e, n := xf.from(grid.XY(1, 0)), xf.from(grid.XY(0, 1))
+	r.east, r.north = grid.XY(e.X-o.X, e.Y-o.Y), grid.XY(n.X-o.X, n.Y-o.Y)
 }
 
 // tilingStart returns the smallest tile anchor of tiling tau with tiles of
@@ -65,18 +55,23 @@ func tileIndex(c grid.Coord, m, tau int) (ti, tj int) {
 	return (c.X - start) / m, (c.Y - start) / m
 }
 
-// phase runs one Vertical (or, transposed, Horizontal) Phase of iteration
-// iter with tile side m, strip height d = m/27, March capacity q, on
-// tiling tau, emitting one span per sub-phase on the configured sink.
-func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error {
-	xf := newXform(r.n, class, !vertical)
+// gather collects the class's active packets for a phase on tiling tau
+// (tile side m, strip height d) into r.acts, ordered by tile (row-major),
+// column and id, so that every tile and every column of a tile is one
+// contiguous run. A packet participates if its location and destination
+// share the tile; it is active if its destination strip i is at least 3
+// above its current strip.
+func (r *Router) gather(class Class, xf xform, m, d, tau int) []act {
+	r.orient(xf)
 	start := tilingStart(m, tau)
-
-	// Gather active packets per tile. A packet participates if its
-	// location and destination share the tile; it is active if its
-	// destination strip i is at least 3 above its current strip.
-	tiles := map[[2]int]*tileData{}
-	for _, p := range r.pkts {
+	side := r.n/m + 1 // tiles per row and column, edge tiles included
+	// Packets are visited in id order, so a stable counting sort on
+	// (tile, column) is all the ordering takes.
+	found := r.found[:0]
+	count := slices.Grow(r.count[:0], side*side*m+1)[:side*side*m+1]
+	clear(count)
+	for k := range r.pkts {
+		p := &r.pkts[k]
 		if p.class != class || p.done {
 			continue
 		}
@@ -85,58 +80,62 @@ func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error
 		if di, dj := tileIndex(ad, m, tau); di != ti || dj != tj {
 			continue
 		}
-		ay := start + tj*m
-		destStrip := (ad.Y-ay)/d + 1
-		curStrip := (ac.Y-ay)/d + 1
-		if curStrip > destStrip-3 {
+		ax, ay := start+ti*m, start+tj*m
+		a := act{
+			p: p, id: int32(p.id), tile: int32(tj*side + ti), lastMove: -1,
+			x: int32(ac.X - ax), y: int32(ac.Y - ay),
+			dx: int32(ad.X - ax), dy: int32(ad.Y - ay),
+		}
+		a.strip = a.dy/int32(d) + 1
+		if a.y/int32(d)+1 > a.strip-3 {
 			continue
 		}
-		key := [2]int{ti, tj}
-		td := tiles[key]
-		if td == nil {
-			td = &tileData{ax: start + ti*m, ay: ay}
-			tiles[key] = td
-		}
-		p.lastMove = -1
-		td.actives = append(td.actives, p)
+		count[int(a.tile)*m+int(a.x)+1]++
+		found = append(found, a)
 	}
-
-	// Deterministic tile order.
-	keys := make([][2]int, 0, len(tiles))
-	for k := range tiles {
-		keys = append(keys, k)
+	for b := 1; b < len(count); b++ {
+		count[b] += count[b-1]
 	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][1] != keys[b][1] {
-			return keys[a][1] < keys[b][1]
-		}
-		return keys[a][0] < keys[b][0]
-	})
+	acts := append(r.acts[:0], found...)
+	for k := range found {
+		at := &count[int(found[k].tile)*m+int(found[k].x)]
+		acts[*at] = found[k]
+		*at++
+	}
+	r.found, r.acts, r.count = found[:0], acts, count
+	return acts
+}
 
+// phase runs one Vertical (or, transposed, Horizontal) Phase of iteration
+// iter with tile side m, strip height d = m/27, March capacity q, on
+// tiling tau, emitting one span per sub-phase on the configured sink.
+func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error {
+	acts := r.gather(class, newXform(r.n, class, !vertical), m, d, tau)
 	marchMax, ssMax, balMax := 0, 0, 0
-	for _, k := range keys {
-		td := tiles[k]
-		steps, err := r.march(td, xf, d, q, m)
+	for lo, hi := 0, 0; lo < len(acts); lo = hi {
+		for hi = lo + 1; hi < len(acts) && acts[hi].tile == acts[lo].tile; hi++ {
+		}
+		tile := acts[lo:hi]
+		steps, err := r.march(tile, d, q, m)
 		if err != nil {
 			return err
 		}
-		if steps > marchMax {
-			marchMax = steps
-		}
-		ss, err := r.sortSmooth(td, xf, d, q, m)
-		if err != nil {
+		marchMax = max(marchMax, steps)
+		if steps, err = r.sortSmooth(tile, d, q); err != nil {
 			return err
 		}
-		if ss > ssMax {
-			ssMax = ss
+		ssMax = max(ssMax, steps)
+		if r.cfg.Verify {
+			// The tile's real columns: edge tiles overhang the mesh.
+			west := tilingStart(m, tau) + int(tile[0].tile)%(r.n/m+1)*m
+			if err := checkLemma16(tile, min(m, r.n-west)); err != nil {
+				return err
+			}
 		}
-		bal, err := r.balance(td, xf, m)
-		if err != nil {
+		if steps, err = r.balance(tile, m); err != nil {
 			return err
 		}
-		if bal > balMax {
-			balMax = bal
-		}
+		balMax = max(balMax, steps)
 	}
 
 	// Closed-form durations (Lemmas 29, 30, 31) and duration checks.
@@ -175,119 +174,85 @@ func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error
 // with each strip i-3 node refusing its q-th-plus active packet for strip
 // i. A node holding several northbound packets prefers the one received
 // from the south on the previous step (the Lemma 29 priority).
-func (r *Router) march(td *tileData, xf xform, d, q, m int) (int, error) {
-	// Group actives by column.
-	cols := map[int][]*pkt{}
-	var colKeys []int
-	for _, p := range td.actives {
-		x := xf.to(p.cur).X
-		if _, ok := cols[x]; !ok {
-			colKeys = append(colKeys, x)
-		}
-		cols[x] = append(cols[x], p)
-	}
-	sort.Ints(colKeys)
-
+func (r *Router) march(tile []act, d, q, m int) (int, error) {
 	maxSteps := 0
-	for _, x := range colKeys {
-		steps, err := r.marchColumn(td, xf, cols[x], d, q, m)
+	for lo, hi := 0, 0; lo < len(tile); lo = hi {
+		for hi = lo + 1; hi < len(tile) && tile[hi].x == tile[lo].x; hi++ {
+		}
+		steps, err := r.marchColumn(tile[lo:hi], d, q, m)
 		if err != nil {
 			return 0, err
 		}
-		if steps > maxSteps {
-			maxSteps = steps
-		}
+		maxSteps = max(maxSteps, steps)
 	}
 	// Post-condition: every active parked in its strip i-3.
-	for _, p := range td.actives {
-		ac, ad := xf.to(p.cur), xf.to(p.dst)
-		cs := (ac.Y - td.ay) / d
-		ds := (ad.Y - td.ay) / d
-		if cs != ds-3 {
-			return 0, fmt.Errorf("clt: March left packet %d in strip %d, want %d (q=%d too small?)", p.id, cs+1, ds-2, q)
+	for k := range tile {
+		if a := &tile[k]; int(a.y)/d != int(a.strip)-4 {
+			return 0, fmt.Errorf("clt: March left packet %d in strip %d, want %d (q=%d too small?)", a.id, int(a.y)/d+1, a.strip-3, q)
 		}
 	}
 	return maxSteps, nil
 }
 
-// marchColumn simulates one column's March until quiescent.
-func (r *Router) marchColumn(td *tileData, xf xform, pkts []*pkt, d, q, m int) (int, error) {
-	rows := make([][]*pkt, m)
-	cnt := make([][]int16, m) // cnt[ly][destStrip] of actives-for-strip
-	destStrip := func(p *pkt) int { return (xf.to(p.dst).Y-td.ay)/d + 1 }
-	ly := func(p *pkt) int { return xf.to(p.cur).Y - td.ay }
-	for _, p := range pkts {
-		l := ly(p)
-		rows[l] = append(rows[l], p)
-		if cnt[l] == nil {
-			cnt[l] = make([]int16, 29)
-		}
-		cnt[l][destStrip(p)]++
+// marchColumn simulates one column's March until quiescent. A step's
+// moves are decided against the counts as the step found them and applied
+// northernmost row first — the order the peak occupancy depends on.
+func (r *Router) marchColumn(col []act, d, q, m int) (int, error) {
+	cnt, win := r.cnt, r.goNorth // cnt[row*29+i]: actives for strip i in the row
+	live := r.live[:0]           // packets still below their strip's ceiling
+	for k := range col {
+		cnt[int(col[k].y)*29+int(col[k].strip)]++
+		live = append(live, int32(k))
 	}
-
 	step := 0
 	for {
 		step++
-		var moves []*pkt
-		for l := m - 1; l >= 0; l-- {
-			var best *pkt
-			for _, p := range rows[l] {
-				i := destStrip(p)
-				parkTop := (i-3)*d - 1 // top row of strip i-3
-				if l >= parkTop {
-					continue // at the packing frontier's ceiling
-				}
-				// Entering or advancing within strip i-3 requires
-				// the target to hold fewer than q packets for i.
-				tgt := l + 1
-				if tgt >= (i-4)*d { // target inside strip i-3
-					if cnt[tgt] != nil && int(cnt[tgt][i]) >= q {
-						continue
-					}
-				}
-				if best == nil {
-					best = p
-					continue
-				}
+		lo, hi := m, -1 // rows with a winner
+		for j := 0; j < len(live); {
+			a := &col[live[j]]
+			l, i := int(a.y), int(a.strip)
+			if l >= (i-3)*d-1 { // top row of strip i-3: parked for good
+				live[j] = live[len(live)-1]
+				live = live[:len(live)-1]
+				continue
+			}
+			j++
+			// Entering or advancing within strip i-3 requires the
+			// target to hold fewer than q packets for i.
+			if l+1 >= (i-4)*d && int(cnt[(l+1)*29+i]) >= q {
+				continue
+			}
+			if w := win[l]; w >= 0 {
 				// Prefer the packet received from the south last
 				// step; break ties by id.
-				bm, pm := best.lastMove == step-1, p.lastMove == step-1
-				if (pm && !bm) || (pm == bm && p.id < best.id) {
-					best = p
+				am, wm := int(a.lastMove) == step-1, int(col[w].lastMove) == step-1
+				if wm && !am || wm == am && col[w].id < a.id {
+					continue
 				}
 			}
-			if best != nil {
-				moves = append(moves, best)
-			}
+			win[l] = live[j-1]
+			lo, hi = min(lo, l), max(hi, l)
 		}
-		if len(moves) == 0 {
-			return step - 1, nil
+		if hi < 0 {
+			break
 		}
-		for _, p := range moves {
-			l, i := ly(p), destStrip(p)
-			removePkt(&rows[l], p)
-			cnt[l][i]--
-			nl := l + 1
-			rows[nl] = append(rows[nl], p)
-			if cnt[nl] == nil {
-				cnt[nl] = make([]int16, 29)
+		for l := hi; l >= lo; l-- {
+			if win[l] < 0 {
+				continue
 			}
-			cnt[nl][i]++
-			r.movePkt(p, xf, 0, 1, step)
+			a := &col[win[l]]
+			win[l] = -1
+			cnt[l*29+int(a.strip)]--
+			cnt[(l+1)*29+int(a.strip)]++
+			r.move(a, 0, 1, int32(step))
 		}
 		if step > q*d+m {
 			return 0, fmt.Errorf("clt: March column did not stabilize in %d steps", step)
 		}
 	}
-}
-
-func removePkt(lst *[]*pkt, p *pkt) {
-	l := *lst
-	for i, q := range l {
-		if q == p {
-			l[i] = l[len(l)-1]
-			*lst = l[:len(l)-1]
-			return
-		}
+	for k := range col {
+		cnt[int(col[k].y)*29+int(col[k].strip)] = 0
 	}
+	r.live = live[:0]
+	return step - 1, nil
 }

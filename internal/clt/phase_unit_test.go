@@ -14,19 +14,23 @@ func newBareRouter(t *testing.T, n int) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.parked = make([]int, n*n)
-	r.byNode = make([][]*pkt, n*n)
-	r.res = Result{N: n}
+	r.reset(n * n)
 	return r
 }
 
-// addPkt places a NE-class packet directly.
+// addPkt places a NE-class packet directly. The slab has room for n²
+// packets, so the returned pointer stays valid.
 func (r *Router) addPkt(t *testing.T, id int, cur, dst grid.Coord) *pkt {
 	t.Helper()
-	p := &pkt{id: id, cur: cur, dst: dst, class: NE, lastMove: -1}
-	r.pkts = append(r.pkts, p)
-	r.byNode[r.nid(cur)] = append(r.byNode[r.nid(cur)], p)
-	return p
+	r.pkts = append(r.pkts, pkt{id: id, cur: cur, dst: dst, class: NE})
+	r.occ[r.nid(cur)]++
+	return &r.pkts[len(r.pkts)-1]
+}
+
+// oneTile gathers the placed packets as the actives of the single tile of
+// side n (strip height n/27) anchored at the origin.
+func (r *Router) oneTile() []act {
+	return r.gather(NE, newXform(r.n, NE, false), r.n, r.n/27, 0)
 }
 
 // March must pack active packets into strip i-3 from the north end of the
@@ -34,17 +38,14 @@ func (r *Router) addPkt(t *testing.T, id int, cur, dst grid.Coord) *pkt {
 func TestMarchPacksNorthward(t *testing.T) {
 	n := 27 // d = 1: strips are single rows
 	r := newBareRouter(t, n)
-	xf := newXform(n, NE, false)
-	td := &tileData{ax: 0, ay: 0}
 	// Destination strip 10 (rows 9..9 with d=1); strip i-3 = 7 → row 6.
 	// Three actives in column 2, starting in rows 0..2.
 	var ps []*pkt
 	for i := 0; i < 3; i++ {
 		p := r.addPkt(t, i, grid.XY(2, i), grid.XY(5, 9))
-		td.actives = append(td.actives, p)
 		ps = append(ps, p)
 	}
-	steps, err := r.march(td, xf, 1, QBase, n)
+	steps, err := r.march(r.oneTile(), 1, QBase, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +64,13 @@ func TestMarchPacksNorthward(t *testing.T) {
 func TestMarchRespectsCapacity(t *testing.T) {
 	n := 27
 	r := newBareRouter(t, n)
-	xf := newXform(n, NE, false)
-	td := &tileData{ax: 0, ay: 0}
 	// d=1, so strip i-3 is a single node per column; q limits how many
 	// actives-for-i may pile there. With 3 packets and q=408 they all
 	// fit; the march postcondition (everyone in strip i-3) must hold.
 	for i := 0; i < 3; i++ {
-		p := r.addPkt(t, i, grid.XY(4, i), grid.XY(4, 12))
-		td.actives = append(td.actives, p)
+		r.addPkt(t, i, grid.XY(4, i), grid.XY(4, 12))
 	}
-	if _, err := r.march(td, xf, 1, QBase, n); err != nil {
+	if _, err := r.march(r.oneTile(), 1, QBase, n); err != nil {
 		t.Fatal(err)
 	}
 	cnt := 0
@@ -96,8 +94,6 @@ func TestMarchRespectsCapacity(t *testing.T) {
 func TestSortSmoothLayering(t *testing.T) {
 	n := 81 // d = 3
 	r := newBareRouter(t, n)
-	xf := newXform(n, NE, false)
-	td := &tileData{ax: 0, ay: 0}
 	d := 3
 	// Destination strip 10 occupies rows 27..29; strip i-3 = 7 (rows
 	// 18..20), strip i-2 = 8 (rows 21..23).
@@ -107,10 +103,9 @@ func TestSortSmoothLayering(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		row := 18 + i%3
 		p := r.addPkt(t, i, grid.XY(1, row), grid.XY(1+i+1, 27))
-		td.actives = append(td.actives, p)
 		ps = append(ps, p)
 	}
-	if _, err := r.sortSmooth(td, xf, d, QBase, n); err != nil {
+	if _, err := r.sortSmooth(r.oneTile(), d, QBase); err != nil {
 		t.Fatal(err)
 	}
 	// All must end in strip i-2 (rows 21..23), balanced 2 per node.
@@ -151,16 +146,13 @@ func TestSortSmoothLayering(t *testing.T) {
 func TestBalanceSpreadsEast(t *testing.T) {
 	n := 27
 	r := newBareRouter(t, n)
-	xf := newXform(n, NE, false)
-	td := &tileData{ax: 0, ay: 0}
 	// Five actives piled on one node, destinations spread east.
 	var ps []*pkt
 	for i := 0; i < 5; i++ {
 		p := r.addPkt(t, i, grid.XY(3, 10), grid.XY(5+i*2, 15))
-		td.actives = append(td.actives, p)
 		ps = append(ps, p)
 	}
-	steps, err := r.balance(td, xf, n)
+	steps, err := r.balance(r.oneTile(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,15 +178,11 @@ func TestBalanceSpreadsEast(t *testing.T) {
 func TestBalanceKeepsArrivedPackets(t *testing.T) {
 	n := 27
 	r := newBareRouter(t, n)
-	xf := newXform(n, NE, false)
-	td := &tileData{ax: 0, ay: 0}
 	home := r.addPkt(t, 0, grid.XY(3, 10), grid.XY(3, 15)) // at its column
-	td.actives = append(td.actives, home)
 	for i := 1; i < 4; i++ {
-		p := r.addPkt(t, i, grid.XY(3, 10), grid.XY(3+i*3, 15))
-		td.actives = append(td.actives, p)
+		r.addPkt(t, i, grid.XY(3, 10), grid.XY(3+i*3, 15))
 	}
-	if _, err := r.balance(td, xf, n); err != nil {
+	if _, err := r.balance(r.oneTile(), n); err != nil {
 		t.Fatal(err)
 	}
 	if home.cur.X != 3 {

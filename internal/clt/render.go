@@ -1,7 +1,9 @@
 package clt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"meshroute/internal/grid"
@@ -27,42 +29,38 @@ func DemoSortSmooth(d int, distances [][]int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r.parked = make([]int, n*n)
-	r.byNode = make([][]*pkt, n*n)
-	td := &tileData{ax: 0, ay: 0}
+	r.reset(n * n)
 	id := 0
 	for t := 1; t <= d; t++ { // node t of strip i-3 (south to north)
 		for _, dist := range distances[t-1] {
-			p := &pkt{
-				id:    id,
-				cur:   grid.XY(0, t-1),
-				dst:   grid.XY(dist, 3*d),
-				class: NE,
-			}
+			r.pkts = append(r.pkts, pkt{id: id, cur: grid.XY(0, t-1), dst: grid.XY(dist, 3*d), class: NE})
+			r.occ[r.nid(grid.XY(0, t-1))]++
 			id++
-			r.pkts = append(r.pkts, p)
-			r.byNode[r.nid(p.cur)] = append(r.byNode[r.nid(p.cur)], p)
-			td.actives = append(td.actives, p)
 		}
 	}
-	xf := newXform(n, NE, false)
-	before := renderColumn(r, d, 0, "strip i-3 (before)")
-	if _, err := r.ssStream(td, xf, td.actives, 4, d, QBase); err != nil {
+	// One tile, one column, one destination strip: a single stream.
+	stream := r.gather(NE, newXform(n, NE, false), n, d, 0)
+	before := renderColumn(stream, d, 0, "strip i-3 (before)")
+	if _, err := r.ssStream(stream, 4, d, QBase); err != nil {
 		return "", err
 	}
-	after := renderColumn(r, d, d, "strip i-2 (after)")
+	after := renderColumn(stream, d, d, "strip i-2 (after)")
 	return before + after, nil
 }
 
-// renderColumn prints the packets of column 0 in rows [base, base+d),
-// north-up, labelled by horizontal distance.
-func renderColumn(r *Router, d, base int, caption string) string {
+// renderColumn prints the stream's packets in rows [base, base+d),
+// north-up, labelled by horizontal distance, each node in arrival order.
+func renderColumn(stream []act, d, base int, caption string) string {
+	byArrival := slices.Clone(stream)
+	slices.SortStableFunc(byArrival, func(a, b act) int { return cmp.Compare(a.lastMove, b.lastMove) })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s:\n", caption)
 	for row := base + d - 1; row >= base; row-- {
 		b.WriteString("  |")
-		for _, p := range r.byNode[r.nid(grid.XY(0, row))] {
-			fmt.Fprintf(&b, " %d", p.dst.X-p.cur.X)
+		for _, a := range byArrival {
+			if int(a.y) == row {
+				fmt.Fprintf(&b, " %d", a.dx-a.x)
+			}
 		}
 		b.WriteString(" |\n")
 	}

@@ -1,9 +1,6 @@
 package clt
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // sortSmooth implements Step 3 of the Vertical Phase: in two sequential
 // substeps (even destination strips, then odd), each column's active
@@ -18,73 +15,63 @@ import (
 //
 // It returns the phase duration (max over columns and strips, summed over
 // the two parities).
-func (r *Router) sortSmooth(td *tileData, xf xform, d, q, m int) (int, error) {
-	// Group actives by (column, destStrip).
-	type key struct{ x, i int }
-	groups := map[key][]*pkt{}
-	var keys []key
-	for _, p := range td.actives {
-		a := xf.to(p.cur)
-		i := (xf.to(p.dst).Y-td.ay)/d + 1
-		k := key{a.X, i}
-		if _, ok := groups[k]; !ok {
-			keys = append(keys, k)
-		}
-		groups[k] = append(groups[k], p)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].x != keys[b].x {
-			return keys[a].x < keys[b].x
-		}
-		return keys[a].i < keys[b].i
-	})
-
+func (r *Router) sortSmooth(tile []act, d, q int) (int, error) {
 	total := 0
-	for _, parity := range []int{0, 1} {
+	for parity := 0; parity < 2; parity++ {
 		maxDur := 0
-		for _, k := range keys {
-			if k.i%2 != parity {
-				continue
+		for lo, hi := 0, 0; lo < len(tile); lo = hi {
+			strips := uint32(0) // the column's destination strips
+			for hi = lo; hi < len(tile) && tile[hi].x == tile[lo].x; hi++ {
+				strips |= 1 << tile[hi].strip
 			}
-			dur, err := r.ssStream(td, xf, groups[k], k.i, d, q)
-			if err != nil {
-				return 0, err
-			}
-			if dur > maxDur {
-				maxDur = dur
+			// One stream per (column, destination strip).
+			for i := 4 + parity; strips>>i != 0; i += 2 {
+				if strips>>i&1 == 0 {
+					continue
+				}
+				dur, err := r.ssStream(tile[lo:hi], i, d, q)
+				if err != nil {
+					return 0, err
+				}
+				maxDur = max(maxDur, dur)
 			}
 		}
 		total += maxDur
 	}
-	if r.cfg.Verify {
-		if err := r.checkLemma16(td, xf, d, m); err != nil {
-			return 0, err
-		}
-	}
 	return total, nil
 }
 
+// send is one Sort-and-Smooth transmission of a step.
+type send struct {
+	k      int32 // index into the column
+	toHold int32 // destination hold node t+1, or 0
+	toRecv int32 // destination receiver r, or 0
+	fresh  bool  // first arrival into strip i-2 (from strip i-3)
+}
+
 // ssStream simulates the sorted stream of one (column, destination strip)
-// pair until all packets rest in strip i-2.
-func (r *Router) ssStream(td *tileData, xf xform, pkts []*pkt, i, d, q int) (int, error) {
-	dist := func(p *pkt) int { return xf.to(p.dst).X - xf.to(p.cur).X }
-
-	// Strip i-3 holdings by node t (1 = southernmost ... d = northernmost).
-	hold := make([][]*pkt, d+1)
-	base := (i - 4) * d // southernmost local row of strip i-3
-	for _, p := range pkts {
-		t := xf.to(p.cur).Y - td.ay - base + 1
-		if t < 1 || t > d {
-			return 0, fmt.Errorf("clt: sort-and-smooth found packet %d outside strip %d-3", p.id, i)
-		}
-		hold[t] = append(hold[t], p)
+// pair — col's packets for strip i — until all of them rest in strip i-2.
+func (r *Router) ssStream(col []act, i, d, q int) (int, error) {
+	// Strip i-3 holdings by node t (1 = southernmost ... d = northernmost);
+	// strip i-2 receivers by node rr (1 = northernmost ... d = southernmost)
+	// with their forward queues, read from head.
+	hold, fq, head, recv := r.hold[:d+1], r.fq[:d+1], r.head[:d+1], r.recv[:d+1]
+	for t := range hold {
+		hold[t], fq[t], head[t], recv[t] = hold[t][:0], fq[t][:0], 0, 0
 	}
-	// Strip i-2 receivers by node r (1 = northernmost ... d = southernmost).
-	recv := make([]int, d+1)
-	fq := make([][]*pkt, d+1)
-
-	pending := len(pkts)
-	forwarding := 0
+	base := (i - 4) * d // southernmost local row of strip i-3
+	pending, forwarding := 0, 0
+	for k := range col {
+		if int(col[k].strip) != i {
+			continue
+		}
+		t := int(col[k].y) - base + 1
+		if t < 1 || t > d {
+			return 0, fmt.Errorf("clt: sort-and-smooth found packet %d outside strip %d-3", col[k].id, i)
+		}
+		hold[t] = append(hold[t], int32(k))
+		pending++
+	}
 	step := 0
 	limit := (d - 1) + q*d + d + 4
 	for pending > 0 || forwarding > 0 {
@@ -92,63 +79,57 @@ func (r *Router) ssStream(td *tileData, xf xform, pkts []*pkt, i, d, q int) (int
 		if step > limit {
 			return 0, fmt.Errorf("clt: sort-and-smooth stream for strip %d exceeded %d steps", i, limit)
 		}
-		type send struct {
-			p      *pkt
-			toHold int  // destination hold node t+1, or 0
-			toRecv int  // destination receiver r, or 0
-			fresh  bool // first arrival into strip i-2 (from strip i-3)
-		}
-		var sends []send
+		sends := r.sends[:0]
 		// Strip i-3 node t transmits from step t on: farthest east to go.
 		for t := d; t >= 1; t-- {
 			if step < t || len(hold[t]) == 0 {
 				continue
 			}
+			h := hold[t]
 			bi := 0
-			for j := 1; j < len(hold[t]); j++ {
-				dj, db := dist(hold[t][j]), dist(hold[t][bi])
-				if dj > db || (dj == db && hold[t][j].id < hold[t][bi].id) {
+			for j := 1; j < len(h); j++ {
+				a, b := &col[h[j]], &col[h[bi]]
+				if farther(a.dx-a.x, a.id, b.dx-b.x, b.id) {
 					bi = j
 				}
 			}
-			p := hold[t][bi]
-			hold[t] = append(hold[t][:bi], hold[t][bi+1:]...)
+			k := h[bi]
+			hold[t] = append(h[:bi], h[bi+1:]...)
 			if t < d {
-				sends = append(sends, send{p: p, toHold: t + 1})
+				sends = append(sends, send{k: k, toHold: int32(t + 1)})
 			} else {
-				sends = append(sends, send{p: p, toRecv: d, fresh: true})
+				sends = append(sends, send{k: k, toRecv: int32(d), fresh: true})
 			}
 		}
-		// Strip i-2 node r forwards its queue head north.
+		// Strip i-2 node rr forwards its queue head north.
 		for rr := d; rr >= 2; rr-- {
-			if len(fq[rr]) == 0 {
+			if int(head[rr]) == len(fq[rr]) {
 				continue
 			}
-			p := fq[rr][0]
-			fq[rr] = fq[rr][1:]
+			sends = append(sends, send{k: fq[rr][head[rr]], toRecv: int32(rr - 1)})
+			head[rr]++
 			forwarding--
-			sends = append(sends, send{p: p, toRecv: rr - 1})
 		}
 		for _, s := range sends {
-			r.movePkt(s.p, xf, 0, 1, step)
-			switch {
-			case s.toHold > 0:
-				hold[s.toHold] = append(hold[s.toHold], s.p)
-			default:
-				rr := s.toRecv
-				recv[rr]++
-				if s.fresh {
-					pending--
-				}
-				if recv[rr]%rr != 0 {
-					fq[rr] = append(fq[rr], s.p)
-					forwarding++
-				}
+			r.move(&col[s.k], 0, 1, int32(step))
+			if s.toHold > 0 {
+				hold[s.toHold] = append(hold[s.toHold], s.k)
+				continue
+			}
+			rr := s.toRecv
+			recv[rr]++
+			if s.fresh {
+				pending--
+			}
+			if recv[rr]%rr != 0 {
+				fq[rr] = append(fq[rr], s.k)
+				forwarding++
 			}
 		}
+		r.sends = sends[:0]
 	}
 	for rr := 1; rr <= d; rr++ {
-		if len(fq[rr]) > 0 {
+		if int(head[rr]) < len(fq[rr]) {
 			return 0, fmt.Errorf("clt: sort-and-smooth terminated with queued packets")
 		}
 	}

@@ -36,19 +36,31 @@ type Pair struct {
 // Len returns the number of packets.
 func (p *Permutation) Len() int { return len(p.Pairs) }
 
-// Validate checks the one-to-one property.
+// Validate checks the one-to-one property. The two sets are bitsets over
+// the span of node ids seen (ids are one topology's, so the span is its
+// size), not maps: CLT validates every permutation it routes.
 func (p *Permutation) Validate() error {
-	srcs := map[grid.NodeID]bool{}
-	dsts := map[grid.NodeID]bool{}
+	var lo, hi grid.NodeID
 	for _, pr := range p.Pairs {
-		if srcs[pr.Src] {
+		lo, hi = min(lo, pr.Src, pr.Dst), max(hi, pr.Src, pr.Dst)
+	}
+	words := (int(hi)-int(lo))/64 + 1
+	seen := make([]uint64, 2*words)
+	srcs, dsts := seen[:words], seen[words:]
+	// mark adds id to set and reports whether it was already there.
+	mark := func(set []uint64, id grid.NodeID) bool {
+		i := uint(int(id) - int(lo))
+		was := set[i/64]&(1<<(i%64)) != 0
+		set[i/64] |= 1 << (i % 64)
+		return was
+	}
+	for _, pr := range p.Pairs {
+		if mark(srcs, pr.Src) {
 			return fmt.Errorf("workload: duplicate source %d", pr.Src)
 		}
-		if dsts[pr.Dst] {
+		if mark(dsts, pr.Dst) {
 			return fmt.Errorf("workload: duplicate destination %d", pr.Dst)
 		}
-		srcs[pr.Src] = true
-		dsts[pr.Dst] = true
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -169,4 +170,28 @@ func TestBitReversalPanicsOnNonPowerOfTwo(t *testing.T) {
 		}
 	}()
 	BitReversal(grid.NewSquareMesh(6))
+}
+
+// Validate reports the first offence in pair order, a repeated source
+// before a repeated destination of the same pair, and names the node.
+func TestValidateDuplicates(t *testing.T) {
+	cases := []struct {
+		name  string
+		pairs []Pair
+		want  string // "" = valid
+	}{
+		{"empty", nil, ""},
+		{"partial", []Pair{{Src: 3, Dst: 900}, {Src: 900, Dst: 3}, {Src: 64, Dst: 64}}, ""},
+		{"duplicate source", []Pair{{Src: 1, Dst: 2}, {Src: 5, Dst: 6}, {Src: 1, Dst: 7}}, "workload: duplicate source 1"},
+		{"duplicate destination", []Pair{{Src: 1, Dst: 2}, {Src: 5, Dst: 70}, {Src: 6, Dst: 70}}, "workload: duplicate destination 70"},
+		{"source before destination", []Pair{{Src: 1, Dst: 2}, {Src: 1, Dst: 2}}, "workload: duplicate source 1"},
+		{"earlier pair first", []Pair{{Src: 1, Dst: 2}, {Src: 3, Dst: 2}, {Src: 1, Dst: 9}}, "workload: duplicate destination 2"},
+		{"ids on both sides of zero", []Pair{{Src: -130, Dst: 4}, {Src: 4, Dst: -130}, {Src: -130, Dst: 5}}, "workload: duplicate source -130"},
+	}
+	for _, c := range cases {
+		err := (&Permutation{Pairs: c.pairs}).Validate()
+		if (c.want == "") != (err == nil) || (err != nil && fmt.Sprint(err) != c.want) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
 }

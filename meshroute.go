@@ -298,7 +298,7 @@ type CLTOptions struct {
 	Verify bool
 }
 
-// RouteCLT routes a permutation on the n×n mesh (n a power of 3, or
+// RouteCLT routes a permutation on the n×n mesh (n = 27·3^j, or
 // n < 27) with the Section 6 O(n)-time, O(1)-queue minimal adaptive
 // algorithm, returning the Theorem 34 statistics.
 func RouteCLT(n int, perm *Permutation, opts CLTOptions) (*CLTResult, error) {
