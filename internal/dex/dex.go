@@ -6,21 +6,23 @@
 //   - the state of the node,
 //
 // never on full destination addresses. Package dex enforces this at the
-// type level: policies receive View values (which omit the destination) and
-// an adapter translates them to the sim engine. Lemma 10 of the paper —
-// that exchanging the destinations of two packets with identical profitable
-// outlinks is invisible to the algorithm — therefore holds for every policy
-// written against this package, by construction.
+// type level: a policy receives a NodeCtx whose accessors expose exactly
+// that list and nothing else — no accessor on NodeCtx, View or OfferView
+// returns a destination. Lemma 10 of the paper — that exchanging the
+// destinations of two packets with identical profitable outlinks is
+// invisible to the algorithm — therefore holds for every policy written
+// against this package, by construction.
 //
 // The adapter is the sole boundary between policies and the engine's
-// index-based packet representation: it walks the node's sim.PacketID queue
-// slots, reads the struct-of-arrays store (including Dst, which only the
-// adapter may touch) to build View values, and maps a View.Index back to
-// the same queue position the engine will read from Schedule. A View is
-// therefore a pure projection of store row PacketID: the index is stable
-// for the packet's lifetime, row 0 is the engine's reserved sentinel and
-// never appears in a queue, and SetPacketState writes through to the store
-// row the view was built from.
+// index-based packet representation, and it copies nothing: a NodeCtx is a
+// window onto the node's sim.PacketID queue slots and each accessor reads
+// one column of the struct-of-arrays store on demand, so a policy pays for
+// what it reads. The profitable set is itself a column (PacketStore.Prof),
+// which the engine rewrites when a packet hops or part (b) exchanges its
+// destination; package dex never reads Dst. Index i is the queue position
+// the engine reads from Schedule, the PacketID behind it is stable for the
+// packet's lifetime (row 0 is the reserved sentinel and never appears in a
+// queue), and SetPacketState writes through to the row the accessors read.
 package dex
 
 import (
@@ -28,27 +30,18 @@ import (
 	"meshroute/internal/sim"
 )
 
-// View is the information a destination-exchangeable policy may observe
-// about one resident packet. It deliberately omits the destination.
+// View is everything a destination-exchangeable policy may observe about
+// one resident packet, as one value built by NodeCtx.View (the accessors of
+// the same names say why the model allows each field): no destination.
 type View struct {
 	// Index is the packet's index in the node (use it in Schedule).
-	Index int
-	// Source is the packet's source address (allowed by the model).
-	Source grid.NodeID
-	// State is the packet's algorithm-owned state word.
-	State uint64
-	// Arrived is the packet's last travel direction (NoDir at origin).
-	// The model permits this: it is information the node could have
-	// recorded in the packet state upon arrival.
-	Arrived grid.Dir
-	// ArrivedStep is the step of the last hop (likewise recordable).
+	Index       int
+	Source      grid.NodeID
+	State       uint64
+	Arrived     grid.Dir
 	ArrivedStep int
-	// QTag is the queue holding the packet (sim.OriginTag for packets
-	// that have not moved, under the per-inlink model).
-	QTag uint8
-	// Profitable is the set of outlinks that move the packet closer to
-	// its destination — the only destination information available.
-	Profitable grid.DirSet
+	QTag        uint8
+	Profitable  grid.DirSet
 }
 
 // OfferView describes a packet scheduled to enter the node, as visible to
@@ -60,23 +53,20 @@ type OfferView struct {
 	// Travel is the direction of travel; the packet arrives on the
 	// Travel.Opposite() inlink.
 	Travel grid.Dir
-	// Source is the packet's source address.
-	Source grid.NodeID
-	// State is the packet's state word.
-	State uint64
-	// Profitable is the packet's profitable-outlink set measured at the
-	// sending node.
+	// Source, State and Profitable are the packet's own, the last measured
+	// at the sending node.
+	Source     grid.NodeID
+	State      uint64
 	Profitable grid.DirSet
 }
 
-// NodeCtx is the per-node context handed to policies. Policies may read
-// everything and may mutate State, Extra and packet states (via SetPacket-
-// State); they must not retain the context beyond the call.
+// NodeCtx is the per-node context handed to policies: the node's own state
+// plus a zero-copy window onto its resident packets, indexed 0..Len()-1 in
+// queue (FIFO) order. Policies may read everything, may mutate State, Extra
+// and packet states (SetPacketState), and must not retain it past the call.
 type NodeCtx struct {
 	// ID is the node identifier.
 	ID grid.NodeID
-	// Coord is the node coordinate.
-	Coord grid.Coord
 	// Step is the current step number (1-based; 0 in InitNode).
 	Step int
 	// K is the per-queue capacity.
@@ -87,28 +77,66 @@ type NodeCtx struct {
 	State *uint64
 	// Extra is the node's rich state; mutate freely.
 	Extra *interface{}
-	// Views describes the resident packets, in queue (FIFO) order.
-	Views []View
-	// Outlinks is the set of outlinks that exist at this node.
-	Outlinks grid.DirSet
-	// Up is the subset of Outlinks whose links are currently up. Without
-	// fault injection Up == Outlinks. A fault-aware policy may consult it
-	// (link status is locally observable at the node); policies that
-	// ignore it behave identically with and without faults — exactly the
-	// Section 2 model.
-	Up grid.DirSet
-	// QueueLens holds the current occupancy of each queue tag.
-	QueueLens [5]int
 
 	net  *sim.Network
+	node *sim.Node
 	pids []sim.PacketID
 }
 
+// Len returns the number of resident packets.
+func (c *NodeCtx) Len() int { return len(c.pids) }
+
+// Profitable returns the i-th resident's profitable outlinks — the only
+// destination information available.
+func (c *NodeCtx) Profitable(i int) grid.DirSet { return c.net.P.Prof[c.pids[i]] }
+
+// PacketState returns the i-th resident's algorithm-owned state word.
+func (c *NodeCtx) PacketState(i int) uint64 { return c.net.P.State[c.pids[i]] }
+
 // SetPacketState overwrites the state word of the i-th resident packet.
-func (c *NodeCtx) SetPacketState(i int, s uint64) {
-	c.net.P.State[c.pids[i]] = s
-	c.Views[i].State = s
+func (c *NodeCtx) SetPacketState(i int, s uint64) { c.net.P.State[c.pids[i]] = s }
+
+// Arrived returns the i-th resident's last travel direction (NoDir at its
+// origin): information the node could have recorded in the state on arrival.
+func (c *NodeCtx) Arrived(i int) grid.Dir { return c.net.P.Arrived[c.pids[i]] }
+
+// ArrivedStep returns the step of the i-th resident's last hop (likewise).
+func (c *NodeCtx) ArrivedStep(i int) int { return int(c.net.P.ArrivedStep[c.pids[i]]) }
+
+// Source returns the i-th resident's source address (allowed by the model).
+func (c *NodeCtx) Source(i int) grid.NodeID { return c.net.P.Src[c.pids[i]] }
+
+// QTag returns the queue holding the i-th resident (sim.OriginTag for
+// packets that have not moved, under the per-inlink model).
+func (c *NodeCtx) QTag(i int) uint8 { return c.net.P.QTag[c.pids[i]] }
+
+// View returns the i-th resident's observable fields as one value.
+func (c *NodeCtx) View(i int) View {
+	return View{
+		Index:       i,
+		Source:      c.Source(i),
+		State:       c.PacketState(i),
+		Arrived:     c.Arrived(i),
+		ArrivedStep: c.ArrivedStep(i),
+		QTag:        c.QTag(i),
+		Profitable:  c.Profitable(i),
+	}
 }
+
+// Coord returns the node coordinate.
+func (c *NodeCtx) Coord() grid.Coord { return c.net.Topo.CoordOf(c.ID) }
+
+// Outlinks returns the set of outlinks that exist at this node.
+func (c *NodeCtx) Outlinks() grid.DirSet { return c.net.Topo.Outlinks(c.ID) }
+
+// Up returns the subset of Outlinks whose links are currently up (all of
+// them without fault injection). Link status is locally observable, so a
+// fault-aware policy may consult it; one that does not behaves identically
+// with and without faults — exactly the Section 2 model.
+func (c *NodeCtx) Up() grid.DirSet { return c.Outlinks() &^ c.net.DownOutlinks(c.ID) }
+
+// QueueLen returns the current occupancy of the queue with the given tag.
+func (c *NodeCtx) QueueLen(tag uint8) int { return c.node.QueueLen(tag) }
 
 // Policy is a destination-exchangeable routing algorithm.
 type Policy interface {
@@ -120,26 +148,24 @@ type Policy interface {
 	// profitable outlinks).
 	InitNode(c *NodeCtx)
 	// Schedule is the outqueue policy: for each direction, the index
-	// (into c.Views) of the packet to transmit, or -1.
+	// (0..c.Len()-1) of the packet to transmit, or -1.
 	Schedule(c *NodeCtx) [grid.NumDirs]int
 	// Accept is the inqueue policy: accept[i] reports whether offers[i]
-	// is admitted. accept arrives with len(offers) entries, all false;
-	// the policy sets the entries it admits. It must never overflow a
-	// queue.
+	// is admitted. accept arrives with len(offers) entries, all false; the
+	// policy sets the entries it admits. It must never overflow a queue.
 	Accept(c *NodeCtx, offers []OfferView, accept []bool)
 	// Update is the end-of-step state transition.
 	Update(c *NodeCtx)
 }
 
-// Adapter lifts a Policy to a sim.Algorithm, computing the profitable-
-// outlink views the policy is allowed to see. Use one adapter per run.
+// Adapter lifts a Policy to a sim.Algorithm, pointing a NodeCtx at the
+// node the engine is driving. Use one adapter per run.
 type Adapter struct {
 	// P is the wrapped policy.
 	P Policy
 
 	ctx      NodeCtx
 	offerBuf []OfferView
-	viewBuf  []View
 }
 
 // NewAdapter wraps a policy for use with the sim engine.
@@ -151,40 +177,19 @@ func (a *Adapter) Name() string { return a.P.Name() }
 func (a *Adapter) fill(net *sim.Network, n *sim.Node) *NodeCtx {
 	c := &a.ctx
 	c.ID = n.ID
-	c.Coord = net.Topo.CoordOf(n.ID)
 	c.Step = net.Step()
 	c.K = net.K
 	c.Queues = net.Queues
 	c.State = &n.State
 	c.Extra = &n.Extra
 	c.net = net
+	c.node = n
 	c.pids = net.PacketsOf(n)
-	c.Outlinks = net.Topo.Outlinks(n.ID)
-	c.Up = c.Outlinks &^ net.DownOutlinks(n.ID)
-	for tag := uint8(0); tag < 5; tag++ {
-		c.QueueLens[tag] = n.QueueLen(tag)
-	}
-	st := &net.P
-	a.viewBuf = a.viewBuf[:0]
-	for i, p := range c.pids {
-		a.viewBuf = append(a.viewBuf, View{
-			Index:       i,
-			Source:      st.Src[p],
-			State:       st.State[p],
-			Arrived:     st.Arrived[p],
-			ArrivedStep: int(st.ArrivedStep[p]),
-			QTag:        st.QTag[p],
-			Profitable:  net.Topo.Profitable(n.ID, st.Dst[p]),
-		})
-	}
-	c.Views = a.viewBuf
 	return c
 }
 
 // InitNode implements sim.Algorithm.
-func (a *Adapter) InitNode(net *sim.Network, n *sim.Node) {
-	a.P.InitNode(a.fill(net, n))
-}
+func (a *Adapter) InitNode(net *sim.Network, n *sim.Node) { a.P.InitNode(a.fill(net, n)) }
 
 // Schedule implements sim.Algorithm.
 func (a *Adapter) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
@@ -202,26 +207,20 @@ func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acce
 			Travel:     o.Travel,
 			Source:     st.Src[o.P],
 			State:      st.State[o.P],
-			Profitable: net.Topo.Profitable(o.From, st.Dst[o.P]),
+			Profitable: st.Prof[o.P], // o.P is still resident at o.From
 		})
 	}
 	a.P.Accept(c, a.offerBuf, accept)
 }
 
 // Update implements sim.Algorithm.
-func (a *Adapter) Update(net *sim.Network, n *sim.Node) {
-	a.P.Update(a.fill(net, n))
-}
+func (a *Adapter) Update(net *sim.Network, n *sim.Node) { a.P.Update(a.fill(net, n)) }
 
 // CloneForWorker implements sim.ParallelCloner: each worker gets a fresh
-// adapter (private ctx and view buffers) around the same policy. This is
-// safe exactly when the policy itself is node-local, which the dex model
-// requires of Schedule and Update (per scheduling node) and of Accept
-// (per target node — clones drive Accept on disjoint target shards in
-// the pipeline's dispatch phase).
+// adapter (private ctx and offer buffer) around the same policy value, which
+// is safe exactly when the policy is node-local — the dex model requires it
+// of Schedule and Update (per scheduling node) and of Accept (per target
+// node; clones drive Accept on disjoint target shards).
 func (a *Adapter) CloneForWorker() sim.Algorithm { return NewAdapter(a.P) }
 
-var (
-	_ sim.Algorithm      = (*Adapter)(nil)
-	_ sim.ParallelCloner = (*Adapter)(nil)
-)
+var _ sim.ParallelCloner = (*Adapter)(nil) // and so a sim.Algorithm

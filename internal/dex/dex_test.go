@@ -1,6 +1,7 @@
 package dex
 
 import (
+	"strings"
 	"testing"
 
 	"meshroute/internal/grid"
@@ -21,17 +22,17 @@ func (s *spyPolicy) InitNode(c *NodeCtx) {
 	s.initCalls++
 	// Node state may depend on the profitable outlinks of the packet
 	// that originates there.
-	if len(c.Views) > 0 {
-		*c.State = uint64(c.Views[0].Profitable)
+	if c.Len() > 0 {
+		*c.State = uint64(c.Profitable(0))
 	}
 }
 
 func (s *spyPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
-	s.views = append(s.views, c.Views...)
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
-	for i := range c.Views {
+	for i := range c.Len() {
+		s.views = append(s.views, c.View(i))
 		for d := grid.Dir(0); d < grid.NumDirs; d++ {
-			if c.Views[i].Profitable.Has(d) && sched[d] < 0 {
+			if c.Profitable(i).Has(d) && sched[d] < 0 {
 				sched[d] = i
 				s.scheduled = d
 				break
@@ -43,7 +44,7 @@ func (s *spyPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 
 func (s *spyPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 	s.offers = append(s.offers, offers...)
-	free := c.K - c.QueueLens[0]
+	free := c.K - c.QueueLen(0)
 	for i := range offers {
 		if free > 0 {
 			acc[i] = true
@@ -53,8 +54,8 @@ func (s *spyPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 }
 
 func (s *spyPolicy) Update(c *NodeCtx) {
-	for i := range c.Views {
-		c.SetPacketState(i, c.Views[i].State+1)
+	for i := range c.Len() {
+		c.SetPacketState(i, c.PacketState(i)+1)
 	}
 }
 
@@ -194,5 +195,74 @@ func TestExchangeInvisibility(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatalf("exchange visible at %d: %v vs %v", i, t1, t2)
 		}
+	}
+}
+
+// TestProfFollowsExchange pins the cache-refresh half of part (b): a hook
+// that swaps the destinations of two residents with different profitable
+// sets writes only P.Dst, and the policy still sees the new sets — in the
+// same step's OfferView (measured at the sender) and, for a packet that did
+// not move, at the next Schedule. CheckInvariants is off so that what is
+// tested is the refresh, not the checker. A swap that turns a scheduled move
+// non-minimal is still refused by the post-exchange check.
+func TestProfFollowsExchange(t *testing.T) {
+	topo := grid.NewSquareMesh(8)
+	net := sim.MustNew(sim.Config{Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: true})
+	at := func(x, y int) grid.NodeID { return topo.ID(grid.XY(x, y)) }
+	// p and q share (2,2) and both want East: p is sent, q stays put.
+	// r heads north from the corner.
+	p := net.NewPacket(at(2, 2), at(6, 2))
+	q := net.NewPacket(at(2, 2), at(5, 2))
+	r := net.NewPacket(at(0, 0), at(0, 7))
+	for _, id := range []sim.PacketID{p, q, r} {
+		net.MustPlace(id)
+	}
+	st := &net.P
+	net.SetExchange(func(n *sim.Network, step int, moves []sim.Move) {
+		switch step {
+		case 1: // r's scheduled move north stays minimal toward (5,2)
+			st.Dst[q], st.Dst[r] = st.Dst[r], st.Dst[q]
+		case 2: // p is moving east at (3,2); (0,7) lies behind it
+			st.Dst[p], st.Dst[q] = st.Dst[q], st.Dst[p]
+		}
+	})
+	spy := &spyPolicy{}
+	alg := NewAdapter(spy)
+	if err := net.StepOnce(alg); err != nil {
+		t.Fatal(err)
+	}
+	ne := grid.DirSet(0).Set(grid.North).Set(grid.East)
+	nw := grid.DirSet(0).Set(grid.North).Set(grid.West)
+	sawOffer := false
+	for _, o := range spy.offers {
+		if o.Source == st.Src[r] {
+			sawOffer = true
+			if o.Profitable != ne {
+				t.Fatalf("step 1 offer of the exchanged packet shows %v from its sender, want %v", o.Profitable, ne)
+			}
+		}
+	}
+	if !sawOffer {
+		t.Fatal("the exchanged packet was never offered")
+	}
+	if st.At[q] != at(2, 2) {
+		t.Fatalf("q moved to %v; the test needs it to stay", topo.CoordOf(st.At[q]))
+	}
+	spy.views = spy.views[:0]
+	err := net.StepOnce(alg)
+	sawView := false
+	for _, v := range spy.views {
+		if v.Source == st.Src[q] && v.Arrived == grid.NoDir { // p shares the source but has hopped
+			sawView = true
+			if v.Profitable != nw {
+				t.Fatalf("step 2 Schedule shows %v for the exchanged packet that stayed, want %v", v.Profitable, nw)
+			}
+		}
+	}
+	if !sawView {
+		t.Fatal("step 2 Schedule never showed the packet that stayed")
+	}
+	if err == nil || !strings.Contains(err.Error(), "non-minimal") {
+		t.Fatalf("want the post-exchange minimality error at step 2, got %v", err)
 	}
 }

@@ -11,43 +11,60 @@ import (
 )
 
 // roundtripPolicy is a dex policy that, on every callback, re-derives each
-// View from the adapter's PacketID slice and the store and checks the two
-// agree — the index round-trip property: Views[i] is exactly the projection
-// of store row pids[i], and pids[i] is the packet the engine will move when
-// Schedule returns i.
+// resident's observable fields from the context's PacketID window and the
+// store and checks the accessors agree — the index round-trip property:
+// View(i) is exactly the projection of store row pids[i], pids[i] is the
+// packet the engine will move when Schedule returns i, and Profitable(i) is
+// what a fresh Topo.Profitable on the row's destination gives (computed here,
+// so the oracle for the cached column is not the engine's own checker).
 type roundtripPolicy struct {
 	t *testing.T
 	// pidOf pins the PacketID first observed for each external packet ID;
 	// the handle must stay stable for the packet's whole lifetime.
 	pidOf map[int32]sim.PacketID
+	// bySrc finds an offered packet's row: the workload is a permutation,
+	// so a source address names one packet.
+	bySrc map[grid.NodeID]sim.PacketID
 }
 
 func (r *roundtripPolicy) Name() string { return "roundtrip" }
 
 func (r *roundtripPolicy) verify(c *NodeCtx) {
 	st := &c.net.P
-	if len(c.Views) != len(c.pids) {
-		r.t.Fatalf("step %d node %v: %d views over %d packet IDs", c.Step, c.Coord, len(c.Views), len(c.pids))
+	if c.Len() != len(c.pids) || c.Len() != c.node.Len() {
+		r.t.Fatalf("step %d node %v: Len() = %d over %d packet IDs, node holds %d", c.Step, c.Coord(), c.Len(), len(c.pids), c.node.Len())
 	}
-	for i, v := range c.Views {
+	for i := range c.Len() {
 		p := c.pids[i]
 		if p == sim.NoPacket {
-			r.t.Fatalf("step %d node %v: reserved sentinel in queue slot %d", c.Step, c.Coord, i)
+			r.t.Fatalf("step %d node %v: reserved sentinel in queue slot %d", c.Step, c.Coord(), i)
 		}
-		if v.Index != i {
-			r.t.Fatalf("step %d node %v: Views[%d].Index = %d", c.Step, c.Coord, i, v.Index)
+		want := View{
+			Index: i, Source: st.Src[p], State: st.State[p], Arrived: st.Arrived[p],
+			ArrivedStep: int(st.ArrivedStep[p]), QTag: st.QTag[p],
+			Profitable: c.net.Topo.Profitable(c.ID, st.Dst[p]),
 		}
-		if v.Source != st.Src[p] || v.State != st.State[p] || v.Arrived != st.Arrived[p] ||
-			v.ArrivedStep != int(st.ArrivedStep[p]) || v.QTag != st.QTag[p] {
-			r.t.Fatalf("step %d node %v: Views[%d] diverged from store row %d", c.Step, c.Coord, i, p)
+		if got := c.View(i); got != want {
+			r.t.Fatalf("step %d node %v: View(%d) = %+v, store row %d says %+v", c.Step, c.Coord(), i, got, p, want)
 		}
-		if want := c.net.Topo.Profitable(c.ID, st.Dst[p]); v.Profitable != want {
-			r.t.Fatalf("step %d node %v: Views[%d].Profitable = %v, store says %v", c.Step, c.Coord, i, v.Profitable, want)
+		if c.Profitable(i) != want.Profitable || c.PacketState(i) != want.State || c.Arrived(i) != want.Arrived ||
+			c.ArrivedStep(i) != want.ArrivedStep || c.Source(i) != want.Source || c.QTag(i) != want.QTag {
+			r.t.Fatalf("step %d node %v: accessors of resident %d disagree with View(%d)", c.Step, c.Coord(), i, i)
 		}
 		if prev, ok := r.pidOf[p.ID()]; ok && prev != p {
 			r.t.Fatalf("packet %d changed handle %d -> %d: index not stable for lifetime", p.ID(), prev, p)
 		}
 		r.pidOf[p.ID()] = p
+		r.bySrc[st.Src[p]] = p
+	}
+	if c.Coord() != c.net.Topo.CoordOf(c.ID) || c.Outlinks() != c.net.Topo.Outlinks(c.ID) ||
+		c.Up() != c.Outlinks()&^c.net.DownOutlinks(c.ID) {
+		r.t.Fatalf("step %d node %v: node header accessors diverged from topology/fault state", c.Step, c.Coord())
+	}
+	for tag := uint8(0); tag <= sim.OriginTag; tag++ {
+		if c.QueueLen(tag) != c.node.QueueLen(tag) {
+			r.t.Fatalf("step %d node %v: QueueLen(%d) = %d, node says %d", c.Step, c.Coord(), tag, c.QueueLen(tag), c.node.QueueLen(tag))
+		}
 	}
 }
 
@@ -56,9 +73,9 @@ func (r *roundtripPolicy) InitNode(c *NodeCtx) { r.verify(c) }
 func (r *roundtripPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 	r.verify(c)
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
-	for i := range c.Views {
+	for i := range c.Len() {
 		for d := grid.Dir(0); d < grid.NumDirs; d++ {
-			if c.Views[i].Profitable.Has(d) && sched[d] < 0 {
+			if c.Profitable(i).Has(d) && sched[d] < 0 {
 				sched[d] = i
 				break
 			}
@@ -68,8 +85,19 @@ func (r *roundtripPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 }
 
 func (r *roundtripPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
-	free := c.K - c.QueueLens[0]
-	for i := range offers {
+	r.verify(c)
+	st := &c.net.P
+	free := c.K - c.QueueLen(0)
+	for i, o := range offers {
+		// Every offered packet was a resident of o.From at Schedule, so
+		// verify has already recorded its row under its source.
+		p := r.bySrc[o.Source]
+		if st.At[p] != o.From || o.State != st.State[p] {
+			r.t.Fatalf("step %d node %v: offer %d does not match store row %d", c.Step, c.Coord(), i, p)
+		}
+		if want := c.net.Topo.Profitable(o.From, st.Dst[p]); o.Profitable != want {
+			r.t.Fatalf("step %d node %v: offer %d shows %v, measured fresh from the sender %v", c.Step, c.Coord(), i, o.Profitable, want)
+		}
 		if free > 0 {
 			acc[i] = true
 			free--
@@ -80,13 +108,12 @@ func (r *roundtripPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
 func (r *roundtripPolicy) Update(c *NodeCtx) {
 	r.verify(c)
 	// Exercise the write-through path: SetPacketState must land in the
-	// store row the view projects.
-	for i := range c.Views {
-		c.SetPacketState(i, c.Views[i].State+1)
-	}
+	// store row the accessors read.
 	st := &c.net.P
-	for i, v := range c.Views {
-		if st.State[c.pids[i]] != v.State {
+	for i := range c.Len() {
+		s := c.PacketState(i) + 1
+		c.SetPacketState(i, s)
+		if st.State[c.pids[i]] != s || c.View(i).State != s {
 			r.t.Fatalf("SetPacketState did not write through to store row %d", c.pids[i])
 		}
 	}
@@ -95,8 +122,10 @@ func (r *roundtripPolicy) Update(c *NodeCtx) {
 // TestIndexRoundTripUnderFaultsAndCancellation is the property test for the
 // index-based representation: across random workloads, seeded fault
 // schedules (dropped sends, stalled nodes) and a mid-run pause/resume
-// (cancellation), every View handed to a policy round-trips to the store
-// row the adapter built it from, and a packet's PacketID never changes.
+// (cancellation), at every Schedule, Accept and Update call every accessor
+// of the context round-trips to the store row behind it, the cached
+// profitable set equals a fresh computation, and a packet's PacketID never
+// changes.
 func TestIndexRoundTripUnderFaultsAndCancellation(t *testing.T) {
 	f := func(seedRaw uint16) bool {
 		seed := int64(seedRaw)
@@ -117,7 +146,7 @@ func TestIndexRoundTripUnderFaultsAndCancellation(t *testing.T) {
 		if err := workload.Random(topo, seed).Place(net); err != nil {
 			t.Fatal(err)
 		}
-		pol := &roundtripPolicy{t: t, pidOf: map[int32]sim.PacketID{}}
+		pol := &roundtripPolicy{t: t, pidOf: map[int32]sim.PacketID{}, bySrc: map[grid.NodeID]sim.PacketID{}}
 		alg := NewAdapter(pol)
 		// Pause mid-run, then resume: the pause must not disturb the
 		// index mapping (RunPartial returns without error at the budget,

@@ -24,8 +24,8 @@ func (DimOrderFIFO) InitNode(c *dex.NodeCtx) {}
 // earliest-queued packet wanting it.
 func (DimOrderFIFO) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
-	for i := range c.Views {
-		want := DimOrderWant(c.Views[i].Profitable)
+	for i := range c.Len() {
+		want := DimOrderWant(c.Profitable(i))
 		if want != grid.NoDir && sched[want] < 0 {
 			sched[want] = i
 		}

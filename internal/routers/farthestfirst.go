@@ -43,7 +43,7 @@ func (DimOrderFF) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 	best := [grid.NumDirs]int{}
 	here := net.Topo.CoordOf(n.ID)
 	for i, p := range net.PacketsOf(n) {
-		want := DimOrderWant(net.Topo.Profitable(n.ID, net.P.Dst[p]))
+		want := DimOrderWant(net.P.Prof[p])
 		if want == grid.NoDir {
 			continue
 		}

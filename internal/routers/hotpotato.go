@@ -60,7 +60,7 @@ func (HotPotato) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 	assigned := make([]bool, len(q))
 	// First pass: profitable outlinks, oldest first.
 	for _, i := range order {
-		prof := net.Topo.Profitable(n.ID, st.Dst[q[i]])
+		prof := st.Prof[q[i]]
 		for d := grid.Dir(0); d < grid.NumDirs; d++ {
 			if prof.Has(d) && !taken[d] {
 				sched[d] = i

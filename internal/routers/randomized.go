@@ -53,7 +53,7 @@ func splitmix64(x uint64) uint64 {
 // pick returns the desired direction of packet p this step: a uniformly
 // random profitable direction.
 func (r RandZigZag) pick(net *sim.Network, at grid.NodeID, p sim.PacketID) grid.Dir {
-	prof := net.Topo.Profitable(at, net.P.Dst[p])
+	prof := net.P.Prof[p]
 	if r.FaultAware {
 		prof &^= net.DownOutlinks(at)
 	}

@@ -59,7 +59,7 @@ func DimOrderWant(prof grid.DirSet) grid.Dir {
 // node's own outqueue decision for this step (policies are pure functions
 // of the context, so the caller recomputes it).
 func acceptRoundRobin(c *dex.NodeCtx, offers []dex.OfferView, acc []bool, sched [grid.NumDirs]int) {
-	free := c.K - c.QueueLens[0]
+	free := c.K - c.QueueLen(0)
 	for i, o := range offers {
 		senderDir := o.Travel.Opposite()
 		if sched[senderDir] >= 0 {
@@ -107,7 +107,7 @@ func acceptDimOrderReserving(c *dex.NodeCtx, offers []dex.OfferView, acc []bool,
 			acc[i] = true // swap: occupancy-neutral
 		}
 	}
-	occ := c.QueueLens[0]
+	occ := c.QueueLen(0)
 	start := grid.Dir(*c.State % grid.NumDirs)
 	for j := grid.Dir(0); j < grid.NumDirs; j++ {
 		inlink := (start + j) % grid.NumDirs

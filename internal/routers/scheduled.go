@@ -93,7 +93,7 @@ func (st *scheduledState) nextDir(net *sim.Network, p sim.PacketID) (grid.Dir, i
 	if st.ps == nil || i >= st.ps.Len() {
 		// Late arrival (dynamic injection the scenario layer should have
 		// rejected): canonical dimension-order, no delay.
-		prof := net.Topo.Profitable(net.P.At[p], net.P.Dst[p])
+		prof := net.P.Prof[p]
 		for _, d := range [...]grid.Dir{grid.East, grid.West, grid.North, grid.South} {
 			if prof.Has(d) {
 				return d, 0, true

@@ -56,32 +56,22 @@ func straySet(s uint64, cnt int, orient grid.Dir) uint64 {
 // horizontal profitable direction at its source; East for packets with
 // none, so pure-vertical packets may still sidestep eastward).
 func (r StrayDimOrder) InitNode(c *dex.NodeCtx) {
-	for i := range c.Views {
-		v := c.Views[i]
+	for i := range c.Len() {
 		orient := grid.East
-		if v.Profitable.Has(grid.West) {
+		if c.Profitable(i).Has(grid.West) {
 			orient = grid.West
-		} else if v.Profitable.Has(grid.East) {
-			orient = grid.East
 		}
-		c.SetPacketState(i, straySet(v.State, 0, orient))
+		c.SetPacketState(i, straySet(c.PacketState(i), 0, orient))
 	}
 }
 
-// want returns the packet's primary desired direction.
-func (r StrayDimOrder) want(v dex.View) grid.Dir {
-	return DimOrderWant(v.Profitable)
-}
-
-// strayWant returns the deflection direction if the packet has budget: its
-// original horizontal orientation, taken only when that direction is no
+// strayWant returns the i-th packet's deflection direction if it has budget:
+// its original horizontal orientation, taken only when that direction is no
 // longer profitable (i.e. the move overshoots).
-func (r StrayDimOrder) strayWant(c *dex.NodeCtx, v dex.View) grid.Dir {
-	o := strayOrient(v.State)
-	if o == grid.NoDir || v.Profitable.Has(o) || strayCount(v.State) >= r.Delta {
-		return grid.NoDir
-	}
-	if !c.Outlinks.Has(o) {
+func (r StrayDimOrder) strayWant(c *dex.NodeCtx, i int) grid.Dir {
+	s := c.PacketState(i)
+	o := strayOrient(s)
+	if o == grid.NoDir || c.Profitable(i).Has(o) || strayCount(s) >= r.Delta || !c.Outlinks().Has(o) {
 		return grid.NoDir
 	}
 	return o
@@ -93,25 +83,19 @@ func (r StrayDimOrder) strayWant(c *dex.NodeCtx, v dex.View) grid.Dir {
 func (r StrayDimOrder) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	// Primary wants, FIFO.
-	for i := range c.Views {
-		if w := r.want(c.Views[i]); w != grid.NoDir && sched[w] < 0 {
+	for i := range c.Len() {
+		if w := DimOrderWant(c.Profitable(i)); w != grid.NoDir && sched[w] < 0 {
 			sched[w] = i
 		}
 	}
-	// Deflections on leftover outlinks, FIFO among losers.
-	taken := map[int]bool{}
-	for d := grid.Dir(0); d < grid.NumDirs; d++ {
-		if sched[d] >= 0 {
-			taken[sched[d]] = true
-		}
-	}
-	for i := range c.Views {
-		if taken[i] {
+	// Deflections on leftover outlinks, FIFO among losers: a packet is
+	// taken exactly when it is one of the (at most four) scheduled indices.
+	for i := range c.Len() {
+		if i == sched[0] || i == sched[1] || i == sched[2] || i == sched[3] {
 			continue
 		}
-		if s := r.strayWant(c, c.Views[i]); s != grid.NoDir && sched[s] < 0 {
+		if s := r.strayWant(c, i); s != grid.NoDir && sched[s] < 0 {
 			sched[s] = i
-			taken[i] = true
 		}
 	}
 	return sched
@@ -129,21 +113,22 @@ func (r StrayDimOrder) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []b
 // current profitable set, information the model allows.
 func (r StrayDimOrder) Update(c *dex.NodeCtx) {
 	rotate(c)
-	for i := range c.Views {
-		v := c.Views[i]
-		if v.ArrivedStep != c.Step || v.Arrived == grid.NoDir {
+	for i := range c.Len() {
+		arrived := c.Arrived(i)
+		if c.ArrivedStep(i) != c.Step || arrived == grid.NoDir {
 			continue
 		}
-		o := strayOrient(v.State)
-		if o == grid.NoDir || !v.Arrived.Horizontal() {
+		state := c.PacketState(i)
+		o := strayOrient(state)
+		if o == grid.NoDir || !arrived.Horizontal() {
 			continue
 		}
-		cnt := strayCount(v.State)
-		switch v.Arrived {
+		cnt := strayCount(state)
+		switch arrived {
 		case o:
 			// Moving with the orientation: if the opposite is now
 			// profitable, the move overshot the destination column.
-			if v.Profitable.Has(o.Opposite()) {
+			if c.Profitable(i).Has(o.Opposite()) {
 				cnt++
 			}
 		case o.Opposite():
@@ -152,7 +137,7 @@ func (r StrayDimOrder) Update(c *dex.NodeCtx) {
 				cnt--
 			}
 		}
-		c.SetPacketState(i, straySet(v.State, cnt, o))
+		c.SetPacketState(i, straySet(state, cnt, o))
 	}
 }
 

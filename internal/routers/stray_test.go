@@ -145,3 +145,42 @@ func (greedyStub) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc 
 		acc[i] = true
 	}
 }
+
+// TestDexSteadyStateStepAllocs is TestSteadyStateStepAllocs (package sim,
+// which cannot import this one) for the destination-exchangeable routers:
+// after warm-up a step through the adapter and each policy allocates
+// nothing. stray is the case that used to fail — its Schedule built a
+// map[int]bool per call, twice per node per step.
+func TestDexSteadyStateStepAllocs(t *testing.T) {
+	const n = 16
+	cases := []struct {
+		cfg sim.Config
+		pol dex.Policy
+	}{
+		{centralConfig(n, 2), DimOrderFIFO{}},
+		{centralConfig(n, 2), ZigZag{}},
+		{Thm15Config(grid.NewSquareMesh(n), 2), Thm15{}},
+		{strayConfig(n, 3, 2), StrayDimOrder{Delta: 2}},
+	}
+	for _, c := range cases {
+		net := sim.MustNew(c.cfg)
+		if err := workload.Reversal(c.cfg.Topo).Place(net); err != nil {
+			t.Fatal(err)
+		}
+		alg := dex.NewAdapter(c.pol)
+		step := func() {
+			if err := net.StepOnce(alg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 5; i++ { // warm scratch buffers
+			step()
+		}
+		if avg := testing.AllocsPerRun(20, step); avg != 0 {
+			t.Errorf("%s: steady-state StepOnce allocates %.1f times per step, want 0", c.pol.Name(), avg)
+		}
+		if net.Done() {
+			t.Errorf("%s: network drained during the measurement; steps were not steady state", c.pol.Name())
+		}
+	}
+}

@@ -34,13 +34,12 @@ func (Thm15) InitNode(c *dex.NodeCtx) {}
 func (Thm15) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	straight := [grid.NumDirs]bool{}
-	for i := range c.Views {
-		v := c.Views[i]
-		want := DimOrderWant(v.Profitable)
+	for i := range c.Len() {
+		want := DimOrderWant(c.Profitable(i))
 		if want == grid.NoDir {
 			continue
 		}
-		goesStraight := v.Arrived == want
+		goesStraight := c.Arrived(i) == want
 		switch {
 		case sched[want] < 0:
 			sched[want] = i
@@ -63,7 +62,7 @@ func (Thm15) Accept(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
 			continue
 		}
 		tag := uint8(o.Travel.Opposite())
-		acc[i] = c.QueueLens[tag] < c.K
+		acc[i] = c.QueueLen(tag) < c.K
 	}
 }
 

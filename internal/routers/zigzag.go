@@ -37,7 +37,7 @@ func (r ZigZag) Name() string {
 // fault-oblivious, only up links when fault-aware.
 func (r ZigZag) avail(c *dex.NodeCtx) grid.DirSet {
 	if r.FaultAware {
-		return c.Up
+		return c.Up()
 	}
 	return grid.AllDirs
 }
@@ -52,12 +52,11 @@ func zzSetPref(state uint64, d grid.Dir) uint64 {
 	return (state &^ zzDirMask) | uint64(d)
 }
 
-// zzWant returns the direction the packet wants this step: its preferred
-// direction if still profitable (and not masked out by avail), otherwise
-// the first remaining profitable one.
-func zzWant(v dex.View, avail grid.DirSet) grid.Dir {
-	prof := v.Profitable & avail
-	if p := zzPref(v.State); p < grid.NumDirs && prof.Has(p) {
+// zzWant returns the direction a packet in the given state wants this step,
+// prof being its profitable outlinks already masked by avail: its preferred
+// direction if still in prof, otherwise the first remaining one.
+func zzWant(prof grid.DirSet, state uint64) grid.Dir {
+	if p := zzPref(state); p < grid.NumDirs && prof.Has(p) {
 		return p
 	}
 	for d := grid.Dir(0); d < grid.NumDirs; d++ {
@@ -72,8 +71,9 @@ func zzWant(v dex.View, avail grid.DirSet) grid.Dir {
 // direction.
 func (r ZigZag) InitNode(c *dex.NodeCtx) {
 	avail := r.avail(c)
-	for i := range c.Views {
-		c.SetPacketState(i, zzSetPref(c.Views[i].State, zzWant(c.Views[i], avail)))
+	for i := range c.Len() {
+		s := c.PacketState(i)
+		c.SetPacketState(i, zzSetPref(s, zzWant(c.Profitable(i)&avail, s)))
 	}
 }
 
@@ -81,8 +81,8 @@ func (r ZigZag) InitNode(c *dex.NodeCtx) {
 func (r ZigZag) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	avail := r.avail(c)
-	for i := range c.Views {
-		want := zzWant(c.Views[i], avail)
+	for i := range c.Len() {
+		want := zzWant(c.Profitable(i)&avail, c.PacketState(i))
 		if want != grid.NoDir && sched[want] < 0 {
 			sched[want] = i
 		}
@@ -103,15 +103,15 @@ func (r ZigZag) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
 func (r ZigZag) Update(c *dex.NodeCtx) {
 	rotate(c)
 	avail := r.avail(c)
-	for i := range c.Views {
-		v := c.Views[i]
-		prof := v.Profitable & avail
-		moved := v.ArrivedStep == c.Step && v.Arrived != grid.NoDir
-		pref := zzPref(v.State)
+	for i := range c.Len() {
+		prof := c.Profitable(i) & avail
+		state := c.PacketState(i)
+		moved := c.ArrivedStep(i) == c.Step && c.Arrived(i) != grid.NoDir
+		pref := zzPref(state)
 		if moved {
 			// Keep going the way it was going if still profitable.
 			if !prof.Has(pref) {
-				c.SetPacketState(i, zzSetPref(v.State, zzWant(v, avail)))
+				c.SetPacketState(i, zzSetPref(state, zzWant(prof, state)))
 			}
 			continue
 		}
@@ -120,12 +120,12 @@ func (r ZigZag) Update(c *dex.NodeCtx) {
 		if prof.Count() == 2 {
 			for d := grid.Dir(0); d < grid.NumDirs; d++ {
 				if prof.Has(d) && d != pref {
-					c.SetPacketState(i, zzSetPref(v.State, d))
+					c.SetPacketState(i, zzSetPref(state, d))
 					break
 				}
 			}
 		} else if !prof.Has(pref) {
-			c.SetPacketState(i, zzSetPref(v.State, zzWant(v, avail)))
+			c.SetPacketState(i, zzSetPref(state, zzWant(prof, state)))
 		}
 	}
 }

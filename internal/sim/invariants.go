@@ -10,11 +10,14 @@ import "fmt"
 //   - count consistency: each node's per-tag counters sum to its resident
 //     packet count, and each resident packet's At/slot index match the
 //     node and its queue position;
+//   - profitable-set cache: each resident packet's Prof entry equals a
+//     fresh Topo.Profitable(At, Dst) — the column every router and the
+//     engine's own minimality tests read instead of recomputing;
 //   - packet conservation: delivered + resident + backlogged + pending
 //     equals the number of packets ever placed or queued — packets are
 //     never duplicated or lost by a step.
 //
-// Minimality of moves is the fourth engine invariant; it is enforced
+// Minimality of moves is the remaining engine invariant; it is enforced
 // inline at scheduling time by Config.RequireMinimal / Config.MaxStray
 // (see StepOnce), where the offending move is still known.
 //
@@ -54,6 +57,10 @@ func (net *Network) checkStepInvariants(alg Algorithm) error {
 			if st.Delivered(p) {
 				return fmt.Errorf("sim: invariant: delivered packet %d still resident at %v (step %d)",
 					p.ID(), net.Topo.CoordOf(id), net.step)
+			}
+			if want := net.Topo.Profitable(id, st.Dst[p]); st.Prof[p] != want {
+				return fmt.Errorf("sim: invariant: packet %d at %v caches profitable set %v, fresh computation gives %v (step %d)",
+					p.ID(), net.Topo.CoordOf(id), st.Prof[p], want, net.step)
 			}
 		}
 		resident += node.Len()

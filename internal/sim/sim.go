@@ -94,16 +94,26 @@ func (p PacketID) ID() int32 { return int32(p) - 1 }
 // slice. All exported slices are indexed by PacketID; index 0 is a reserved
 // sentinel (never a live packet). Fields may be read — and, for adversary
 // exchange hooks and tests, written — directly; the engine maintains At,
-// QTag, Arrived, ArrivedStep, InjectStep, DeliverStep and Hops itself.
+// Prof, QTag, Arrived, ArrivedStep, InjectStep, DeliverStep and Hops itself.
 type PacketStore struct {
 	// Src is the node where the packet was injected.
 	Src []grid.NodeID
 	// Dst is the destination. The adversary exchange hook may swap the
-	// Dst entries of two packets mid-run (part (b) of a step).
+	// Dst entries of two packets mid-run (part (b) of a step); the engine
+	// refreshes Prof for every resident packet as soon as the hook returns,
+	// so a hook only ever writes Dst.
 	Dst []grid.NodeID
 	// At is the node currently holding the packet (its destination once
 	// delivered). Maintained by the engine.
 	At []grid.NodeID
+	// Prof is the packet's profitable-outlink set, Topo.Profitable(At, Dst),
+	// cached while the packet is resident in a queue. It can change only
+	// when the packet hops or part (b) exchanges its destination, and the
+	// engine rewrites it at exactly those two points (attachTo and the
+	// post-exchange refresh); everything in the step loop that asks "which
+	// outlinks are profitable" reads this column. CheckInvariants verifies
+	// it against a fresh computation every step.
+	Prof []grid.DirSet
 	// State is algorithm-owned scratch that travels with the packet.
 	// Under destination-exchangeability it may be updated only from
 	// information listed in Section 2 of the paper.
@@ -147,6 +157,7 @@ func (st *PacketStore) add(src, dst grid.NodeID) PacketID {
 	st.Src = append(st.Src, src)
 	st.Dst = append(st.Dst, dst)
 	st.At = append(st.At, src)
+	st.Prof = append(st.Prof, 0)
 	st.State = append(st.State, 0)
 	st.Arrived = append(st.Arrived, grid.NoDir)
 	st.QTag = append(st.QTag, 0)
@@ -323,7 +334,8 @@ type Config struct {
 	MaxStray int
 	// CheckInvariants enables the per-step runtime invariant checker:
 	// queue capacity under either queue model, per-node count
-	// consistency, and packet conservation (see checkStepInvariants).
+	// consistency, the cached profitable sets (PacketStore.Prof), and
+	// packet conservation (see checkStepInvariants).
 	// When false the engine pays one branch per step and zero
 	// allocations for it.
 	CheckInvariants bool
@@ -815,11 +827,14 @@ func (net *Network) attach(node *Node, p PacketID, tag uint8) {
 // attachTo is attach with the newly-occupied list made explicit: a node
 // becoming occupied is appended to *occOut instead of net.occ directly. The
 // parallel apply phase passes a worker-private buffer (merged into net.occ
-// in shard order afterwards); everything else passes &net.occ.
+// in shard order afterwards); everything else passes &net.occ. It is the one
+// place a packet becomes resident (placement, admission, part (d) arrival),
+// hence the one place besides the exchange refresh that computes Prof.
 func (net *Network) attachTo(node *Node, p PacketID, tag uint8, occOut *[]grid.NodeID) {
 	st := &net.P
 	st.QTag[p] = tag
 	st.At[p] = node.ID
+	st.Prof[p] = net.Topo.Profitable(node.ID, st.Dst[p])
 	if node.qLen == node.qCap {
 		net.growQueue(node)
 	}

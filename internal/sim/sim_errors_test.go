@@ -102,3 +102,27 @@ func TestMustNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	MustNew(Config{Topo: grid.NewSquareMesh(4), K: 0})
 }
+
+// TestStaleProfIsInvariantError corrupts the cached profitable set of a
+// resident packet by hand: the checker recomputes every resident's set from
+// At and Dst each step, so the stale entry is an error that names the
+// packet and the step rather than a silently misrouted packet.
+func TestStaleProfIsInvariantError(t *testing.T) {
+	net := newTestNet(t, 8, 2)
+	topo := net.Topo
+	// Two eastbound packets share a node; greedyXY sends the first and the
+	// second stays, so nothing rewrites its Prof entry during the step.
+	a := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(5, 0)))
+	b := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(6, 0)))
+	net.MustPlace(a)
+	net.MustPlace(b)
+	if want := topo.Profitable(net.P.At[b], net.P.Dst[b]); net.P.Prof[b] != want {
+		t.Fatalf("placement cached %v for packet %d, want %v", net.P.Prof[b], b.ID(), want)
+	}
+	net.P.Prof[b] = net.P.Prof[b].Set(grid.North)
+	err := net.StepOnce(greedyXY{})
+	if err == nil || !strings.Contains(err.Error(), "invariant") ||
+		!strings.Contains(err.Error(), "packet 1 ") || !strings.Contains(err.Error(), "step 1") {
+		t.Fatalf("want an invariant error naming packet 1 and step 1, got %v", err)
+	}
+}

@@ -123,6 +123,7 @@ func (net *Network) ReserveInjections(n int) {
 	st.Src = slices.Grow(st.Src, n)
 	st.Dst = slices.Grow(st.Dst, n)
 	st.At = slices.Grow(st.At, n)
+	st.Prof = slices.Grow(st.Prof, n)
 	st.State = slices.Grow(st.State, n)
 	st.Arrived = slices.Grow(st.Arrived, n)
 	st.QTag = slices.Grow(st.QTag, n)

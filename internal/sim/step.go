@@ -154,9 +154,16 @@ func (net *Network) StepOnce(alg Algorithm) error {
 		return err
 	}
 
-	// Part (b): adversary exchanges destination addresses.
+	// Part (b): adversary exchanges destination addresses. The hook writes
+	// only P.Dst, so every resident's cached profitable set is recomputed
+	// before anything (offers, the next Schedule) reads it again.
 	if net.exchange != nil {
 		net.exchange(net, t, moves)
+		for _, id := range net.occ {
+			for _, p := range net.PacketsOf(&net.nodes[id]) {
+				st.Prof[p] = net.Topo.Profitable(id, st.Dst[p])
+			}
+		}
 		if net.cfg.RequireMinimal {
 			// Exchanges must preserve minimality of the already
 			// scheduled moves (they do in the paper's construction;
@@ -350,7 +357,7 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 			if net.cfg.RequireMinimal {
 				if pd := net.linkPerm[id]; pd != 0 {
 					for _, p := range net.PacketsOf(node) {
-						if prof := net.Topo.Profitable(id, st.Dst[p]); prof != 0 && prof&^pd == 0 {
+						if prof := st.Prof[p]; prof != 0 && prof&^pd == 0 {
 							return dst, drops, &UnreachableError{
 								PacketID: p.ID(), At: id, Dst: st.Dst[p],
 								AtCoord: net.Topo.CoordOf(id), DstCoord: net.Topo.CoordOf(st.Dst[p]),
@@ -389,7 +396,7 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 				return dst, drops, fmt.Errorf("sim: %s scheduled packet %d on missing outlink %v of node %v",
 					alg.Name(), p.ID(), d, net.Topo.CoordOf(id))
 			}
-			if net.cfg.RequireMinimal && !net.Topo.Profitable(id, st.Dst[p]).Has(d) {
+			if net.cfg.RequireMinimal && !st.Prof[p].Has(d) {
 				return dst, drops, fmt.Errorf("sim: %s scheduled non-minimal move of packet %d: %v -> %v toward %v",
 					alg.Name(), p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(nb), net.Topo.CoordOf(st.Dst[p]))
 			}
