@@ -298,3 +298,33 @@ func TestConfigsEqualDetectsDifferences(t *testing.T) {
 		t.Fatal("different destinations must be detected")
 	}
 }
+
+// TestSchedTableForgetsEarlierSteps: the table is never cleared, so a
+// packet that moved in an earlier step and not in this one must not look
+// scheduled, and a fresh table must hold nothing at step 1.
+func TestSchedTableForgetsEarlierSteps(t *testing.T) {
+	net := sim.MustNew(sim.Config{Topo: grid.NewSquareMesh(4), K: 2, Queues: sim.CentralQueue})
+	a, b := net.NewPacket(0, 5), net.NewPacket(1, 6)
+	s := newSchedTable(net)
+
+	s.record(1, []sim.Move{{P: a, To: 4}})
+	if to, ok := s.target(a); !ok || to != 4 {
+		t.Fatalf("step 1: target(a) = %d,%v, want 4,true", to, ok)
+	}
+	if _, ok := s.target(b); ok {
+		t.Fatal("step 1: b never moved but looks scheduled")
+	}
+
+	s.record(2, []sim.Move{{P: b, To: 2}})
+	if _, ok := s.target(a); ok {
+		t.Fatal("step 2: a's step-1 move still looks scheduled")
+	}
+	if to, ok := s.target(b); !ok || to != 2 {
+		t.Fatalf("step 2: target(b) = %d,%v, want 2,true", to, ok)
+	}
+
+	s.record(3, nil)
+	if _, ok := s.target(b); ok {
+		t.Fatal("step 3: nothing moves but b looks scheduled")
+	}
+}

@@ -70,6 +70,7 @@ type Construction struct {
 
 	// kindIdx maps (kind, i) to the packets currently in that role.
 	kindIdx map[kindKey][]sim.PacketID
+	sched   schedTable
 
 	disableExchanges bool
 	err              error
@@ -80,6 +81,39 @@ type Construction struct {
 type kindKey struct {
 	kind Kind
 	i    int
+}
+
+// schedTable remembers where each packet moving in the current step is
+// scheduled to go, for partner eligibility. It is indexed by PacketID and an
+// entry counts only if it carries the current step, so a run allocates the
+// table once and no step clears it.
+type schedTable struct {
+	step int
+	ent  []schedEntry
+}
+
+type schedEntry struct {
+	step int // 0 in a fresh table; steps count from 1
+	to   grid.NodeID
+}
+
+// newSchedTable returns the table for a network whose packets all exist.
+func newSchedTable(net *sim.Network) schedTable {
+	return schedTable{ent: make([]schedEntry, net.P.Len()+1)}
+}
+
+// record replaces the table's contents with the moves of step.
+func (s *schedTable) record(step int, moves []sim.Move) {
+	s.step = step
+	for _, m := range moves {
+		s.ent[m.P] = schedEntry{step, m.To}
+	}
+}
+
+// target returns the node p is scheduled to enter this step, if it moves.
+func (s *schedTable) target(p sim.PacketID) (grid.NodeID, bool) {
+	e := s.ent[p]
+	return e.to, e.step == s.step
 }
 
 // Result is the outcome of running a construction.
@@ -362,6 +396,7 @@ func (c *Construction) Run(alg sim.Algorithm) (*Result, error) {
 	}
 
 	if !c.disableExchanges {
+		c.sched = newSchedTable(net)
 		net.SetExchange(c.exchangeHook)
 	}
 	steps := c.Par.Steps()
@@ -430,10 +465,7 @@ func (c *Construction) exchangeHook(net *sim.Network, step int, moves []sim.Move
 	}
 	// Scheduled targets, for partner eligibility ("not scheduled to enter
 	// the N_i-column").
-	sched := make(map[sim.PacketID]grid.Coord, len(moves))
-	for _, m := range moves {
-		sched[m.P] = c.local(m.To)
-	}
+	c.sched.record(step, moves)
 	for _, m := range moves {
 		kind, j := c.kindOf(net.P.Dst[m.P])
 		if kind == KindNone {
@@ -446,7 +478,7 @@ func (c *Construction) exchangeHook(net *sim.Network, step int, moves []sim.Move
 		if i := to.X - cn + 2; i >= 1 && i <= l && to.Y < to.X && step <= i*c.Par.DN {
 			// EX2: N_j, j > i.  EX3: E_j, j >= i.
 			if (kind == KindN && j > i) || (kind == KindE && j >= i) {
-				c.exchange(net, m.P, KindN, i, kind, j, sched, step)
+				c.exchange(net, m.P, KindN, i, kind, j, step)
 				continue
 			}
 		}
@@ -454,7 +486,7 @@ func (c *Construction) exchangeHook(net *sim.Network, step int, moves []sim.Move
 		if i := to.Y - cn + 2; i >= 1 && i <= l && to.X < to.Y && step <= i*c.Par.DN {
 			// EX1: E_j, j > i.  EX4: N_j, j >= i.
 			if (kind == KindE && j > i) || (kind == KindN && j >= i) {
-				c.exchange(net, m.P, KindE, i, kind, j, sched, step)
+				c.exchange(net, m.P, KindE, i, kind, j, step)
 			}
 		}
 	}
@@ -463,7 +495,7 @@ func (c *Construction) exchangeHook(net *sim.Network, step int, moves []sim.Move
 // exchange swaps the destination of p with an eligible partner of kind
 // (wantKind, i): a packet in the (i-1)-box not scheduled to enter the
 // N_i-column (for KindN) or the E_i-row (for KindE).
-func (c *Construction) exchange(net *sim.Network, p sim.PacketID, wantKind Kind, i int, pKind Kind, pIdx int, sched map[sim.PacketID]grid.Coord, step int) {
+func (c *Construction) exchange(net *sim.Network, p sim.PacketID, wantKind Kind, i int, pKind Kind, pIdx int, step int) {
 	st := &net.P
 	key := kindKey{wantKind, i}
 	partner := sim.NoPacket
@@ -475,7 +507,8 @@ func (c *Construction) exchange(net *sim.Network, p sim.PacketID, wantKind Kind,
 		if !c.inBox(c.local(st.At[q]), i-1) {
 			continue
 		}
-		if tgt, ok := sched[q]; ok {
+		if to, ok := c.sched.target(q); ok {
+			tgt := c.local(to)
 			if wantKind == KindN && tgt.X == c.nCol(i) {
 				continue
 			}

@@ -74,6 +74,7 @@ type DOConstruction struct {
 	NetK int
 
 	kindIdx [][]sim.PacketID // class i -> packets currently of class i
+	sched   schedTable
 	err     error
 	exchg   int
 	prevIn  []int
@@ -171,6 +172,7 @@ func (c *DOConstruction) Run(alg sim.Algorithm) (*Result, error) {
 	if c.Verify {
 		c.prevIn = c.countInBoxes(net)
 	}
+	c.sched = newSchedTable(net)
 	net.SetExchange(c.exchangeHook)
 	for t := 0; t < par.Steps(); t++ {
 		if err := net.StepOnce(alg); err != nil {
@@ -211,10 +213,7 @@ func (c *DOConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 		return
 	}
 	st := &net.P
-	sched := make(map[sim.PacketID]grid.Coord, len(moves))
-	for _, m := range moves {
-		sched[m.P] = c.local(m.To)
-	}
+	c.sched.record(step, moves)
 	for _, m := range moves {
 		j := c.classOf(st.Dst[m.P])
 		if j == 0 {
@@ -236,7 +235,7 @@ func (c *DOConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 			if q == m.P || st.Delivered(q) || !c.inBox(c.local(st.At[q]), i-1) {
 				continue
 			}
-			if tgt, ok := sched[q]; ok && tgt.X == c.nCol(i) {
+			if to, ok := c.sched.target(q); ok && c.local(to).X == c.nCol(i) {
 				continue
 			}
 			partner = q

@@ -75,6 +75,7 @@ type FFConstruction struct {
 	Verify bool
 
 	kindIdx [][]sim.PacketID
+	sched   schedTable
 	err     error
 	exchg   int
 }
@@ -156,6 +157,7 @@ func (c *FFConstruction) Run(alg sim.Algorithm) (*Result, error) {
 		}
 	}
 
+	c.sched = newSchedTable(net)
 	net.SetExchange(c.exchangeHook)
 	for t := 0; t < par.Steps(); t++ {
 		if err := net.StepOnce(alg); err != nil {
@@ -196,10 +198,7 @@ func (c *FFConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 		return
 	}
 	st := &net.P
-	sched := make(map[sim.PacketID]grid.Coord, len(moves))
-	for _, m := range moves {
-		sched[m.P] = c.Topo.CoordOf(m.To)
-	}
+	c.sched.record(step, moves)
 	for _, m := range moves {
 		j := c.classOf(st.Dst[m.P])
 		if j < 2 {
@@ -223,7 +222,7 @@ func (c *FFConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 			if !c.inBox(lc, j+1) {
 				continue
 			}
-			if tgt, ok := sched[qp]; ok && tgt.X == c.nCol(j) {
+			if to, ok := c.sched.target(qp); ok && c.Topo.CoordOf(to).X == c.nCol(j) {
 				continue
 			}
 			if partner == sim.NoPacket {

@@ -54,18 +54,18 @@ func (d Dir) Opposite() Dir {
 
 // Delta returns the coordinate change of one hop in direction d.
 func (d Dir) Delta() (dx, dy int) {
-	switch d {
-	case North:
-		return 0, 1
-	case East:
-		return 1, 0
-	case South:
-		return 0, -1
-	case West:
-		return -1, 0
+	if d > NoDir {
+		return 0, 0
 	}
-	return 0, 0
+	return dirDX[d], dirDY[d]
 }
+
+// A packet's direction follows from its destination, so Delta looks it up
+// rather than switch on it.
+var (
+	dirDX = [NoDir + 1]int{East: 1, West: -1}
+	dirDY = [NoDir + 1]int{North: 1, South: -1}
+)
 
 // Horizontal reports whether d is East or West.
 func (d Dir) Horizontal() bool { return d == East || d == West }
@@ -164,19 +164,30 @@ func EdgeIndex(id NodeID, d Dir) int { return int(id)<<2 | int(d) }
 
 // Grid is the w×h two-dimensional mesh, or with wrap set the torus. The
 // engine asks for coordinates, neighbours and profitable outlinks several
-// times per packet per step, so no query divides: a node's row is its
-// identifier times the reciprocal of the width, computed once here.
+// times per packet per step, so no query divides (a node's row is its
+// identifier times the reciprocal of the width, computed once here) and none
+// branches on where a destination lies.
 type Grid struct {
-	w, h int
-	wrap bool
-	inv  uint64 // ⌈2^63/w⌉
+	w, h   int
+	wrap   bool
+	inv    uint64 // ⌈2^63/w⌉
+	rw, rh int64  // ring sizes along sees: w, h on the torus, meshRing on the mesh
 }
+
+// meshRing makes a mesh dimension a ring too long to be worth going around:
+// above twice any displacement of 31-bit coordinates, so the wrapped way is
+// never the shorter one, and small enough that 2·meshRing fits an int64.
+const meshRing = 1 << 40
 
 func newGrid(w, h int, wrap bool) *Grid {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("grid: invalid size %dx%d", w, h))
 	}
-	return &Grid{w: w, h: h, wrap: wrap, inv: (1<<63-1)/uint64(w) + 1}
+	g := &Grid{w: w, h: h, wrap: wrap, inv: (1<<63-1)/uint64(w) + 1, rw: meshRing, rh: meshRing}
+	if wrap {
+		g.rw, g.rh = int64(w), int64(h)
+	}
+	return g
 }
 
 // NewMesh returns a w×h mesh (no wraparound links). Width and height must
@@ -232,24 +243,13 @@ func (g *Grid) CoordOf(id NodeID) Coord {
 // Outlinks returns the set of outlinks that exist at id: all four on the
 // torus, those not crossing the boundary on the mesh.
 func (g *Grid) Outlinks(id NodeID) DirSet {
-	out := AllDirs
 	if g.wrap {
-		return out
+		return AllDirs
 	}
 	x, y := g.xy(id)
-	if y == g.h-1 {
-		out &^= 1 << North
-	}
-	if x == g.w-1 {
-		out &^= 1 << East
-	}
-	if y == 0 {
-		out &^= 1 << South
-	}
-	if x == 0 {
-		out &^= 1 << West
-	}
-	return out
+	// A link exists where the coordinate is short of that edge: a sign bit.
+	return DirSet(uint64(y-(g.h-1))>>63)<<North | DirSet(uint64(x-(g.w-1))>>63)<<East |
+		DirSet(uint64(-y)>>63)<<South | DirSet(uint64(-x)>>63)<<West
 }
 
 // Neighbor returns the node one hop away in direction d, if the outlink
@@ -269,13 +269,8 @@ func (g *Grid) Neighbor(id NodeID, d Dir) (NodeID, bool) {
 
 // fold brings a coordinate one step outside [0, m) back around the torus.
 func fold(v, m int) int {
-	switch {
-	case v < 0:
-		return v + m
-	case v >= m:
-		return v - m
-	}
-	return v
+	v += m & (v >> 63)         // v < 0
+	return v - m&((m-1-v)>>63) // v ≥ m
 }
 
 // Dist returns the shortest-path distance between two nodes: L1 on the
@@ -301,33 +296,19 @@ func (g *Grid) Dist(a, b NodeID) int {
 func (g *Grid) Profitable(from, dst NodeID) DirSet {
 	fx, fy := g.xy(from)
 	dx, dy := g.xy(dst)
-	return g.along(dx-fx, g.w, East, West) | g.along(dy-fy, g.h, North, South)
+	return along(int64(dx-fx), g.rw, East, West) | along(int64(dy-fy), g.rh, North, South)
 }
 
-// along returns the profitable directions along one dimension of size m for
-// the displacement d = dst - from: up toward larger coordinates, down
-// toward smaller ones.
-func (g *Grid) along(d, m int, up, down Dir) DirSet {
-	if d == 0 {
-		return 0
-	}
-	if !g.wrap {
-		if d > 0 {
-			return 1 << up
-		}
-		return 1 << down
-	}
-	if d < 0 {
-		d += m // hops going up, around the edge; going down takes m-d
-	}
-	var s DirSet
-	if 2*d <= m {
-		s = 1 << up
-	}
-	if 2*d >= m {
-		s |= 1 << down
-	}
-	return s
+// along returns the profitable directions along one dimension, a ring of m
+// nodes, for the displacement d = dst - from: up toward larger coordinates,
+// down toward smaller ones. The engine asks this of random destinations, so
+// every compare on d would be a coin flip to the branch predictor; each one
+// is read off a sign bit instead.
+func along(d, m int64, up, down Dir) DirSet {
+	d += m & (d >> 63) // hops going up, around the edge; going down takes m-d
+	t := 2*d - m       // negative where up is the shorter way, positive where down is, 0 at the tie
+	nz := -d           // d is in [0, m) now, so negative unless the packet is home in this dimension
+	return DirSet(uint64((t-1)&nz)>>63)<<up | DirSet(uint64(^t&nz)>>63)<<down
 }
 
 func abs(x int) int {

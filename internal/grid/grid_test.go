@@ -32,8 +32,16 @@ func TestDirDelta(t *testing.T) {
 			t.Errorf("Delta(%v) and Delta(opposite) not negations", d)
 		}
 	}
-	if dx, dy := NoDir.Delta(); dx != 0 || dy != 0 {
-		t.Errorf("Delta(NoDir) = (%d,%d), want (0,0)", dx, dy)
+	if dx, dy := North.Delta(); dx != 0 || dy != 1 {
+		t.Errorf("Delta(North) = (%d,%d), want (0,1): rows count south to north", dx, dy)
+	}
+	if dx, dy := East.Delta(); dx != 1 || dy != 0 {
+		t.Errorf("Delta(East) = (%d,%d), want (1,0): columns count west to east", dx, dy)
+	}
+	for d := NoDir; d != 0; d++ { // NoDir and every value past it, up to the wrap at 255
+		if dx, dy := d.Delta(); dx != 0 || dy != 0 {
+			t.Errorf("Delta(%v) = (%d,%d), want (0,0)", d, dx, dy)
+		}
 	}
 }
 
@@ -489,4 +497,115 @@ func TestCoordOfExactAtExtremes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkAgainstClosedForm compares every query about a, and about the pair
+// (a, b) in both orders, with the closed-form reference on a w×h grid.
+func checkAgainstClosedForm(t *testing.T, w, h int, wrap bool, a, b NodeID) {
+	t.Helper()
+	g, ref := newGrid(w, h, wrap), refGrid{w, h, wrap}
+	if got, want := g.CoordOf(a), ref.coordOf(a); got != want {
+		t.Fatalf("%dx%d wrap=%v: CoordOf(%d) = %v, want %v", w, h, wrap, a, got, want)
+	}
+	var out DirSet
+	for d := Dir(0); d < NumDirs; d++ {
+		nb, ok := g.Neighbor(a, d)
+		wantNb, wantOK := ref.neighbor(a, d)
+		if nb != wantNb || ok != wantOK {
+			t.Fatalf("%dx%d wrap=%v: Neighbor(%d, %v) = %d,%v; want %d,%v", w, h, wrap, a, d, nb, ok, wantNb, wantOK)
+		}
+		if wantOK {
+			out = out.Set(d)
+		}
+	}
+	if got := g.Outlinks(a); got != out {
+		t.Fatalf("%dx%d wrap=%v: Outlinks(%d) = %v, want %v", w, h, wrap, a, got, out)
+	}
+	for _, p := range [][2]NodeID{{a, b}, {b, a}} {
+		if got, want := g.Dist(p[0], p[1]), ref.dist(p[0], p[1]); got != want {
+			t.Fatalf("%dx%d wrap=%v: Dist(%d, %d) = %d, want %d", w, h, wrap, p[0], p[1], got, want)
+		}
+		if got, want := g.Profitable(p[0], p[1]), ref.profitable(p[0], p[1]); got != want {
+			t.Fatalf("%dx%d wrap=%v: Profitable(%d, %d) = %v, want %v", w, h, wrap, p[0], p[1], got, want)
+		}
+	}
+}
+
+// TestGeometryAtTheEdges puts the sign-bit arithmetic where it could go
+// wrong and the exhaustive small grids cannot reach: dimensions of 1 and 2,
+// rows and columns as long as a NodeID allows, the grid whose last node is
+// identifier 2^31-1, and on every torus the exact tie 2d == m of an even
+// ring next to the d = ⌊m/2⌋, ⌈m/2⌉ of an odd one. On each grid every pair
+// of nodes drawn from the corners, the edges and either side of the middle
+// is checked.
+func TestGeometryAtTheEdges(t *testing.T) {
+	const maxID = 1<<31 - 1
+	sizes := [][2]int{
+		{1, 1}, {1, 2}, {2, 1}, {2, 2}, {1, 9}, {9, 1}, {1, 10}, {10, 1},
+		{2, 9}, {9, 2}, {6, 7}, {7, 6}, {96, 96}, {97, 97},
+		{1, maxID}, {maxID, 1}, {2, maxID / 2}, {maxID / 2, 2},
+		{1 << 16, 1 << 15}, // N = 2^31: the last node is maxID
+		{46341, 46340}, {46340, 46341},
+	}
+	around := func(m int) []int { // 0, 1, either side of the middle, m-2, m-1
+		var vs []int
+		for _, v := range []int{0, 1, m/2 - 1, m / 2, m/2 + 1, m - 2, m - 1} {
+			if v >= 0 && v < m && (len(vs) == 0 || v > vs[len(vs)-1]) {
+				vs = append(vs, v)
+			}
+		}
+		return vs
+	}
+	for _, wh := range sizes {
+		w, h := wh[0], wh[1]
+		var nodes []NodeID
+		for _, y := range around(h) {
+			for _, x := range around(w) {
+				nodes = append(nodes, NodeID(y*w+x))
+			}
+		}
+		for _, wrap := range []bool{false, true} {
+			for _, a := range nodes {
+				for _, b := range nodes {
+					checkAgainstClosedForm(t, w, h, wrap, a, b)
+				}
+			}
+		}
+		// The tie itself, stated without the reference: half-way around an
+		// even ring both ways are profitable, around an odd one only the
+		// shorter.
+		if w >= 2 {
+			g := NewTorus(w, h)
+			there, back := DirSet(1)<<East, DirSet(1)<<West
+			if w%2 == 0 {
+				there, back = there|back, there|back
+			}
+			mid := NodeID(w / 2)
+			if got := g.Profitable(0, mid); got != there {
+				t.Errorf("%dx%d torus: Profitable((0,0), (%d,0)) = %v, want %v", w, h, mid, got, there)
+			}
+			if got := g.Profitable(mid, 0); got != back {
+				t.Errorf("%dx%d torus: Profitable((%d,0), (0,0)) = %v, want %v", w, h, mid, got, back)
+			}
+		}
+	}
+}
+
+// FuzzGeometryMatchesClosedForm checks Profitable, Neighbor, Outlinks, Dist
+// and CoordOf against the closed-form reference on any grid a NodeID can
+// address: the raw inputs are folded into 1 ≤ w, 1 ≤ h, w·h ≤ 2^31 and
+// 0 ≤ a, b < w·h.
+func FuzzGeometryMatchesClosedForm(f *testing.F) {
+	f.Add(int32(96), int32(96), true, int32(0), int32(48*96+48)) // the tie in both dimensions
+	f.Add(int32(97), int32(96), true, int32(5), int32(48*97+53))
+	f.Add(int32(32), int32(32), false, int32(31), int32(32*31))
+	f.Add(int32(1), int32(1), true, int32(0), int32(0))
+	f.Add(int32(2), int32(1<<30), true, int32(1), int32(1<<31-1))
+	f.Add(int32(1<<31-1), int32(1), false, int32(0), int32(1<<31-2))
+	f.Fuzz(func(t *testing.T, w, h int32, wrap bool, a, b int32) {
+		into := func(v int32, m int) int { return int(uint32(v)) % m } // [0, m), the identity there
+		gw := 1 + into(w-1, 1<<31-1)
+		gh := 1 + into(h-1, (1<<31)/gw)
+		checkAgainstClosedForm(t, gw, gh, wrap, NodeID(into(a, gw*gh)), NodeID(into(b, gw*gh)))
+	})
 }
