@@ -232,31 +232,81 @@ func (ps *PathSystem) maxLoad() int {
 // off the hook is a nil pointer and costs one branch.
 type Accumulator struct {
 	topo grid.Topology
+	w, h int // topo's width and height
 	load []int32
 	res  Result
 }
 
 // NewAccumulator returns an empty accumulator for the topology.
 func NewAccumulator(topo grid.Topology) *Accumulator {
-	return &Accumulator{topo: topo, load: make([]int32, grid.NumDirs*topo.N())}
+	return &Accumulator{topo: topo, w: topo.Width(), h: topo.Height(), load: make([]int32, grid.NumDirs*topo.N())}
 }
 
 // Admit accrues one src→dst demand: dilation takes the max with the
 // pair's distance, and every edge of the canonical path counts one more
 // unit of load.
+//
+// The canonical path is a horizontal run along the source's row followed by
+// a vertical run along the destination's column, and canonicalDir gives the
+// same answer at every node of a run: a direction that is profitable stays
+// so until its displacement is used up, and where a torus offers both ways
+// round (the half-ring tie) the first hop East or North leaves that way
+// strictly shorter. So one Profitable at the source fixes both directions,
+// and the runs are index arithmetic over the load table.
 func (a *Accumulator) Admit(src, dst grid.NodeID) {
-	if d := a.topo.Dist(src, dst); d > a.res.Dilation {
-		a.res.Dilation = d
+	if src == dst {
+		return
 	}
-	for cur := src; cur != dst; {
-		dir := canonicalDir(a.topo.Profitable(cur, dst))
-		i := grid.EdgeIndex(cur, dir)
+	prof := a.topo.Profitable(src, dst)
+	s, d := a.topo.CoordOf(src), a.topo.CoordOf(dst)
+	hops := 0
+	// Along row s.Y, from column s.X to column d.X.
+	switch {
+	case prof.Has(grid.East):
+		hops += a.run(s.Y*a.w, 1, s.X, a.w, d.X-s.X, grid.East)
+	case prof.Has(grid.West):
+		hops += a.run(s.Y*a.w, 1, s.X, a.w, s.X-d.X, grid.West)
+	}
+	// Along column d.X, from row s.Y to row d.Y.
+	switch {
+	case prof.Has(grid.North):
+		hops += a.run(d.X, a.w, s.Y, a.h, d.Y-s.Y, grid.North)
+	case prof.Has(grid.South):
+		hops += a.run(d.X, a.w, s.Y, a.h, s.Y-d.Y, grid.South)
+	}
+	if hops > a.res.Dilation {
+		a.res.Dilation = hops
+	}
+}
+
+// run counts one more path on every edge of one straight run of a canonical
+// path and returns its length. The run lies on a line of m nodes — a row or
+// a column — whose node at position q has identifier base+q·stride; it
+// starts at position p, leaves each node by outlink dir (East and North go to
+// larger positions) and covers displacement disp in that direction, which is
+// negative exactly when the run goes round the torus edge (a mesh never asks
+// that: its profitable direction has a positive displacement).
+func (a *Accumulator) run(base, stride, p, m, disp int, dir grid.Dir) int {
+	if disp < 0 {
+		disp += m
+	}
+	step := 1
+	if dir == grid.West || dir == grid.South {
+		step = -1
+	}
+	for n := disp; n > 0; n-- {
+		i := grid.EdgeIndex(grid.NodeID(base+p*stride), dir)
 		a.load[i]++
 		if l := int(a.load[i]); l > a.res.Congestion {
 			a.res.Congestion = l
 		}
-		cur, _ = a.topo.Neighbor(cur, dir)
+		if p += step; p == m {
+			p = 0
+		} else if p < 0 {
+			p = m - 1
+		}
 	}
+	return disp
 }
 
 // Result returns the congestion and dilation accrued so far.

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"meshroute/internal/grid"
@@ -177,33 +179,57 @@ func TestGreedyLowersCongestion(t *testing.T) {
 	verifyPathSystem(t, ps, demands)
 }
 
-// TestAccumulatorMatchesCanonical cross-checks the incremental
-// accumulator against a fresh canonical recount on a random workload.
+// TestAccumulatorMatchesCanonical is the differential test of the
+// accumulator's row-and-column walk against the hop-by-hop definition of
+// the canonical path (canonicalDir of a fresh Profitable at every node):
+// random demands — not only permutations — on square and rectangular meshes
+// and on tori of odd and even sides, where an even side makes half-ring
+// ties, which the loop below also forces. The whole load table must agree,
+// and the running C and D must be exact after every Admit.
 func TestAccumulatorMatchesCanonical(t *testing.T) {
-	for _, topo := range []grid.Topology{grid.NewSquareMesh(9), grid.NewSquareTorus(8)} {
-		perm := workload.Random(topo, 42)
-		acc := NewAccumulator(topo)
-		for _, pr := range perm.Pairs {
-			acc.Admit(pr.Src, pr.Dst)
+	topos := []grid.Topology{
+		grid.NewSquareMesh(9), grid.NewMesh(7, 4), grid.NewMesh(1, 6),
+		grid.NewSquareTorus(8), grid.NewSquareTorus(7), grid.NewTorus(6, 3), grid.NewTorus(2, 2), grid.NewTorus(1, 4),
+	}
+	for _, topo := range topos {
+		rng := rand.New(rand.NewSource(42))
+		n, w, h := topo.N(), topo.Width(), topo.Height()
+		var demands []Demand
+		for i := 0; i < 400; i++ {
+			demands = append(demands, Demand{Src: grid.NodeID(rng.Intn(n)), Dst: grid.NodeID(rng.Intn(n))})
 		}
-		// Recount: canonical loads via an independent walk.
-		load := map[int]int{}
-		c, d := 0, 0
-		for _, pr := range perm.Pairs {
-			if dist := topo.Dist(pr.Src, pr.Dst); dist > d {
-				d = dist
+		// Exactly half way round in x, in y, and in both.
+		for i := 0; i < 50; i++ {
+			c := topo.CoordOf(grid.NodeID(rng.Intn(n)))
+			for _, off := range [][2]int{{w / 2, 0}, {0, h / 2}, {w / 2, h / 2}} {
+				dst := topo.ID(grid.XY((c.X+off[0])%w, (c.Y+off[1])%h))
+				demands = append(demands, Demand{Src: topo.ID(c), Dst: dst})
 			}
-			for cur := pr.Src; cur != pr.Dst; {
-				dir := canonicalDir(topo.Profitable(cur, pr.Dst))
-				load[grid.EdgeIndex(cur, dir)]++
-				if load[grid.EdgeIndex(cur, dir)] > c {
-					c = load[grid.EdgeIndex(cur, dir)]
-				}
+		}
+
+		acc := NewAccumulator(topo)
+		load := make([]int32, grid.NumDirs*n)
+		c, d := 0, 0
+		for i, dem := range demands {
+			acc.Admit(dem.Src, dem.Dst)
+			d = max(d, topo.Dist(dem.Src, dem.Dst))
+			for cur := dem.Src; cur != dem.Dst; {
+				dir := canonicalDir(topo.Profitable(cur, dem.Dst))
+				e := grid.EdgeIndex(cur, dir)
+				load[e]++
+				c = max(c, int(load[e]))
 				cur, _ = topo.Neighbor(cur, dir)
 			}
+			if got := acc.Result(); got.Congestion != c || got.Dilation != d {
+				t.Fatalf("%dx%d wrap=%v after demand %d (%v): accumulator C=%d D=%d, hop-by-hop C=%d D=%d",
+					w, h, topo.Wraparound(), i, dem, got.Congestion, got.Dilation, c, d)
+			}
 		}
-		if got := acc.Result(); got.Congestion != c || got.Dilation != d {
-			t.Fatalf("%T: accumulator C=%d D=%d, recount C=%d D=%d", topo, got.Congestion, got.Dilation, c, d)
+		if !slices.Equal(acc.load, load) {
+			t.Fatalf("%dx%d wrap=%v: load tables differ", w, h, topo.Wraparound())
+		}
+		if ps := AnalyzeCanonical(topo, demands); ps.Result() != acc.Result() {
+			t.Fatalf("%dx%d wrap=%v: AnalyzeCanonical %+v, accumulator %+v", w, h, topo.Wraparound(), ps.Result(), acc.Result())
 		}
 	}
 }
@@ -215,5 +241,22 @@ func TestRatio(t *testing.T) {
 	}
 	if got := (Result{}).Ratio(7); got != 0 {
 		t.Fatalf("empty-workload Ratio=%v, want 0", got)
+	}
+}
+
+// BenchmarkAccumulatorAdmit times one admission on the 32×32 mesh under
+// uniform random demands (mean distance 21 hops).
+func BenchmarkAccumulatorAdmit(b *testing.B) {
+	topo := grid.NewSquareMesh(32)
+	rng := rand.New(rand.NewSource(1))
+	demands := make([]Demand, 1<<12)
+	for i := range demands {
+		demands[i] = Demand{Src: grid.NodeID(rng.Intn(topo.N())), Dst: grid.NodeID(rng.Intn(topo.N()))}
+	}
+	acc := NewAccumulator(topo)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := demands[i&(len(demands)-1)]
+		acc.Admit(d.Src, d.Dst)
 	}
 }

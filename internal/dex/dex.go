@@ -138,6 +138,12 @@ func (c *NodeCtx) Up() grid.DirSet { return c.Outlinks() &^ c.net.DownOutlinks(c
 // QueueLen returns the current occupancy of the queue with the given tag.
 func (c *NodeCtx) QueueLen(tag uint8) int { return c.node.QueueLen(tag) }
 
+// Scheduled returns the outlinks this node's own Schedule put a packet on in
+// part (a) of the current step (empty outside a step and for a node that
+// held no packet). It is node-local information — the node made the decision
+// — so an inqueue policy may base its answer on it.
+func (c *NodeCtx) Scheduled() grid.DirSet { return c.node.Scheduled() }
+
 // Policy is a destination-exchangeable routing algorithm.
 type Policy interface {
 	// Name identifies the policy.

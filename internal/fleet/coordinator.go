@@ -379,9 +379,11 @@ func (e *attemptError) Error() string { return fmt.Sprintf("worker %s: %v", e.wo
 func (e *attemptError) Unwrap() error { return e.err }
 
 // dispatch performs one POST /v1/cells attempt against w under the
-// per-cell deadline and parses the NDJSON response. Every failure short
-// of a well-formed result line — transport error, non-200, truncated
-// stream — is an *attemptError (retryable) except a 400, which is
+// per-cell deadline and splits the NDJSON response into event lines (kept
+// as bytes, never decoded) and the result line. Every failure short of a
+// well-formed result line — transport error, non-200, truncated stream, a
+// final line that is not a "t":"cell" record with totals — is an
+// *attemptError (retryable) except a 400, which is
 // permanent: the worker rejected the spec itself and every other worker
 // would too.
 func (c *Coordinator) dispatch(ctx context.Context, w *workerState, body []byte) (*CellResult, error) {
@@ -433,11 +435,12 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, body []byte)
 		return nil, &attemptError{worker: w.url, err: errors.New("mid-stream disconnect: response ended without a cell result")}
 	}
 	var cl cellLine
-	if err := json.Unmarshal(prev, &cl); err != nil || cl.T != lineCell {
+	if err := json.Unmarshal(prev, &cl); err != nil || cl.T != lineCell || cl.Totals == nil {
 		return nil, &attemptError{worker: w.url, err: errors.New("mid-stream disconnect: final line is not a cell result")}
 	}
 	return &CellResult{
 		Stats:         cl.Stats,
+		Totals:        *cl.Totals,
 		Error:         cl.Error,
 		Canceled:      cl.Canceled,
 		Diagnostics:   cl.Diagnostics,

@@ -21,10 +21,11 @@
 // POST /v1/cells: the request body is a scenario spec, the response is
 // NDJSON — the cell's metrics-JSONL event lines verbatim (the
 // docs/OBSERVABILITY.md format), terminated by a single "t":"cell" result
-// line. The coordinator serves registration (wired through
-// internal/service as POST /v1/workers): a worker announces its base URL
-// and re-announces it every heartbeat interval; a worker whose heartbeat
-// goes quiet is excluded from dispatch until it reappears.
+// line carrying the run's statistics and its obs.Counters totals. The
+// coordinator serves registration (wired through internal/service as
+// POST /v1/workers): a worker announces its base URL and re-announces it
+// every heartbeat interval; a worker whose heartbeat goes quiet is excluded
+// from dispatch until it reappears.
 //
 // See docs/SERVICE.md for the fleet API and docs/ROBUSTNESS.md for the
 // failure-mode matrix.
@@ -35,6 +36,7 @@ import (
 	"fmt"
 
 	"meshroute"
+	"meshroute/internal/obs"
 )
 
 // ErrNoWorkers reports that no live worker is registered. Callers that
@@ -134,14 +136,19 @@ func ToStats(st meshroute.RouteStats) Stats {
 // cellLine is the terminal NDJSON record of a POST /v1/cells response.
 // Its "t" discriminator is distinct from the obs line types, so a
 // response body splits unambiguously into verbatim event lines and one
-// result.
+// result. Totals is what the cell's records add to an obs.Counters — the
+// worker counted them as the run produced them, so the coordinator never
+// parses the event lines it forwards. A worker always sends it (a pointer
+// only so that a line without one can be told from a cell that counted
+// nothing, and refused).
 type cellLine struct {
-	T             string `json:"t"` // always lineCell
-	Stats         Stats  `json:"stats"`
-	Error         string `json:"error,omitempty"`
-	Canceled      bool   `json:"canceled,omitempty"`
-	Diagnostics   string `json:"diagnostics,omitempty"`
-	EventsDropped int    `json:"events_dropped,omitempty"`
+	T             string      `json:"t"` // always lineCell
+	Stats         Stats       `json:"stats"`
+	Totals        *obs.Totals `json:"totals"`
+	Error         string      `json:"error,omitempty"`
+	Canceled      bool        `json:"canceled,omitempty"`
+	Diagnostics   string      `json:"diagnostics,omitempty"`
+	EventsDropped int         `json:"events_dropped,omitempty"`
 }
 
 // lineCell is the cellLine discriminator value.
@@ -164,6 +171,9 @@ type CellResult struct {
 	// Events holds the cell's metrics-JSONL lines exactly as a local run
 	// would have produced them (newline-terminated, in order).
 	Events [][]byte
+	// Totals is what the cell's records — every one the run produced,
+	// including any the worker's buffer dropped — add to an obs.Counters.
+	Totals obs.Totals
 	// EventsDropped counts lines the worker discarded past its buffer.
 	EventsDropped int
 	// Worker is the base URL of the worker that produced the result.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
 )
 
@@ -50,8 +51,17 @@ func startWorker(t *testing.T) *httptest.Server {
 // buffer a worker uses — the byte-identity baseline.
 func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte) {
 	t.Helper()
+	st, events, _ := runLocalCounted(t, spec)
+	return st, events
+}
+
+// runLocalCounted is runLocal that also counts the run into a Counters,
+// the way a fleetless service does: the baseline for a cell's totals.
+func runLocalCounted(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Totals) {
+	t.Helper()
+	var counters obs.Counters
 	buf := &lineBuffer{limit: 65536}
-	r := scenario.Runner{Sink: buf}
+	r := scenario.Runner{Sink: obs.Multi{&counters, buf}}
 	res, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +70,7 @@ func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte) {
 		t.Fatal(res.Err)
 	}
 	lines, _ := buf.snapshot()
-	return ToStats(res.Stats), bytes.Join(lines, nil)
+	return ToStats(res.Stats), bytes.Join(lines, nil), counters.Totals()
 }
 
 // execute runs one cell through the coordinator and fails the test on a
@@ -83,10 +93,14 @@ func TestExecuteMatchesLocalRun(t *testing.T) {
 	c.Register(srv.URL)
 
 	spec := testSpec("identity", 7)
-	wantStats, wantEvents := runLocal(t, spec)
+	spec.Analysis = true // so the totals carry a run summary too
+	wantStats, wantEvents, wantTotals := runLocalCounted(t, spec)
 	res := execute(t, c, spec)
 	if res.Stats != wantStats {
 		t.Errorf("remote stats %+v, want %+v", res.Stats, wantStats)
+	}
+	if res.Totals != wantTotals || res.Totals.Steps == 0 || res.Totals.Runs != 1 {
+		t.Errorf("remote totals %+v, want %+v", res.Totals, wantTotals)
 	}
 	if got := bytes.Join(res.Events, nil); !bytes.Equal(got, wantEvents) {
 		t.Errorf("remote events differ from local run:\nremote %d bytes\nlocal  %d bytes", len(got), len(wantEvents))
@@ -317,6 +331,55 @@ func TestDisconnectMidStreamRetried(t *testing.T) {
 	}
 	if res.Stats != wantStats || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
 		t.Error("result after mid-stream disconnect differs from local run")
+	}
+}
+
+// TestCellLineWithoutTotalsRetried pins the protocol rule that replaced the
+// coordinator's replay of event lines into its counters: a final line that
+// is a "t":"cell" record but carries no totals is not a well-formed result.
+// It is the same retryable class as a truncated stream — the cell goes to
+// another worker — and a fleet of nothing but such workers ends in a typed
+// *CellError whose cause is the *attemptError.
+func TestCellLineWithoutTotalsRetried(t *testing.T) {
+	spec := testSpec("no-totals", 9)
+	wantStats, wantEvents, wantTotals := runLocalCounted(t, spec)
+	statsJSON, err := json.Marshal(wantStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A worker that answers with the right events and statistics, and a
+	// result line without "totals".
+	stale := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rw.Header().Set("Content-Type", "application/x-ndjson")
+		rw.Write(wantEvents)                                                 //nolint:errcheck
+		rw.Write([]byte(`{"t":"cell","stats":` + string(statsJSON) + "}\n")) //nolint:errcheck
+	}))
+	t.Cleanup(stale.Close)
+
+	cfg := testConfig()
+	cfg.MaxAttempts = 2 // below the breaker threshold: every attempt is dispatched
+	c := NewCoordinator(cfg)
+	c.Register(stale.URL)
+	_, err = c.Execute(context.Background(), spec)
+	var cerr *CellError
+	var aerr *attemptError
+	if !errors.As(err, &cerr) || !errors.As(err, &aerr) || aerr.worker != stale.URL {
+		t.Fatalf("err %v (%T), want a *CellError wrapping an *attemptError from %s", err, err, stale.URL)
+	}
+	if tot := c.Stats(); cerr.Attempts != 2 || tot.Dispatches != 2 {
+		t.Errorf("gave up after %d attempts and %d dispatches, want both attempts used (retryable)", cerr.Attempts, tot.Dispatches)
+	}
+
+	// With a real worker beside it the cell completes there.
+	c = NewCoordinator(testConfig())
+	c.Register(stale.URL)
+	c.Register(startWorker(t).URL)
+	res := execute(t, c, spec)
+	if res.Attempts != 2 || res.Worker == stale.URL {
+		t.Errorf("attempts %d on %s, want the second attempt on the real worker", res.Attempts, res.Worker)
+	}
+	if res.Stats != wantStats || res.Totals != wantTotals || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+		t.Error("result after a totals-less first answer differs from local run")
 	}
 }
 

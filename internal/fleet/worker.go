@@ -106,14 +106,18 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		w.testCellStart(spec)
 	}
 
+	// The same pair of sinks a local service job runs under: the counters
+	// see every record, the line buffer keeps the bounded stream.
+	var counters obs.Counters
 	buf := &lineBuffer{limit: w.cfg.EventBuffer}
-	runner := scenario.Runner{Sink: buf}
+	runner := scenario.Runner{Sink: obs.Multi{&counters, buf}}
 	res, err := runner.Run(r.Context(), spec)
 	if err != nil {
 		workerError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	cl := cellLine{T: lineCell, Stats: ToStats(res.Stats)}
+	totals := counters.Totals()
+	cl := cellLine{T: lineCell, Stats: ToStats(res.Stats), Totals: &totals}
 	if res.Err != nil {
 		cl.Error = res.Err.Error()
 		cl.Diagnostics = fmt.Sprintf("%s", res.Net.CollectDiagnostics())

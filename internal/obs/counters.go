@@ -55,6 +55,61 @@ func (c *Counters) Run(r RunSummary) {
 	c.runCD.Add(int64(r.Congestion + r.Dilation))
 }
 
+// Totals is a snapshot of a Counters value: what one run (or any set of
+// runs) added to it, in a form that crosses a wire. A fleet worker counts
+// each cell into a Counters of its own and sends the Totals on the cell's
+// result line; the coordinator adds them to its shared Counters, which then
+// reads exactly as if the cell had run there.
+type Totals struct {
+	Steps     int64 `json:"steps,omitempty"`
+	Moves     int64 `json:"moves,omitempty"`
+	Delivered int64 `json:"delivered,omitempty"`
+	Offered   int64 `json:"offered,omitempty"`
+	Admitted  int64 `json:"admitted,omitempty"`
+	Refused   int64 `json:"refused,omitempty"`
+	Spans     int64 `json:"spans,omitempty"`
+	Events    int64 `json:"events,omitempty"`
+	// Runs counts analyzed-run summaries; RunMakespan and RunCD are the
+	// sums behind CDRatio.
+	Runs        int64 `json:"runs,omitempty"`
+	RunMakespan int64 `json:"run_makespan,omitempty"`
+	RunCD       int64 `json:"run_cd,omitempty"`
+}
+
+// Totals snapshots the counters. Each field is read atomically; taken while
+// producers are still running, the fields may be from different instants.
+func (c *Counters) Totals() Totals {
+	return Totals{
+		Steps:       c.steps.Load(),
+		Moves:       c.moves.Load(),
+		Delivered:   c.delivered.Load(),
+		Offered:     c.offered.Load(),
+		Admitted:    c.admitted.Load(),
+		Refused:     c.refused.Load(),
+		Spans:       c.spans.Load(),
+		Events:      c.events.Load(),
+		Runs:        c.runs.Load(),
+		RunMakespan: c.runMakespan.Load(),
+		RunCD:       c.runCD.Load(),
+	}
+}
+
+// Add folds a snapshot taken elsewhere into the totals. Safe to call
+// concurrently with producers and with other Adds.
+func (c *Counters) Add(t Totals) {
+	c.steps.Add(t.Steps)
+	c.moves.Add(t.Moves)
+	c.delivered.Add(t.Delivered)
+	c.offered.Add(t.Offered)
+	c.admitted.Add(t.Admitted)
+	c.refused.Add(t.Refused)
+	c.spans.Add(t.Spans)
+	c.events.Add(t.Events)
+	c.runs.Add(t.Runs)
+	c.runMakespan.Add(t.RunMakespan)
+	c.runCD.Add(t.RunCD)
+}
+
 // Steps returns the number of engine steps observed.
 func (c *Counters) Steps() int64 { return c.steps.Load() }
 

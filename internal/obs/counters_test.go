@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
 )
@@ -57,6 +58,49 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 	if got := c.Events(); got != workers*per {
 		t.Errorf("Events() = %d, want %d", got, workers*per)
+	}
+}
+
+// TestCountersTotalsAdd checks the fleet's transfer: runs counted into
+// private Counters and added as Totals — concurrently, with a JSON trip in
+// between, as cell results arrive at a coordinator — leave a shared Counters
+// reading exactly what it reads when fed the same records directly.
+func TestCountersTotalsAdd(t *testing.T) {
+	feed := func(c *Counters, i int) {
+		c.Step(StepSample{Step: 1, Moves: 3 + i, Delivered: 1, Offered: i, Admitted: i, Refused: 2 * i})
+		c.Step(StepSample{Step: 2, Moves: 5, Delivered: 2})
+		c.Span(Span{Name: "march"})
+		c.Event(Event{Kind: "link-down"})
+		c.Run(RunSummary{Makespan: 30 + i, Congestion: 4, Dilation: 9 + i})
+	}
+	var direct, shared Counters
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		feed(&direct, i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var cell Counters
+			feed(&cell, i)
+			wire, err := json.Marshal(cell.Totals())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var tot Totals
+			if err := json.Unmarshal(wire, &tot); err != nil {
+				t.Error(err)
+				return
+			}
+			shared.Add(tot)
+		}()
+	}
+	wg.Wait()
+	if got, want := shared.Totals(), direct.Totals(); got != want {
+		t.Fatalf("added totals %+v, direct %+v", got, want)
+	}
+	if got, want := shared.CDRatio(), direct.CDRatio(); got != want {
+		t.Fatalf("CDRatio %v after Add, %v direct", got, want)
 	}
 }
 

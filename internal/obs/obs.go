@@ -18,7 +18,11 @@
 // sinks at once.
 package obs
 
-import "meshroute/internal/grid"
+import (
+	"math/bits"
+
+	"meshroute/internal/grid"
+)
 
 // NumQueueBuckets is the number of exponential histogram buckets in a
 // QueueHist. Bucket i counts queues whose end-of-step occupancy v
@@ -36,13 +40,15 @@ type QueueHist [NumQueueBuckets]int
 // bucket 0 holds v = 1, bucket 1 holds v in {2,3}, bucket 2 holds 4..7,
 // and so on; occupancies of 2^(NumQueueBuckets-1) = 128 and above land in
 // the last bucket.
+//
+// The engine calls it for every non-empty queue of every sampled step, on
+// occupancies that vary from node to node, so it is a bit count and a
+// clamp rather than a loop whose trip count the branch predictor must guess.
 func BucketOf(v int) int {
-	b := 0
-	for v > 1 && b < NumQueueBuckets-1 {
-		v >>= 1
-		b++
+	if v < 1 {
+		return 0
 	}
-	return b
+	return min(bits.Len(uint(v))-1, NumQueueBuckets-1)
 }
 
 // Add counts one queue of occupancy v (ignored if v < 1).

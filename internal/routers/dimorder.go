@@ -36,7 +36,7 @@ func (DimOrderFIFO) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 // Accept implements the round-robin inqueue policy with the swap rule and
 // a reserved slot for column-phase packets (see acceptDimOrderReserving).
 func (r DimOrderFIFO) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
-	acceptDimOrderReserving(c, offers, accept, r.Schedule(c))
+	acceptDimOrderReserving(c, offers, accept)
 }
 
 // Update advances the round-robin counter.

@@ -54,15 +54,14 @@ func DimOrderWant(prof grid.DirSet) grid.Dir {
 //   - Remaining offers are accepted while there is room, rotating over
 //     inlinks with the rotation position kept in the node state.
 //
-// Both rules use only node state, schedules and offered packets' visible
-// fields, so the policy remains destination-exchangeable. sched must be the
-// node's own outqueue decision for this step (policies are pure functions
-// of the context, so the caller recomputes it).
-func acceptRoundRobin(c *dex.NodeCtx, offers []dex.OfferView, acc []bool, sched [grid.NumDirs]int) {
+// Both rules use only node state, the node's own outqueue decision for this
+// step (NodeCtx.Scheduled) and offered packets' visible fields, so the
+// policy remains destination-exchangeable.
+func acceptRoundRobin(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
 	free := c.K - c.QueueLen(0)
+	sched := c.Scheduled()
 	for i, o := range offers {
-		senderDir := o.Travel.Opposite()
-		if sched[senderDir] >= 0 {
+		if sched.Has(o.Travel.Opposite()) {
 			acc[i] = true // swap: our packet to them departs for sure
 		}
 	}
@@ -101,9 +100,10 @@ func rotate(c *dex.NodeCtx) { *c.State = (*c.State + 1) % grid.NumDirs }
 // in practice; with k = 1 there is no slot to reserve and dimension-order
 // central-queue routing can wedge, which is precisely why Theorem 15 moves
 // to four per-inlink queues.
-func acceptDimOrderReserving(c *dex.NodeCtx, offers []dex.OfferView, acc []bool, sched [grid.NumDirs]int) {
+func acceptDimOrderReserving(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
+	sched := c.Scheduled()
 	for i, o := range offers {
-		if sched[o.Travel.Opposite()] >= 0 {
+		if sched.Has(o.Travel.Opposite()) {
 			acc[i] = true // swap: occupancy-neutral
 		}
 	}

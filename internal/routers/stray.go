@@ -103,7 +103,7 @@ func (r StrayDimOrder) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 
 // Accept is round-robin with the swap rule (central queue).
 func (r StrayDimOrder) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
-	acceptRoundRobin(c, offers, accept, r.Schedule(c))
+	acceptRoundRobin(c, offers, accept)
 }
 
 // Update maintains the stray counters: a move in the packet's orientation

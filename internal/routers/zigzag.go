@@ -92,7 +92,7 @@ func (r ZigZag) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 
 // Accept implements the round-robin inqueue policy with the swap rule.
 func (r ZigZag) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
-	acceptRoundRobin(c, offers, accept, r.Schedule(c))
+	acceptRoundRobin(c, offers, accept)
 }
 
 // Update flips the preference of every packet that failed to move this step

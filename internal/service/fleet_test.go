@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"meshroute/internal/fleet"
+	"meshroute/internal/scenario"
 )
 
 // startFleetWorker serves one fleet worker over httptest and registers
@@ -76,6 +77,53 @@ func TestFleetRemoteMatchesLocal(t *testing.T) {
 	}
 	if tot := coord.Stats(); tot.Dispatches != 1 {
 		t.Errorf("cache hit re-dispatched: %d dispatches, want 1", tot.Dispatches)
+	}
+}
+
+// TestFleetMetricsMatchLocal pins that /metrics cannot tell where a cell
+// ran: after the same N jobs — static, analyzed, online with refusals, and
+// faulted — every engine counter of a coordinator that dispatched them all
+// equals a fleetless server's. The coordinator adds the totals each worker
+// counted (it no longer decodes the event lines), so this is the check that
+// nothing a local sink sees is missing from a cell's totals.
+func TestFleetMetricsMatchLocal(t *testing.T) {
+	coord, _ := startFleetWorker(t)
+	remote := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Fleet: coord})
+	local := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
+
+	analyzed := quickSpec("analyzed", 5)
+	analyzed.Analysis = true
+	online := &scenario.Spec{
+		Name: "online", N: 8, K: 1, Router: "dimorder", Analysis: true,
+		Workload: scenario.Workload{Kind: scenario.KindOnline, Process: "bernoulli", Rate: 0.3, Horizon: 40, Seed: 3, Admission: "retry"},
+	}
+	faulted := &scenario.Spec{
+		Name: "faulted", N: 8, K: 3, Router: "zigzag", FaultAware: true, MaxSteps: 2000,
+		Workload: scenario.Workload{Kind: scenario.KindRandom, Seed: 3},
+		Faults:   &scenario.Faults{Seed: 11, Horizon: 60, LinkFailures: 12, MeanDownSteps: 5, NodeStalls: 3, MeanStallSteps: 3},
+	}
+	specs := []*scenario.Spec{quickSpec("static-a", 1), quickSpec("static-b", 2), analyzed, online, faulted}
+
+	engine := func(s *Server) EngineMetrics {
+		for _, spec := range specs {
+			waitDone(t, s, submitSpec(t, s, spec).ID, StateDone)
+		}
+		var m Metrics
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		m.Engine.StepsPerSec = 0 // a rate over wall time, not a counter
+		return m.Engine
+	}
+	want, got := engine(local), engine(remote)
+	if got != want {
+		t.Errorf("engine metrics after %d remote cells\n got %+v\nwant %+v", len(specs), got, want)
+	}
+	if want.StepsTotal == 0 || want.FaultEventsTotal == 0 || want.RefusedTotal == 0 || want.AnalyzedRuns != 2 {
+		t.Errorf("the job list does not exercise every counter: %+v", want)
+	}
+	if tot := coord.Stats(); tot.CellsCompleted != int64(len(specs)) {
+		t.Errorf("coordinator completed %d cells, want %d", tot.CellsCompleted, len(specs))
 	}
 }
 

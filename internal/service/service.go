@@ -335,27 +335,14 @@ func (s *Server) runRemote(j *job) bool {
 		return true
 	}
 	// Commit the worker's event lines verbatim (byte-identical to a local
-	// run) and replay them into the shared counters, so /metrics
-	// aggregates fleet-wide engine throughput exactly as if the cell had
-	// run here.
+	// run) and add the totals the worker counted while producing them to the
+	// shared counters, so /metrics aggregates fleet-wide engine throughput
+	// exactly as if the cell had run here.
 	for _, line := range res.Events {
 		j.stream.appendRaw(line)
 	}
 	j.stream.addDropped(res.EventsDropped)
-	if rec, err := obs.ReadJSONLRecords(bytes.NewReader(bytes.Join(res.Events, nil))); err == nil {
-		for _, sample := range rec.Steps {
-			s.counters.Step(sample)
-		}
-		for _, sp := range rec.Spans {
-			s.counters.Span(sp)
-		}
-		for _, e := range rec.Events {
-			s.counters.Event(e)
-		}
-		for _, ru := range rec.Runs {
-			s.counters.Run(ru)
-		}
-	}
+	s.counters.Add(res.Totals)
 	st := res.Stats
 	switch {
 	case res.Canceled:

@@ -81,7 +81,7 @@ func (m *Metrics) noteDeliveredBatch(step, count, sumDelay int) {
 }
 
 // noteOccupancy folds one end-of-step occupancy maxima observation (from
-// the part (e) scan, per shard when parallel) into the run maxima.
+// the part (e) scan) into the run maxima.
 func (m *Metrics) noteOccupancy(maxQueue, maxNodeLoad int) {
 	if maxQueue > m.MaxQueueLen {
 		m.MaxQueueLen = maxQueue
@@ -91,16 +91,22 @@ func (m *Metrics) noteOccupancy(maxQueue, maxNodeLoad int) {
 	}
 }
 
-// emitStepSample builds the end-of-step obs.StepSample and feeds it to the
-// installed metrics sink. Only called when a sink is installed; the sample
-// is a stack value and the loops below allocate nothing, so the disabled
-// path (nil sink) costs exactly one branch in StepOnce.
-func (net *Network) emitStepSample(step int, arrivals []Move, delivered int) {
+// emitStepSample builds the end-of-step obs.StepSample from the step's
+// arrivals and the part (e) occupancy summary and feeds it to the installed
+// metrics sink. A sink pays for what it samples, once: the occupied nodes
+// were walked by updateNodes, so this costs O(arrivals) for LinkUse. Only
+// called when a sink is installed; the sample is a stack value, so the
+// disabled path (nil sink) costs one branch in StepOnce.
+func (net *Network) emitStepSample(step int, arrivals []Move, delivered int, o *occupancy) {
 	s := obs.StepSample{
 		Step:           step,
 		Moves:          len(arrivals),
 		Delivered:      delivered,
 		DeliveredTotal: net.delivered,
+		InFlight:       o.inFlight,
+		OccupiedNodes:  o.nodes,
+		MaxQueue:       o.maxQueue,
+		QueueHist:      o.hist,
 		Offered:        net.stepOffered,
 		Admitted:       net.stepAdmitted,
 		Refused:        net.stepRefused,
@@ -108,25 +114,6 @@ func (net *Network) emitStepSample(step int, arrivals []Move, delivered int) {
 	}
 	for _, a := range arrivals {
 		s.LinkUse[a.Travel]++
-	}
-	for _, id := range net.occ {
-		node := &net.nodes[id]
-		if node.qLen == 0 {
-			continue
-		}
-		s.OccupiedNodes++
-		s.InFlight += node.Len()
-		for tag := uint8(0); tag < numTags; tag++ {
-			if tag == OriginTag && net.Queues == PerInlinkQueues {
-				continue
-			}
-			if c := int(node.counts[tag]); c > 0 {
-				s.QueueHist.Add(c)
-				if c > s.MaxQueue {
-					s.MaxQueue = c
-				}
-			}
-		}
 	}
 	net.sink.Step(s)
 }

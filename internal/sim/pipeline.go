@@ -17,7 +17,7 @@ import (
 //	P2 accept   — part (c) dispatch, sharded over the offer-target list
 //	P3 compact  — part (d) departures, sharded over the sender list
 //	P4 apply    — part (d) arrivals, sharded by target owner (+ deliveries)
-//	P5 update   — part (e) + queue-occupancy maxima, sharded over occ
+//	P5 update   — part (e) + the occupancy scan, sharded over occ
 //
 // Every phase writes only worker-owned state (a contiguous shard of nodes
 // or list entries, plus the worker's own workerScratch buffers); the
@@ -115,9 +115,8 @@ type workerScratch struct {
 	delivered int
 	sumDelay  int
 	hops      int
-	// P5 update outputs.
-	maxQueue    int
-	maxNodeLoad int
+	// P5 update output: the occupancy summary of this worker's shard.
+	occ occupancy
 }
 
 // shardRange returns worker w's half-open share [lo, hi) of n items split
@@ -226,12 +225,10 @@ func (net *Network) phaseApply(w int) {
 }
 
 // phaseUpdate is P5: part (e) state updates fused with the end-of-step
-// queue-occupancy maxima scan, on this worker's shard of the (post-apply)
-// occupied list.
+// occupancy scan, on this worker's shard of the (post-apply) occupied list.
 func (net *Network) phaseUpdate(w int) {
 	lo, hi := shardRange(len(net.occ), len(net.parClones), w)
-	ws := &net.ws[w]
-	ws.maxQueue, ws.maxNodeLoad = net.updateNodes(net.parClones[w], net.occ[lo:hi])
+	net.ws[w].occ = net.updateNodes(net.parClones[w], net.occ[lo:hi])
 }
 
 // growForArrivals pre-grows every target's queue region to absorb its

@@ -152,8 +152,17 @@ func (st *PacketStore) Len() int { return len(st.Src) - 1 }
 // Delivered reports whether the packet has reached its destination.
 func (st *PacketStore) Delivered(p PacketID) bool { return st.DeliverStep[p] >= 0 }
 
-// add appends one packet to every field slice and returns its index.
+// minStoreCap is the packet store's first capacity.
+const minStoreCap = 64
+
+// add appends one packet to every field slice and returns its index. The
+// columns share one capacity (reserve keeps them in step), so the single
+// test below is the store's whole growth policy: when full, every column
+// doubles together and none of the appends that follow reallocates.
 func (st *PacketStore) add(src, dst grid.NodeID) PacketID {
+	if len(st.Src) == cap(st.Src) {
+		st.reserve(max(len(st.Src), minStoreCap))
+	}
 	st.Src = append(st.Src, src)
 	st.Dst = append(st.Dst, dst)
 	st.At = append(st.At, src)
@@ -170,6 +179,39 @@ func (st *PacketStore) add(src, dst grid.NodeID) PacketID {
 	st.slot = append(st.slot, -1)
 	st.departing = append(st.departing, false)
 	return PacketID(len(st.Src) - 1)
+}
+
+// reserve gives every column room for n more packets, all with the same
+// capacity.
+func (st *PacketStore) reserve(n int) {
+	st.Src = growColumn(st.Src, n)
+	st.Dst = growColumn(st.Dst, n)
+	st.At = growColumn(st.At, n)
+	st.Prof = growColumn(st.Prof, n)
+	st.State = growColumn(st.State, n)
+	st.Arrived = growColumn(st.Arrived, n)
+	st.QTag = growColumn(st.QTag, n)
+	st.Class = growColumn(st.Class, n)
+	st.Tag = growColumn(st.Tag, n)
+	st.ArrivedStep = growColumn(st.ArrivedStep, n)
+	st.InjectStep = growColumn(st.InjectStep, n)
+	st.DeliverStep = growColumn(st.DeliverStep, n)
+	st.Hops = growColumn(st.Hops, n)
+	st.slot = growColumn(st.slot, n)
+	st.departing = growColumn(st.departing, n)
+}
+
+// growColumn returns col with capacity for exactly n more elements, unless
+// it already has it. Unlike slices.Grow it never rounds the capacity up to
+// an allocator size class, which differs by element width and would let the
+// columns drift apart.
+func growColumn[T any](col []T, n int) []T {
+	if cap(col)-len(col) >= n {
+		return col
+	}
+	out := make([]T, len(col), len(col)+n)
+	copy(out, col)
+	return out
 }
 
 // Packet is a read-only by-value snapshot of one packet, materialized from
@@ -229,7 +271,18 @@ type Node struct {
 	qStart, qLen, qCap uint32
 
 	counts [numTags]int16
+
+	// sched is this step's outqueue decision as a set: direction d is in it
+	// exactly when Schedule returned a packet for outlink d (recorded by
+	// scheduleNodes before fault drops). It lives in the struct's padding.
+	sched grid.DirSet
 }
+
+// Scheduled returns the outlinks the node's outqueue policy put a packet on
+// in part (a) of the current step: empty for a node that held no packet or
+// was stalled. It is the node's own decision, so an inqueue policy may read
+// it in part (c) — the swap rule does — instead of running Schedule again.
+func (n *Node) Scheduled() grid.DirSet { return n.sched }
 
 // Len returns the number of resident packets (including the origin buffer).
 func (n *Node) Len() int { return int(n.qLen) }
@@ -400,7 +453,10 @@ type Network struct {
 	snapshot  []Packet   // reused buffer backing Packets()
 
 	pendingInj map[int][]PacketID // injection step -> packets
-	backlog    [][]PacketID       // per node: injected but not yet in queue
+	// backlog holds, per node, the packets injected but not yet in a queue.
+	// It, inBacklog and backlogHead are allocated by the first packet that
+	// has to wait (toBacklog): a static run never pays their 29 B/node.
+	backlog [][]PacketID
 
 	// Active-backlog tracking: the nodes whose backlog is nonempty, so
 	// injectPending touches O(active) slots per step instead of scanning
@@ -541,10 +597,7 @@ func New(cfg Config) (*Network, error) {
 		nodes:      make([]Node, n),
 		isOcc:      make([]bool, n),
 		pendingInj: map[int][]PacketID{},
-		backlog:    make([][]PacketID, n),
-		inBacklog:  make([]bool, n),
 	}
-	net.backlogHead = make([]int32, n)
 	for i := range net.nodes {
 		net.nodes[i].ID = grid.NodeID(i)
 	}

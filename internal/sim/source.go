@@ -90,6 +90,7 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	net.admit = policy
 	buf := src.Next(0, net.injBuf[:0])
 	net.injBuf = buf[:0]
+	net.ReserveInjections(len(buf))
 	for _, inj := range buf {
 		net.Metrics.Offered++
 		if policy == AdmitDrop && inj.Src != inj.Dst && net.Queues == CentralQueue &&
@@ -114,27 +115,12 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 // source-less networks report false.
 func (net *Network) OpenWorkload() bool { return net.openSource }
 
-// ReserveInjections pre-grows the packet store and placement list for n
-// additional packets, so a benchmarked or latency-sensitive online run can
-// move the amortized append growth out of the measured window. Purely an
-// optimization: sources work without it, at amortized-O(1) append cost.
+// ReserveInjections makes room in the packet store and placement list for n
+// additional packets. AttachSource calls it with the step-0 count, so a
+// static run sizes its store exactly once; an online run may call it to move
+// the store's doubling out of a measured window. Purely an optimization.
 func (net *Network) ReserveInjections(n int) {
-	st := &net.P
-	st.Src = slices.Grow(st.Src, n)
-	st.Dst = slices.Grow(st.Dst, n)
-	st.At = slices.Grow(st.At, n)
-	st.Prof = slices.Grow(st.Prof, n)
-	st.State = slices.Grow(st.State, n)
-	st.Arrived = slices.Grow(st.Arrived, n)
-	st.QTag = slices.Grow(st.QTag, n)
-	st.Class = slices.Grow(st.Class, n)
-	st.Tag = slices.Grow(st.Tag, n)
-	st.ArrivedStep = slices.Grow(st.ArrivedStep, n)
-	st.InjectStep = slices.Grow(st.InjectStep, n)
-	st.DeliverStep = slices.Grow(st.DeliverStep, n)
-	st.Hops = slices.Grow(st.Hops, n)
-	st.slot = slices.Grow(st.slot, n)
-	st.departing = slices.Grow(st.departing, n)
+	net.P.reserve(n)
 	net.placed = slices.Grow(net.placed, n)
 }
 
@@ -191,14 +177,25 @@ func (net *Network) pullSource(t int) {
 		}
 	} else {
 		for _, inj := range buf {
-			p := net.sourcePacket(inj)
-			net.backlog[inj.Src] = append(net.backlog[inj.Src], p)
-			if !net.inBacklog[inj.Src] {
-				net.inBacklog[inj.Src] = true
-				net.backlogNodes = append(net.backlogNodes, inj.Src)
-			}
-			net.backlogTotal++
+			net.toBacklog(inj.Src, net.sourcePacket(inj))
 		}
 	}
 	net.srcExhausted = net.source.Exhausted(t)
+}
+
+// toBacklog appends p to its source node's backlog and puts the node on the
+// active-backlog list. The first call allocates the per-node backlog arrays.
+func (net *Network) toBacklog(src grid.NodeID, p PacketID) {
+	if net.backlog == nil {
+		n := len(net.nodes)
+		net.backlog = make([][]PacketID, n)
+		net.inBacklog = make([]bool, n)
+		net.backlogHead = make([]int32, n)
+	}
+	net.backlog[src] = append(net.backlog[src], p)
+	if !net.inBacklog[src] {
+		net.inBacklog[src] = true
+		net.backlogNodes = append(net.backlogNodes, src)
+	}
+	net.backlogTotal++
 }

@@ -297,28 +297,29 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	}
 
 	// Part (e): state updates on every node that held packets this step,
-	// fused with the end-of-step queue-occupancy maxima scan (the update
-	// does not change queue contents, so fusing is invisible). Stalled
+	// fused with the one end-of-step occupancy scan (the update does not
+	// change queue contents, so fusing is invisible). Stalled
 	// nodes stay frozen: their state must not advance. Updates are
 	// node-local for ParallelCloner algorithms, so sharding them changes
-	// no observable state relative to the serial loop; the maxima merge
-	// under max, which is order-insensitive.
+	// no observable state relative to the serial loop; the per-worker
+	// summaries merge under max and sum, which are order-insensitive.
+	var o occupancy
 	if clones == nil {
-		mq, ml := net.updateNodes(alg, net.occ)
-		net.Metrics.noteOccupancy(mq, ml)
+		o = net.updateNodes(alg, net.occ)
 	} else {
 		net.pool.run(net, phaseUpdate)
 		for i := range net.ws {
-			net.Metrics.noteOccupancy(net.ws[i].maxQueue, net.ws[i].maxNodeLoad)
+			o.merge(&net.ws[i].occ)
 		}
 	}
+	net.Metrics.noteOccupancy(o.maxQueue, o.maxNodeLoad)
 
 	if net.delivered > deliveredBefore {
 		net.lastProgress = t
 	}
 
 	if net.sink != nil {
-		net.emitStepSample(t, arrivals, net.delivered-deliveredBefore)
+		net.emitStepSample(t, arrivals, net.delivered-deliveredBefore, &o)
 	}
 
 	if net.observer != nil {
@@ -335,16 +336,18 @@ func (net *Network) StepOnce(alg Algorithm) error {
 }
 
 // scheduleNodes runs part (a) for the given occupied nodes, appending the
-// scheduled (and fault-surviving) moves to dst. It returns the moves, the
-// number of fault drops, and the first scheduling error. It mutates only the
-// given nodes (through alg.Schedule) and dst, treating all other network
-// state as read-only, so disjoint shards may run concurrently.
+// scheduled (and fault-surviving) moves to dst and recording each node's
+// decision in Node.sched. It returns the moves, the number of fault drops,
+// and the first scheduling error. It mutates only the given nodes (through
+// alg.Schedule) and dst, treating all other network state as read-only, so
+// disjoint shards may run concurrently.
 func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) ([]Move, int, error) {
 	t := net.step
 	st := &net.P
 	drops := 0
 	for _, id := range ids {
 		node := &net.nodes[id]
+		node.sched = 0
 		if node.qLen == 0 {
 			continue
 		}
@@ -379,6 +382,7 @@ func (net *Network) scheduleNodes(alg Algorithm, ids []grid.NodeID, dst []Move) 
 			if idx < 0 {
 				continue
 			}
+			node.sched = node.sched.Set(d)
 			if idx >= len(q) {
 				return dst, drops, fmt.Errorf("sim: %s scheduled out-of-range packet index %d at node %v",
 					alg.Name(), idx, net.Topo.CoordOf(id))
@@ -533,29 +537,65 @@ func (net *Network) applyArrivals(arrivals []Move, occOut *[]grid.NodeID) (deliv
 	return delivered, sumDelay, hops
 }
 
+// occupancy is the end-of-step occupancy summary the part (e) scan
+// produces: the two maxima the run metrics keep, and — only when a metrics
+// sink is installed — what the step sample reports besides.
+type occupancy struct {
+	// maxQueue is the largest single queue (excluding the unbounded origin
+	// buffer), maxNodeLoad the largest total node load.
+	maxQueue, maxNodeLoad int
+	// nodes counts occupied nodes, inFlight their packets, and hist the
+	// non-empty queues by size.
+	nodes, inFlight int
+	hist            obs.QueueHist
+}
+
+// merge folds a shard's summary into o.
+func (o *occupancy) merge(w *occupancy) {
+	o.maxQueue = max(o.maxQueue, w.maxQueue)
+	o.maxNodeLoad = max(o.maxNodeLoad, w.maxNodeLoad)
+	o.nodes += w.nodes
+	o.inFlight += w.inFlight
+	for i, c := range w.hist {
+		o.hist[i] += c
+	}
+}
+
 // updateNodes runs part (e) for the given occupied nodes — skipping
-// stalled nodes, whose state must stay frozen — fused with the
-// queue-occupancy maxima scan, returning the largest single queue
-// (excluding the unbounded origin buffer) and the largest total node load
-// seen in the shard. Update still runs on nodes that emptied during the
-// step (they held a packet at its start, which is the Update contract);
-// the maxima scan skips them. Updates are node-local for ParallelCloner
-// algorithms and the scan is read-only, so disjoint shards may run
-// concurrently; maxima merge under max, which is order-blind.
-func (net *Network) updateNodes(alg Algorithm, ids []grid.NodeID) (maxQueue, maxNodeLoad int) {
+// stalled nodes, whose state must stay frozen — fused with the one
+// end-of-step occupancy scan, whose summary of the shard it returns.
+// Update still runs on nodes that emptied during the step (they held a
+// packet at its start, which is the Update contract); the scan skips them.
+// Updates are node-local for ParallelCloner algorithms and the scan is
+// read-only, so disjoint shards may run concurrently.
+func (net *Network) updateNodes(alg Algorithm, ids []grid.NodeID) (o occupancy) {
+	sampled := net.sink != nil
+	// The queues the model bounds by k: the central queue is tag 0, the four
+	// inlink queues tags 0..3. The origin buffer (per-inlink only, and
+	// unbounded) is not one of them, and no other tag is ever used.
+	queues := uint8(1)
+	if net.Queues == PerInlinkQueues {
+		queues = OriginTag
+	}
+	maxQueue, maxNodeLoad := 0, 0
 	for _, id := range ids {
 		node := &net.nodes[id]
 		if node.qLen > 0 {
 			if l := int(node.qLen); l > maxNodeLoad {
 				maxNodeLoad = l
 			}
-			for tag := uint8(0); tag < numTags; tag++ {
-				if tag == OriginTag && net.Queues == PerInlinkQueues {
-					continue
-				}
-				if l := int(node.counts[tag]); l > maxQueue {
+			for tag := uint8(0); tag < queues; tag++ {
+				l := int(node.counts[tag])
+				if l > maxQueue {
 					maxQueue = l
 				}
+				if sampled && l > 0 {
+					o.hist[obs.BucketOf(l)]++
+				}
+			}
+			if sampled {
+				o.nodes++
+				o.inFlight += int(node.qLen)
 			}
 		}
 		if net.hasFaults && net.stalledCnt[id] > 0 {
@@ -563,7 +603,8 @@ func (net *Network) updateNodes(alg Algorithm, ids []grid.NodeID) (maxQueue, max
 		}
 		alg.Update(net, node)
 	}
-	return maxQueue, maxNodeLoad
+	o.maxQueue, o.maxNodeLoad = maxQueue, maxNodeLoad
+	return o
 }
 
 // workerClones returns the per-worker algorithm clones for the configured
@@ -640,15 +681,9 @@ func (net *Network) injectPending(t int) {
 	st := &net.P
 	if ps, ok := net.pendingInj[t]; ok {
 		for _, p := range ps {
-			src := st.Src[p]
-			net.backlog[src] = append(net.backlog[src], p)
-			if !net.inBacklog[src] {
-				net.inBacklog[src] = true
-				net.backlogNodes = append(net.backlogNodes, src)
-			}
+			net.toBacklog(st.Src[p], p)
 		}
 		net.pendingTotal -= len(ps)
-		net.backlogTotal += len(ps)
 		net.stepOffered += len(ps)
 		delete(net.pendingInj, t)
 	}
@@ -752,6 +787,7 @@ func (net *Network) compactOcc() {
 			w++
 		} else {
 			net.isOcc[id] = false
+			net.nodes[id].sched = 0 // off the list, so part (a) will not reset it
 		}
 	}
 	net.occ = net.occ[:w]
