@@ -13,15 +13,15 @@ import (
 // row's, and Lemma 17 guarantees (checked by move) that no packet ever
 // overshoots its destination column. A step's moves are applied in id
 // order.
-func (r *Router) balance(tile []act, m int) (int, error) {
-	cnt, win := r.cnt, r.goEast // per tile node y*m+x
+func (c *classRun) balance(tile []act, m int) (int, error) {
+	cnt, win := c.cnt, c.goEast // per tile node y*m+x
 	node := func(a *act) int { return int(a.y)*m + int(a.x) }
 	for k := range tile {
 		cnt[node(&tile[k])]++
 	}
 	step := 0
 	for {
-		moves := r.moves[:0]
+		moves := c.moves[:0]
 		for k := range tile {
 			a, v := &tile[k], node(&tile[k])
 			if cnt[v] <= 2 {
@@ -34,7 +34,7 @@ func (r *Router) balance(tile []act, m int) (int, error) {
 			}
 			win[v] = int32(k)
 		}
-		r.moves = moves[:0]
+		c.moves = moves[:0]
 		if len(moves) == 0 {
 			break
 		}
@@ -52,7 +52,7 @@ func (r *Router) balance(tile []act, m int) (int, error) {
 		for _, k := range moves {
 			a := &tile[k]
 			cnt[node(a)]--
-			r.move(a, 1, 0, int32(step))
+			c.move(a, 1, 0, int32(step))
 			cnt[node(a)]++
 		}
 	}

@@ -12,41 +12,39 @@ import (
 // its destination and the base case completes within 14 steps with at most
 // 9 packets per node; for meshes smaller than 27 the base case IS the
 // whole pass and those bounds do not apply.
-func (r *Router) baseCase(class Class, afterIterations bool) error {
-	xf := newXform(r.n, class, false)
-	r.orient(xf)
-	live := r.acts[:0]
-	for k := range r.pkts {
-		p := &r.pkts[k]
-		if p.class != class || p.done {
-			continue
-		}
-		a, b := xf.to(p.cur), xf.to(p.dst)
+func (c *classRun) baseCase(afterIterations bool) error {
+	xf := newXform(c.n, c.class, false)
+	c.orient(xf)
+	live := c.acts[:0]
+	for k := range c.pkts {
+		p := &c.pkts[k]
+		a, b := xf.to(p.cur.coord()), xf.to(p.dst.coord())
 		if afterIterations && (b.X-a.X > 2 || b.Y-a.Y > 2) {
 			return fmt.Errorf("clt: packet %d entered base case %d cols, %d rows from its destination (Lemma 18 allows 2)",
 				p.id, b.X-a.X, b.Y-a.Y)
 		}
-		live = append(live, act{p: p, id: int32(p.id), x: int32(a.X), y: int32(a.Y), dx: int32(b.X), dy: int32(b.Y)})
+		live = append(live, act{k: int32(k), id: p.id, x: int32(a.X), y: int32(a.Y), dx: int32(b.X), dy: int32(b.Y)})
 	}
-	r.acts = live[:0]
+	c.acts = live[:0]
 
 	limit := 14
 	if !afterIterations {
-		limit = 100 * r.n * r.n
+		limit = 100 * c.n * c.n
 	}
 	step := 0
 	// outlink is the link a wants next and how far it has to go on it.
 	outlink := func(a *act) (win []int32, dist int32) {
 		if a.dx > a.x {
-			return r.goEast, a.dx - a.x
+			return c.goEast, a.dx - a.x
 		}
-		return r.goNorth, a.dy - a.y
+		return c.goNorth, a.dy - a.y
 	}
 	hop := func(a *act, ex, ny int32) {
-		r.move(a, ex, ny, int32(step))
+		c.move(a, ex, ny, int32(step))
 		if a.x == a.dx && a.y == a.dy { // delivered: leaves the network
-			a.p.done = true
-			r.occ[r.nid(a.p.cur)]--
+			p := &c.pkts[a.k]
+			p.done = true
+			c.occ[c.nid(p.cur)]--
 		}
 	}
 	for len(live) > 0 {
@@ -58,8 +56,8 @@ func (r *Router) baseCase(class Class, afterIterations bool) error {
 		// first), farthest first.
 		for k := range live {
 			a := &live[k]
-			v := int(a.y)*r.n + int(a.x)
-			r.sending[v>>6] |= 1 << (v & 63)
+			v := int(a.y)*c.n + int(a.x)
+			c.sending[v>>6] |= 1 << (v & 63)
 			win, dist := outlink(a)
 			if w := win[v]; w >= 0 {
 				if _, wd := outlink(&live[w]); !farther(dist, a.id, wd, live[w].id) {
@@ -69,29 +67,29 @@ func (r *Router) baseCase(class Class, afterIterations bool) error {
 			win[v] = int32(k)
 		}
 		// Apply south to north, west to east, east link before north.
-		for w, word := range r.sending {
-			for r.sending[w] = 0; word != 0; word &= word - 1 {
+		for w, word := range c.sending {
+			for c.sending[w] = 0; word != 0; word &= word - 1 {
 				v := w<<6 + bits.TrailingZeros64(word)
-				if k := r.goEast[v]; k >= 0 {
-					r.goEast[v] = -1
+				if k := c.goEast[v]; k >= 0 {
+					c.goEast[v] = -1
 					hop(&live[k], 1, 0)
 				}
-				if k := r.goNorth[v]; k >= 0 {
-					r.goNorth[v] = -1
+				if k := c.goNorth[v]; k >= 0 {
+					c.goNorth[v] = -1
 					hop(&live[k], 0, 1)
 				}
 			}
 		}
-		live = slices.DeleteFunc(live, func(a act) bool { return a.p.done })
+		live = slices.DeleteFunc(live, func(a act) bool { return c.pkts[a.k].done })
 	}
-	r.res.BaseCaseSteps += step
+	c.res.BaseCaseSteps += step
 	formula := step // no closed form without iterations (n < 27)
 	if afterIterations {
 		formula = 14 // Lemma 32
 	}
-	r.emitSpan("basecase", class, "", 0, 0, step, formula)
-	r.res.TimeFormula += formula
-	r.res.TimeMeasured += step
+	c.emitSpan("basecase", "", 0, 0, step, formula)
+	c.res.TimeFormula += formula
+	c.res.TimeMeasured += step
 	return nil
 }
 

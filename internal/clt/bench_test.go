@@ -1,6 +1,7 @@
 package clt
 
 import (
+	"fmt"
 	"testing"
 
 	"meshroute/internal/grid"
@@ -31,13 +32,4 @@ func BenchmarkRoute(b *testing.B) {
 	}
 }
 
-func sizeName(n int) string {
-	switch n {
-	case 27:
-		return "n27"
-	case 81:
-		return "n81"
-	default:
-		return "n243"
-	}
-}
+func sizeName(n int) string { return fmt.Sprintf("n%d", n) }

@@ -20,6 +20,11 @@
 // checks each phase's duration against the closed forms of Lemmas 29-31.
 // Phases are globally synchronized by a phase clock, as the paper allows
 // ("every node knows how long it will take and can delay that long").
+//
+// "One after another" is the network's schedule, not the simulator's: the
+// four class passes never meet (see classRun), so Route simulates them side
+// by side on as many processors as it has and reports them in class order,
+// bit for bit what simulating them in turn reports.
 package clt
 
 import (
@@ -27,6 +32,7 @@ import (
 
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
+	"meshroute/internal/par"
 	"meshroute/internal/workload"
 )
 
@@ -119,25 +125,31 @@ type Result struct {
 	Iterations int
 }
 
-// pkt is a packet in flight. Packets live in one slab, in permutation
-// order.
+// pt is a real mesh coordinate in the 32 bits the slabs store.
+type pt struct{ X, Y int32 }
+
+func at(c grid.Coord) pt { return pt{int32(c.X), int32(c.Y)} }
+
+func (p pt) coord() grid.Coord { return grid.XY(int(p.X), int(p.Y)) }
+
+// pkt is a packet in flight. A class's packets live in one slab, in
+// permutation order.
 type pkt struct {
-	id    int
-	cur   grid.Coord // real coordinates
-	dst   grid.Coord // real coordinates
-	class Class
-	done  bool
-	// hops counts link traversals; Route checks that it equals the L1
-	// source-destination distance on delivery (minimality).
-	hops int
+	id   int32
+	cur  pt // real coordinates
+	dst  pt // real coordinates
+	done bool
+	// hops counts link traversals; the pass closes by checking that it
+	// equals the L1 source-destination distance (minimality).
+	hops int32
 }
 
 // act is a packet taking part in the current phase, with what the phase
-// reads every step cached beside the pointer: position and destination in
-// algorithm space relative to the packet's tile (the whole mesh in the base
-// case), the destination strip, and March's last-move stamp.
+// reads every step cached beside its slab index: position and destination
+// in algorithm space relative to the packet's tile (the whole mesh in the
+// base case), the destination strip, and March's last-move stamp.
 type act struct {
-	p            *pkt
+	k            int32 // index into the class's slab
 	tile         int32 // row-major index of the tile
 	id           int32
 	x, y, dx, dy int32
@@ -154,48 +166,81 @@ func farther(dist, id, otherDist, otherID int32) bool {
 	return dist > otherDist || (dist == otherDist && id < otherID)
 }
 
-// Router routes permutations with the Section 6 algorithm.
+// Router routes permutations with the Section 6 algorithm. It keeps the
+// state of its last Route and is not safe for concurrent Route calls.
 type Router struct {
 	cfg Config
 	n   int
 
+	// runs are the four class passes of the current Route.
+	runs [numClasses]classRun
+
+	// spanHook, when non-nil, is called from the class's own task at each
+	// of its spans, before the class clock advances (the white-box digest
+	// test snapshots the class state there).
+	spanHook func(*classRun)
+}
+
+// classRun is the pass of one quadrant class, a simulation of its own.
+// While class c moves, every earlier class has been delivered and has left
+// the network and every later class still waits at its sources, which are
+// distinct; so all that c ever sees of the others is a constant of the
+// permutation, folded into occ when the run is set up. The four runs share
+// nothing they write and Route runs them side by side.
+type classRun struct {
+	r     *Router
+	n     int
+	class Class
+
 	pkts []pkt
-	// occ counts the in-flight packets of all classes per real node.
-	occ []int32
+	// occ counts, per real node, the class's in-flight packets plus the
+	// later classes' packets waiting at their sources. Lemma 28 bounds a
+	// node's load by 834.
+	occ []int16
 
-	// clock is the phase clock: the sum of the formula durations of all
-	// phases emitted so far (the start step of the next span under the
-	// paper's globally synchronized schedule).
+	// clock is the class's phase clock: the sum of the formula durations
+	// of the phases it has emitted so far.
 	clock int
-
+	// spans buffers the class's spans (Start on the class clock) until
+	// Route re-emits them in class order; only kept with a Config.Sink.
+	spans []obs.Span
+	// res is the class's share of the Result (N and Packets unset).
 	res Result
 
-	// Phase scratch, sized once per Route and indexed by tile-local
-	// coordinates. Every phase leaves cnt zero and goEast/goNorth at -1.
-	acts, found []act      // the phase's actives in phase order / as found
-	count       []int32    // gather's counting sort: actives per tile column
-	east, north grid.Coord // one algorithm-space hop east / north, in real space
-	cnt         []int16    // March: [row][strip] actives; Balancing: actives per node
-	goEast      []int32    // per node: the act chosen to move east this step
-	goNorth     []int32    // per node (March: per row): likewise north
+	// Phase scratch, sized once per pass. Every phase leaves cnt zero and
+	// goEast/goNorth at -1.
+	acts, found []act   // the phase's actives in phase order / as found
+	count       []int32 // gather's counting sort: actives per tile column
+	east, north pt      // one algorithm-space hop east / north, in real space
+	cnt         []int16 // March: [row][strip] actives; Balancing: actives per node
+	goEast      []int32 // per node: the act chosen to move east this step
+	goNorth     []int32 // per node (March: per row): likewise north
 	live, moves []int32
 	sending     []uint64  // base case: bitset of the nodes that transmit this step
 	hold, fq    [][]int32 // Sort-and-Smooth: per strip node, indices into the stream
 	head, recv  []int32   // fq read positions; packets received per strip i-2 node
 	sends       []send
+
+	// Neighbouring runs' written fields (MaxQueue, the scratch slice
+	// headers) must not share a cache line: without the pad an n=81 route
+	// on two cores takes 6.8-7.7 ms instead of 6.1-6.4.
+	_ [64]byte
 }
 
-// emitSpan records one completed phase on the configured sink (if any)
-// and advances the phase clock by the phase's synchronized duration.
-func (r *Router) emitSpan(name string, class Class, axis string, iter, tau, measured, formula int) {
-	if r.cfg.Sink != nil {
-		r.cfg.Sink.Span(obs.Span{
-			Name: name, Class: class.String(), Axis: axis,
+// emitSpan records one completed phase (if anyone listens) and advances
+// the class clock by the phase's synchronized duration.
+func (c *classRun) emitSpan(name, axis string, iter, tau, measured, formula int) {
+	if c.r.cfg.Sink != nil {
+		c.spans = append(c.spans, obs.Span{
+			Name: name, Class: c.class.String(), Axis: axis,
 			Iteration: iter, Tiling: tau,
-			Start: r.clock, Measured: measured, Formula: formula,
+			Start: c.clock, Measured: measured, Formula: formula,
 		})
 	}
-	r.clock += formula
+	if c.r.spanHook != nil {
+		c.r.spanHook(c)
+	}
+	c.clock += formula
 }
 
 // New creates a router for an n×n mesh: n < 27 (pure base case) or
@@ -215,90 +260,162 @@ func New(cfg Config) (*Router, error) {
 	return &Router{cfg: cfg, n: n}, nil
 }
 
-// reset clears the run state and sizes the slab for up to packets packets
-// and the scratch for the whole mesh as one tile.
-func (r *Router) reset(packets int) {
+// run clears class's run and sizes its slab and per-packet scratch for
+// packets packets, the rest of the scratch for the whole mesh as one tile.
+func (r *Router) run(class Class, packets int) *classRun {
 	n := r.n
-	r.res = Result{N: n}
-	r.clock = 0
-	r.pkts = make([]pkt, 0, packets)
-	r.occ = make([]int32, n*n)
-	r.cnt = make([]int16, n*max(n, 29))
-	r.goEast, r.goNorth = make([]int32, n*n), make([]int32, n*n)
-	for i := range r.goEast {
-		r.goEast[i], r.goNorth[i] = -1, -1
+	c := &r.runs[class]
+	*c = classRun{r: r, n: n, class: class}
+	c.pkts = make([]pkt, 0, packets)
+	c.occ = make([]int16, n*n)
+	c.acts, c.found = make([]act, 0, packets), make([]act, 0, packets)
+	// gather counts per tile column: (n/m+1)² tiles of m columns, which
+	// the whole-mesh tiling or the finest one (m = 27) makes largest.
+	c.count = make([]int32, max(4*n, (n/27+1)*(n/27+1)*27)+1)
+	c.cnt = make([]int16, n*max(n, 29))
+	c.goEast, c.goNorth = make([]int32, n*n), make([]int32, n*n)
+	for i := range c.goEast {
+		c.goEast[i], c.goNorth[i] = -1, -1
 	}
-	r.sending = make([]uint64, n*n/64+1)
+	c.sending = make([]uint64, n*n/64+1)
 	strip := n/27 + 1 // strip nodes are numbered 1..d, d <= n/27
-	r.hold, r.fq = make([][]int32, strip), make([][]int32, strip)
-	r.head, r.recv = make([]int32, strip), make([]int32, strip)
+	c.hold, c.fq = make([][]int32, strip), make([][]int32, strip)
+	c.head, c.recv = make([]int32, strip), make([]int32, strip)
+	return c
+}
+
+// place puts packet id of the run's class into the network at cur.
+func (c *classRun) place(id int, cur, dst grid.Coord) {
+	c.pkts = append(c.pkts, pkt{id: int32(id), cur: at(cur), dst: at(dst)})
+	c.occ[c.nid(at(cur))]++
+}
+
+// unrouted marks a pair that needs no routing (source = destination) in
+// classify's table.
+const unrouted = int8(-1)
+
+// classify checks that perm is a partial permutation of the mesh and
+// returns every pair's class (unrouted for a fixed point, which is
+// delivered at placement) and the class sizes.
+func (r *Router) classify(perm *workload.Permutation) ([]int8, [numClasses]int, error) {
+	var sizes [numClasses]int
+	topo := grid.NewSquareMesh(r.n)
+	nodes := grid.NodeID(r.n * r.n)
+	classes := make([]int8, len(perm.Pairs))
+	for i, pr := range perm.Pairs {
+		if pr.Src < 0 || pr.Src >= nodes || pr.Dst < 0 || pr.Dst >= nodes {
+			return nil, sizes, fmt.Errorf("clt: pair %d -> %d is outside the %d×%d mesh", pr.Src, pr.Dst, r.n, r.n)
+		}
+		if pr.Src == pr.Dst {
+			classes[i] = unrouted
+			continue
+		}
+		class := ClassOf(topo.CoordOf(pr.Src), topo.CoordOf(pr.Dst))
+		classes[i] = int8(class)
+		sizes[class]++
+	}
+	return classes, sizes, perm.Validate()
 }
 
 // Route routes the permutation and returns the run statistics.
 func (r *Router) Route(perm *workload.Permutation) (*Result, error) {
-	nodes := grid.NodeID(r.n * r.n)
-	for _, pr := range perm.Pairs {
-		if pr.Src < 0 || pr.Src >= nodes || pr.Dst < 0 || pr.Dst >= nodes {
-			return nil, fmt.Errorf("clt: pair %d -> %d is outside the %d×%d mesh", pr.Src, pr.Dst, r.n, r.n)
-		}
-	}
-	if err := perm.Validate(); err != nil {
+	classes, sizes, err := r.classify(perm)
+	if err != nil {
 		return nil, err
 	}
 	topo := grid.NewSquareMesh(r.n)
-	r.reset(len(perm.Pairs))
-	for i, pr := range perm.Pairs {
-		src, dst := topo.CoordOf(pr.Src), topo.CoordOf(pr.Dst)
-		if src == dst {
-			continue // delivered at placement
+	return r.forkJoin(func(class Class) error {
+		c := r.run(class, sizes[class])
+		for i, of := range classes {
+			if of < int8(class) {
+				continue // unrouted, or delivered before this pass opens
+			}
+			if pr := perm.Pairs[i]; of == int8(class) {
+				c.place(i, topo.CoordOf(pr.Src), topo.CoordOf(pr.Dst))
+			} else {
+				c.occ[pr.Src]++ // a later class's, waiting at its source (node ids are row-major, as nid)
+			}
 		}
-		r.pkts = append(r.pkts, pkt{id: i, cur: src, dst: dst, class: ClassOf(src, dst)})
-		r.occ[r.nid(src)]++
-	}
-	r.res.Packets = len(r.pkts)
+		if err := c.route(); err != nil {
+			return err
+		}
+		// The pass closes with every packet delivered along a minimal path.
+		for k := range c.pkts {
+			p, pr := &c.pkts[k], perm.Pairs[c.pkts[k].id]
+			if !p.done {
+				return fmt.Errorf("clt: packet %d undelivered at %v (dst %v)", p.id, p.cur.coord(), p.dst.coord())
+			}
+			if minimal := topo.Dist(pr.Src, pr.Dst); int(p.hops) != minimal {
+				return fmt.Errorf("clt: packet %d took %d hops, a minimal path has %d", p.id, p.hops, minimal)
+			}
+		}
+		return nil
+	})
+}
 
-	for class := Class(0); class < numClasses; class++ {
-		if err := r.routeClass(class); err != nil {
-			return nil, err
+// forkJoin runs pass for each class — as many at a time as there are
+// processors, one after another on one — and merges the runs in class
+// order into what routing the classes one after another reports: times,
+// phase statistics and base-case steps add, the peak queue and the
+// iteration count are the largest, and each class's spans go to the sink
+// shifted by the earlier classes' clocks. A failed class ends the merge:
+// the sink has then seen the spans up to the failure and no later class's.
+func (r *Router) forkJoin(pass func(Class) error) (*Result, error) {
+	var errs [numClasses]error // reported in the merge, after the class's spans
+	_ = par.ForEach(int(numClasses), 0, func(i int) error {
+		errs[i] = pass(Class(i))
+		return nil
+	})
+	res := Result{N: r.n}
+	for i := range r.runs {
+		c := &r.runs[i]
+		for _, sp := range c.spans {
+			sp.Start += res.TimeFormula
+			r.cfg.Sink.Span(sp)
 		}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		res.Packets += len(c.pkts)
+		res.TimeFormula += c.res.TimeFormula
+		res.TimeMeasured += c.res.TimeMeasured
+		res.MaxQueue = max(res.MaxQueue, c.res.MaxQueue)
+		res.BaseCaseSteps += c.res.BaseCaseSteps
+		res.March.add(c.res.March)
+		res.SortSmooth.add(c.res.SortSmooth)
+		res.Balance.add(c.res.Balance)
+		res.Iterations = max(res.Iterations, c.res.Iterations)
 	}
-	for k := range r.pkts {
-		p, pr := &r.pkts[k], perm.Pairs[r.pkts[k].id]
-		if !p.done {
-			return nil, fmt.Errorf("clt: packet %d undelivered at %v (dst %v)", p.id, p.cur, p.dst)
-		}
-		if minimal := topo.Dist(pr.Src, pr.Dst); p.hops != minimal {
-			return nil, fmt.Errorf("clt: packet %d took %d hops, a minimal path has %d", p.id, p.hops, minimal)
-		}
-	}
-	res := r.res
 	return &res, nil
 }
 
+func (s *PhaseStats) add(o PhaseStats) {
+	s.Formula += o.Formula
+	s.Measured += o.Measured
+}
+
 // nid maps a real coordinate to a node index.
-func (r *Router) nid(c grid.Coord) int { return c.Y*r.n + c.X }
+func (c *classRun) nid(p pt) int { return int(p.Y)*c.n + int(p.X) }
 
 // noteOccupancy refreshes the peak queue statistic for one node.
-func (r *Router) noteOccupancy(id int) {
-	if occ := int(r.occ[id]); occ > r.res.MaxQueue {
-		r.res.MaxQueue = occ
+func (c *classRun) noteOccupancy(id int) {
+	if occ := int(c.occ[id]); occ > c.res.MaxQueue {
+		c.res.MaxQueue = occ
 	}
 }
 
-// routeClass runs one full pass for a class.
-func (r *Router) routeClass(class Class) error {
+// route runs the class's full pass.
+func (c *classRun) route() error {
 	// The pass opens by taking stock of the nodes its packets wait in.
-	for k := range r.pkts {
-		if p := &r.pkts[k]; p.class == class && !p.done {
-			r.noteOccupancy(r.nid(p.cur))
-		}
+	for k := range c.pkts {
+		c.noteOccupancy(c.nid(c.pkts[k].cur))
 	}
 
 	iter := 0
-	for m := r.n; m >= 27; m /= 3 {
+	for m := c.n; m >= 27; m /= 3 {
 		d := m / 27
 		q := QBase
-		if r.cfg.ImprovedQ && iter > 0 {
+		if c.r.cfg.ImprovedQ && iter > 0 {
 			q = QImproved
 		}
 		tilings := 1
@@ -308,15 +425,13 @@ func (r *Router) routeClass(class Class) error {
 		// Vertical Phase on each tiling, then Horizontal Phase on each.
 		for _, vertical := range []bool{true, false} {
 			for tau := 0; tau < tilings; tau++ {
-				if err := r.phase(class, vertical, m, d, q, tau, iter); err != nil {
+				if err := c.phase(vertical, m, d, q, tau, iter); err != nil {
 					return err
 				}
 			}
 		}
 		iter++
 	}
-	if iter > r.res.Iterations {
-		r.res.Iterations = iter
-	}
-	return r.baseCase(class, iter > 0)
+	c.res.Iterations = iter
+	return c.baseCase(iter > 0)
 }

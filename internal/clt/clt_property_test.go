@@ -58,9 +58,9 @@ func TestQuickSinglePacketAllDirections(t *testing.T) {
 		if src == dst {
 			return true
 		}
-		p := r.pkts[0]
+		p := r.packets()[0]
 		want := abs(dst.X-src.X) + abs(dst.Y-src.Y)
-		return p.done && p.hops == want
+		return p.done && int(p.hops) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -118,11 +118,7 @@ func TestSmallMeshAllClasses(t *testing.T) {
 	topo := grid.NewSquareMesh(n)
 	perm := workload.Reversal(topo)
 	r, _ := routePerm(t, n, perm, Config{})
-	for _, p := range r.pkts {
-		if !p.done {
-			t.Fatal("undelivered")
-		}
-	}
+	checkMinimal(t, r)
 }
 
 // Worst-case corner flood: the hard permutation family from the adversary

@@ -1,6 +1,8 @@
 package clt
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 
 	"meshroute/internal/grid"
@@ -21,15 +23,25 @@ func routePerm(t *testing.T, n int, perm *workload.Permutation, cfg Config) (*Ro
 	return r, res
 }
 
+// packets returns the packets of r's last Route in id order, gathered from
+// the four class runs.
+func (r *Router) packets() []pkt {
+	var all []pkt
+	for i := range r.runs {
+		all = append(all, r.runs[i].pkts...)
+	}
+	slices.SortStableFunc(all, func(a, b pkt) int { return cmp.Compare(a.id, b.id) })
+	return all
+}
+
+// checkMinimal asserts that every packet rests, delivered, at its
+// destination. (Route itself compares the hop counts with the distances.)
 func checkMinimal(t *testing.T, r *Router) {
 	t.Helper()
-	topo := grid.NewSquareMesh(r.n)
-	for _, p := range r.pkts {
-		if !p.done {
-			t.Fatalf("packet %d undelivered", p.id)
+	for _, p := range r.packets() {
+		if !p.done || p.cur != p.dst {
+			t.Fatalf("packet %d undelivered at %v (dst %v)", p.id, p.cur, p.dst)
 		}
-		want := topo.Dist(topo.ID(p.cur), topo.ID(p.dst))
-		_ = want // cur == dst after delivery; use recorded endpoints
 	}
 }
 
@@ -203,10 +215,10 @@ func TestHopsAreMinimal(t *testing.T) {
 	if _, err := r.Route(perm); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range r.pkts {
-		e := eps[p.id]
+	for _, p := range r.packets() {
+		e := eps[int(p.id)]
 		want := abs(e.dst.X-e.src.X) + abs(e.dst.Y-e.src.Y)
-		if p.hops != want {
+		if int(p.hops) != want {
 			t.Fatalf("packet %d: %d hops, minimal %d", p.id, p.hops, want)
 		}
 	}
@@ -244,35 +256,48 @@ func TestPartialPermutation(t *testing.T) {
 	}
 }
 
-// Theorem 34 and Lemma 28 as assertions: the synchronized schedule is at
-// most 972n steps (564n with the improved q), every phase goes quiescent
-// within its closed form, and no node ever holds more than 834 packets.
+// assertTheorem34 routes a random permutation, the transpose and the
+// reversal on the n×n mesh with both q variants and holds each route to
+// Theorem 34 and Lemma 28: the synchronized schedule is at most 972n steps
+// (564n with the improved q), every phase goes quiescent within its closed
+// form, no node ever holds more than 834 packets, every path is minimal.
+func assertTheorem34(t *testing.T, n int) {
+	t.Helper()
+	topo := grid.NewSquareMesh(n)
+	for _, w := range []struct {
+		name string
+		perm *workload.Permutation
+	}{
+		{"random", workload.Random(topo, 1)},
+		{"transpose", workload.Transpose(topo)},
+		{"reversal", workload.Reversal(topo)},
+	} {
+		for _, improved := range []bool{false, true} {
+			r, res := routePerm(t, n, w.perm, Config{ImprovedQ: improved})
+			bound := 972 * n
+			if improved {
+				bound = 564 * n
+			}
+			if res.TimeFormula > bound || res.TimeMeasured > res.TimeFormula {
+				t.Errorf("n=%d %s improved=%v: schedule %d (measured %d), Theorem 34 allows %d",
+					n, w.name, improved, res.TimeFormula, res.TimeMeasured, bound)
+			}
+			if res.MaxQueue > 834 {
+				t.Errorf("n=%d %s improved=%v: %d packets in one node, Lemma 28 allows 834", n, w.name, improved, res.MaxQueue)
+			}
+			checkMinimal(t, r)
+			t.Logf("n=%d %s improved=%v: schedule %d (%.1f·n), measured %d, peak queue %d",
+				n, w.name, improved, res.TimeFormula, float64(res.TimeFormula)/float64(n), res.TimeMeasured, res.MaxQueue)
+		}
+	}
+}
+
 func TestTheorem34Bounds(t *testing.T) {
 	for _, n := range []int{27, 81, 243} {
 		if n == 243 && testing.Short() {
 			continue
 		}
-		topo := grid.NewSquareMesh(n)
-		for name, perm := range map[string]*workload.Permutation{
-			"random":    workload.Random(topo, 1),
-			"transpose": workload.Transpose(topo),
-			"reversal":  workload.Reversal(topo),
-		} {
-			for _, improved := range []bool{false, true} {
-				_, res := routePerm(t, n, perm, Config{ImprovedQ: improved})
-				bound := 972 * n
-				if improved {
-					bound = 564 * n
-				}
-				if res.TimeFormula > bound || res.TimeMeasured > res.TimeFormula {
-					t.Errorf("n=%d %s improved=%v: schedule %d (measured %d), Theorem 34 allows %d",
-						n, name, improved, res.TimeFormula, res.TimeMeasured, bound)
-				}
-				if res.MaxQueue > 834 {
-					t.Errorf("n=%d %s improved=%v: %d packets in one node, Lemma 28 allows 834", n, name, improved, res.MaxQueue)
-				}
-			}
-		}
+		assertTheorem34(t, n)
 	}
 }
 

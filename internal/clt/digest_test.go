@@ -37,13 +37,6 @@ type cltDigest struct {
 	State  string `json:"state"`
 }
 
-// digestSink hashes spans as they are emitted and, at each one, the
-// router's state.
-type digestSink struct {
-	r            *Router
-	spans, state hash.Hash64
-}
-
 func hashInts(h hash.Hash64, vs ...int) {
 	var buf [8]byte
 	for _, v := range vs {
@@ -54,15 +47,73 @@ func hashInts(h hash.Hash64, vs ...int) {
 	}
 }
 
+// pktState is what the state digest hashes of one packet.
+type pktState struct{ id, x, y, hops int32 }
+
+// classSnap is a class run at one of its spans: its running peak and its
+// packets, in slab order.
+type classSnap struct {
+	peak int
+	pkts []pktState
+}
+
+// digestSink hashes the span stream as Route emits it. The state digest is
+// of the whole network at every span, which with the four class runs side
+// by side exists nowhere at span time: the spanHook snapshots each class
+// at its own spans and stateDigest puts the serial picture back together.
+type digestSink struct {
+	spans hash.Hash64
+	snaps [numClasses][]classSnap
+}
+
 func (s *digestSink) Step(obs.StepSample) {}
 
 func (s *digestSink) Span(sp obs.Span) {
 	fmt.Fprintf(s.spans, "%s/%s/%s/", sp.Name, sp.Class, sp.Axis)
 	hashInts(s.spans, sp.Iteration, sp.Tiling, sp.Start, sp.Measured, sp.Formula)
-	hashInts(s.state, s.r.res.MaxQueue)
-	for _, p := range s.r.pkts {
-		hashInts(s.state, int(p.id), p.cur.X, p.cur.Y, p.hops)
+}
+
+// snapshot is the Router's spanHook; each class appends to its own list.
+func (s *digestSink) snapshot(c *classRun) {
+	snap := classSnap{peak: c.res.MaxQueue, pkts: make([]pktState, len(c.pkts))}
+	for k, p := range c.pkts {
+		snap.pkts[k] = pktState{p.id, p.cur.X, p.cur.Y, p.hops}
 	}
+	s.snaps[c.class] = append(s.snaps[c.class], snap)
+}
+
+// stateDigest hashes, for every span in class order, the running peak
+// occupancy and then every packet's position and hop count in id order, as
+// routing the classes one after another has them at that span: the earlier
+// classes delivered, the span's class as snapshotted, the later classes at
+// their sources with no hops, and the peak the largest seen so far.
+func (s *digestSink) stateDigest(n int, perm *workload.Permutation) string {
+	topo := grid.NewSquareMesh(n)
+	state := make([]pktState, len(perm.Pairs)) // by id; hops < 0: not routed
+	for i, pr := range perm.Pairs {
+		src := topo.CoordOf(pr.Src)
+		state[i] = pktState{int32(i), int32(src.X), int32(src.Y), 0}
+		if pr.Src == pr.Dst {
+			state[i].hops = -1
+		}
+	}
+	h := fnv.New64a()
+	peak := 0 // of the classes before the current one
+	for _, snaps := range s.snaps {
+		for _, snap := range snaps {
+			for _, p := range snap.pkts {
+				state[p.id] = p
+			}
+			hashInts(h, max(peak, snap.peak))
+			for _, p := range state {
+				if p.hops >= 0 {
+					hashInts(h, int(p.id), int(p.x), int(p.y), int(p.hops))
+				}
+			}
+		}
+		peak = max(peak, snaps[len(snaps)-1].peak)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func TestCLTGoldenDigests(t *testing.T) {
@@ -78,12 +129,12 @@ func TestCLTGoldenDigests(t *testing.T) {
 		}
 		for name, perm := range perms {
 			for _, improved := range []bool{false, true} {
-				sink := &digestSink{spans: fnv.New64a(), state: fnv.New64a()}
+				sink := &digestSink{spans: fnv.New64a()}
 				r, err := New(Config{N: n, ImprovedQ: improved, Sink: sink})
 				if err != nil {
 					t.Fatal(err)
 				}
-				sink.r = r
+				r.spanHook = sink.snapshot
 				res, err := r.Route(perm)
 				if err != nil {
 					t.Fatal(err)
@@ -91,7 +142,7 @@ func TestCLTGoldenDigests(t *testing.T) {
 				got[fmt.Sprintf("n%d/%s/improved=%v", n, name, improved)] = cltDigest{
 					Result: *res,
 					Spans:  fmt.Sprintf("%016x", sink.spans.Sum64()),
-					State:  fmt.Sprintf("%016x", sink.state.Sum64()),
+					State:  sink.stateDigest(n, perm),
 				}
 			}
 		}

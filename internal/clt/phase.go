@@ -2,7 +2,6 @@ package clt
 
 import (
 	"fmt"
-	"slices"
 
 	"meshroute/internal/grid"
 )
@@ -11,29 +10,29 @@ import (
 // space, maintaining the per-node occupancy and its peak. Every move is
 // checked to be minimal: it must not pass the packet's destination in
 // either dimension (Theorem 20).
-func (r *Router) move(a *act, ex, ny, phaseStep int32) {
+func (c *classRun) move(a *act, ex, ny, phaseStep int32) {
 	a.x += ex
 	a.y += ny
 	if a.x > a.dx || a.y > a.dy {
 		panic(fmt.Sprintf("clt: non-minimal move of packet %d past its destination", a.id))
 	}
-	p := a.p
-	r.occ[r.nid(p.cur)]--
-	p.cur.X += int(ex)*r.east.X + int(ny)*r.north.X
-	p.cur.Y += int(ex)*r.east.Y + int(ny)*r.north.Y
-	id := r.nid(p.cur)
-	r.occ[id]++
-	r.noteOccupancy(id)
+	p := &c.pkts[a.k]
+	c.occ[c.nid(p.cur)]--
+	p.cur.X += ex*c.east.X + ny*c.north.X
+	p.cur.Y += ex*c.east.Y + ny*c.north.Y
+	id := c.nid(p.cur)
+	c.occ[id]++
+	c.noteOccupancy(id)
 	a.lastMove = phaseStep
 	p.hops++
 }
 
 // orient records what one algorithm-space hop east and north is in real
 // space under xf.
-func (r *Router) orient(xf xform) {
+func (c *classRun) orient(xf xform) {
 	o := xf.from(grid.XY(0, 0))
 	e, n := xf.from(grid.XY(1, 0)), xf.from(grid.XY(0, 1))
-	r.east, r.north = grid.XY(e.X-o.X, e.Y-o.Y), grid.XY(n.X-o.X, n.Y-o.Y)
+	c.east, c.north = at(grid.XY(e.X-o.X, e.Y-o.Y)), at(grid.XY(n.X-o.X, n.Y-o.Y))
 }
 
 // tilingStart returns the smallest tile anchor of tiling tau with tiles of
@@ -56,33 +55,30 @@ func tileIndex(c grid.Coord, m, tau int) (ti, tj int) {
 }
 
 // gather collects the class's active packets for a phase on tiling tau
-// (tile side m, strip height d) into r.acts, ordered by tile (row-major),
+// (tile side m, strip height d) into c.acts, ordered by tile (row-major),
 // column and id, so that every tile and every column of a tile is one
 // contiguous run. A packet participates if its location and destination
 // share the tile; it is active if its destination strip i is at least 3
 // above its current strip.
-func (r *Router) gather(class Class, xf xform, m, d, tau int) []act {
-	r.orient(xf)
+func (c *classRun) gather(xf xform, m, d, tau int) []act {
+	c.orient(xf)
 	start := tilingStart(m, tau)
-	side := r.n/m + 1 // tiles per row and column, edge tiles included
+	side := c.n/m + 1 // tiles per row and column, edge tiles included
 	// Packets are visited in id order, so a stable counting sort on
 	// (tile, column) is all the ordering takes.
-	found := r.found[:0]
-	count := slices.Grow(r.count[:0], side*side*m+1)[:side*side*m+1]
+	found := c.found[:0]
+	count := c.count[:side*side*m+1]
 	clear(count)
-	for k := range r.pkts {
-		p := &r.pkts[k]
-		if p.class != class || p.done {
-			continue
-		}
-		ac, ad := xf.to(p.cur), xf.to(p.dst)
+	for k := range c.pkts {
+		p := &c.pkts[k]
+		ac, ad := xf.to(p.cur.coord()), xf.to(p.dst.coord())
 		ti, tj := tileIndex(ac, m, tau)
 		if di, dj := tileIndex(ad, m, tau); di != ti || dj != tj {
 			continue
 		}
 		ax, ay := start+ti*m, start+tj*m
 		a := act{
-			p: p, id: int32(p.id), tile: int32(tj*side + ti), lastMove: -1,
+			k: int32(k), id: p.id, tile: int32(tj*side + ti), lastMove: -1,
 			x: int32(ac.X - ax), y: int32(ac.Y - ay),
 			dx: int32(ad.X - ax), dy: int32(ad.Y - ay),
 		}
@@ -96,43 +92,42 @@ func (r *Router) gather(class Class, xf xform, m, d, tau int) []act {
 	for b := 1; b < len(count); b++ {
 		count[b] += count[b-1]
 	}
-	acts := append(r.acts[:0], found...)
+	acts := append(c.acts[:0], found...)
 	for k := range found {
 		at := &count[int(found[k].tile)*m+int(found[k].x)]
 		acts[*at] = found[k]
 		*at++
 	}
-	r.found, r.acts, r.count = found[:0], acts, count
 	return acts
 }
 
 // phase runs one Vertical (or, transposed, Horizontal) Phase of iteration
 // iter with tile side m, strip height d = m/27, March capacity q, on
 // tiling tau, emitting one span per sub-phase on the configured sink.
-func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error {
-	acts := r.gather(class, newXform(r.n, class, !vertical), m, d, tau)
+func (c *classRun) phase(vertical bool, m, d, q, tau, iter int) error {
+	acts := c.gather(newXform(c.n, c.class, !vertical), m, d, tau)
 	marchMax, ssMax, balMax := 0, 0, 0
 	for lo, hi := 0, 0; lo < len(acts); lo = hi {
 		for hi = lo + 1; hi < len(acts) && acts[hi].tile == acts[lo].tile; hi++ {
 		}
 		tile := acts[lo:hi]
-		steps, err := r.march(tile, d, q, m)
+		steps, err := c.march(tile, d, q, m)
 		if err != nil {
 			return err
 		}
 		marchMax = max(marchMax, steps)
-		if steps, err = r.sortSmooth(tile, d, q); err != nil {
+		if steps, err = c.sortSmooth(tile, d, q); err != nil {
 			return err
 		}
 		ssMax = max(ssMax, steps)
-		if r.cfg.Verify {
+		if c.r.cfg.Verify {
 			// The tile's real columns: edge tiles overhang the mesh.
-			west := tilingStart(m, tau) + int(tile[0].tile)%(r.n/m+1)*m
-			if err := checkLemma16(tile, min(m, r.n-west)); err != nil {
+			west := tilingStart(m, tau) + int(tile[0].tile)%(c.n/m+1)*m
+			if err := checkLemma16(tile, min(m, c.n-west)); err != nil {
 				return err
 			}
 		}
-		if steps, err = r.balance(tile, m); err != nil {
+		if steps, err = c.balance(tile, m); err != nil {
 			return err
 		}
 		balMax = max(balMax, steps)
@@ -155,17 +150,17 @@ func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error
 	if vertical {
 		axis = "v"
 	}
-	r.emitSpan("march", class, axis, iter, tau, marchMax, marchF)
-	r.emitSpan("sortsmooth", class, axis, iter, tau, ssMax, ssF)
-	r.emitSpan("balance", class, axis, iter, tau, balMax, balF)
-	r.res.March.Formula += marchF
-	r.res.March.Measured += marchMax
-	r.res.SortSmooth.Formula += ssF
-	r.res.SortSmooth.Measured += ssMax
-	r.res.Balance.Formula += balF
-	r.res.Balance.Measured += balMax
-	r.res.TimeFormula += marchF + ssF + balF
-	r.res.TimeMeasured += marchMax + ssMax + balMax
+	c.emitSpan("march", axis, iter, tau, marchMax, marchF)
+	c.emitSpan("sortsmooth", axis, iter, tau, ssMax, ssF)
+	c.emitSpan("balance", axis, iter, tau, balMax, balF)
+	c.res.March.Formula += marchF
+	c.res.March.Measured += marchMax
+	c.res.SortSmooth.Formula += ssF
+	c.res.SortSmooth.Measured += ssMax
+	c.res.Balance.Formula += balF
+	c.res.Balance.Measured += balMax
+	c.res.TimeFormula += marchF + ssF + balF
+	c.res.TimeMeasured += marchMax + ssMax + balMax
 	return nil
 }
 
@@ -174,12 +169,12 @@ func (r *Router) phase(class Class, vertical bool, m, d, q, tau, iter int) error
 // with each strip i-3 node refusing its q-th-plus active packet for strip
 // i. A node holding several northbound packets prefers the one received
 // from the south on the previous step (the Lemma 29 priority).
-func (r *Router) march(tile []act, d, q, m int) (int, error) {
+func (c *classRun) march(tile []act, d, q, m int) (int, error) {
 	maxSteps := 0
 	for lo, hi := 0, 0; lo < len(tile); lo = hi {
 		for hi = lo + 1; hi < len(tile) && tile[hi].x == tile[lo].x; hi++ {
 		}
-		steps, err := r.marchColumn(tile[lo:hi], d, q, m)
+		steps, err := c.marchColumn(tile[lo:hi], d, q, m)
 		if err != nil {
 			return 0, err
 		}
@@ -197,9 +192,9 @@ func (r *Router) march(tile []act, d, q, m int) (int, error) {
 // marchColumn simulates one column's March until quiescent. A step's
 // moves are decided against the counts as the step found them and applied
 // northernmost row first — the order the peak occupancy depends on.
-func (r *Router) marchColumn(col []act, d, q, m int) (int, error) {
-	cnt, win := r.cnt, r.goNorth // cnt[row*29+i]: actives for strip i in the row
-	live := r.live[:0]           // packets still below their strip's ceiling
+func (c *classRun) marchColumn(col []act, d, q, m int) (int, error) {
+	cnt, win := c.cnt, c.goNorth // cnt[row*29+i]: actives for strip i in the row
+	live := c.live[:0]           // packets still below their strip's ceiling
 	for k := range col {
 		cnt[int(col[k].y)*29+int(col[k].strip)]++
 		live = append(live, int32(k))
@@ -244,7 +239,7 @@ func (r *Router) marchColumn(col []act, d, q, m int) (int, error) {
 			win[l] = -1
 			cnt[l*29+int(a.strip)]--
 			cnt[(l+1)*29+int(a.strip)]++
-			r.move(a, 0, 1, int32(step))
+			c.move(a, 0, 1, int32(step))
 		}
 		if step > q*d+m {
 			return 0, fmt.Errorf("clt: March column did not stabilize in %d steps", step)
@@ -253,6 +248,6 @@ func (r *Router) marchColumn(col []act, d, q, m int) (int, error) {
 	for k := range col {
 		cnt[int(col[k].y)*29+int(col[k].strip)] = 0
 	}
-	r.live = live[:0]
+	c.live = live[:0]
 	return step - 1, nil
 }

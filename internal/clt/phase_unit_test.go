@@ -6,46 +6,48 @@ import (
 	"meshroute/internal/grid"
 )
 
-// newBareRouter builds a Router with manual packet placement for phase
-// unit tests (bypassing Route's permutation plumbing).
-func newBareRouter(t *testing.T, n int) *Router {
+// newBareRun builds an empty NE class run with room for 16 packets, for
+// phase unit tests that place packets by hand (bypassing Route's
+// permutation plumbing).
+func newBareRun(t *testing.T, n int) *classRun {
 	t.Helper()
 	r, err := New(Config{N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.reset(n * n)
-	return r
+	return r.run(NE, 16)
 }
 
-// addPkt places a NE-class packet directly. The slab has room for n²
-// packets, so the returned pointer stays valid.
-func (r *Router) addPkt(t *testing.T, id int, cur, dst grid.Coord) *pkt {
+// addPkt places a packet directly. The slab never outgrows its room, so
+// the returned pointer stays valid.
+func (c *classRun) addPkt(t *testing.T, id int, cur, dst grid.Coord) *pkt {
 	t.Helper()
-	r.pkts = append(r.pkts, pkt{id: id, cur: cur, dst: dst, class: NE})
-	r.occ[r.nid(cur)]++
-	return &r.pkts[len(r.pkts)-1]
+	if len(c.pkts) == cap(c.pkts) {
+		t.Fatalf("the bare run has room for %d packets", cap(c.pkts))
+	}
+	c.place(id, cur, dst)
+	return &c.pkts[len(c.pkts)-1]
 }
 
 // oneTile gathers the placed packets as the actives of the single tile of
 // side n (strip height n/27) anchored at the origin.
-func (r *Router) oneTile() []act {
-	return r.gather(NE, newXform(r.n, NE, false), r.n, r.n/27, 0)
+func (c *classRun) oneTile() []act {
+	return c.gather(newXform(c.n, c.class, false), c.n, c.n/27, 0)
 }
 
 // March must pack active packets into strip i-3 from the north end of the
 // strip, one column at a time.
 func TestMarchPacksNorthward(t *testing.T) {
 	n := 27 // d = 1: strips are single rows
-	r := newBareRouter(t, n)
+	c := newBareRun(t, n)
 	// Destination strip 10 (rows 9..9 with d=1); strip i-3 = 7 → row 6.
 	// Three actives in column 2, starting in rows 0..2.
 	var ps []*pkt
 	for i := 0; i < 3; i++ {
-		p := r.addPkt(t, i, grid.XY(2, i), grid.XY(5, 9))
+		p := c.addPkt(t, i, grid.XY(2, i), grid.XY(5, 9))
 		ps = append(ps, p)
 	}
-	steps, err := r.march(r.oneTile(), 1, QBase, n)
+	steps, err := c.march(c.oneTile(), 1, QBase, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,24 +65,24 @@ func TestMarchPacksNorthward(t *testing.T) {
 // March respects the q capacity per (node, destination strip).
 func TestMarchRespectsCapacity(t *testing.T) {
 	n := 27
-	r := newBareRouter(t, n)
+	c := newBareRun(t, n)
 	// d=1, so strip i-3 is a single node per column; q limits how many
 	// actives-for-i may pile there. With 3 packets and q=408 they all
 	// fit; the march postcondition (everyone in strip i-3) must hold.
 	for i := 0; i < 3; i++ {
-		r.addPkt(t, i, grid.XY(4, i), grid.XY(4, 12))
+		c.addPkt(t, i, grid.XY(4, i), grid.XY(4, 12))
 	}
-	if _, err := r.march(r.oneTile(), 1, QBase, n); err != nil {
+	if _, err := c.march(c.oneTile(), 1, QBase, n); err != nil {
 		t.Fatal(err)
 	}
 	cnt := 0
-	for _, p := range r.pkts {
+	for _, p := range c.pkts {
 		if p.cur.Y == 9-1+0 { // strip 9-3=9? destStrip = 12+1? compute below
 			cnt++
 		}
 	}
 	// destStrip of row 12 with d=1 is 13; strip 10 = row 9.
-	for _, p := range r.pkts {
+	for _, p := range c.pkts {
 		if p.cur.Y != 9 {
 			t.Fatalf("packet %d at %v, want row 9 (strip i-3)", p.id, p.cur)
 		}
@@ -93,7 +95,7 @@ func TestMarchRespectsCapacity(t *testing.T) {
 // the largest-distance packet of each layer.
 func TestSortSmoothLayering(t *testing.T) {
 	n := 81 // d = 3
-	r := newBareRouter(t, n)
+	c := newBareRun(t, n)
 	d := 3
 	// Destination strip 10 occupies rows 27..29; strip i-3 = 7 (rows
 	// 18..20), strip i-2 = 8 (rows 21..23).
@@ -102,14 +104,14 @@ func TestSortSmoothLayering(t *testing.T) {
 	var ps []*pkt
 	for i := 0; i < 6; i++ {
 		row := 18 + i%3
-		p := r.addPkt(t, i, grid.XY(1, row), grid.XY(1+i+1, 27))
+		p := c.addPkt(t, i, grid.XY(1, row), grid.XY(1+i+1, 27))
 		ps = append(ps, p)
 	}
-	if _, err := r.sortSmooth(r.oneTile(), d, QBase); err != nil {
+	if _, err := c.sortSmooth(c.oneTile(), d, QBase); err != nil {
 		t.Fatal(err)
 	}
 	// All must end in strip i-2 (rows 21..23), balanced 2 per node.
-	perRow := map[int][]*pkt{}
+	perRow := map[int32][]*pkt{}
 	for _, p := range ps {
 		if p.cur.Y < 21 || p.cur.Y > 23 {
 			t.Fatalf("packet %d ended at %v, want strip i-2", p.id, p.cur)
@@ -145,21 +147,21 @@ func TestSortSmoothLayering(t *testing.T) {
 // Balancing spreads >2-packet piles east without overshooting.
 func TestBalanceSpreadsEast(t *testing.T) {
 	n := 27
-	r := newBareRouter(t, n)
+	c := newBareRun(t, n)
 	// Five actives piled on one node, destinations spread east.
 	var ps []*pkt
 	for i := 0; i < 5; i++ {
-		p := r.addPkt(t, i, grid.XY(3, 10), grid.XY(5+i*2, 15))
+		p := c.addPkt(t, i, grid.XY(3, 10), grid.XY(5+i*2, 15))
 		ps = append(ps, p)
 	}
-	steps, err := r.balance(r.oneTile(), n)
+	steps, err := c.balance(c.oneTile(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if steps == 0 {
 		t.Fatal("balancing must move packets")
 	}
-	counts := map[int]int{}
+	counts := map[int32]int{}
 	for _, p := range ps {
 		if p.cur.X > p.dst.X {
 			t.Fatalf("packet %d overshot to %v", p.id, p.cur)
@@ -177,12 +179,12 @@ func TestBalanceSpreadsEast(t *testing.T) {
 // when the pile is tall, because ties go to the farthest-east-to-go.
 func TestBalanceKeepsArrivedPackets(t *testing.T) {
 	n := 27
-	r := newBareRouter(t, n)
-	home := r.addPkt(t, 0, grid.XY(3, 10), grid.XY(3, 15)) // at its column
+	c := newBareRun(t, n)
+	home := c.addPkt(t, 0, grid.XY(3, 10), grid.XY(3, 15)) // at its column
 	for i := 1; i < 4; i++ {
-		r.addPkt(t, i, grid.XY(3, 10), grid.XY(3+i*3, 15))
+		c.addPkt(t, i, grid.XY(3, 10), grid.XY(3+i*3, 15))
 	}
-	if _, err := r.balance(r.oneTile(), n); err != nil {
+	if _, err := c.balance(c.oneTile(), n); err != nil {
 		t.Fatal(err)
 	}
 	if home.cur.X != 3 {

@@ -29,19 +29,20 @@ func DemoSortSmooth(d int, distances [][]int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r.reset(n * n)
-	id := 0
+	packets := 0
+	for _, at := range distances {
+		packets += len(at)
+	}
+	c := r.run(NE, packets)
 	for t := 1; t <= d; t++ { // node t of strip i-3 (south to north)
 		for _, dist := range distances[t-1] {
-			r.pkts = append(r.pkts, pkt{id: id, cur: grid.XY(0, t-1), dst: grid.XY(dist, 3*d), class: NE})
-			r.occ[r.nid(grid.XY(0, t-1))]++
-			id++
+			c.place(len(c.pkts), grid.XY(0, t-1), grid.XY(dist, 3*d))
 		}
 	}
 	// One tile, one column, one destination strip: a single stream.
-	stream := r.gather(NE, newXform(n, NE, false), n, d, 0)
+	stream := c.gather(newXform(n, NE, false), n, d, 0)
 	before := renderColumn(stream, d, 0, "strip i-3 (before)")
-	if _, err := r.ssStream(stream, 4, d, QBase); err != nil {
+	if _, err := c.ssStream(stream, 4, d, QBase); err != nil {
 		return "", err
 	}
 	after := renderColumn(stream, d, d, "strip i-2 (after)")

@@ -15,7 +15,7 @@ import "fmt"
 //
 // It returns the phase duration (max over columns and strips, summed over
 // the two parities).
-func (r *Router) sortSmooth(tile []act, d, q int) (int, error) {
+func (c *classRun) sortSmooth(tile []act, d, q int) (int, error) {
 	total := 0
 	for parity := 0; parity < 2; parity++ {
 		maxDur := 0
@@ -29,7 +29,7 @@ func (r *Router) sortSmooth(tile []act, d, q int) (int, error) {
 				if strips>>i&1 == 0 {
 					continue
 				}
-				dur, err := r.ssStream(tile[lo:hi], i, d, q)
+				dur, err := c.ssStream(tile[lo:hi], i, d, q)
 				if err != nil {
 					return 0, err
 				}
@@ -51,11 +51,11 @@ type send struct {
 
 // ssStream simulates the sorted stream of one (column, destination strip)
 // pair — col's packets for strip i — until all of them rest in strip i-2.
-func (r *Router) ssStream(col []act, i, d, q int) (int, error) {
+func (c *classRun) ssStream(col []act, i, d, q int) (int, error) {
 	// Strip i-3 holdings by node t (1 = southernmost ... d = northernmost);
 	// strip i-2 receivers by node rr (1 = northernmost ... d = southernmost)
 	// with their forward queues, read from head.
-	hold, fq, head, recv := r.hold[:d+1], r.fq[:d+1], r.head[:d+1], r.recv[:d+1]
+	hold, fq, head, recv := c.hold[:d+1], c.fq[:d+1], c.head[:d+1], c.recv[:d+1]
 	for t := range hold {
 		hold[t], fq[t], head[t], recv[t] = hold[t][:0], fq[t][:0], 0, 0
 	}
@@ -79,7 +79,7 @@ func (r *Router) ssStream(col []act, i, d, q int) (int, error) {
 		if step > limit {
 			return 0, fmt.Errorf("clt: sort-and-smooth stream for strip %d exceeded %d steps", i, limit)
 		}
-		sends := r.sends[:0]
+		sends := c.sends[:0]
 		// Strip i-3 node t transmits from step t on: farthest east to go.
 		for t := d; t >= 1; t-- {
 			if step < t || len(hold[t]) == 0 {
@@ -111,7 +111,7 @@ func (r *Router) ssStream(col []act, i, d, q int) (int, error) {
 			forwarding--
 		}
 		for _, s := range sends {
-			r.move(&col[s.k], 0, 1, int32(step))
+			c.move(&col[s.k], 0, 1, int32(step))
 			if s.toHold > 0 {
 				hold[s.toHold] = append(hold[s.toHold], s.k)
 				continue
@@ -126,7 +126,7 @@ func (r *Router) ssStream(col []act, i, d, q int) (int, error) {
 				forwarding++
 			}
 		}
-		r.sends = sends[:0]
+		c.sends = sends[:0]
 	}
 	for rr := 1; rr <= d; rr++ {
 		if int(head[rr]) < len(fq[rr]) {
