@@ -45,14 +45,14 @@ PASS
 }
 
 func TestParseBenchAggregatesBytes(t *testing.T) {
-	p := writeTemp(t, `BenchmarkStepTorus/n64/w2-8   	    2000	    512345 ns/op	      4096 packets	       0 B/op	       0 allocs/op
-BenchmarkStepTorus/n64/w2-8   	    2000	    500000 ns/op	      4096 packets	      16 B/op	       0 allocs/op
+	p := writeTemp(t, `BenchmarkStepTorus/n64-8   	    2000	    512345 ns/op	      4096 packets	       0 B/op	       0 allocs/op
+BenchmarkStepTorus/n64-8   	    2000	    500000 ns/op	      4096 packets	      16 B/op	       0 allocs/op
 `)
 	rs, err := parseBench(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rs["BenchmarkStepTorus/n64/w2"]
+	r := rs["BenchmarkStepTorus/n64"]
 	if r == nil {
 		t.Fatal("sub-benchmark name with slashes not parsed")
 	}
@@ -72,8 +72,8 @@ BenchmarkStepTorus/n64/w2-8   	    2000	    500000 ns/op	      4096 packets	    
 
 func TestStepTorusCellsCoverFullMatrix(t *testing.T) {
 	cells := strings.Split(stepTorusCells, ",")
-	if len(cells) != 12 {
-		t.Fatalf("stepTorusCells has %d entries, want the full 3×4 (n, w) matrix", len(cells))
+	if len(cells) != 3 {
+		t.Fatalf("stepTorusCells has %d entries, want one per size", len(cells))
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
@@ -83,34 +83,9 @@ func TestStepTorusCellsCoverFullMatrix(t *testing.T) {
 		seen[c] = true
 	}
 	for _, n := range []string{"n64", "n256", "n1024"} {
-		for _, w := range []string{"w1", "w2", "w4", "w8"} {
-			name := "BenchmarkStepTorus/" + n + "/" + w
-			if !seen[name] {
-				t.Fatalf("stepTorusCells missing %s", name)
-			}
+		if name := "BenchmarkStepTorus/" + n; !seen[name] {
+			t.Fatalf("stepTorusCells missing %s", name)
 		}
-	}
-}
-
-func TestCheckScaling(t *testing.T) {
-	mk := func(baseNs, wNs float64) map[string]*result {
-		return map[string]*result{
-			"BenchmarkStepTorus/n1024/w1": {bestNs: baseNs},
-			"BenchmarkStepTorus/n1024/w4": {bestNs: wNs},
-		}
-	}
-	const base, w = "BenchmarkStepTorus/n1024/w1", "BenchmarkStepTorus/n1024/w4"
-	if err := checkScaling(mk(1000, 740), base, w, 0.75); err != nil {
-		t.Fatalf("w4 at 0.74× w1 should pass the 0.75 gate: %v", err)
-	}
-	if err := checkScaling(mk(1000, 760), base, w, 0.75); err == nil {
-		t.Fatal("w4 at 0.76× w1 should fail the 0.75 gate")
-	}
-	if err := checkScaling(mk(1000, 740), base, "BenchmarkMissing", 0.75); err == nil {
-		t.Fatal("missing scale-w benchmark should fail, not pass silently")
-	}
-	if err := checkScaling(map[string]*result{w: {bestNs: 500}}, base, w, 0.75); err == nil {
-		t.Fatal("missing scale-base benchmark should fail, not pass silently")
 	}
 }
 

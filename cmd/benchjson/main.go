@@ -1,14 +1,13 @@
 // Command benchjson runs one representative cell per experiment of the
 // reproduction (E1–E14, the same shapes as the root bench_test.go
-// benchmarks, at quick sizes) plus the engine scaling matrix (S cells:
-// n×workers on the torus, n ∈ {64, 256, 1024}, workers ∈ {1, 2, 4, 8})
-// and the online streaming-injection cells (O cells: bounded-buffer
-// admission under drop and retry policies, reporting throughput and
-// refusal rate) and writes the measurements as machine-readable JSON —
-// the repo's perf trajectory file. Each cell reports wall time, engine steps, ns/step,
-// makespan, peak queue occupancy, and allocation counts; S cells with
-// workers > 1 additionally report speedup_vs_w1 against the same-size w1
-// cell. The schema is documented in docs/OBSERVABILITY.md.
+// benchmarks, at quick sizes) plus the engine scaling series (S cells: the
+// torus at n ∈ {64, 256, 1024}) and the online streaming-injection cells
+// (O cells: bounded-buffer admission under drop and retry policies,
+// reporting throughput and refusal rate) and writes the measurements as
+// machine-readable JSON — the repo's perf trajectory file. Each cell
+// reports wall time, engine steps, ns/step, makespan, peak queue
+// occupancy, and allocation counts. The schema is documented in
+// docs/OBSERVABILITY.md.
 //
 // Usage:
 //
@@ -52,7 +51,7 @@ const Schema = "meshroute-bench/v1"
 // BENCH json schema).
 type CellResult struct {
 	// ID is the experiment the cell represents: E1..E14 for the paper's
-	// experiments, or S<n>w<workers> for the engine scaling matrix.
+	// experiments, or S<n>w1 for the engine scaling series.
 	ID string `json:"id"`
 	// Name describes the concrete instance (router, n, k, workload).
 	Name string `json:"name"`
@@ -74,11 +73,6 @@ type CellResult struct {
 	// AllocBytes is the number of bytes allocated during the cell
 	// (exact only with -workers 1).
 	AllocBytes uint64 `json:"alloc_bytes"`
-	// SpeedupVsW1 is, for scaling-matrix cells with workers > 1, the
-	// same-size w1 cell's NSPerStep divided by this cell's — the parallel
-	// pipeline's measured speedup. Omitted elsewhere. Meaningful only when
-	// GOMAXPROCS covers the worker count.
-	SpeedupVsW1 float64 `json:"speedup_vs_w1,omitempty"`
 	// Throughput is, for online (O) cells, delivered packets per step over
 	// the run. Omitted elsewhere.
 	Throughput float64 `json:"throughput,omitempty"`
@@ -108,7 +102,7 @@ type Output struct {
 	// exact only at 1).
 	Workers int `json:"workers"`
 	// Cells holds one entry per cell: E1..E14 in order, then the online
-	// admission cells (O*), then the S<n>w<workers> scaling matrix.
+	// admission cells (O*), then the S<n>w1 scaling series.
 	Cells []CellResult `json:"cells"`
 }
 
@@ -381,62 +375,29 @@ func cells() []cell {
 	}
 }
 
-// scaleCells is the n×workers engine scaling matrix: a fully loaded
-// transpose permutation on the torus (one packet per node, 4K / 65K / 1M
-// packets) stepped for n/2 steps — below the makespan, so every step runs
-// saturated and ns/step measures the steady-state per-packet cost at each
-// size and worker count. docs/SCALING.md reads its numbers from these
-// cells.
+// scaleCells is the engine scaling series: a fully loaded transpose
+// permutation on the torus (one packet per node, 4K / 65K / 1M packets)
+// stepped for n/2 steps — below the makespan, so every step runs saturated
+// and ns/step measures the steady-state per-packet cost at each size.
+// docs/SCALING.md reads its numbers from these cells. IDs and names keep
+// the w1 of the former worker matrix, so trajectory files stay comparable.
 func scaleCells() []cell {
 	var cs []cell
 	for _, n := range []int{64, 256, 1024} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			n, workers := n, workers
-			cs = append(cs, cell{
-				id:   fmt.Sprintf("S%dw%d", n, workers),
-				name: fmt.Sprintf("scale-zigzag-torus-n%d-w%d-k4", n, workers),
-				run: func() (stats, error) {
-					return specCell(&scenario.Spec{
-						Topology: scenario.TopoTorus,
-						N:        n, K: 4, Router: "zigzag",
-						Workers:  workers,
-						Workload: scenario.Workload{Kind: scenario.KindTranspose},
-						MaxSteps: n / 2,
-					}, false)
-				},
-			})
-		}
+		cs = append(cs, cell{
+			id:   fmt.Sprintf("S%dw1", n),
+			name: fmt.Sprintf("scale-zigzag-torus-n%d-w1-k4", n),
+			run: func() (stats, error) {
+				return specCell(&scenario.Spec{
+					Topology: scenario.TopoTorus,
+					N:        n, K: 4, Router: "zigzag",
+					Workload: scenario.Workload{Kind: scenario.KindTranspose},
+					MaxSteps: n / 2,
+				}, false)
+			},
+		})
 	}
 	return cs
-}
-
-// fillSpeedups sets SpeedupVsW1 on every scaling-matrix cell with
-// workers > 1: the same-size w1 cell's ns/step divided by the cell's own.
-// Runs as a post-pass because cells may execute in any order under
-// -workers > 1.
-func fillSpeedups(results []CellResult) {
-	w1 := map[string]float64{} // "S<n>" → w1 ns/step
-	for _, r := range results {
-		if n, w, ok := parseScaleID(r.ID); ok && w == 1 {
-			w1[n] = r.NSPerStep
-		}
-	}
-	for i := range results {
-		r := &results[i]
-		if n, w, ok := parseScaleID(r.ID); ok && w > 1 && w1[n] > 0 && r.NSPerStep > 0 {
-			r.SpeedupVsW1 = w1[n] / r.NSPerStep
-		}
-	}
-}
-
-// parseScaleID splits a scaling-matrix cell ID "S<n>w<workers>" into its
-// size key ("S<n>") and worker count; ok is false for E-cells.
-func parseScaleID(id string) (sizeKey string, workers int, ok bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "S%dw%d", &n, &workers); err != nil || id[0] != 'S' {
-		return "", 0, false
-	}
-	return fmt.Sprintf("S%d", n), workers, true
 }
 
 func main() {
@@ -477,7 +438,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fillSpeedups(results)
 
 	doc := Output{Schema: Schema, Label: *label, Go: runtime.Version(), Workers: *workers, Cells: results}
 	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {

@@ -72,14 +72,11 @@ func loadScenarios(t *testing.T) []*scenario.Spec {
 	return specs
 }
 
-// runScenario builds and executes one spec with the given engine worker
-// count (0 = serial) and returns the finished network for digesting.
-// Scenarios must be deterministic and must not abort.
-func runScenario(t *testing.T, spec *scenario.Spec, workers int) *sim.Network {
+// runScenario builds and executes one spec and returns the finished network
+// for digesting. Scenarios must be deterministic and must not abort.
+func runScenario(t *testing.T, spec *scenario.Spec) *sim.Network {
 	t.Helper()
-	s := *spec // the Workers override must not leak across subtests
-	s.Workers = workers
-	run, err := s.Build()
+	run, err := spec.Build()
 	if err != nil {
 		t.Fatalf("%s: %v", spec.Name, err)
 	}
@@ -138,7 +135,7 @@ func TestEngineGoldenDigests(t *testing.T) {
 			if undigestedScenarios[spec.Name] {
 				continue
 			}
-			out[spec.Name] = digestNet(runScenario(t, spec, 0))
+			out[spec.Name] = digestNet(runScenario(t, spec))
 		}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
@@ -169,26 +166,26 @@ func TestEngineGoldenDigests(t *testing.T) {
 			want, ok := pinned[spec.Name]
 			if !ok {
 				if undigestedScenarios[spec.Name] {
-					runScenario(t, spec, 0) // must still execute cleanly
+					runScenario(t, spec) // must still execute cleanly
 					return
 				}
 				t.Fatalf("no pinned digest for %s (regenerate with -update-engine-digests)", spec.Name)
 			}
-			if got := digestNet(runScenario(t, spec, 0)); got != want {
+			if got := digestNet(runScenario(t, spec)); got != want {
 				t.Fatalf("digest %s != pinned %s: engine behavior changed", got, want)
 			}
 		})
 	}
 }
 
-// TestEngineGoldenDigestsParallel asserts that Workers > 1 reproduces the
-// same pinned digests bit for bit: parallel scheduling must be invisible in
-// every per-packet outcome. Scenarios whose algorithm does not implement
-// sim.ParallelCloner silently run serial, which trivially matches — that is
-// the documented Config.Workers contract, so they stay in the sweep.
+// TestEngineGoldenDigestsParallel runs every golden scenario as a spec file
+// that still asks for 2, 4 or 8 engine workers. The engine runs every step
+// serially and the workers field is deprecated, so such a file must load,
+// fingerprint like the committed spec (they share a service cache entry),
+// and reproduce the pinned digest bit for bit.
 func TestEngineGoldenDigestsParallel(t *testing.T) {
 	if *updateDigests {
-		t.Skip("digest update runs serial")
+		t.Skip("digest update runs the committed specs")
 	}
 	pinned := loadDigests(t)
 	specs := loadScenarios(t)
@@ -197,14 +194,33 @@ func TestEngineGoldenDigestsParallel(t *testing.T) {
 			if undigestedScenarios[spec.Name] {
 				continue
 			}
-			spec, workers := spec, workers
 			t.Run(fmt.Sprintf("%s-w%d", spec.Name, workers), func(t *testing.T) {
 				want, ok := pinned[spec.Name]
 				if !ok {
 					t.Fatalf("no pinned digest for %s", spec.Name)
 				}
-				if got := digestNet(runScenario(t, spec, workers)); got != want {
-					t.Fatalf("workers=%d digest %s != serial pinned %s", workers, got, want)
+				s := *spec
+				s.Workers = workers
+				data, err := s.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := scenario.Parse(data)
+				if err != nil {
+					t.Fatalf("spec with workers %d does not load: %v", workers, err)
+				}
+				if loaded.Workers != workers {
+					t.Fatalf("loaded workers %d, want %d", loaded.Workers, workers)
+				}
+				fp, err := loaded.Fingerprint()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base, err := spec.Fingerprint(); err != nil || fp != base {
+					t.Fatalf("fingerprint %s with workers %d, %s (%v) without", fp, workers, base, err)
+				}
+				if got := digestNet(runScenario(t, loaded)); got != want {
+					t.Fatalf("workers=%d digest %s != pinned %s", workers, got, want)
 				}
 			})
 		}

@@ -222,11 +222,4 @@ func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acce
 // Update implements sim.Algorithm.
 func (a *Adapter) Update(net *sim.Network, n *sim.Node) { a.P.Update(a.fill(net, n)) }
 
-// CloneForWorker implements sim.ParallelCloner: each worker gets a fresh
-// adapter (private ctx and offer buffer) around the same policy value, which
-// is safe exactly when the policy is node-local — the dex model requires it
-// of Schedule and Update (per scheduling node) and of Accept (per target
-// node; clones drive Accept on disjoint target shards).
-func (a *Adapter) CloneForWorker() sim.Algorithm { return NewAdapter(a.P) }
-
-var _ sim.ParallelCloner = (*Adapter)(nil) // and so a sim.Algorithm
+var _ sim.Algorithm = (*Adapter)(nil)

@@ -99,8 +99,3 @@ func absInt(x int) int {
 	}
 	return x
 }
-
-// CloneForWorker implements sim.ParallelCloner (the router is stateless).
-func (r DimOrderFF) CloneForWorker() sim.Algorithm { return r }
-
-var _ sim.ParallelCloner = DimOrderFF{}

@@ -98,11 +98,6 @@ func (HotPotato) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc [
 	}
 }
 
-// CloneForWorker implements sim.ParallelCloner (the router is stateless).
-func (r HotPotato) CloneForWorker() sim.Algorithm { return r }
-
-var _ sim.ParallelCloner = HotPotato{}
-
 // HotPotatoConfig returns a network configuration suitable for the
 // deflection router: central queue with room for one packet per inlink and
 // no minimality requirement.

@@ -309,14 +309,11 @@ func TestDimOrderWantTable(t *testing.T) {
 	}
 }
 
-// TestRoutersAreDeterministic runs every router twice on one instance and
-// requires identical per-packet outcomes — the second time through the
-// worker pool, where the clones share one policy value and read the shared
-// store columns (Prof among them) from pool goroutines: under -race this is
-// the data-race probe for the dex boundary and the routers.
+// TestRoutersAreDeterministic runs every router twice on one instance, each
+// time on a fresh network with a fresh algorithm value, and requires
+// identical per-packet outcomes.
 func TestRoutersAreDeterministic(t *testing.T) {
-	run := func(mk func() sim.Algorithm, cfg sim.Config, workers int) []sim.Packet {
-		cfg.Workers = workers
+	run := func(mk func() sim.Algorithm, cfg sim.Config) []sim.Packet {
 		net := sim.MustNew(cfg)
 		perm := workload.Random(cfg.Topo, 99)
 		if err := perm.Place(net); err != nil {
@@ -339,12 +336,11 @@ func TestRoutersAreDeterministic(t *testing.T) {
 		{"ff", func() sim.Algorithm { return DimOrderFF{} }, centralConfig(8, 4)},
 		{"randzz", func() sim.Algorithm { return RandZigZag{Seed: 7} }, centralConfig(8, 4)},
 		{"hotpotato", func() sim.Algorithm { return HotPotato{} }, HotPotatoConfig(grid.NewSquareMesh(8))},
+		{"scheduled", func() sim.Algorithm { return NewScheduled(0) }, centralConfig(8, 2)},
 	}
 	for _, a := range algs {
-		serial := run(a.mk, a.cfg, 0)
-		pooled := run(a.mk, a.cfg, 4)
-		if !slices.Equal(serial, pooled) {
-			t.Errorf("%s: per-packet outcomes differ between a serial run and a 4-worker run", a.name)
+		if !slices.Equal(run(a.mk, a.cfg), run(a.mk, a.cfg)) {
+			t.Errorf("%s: per-packet outcomes differ between two runs of one instance", a.name)
 		}
 	}
 }

@@ -41,7 +41,7 @@ type Scheduled struct {
 }
 
 // scheduledState is the precomputed schedule, built once at InitNode
-// time and immutable afterwards, so worker clones can share it.
+// time and immutable afterwards.
 type scheduledState struct {
 	built   bool
 	ps      *analysis.PathSystem
@@ -57,8 +57,8 @@ func NewScheduled(seed uint64) *Scheduled {
 func (r *Scheduled) Name() string { return "scheduled" }
 
 // InitNode implements sim.Algorithm: the first call (the engine runs
-// InitNode serially, before step 1, on the original algorithm) builds
-// the path system over every packet in the store and draws the delays.
+// InitNode before step 1) builds the path system over every packet in
+// the store and draws the delays.
 func (r *Scheduled) InitNode(net *sim.Network, n *sim.Node) {
 	st := r.state
 	if st.built {
@@ -187,9 +187,3 @@ func (r *Scheduled) Result() analysis.Result {
 	}
 	return r.state.ps.Result()
 }
-
-// CloneForWorker implements sim.ParallelCloner: the schedule is built
-// serially at InitNode time and read-only afterwards, so clones share it.
-func (r *Scheduled) CloneForWorker() sim.Algorithm { return r }
-
-var _ sim.ParallelCloner = (*Scheduled)(nil)

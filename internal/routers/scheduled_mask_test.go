@@ -1,7 +1,6 @@
 package routers_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"meshroute/internal/adversary"
@@ -22,7 +21,7 @@ import (
 type maskCheck struct {
 	dex.Policy
 	t       *testing.T
-	accepts *atomic.Int64 // Accept runs on the engine's workers
+	accepts *int
 }
 
 func (m maskCheck) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
@@ -35,14 +34,14 @@ func (m maskCheck) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool)
 	if got := c.Scheduled(); got != want {
 		m.t.Errorf("%s, node %d, step %d: Scheduled() = %v, Schedule says %v", m.Name(), c.ID, c.Step, got, want)
 	}
-	m.accepts.Add(1)
+	*m.accepts++
 	m.Policy.Accept(c, offers, accept)
 }
 
 // TestScheduledMaskIsPolicyDecision drives the three policies that use the
 // swap rule through plain runs, a generated fault schedule (stalled nodes,
 // dropped moves, the fault-aware zigzag's changing outlink mask) and the
-// Section 3 adversary's exchange hook, serial and with two workers.
+// Section 3 adversary's exchange hook.
 func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 	topo := grid.NewSquareMesh(12)
 	sched, err := fault.Generate(topo, fault.Config{
@@ -56,22 +55,20 @@ func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 	}
 	for _, p := range policies {
 		for _, faults := range []*fault.Schedule{nil, sched} {
-			for _, workers := range []int{0, 2} {
-				_, stray := p.(routers.StrayDimOrder)
-				net := sim.MustNew(sim.Config{
-					Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: !stray,
-					CheckInvariants: true, Faults: faults, Workers: workers,
-				})
-				if err := workload.Random(topo, 5).Place(net); err != nil {
-					t.Fatal(err)
-				}
-				var accepts atomic.Int64
-				if _, err := net.RunPartial(dex.NewAdapter(maskCheck{p, t, &accepts}), 600); err != nil {
-					t.Fatalf("%s faults=%v workers=%d: %v", p.Name(), faults != nil, workers, err)
-				}
-				if accepts.Load() == 0 {
-					t.Fatalf("%s: Accept never ran", p.Name())
-				}
+			_, stray := p.(routers.StrayDimOrder)
+			net := sim.MustNew(sim.Config{
+				Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: !stray,
+				CheckInvariants: true, Faults: faults,
+			})
+			if err := workload.Random(topo, 5).Place(net); err != nil {
+				t.Fatal(err)
+			}
+			var accepts int
+			if _, err := net.RunPartial(dex.NewAdapter(maskCheck{p, t, &accepts}), 600); err != nil {
+				t.Fatalf("%s faults=%v: %v", p.Name(), faults != nil, err)
+			}
+			if accepts == 0 {
+				t.Fatalf("%s: Accept never ran", p.Name())
 			}
 		}
 	}
@@ -82,13 +79,13 @@ func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var accepts atomic.Int64
+		var accepts int
 		res, err := c.Run(dex.NewAdapter(maskCheck{p, t, &accepts}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Exchanges == 0 || accepts.Load() == 0 {
-			t.Fatalf("%s: %d exchanges, %d Accept calls: the hook was not exercised", p.Name(), res.Exchanges, accepts.Load())
+		if res.Exchanges == 0 || accepts == 0 {
+			t.Fatalf("%s: %d exchanges, %d Accept calls: the hook was not exercised", p.Name(), res.Exchanges, accepts)
 		}
 	}
 }

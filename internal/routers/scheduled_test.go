@@ -129,21 +129,22 @@ func TestScheduledSeedsDiffer(t *testing.T) {
 	}
 }
 
-// TestScheduledParallelEquivalence pins that worker-sharded runs
-// reproduce the serial outcome packet for packet (the ParallelCloner
-// contract: the schedule is immutable shared state).
+// TestScheduledParallelEquivalence pins that the schedule is immutable
+// shared state: a second network driven by the same Scheduled value,
+// whose schedule the first run already built, reproduces the first run's
+// outcome packet for packet.
 func TestScheduledParallelEquivalence(t *testing.T) {
 	topo := grid.NewSquareMesh(12)
 	perm := workload.Random(topo, 11)
-	outcome := func(workers int) [][3]int {
+	outcome := func(alg *Scheduled) [][3]int {
 		net := sim.MustNew(sim.Config{
 			Topo: topo, K: 2, Queues: sim.CentralQueue,
-			RequireMinimal: true, CheckInvariants: true, Workers: workers,
+			RequireMinimal: true, CheckInvariants: true,
 		})
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(NewScheduled(0), 20000); err != nil {
+		if _, err := net.Run(alg, 20000); err != nil {
 			t.Fatal(err)
 		}
 		var out [][3]int
@@ -152,15 +153,16 @@ func TestScheduledParallelEquivalence(t *testing.T) {
 		}
 		return out
 	}
-	serial := outcome(0)
-	for _, w := range []int{2, 4, 8} {
-		got := outcome(w)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: %d packets != serial %d", w, len(got), len(serial))
+	shared := NewScheduled(0)
+	first := outcome(shared)
+	for run := 1; run <= 2; run++ {
+		got := outcome(shared)
+		if len(got) != len(first) {
+			t.Fatalf("run %d: %d packets != first run %d", run, len(got), len(first))
 		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: packet %d outcome %v != serial %v", w, i, got[i], serial[i])
+			if got[i] != first[i] {
+				t.Fatalf("run %d: packet %d outcome %v != first run %v", run, i, got[i], first[i])
 			}
 		}
 	}

@@ -20,7 +20,8 @@ import (
 // Canonicalization:
 //
 //   - presentation-only fields (name, metrics_out, trace_out) are cleared —
-//     they label or export a run without changing its outcome;
+//     they label or export a run without changing its outcome — and so is
+//     the deprecated workers field, which Build ignores;
 //   - defaults are materialized: an empty topology becomes "mesh", an empty
 //     queue model becomes the router's required model, a nil
 //     check_invariants becomes the router Config's default, and a zero
@@ -29,8 +30,8 @@ import (
 //   - the JSON is re-encoded through a map, so keys are sorted and field
 //     order cannot leak into the hash.
 //
-// Every semantic field participates, including Seed, Workload.Seed and
-// Workers, so any change to what would be executed changes the fingerprint.
+// Every semantic field participates, including Seed and Workload.Seed, so
+// any change to what would be executed changes the fingerprint.
 // The Spec must be valid; the validation error is returned otherwise.
 func (s *Spec) Fingerprint() (string, error) {
 	if err := s.Validate(); err != nil {
@@ -40,6 +41,7 @@ func (s *Spec) Fingerprint() (string, error) {
 	c.Name = ""
 	c.MetricsOut = ""
 	c.TraceOut = ""
+	c.Workers = 0
 	if c.Topology == "" {
 		c.Topology = TopoMesh
 	}

@@ -34,7 +34,8 @@ func TestFingerprintShape(t *testing.T) {
 }
 
 // TestFingerprintSemanticEquality checks that specs differing only in
-// spelled-out defaults or presentation fields hash identically.
+// spelled-out defaults, presentation fields or the ignored workers field
+// hash identically.
 func TestFingerprintSemanticEquality(t *testing.T) {
 	base := fingerprint(t, baseSpec())
 
@@ -59,6 +60,8 @@ func TestFingerprintSemanticEquality(t *testing.T) {
 			s.CheckInvariants = Bool(true)
 			return s
 		}(),
+		// The deprecated engine worker count is ignored by Build.
+		"workers": func() *Spec { s := baseSpec(); s.Workers = 2; return s }(),
 	}
 	for name, s := range equal {
 		if fp := fingerprint(t, s); fp != base {
@@ -81,7 +84,6 @@ func TestFingerprintFieldSensitivity(t *testing.T) {
 		"workload seed":  func() *Spec { s := baseSpec(); s.Workload.Seed = 8; return s }(),
 		"max steps":      func() *Spec { s := baseSpec(); s.MaxSteps = 17; return s }(),
 		"watchdog":       func() *Spec { s := baseSpec(); s.Watchdog = 500; return s }(),
-		"workers":        func() *Spec { s := baseSpec(); s.Workers = 2; return s }(),
 		"invariants off": func() *Spec { s := baseSpec(); s.CheckInvariants = Bool(false); return s }(),
 		"analysis on":    func() *Spec { s := baseSpec(); s.Analysis = true; return s }(),
 		"faults attached": func() *Spec {

@@ -44,8 +44,7 @@ func (r *Result) Canceled() bool {
 
 // Runner executes built scenarios. The zero value is ready to use.
 type Runner struct {
-	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS). It
-	// is independent of Spec.Workers, which parallelizes within a step.
+	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS).
 	Workers int
 	// StepHook, when set, runs after every engine step (visualization
 	// snapshots, custom progress reporting). Setting it moves the run
@@ -198,17 +197,17 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 }
 
 // stepLoop is the instrumented path: one StepOnce per iteration with the
-// context checked, the hook invoked, and the watchdog enforced between
-// steps. Exact runs execute precisely Budget steps (dynamic workloads keep
-// injecting over their horizon, so Done() mid-run is not termination);
-// non-exact runs stop at delivery like RunPartial.
+// context checked and the hook invoked between steps. Exact runs execute
+// precisely Budget steps (dynamic workloads keep injecting over their
+// horizon, so Done() mid-run is not termination); non-exact runs stop at
+// delivery like RunPartial. The watchdog is StepOnce's, as on every path;
+// the hook still sees the step it ends the run on.
 func (r *Runner) stepLoop(ctx context.Context, run *Run, alg sim.Algorithm) (int, error) {
 	net := run.Net
 	var cancel <-chan struct{}
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
-	lastProg, lastCount := net.Step(), net.DeliveredCount()
 	for step := 0; step < run.Budget; step++ {
 		if !run.Exact && net.Done() {
 			return step, nil
@@ -222,17 +221,12 @@ func (r *Runner) stepLoop(ctx context.Context, run *Run, alg sim.Algorithm) (int
 			default:
 			}
 		}
-		if err := net.StepOnce(alg); err != nil {
-			return step + 1, err
-		}
-		if r.StepHook != nil {
+		err := net.StepOnce(alg)
+		if _, livelock := err.(*sim.LivelockError); r.StepHook != nil && (err == nil || livelock) {
 			r.StepHook(net, net.Step())
 		}
-		if c := net.DeliveredCount(); c > lastCount {
-			lastCount, lastProg = c, net.Step()
-		}
-		if w := run.Spec.Watchdog; w > 0 && net.Step()-lastProg >= w && !net.Done() {
-			return step + 1, &sim.LivelockError{Alg: alg.Name(), Window: w, Diag: net.CollectDiagnostics()}
+		if err != nil {
+			return step + 1, err
 		}
 	}
 	return run.Budget, nil

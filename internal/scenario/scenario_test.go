@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -370,6 +371,80 @@ func TestRunnerStepHook(t *testing.T) {
 		if got != i+1 {
 			t.Fatalf("hook %d saw step %d", i, got)
 		}
+	}
+}
+
+// TestRunnerWatchdogOnePath pins that the livelock watchdog behaves the
+// same whichever loop runs the spec: a run without a StepHook goes through
+// sim.Network.RunPartialContext, a run with one through the step-by-step
+// loop, and both must abort with a *sim.LivelockError and write the same
+// metrics file, with exactly one watchdog event line.
+func TestRunnerWatchdogOnePath(t *testing.T) {
+	dir := t.TempDir()
+	metrics := func(name string, hook func(*sim.Network, int)) []byte {
+		t.Helper()
+		out := filepath.Join(dir, name+".jsonl")
+		s := &Spec{
+			Name: name, N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindReversal},
+			Watchdog:   1, // no delivery can happen in one step on a 6×6 reversal
+			MetricsOut: out,
+		}
+		run, err := s.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Runner{StepHook: hook}
+		res, err := r.RunBuilt(context.Background(), run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var le *sim.LivelockError
+		if !errors.As(res.Err, &le) {
+			t.Fatalf("%s: run error %v, want *sim.LivelockError", name, res.Err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	plain := metrics("plain", nil)
+	hooked := metrics("hooked", func(*sim.Network, int) {})
+	if string(plain) != string(hooked) {
+		t.Fatalf("metrics differ between the two run loops:\n%s\nvs\n%s", plain, hooked)
+	}
+	if n := strings.Count(string(plain), `"k":"watchdog"`); n != 1 {
+		t.Fatalf("%d watchdog event lines, want 1:\n%s", n, plain)
+	}
+}
+
+// TestStepLoopAllocs pins that the step-by-step loop (StepHook runs and
+// exact-horizon specs) adds no allocation to the steady-state steps it
+// drives.
+func TestStepLoopAllocs(t *testing.T) {
+	s := &Spec{N: 16, K: 2, Router: "dimorder", Workload: Workload{Kind: KindReversal}}
+	run, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Budget = 1
+	alg := run.NewAlg()
+	r := Runner{StepHook: func(*sim.Network, int) {}}
+	for i := 0; i < 5; i++ { // warm the engine's scratch buffers
+		if _, err := r.stepLoop(context.Background(), run, alg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := r.stepLoop(context.Background(), run, alg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a hooked step allocates %.1f times, want 0", avg)
+	}
+	if run.Net.Done() {
+		t.Fatal("the run finished during the measurement; it measured no steps")
 	}
 }
 

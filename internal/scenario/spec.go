@@ -2,7 +2,7 @@
 // names everything one simulation run needs — topology, queue capacity,
 // router (by registry name, including fault-aware variants and the
 // randomized router's seed), workload, fault schedule, invariant checking,
-// watchdog, engine worker count, step budget and observability outputs —
+// watchdog, step budget and observability outputs —
 // with JSON (de)serialization, typed validation errors, and a Build step
 // that resolves the router registry into a ready-to-run network.
 //
@@ -204,7 +204,11 @@ type Spec struct {
 	Faults *Faults `json:"faults,omitempty"`
 	// Watchdog is the livelock no-progress window in steps (0 = off).
 	Watchdog int `json:"watchdog,omitempty"`
-	// Workers is the engine's intra-step worker count (sim.Config.Workers).
+	// Workers was the engine's intra-step worker count.
+	//
+	// Deprecated: the engine runs every step serially. The field is still
+	// accepted (and must not be negative) so older specs keep loading, but
+	// Build ignores it and Fingerprint clears it.
 	Workers int `json:"workers,omitempty"`
 	// MaxSteps is the step budget; 0 means the generous automatic budget
 	// 200·(n²/k + 2n). Ignored by dynamic workloads, which run for
@@ -442,7 +446,6 @@ func (s *Spec) Build() (*Run, error) {
 		cfg.CheckInvariants = *s.CheckInvariants
 	}
 	cfg.Watchdog = s.Watchdog
-	cfg.Workers = s.Workers
 	var sched *fault.Schedule
 	if s.Faults != nil {
 		sched, err = fault.Generate(topo, s.Faults.config())

@@ -10,33 +10,30 @@ import (
 )
 
 // TestObservedStepAllocs pins what the observed run costs the allocator:
-// after warmup, a step with a counting sink installed allocates nothing —
-// serial or through the worker pool — exactly like the nil-sink step of
-// TestSteadyStateStepAllocs. (The sample is a stack value, the occupancy
-// summary part of the part (e) scan, and obs.Counters a handful of atomics.)
+// after warmup, a step with a counting sink installed allocates nothing,
+// exactly like the nil-sink step of TestSteadyStateStepAllocs. (The sample
+// is a stack value, the occupancy summary part of the part (e) scan, and
+// obs.Counters a handful of atomics.)
 func TestObservedStepAllocs(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		net := buildReversal(t, 16, 2, workers)
-		var counters obs.Counters
-		net.SetMetricsSink(&counters)
-		alg := greedyXY{}
-		for i := 0; i < 5; i++ { // warm scratch + worker buffers
-			if err := net.StepOnce(alg); err != nil {
-				t.Fatal(err)
-			}
+	net := buildReversal(t, 16, 2)
+	var counters obs.Counters
+	net.SetMetricsSink(&counters)
+	alg := greedyXY{}
+	for i := 0; i < 5; i++ { // warm scratch buffers
+		if err := net.StepOnce(alg); err != nil {
+			t.Fatal(err)
 		}
-		avg := testing.AllocsPerRun(20, func() {
-			if err := net.StepOnce(alg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Errorf("workers=%d: steady-state StepOnce with a counting sink allocates %.1f times per step, want 0", workers, avg)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		if err := net.StepOnce(alg); err != nil {
+			t.Fatal(err)
 		}
-		if got := counters.Steps(); got != 26 { // 5 warm + AllocsPerRun's 1 + 20
-			t.Errorf("workers=%d: sink saw %d steps, want 26", workers, got)
-		}
-		net.stopPool()
+	})
+	if avg != 0 {
+		t.Errorf("steady-state StepOnce with a counting sink allocates %.1f times per step, want 0", avg)
+	}
+	if got := counters.Steps(); got != 26 { // 5 warm + AllocsPerRun's 1 + 20
+		t.Errorf("sink saw %d steps, want 26", got)
 	}
 }
 
@@ -83,8 +80,8 @@ func (r *rescanSink) Step(s obs.StepSample) {
 }
 
 // TestStepSampleMatchesRescan runs a central-queue, a per-inlink and a
-// faulted instance, serial and with two workers, and requires the fused
-// occupancy summary to equal a fresh scan of occ at every step.
+// faulted instance and requires the fused occupancy summary to equal a
+// fresh scan of occ at every step.
 func TestStepSampleMatchesRescan(t *testing.T) {
 	const n = 10
 	topo := grid.NewSquareMesh(n)
@@ -105,27 +102,23 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 		{"faulted", Config{Topo: topo, K: 3, Queues: CentralQueue, RequireMinimal: true, Faults: sched}},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{0, 2} {
-			cfg := tc.cfg
-			cfg.Workers = workers
-			net := MustNew(cfg)
-			for i := 0; i < n*n; i++ {
-				if j := n*n - 1 - i; i != j {
-					net.MustPlace(net.NewPacket(grid.NodeID(i), grid.NodeID(j)))
-				}
+		net := MustNew(tc.cfg)
+		for i := 0; i < n*n; i++ {
+			if j := n*n - 1 - i; i != j {
+				net.MustPlace(net.NewPacket(grid.NodeID(i), grid.NodeID(j)))
 			}
-			// Late arrivals through the backlog, so nodes fill and empty.
-			for i := 0; i < n*n; i += 3 {
-				net.QueueInjection(net.NewPacket(grid.NodeID(i), grid.NodeID((i*7+5)%(n*n))), 2+i%9)
-			}
-			sink := &rescanSink{t: t, net: net}
-			net.SetMetricsSink(sink)
-			if _, err := net.RunPartial(greedyXY{}, 400); err != nil {
-				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
-			}
-			if sink.n != net.Step() || sink.n < 20 {
-				t.Fatalf("%s workers=%d: %d samples over %d steps", tc.name, workers, sink.n, net.Step())
-			}
+		}
+		// Late arrivals through the backlog, so nodes fill and empty.
+		for i := 0; i < n*n; i += 3 {
+			net.QueueInjection(net.NewPacket(grid.NodeID(i), grid.NodeID((i*7+5)%(n*n))), 2+i%9)
+		}
+		sink := &rescanSink{t: t, net: net}
+		net.SetMetricsSink(sink)
+		if _, err := net.RunPartial(greedyXY{}, 400); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if sink.n != net.Step() || sink.n < 20 {
+			t.Fatalf("%s: %d samples over %d steps", tc.name, sink.n, net.Step())
 		}
 	}
 }
@@ -134,14 +127,14 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 // never allocates the per-node backlog arrays, and that the first queued
 // injection to come due does.
 func TestBacklogAllocatedOnDemand(t *testing.T) {
-	net := buildReversal(t, 8, 2, 0)
+	net := buildReversal(t, 8, 2)
 	if _, err := net.RunPartial(greedyXY{}, 30); err != nil {
 		t.Fatal(err)
 	}
 	if net.backlog != nil || net.inBacklog != nil || net.backlogHead != nil {
 		t.Fatal("a static run allocated backlog state")
 	}
-	net = buildDynamic(t, 8, 2, 20, 0)
+	net = buildDynamic(t, 8, 2, 20)
 	if net.backlog != nil {
 		t.Fatal("backlog allocated before any injection came due")
 	}

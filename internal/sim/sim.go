@@ -109,7 +109,7 @@ type PacketStore struct {
 	// Prof is the packet's profitable-outlink set, Topo.Profitable(At, Dst),
 	// cached while the packet is resident in a queue. It can change only
 	// when the packet hops or part (b) exchanges its destination, and the
-	// engine rewrites it at exactly those two points (attachTo and the
+	// engine rewrites it at exactly those two points (attach and the
 	// post-exchange refresh); everything in the step loop that asks "which
 	// outlinks are profitable" reads this column. CheckInvariants verifies
 	// it against a fresh computation every step.
@@ -352,21 +352,6 @@ type Algorithm interface {
 	Update(net *Network, n *Node)
 }
 
-// ParallelCloner is implemented by algorithms whose Schedule, Accept and
-// Update are node-local (they read shared network state but mutate only the
-// node they are given and its packets). When Config.Workers > 1, the engine
-// calls CloneForWorker once per worker and drives each clone on disjoint
-// shards: the occupied-node list for Schedule and Update, the offer-target
-// list for Accept (every Accept call still sees only one target node and
-// its own offers); InitNode always runs on the original. Stateless
-// algorithms may simply return themselves.
-type ParallelCloner interface {
-	Algorithm
-	// CloneForWorker returns an Algorithm safe to drive concurrently with
-	// the receiver on disjoint node sets.
-	CloneForWorker() Algorithm
-}
-
 // Config configures a Network.
 type Config struct {
 	// Topo is the mesh or torus.
@@ -397,22 +382,11 @@ type Config struct {
 	// injection entirely. See internal/fault and docs/ROBUSTNESS.md.
 	Faults *fault.Schedule
 	// Watchdog, when > 0, is the livelock watchdog's no-progress window
-	// in steps: if Run/RunPartial executes this many consecutive steps
-	// without a single delivery, the run aborts with a *LivelockError
-	// carrying structured diagnostics instead of burning the remaining
-	// step budget. 0 disables the watchdog.
+	// in steps: the step that completes this many consecutive steps
+	// without a single delivery returns a *LivelockError carrying
+	// structured diagnostics instead of burning the remaining step budget.
+	// Each Run call opens a fresh window. 0 disables the watchdog.
 	Watchdog int
-	// Workers, when > 1, runs the step through the persistent parallel
-	// pipeline (pipeline.go): part (a) scheduling, part (c) Accept
-	// dispatch, the two part (d) owner-computes halves (sender-side
-	// compaction, target-side apply) and part (e) updates are each sharded
-	// across that many long-lived worker goroutines. It takes effect only
-	// for algorithms implementing ParallelCloner; other algorithms run
-	// serial. Each worker owns contiguous shards of the relevant work
-	// lists and a private algorithm clone, touches only its own nodes,
-	// and per-worker outputs are merged in shard order, so results are
-	// bit-identical to serial execution. 0 and 1 mean serial.
-	Workers int
 }
 
 // Network is a mesh with packets in flight. Create with New, populate with
@@ -510,17 +484,6 @@ type Network struct {
 	// Metrics accumulates run statistics.
 	Metrics Metrics
 
-	// Parallel step-pipeline state (used only when cfg.Workers > 1 and the
-	// algorithm implements ParallelCloner; see pipeline.go). Clones and the
-	// per-worker scratch are cached by algorithm name so repeated StepOnce
-	// calls reuse them; pool is the persistent worker pool, spawned lazily
-	// and stopped at the end of every Run.
-	parName       string
-	parClones     []Algorithm
-	ws            []workerScratch
-	pool          *stepPool
-	poolFinalizer bool // finalizer backstop armed (once per Network)
-
 	inited  bool
 	scratch stepScratch
 }
@@ -545,16 +508,8 @@ type stepScratch struct {
 	stamp    int32
 
 	arrivals []Move
-	nDeliv   int           // length of the delivery prefix of arrivals
 	accept   []bool        // Accept decision buffer, sliced per target
 	senders  []grid.NodeID // distinct sending nodes of this step's arrivals
-
-	// Weighted pipeline shard boundaries (length Workers+1, parallel steps
-	// only): occBounds splits the occupied list by resident-packet mass
-	// for the schedule phase, tgtBounds the target list by offer count for
-	// the accept phase. See balanceBounds.
-	occBounds []int
-	tgtBounds []int
 
 	// Observer record buffer (reused only when an observer is set).
 	recDelivered []int32
@@ -579,9 +534,6 @@ func New(cfg Config) (*Network, error) {
 	}
 	if cfg.Watchdog < 0 {
 		return nil, fmt.Errorf("sim: negative watchdog window %d", cfg.Watchdog)
-	}
-	if cfg.Workers < 0 {
-		return nil, fmt.Errorf("sim: negative worker count %d", cfg.Workers)
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Validate(cfg.Topo); err != nil {
@@ -872,18 +824,11 @@ func (net *Network) growQueue(n *Node) {
 }
 
 // attach adds p to node under queue tag, maintaining occupancy tracking and
-// the packet's slot index (used by the part (d) batch removal).
+// the packet's slot index (used by the part (d) batch removal). It is the
+// one place a packet becomes resident (placement, admission, part (d)
+// arrival), hence the one place besides the exchange refresh that computes
+// Prof.
 func (net *Network) attach(node *Node, p PacketID, tag uint8) {
-	net.attachTo(node, p, tag, &net.occ)
-}
-
-// attachTo is attach with the newly-occupied list made explicit: a node
-// becoming occupied is appended to *occOut instead of net.occ directly. The
-// parallel apply phase passes a worker-private buffer (merged into net.occ
-// in shard order afterwards); everything else passes &net.occ. It is the one
-// place a packet becomes resident (placement, admission, part (d) arrival),
-// hence the one place besides the exchange refresh that computes Prof.
-func (net *Network) attachTo(node *Node, p PacketID, tag uint8, occOut *[]grid.NodeID) {
 	st := &net.P
 	st.QTag[p] = tag
 	st.At[p] = node.ID
@@ -897,7 +842,7 @@ func (net *Network) attachTo(node *Node, p PacketID, tag uint8, occOut *[]grid.N
 	node.counts[tag]++
 	if !net.isOcc[node.ID] {
 		net.isOcc[node.ID] = true
-		*occOut = append(*occOut, node.ID)
+		net.occ = append(net.occ, node.ID)
 	}
 }
 

@@ -81,7 +81,6 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 		{"bad queue model", Config{Topo: grid.NewSquareMesh(4), K: 1, Queues: QueueModel(9)}, "queue model"},
 		{"negative stray", Config{Topo: grid.NewSquareMesh(4), K: 1, MaxStray: -1}, "MaxStray"},
 		{"negative watchdog", Config{Topo: grid.NewSquareMesh(4), K: 1, Watchdog: -5}, "watchdog"},
-		{"negative workers", Config{Topo: grid.NewSquareMesh(4), K: 1, Workers: -2}, "worker count"},
 	}
 	for _, c := range cases {
 		net, err := New(c.cfg)

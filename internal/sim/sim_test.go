@@ -54,9 +54,6 @@ func (greedyXY) Accept(net *Network, n *Node, offers []Offer, acc []bool) {
 	}
 }
 
-// CloneForWorker implements ParallelCloner (the algorithm is stateless).
-func (g greedyXY) CloneForWorker() Algorithm { return g }
-
 func newTestNet(t *testing.T, n, k int) *Network {
 	t.Helper()
 	return MustNew(Config{
