@@ -62,8 +62,8 @@ type OfferView struct {
 
 // NodeCtx is the per-node context handed to policies: the node's own state
 // plus a zero-copy window onto its resident packets, indexed 0..Len()-1 in
-// queue (FIFO) order. Policies may read everything, may mutate State, Extra
-// and packet states (SetPacketState), and must not retain it past the call.
+// queue (FIFO) order. Policies may read everything, may mutate State and
+// packet states (SetPacketState), and must not retain it past the call.
 type NodeCtx struct {
 	// ID is the node identifier.
 	ID grid.NodeID
@@ -75,8 +75,6 @@ type NodeCtx struct {
 	Queues sim.QueueModel
 	// State is the node's state word; mutate freely.
 	State *uint64
-	// Extra is the node's rich state; mutate freely.
-	Extra *interface{}
 
 	net  *sim.Network
 	node *sim.Node
@@ -187,7 +185,6 @@ func (a *Adapter) fill(net *sim.Network, n *sim.Node) *NodeCtx {
 	c.K = net.K
 	c.Queues = net.Queues
 	c.State = &n.State
-	c.Extra = &n.Extra
 	c.net = net
 	c.node = n
 	c.pids = net.PacketsOf(n)

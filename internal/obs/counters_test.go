@@ -106,7 +106,7 @@ func TestCountersTotalsAdd(t *testing.T) {
 
 // TestLineEncodersMatchJSONLSink checks StepLine/SpanLine/EventLine emit
 // byte-identical lines to the JSONL sink, so streams assembled line by
-// line stay readable by ReadJSONL.
+// line stay readable by ReadJSONLRecords.
 func TestLineEncodersMatchJSONLSink(t *testing.T) {
 	sample := StepSample{Step: 3, Moves: 4, Delivered: 1, DeliveredTotal: 2, InFlight: 7, MaxQueue: 2}
 	span := Span{Name: "march", Class: "NE", Iteration: 1, Measured: 9, Formula: 12}
@@ -137,12 +137,13 @@ func TestLineEncodersMatchJSONLSink(t *testing.T) {
 		t.Fatalf("line encoders diverge from JSONL sink\n got: %q\nwant: %q", lines, buf.Bytes())
 	}
 
-	steps, spans, events, err := ReadJSONL(bytes.NewReader(lines))
+	rec, err := ReadJSONLRecords(bytes.NewReader(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps, spans, events := rec.Steps, rec.Spans, rec.Events
 	if len(steps) != 1 || len(spans) != 1 || len(events) != 1 {
-		t.Fatalf("ReadJSONL parsed %d/%d/%d records, want 1/1/1", len(steps), len(spans), len(events))
+		t.Fatalf("ReadJSONLRecords parsed %d/%d/%d records, want 1/1/1", len(steps), len(spans), len(events))
 	}
 	if steps[0] != sample || spans[0] != span || events[0] != event {
 		t.Fatal("round-tripped records differ from originals")

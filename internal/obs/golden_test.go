@@ -59,10 +59,11 @@ func TestGoldenJSONL(t *testing.T) {
 	}
 
 	// The golden stream must also round-trip through the reader.
-	steps, spans, events, err := obs.ReadJSONL(bytes.NewReader(want))
+	rec, err := obs.ReadJSONLRecords(bytes.NewReader(want))
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps, spans, events := rec.Steps, rec.Spans, rec.Events
 	if len(steps) == 0 || len(spans) != 0 || len(events) != 0 {
 		t.Fatalf("golden stream decoded to %d steps, %d spans, %d events", len(steps), len(spans), len(events))
 	}

@@ -276,15 +276,3 @@ func ReadJSONLRecords(r io.Reader) (Records, error) {
 	}
 	return rec, nil
 }
-
-// ReadJSONL parses a metrics JSONL stream back into samples, spans and
-// fault events — the legacy three-slice view of ReadJSONLRecords, kept
-// for callers that predate run-summary lines (which it accepts and
-// discards).
-func ReadJSONL(r io.Reader) ([]StepSample, []Span, []Event, error) {
-	rec, err := ReadJSONLRecords(r)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return rec.Steps, rec.Spans, rec.Events, nil
-}

@@ -56,10 +56,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatalf("want 4 lines, got %d:\n%s", got, buf.String())
 	}
 
-	steps, spans, events, err := ReadJSONL(&buf)
+	rec, err := ReadJSONLRecords(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps, spans, events := rec.Steps, rec.Spans, rec.Events
 	if len(steps) != 2 || len(spans) != 1 || len(events) != 1 {
 		t.Fatalf("read %d steps, %d spans, %d events", len(steps), len(spans), len(events))
 	}
@@ -75,7 +76,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLUnknownType(t *testing.T) {
-	if _, _, _, err := ReadJSONL(strings.NewReader(`{"t":"bogus"}`)); err == nil {
+	if _, err := ReadJSONLRecords(strings.NewReader(`{"t":"bogus"}`)); err == nil {
 		t.Fatal("want error for unknown line type")
 	}
 }

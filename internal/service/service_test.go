@@ -344,10 +344,11 @@ func TestEventsStreamReplay(t *testing.T) {
 	if ct := w.Header().Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Fatalf("events content type %q", ct)
 	}
-	steps, _, events, err := obs.ReadJSONL(bytes.NewReader(w.Body.Bytes()))
+	rec, err := obs.ReadJSONLRecords(bytes.NewReader(w.Body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	steps, events := rec.Steps, rec.Events
 	if len(steps) != final.Stats.Steps {
 		t.Fatalf("streamed %d step samples over %d steps", len(steps), final.Stats.Steps)
 	}

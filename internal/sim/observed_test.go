@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -194,10 +195,22 @@ func TestPacketStoreGrowsTogether(t *testing.T) {
 	}
 }
 
-// TestNodeSize pins sim.Node at 56 bytes: the scheduled-outlink set lives in
-// what was padding, and docs/SCALING.md's bytes-per-node budget counts on it.
-func TestNodeSize(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 56 {
-		t.Fatalf("sim.Node is %d bytes, want 56", got)
+// TestDenseNodeFootprint pins the per-node budget of docs/SCALING.md: Node
+// is the only node-indexed record New allocates on a fault-free network,
+// and it is 48 bytes. A new node-indexed array would push New past the
+// bound below.
+func TestDenseNodeFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 48 {
+		t.Fatalf("sim.Node is %d bytes, want 48", got)
+	}
+	topo := grid.NewSquareMesh(240)
+	n := uint64(topo.N())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	net := MustNew(Config{Topo: topo, K: 2, Queues: CentralQueue, RequireMinimal: true})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(net)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 48*n+64<<10; got > limit {
+		t.Fatalf("New on a %d-node mesh allocated %d B (%.1f B/node), want <= %d", n, got, float64(got)/float64(n), limit)
 	}
 }

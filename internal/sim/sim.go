@@ -253,17 +253,19 @@ type Packet struct {
 // Delivered reports whether the packet has reached its destination.
 func (p Packet) Delivered() bool { return p.DeliverStep >= 0 }
 
-// Node is one mesh node: its algorithm state and the location of its queue
-// region within the network's flat slot array. Queue contents are read with
+// Node is one mesh node: its algorithm state, the location of its queue
+// region within the network's flat slot array, and the engine's per-step
+// bookkeeping for it. It is the only node-indexed record a fault-free
+// network allocates up front (48 bytes); queue contents are read with
 // Network.PacketsOf.
 type Node struct {
 	// ID is the node identifier.
 	ID grid.NodeID
+	// offStart is the start of this node's offer region in the part (c)
+	// offers slice while it is a target (see acceptOffers).
+	offStart int32
 	// State is algorithm-owned scratch (e.g. round-robin counters).
 	State uint64
-	// Extra is algorithm-owned rich state for algorithms that need more
-	// than a word; nil for most.
-	Extra interface{}
 
 	// qStart/qLen/qCap locate the node's queue region in Network.slots:
 	// the resident packets, in arrival (FIFO) order, are
@@ -274,9 +276,29 @@ type Node struct {
 
 	// sched is this step's outqueue decision as a set: direction d is in it
 	// exactly when Schedule returned a packet for outlink d (recorded by
-	// scheduleNodes before fault drops). It lives in the struct's padding.
+	// scheduleNodes before fault drops).
 	sched grid.DirSet
+	// flags holds the occupied, offered and sent bits (see nodeOccupied).
+	flags uint8
+	// offCount is the number of offers this node receives in part (c): at
+	// most one per inlink, so four.
+	offCount uint8
 }
+
+// Node.flags bits. Each is set and cleared by the engine within the phase
+// that owns it, so no bit outlives its phase:
+//
+//   - nodeOccupied: the node is on the occupied list (set by attach,
+//     cleared by compactOcc);
+//   - nodeOffered: the node is a part (c) target this step (set when
+//     acceptOffers appends it to the targets, cleared after its Accept);
+//   - nodeSent: the node is a part (d) sender this step (set by
+//     markDepartures, cleared by compactSenders).
+const (
+	nodeOccupied uint8 = 1 << iota
+	nodeOffered
+	nodeSent
+)
 
 // Scheduled returns the outlinks the node's outqueue policy put a packet on
 // in part (a) of the current step: empty for a node that held no packet or
@@ -420,7 +442,6 @@ type Network struct {
 	// Parts (a) and (e) iterate it, which fixes the order moves are
 	// presented to the exchange hook and offers to inqueue policies.
 	occ       []grid.NodeID
-	isOcc     []bool
 	total     int
 	delivered int
 	placed    []PacketID // all placed/queued packets, in placement order
@@ -489,23 +510,14 @@ type Network struct {
 }
 
 // stepScratch holds every per-step buffer the engine needs, reused across
-// steps so a steady-state step allocates nothing. The four int32 arrays are
-// node-indexed; offMark/sendMark use epoch stamping (compared against stamp)
-// so they never need clearing.
+// steps so a steady-state step allocates nothing. The per-node offer index
+// and the target/sender marks live in Node itself.
 type stepScratch struct {
 	moves   []Move
 	targets []grid.NodeID // part (c) offer targets, first-seen order
-
-	// Dense per-node offer index: offers for targets[j] occupy
-	// offers[offStart[t]:offStart[t]+offCount[t]]. offMark[t] == stamp
-	// marks t as a target of the current step.
-	offers   []Offer
-	offStart []int32
-	offCount []int32
-	offMark  []int32
-	// sendMark deduplicates sender nodes in the part (d) batch removal.
-	sendMark []int32
-	stamp    int32
+	// offers holds every target's offers, target by target: those for node t
+	// are offers[t.offStart : t.offStart+t.offCount].
+	offers []Offer
 
 	arrivals []Move
 	accept   []bool        // Accept decision buffer, sliced per target
@@ -547,7 +559,6 @@ func New(cfg Config) (*Network, error) {
 		Queues:     cfg.Queues,
 		cfg:        cfg,
 		nodes:      make([]Node, n),
-		isOcc:      make([]bool, n),
 		pendingInj: map[int][]PacketID{},
 	}
 	for i := range net.nodes {
@@ -556,10 +567,6 @@ func New(cfg Config) (*Network, error) {
 	// Index 0 of the packet store is the reserved sentinel: never a live
 	// packet, so the zero PacketID always means "no packet".
 	net.P.add(0, 0)
-	net.scratch.offStart = make([]int32, n)
-	net.scratch.offCount = make([]int32, n)
-	net.scratch.offMark = make([]int32, n)
-	net.scratch.sendMark = make([]int32, n)
 	if cfg.Faults != nil && !cfg.Faults.Empty() {
 		net.hasFaults = true
 		net.linkDownCnt = make([][grid.NumDirs]int16, n)
@@ -840,8 +847,8 @@ func (net *Network) attach(node *Node, p PacketID, tag uint8) {
 	net.slots[node.qStart+node.qLen] = p
 	node.qLen++
 	node.counts[tag]++
-	if !net.isOcc[node.ID] {
-		net.isOcc[node.ID] = true
+	if node.flags&nodeOccupied == 0 {
+		node.flags |= nodeOccupied
 		net.occ = append(net.occ, node.ID)
 	}
 }

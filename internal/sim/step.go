@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"meshroute/internal/grid"
@@ -104,7 +103,6 @@ func (net *Network) StepOnce(alg Algorithm) error {
 	}
 	net.injectPending(t)
 	net.compactOcc()
-	net.scratch.bumpStamp()
 
 	// Part (a): outqueue policies schedule packets.
 	moves, err := net.scheduleNodes(alg)
@@ -305,19 +303,21 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) []Move {
 			arrivals = append(arrivals, *m)
 			continue
 		}
-		if s.offMark[m.To] != s.stamp {
-			s.offMark[m.To] = s.stamp
-			s.offCount[m.To] = 0
+		to := &net.nodes[m.To]
+		if to.flags&nodeOffered == 0 {
+			to.flags |= nodeOffered
+			to.offCount = 0
 			targets = append(targets, m.To)
 		}
-		s.offCount[m.To]++
+		to.offCount++
 		nOffers++
 	}
 	s.targets = targets
 	var pos int32
-	for _, to := range targets {
-		s.offStart[to] = pos
-		pos += s.offCount[to]
+	for _, id := range targets {
+		to := &net.nodes[id]
+		to.offStart = pos
+		pos += int32(to.offCount)
 	}
 	if cap(s.offers) < nOffers {
 		s.offers = make([]Offer, nOffers)
@@ -332,24 +332,27 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) []Move {
 		if m.To == st.Dst[m.P] {
 			continue
 		}
-		offers[s.offStart[m.To]] = Offer{P: m.P, From: m.From, Travel: m.Travel}
-		s.offStart[m.To]++
+		to := &net.nodes[m.To]
+		offers[to.offStart] = Offer{P: m.P, From: m.From, Travel: m.Travel}
+		to.offStart++
 	}
 	// Each target's inqueue policy sees its contiguous offer region (pass 2
 	// advanced offStart past it).
-	for _, to := range targets {
-		cnt := int(s.offCount[to])
-		start := int(s.offStart[to]) - cnt
+	for _, id := range targets {
+		to := &net.nodes[id]
+		to.flags &^= nodeOffered
+		cnt := int(to.offCount)
+		start := int(to.offStart) - cnt
 		offs := offers[start : start+cnt]
 		if cap(s.accept) < cnt {
 			s.accept = make([]bool, cnt)
 		}
 		acc := s.accept[:cnt]
 		clear(acc)
-		alg.Accept(net, &net.nodes[to], offs, acc)
+		alg.Accept(net, to, offs, acc)
 		for i, ok := range acc {
 			if ok {
-				arrivals = append(arrivals, Move{P: offs[i].P, From: offs[i].From, To: to, Travel: offs[i].Travel})
+				arrivals = append(arrivals, Move{P: offs[i].P, From: offs[i].From, To: id, Travel: offs[i].Travel})
 			}
 		}
 	}
@@ -374,23 +377,24 @@ func (net *Network) transmit(arrivals []Move) error {
 
 // markDepartures validates every arrival against its sender's queue, marks
 // the moving packets departing, and rebuilds the deduplicated distinct-
-// sender list in s.senders.
+// sender list in s.senders, each sender carrying the nodeSent bit. On error
+// it clears the nodeSent bits it set, so none outlives the failed step.
 func (net *Network) markDepartures(arrivals []Move) error {
 	s := &net.scratch
 	st := &net.P
 	senders := s.senders[:0]
 	for _, a := range arrivals {
 		p, src := a.P, a.From
-		if st.At[p] != src {
-			return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
-		}
 		node := &net.nodes[src]
-		if uint32(st.slot[p]) >= node.qLen || net.slots[node.qStart+uint32(st.slot[p])] != p {
+		if st.At[p] != src || uint32(st.slot[p]) >= node.qLen || net.slots[node.qStart+uint32(st.slot[p])] != p {
+			for _, id := range senders {
+				net.nodes[id].flags &^= nodeSent
+			}
 			return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
 		}
 		st.departing[p] = true
-		if s.sendMark[src] != s.stamp {
-			s.sendMark[src] = s.stamp
+		if node.flags&nodeSent == 0 {
+			node.flags |= nodeSent
 			senders = append(senders, src)
 		}
 	}
@@ -406,6 +410,7 @@ func (net *Network) compactSenders() {
 	st := &net.P
 	for _, id := range net.scratch.senders {
 		node := &net.nodes[id]
+		node.flags &^= nodeSent
 		q := net.slots[node.qStart : node.qStart+node.qLen]
 		w := uint32(0)
 		for _, p := range q {
@@ -508,19 +513,6 @@ func (net *Network) updateNodes(alg Algorithm) (o occupancy) {
 	}
 	o.maxQueue, o.maxNodeLoad = maxQueue, maxNodeLoad
 	return o
-}
-
-// bumpStamp advances the epoch stamp that validates the offMark/sendMark
-// node arrays, clearing them only on the (astronomically rare) wraparound.
-func (s *stepScratch) bumpStamp() {
-	s.stamp++
-	if s.stamp == math.MaxInt32 {
-		for i := range s.offMark {
-			s.offMark[i] = 0
-			s.sendMark[i] = 0
-		}
-		s.stamp = 1
-	}
 }
 
 // withinStray reports whether node nb lies within the packet's
@@ -652,12 +644,13 @@ func (net *Network) finishAdmission() {
 func (net *Network) compactOcc() {
 	w := 0
 	for _, id := range net.occ {
-		if net.nodes[id].qLen > 0 {
+		node := &net.nodes[id]
+		if node.qLen > 0 {
 			net.occ[w] = id
 			w++
 		} else {
-			net.isOcc[id] = false
-			net.nodes[id].sched = 0 // off the list, so part (a) will not reset it
+			node.flags &^= nodeOccupied
+			node.sched = 0 // off the list, so part (a) will not reset it
 		}
 	}
 	net.occ = net.occ[:w]
