@@ -1,112 +1,95 @@
-// Command benchjson runs one representative cell per experiment of the
-// reproduction (E1–E14, the same shapes as the root bench_test.go
-// benchmarks, at quick sizes) plus the engine scaling series (S cells: the
-// torus at n ∈ {64, 256, 1024}) and the online streaming-injection cells
-// (O cells: bounded-buffer admission under drop and retry policies,
-// reporting throughput and refusal rate) and writes the measurements as
-// machine-readable JSON — the repo's perf trajectory file. Each cell
-// reports wall time, engine steps, ns/step, makespan, peak queue
-// occupancy, and allocation counts. The schema is documented in
-// docs/OBSERVABILITY.md.
-//
-// Usage:
-//
-//	benchjson                       # writes out/BENCH_PR8.json
-//	benchjson -out my.json -label x # custom output path and label
-//	benchjson -workers 4            # parallel cells (wall/alloc numbers noisy)
-//
-// By default cells run sequentially (workers = 1) so per-cell timings and
-// allocation deltas are honest; raise -workers to trade measurement
-// accuracy for speed. Cells always dispatch through internal/par, the
-// same pool the experiment harness uses.
-package main
+package meshroute_test
 
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"fmt"
-	"log"
 	"os"
-	"path/filepath"
-	"runtime"
-	"time"
+	"strings"
+	"testing"
 
 	"meshroute/internal/adversary"
 	"meshroute/internal/clt"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
-	"meshroute/internal/par"
 	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
 
-// Schema is the format identifier written to the output file and
-// documented in docs/OBSERVABILITY.md.
-const Schema = "meshroute-bench/v1"
+// The trajectory cells: one representative cell per experiment (E1–E14)
+// and the two online admission cells (Od, Or), as recorded in the
+// meshroute-bench/v1 files out/BENCH_PR1.json … out/BENCH_PR26.json. The
+// last of those files is the golden: every cell must reproduce its
+// simulated columns exactly. Wall-clock and allocation columns are not
+// compared. The S cells of those files are not repeated here;
+// BenchmarkStepTorus and the zigzag-torus-n256-k4 engine digest cover the
+// same series.
+const benchCellsGolden = "out/BENCH_PR26.json"
 
-// CellResult is one cell's measurements (the "cells" array element of the
-// BENCH json schema).
-type CellResult struct {
-	// ID is the experiment the cell represents: E1..E14 for the paper's
-	// experiments, or S<n>w1 for the engine scaling series.
-	ID string `json:"id"`
-	// Name describes the concrete instance (router, n, k, workload).
-	Name string `json:"name"`
-	// Steps is the number of engine (or phase-simulation) steps executed.
-	Steps int `json:"steps"`
-	// WallNS is the cell's wall-clock duration in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-	// NSPerStep is WallNS / Steps.
-	NSPerStep float64 `json:"ns_per_step"`
-	// Makespan is the headline step count of the cell: the delivery
-	// makespan, the forced lower bound, or the synchronized schedule
-	// length, depending on the experiment.
-	Makespan int `json:"makespan"`
-	// PeakQueue is the peak queue (or node) occupancy observed.
-	PeakQueue int `json:"peak_queue"`
-	// Allocs is the number of heap allocations during the cell (exact
-	// only with -workers 1).
-	Allocs uint64 `json:"allocs"`
-	// AllocBytes is the number of bytes allocated during the cell
-	// (exact only with -workers 1).
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// Throughput is, for online (O) cells, delivered packets per step over
-	// the run. Omitted elsewhere.
-	Throughput float64 `json:"throughput,omitempty"`
-	// RefusalRate is, for online (O) cells, refused / (admitted + refused)
-	// over the run — the bounded-buffer admission pressure. Omitted
-	// elsewhere (and when the queues never filled).
-	RefusalRate float64 `json:"refusal_rate,omitempty"`
-	// Congestion, Dilation and CDRatio are the workload's analyzed C and
-	// D and the efficiency ratio makespan/(C+D) (docs/ANALYSIS.md).
-	// Present on every scenario-built cell (specCell forces analysis);
-	// omitted on phase-simulation, lower-bound and constructed-
-	// permutation cells, which bypass the scenario layer.
-	Congestion int     `json:"congestion,omitempty"`
-	Dilation   int     `json:"dilation,omitempty"`
-	CDRatio    float64 `json:"cd_ratio,omitempty"`
+// benchCellRecord is the simulated part of one recorded cell.
+type benchCellRecord struct {
+	ID          string  `json:"id"`
+	Name        string  `json:"name"`
+	Steps       int     `json:"steps"`
+	Makespan    int     `json:"makespan"`
+	PeakQueue   int     `json:"peak_queue"`
+	Throughput  float64 `json:"throughput"`
+	RefusalRate float64 `json:"refusal_rate"`
+	Congestion  int     `json:"congestion"`
+	Dilation    int     `json:"dilation"`
+	CDRatio     float64 `json:"cd_ratio"`
 }
 
-// Output is the top-level BENCH json document.
-type Output struct {
-	// Schema identifies the format version.
-	Schema string `json:"schema"`
-	// Label tags the run (e.g. "PR6").
-	Label string `json:"label"`
-	// Go is the toolchain version the run was built with.
-	Go string `json:"go"`
-	// Workers is the cell-level parallelism the run used (timings are
-	// exact only at 1).
-	Workers int `json:"workers"`
-	// Cells holds one entry per cell: E1..E14 in order, then the online
-	// admission cells (O*), then the S<n>w1 scaling series.
-	Cells []CellResult `json:"cells"`
+func TestBenchCellsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 16 lower-bound, Theorem 34 and engine cells; skipped with -short")
+	}
+	data, err := os.ReadFile(benchCellsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Cells []benchCellRecord `json:"cells"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]benchCellRecord{}
+	for _, c := range doc.Cells {
+		if strings.HasPrefix(c.ID, "E") || strings.HasPrefix(c.ID, "O") {
+			want[c.ID] = c
+		}
+	}
+	cs := append(cells(), onlineCells()...)
+	if len(cs) != len(want) {
+		t.Fatalf("%d cells here, %d E and O cells in %s", len(cs), len(want), benchCellsGolden)
+	}
+	for _, c := range cs {
+		t.Run(c.id, func(t *testing.T) {
+			w, ok := want[c.id]
+			if !ok {
+				t.Fatalf("no cell %s in %s", c.id, benchCellsGolden)
+			}
+			st, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := benchCellRecord{
+				ID: c.id, Name: c.name,
+				Steps: st.steps, Makespan: st.makespan, PeakQueue: st.peakQueue,
+				Throughput: st.throughput, RefusalRate: st.refusalRate,
+				Congestion: st.congestion, Dilation: st.dilation, CDRatio: st.cdRatio,
+			}
+			if got != w {
+				t.Errorf("\n got %+v\nwant %+v", got, w)
+			}
+		})
+	}
 }
 
-// stats is what a cell's body reports back to the measurement driver.
+// stats is what a cell's body reports.
 type stats struct {
 	steps       int
 	makespan    int
@@ -132,10 +115,7 @@ func thm15() sim.Algorithm    { return dex.NewAdapter(routers.Thm15{}) }
 // sim-engine cells go through the scenario layer, same as the CLIs and the
 // experiment harness.
 func specCell(s *scenario.Spec, requireDone bool) (stats, error) {
-	// Every sim-engine cell carries the C/D efficiency columns; the
-	// analyzer runs inside the timed region, so its (one-off, per-run)
-	// cost is part of the cell's wall clock, not the per-step figure the
-	// gate watches.
+	// Every sim-engine cell carries the C/D efficiency columns.
 	s.Analysis = true
 	var r scenario.Runner
 	res, err := r.Run(context.Background(), s)
@@ -161,10 +141,10 @@ func specCell(s *scenario.Spec, requireDone bool) (stats, error) {
 	return st, nil
 }
 
-// onlineCells measures the streaming-injection path end to end: the same
-// shape as the committed online golden scenario (bernoulli arrivals on
-// n=64, k=4, dimorder) under each admission policy. These are the cells
-// that carry the throughput and refusal_rate schema fields.
+// onlineCells are the streaming-injection cells: the same shape as the
+// committed online golden scenario (bernoulli arrivals on n=64, k=4,
+// dimorder) under each admission policy. They are the cells that carry
+// throughput and refusal rate.
 func onlineCells() []cell {
 	var cs []cell
 	for _, adm := range []string{scenario.AdmissionDrop, scenario.AdmissionRetry} {
@@ -186,6 +166,8 @@ func onlineCells() []cell {
 	return cs
 }
 
+// cells are the E1–E14 cells, the same shapes as the root bench_test.go
+// benchmarks at quick sizes.
 func cells() []cell {
 	return []cell{
 		{"E1", "lowerbound-general-dimorder-n60-k1", func() (stats, error) {
@@ -318,8 +300,9 @@ func cells() []cell {
 			if err != nil {
 				return stats{}, err
 			}
-			// CheckInvariants stays off: this is a timing cell, and the
-			// pre-scenario code ran without the checker.
+			// CheckInvariants stays off, as when the cell was recorded: it
+			// was a timing cell, and the pre-scenario code ran without the
+			// checker.
 			return specCell(&scenario.Spec{
 				N: 120, K: 2, Router: "zigzag",
 				CheckInvariants: scenario.Bool(false),
@@ -373,87 +356,4 @@ func cells() []cell {
 			return stats{steps: res.Steps + mk, makespan: mk, peakQueue: net.Metrics.MaxQueueLen}, nil
 		}},
 	}
-}
-
-// scaleCells is the engine scaling series: a fully loaded transpose
-// permutation on the torus (one packet per node, 4K / 65K / 1M packets)
-// stepped for n/2 steps — below the makespan, so every step runs saturated
-// and ns/step measures the steady-state per-packet cost at each size.
-// docs/SCALING.md reads its numbers from these cells. IDs and names keep
-// the w1 of the former worker matrix, so trajectory files stay comparable.
-func scaleCells() []cell {
-	var cs []cell
-	for _, n := range []int{64, 256, 1024} {
-		cs = append(cs, cell{
-			id:   fmt.Sprintf("S%dw1", n),
-			name: fmt.Sprintf("scale-zigzag-torus-n%d-w1-k4", n),
-			run: func() (stats, error) {
-				return specCell(&scenario.Spec{
-					Topology: scenario.TopoTorus,
-					N:        n, K: 4, Router: "zigzag",
-					Workload: scenario.Workload{Kind: scenario.KindTranspose},
-					MaxSteps: n / 2,
-				}, false)
-			},
-		})
-	}
-	return cs
-}
-
-func main() {
-	out := flag.String("out", filepath.Join("out", "BENCH_PR8.json"), "output path for the BENCH json")
-	label := flag.String("label", "PR8", "label recorded in the output")
-	workers := flag.Int("workers", 1, "cell-level parallelism (timings and alloc counts are exact only at 1)")
-	flag.Parse()
-
-	cs := append(append(cells(), onlineCells()...), scaleCells()...)
-	results := make([]CellResult, len(cs))
-	_, err := par.Map(len(cs), *workers, func(i int) (struct{}, error) {
-		c := cs[i]
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		st, err := c.run()
-		wall := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			return struct{}{}, fmt.Errorf("%s (%s): %w", c.id, c.name, err)
-		}
-		nsPerStep := 0.0
-		if st.steps > 0 {
-			nsPerStep = float64(wall.Nanoseconds()) / float64(st.steps)
-		}
-		results[i] = CellResult{
-			ID: c.id, Name: c.name,
-			Steps: st.steps, WallNS: wall.Nanoseconds(), NSPerStep: nsPerStep,
-			Makespan: st.makespan, PeakQueue: st.peakQueue,
-			Allocs: after.Mallocs - before.Mallocs, AllocBytes: after.TotalAlloc - before.TotalAlloc,
-			Throughput: st.throughput, RefusalRate: st.refusalRate,
-			Congestion: st.congestion, Dilation: st.dilation, CDRatio: st.cdRatio,
-		}
-		fmt.Fprintf(os.Stderr, "%-4s %-48s %8d steps %10.0f ns/step  makespan %6d  peakQ %4d\n",
-			c.id, c.name, st.steps, nsPerStep, st.makespan, st.peakQueue)
-		return struct{}{}, nil
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	doc := Output{Schema: Schema, Label: *label, Go: runtime.Version(), Workers: *workers, Cells: results}
-	if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
-		log.Fatal(err)
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d cells to %s\n", len(results), *out)
 }

@@ -10,8 +10,8 @@
 //	experiments -only E5 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // The pprof flags profile the harness itself (docs/OBSERVABILITY.md walks
-// through reading the profiles); for machine-readable per-cell numbers use
-// cmd/benchjson instead.
+// through reading the profiles); for calibrated, machine-readable timings
+// use the repository benchmark (go run ./bench) instead.
 package main
 
 import (

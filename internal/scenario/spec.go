@@ -7,11 +7,11 @@
 // that resolves the router registry into a ready-to-run network.
 //
 // Every run of the reproduction goes through this layer: the CLIs
-// (cmd/meshroute -scenario, cmd/benchjson, cmd/lowerbound,
-// cmd/experiments), the experiment cells in internal/experiments, and the
-// golden-digest suite, whose pinned scenarios are committed spec files
-// under testdata/scenarios/. See docs/ARCHITECTURE.md for how the layers
-// stack.
+// (cmd/meshroute -scenario, cmd/lowerbound, cmd/experiments), the
+// experiment cells in internal/experiments, the repository benchmark
+// under bench/, and the golden-digest suite, whose pinned scenarios are
+// committed spec files under testdata/scenarios/. See
+// docs/ARCHITECTURE.md for how the layers stack.
 package scenario
 
 import (

@@ -2,39 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
 )
-
-// BenchmarkStepDense measures one engine step on a fully loaded mesh (the
-// worst case for the per-step scan).
-func BenchmarkStepDense(b *testing.B) {
-	const n = 64
-	mk := func() *Network {
-		net := MustNew(Config{Topo: grid.NewSquareMesh(n), K: 4, Queues: CentralQueue, RequireMinimal: true})
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				net.MustPlace(net.NewPacket(net.Topo.ID(grid.XY(x, y)), net.Topo.ID(grid.XY(n-1-x, n-1-y))))
-			}
-		}
-		return net
-	}
-	net := mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if net.Done() {
-			b.StopTimer()
-			net = mk()
-			b.StartTimer()
-		}
-		if err := net.StepOnce(greedyXY{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n*n), "packets")
-}
 
 // BenchmarkStepSparse measures the occupied-node optimization: a huge mesh
 // with few packets must cost per-packet, not per-node.
@@ -61,10 +34,11 @@ func BenchmarkStepSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkStepDenseNilSink is BenchmarkStepDense with the metrics sink
-// explicitly set to nil: the numbers must match BenchmarkStepDense (the
-// observability layer's disabled case costs one branch per step), and
-// allocs/op is the regression guard for "nil sink allocates 0 extra".
+// BenchmarkStepDenseNilSink measures one engine step on a fully loaded
+// mesh (the worst case for the per-step scan) with the metrics sink
+// explicitly set to nil: the observability layer's disabled case costs one
+// branch per step. TestStepDenseNilSinkZeroAllocs gates the same step at
+// 0 allocations and 0 bytes.
 func BenchmarkStepDenseNilSink(b *testing.B) {
 	benchStepDense(b, nil)
 }
@@ -75,25 +49,22 @@ func BenchmarkStepDenseMemSink(b *testing.B) {
 	benchStepDense(b, &obs.Memory{})
 }
 
+// denseNet is the dense-step workload: a 64×64 mesh, k=4, fully loaded
+// with the reversal permutation, reporting to sink.
+func denseNet(tb testing.TB, sink obs.Sink) *Network {
+	net := buildReversal(tb, 64, 4)
+	net.SetMetricsSink(sink)
+	return net
+}
+
 func benchStepDense(b *testing.B, sink obs.Sink) {
-	const n = 64
-	mk := func() *Network {
-		net := MustNew(Config{Topo: grid.NewSquareMesh(n), K: 4, Queues: CentralQueue, RequireMinimal: true})
-		for y := 0; y < n; y++ {
-			for x := 0; x < n; x++ {
-				net.MustPlace(net.NewPacket(net.Topo.ID(grid.XY(x, y)), net.Topo.ID(grid.XY(n-1-x, n-1-y))))
-			}
-		}
-		net.SetMetricsSink(sink)
-		return net
-	}
-	net := mk()
+	net := denseNet(b, sink)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if net.Done() {
 			b.StopTimer()
-			net = mk()
+			net = denseNet(b, sink)
 			b.StartTimer()
 		}
 		if err := net.StepOnce(greedyXY{}); err != nil {
@@ -116,11 +87,11 @@ func torusTransposeNet(n int) *Network {
 	return net
 }
 
-// warmTorusTransposeNet is torusTransposeNet plus three warm-up steps, so
+// warmTorusTransposeNet is torusTransposeNet plus twelve warm-up steps, so
 // scratch buffers and queue regions reach their working size before the
 // timer starts: at n=1024 a benchmark iteration count of ~5 would
 // otherwise charge the one-time growth allocations to allocs/op and mask
-// the steady state the 0-alloc gate pins.
+// the steady state the zero-allocation gates pin.
 func warmTorusTransposeNet(tb testing.TB, n int) *Network {
 	net := torusTransposeNet(n)
 	for i := 0; i < 12; i++ {
@@ -132,9 +103,9 @@ func warmTorusTransposeNet(tb testing.TB, n int) *Network {
 }
 
 // BenchmarkStepTorus is the scaling series: one fully loaded torus step at
-// side lengths 64, 256 and 1024 (4K, 65K and 1M packets). Every cell is a
-// zero-alloc guard: a steady-state step must not allocate at any size
-// (benchgate gates all three cells at 0 allocs/op and 0 B/op).
+// side lengths 64, 256 and 1024 (4K, 65K and 1M packets). The same steps
+// are gated at 0 allocations and 0 bytes by TestStepTorusZeroAllocs (n=64,
+// 256) and TestSteadyStateZeroAllocs (n=1024).
 func BenchmarkStepTorus(b *testing.B) {
 	for _, n := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -156,6 +127,62 @@ func BenchmarkStepTorus(b *testing.B) {
 	}
 }
 
+// requireZeroAllocSteps calls step once, then runs more times, and fails
+// unless those runs together made no heap allocation and allocated no
+// bytes. testing.AllocsPerRun cannot serve as this gate: it divides the
+// malloc count by the number of runs in integer arithmetic, so a step that
+// allocates once in every few calls reads 0. Like AllocsPerRun, it pins
+// GOMAXPROCS to 1 while it measures.
+func requireZeroAllocSteps(t *testing.T, runs int, step func() error) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := step(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if mallocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc; mallocs != 0 || bytes != 0 {
+		t.Fatalf("%d steady-state steps made %d allocations of %d bytes, want 0 and 0", runs, mallocs, bytes)
+	}
+}
+
+// TestStepDenseNilSinkZeroAllocs gates BenchmarkStepDenseNilSink's step:
+// after warm-up, a step on the fully loaded 64×64 mesh with the metrics
+// sink set to nil allocates nothing.
+func TestStepDenseNilSinkZeroAllocs(t *testing.T) {
+	net := denseNet(t, nil)
+	for i := 0; i < 12; i++ {
+		if err := net.StepOnce(greedyXY{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	requireZeroAllocSteps(t, 60, func() error { return net.StepOnce(greedyXY{}) })
+	if net.Done() {
+		t.Fatal("the mesh drained inside the measured window; the steps were not dense")
+	}
+}
+
+// TestStepTorusZeroAllocs gates BenchmarkStepTorus's n=64 and n=256 cells:
+// after warm-up, a saturated torus step allocates nothing. The measured
+// steps end before the transpose permutation's n/2-step makespan.
+func TestStepTorusZeroAllocs(t *testing.T) {
+	for _, n := range []int{64, 256} {
+		t.Run(fmt.Sprintf("n%d", n), func(t *testing.T) {
+			net := warmTorusTransposeNet(t, n)
+			requireZeroAllocSteps(t, n/2-20, func() error { return net.StepOnce(greedyXY{}) })
+			if net.Done() {
+				t.Fatal("the torus drained inside the measured window; the steps were not saturated")
+			}
+		})
+	}
+}
+
 // TestSteadyStateZeroAllocs pins the struct-of-arrays contract at the
 // million-node scale: after warm-up (queue regions grown to their working
 // capacity, scratch buffers sized), a serial engine step on a fully loaded
@@ -165,14 +192,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("1M-packet network build is slow; skipped with -short")
 	}
 	net := warmTorusTransposeNet(t, 1024)
-	avg := testing.AllocsPerRun(5, func() {
-		if err := net.StepOnce(greedyXY{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state step allocates %v times at n=1024, want 0", avg)
-	}
+	requireZeroAllocSteps(t, 10, func() error { return net.StepOnce(greedyXY{}) })
 }
 
 // BenchmarkPlace measures placement throughput.

@@ -25,15 +25,8 @@ func TestObservedStepAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := net.StepOnce(alg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state StepOnce with a counting sink allocates %.1f times per step, want 0", avg)
-	}
-	if got := counters.Steps(); got != 26 { // 5 warm + AllocsPerRun's 1 + 20
+	requireZeroAllocSteps(t, 20, func() error { return net.StepOnce(alg) })
+	if got := counters.Steps(); got != 26 { // 5 warm + the helper's 1 + 20
 		t.Errorf("sink saw %d steps, want 26", got)
 	}
 }

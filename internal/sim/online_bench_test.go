@@ -93,8 +93,9 @@ func onlineStreamNet(tb testing.TB, n, steps int) *Network {
 // injection on a 64×64 mesh (~27 arrivals per step, ~1K packets in flight
 // at equilibrium). It is a zero-alloc guard like the StepTorus cells: the
 // admission phase rides inside the step, so a steady-state online step must
-// allocate nothing (benchgate gates the cell). The network is rebuilt every
-// epoch outside the timer, since an open workload never reaches Done.
+// allocate nothing (TestOnlineSteadyStateStepAllocs gates it). The network
+// is rebuilt every epoch outside the timer, since an open workload never
+// reaches Done.
 func BenchmarkStepOnline(b *testing.B) {
 	const n = 64
 	b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -106,8 +107,9 @@ func BenchmarkStepOnline(b *testing.B) {
 // accumulator (internal/analysis) attached as the admission-time
 // analyzer. The accumulator's Admit walks the canonical path of every
 // admitted packet but never allocates, so this cell holds the same
-// 0 B/op / 0 allocs/op contract as the analyzer-off one — benchgate gates
-// both, which pins that analysis stays pay-for-play in CPU only.
+// 0 B/op / 0 allocs/op contract as the analyzer-off one
+// (TestAnalyzedSteadyStateStepAllocs gates it), which pins that analysis
+// stays pay-for-play in CPU only.
 func BenchmarkStepOnlineAnalyzed(b *testing.B) {
 	const n = 64
 	b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
@@ -168,16 +170,9 @@ func onlineAnalyzedNet(tb testing.TB, n, steps int) *Network {
 // workers), the serial step, which is the only step there is.
 func TestOnlineSteadyStateStepAllocs(t *testing.T) {
 	t.Run("w0", func(t *testing.T) {
-		const runs = 10
+		const runs = 200
 		net := onlineStreamNet(t, 64, runs+2)
-		avg := testing.AllocsPerRun(runs, func() {
-			if err := net.StepOnce(onlineXY{}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("steady-state online step allocates %v times, want 0", avg)
-		}
+		requireZeroAllocSteps(t, runs, func() error { return net.StepOnce(onlineXY{}) })
 	})
 }
 
@@ -188,16 +183,9 @@ func TestOnlineSteadyStateStepAllocs(t *testing.T) {
 // The subtest keeps its name w0 (zero workers), the serial step.
 func TestAnalyzedSteadyStateStepAllocs(t *testing.T) {
 	t.Run("w0", func(t *testing.T) {
-		const runs = 10
+		const runs = 200
 		net := onlineAnalyzedNet(t, 64, runs+2)
-		avg := testing.AllocsPerRun(runs, func() {
-			if err := net.StepOnce(onlineXY{}); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("analyzed steady-state step allocates %v times, want 0", avg)
-		}
+		requireZeroAllocSteps(t, runs, func() error { return net.StepOnce(onlineXY{}) })
 		acc, ok := net.analyzer.(*analysis.Accumulator)
 		if !ok {
 			t.Fatalf("analyzer is %T, want *analysis.Accumulator", net.analyzer)

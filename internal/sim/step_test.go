@@ -94,12 +94,5 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := net.StepOnce(alg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state StepOnce allocates %.1f times per step, want 0", avg)
-	}
+	requireZeroAllocSteps(t, 20, func() error { return net.StepOnce(alg) })
 }
