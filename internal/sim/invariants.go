@@ -2,8 +2,9 @@ package sim
 
 import "fmt"
 
-// checkStepInvariants runs the end-of-step invariant checker, enabled by
-// Config.CheckInvariants:
+// checkNode and checkConservation are the invariant checker, enabled by
+// Config.CheckInvariants. Part (e) calls checkNode on every occupied node
+// before that node's Update, and checkConservation after the sweep:
 //
 //   - queue capacity: every queue's occupancy is within capOf(tag) under
 //     either queue model (the origin buffer is unbounded per-inlink);
@@ -17,54 +18,58 @@ import "fmt"
 //     equals the number of packets ever placed or queued — packets are
 //     never duplicated or lost by a step.
 //
+// An Update changes no queue, so the clauses read what they would before
+// any Update; a violation returns after the Updates of the nodes before it.
+//
 // Minimality of moves is the remaining engine invariant; it is enforced
 // inline at scheduling time by Config.RequireMinimal / Config.MaxStray
-// (see StepOnce), where the offending move is still known.
+// (see scheduleNodes), where the offending move is still known.
 //
-// The checker allocates nothing and runs in O(occupied nodes); when the
-// flag is off the engine pays a single branch per step.
-func (net *Network) checkStepInvariants(alg Algorithm) error {
+// The checker allocates nothing and runs in O(occupied nodes + residents);
+// when the flag is off the engine pays one branch per occupied node.
+func (net *Network) checkNode(alg Algorithm, node *Node) error {
+	id := node.ID
 	st := &net.P
-	resident := 0
-	for _, id := range net.occ {
-		node := &net.nodes[id]
-		sum := 0
-		for tag := uint8(0); tag < numTags; tag++ {
-			c := int(node.counts[tag])
-			if c < 0 {
-				return fmt.Errorf("sim: invariant: node %v queue %d has negative count %d after %s step %d",
-					net.Topo.CoordOf(id), tag, c, alg.Name(), net.step)
-			}
-			if c > net.capOf(tag) {
-				return fmt.Errorf("sim: invariant: %s overflowed queue %d of node %v (%d > %d) at step %d",
-					alg.Name(), tag, net.Topo.CoordOf(id), c, net.capOf(tag), net.step)
-			}
-			sum += c
+	sum := 0
+	for tag := uint8(0); tag < numTags; tag++ {
+		c := int(node.counts[tag])
+		if c < 0 {
+			return fmt.Errorf("sim: invariant: node %v queue %d has negative count %d after %s step %d",
+				net.Topo.CoordOf(id), tag, c, alg.Name(), net.step)
 		}
-		if sum != node.Len() {
-			return fmt.Errorf("sim: invariant: node %v queue counters sum to %d but holds %d packets (step %d)",
-				net.Topo.CoordOf(id), sum, node.Len(), net.step)
+		if c > net.capOf(tag) {
+			return fmt.Errorf("sim: invariant: %s overflowed queue %d of node %v (%d > %d) at step %d",
+				alg.Name(), tag, net.Topo.CoordOf(id), c, net.capOf(tag), net.step)
 		}
-		for i, p := range net.PacketsOf(node) {
-			if st.At[p] != id {
-				return fmt.Errorf("sim: invariant: packet %d resident at node %v but At=%v (step %d)",
-					p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(st.At[p]), net.step)
-			}
-			if int(st.slot[p]) != i {
-				return fmt.Errorf("sim: invariant: packet %d at queue position %d carries slot index %d (step %d)",
-					p.ID(), i, st.slot[p], net.step)
-			}
-			if st.Delivered(p) {
-				return fmt.Errorf("sim: invariant: delivered packet %d still resident at %v (step %d)",
-					p.ID(), net.Topo.CoordOf(id), net.step)
-			}
-			if want := net.Topo.Profitable(id, st.Dst[p]); st.Prof[p] != want {
-				return fmt.Errorf("sim: invariant: packet %d at %v caches profitable set %v, fresh computation gives %v (step %d)",
-					p.ID(), net.Topo.CoordOf(id), st.Prof[p], want, net.step)
-			}
-		}
-		resident += node.Len()
+		sum += c
 	}
+	if sum != node.Len() {
+		return fmt.Errorf("sim: invariant: node %v queue counters sum to %d but holds %d packets (step %d)",
+			net.Topo.CoordOf(id), sum, node.Len(), net.step)
+	}
+	for i, p := range net.PacketsOf(node) {
+		if st.At[p] != id {
+			return fmt.Errorf("sim: invariant: packet %d resident at node %v but At=%v (step %d)",
+				p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(st.At[p]), net.step)
+		}
+		if int(st.slot[p]) != i {
+			return fmt.Errorf("sim: invariant: packet %d at queue position %d carries slot index %d (step %d)",
+				p.ID(), i, st.slot[p], net.step)
+		}
+		if st.Delivered(p) {
+			return fmt.Errorf("sim: invariant: delivered packet %d still resident at %v (step %d)",
+				p.ID(), net.Topo.CoordOf(id), net.step)
+		}
+		if want := net.Topo.Profitable(id, st.Dst[p]); st.Prof[p] != want {
+			return fmt.Errorf("sim: invariant: packet %d at %v caches profitable set %v, fresh computation gives %v (step %d)",
+				p.ID(), net.Topo.CoordOf(id), st.Prof[p], want, net.step)
+		}
+	}
+	return nil
+}
+
+// checkConservation checks packet conservation, given the resident count.
+func (net *Network) checkConservation(resident int) error {
 	if got := net.delivered + resident + net.backlogTotal + net.pendingTotal; got != net.total {
 		return fmt.Errorf("sim: invariant: packet conservation violated at step %d: %d delivered + %d resident + %d backlogged + %d pending = %d, want %d",
 			net.step, net.delivered, resident, net.backlogTotal, net.pendingTotal, got, net.total)

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"strings"
 	"testing"
 
 	"meshroute/internal/dex"
@@ -13,8 +14,9 @@ import (
 
 // TestNoStaleNodeMarks runs real routers on a mesh and a torus, one of them
 // under a fault schedule, and checks after every step that no node still
-// carries the part (c) offered or part (d) sent bit, and that the occupied
-// bit is exactly membership in Occupied().
+// carries the part (c) offered or part (d) sent bit, that no resident packet
+// is still marked departing, and that the occupied bit is exactly
+// membership in Occupied().
 func TestNoStaleNodeMarks(t *testing.T) {
 	const n = 8
 	central := func(topo grid.Topology) sim.Config {
@@ -52,7 +54,6 @@ func TestNoStaleNodeMarks(t *testing.T) {
 				t.Fatal(err)
 			}
 			alg := tc.alg()
-			inOcc := make([]bool, tc.topo.N())
 			sawFault := false
 			for !net.Done() {
 				if net.Step() > 100*n {
@@ -61,22 +62,79 @@ func TestNoStaleNodeMarks(t *testing.T) {
 				if err := net.StepOnce(alg); err != nil {
 					t.Fatal(err)
 				}
-				clear(inOcc)
-				for _, id := range net.Occupied() {
-					inOcc[id] = true
-				}
-				for id := range inOcc {
-					sawFault = sawFault || net.Stalled(grid.NodeID(id)) || net.DownOutlinks(grid.NodeID(id)) != 0
-					occupied, offered, sent := sim.NodeMarks(net, grid.NodeID(id))
-					if offered || sent || occupied != inOcc[id] {
-						t.Fatalf("step %d node %d: occupied=%v (listed %v) offered=%v sent=%v",
-							net.Step(), id, occupied, inOcc[id], offered, sent)
-					}
+				requireNoStaleMarks(t, net)
+				for id := grid.NodeID(0); int(id) < tc.topo.N(); id++ {
+					sawFault = sawFault || net.Stalled(id) || net.DownOutlinks(id) != 0
 				}
 			}
 			if tc.faults != sawFault {
 				t.Fatalf("faults configured %v, but a fault was active: %v", tc.faults, sawFault)
 			}
 		})
+	}
+
+	// A step that fails part (c)'s check of an arrival against its sender
+	// leaves no mark behind either: by then earlier arrivals are marked
+	// departing and their senders sent.
+	t.Run("not-found-at-sender", func(t *testing.T) {
+		topo := grid.NewSquareMesh(n)
+		net := sim.MustNew(central(topo))
+		if err := workload.Random(topo, 3).Place(net); err != nil {
+			t.Fatal(err)
+		}
+		alg := &misplacingAccept{Algorithm: dex.NewAdapter(routers.DimOrderFIFO{}), step: 2, call: 3}
+		if err := net.StepOnce(alg); err != nil {
+			t.Fatal(err)
+		}
+		err := net.StepOnce(alg)
+		if err == nil || !strings.Contains(err.Error(), "not found at sender") {
+			t.Fatalf("want the not-found-at-sender error, got %v", err)
+		}
+		if alg.calls < alg.call {
+			t.Fatalf("step 2 made %d accepting Accept calls, want at least %d", alg.calls, alg.call)
+		}
+		requireNoStaleMarks(t, net)
+	})
+}
+
+// requireNoStaleMarks fails unless every node's occupied bit is exactly its
+// membership in Occupied() and no node carries an offered, sent or
+// departing mark.
+func requireNoStaleMarks(t *testing.T, net *sim.Network) {
+	t.Helper()
+	inOcc := make([]bool, net.Topo.N())
+	for _, id := range net.Occupied() {
+		inOcc[id] = true
+	}
+	for id := range inOcc {
+		occupied, offered, sent, departing := sim.NodeMarks(net, grid.NodeID(id))
+		if offered || sent || departing || occupied != inOcc[id] {
+			t.Fatalf("step %d node %d: occupied=%v (listed %v) offered=%v sent=%v departing=%v",
+				net.Step(), id, occupied, inOcc[id], offered, sent, departing)
+		}
+	}
+}
+
+// misplacingAccept is its router with one fault injected through the
+// store: at the given step, the call-th Accept call that admits an offer
+// rewrites the admitted packet's At to the target, as if it had already
+// left its sender.
+type misplacingAccept struct {
+	sim.Algorithm
+	step, call, calls int
+}
+
+func (m *misplacingAccept) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
+	m.Algorithm.Accept(net, n, offers, acc)
+	if net.Step() != m.step {
+		return
+	}
+	for i, ok := range acc {
+		if ok {
+			if m.calls++; m.calls == m.call {
+				net.P.At[offers[i].P] = n.ID
+			}
+			return
+		}
 	}
 }

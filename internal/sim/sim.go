@@ -141,8 +141,8 @@ type PacketStore struct {
 	// maintained by the engine (attach and the part (d) compaction), so
 	// removal never needs a scan.
 	slot []int32
-	// departing marks a packet scheduled to leave its node during the
-	// part (d) batch removal of the current step.
+	// departing marks a packet that leaves its node this step: set in part
+	// (c) as its arrival is listed, cleared in part (d).
 	departing []bool
 }
 
@@ -261,8 +261,8 @@ func (p Packet) Delivered() bool { return p.DeliverStep >= 0 }
 type Node struct {
 	// ID is the node identifier.
 	ID grid.NodeID
-	// offStart is the start of this node's offer region in the part (c)
-	// offers slice while it is a target (see acceptOffers).
+	// offStart is, while the node is a part (c) target, the index in the
+	// step's moves of its newest offer (see acceptOffers).
 	offStart int32
 	// State is algorithm-owned scratch (e.g. round-robin counters).
 	State uint64
@@ -281,19 +281,19 @@ type Node struct {
 	// flags holds the occupied, offered and sent bits (see nodeOccupied).
 	flags uint8
 	// offCount is the number of offers this node receives in part (c): at
-	// most one per inlink, so four.
+	// most one per inlink, so four. Part (c) counts them as it links them.
 	offCount uint8
 }
 
 // Node.flags bits. Each is set and cleared by the engine within the phase
-// that owns it, so no bit outlives its phase:
+// that owns it, so no bit outlives its phase, nor a step that fails in it:
 //
 //   - nodeOccupied: the node is on the occupied list (set by attach,
-//     cleared by compactOcc);
+//     cleared when part (a) or compactOcc drops the node from the list);
 //   - nodeOffered: the node is a part (c) target this step (set when
 //     acceptOffers appends it to the targets, cleared after its Accept);
-//   - nodeSent: the node is a part (d) sender this step (set by
-//     markDepartures, cleared by compactSenders).
+//   - nodeSent: the node sends a packet in part (d) this step (set in part
+//     (c) as each arrival is listed, by depart, cleared by compactSenders).
 const (
 	nodeOccupied uint8 = 1 << iota
 	nodeOffered
@@ -395,8 +395,8 @@ type Config struct {
 	// CheckInvariants enables the per-step runtime invariant checker:
 	// queue capacity under either queue model, per-node count
 	// consistency, the cached profitable sets (PacketStore.Prof), and
-	// packet conservation (see checkStepInvariants).
-	// When false the engine pays one branch per step and zero
+	// packet conservation (see invariants.go), checked in part (e).
+	// When false the engine pays one branch per occupied node and zero
 	// allocations for it.
 	CheckInvariants bool
 	// Faults is an optional deterministic fault schedule (link failures,
@@ -514,13 +514,12 @@ type Network struct {
 // and the target/sender marks live in Node itself.
 type stepScratch struct {
 	moves   []Move
-	targets []grid.NodeID // part (c) offer targets, first-seen order
-	// offers holds every target's offers, target by target: those for node t
-	// are offers[t.offStart : t.offStart+t.offCount].
-	offers []Offer
+	targets []grid.NodeID       // part (c) offer targets, first-seen order
+	next    []int32             // next[i]: the move of the offer before moves[i] at its target
+	offers  [grid.NumDirs]Offer // one target's offers, in move order
+	accept  [grid.NumDirs]bool  // and its policy's decisions
 
 	arrivals []Move
-	accept   []bool        // Accept decision buffer, sliced per target
 	senders  []grid.NodeID // distinct sending nodes of this step's arrivals
 
 	// Observer record buffer (reused only when an observer is set).
@@ -855,11 +854,8 @@ func (net *Network) attach(node *Node, p PacketID, tag uint8) {
 
 // capOf returns the capacity of the queue with the given tag.
 func (net *Network) capOf(tag uint8) int {
-	if tag == OriginTag {
-		if net.Queues == PerInlinkQueues {
-			return int(^uint(0) >> 1) // unbounded origin buffer
-		}
-		return net.K
+	if tag == OriginTag && net.Queues == PerInlinkQueues {
+		return int(^uint(0) >> 1) // unbounded origin buffer
 	}
 	return net.K
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,6 +20,150 @@ func TestOutOfRangeScheduleRejected(t *testing.T) {
 	net.MustPlace(net.NewPacket(0, 7))
 	if err := net.StepOnce(badIndexAlg{}); err == nil || !strings.Contains(err.Error(), "out-of-range") {
 		t.Fatalf("want out-of-range error, got %v", err)
+	}
+}
+
+// failingScheduleAlg schedules an out-of-range index at the call-th node
+// it schedules in the given step.
+type failingScheduleAlg struct {
+	greedyXY
+	step, call, calls int
+}
+
+func (a *failingScheduleAlg) Schedule(net *Network, n *Node) [grid.NumDirs]int {
+	if net.Step() == a.step {
+		if a.calls++; a.calls == a.call {
+			return [grid.NumDirs]int{99, -1, -1, -1}
+		}
+	}
+	return a.greedyXY.Schedule(net, n)
+}
+
+// TestScheduleErrorLeavesOccupiedListSound fails part (a) at the third
+// occupied node of step 2, after its sweep has dropped emptied nodes ahead
+// of it: the occupied list must still name every nonempty node exactly
+// once, and the diagnostics must read the same nodes.
+func TestScheduleErrorLeavesOccupiedListSound(t *testing.T) {
+	net := buildReversal(t, 8, 2)
+	alg := &failingScheduleAlg{step: 2, call: 3}
+	if err := net.StepOnce(alg); err != nil {
+		t.Fatal(err)
+	}
+	if net.nodes[net.occ[0]].qLen != 0 {
+		t.Fatal("the first listed node did not empty in step 1; the sweep would compact nothing before the error")
+	}
+	err := net.StepOnce(alg)
+	if err == nil || !strings.Contains(err.Error(), "out-of-range") {
+		t.Fatalf("want the out-of-range error, got %v", err)
+	}
+	requireSoundOccupiedList(t, net)
+}
+
+// updateCountingAlg counts its Update calls; at the given step, the
+// call-th Update corrupts the cached profitable set of the first resident
+// of the next occupied node, so that the invariant checker fails there.
+type updateCountingAlg struct {
+	greedyXY
+	step, call, updates int
+	victim              PacketID
+	victimAt            grid.NodeID
+	updatesBeforeVictim int
+}
+
+func (a *updateCountingAlg) Update(net *Network, n *Node) {
+	a.updates++
+	if net.Step() != a.step || a.updates != a.call {
+		return
+	}
+	occ := net.occ
+	i := slices.Index(occ, n.ID)
+	for _, id := range occ[i+1:] {
+		a.updatesBeforeVictim++
+		if q := net.PacketsOf(&net.nodes[id]); len(q) > 0 {
+			a.victim, a.victimAt = q[0], id
+			net.P.Prof[q[0]] = net.P.Prof[q[0]].Set(grid.North).Set(grid.South)
+			return
+		}
+	}
+}
+
+// TestInvariantErrorMidUpdate raises an invariant violation in the middle
+// of part (e): the error text is the checker's, and the step returns after
+// the Updates of the nodes before the violating one and none after it.
+func TestInvariantErrorMidUpdate(t *testing.T) {
+	net := buildReversal(t, 8, 2)
+	net.cfg.CheckInvariants = true
+	alg := &updateCountingAlg{step: 2, call: 3}
+	if err := net.StepOnce(alg); err != nil {
+		t.Fatal(err)
+	}
+	alg.updates = 0
+	err := net.StepOnce(alg)
+	if alg.victim == NoPacket {
+		t.Fatal("no occupied node after the third Update to corrupt")
+	}
+	want := fmt.Sprintf("sim: invariant: packet %d at %v caches profitable set %v, fresh computation gives %v (step 2)",
+		alg.victim.ID(), net.Topo.CoordOf(alg.victimAt), net.P.Prof[alg.victim], net.Topo.Profitable(alg.victimAt, net.P.Dst[alg.victim]))
+	if err == nil || err.Error() != want {
+		t.Fatalf("got error %v\nwant %s", err, want)
+	}
+	// Updates ran at the three nodes up to the corrupting one and at the
+	// emptied nodes between it and the victim (updatesBeforeVictim - 1).
+	if wantUpdates := alg.call + alg.updatesBeforeVictim - 1; alg.updates != wantUpdates {
+		t.Fatalf("%d Updates ran in the failed step, want %d", alg.updates, wantUpdates)
+	}
+	requireSoundOccupiedList(t, net)
+}
+
+// requireSoundOccupiedList fails unless the raw occupied list holds no
+// node twice and every node with a resident, CollectDiagnostics reports the
+// queues of exactly those nodes, and Occupied() lists exactly them.
+func requireSoundOccupiedList(t *testing.T, net *Network) {
+	t.Helper()
+	var want []grid.NodeID
+	var queues []QueueDiag
+	for id := range net.nodes {
+		node := &net.nodes[id]
+		if node.Len() == 0 {
+			continue
+		}
+		want = append(want, grid.NodeID(id))
+		for tag := uint8(0); tag < numTags; tag++ {
+			if c := node.QueueLen(tag); c > 0 {
+				queues = append(queues, QueueDiag{Node: grid.NodeID(id), Coord: net.Topo.CoordOf(grid.NodeID(id)), Tag: tag, Len: c})
+			}
+		}
+	}
+	listed := func(what string, got []grid.NodeID) {
+		t.Helper()
+		seen := map[grid.NodeID]bool{}
+		for _, id := range got {
+			if seen[id] {
+				t.Fatalf("%s lists node %d twice: %v", what, id, got)
+			}
+			seen[id] = true
+		}
+		for _, id := range want {
+			if !seen[id] {
+				t.Fatalf("%s misses occupied node %d: %v", what, id, got)
+			}
+		}
+	}
+	listed("the occupied list", net.occ)
+	slices.SortStableFunc(queues, func(a, b QueueDiag) int {
+		if a.Len != b.Len {
+			return b.Len - a.Len
+		}
+		return int(a.Node) - int(b.Node)
+	})
+	queues = queues[:min(len(queues), maxDiagQueues)]
+	if got := net.CollectDiagnostics().TopQueues; !slices.Equal(got, queues) {
+		t.Fatalf("diagnostics report queues %v, want %v", got, queues)
+	}
+	occ := net.Occupied()
+	listed("Occupied()", occ)
+	if len(occ) != len(want) {
+		t.Fatalf("Occupied() lists %d nodes, %d hold packets", len(occ), len(want))
 	}
 }
 

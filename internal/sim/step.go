@@ -102,9 +102,9 @@ func (net *Network) StepOnce(alg Algorithm) error {
 		net.applyFaults(t)
 	}
 	net.injectPending(t)
-	net.compactOcc()
 
-	// Part (a): outqueue policies schedule packets.
+	// Part (a): outqueue policies schedule packets; the same sweep drops
+	// the nodes that have emptied from the occupied list.
 	moves, err := net.scheduleNodes(alg)
 	if err != nil {
 		return err
@@ -117,25 +117,24 @@ func (net *Network) StepOnce(alg Algorithm) error {
 		}
 	}
 
-	// Part (c): inqueue policies accept or refuse.
-	arrivals := net.acceptOffers(alg, moves)
-
-	// Part (d): simultaneous transmission of the accepted packets.
-	if err := net.transmit(arrivals); err != nil {
+	// Part (c): inqueue policies accept or refuse; each arrival is checked
+	// against its sender and marked departing as it is listed.
+	arrivals, err := net.acceptOffers(alg, moves)
+	if err != nil {
 		return err
 	}
 
-	// Runtime invariant checker: queue capacity, count consistency and
-	// packet conservation (CheckInvariants). Minimality was already
-	// enforced at scheduling time.
-	if net.cfg.CheckInvariants {
-		if err := net.checkStepInvariants(alg); err != nil {
-			return err
-		}
-	}
+	// Part (d): simultaneous transmission. Removal strictly precedes
+	// insertion, so departures free space for arrivals within the step.
+	net.compactSenders()
+	net.applyArrivals(arrivals)
 
-	// Part (e): state updates, fused with the end-of-step occupancy scan.
-	o := net.updateNodes(alg)
+	// Part (e): state updates, fused with the end-of-step occupancy scan
+	// and the invariant checker (CheckInvariants).
+	o, err := net.updateNodes(alg)
+	if err != nil {
+		return err
+	}
 	net.Metrics.noteOccupancy(o.maxQueue, o.maxNodeLoad)
 
 	if net.delivered > deliveredBefore {
@@ -170,16 +169,22 @@ func (net *Network) StepOnce(alg Algorithm) error {
 // node's decision in Node.sched and returns the scheduled moves that
 // survive the fault schedule, counting the others as fault drops. Stalled
 // nodes are frozen: they schedule nothing (and accept nothing in part (c)).
+// The same sweep is the step's compactOcc: it keeps the nonempty nodes on
+// the occupied list, in order, and drops the others.
 func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 	t := net.step
 	st := &net.P
 	moves := net.scratch.moves[:0]
-	for _, id := range net.occ {
+	occ, w := net.occ, 0
+	for r, id := range occ {
 		node := &net.nodes[id]
 		node.sched = 0
 		if node.qLen == 0 {
+			node.flags &^= nodeOccupied
 			continue
 		}
+		occ[w] = id
+		w++
 		if net.hasFaults {
 			if net.stalledCnt[id] > 0 {
 				continue
@@ -196,7 +201,7 @@ func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 								Step: t,
 							}
 							net.emitEvent(obs.Event{Step: t, Kind: "unreachable", Node: int(id), Detail: ue.Error()})
-							return nil, ue
+							return nil, net.abortSweep(w, r, ue)
 						}
 					}
 				}
@@ -215,29 +220,29 @@ func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 			}
 			node.sched = node.sched.Set(d)
 			if idx >= len(q) {
-				return nil, fmt.Errorf("sim: %s scheduled out-of-range packet index %d at node %v",
-					alg.Name(), idx, net.Topo.CoordOf(id))
+				return nil, net.abortSweep(w, r, fmt.Errorf("sim: %s scheduled out-of-range packet index %d at node %v",
+					alg.Name(), idx, net.Topo.CoordOf(id)))
 			}
 			for dd := grid.Dir(0); dd < d; dd++ {
 				if used[dd] == idx {
-					return nil, fmt.Errorf("sim: %s scheduled packet %d on two outlinks at node %v",
-						alg.Name(), q[idx].ID(), net.Topo.CoordOf(id))
+					return nil, net.abortSweep(w, r, fmt.Errorf("sim: %s scheduled packet %d on two outlinks at node %v",
+						alg.Name(), q[idx].ID(), net.Topo.CoordOf(id)))
 				}
 			}
 			used[d] = idx
 			p := q[idx]
 			nb, ok := net.Topo.Neighbor(id, d)
 			if !ok {
-				return nil, fmt.Errorf("sim: %s scheduled packet %d on missing outlink %v of node %v",
-					alg.Name(), p.ID(), d, net.Topo.CoordOf(id))
+				return nil, net.abortSweep(w, r, fmt.Errorf("sim: %s scheduled packet %d on missing outlink %v of node %v",
+					alg.Name(), p.ID(), d, net.Topo.CoordOf(id)))
 			}
 			if net.cfg.RequireMinimal && !st.Prof[p].Has(d) {
-				return nil, fmt.Errorf("sim: %s scheduled non-minimal move of packet %d: %v -> %v toward %v",
-					alg.Name(), p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(nb), net.Topo.CoordOf(st.Dst[p]))
+				return nil, net.abortSweep(w, r, fmt.Errorf("sim: %s scheduled non-minimal move of packet %d: %v -> %v toward %v",
+					alg.Name(), p.ID(), net.Topo.CoordOf(id), net.Topo.CoordOf(nb), net.Topo.CoordOf(st.Dst[p])))
 			}
 			if !net.cfg.RequireMinimal && net.cfg.MaxStray > 0 && !net.withinStray(p, nb) {
-				return nil, fmt.Errorf("sim: %s moved packet %d more than %d beyond its source-destination rectangle",
-					alg.Name(), p.ID(), net.cfg.MaxStray)
+				return nil, net.abortSweep(w, r, fmt.Errorf("sim: %s moved packet %d more than %d beyond its source-destination rectangle",
+					alg.Name(), p.ID(), net.cfg.MaxStray))
 			}
 			// A legal move onto a failed link is silently dropped: the
 			// packet stays put and may retry (or detour) next step.
@@ -248,8 +253,17 @@ func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 			moves = append(moves, Move{P: p, From: id, To: nb, Travel: d})
 		}
 	}
+	net.occ = occ[:w]
 	net.scratch.moves = moves
 	return moves, nil
+}
+
+// abortSweep ends a part (a) that fails at occ[r] with w nodes kept, so
+// that the occupied list still names every occupied node exactly once.
+func (net *Network) abortSweep(w, r int, err error) error {
+	net.occ = append(net.occ[:w], net.occ[r+1:]...)
+	net.compactOcc()
+	return err
 }
 
 // exchangeDestinations runs part (b). The hook writes only P.Dst, so every
@@ -282,17 +296,19 @@ func (net *Network) exchangeDestinations(moves []Move) error {
 // accepts nothing, not even deliveries: the scheduled packet stays at its
 // sender and retries later.
 //
-// Offers are grouped by target with a dense two-pass index instead of a
-// map: pass 1 counts offers per target (and collects targets in first-seen
-// order), a prefix sum assigns each target a contiguous region of the flat
-// offers slice, and pass 2 fills the regions in move order — so both the
-// target order and the per-target offer order match a map-based grouping.
-func (net *Network) acceptOffers(alg Algorithm, moves []Move) []Move {
+// One pass over the moves groups the offers by target without a map: a
+// target joins the targets list when first seen, and its offers are linked
+// newest-first from Node.offStart through s.next. Its policy sees them
+// gathered back into move order in a four-slot buffer, so the target order
+// and the offer order match a map-based grouping. Each arrival passes
+// depart as it is listed.
+func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 	s := &net.scratch
 	st := &net.P
-	arrivals := s.arrivals[:0]
-	targets := s.targets[:0]
-	nOffers := 0
+	arrivals, targets := s.arrivals[:0], s.targets[:0]
+	s.senders = s.senders[:0]
+	next := slices.Grow(s.next[:0], len(moves))[:len(moves)]
+	s.next = next
 	for i := range moves {
 		m := &moves[i]
 		if net.hasFaults && net.stalledCnt[m.To] > 0 {
@@ -300,6 +316,9 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) []Move {
 			continue
 		}
 		if m.To == st.Dst[m.P] {
+			if !net.depart(m.P, m.From) {
+				return nil, net.abortDepartures(m.P, arrivals, targets)
+			}
 			arrivals = append(arrivals, *m)
 			continue
 		}
@@ -309,103 +328,73 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) []Move {
 			to.offCount = 0
 			targets = append(targets, m.To)
 		}
+		next[i] = to.offStart // stale for the first offer; never followed
+		to.offStart = int32(i)
 		to.offCount++
-		nOffers++
 	}
 	s.targets = targets
-	var pos int32
-	for _, id := range targets {
-		to := &net.nodes[id]
-		to.offStart = pos
-		pos += int32(to.offCount)
-	}
-	if cap(s.offers) < nOffers {
-		s.offers = make([]Offer, nOffers)
-	}
-	offers := s.offers[:nOffers]
-	s.offers = offers
-	for i := range moves {
-		m := &moves[i]
-		if net.hasFaults && net.stalledCnt[m.To] > 0 {
-			continue
-		}
-		if m.To == st.Dst[m.P] {
-			continue
-		}
-		to := &net.nodes[m.To]
-		offers[to.offStart] = Offer{P: m.P, From: m.From, Travel: m.Travel}
-		to.offStart++
-	}
-	// Each target's inqueue policy sees its contiguous offer region (pass 2
-	// advanced offStart past it).
 	for _, id := range targets {
 		to := &net.nodes[id]
 		to.flags &^= nodeOffered
 		cnt := int(to.offCount)
-		start := int(to.offStart) - cnt
-		offs := offers[start : start+cnt]
-		if cap(s.accept) < cnt {
-			s.accept = make([]bool, cnt)
+		offs, acc := s.offers[:cnt], s.accept[:cnt]
+		for j, i := cnt-1, to.offStart; j >= 0; j, i = j-1, next[i] {
+			m := &moves[i]
+			offs[j] = Offer{P: m.P, From: m.From, Travel: m.Travel}
 		}
-		acc := s.accept[:cnt]
 		clear(acc)
 		alg.Accept(net, to, offs, acc)
-		for i, ok := range acc {
+		for j, ok := range acc {
 			if ok {
-				arrivals = append(arrivals, Move{P: offs[i].P, From: offs[i].From, To: id, Travel: offs[i].Travel})
+				o := &offs[j]
+				if !net.depart(o.P, o.From) {
+					return nil, net.abortDepartures(o.P, arrivals, targets)
+				}
+				arrivals = append(arrivals, Move{P: o.P, From: o.From, To: id, Travel: o.Travel})
 			}
 		}
 	}
 	s.arrivals = arrivals
-	return arrivals
+	return arrivals, nil
 }
 
-// transmit runs part (d), simultaneous transmission, in three passes:
-// every mover is located at its sender in O(1) through its slot index and
-// marked departing, each distinct sender's queue is compacted once,
-// order-preserving, and the arrivals are applied — deliveries and
-// attaches. Removal strictly precedes insertion, so departures free space
-// for arrivals within the step.
-func (net *Network) transmit(arrivals []Move) error {
-	if err := net.markDepartures(arrivals); err != nil {
-		return err
-	}
-	net.compactSenders()
-	net.applyArrivals(arrivals)
-	return nil
-}
-
-// markDepartures validates every arrival against its sender's queue, marks
-// the moving packets departing, and rebuilds the deduplicated distinct-
-// sender list in s.senders, each sender carrying the nodeSent bit. On error
-// it clears the nodeSent bits it set, so none outlives the failed step.
-func (net *Network) markDepartures(arrivals []Move) error {
-	s := &net.scratch
+// depart checks that packet p still sits at src, at the queue position its
+// slot names, and if so marks p departing and src sent, listing each sender
+// once in s.senders; otherwise it marks nothing and reports false.
+func (net *Network) depart(p PacketID, src grid.NodeID) bool {
 	st := &net.P
-	senders := s.senders[:0]
-	for _, a := range arrivals {
-		p, src := a.P, a.From
-		node := &net.nodes[src]
-		if st.At[p] != src || uint32(st.slot[p]) >= node.qLen || net.slots[node.qStart+uint32(st.slot[p])] != p {
-			for _, id := range senders {
-				net.nodes[id].flags &^= nodeSent
-			}
-			return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
-		}
-		st.departing[p] = true
-		if node.flags&nodeSent == 0 {
-			node.flags |= nodeSent
-			senders = append(senders, src)
-		}
+	node := &net.nodes[src]
+	if i := uint32(st.slot[p]); st.At[p] != src || i >= node.qLen || net.slots[node.qStart+i] != p {
+		return false
 	}
-	s.senders = senders
-	return nil
+	st.departing[p] = true
+	if node.flags&nodeSent == 0 {
+		node.flags |= nodeSent
+		net.scratch.senders = append(net.scratch.senders, src)
+	}
+	return true
 }
 
-// compactSenders removes departing packets from each sender's queue region,
-// preserving FIFO order of the packets that stay, in one O(qLen) pass per
-// sender. The per-tag count decrement reads the departing packet's old
-// QTag, so compaction must complete before applyArrivals re-tags any packet.
+// abortDepartures ends a part (c) in which packet p failed depart's check,
+// clearing every departing, sent and offered mark so none outlives it.
+func (net *Network) abortDepartures(p PacketID, arrivals []Move, targets []grid.NodeID) error {
+	for _, a := range arrivals {
+		net.P.departing[a.P] = false
+	}
+	for _, id := range net.scratch.senders {
+		net.nodes[id].flags &^= nodeSent
+	}
+	for _, id := range targets {
+		net.nodes[id].flags &^= nodeOffered
+	}
+	return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
+}
+
+// compactSenders starts part (d): it removes departing packets from each
+// sender's queue region, preserving FIFO order of the packets that stay, in
+// one O(qLen) pass per sender. The per-tag count decrement reads the
+// departing packet's old QTag, so compaction must complete before
+// applyArrivals re-tags any packet.
 func (net *Network) compactSenders() {
 	st := &net.P
 	for _, id := range net.scratch.senders {
@@ -458,8 +447,9 @@ func (net *Network) applyArrivals(arrivals []Move) {
 }
 
 // occupancy is the end-of-step occupancy summary the part (e) scan
-// produces: the two maxima the run metrics keep, and — only when a metrics
-// sink is installed — what the step sample reports besides.
+// produces: the maxima the run metrics keep, the counts the conservation
+// check and the step sample read, and — only when a metrics sink is
+// installed — the queue histogram.
 type occupancy struct {
 	// maxQueue is the largest single queue (excluding the unbounded origin
 	// buffer), maxNodeLoad the largest total node load.
@@ -472,12 +462,14 @@ type occupancy struct {
 
 // updateNodes runs part (e) on the occupied nodes — skipping stalled nodes,
 // whose state must stay frozen — fused with the one end-of-step occupancy
-// scan, whose summary it returns. Update still runs on nodes that emptied
-// during the step (they held a packet at its start, which is the Update
-// contract); the scan skips them. The update does not change queue
-// contents, so fusing the two is invisible.
-func (net *Network) updateNodes(alg Algorithm) (o occupancy) {
+// scan, whose summary it returns, and the invariant checker (checkNode).
+// Update still runs on nodes that emptied during the step (they held a
+// packet at its start, which is the Update contract); the scan skips them.
+// The update does not change queue contents, so fusing the three is
+// invisible but for the Updates that run before a violation is found.
+func (net *Network) updateNodes(alg Algorithm) (o occupancy, err error) {
 	sampled := net.sink != nil
+	check := net.cfg.CheckInvariants
 	// The queues the model bounds by k: the central queue is tag 0, the four
 	// inlink queues tags 0..3. The origin buffer (per-inlink only, and
 	// unbounded) is not one of them, and no other tag is ever used.
@@ -485,13 +477,18 @@ func (net *Network) updateNodes(alg Algorithm) (o occupancy) {
 	if net.Queues == PerInlinkQueues {
 		queues = OriginTag
 	}
-	maxQueue, maxNodeLoad := 0, 0
+	maxQueue, maxNodeLoad, inFlight := 0, 0, 0
 	for _, id := range net.occ {
 		node := &net.nodes[id]
-		if node.qLen > 0 {
-			if l := int(node.qLen); l > maxNodeLoad {
-				maxNodeLoad = l
+		if check {
+			if err := net.checkNode(alg, node); err != nil {
+				return o, err
 			}
+		}
+		if node.qLen > 0 {
+			l := int(node.qLen)
+			maxNodeLoad = max(maxNodeLoad, l)
+			inFlight += l
 			for tag := uint8(0); tag < queues; tag++ {
 				l := int(node.counts[tag])
 				if l > maxQueue {
@@ -501,18 +498,18 @@ func (net *Network) updateNodes(alg Algorithm) (o occupancy) {
 					o.hist[obs.BucketOf(l)]++
 				}
 			}
-			if sampled {
-				o.nodes++
-				o.inFlight += int(node.qLen)
-			}
+			o.nodes++
 		}
 		if net.hasFaults && net.stalledCnt[id] > 0 {
 			continue
 		}
 		alg.Update(net, node)
 	}
-	o.maxQueue, o.maxNodeLoad = maxQueue, maxNodeLoad
-	return o
+	o.maxQueue, o.maxNodeLoad, o.inFlight = maxQueue, maxNodeLoad, inFlight
+	if check {
+		err = net.checkConservation(inFlight)
+	}
+	return o, err
 }
 
 // withinStray reports whether node nb lies within the packet's
@@ -640,7 +637,7 @@ func (net *Network) finishAdmission() {
 	m.Dropped += net.stepDropped
 }
 
-// compactOcc drops empty nodes from the occupied list.
+// compactOcc drops empty nodes from the occupied list, as part (a) does.
 func (net *Network) compactOcc() {
 	w := 0
 	for _, id := range net.occ {
