@@ -427,13 +427,14 @@ func (c *Construction) Run(alg sim.Algorithm) (*Result, error) {
 		}
 	}
 
-	// Record the constructed permutation (sources in placement order,
-	// destinations as finally assigned).
+	// Record the constructed permutation (sources in placement order, which
+	// is PacketID order, destinations as finally assigned).
+	st := &net.P
 	undeliv := 0
-	for _, pk := range net.Packets() {
-		if Kind(pk.Class) != KindNone {
-			perm = append(perm, workload.Pair{Src: pk.Src, Dst: pk.Dst})
-			if !pk.Delivered() {
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		if Kind(st.Class[p]) != KindNone {
+			perm = append(perm, workload.Pair{Src: st.Src[p], Dst: st.Dst[p]})
+			if !st.Delivered(p) {
 				undeliv++
 			}
 		}
@@ -458,16 +459,28 @@ func (c *Construction) RunWithoutExchanges(alg sim.Algorithm) (*Result, error) {
 	return c.Run(alg)
 }
 
-// exchangeHook applies rules EX1–EX4 to the scheduled moves of one step.
+// exchangeHook applies rules EX1–EX4 to the scheduled moves of one step. A
+// mover's role is read from its Class/Tag columns, which Run sets from the
+// roster and exchange swaps with the destination, so they always equal
+// kindOf(Dst) (padding packets are fixed points and never move); Verify
+// mode asserts it.
 func (c *Construction) exchangeHook(net *sim.Network, step int, moves []sim.Move) {
 	if c.err != nil {
 		return
 	}
+	st := &net.P
 	// Scheduled targets, for partner eligibility ("not scheduled to enter
 	// the N_i-column").
 	c.sched.record(step, moves)
 	for _, m := range moves {
-		kind, j := c.kindOf(net.P.Dst[m.P])
+		kind, j := Kind(st.Class[m.P]), int(st.Tag[m.P])
+		if c.ver != nil {
+			if vk, vj := c.kindOf(st.Dst[m.P]); vk != kind || vj != j {
+				c.err = fmt.Errorf("adversary: step %d: packet %d carries role %v_%d but its destination makes it %v_%d",
+					step, m.P.ID(), kind, j, vk, vj)
+				return
+			}
+		}
 		if kind == KindNone {
 			continue
 		}
@@ -526,7 +539,7 @@ func (c *Construction) exchange(net *sim.Network, p sim.PacketID, wantKind Kind,
 		return
 	}
 	// Swap destinations (and, equivalently, roles).
-	st.Dst[p], st.Dst[partner] = st.Dst[partner], st.Dst[p]
+	net.ExchangeDst(p, partner)
 	st.Class[p], st.Class[partner] = st.Class[partner], st.Class[p]
 	st.Tag[p], st.Tag[partner] = st.Tag[partner], st.Tag[p]
 	// Update the role index: p takes partner's slot and vice versa.

@@ -189,11 +189,12 @@ func (c *DOConstruction) Run(alg sim.Algorithm) (*Result, error) {
 	}
 	net.SetExchange(nil)
 
+	st := &net.P
 	perm := make([]workload.Pair, 0, count)
 	undeliv := 0
-	for _, pk := range net.Packets() {
-		perm = append(perm, workload.Pair{Src: pk.Src, Dst: pk.Dst})
-		if !pk.Delivered() {
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		perm = append(perm, workload.Pair{Src: st.Src[p], Dst: st.Dst[p]})
+		if !st.Delivered(p) {
 			undeliv++
 		}
 	}
@@ -246,7 +247,7 @@ func (c *DOConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 			c.err = fmt.Errorf("adversary: step %d: no eligible N_%d partner (dim-order Lemma 3 analog violated)", step, i)
 			return
 		}
-		st.Dst[m.P], st.Dst[partner] = st.Dst[partner], st.Dst[m.P]
+		net.ExchangeDst(m.P, partner)
 		st.Tag[m.P], st.Tag[partner] = st.Tag[partner], st.Tag[m.P]
 		c.kindIdx[i][pidx] = m.P
 		for idx, q := range c.kindIdx[j] {
@@ -261,13 +262,14 @@ func (c *DOConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 
 // countInBoxes counts class-i packets inside the i-box, per class.
 func (c *DOConstruction) countInBoxes(net *sim.Network) []int {
+	st := &net.P
 	cnt := make([]int, c.Par.L+1)
-	for _, p := range net.Packets() {
-		i := c.classOf(p.Dst)
-		if i == 0 || p.Delivered() {
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		i := c.classOf(st.Dst[p])
+		if i == 0 || st.Delivered(p) {
 			continue
 		}
-		if c.inBox(c.local(p.At), i) {
+		if c.inBox(c.local(st.At[p]), i) {
 			cnt[i]++
 		}
 	}
@@ -276,22 +278,23 @@ func (c *DOConstruction) countInBoxes(net *sim.Network) []int {
 
 // check validates the dimension-order analogues of Lemmas 1/2/5.
 func (c *DOConstruction) check(net *sim.Network, t int) error {
+	st := &net.P
 	dn := c.Par.DN
-	for _, p := range net.Packets() {
-		j := c.classOf(p.Dst)
-		if j == 0 || p.Delivered() {
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		j := c.classOf(st.Dst[p])
+		if j == 0 || st.Delivered(p) {
 			continue
 		}
-		lc := c.local(p.At)
+		lc := c.local(st.At[p])
 		if lc.X > c.nCol(j) {
-			return fmt.Errorf("adversary: step %d: N_%d packet %d east of its column at %v", t, j, p.ID, lc)
+			return fmt.Errorf("adversary: step %d: N_%d packet %d east of its column at %v", t, j, p.ID(), lc)
 		}
 		// Lemma 5 analog: class j inside the (i0-2)-box, i0 the
 		// smallest i > 1 with t <= (i-1)dn.
 		if j >= 2 {
 			i0 := (t+dn-1)/dn + 1
 			if i0 >= 2 && i0 <= j && !c.inBox(lc, i0-2) {
-				return fmt.Errorf("adversary: step %d: N_%d packet %d outside %d-box at %v", t, j, p.ID, i0-2, lc)
+				return fmt.Errorf("adversary: step %d: N_%d packet %d outside %d-box at %v", t, j, p.ID(), i0-2, lc)
 			}
 		}
 	}

@@ -174,11 +174,12 @@ func (c *FFConstruction) Run(alg sim.Algorithm) (*Result, error) {
 	}
 	net.SetExchange(nil)
 
+	st := &net.P
 	perm := make([]workload.Pair, 0, net.TotalPackets())
 	undeliv := 0
-	for _, pk := range net.Packets() {
-		perm = append(perm, workload.Pair{Src: pk.Src, Dst: pk.Dst})
-		if c.classOf(pk.Dst) != 0 && !pk.Delivered() {
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		perm = append(perm, workload.Pair{Src: st.Src[p], Dst: st.Dst[p]})
+		if c.classOf(st.Dst[p]) != 0 && !st.Delivered(p) {
 			undeliv++
 		}
 	}
@@ -238,7 +239,7 @@ func (c *FFConstruction) exchangeHook(net *sim.Network, step int, moves []sim.Mo
 			c.err = fmt.Errorf("adversary: step %d: no eligible N_%d partner (ff construction)", step, j-1)
 			return
 		}
-		st.Dst[m.P], st.Dst[partner] = st.Dst[partner], st.Dst[m.P]
+		net.ExchangeDst(m.P, partner)
 		st.Tag[m.P], st.Tag[partner] = st.Tag[partner], st.Tag[m.P]
 		c.kindIdx[j-1][pidx] = m.P
 		for idx, qp := range c.kindIdx[j] {
@@ -260,14 +261,15 @@ func (c *FFConstruction) check(net *sim.Network, t int) error {
 	type key struct{ row, class int }
 	eastmost := map[key]int{}
 	westmost := map[key]int{}
-	for _, p := range net.Packets() {
-		j := c.classOf(p.Dst)
-		if j == 0 || p.Delivered() {
+	st := &net.P
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		j := c.classOf(st.Dst[p])
+		if j == 0 || st.Delivered(p) {
 			continue
 		}
-		lc := c.Topo.CoordOf(p.At)
+		lc := c.Topo.CoordOf(st.At[p])
 		if lc.X > c.nCol(j) {
-			return fmt.Errorf("adversary: step %d: ff N_%d packet %d east of its column at %v", t, j, p.ID, lc)
+			return fmt.Errorf("adversary: step %d: ff N_%d packet %d east of its column at %v", t, j, p.ID(), lc)
 		}
 		if lc.Y >= c.Par.CN || lc.X == c.nCol(j) {
 			// Climbing (or waiting in) its own column: the packet has

@@ -45,12 +45,13 @@ func (c *Construction) RenderKinds(net *sim.Network) string {
 	for y := range rows {
 		rows[y] = []byte(strings.Repeat(".", n))
 	}
-	for _, p := range net.Packets() {
-		kind, _ := c.kindOf(p.Dst)
-		if kind == KindNone || p.Delivered() {
+	st := &net.P
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		kind, _ := c.kindOf(st.Dst[p])
+		if kind == KindNone || st.Delivered(p) {
 			continue
 		}
-		lc := c.local(p.At)
+		lc := c.local(st.At[p])
 		if lc.X < 0 || lc.X >= n || lc.Y < 0 || lc.Y >= n {
 			continue
 		}

@@ -1,8 +1,9 @@
 package adversary
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
@@ -83,33 +84,49 @@ type packetSig struct {
 	State       uint64
 	QTag        uint8
 	Arrived     grid.Dir
-	ArrivedStep int
-	DeliverStep int
+	ArrivedStep int32
+	DeliverStep int32
+}
+
+// comparePacketSig orders descriptors by source, then destination, then the
+// remaining fields, so that sorting puts equal multisets in equal order even
+// where an h-h instance gives two packets the same source and destination.
+func comparePacketSig(x, y packetSig) int {
+	if c := cmp.Compare(x.Src, y.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(x.Dst, y.Dst); c != 0 {
+		return c
+	}
+	return cmp.Or(
+		cmp.Compare(x.At, y.At),
+		cmp.Compare(x.State, y.State),
+		cmp.Compare(x.QTag, y.QTag),
+		cmp.Compare(x.Arrived, y.Arrived),
+		cmp.Compare(x.ArrivedStep, y.ArrivedStep),
+		cmp.Compare(x.DeliverStep, y.DeliverStep),
+	)
 }
 
 // ConfigsEqual compares two networks' configurations: every node's state
-// word and the full multiset of packet descriptors, with packets matched by
-// source address (unique in a permutation instance). It returns a
-// descriptive error on the first difference.
+// word and the full multiset of packet descriptors, read from the packet
+// stores, with packets matched by source address (unique in a permutation
+// instance). It returns a descriptive error on the first difference.
 func ConfigsEqual(a, b *sim.Network) error {
 	if a.Topo.N() != b.Topo.N() {
 		return fmt.Errorf("different topologies")
 	}
 	sigs := func(net *sim.Network) []packetSig {
-		out := make([]packetSig, 0, len(net.Packets()))
-		for _, p := range net.Packets() {
+		st := &net.P
+		out := make([]packetSig, 0, st.Len())
+		for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
 			out = append(out, packetSig{
-				Src: p.Src, Dst: p.Dst, At: p.At, State: p.State,
-				QTag: p.QTag, Arrived: p.Arrived, ArrivedStep: p.ArrivedStep,
-				DeliverStep: p.DeliverStep,
+				Src: st.Src[p], Dst: st.Dst[p], At: st.At[p], State: st.State[p],
+				QTag: st.QTag[p], Arrived: st.Arrived[p], ArrivedStep: st.ArrivedStep[p],
+				DeliverStep: st.DeliverStep[p],
 			})
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Src != out[j].Src {
-				return out[i].Src < out[j].Src
-			}
-			return out[i].Dst < out[j].Dst
-		})
+		slices.SortFunc(out, comparePacketSig)
 		return out
 	}
 	sa, sb := sigs(a), sigs(b)

@@ -29,12 +29,13 @@ func (v *verifier) countInBoxes() (nc, ec []int) {
 	l := v.c.Par.L
 	nc = make([]int, l+1)
 	ec = make([]int, l+1)
-	for _, p := range v.net.Packets() {
-		kind, i := v.c.kindOf(p.Dst)
-		if kind == KindNone || p.Delivered() {
+	st := &v.net.P
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		kind, i := v.c.kindOf(st.Dst[p])
+		if kind == KindNone || st.Delivered(p) {
 			continue
 		}
-		if v.c.inBoxKind(v.c.local(p.At), kind, i) {
+		if v.c.inBoxKind(v.c.local(st.At[p]), kind, i) {
 			if kind == KindN {
 				nc[i]++
 			} else {
@@ -52,32 +53,33 @@ func (v *verifier) check(t int) error {
 	dn, l := par.DN, par.L
 
 	// Per-packet invariants: Lemmas 5–8 and minimality of box containment.
-	for _, p := range v.net.Packets() {
-		kind, j := c.kindOf(p.Dst)
-		if kind == KindNone || p.Delivered() {
+	st := &v.net.P
+	for p := sim.PacketID(1); int(p) <= st.Len(); p++ {
+		kind, j := c.kindOf(st.Dst[p])
+		if kind == KindNone || st.Delivered(p) {
 			continue
 		}
-		lc := c.local(p.At)
+		lc := c.local(st.At[p])
 		switch kind {
 		case KindN:
 			// An N_j-packet can never be more than Delta east of
 			// the N_j-column (Delta = 0 for minimal routers).
 			if lc.X > c.nCol(j)+c.Delta {
-				return fmt.Errorf("adversary: step %d: N_%d packet %d east of its column at %v", t, j, p.ID, lc)
+				return fmt.Errorf("adversary: step %d: N_%d packet %d east of its column at %v", t, j, p.ID(), lc)
 			}
 			// Lemma 7: for t <= j·dn, not at/north of E_j-row while
 			// west of N_j-column (minimal routers only; a strayed
 			// packet may legally re-enter that region).
 			if c.Delta == 0 && t <= j*dn && lc.Y >= c.eRow(j) && lc.X < c.nCol(j) {
-				return fmt.Errorf("adversary: step %d: Lemma 7 violated by N_%d packet %d at %v", t, j, p.ID, lc)
+				return fmt.Errorf("adversary: step %d: Lemma 7 violated by N_%d packet %d at %v", t, j, p.ID(), lc)
 			}
 		case KindE:
 			if lc.Y > c.eRow(j)+c.Delta {
-				return fmt.Errorf("adversary: step %d: E_%d packet %d north of its row at %v", t, j, p.ID, lc)
+				return fmt.Errorf("adversary: step %d: E_%d packet %d north of its row at %v", t, j, p.ID(), lc)
 			}
 			// Lemma 8.
 			if c.Delta == 0 && t <= j*dn && lc.X >= c.nCol(j) && lc.Y < c.eRow(j) {
-				return fmt.Errorf("adversary: step %d: Lemma 8 violated by E_%d packet %d at %v", t, j, p.ID, lc)
+				return fmt.Errorf("adversary: step %d: Lemma 8 violated by E_%d packet %d at %v", t, j, p.ID(), lc)
 			}
 		}
 		// Lemmas 5/6: the packet must be inside the (i0-2)-box, where
@@ -87,7 +89,7 @@ func (v *verifier) check(t int) error {
 			if i0 <= j && i0 >= 2 {
 				if !c.inBox(lc, i0-2) {
 					return fmt.Errorf("adversary: step %d: Lemma 5/6 violated: %v_%d packet %d outside %d-box at %v",
-						t, kind, j, p.ID, i0-2, lc)
+						t, kind, j, p.ID(), i0-2, lc)
 				}
 			}
 		}

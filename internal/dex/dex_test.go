@@ -200,11 +200,11 @@ func TestExchangeInvisibility(t *testing.T) {
 
 // TestProfFollowsExchange pins the cache-refresh half of part (b): a hook
 // that swaps the destinations of two residents with different profitable
-// sets writes only P.Dst, and the policy still sees the new sets — in the
-// same step's OfferView (measured at the sender) and, for a packet that did
-// not move, at the next Schedule. CheckInvariants is off so that what is
-// tested is the refresh, not the checker. A swap that turns a scheduled move
-// non-minimal is still refused by the post-exchange check.
+// sets through ExchangeDst, and the policy sees the new sets — in the same
+// step's OfferView (measured at the sender) and, for a packet that did not
+// move, at the next Schedule. CheckInvariants is off so that what is tested
+// is ExchangeDst's refresh, not the checker. A swap that turns a scheduled
+// move non-minimal is still refused by the post-exchange check.
 func TestProfFollowsExchange(t *testing.T) {
 	topo := grid.NewSquareMesh(8)
 	net := sim.MustNew(sim.Config{Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: true})
@@ -221,9 +221,9 @@ func TestProfFollowsExchange(t *testing.T) {
 	net.SetExchange(func(n *sim.Network, step int, moves []sim.Move) {
 		switch step {
 		case 1: // r's scheduled move north stays minimal toward (5,2)
-			st.Dst[q], st.Dst[r] = st.Dst[r], st.Dst[q]
+			n.ExchangeDst(q, r)
 		case 2: // p is moving east at (3,2); (0,7) lies behind it
-			st.Dst[p], st.Dst[q] = st.Dst[q], st.Dst[p]
+			n.ExchangeDst(p, q)
 		}
 	})
 	spy := &spyPolicy{}

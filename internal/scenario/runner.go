@@ -145,10 +145,11 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		}
 		// Time-in-system percentiles over delivered packets. Only open
 		// workloads pay for the packet scan; static runs report zeros.
+		ps := &net.P
 		delays := make([]float64, 0, st.Delivered)
-		for _, p := range net.Packets() {
-			if p.DeliverStep >= 0 {
-				delays = append(delays, float64(p.DeliverStep-p.InjectStep))
+		for p := sim.PacketID(1); int(p) <= ps.Len(); p++ {
+			if d := ps.DeliverStep[p]; d >= 0 {
+				delays = append(delays, float64(d-ps.InjectStep[p]))
 			}
 		}
 		qs := stats.Quantiles(delays, 0.50, 0.95, 0.99)

@@ -37,9 +37,9 @@
 //
 // The old pointer-based *Packet API survives as a by-value snapshot: Packet
 // is now a plain value struct and Network.Packets materializes the store
-// into a reused snapshot slice for read-only consumers (digests, replay
-// verification, rendering). Mutating a snapshot does not affect the run;
-// write through the store (or engine methods) instead.
+// into a reused snapshot slice for read-only post-run consumers (digests,
+// reports). Mutating a snapshot does not affect the run; write through the
+// store (or engine methods) instead.
 package sim
 
 import (
@@ -92,16 +92,16 @@ func (p PacketID) ID() int32 { return int32(p) - 1 }
 // PacketStore is the struct-of-arrays backing store for all packets of a
 // Network: field i of packet p lives at slice[p] of the corresponding dense
 // slice. All exported slices are indexed by PacketID; index 0 is a reserved
-// sentinel (never a live packet). Fields may be read — and, for adversary
-// exchange hooks and tests, written — directly; the engine maintains At,
-// Prof, QTag, Arrived, ArrivedStep, InjectStep, DeliverStep and Hops itself.
+// sentinel (never a live packet). Fields may be read directly, and the free
+// tags (State, Class, Tag) written; the engine maintains At, Prof, QTag,
+// Arrived, ArrivedStep, InjectStep, DeliverStep and Hops itself, and Dst
+// changes only through Network.ExchangeDst.
 type PacketStore struct {
 	// Src is the node where the packet was injected.
 	Src []grid.NodeID
-	// Dst is the destination. The adversary exchange hook may swap the
-	// Dst entries of two packets mid-run (part (b) of a step); the engine
-	// refreshes Prof for every resident packet as soon as the hook returns,
-	// so a hook only ever writes Dst.
+	// Dst is the destination. An adversary exchange hook may swap the Dst
+	// entries of two packets mid-run (part (b) of a step), but only through
+	// Network.ExchangeDst, which rewrites the two packets' Prof with them.
 	Dst []grid.NodeID
 	// At is the node currently holding the packet (its destination once
 	// delivered). Maintained by the engine.
@@ -109,10 +109,10 @@ type PacketStore struct {
 	// Prof is the packet's profitable-outlink set, Topo.Profitable(At, Dst),
 	// cached while the packet is resident in a queue. It can change only
 	// when the packet hops or part (b) exchanges its destination, and the
-	// engine rewrites it at exactly those two points (attach and the
-	// post-exchange refresh); everything in the step loop that asks "which
-	// outlinks are profitable" reads this column. CheckInvariants verifies
-	// it against a fresh computation every step.
+	// engine rewrites it at exactly those two points (attach and
+	// ExchangeDst); everything in the step loop that asks "which outlinks
+	// are profitable" reads this column. CheckInvariants verifies it
+	// against a fresh computation every step.
 	Prof []grid.DirSet
 	// State is algorithm-owned scratch that travels with the packet.
 	// Under destination-exchangeability it may be updated only from
@@ -344,8 +344,11 @@ type Move struct {
 }
 
 // ExchangeFn is the adversary hook invoked between scheduling and
-// acceptance. It may swap the Dst entries of packet pairs (an "exchange" in
-// the paper's sense) but must not move, add or remove packets.
+// acceptance. It may exchange the destinations of packet pairs (an
+// "exchange" in the paper's sense), and destinations change only through
+// Network.ExchangeDst; it must not move, add or remove packets. After it
+// returns, every scheduled move must still be legal: minimal under
+// RequireMinimal, within the new rectangle inflated by MaxStray otherwise.
 type ExchangeFn func(net *Network, step int, moves []Move)
 
 // Algorithm is a routing algorithm driven by the engine. Implementations
@@ -657,6 +660,17 @@ func (net *Network) Done() bool {
 // SetExchange installs the adversary exchange hook.
 func (net *Network) SetExchange(fn ExchangeFn) { net.exchange = fn }
 
+// ExchangeDst exchanges the destinations of packets p and q and recomputes
+// both packets' cached profitable sets from where they are, so part (b)
+// pays two Profitable calls per exchange, whatever the number of residents.
+// It is the only way an exchange hook may change a destination.
+func (net *Network) ExchangeDst(p, q PacketID) {
+	st := &net.P
+	st.Dst[p], st.Dst[q] = st.Dst[q], st.Dst[p]
+	st.Prof[p] = net.Topo.Profitable(st.At[p], st.Dst[p])
+	st.Prof[q] = net.Topo.Profitable(st.At[q], st.Dst[q])
+}
+
 // StepRecord describes what happened in one step, for observers.
 type StepRecord struct {
 	// Step is the step number.
@@ -832,8 +846,7 @@ func (net *Network) growQueue(n *Node) {
 // attach adds p to node under queue tag, maintaining occupancy tracking and
 // the packet's slot index (used by the part (d) batch removal). It is the
 // one place a packet becomes resident (placement, admission, part (d)
-// arrival), hence the one place besides the exchange refresh that computes
-// Prof.
+// arrival), hence the one place besides ExchangeDst that computes Prof.
 func (net *Network) attach(node *Node, p PacketID, tag uint8) {
 	st := &net.P
 	st.QTag[p] = tag

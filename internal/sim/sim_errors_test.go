@@ -194,14 +194,72 @@ func TestExchangeBreakingMinimalityRejected(t *testing.T) {
 	net := newTestNet(t, 8, 2)
 	topo := net.Topo
 	a := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(5, 0)))
+	// b heads south to (0,3), which lies BEHIND a's eastward move; b's own
+	// southward move stays minimal toward (5,0).
+	b := net.NewPacket(topo.ID(grid.XY(0, 5)), topo.ID(grid.XY(0, 3)))
 	net.MustPlace(a)
+	net.MustPlace(b)
 	net.SetExchange(func(n *Network, step int, moves []Move) {
-		// Retarget the moving packet BEHIND itself: the scheduled
-		// eastward move becomes non-minimal.
-		n.P.Dst[a] = topo.ID(grid.XY(0, 3))
+		if len(moves) != 2 {
+			t.Fatalf("want both packets scheduled, got %v", moves)
+		}
+		n.ExchangeDst(a, b)
 	})
 	if err := net.StepOnce(greedyXY{}); err == nil || !strings.Contains(err.Error(), "non-minimal") {
 		t.Fatalf("want exchange-minimality error, got %v", err)
+	}
+}
+
+// TestDirectDstWriteCaughtByChecker pins the ExchangeFn contract from the
+// other side: a hook that writes P.Dst itself leaves the packet's cached
+// profitable set stale, and the invariant checker fails that same step.
+func TestDirectDstWriteCaughtByChecker(t *testing.T) {
+	net := newTestNet(t, 8, 2)
+	topo := net.Topo
+	// Two eastbound packets share a node; greedyXY sends a and b stays, so
+	// nothing rewrites b's Prof before the checker reads it.
+	a := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(5, 0)))
+	b := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(6, 0)))
+	net.MustPlace(a)
+	net.MustPlace(b)
+	net.SetExchange(func(n *Network, step int, moves []Move) {
+		n.P.Dst[b] = topo.ID(grid.XY(0, 5))
+	})
+	err := net.StepOnce(greedyXY{})
+	if err == nil || !strings.Contains(err.Error(), "caches profitable set") || net.Step() != 1 {
+		t.Fatalf("want the checker's stale-Prof error at step 1, got %v at step %d", err, net.Step())
+	}
+}
+
+// TestExchangeBreakingStrayRejected: under MaxStray a swap changes the
+// rectangle withinStray tests, so part (b) re-checks every scheduled move
+// against the new one. Here a has travelled two hops east when its
+// destination becomes (0,1), whose rectangle with a's source ends at
+// x = 0, so the move to x = 3 is two beyond δ = 1: the step that swaps
+// fails, not the next Schedule.
+func TestExchangeBreakingStrayRejected(t *testing.T) {
+	net := MustNew(Config{Topo: grid.NewSquareMesh(8), K: 2, MaxStray: 1, CheckInvariants: true})
+	topo := net.Topo
+	a := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(6, 0)))
+	b := net.NewPacket(topo.ID(grid.XY(0, 7)), topo.ID(grid.XY(0, 1)))
+	net.MustPlace(a)
+	net.MustPlace(b)
+	net.SetExchange(func(n *Network, step int, moves []Move) {
+		if step == 3 {
+			n.ExchangeDst(a, b)
+		}
+	})
+	for step := 1; step < 3; step++ {
+		if err := net.StepOnce(greedyXY{}); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if got := topo.CoordOf(net.P.At[a]); got != grid.XY(2, 0) {
+		t.Fatalf("a is at %v after two steps, the test needs (2,0)", got)
+	}
+	err := net.StepOnce(greedyXY{})
+	if err == nil || !strings.Contains(err.Error(), "exchange left the scheduled move of packet 0") {
+		t.Fatalf("want the post-exchange stray error at step 3, got %v", err)
 	}
 }
 

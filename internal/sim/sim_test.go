@@ -182,7 +182,7 @@ func TestExchangeHookSwapsDestinations(t *testing.T) {
 	swapped := false
 	net.SetExchange(func(n *Network, step int, moves []Move) {
 		if step == 1 && !swapped {
-			n.P.Dst[a], n.P.Dst[b] = n.P.Dst[b], n.P.Dst[a]
+			n.ExchangeDst(a, b)
 			swapped = true
 		}
 	})

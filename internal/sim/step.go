@@ -266,23 +266,27 @@ func (net *Network) abortSweep(w, r int, err error) error {
 	return err
 }
 
-// exchangeDestinations runs part (b). The hook writes only P.Dst, so every
-// resident's cached profitable set is recomputed before anything (offers,
-// the next Schedule) reads it again.
+// exchangeDestinations runs part (b). The hook changes destinations only
+// through ExchangeDst, which keeps Prof current, so nothing here walks the
+// residents. Exchanges must keep the already scheduled moves legal (they do
+// in the paper's constructions; verify here): minimal under RequireMinimal —
+// the mover is still at m.From, so its Prof is Profitable(m.From, Dst) — and
+// within the new rectangle inflated by MaxStray otherwise.
 func (net *Network) exchangeDestinations(moves []Move) error {
 	st := &net.P
 	net.exchange(net, net.step, moves)
-	for _, id := range net.occ {
-		for _, p := range net.PacketsOf(&net.nodes[id]) {
-			st.Prof[p] = net.Topo.Profitable(id, st.Dst[p])
-		}
-	}
-	if net.cfg.RequireMinimal {
-		// Exchanges must preserve minimality of the already scheduled
-		// moves (they do in the paper's construction; verify here).
+	switch {
+	case net.cfg.RequireMinimal:
 		for _, m := range moves {
-			if !net.Topo.Profitable(m.From, st.Dst[m.P]).Has(m.Travel) {
+			if !st.Prof[m.P].Has(m.Travel) {
 				return fmt.Errorf("sim: exchange made scheduled move of packet %d non-minimal", m.P.ID())
+			}
+		}
+	case net.cfg.MaxStray > 0:
+		for _, m := range moves {
+			if !net.withinStray(m.P, m.To) {
+				return fmt.Errorf("sim: exchange left the scheduled move of packet %d more than %d beyond its source-destination rectangle",
+					m.P.ID(), net.cfg.MaxStray)
 			}
 		}
 	}
