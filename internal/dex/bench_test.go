@@ -42,7 +42,7 @@ func nodeStep() func() {
 // cost per occupied node per step (see nodeStep).
 func BenchmarkAdapterNodeStep(b *testing.B) {
 	step := nodeStep()
-	step() // grow the offer buffer once
+	step() // warm up
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

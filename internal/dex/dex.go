@@ -6,23 +6,25 @@
 //   - the state of the node,
 //
 // never on full destination addresses. Package dex enforces this at the
-// type level: a policy receives a NodeCtx whose accessors expose exactly
-// that list and nothing else — no accessor on NodeCtx, View or OfferView
-// returns a destination. Lemma 10 of the paper — that exchanging the
+// type level: a policy receives a NodeCtx (and, as the inqueue policy, an
+// Offers) whose accessors expose exactly that list and nothing else — no
+// accessor on NodeCtx, View or Offers returns a destination. Lemma 10 of the paper — that exchanging the
 // destinations of two packets with identical profitable outlinks is
 // invisible to the algorithm — therefore holds for every policy written
 // against this package, by construction.
 //
 // The adapter is the sole boundary between policies and the engine's
 // index-based packet representation, and it copies nothing: a NodeCtx is a
-// window onto the node's sim.PacketID queue slots and each accessor reads
-// one column of the struct-of-arrays store on demand, so a policy pays for
-// what it reads. The profitable set is itself a column (PacketStore.Prof),
-// which the engine rewrites when a packet hops or part (b) exchanges its
-// destination; package dex never reads Dst. Index i is the queue position
-// the engine reads from Schedule, the PacketID behind it is stable for the
-// packet's lifetime (row 0 is the reserved sentinel and never appears in a
-// queue), and SetPacketState writes through to the row the accessors read.
+// window onto the node's sim.PacketID queue slots, Offers is a window onto
+// the engine's offers to the node, and each accessor of either reads one
+// offer field or one column of the struct-of-arrays store on demand, so a
+// policy pays for what it reads. The profitable set is itself a column
+// (PacketStore.Prof), which the engine rewrites when a packet hops or part
+// (b) exchanges its destination; package dex never reads Dst. Index i is
+// the queue position the engine reads from Schedule, the PacketID behind it
+// is stable for the packet's lifetime (row 0 is the reserved sentinel and
+// never appears in a queue), and SetPacketState writes through to the row
+// the accessors read.
 package dex
 
 import (
@@ -42,22 +44,6 @@ type View struct {
 	ArrivedStep int
 	QTag        uint8
 	Profitable  grid.DirSet
-}
-
-// OfferView describes a packet scheduled to enter the node, as visible to
-// the inqueue policy. Profitable outlinks are measured from the node the
-// packet is coming from, as the paper specifies.
-type OfferView struct {
-	// From is the sending node.
-	From grid.NodeID
-	// Travel is the direction of travel; the packet arrives on the
-	// Travel.Opposite() inlink.
-	Travel grid.Dir
-	// Source, State and Profitable are the packet's own, the last measured
-	// at the sending node.
-	Source     grid.NodeID
-	State      uint64
-	Profitable grid.DirSet
 }
 
 // NodeCtx is the per-node context handed to policies: the node's own state
@@ -142,6 +128,36 @@ func (c *NodeCtx) QueueLen(tag uint8) int { return c.node.QueueLen(tag) }
 // — so an inqueue policy may base its answer on it.
 func (c *NodeCtx) Scheduled() grid.DirSet { return c.node.Scheduled() }
 
+// Offers is the inqueue policy's zero-copy window onto the packets scheduled
+// to enter the node, indexed 0..Len()-1 in the engine's offer order. The
+// offers arrive on pairwise distinct inlinks, so there are at most four.
+// Like NodeCtx it must not be retained past the call.
+type Offers struct {
+	offs []sim.Offer
+	st   *sim.PacketStore
+}
+
+// Len returns the number of offers.
+func (o Offers) Len() int { return len(o.offs) }
+
+// From returns the node the i-th offered packet is coming from.
+func (o Offers) From(i int) grid.NodeID { return o.offs[i].From }
+
+// Travel returns the i-th offer's direction of travel; the packet arrives on
+// the Travel(i).Opposite() inlink.
+func (o Offers) Travel(i int) grid.Dir { return o.offs[i].Travel }
+
+// Source returns the i-th offered packet's source address.
+func (o Offers) Source(i int) grid.NodeID { return o.st.Src[o.offs[i].P] }
+
+// State returns the i-th offered packet's algorithm-owned state word.
+func (o Offers) State(i int) uint64 { return o.st.State[o.offs[i].P] }
+
+// Profitable returns the i-th offered packet's profitable outlinks measured
+// at the sending node, as the paper specifies: the packet is still resident
+// there throughout part (c).
+func (o Offers) Profitable(i int) grid.DirSet { return o.st.Prof[o.offs[i].P] }
+
 // Policy is a destination-exchangeable routing algorithm.
 type Policy interface {
 	// Name identifies the policy.
@@ -154,10 +170,11 @@ type Policy interface {
 	// Schedule is the outqueue policy: for each direction, the index
 	// (0..c.Len()-1) of the packet to transmit, or -1.
 	Schedule(c *NodeCtx) [grid.NumDirs]int
-	// Accept is the inqueue policy: accept[i] reports whether offers[i]
-	// is admitted. accept arrives with len(offers) entries, all false; the
+	// Accept is the inqueue policy: accept[i] reports whether offer i is
+	// admitted. accept arrives with offers.Len() entries, all false; the
 	// policy sets the entries it admits. It must never overflow a queue.
-	Accept(c *NodeCtx, offers []OfferView, accept []bool)
+	// The offers arrive on pairwise distinct inlinks, at most four of them.
+	Accept(c *NodeCtx, offers Offers, accept []bool)
 	// Update is the end-of-step state transition.
 	Update(c *NodeCtx)
 }
@@ -168,8 +185,7 @@ type Adapter struct {
 	// P is the wrapped policy.
 	P Policy
 
-	ctx      NodeCtx
-	offerBuf []OfferView
+	ctx NodeCtx
 }
 
 // NewAdapter wraps a policy for use with the sim engine.
@@ -201,19 +217,7 @@ func (a *Adapter) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 
 // Accept implements sim.Algorithm.
 func (a *Adapter) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, accept []bool) {
-	c := a.fill(net, n)
-	st := &net.P
-	a.offerBuf = a.offerBuf[:0]
-	for _, o := range offers {
-		a.offerBuf = append(a.offerBuf, OfferView{
-			From:       o.From,
-			Travel:     o.Travel,
-			Source:     st.Src[o.P],
-			State:      st.State[o.P],
-			Profitable: st.Prof[o.P], // o.P is still resident at o.From
-		})
-	}
-	a.P.Accept(c, a.offerBuf, accept)
+	a.P.Accept(a.fill(net, n), Offers{offers, &net.P}, accept)
 }
 
 // Update implements sim.Algorithm.

@@ -11,9 +11,18 @@ import (
 // spyPolicy records what it is shown, to verify the information barrier.
 type spyPolicy struct {
 	views     []View
-	offers    []OfferView
+	offers    []offerSeen
 	initCalls int
 	scheduled grid.Dir
+}
+
+// offerSeen is one offer as an inqueue policy may read it through Offers.
+type offerSeen struct {
+	From       grid.NodeID
+	Travel     grid.Dir
+	Source     grid.NodeID
+	State      uint64
+	Profitable grid.DirSet
 }
 
 func (s *spyPolicy) Name() string { return "spy" }
@@ -42,10 +51,13 @@ func (s *spyPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 	return sched
 }
 
-func (s *spyPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
-	s.offers = append(s.offers, offers...)
+func (s *spyPolicy) Accept(c *NodeCtx, offers Offers, acc []bool) {
 	free := c.K - c.QueueLen(0)
-	for i := range offers {
+	for i := range offers.Len() {
+		s.offers = append(s.offers, offerSeen{
+			From: offers.From(i), Travel: offers.Travel(i), Source: offers.Source(i),
+			State: offers.State(i), Profitable: offers.Profitable(i),
+		})
 		if free > 0 {
 			acc[i] = true
 			free--
@@ -201,7 +213,7 @@ func TestExchangeInvisibility(t *testing.T) {
 // TestProfFollowsExchange pins the cache-refresh half of part (b): a hook
 // that swaps the destinations of two residents with different profitable
 // sets through ExchangeDst, and the policy sees the new sets — in the same
-// step's OfferView (measured at the sender) and, for a packet that did not
+// step's Offers (measured at the sender) and, for a packet that did not
 // move, at the next Schedule. CheckInvariants is off so that what is tested
 // is ExchangeDst's refresh, not the checker. A swap that turns a scheduled
 // move non-minimal is still refused by the post-exchange check.

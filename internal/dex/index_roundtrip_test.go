@@ -84,19 +84,20 @@ func (r *roundtripPolicy) Schedule(c *NodeCtx) [grid.NumDirs]int {
 	return sched
 }
 
-func (r *roundtripPolicy) Accept(c *NodeCtx, offers []OfferView, acc []bool) {
+func (r *roundtripPolicy) Accept(c *NodeCtx, offers Offers, acc []bool) {
 	r.verify(c)
 	st := &c.net.P
 	free := c.K - c.QueueLen(0)
-	for i, o := range offers {
-		// Every offered packet was a resident of o.From at Schedule, so
+	for i := range offers.Len() {
+		// Every offered packet was a resident of From(i) at Schedule, so
 		// verify has already recorded its row under its source.
-		p := r.bySrc[o.Source]
-		if st.At[p] != o.From || o.State != st.State[p] {
+		p := r.bySrc[offers.Source(i)]
+		if p != offers.offs[i].P || st.At[p] != offers.From(i) || offers.Travel(i) != offers.offs[i].Travel ||
+			offers.State(i) != st.State[p] {
 			r.t.Fatalf("step %d node %v: offer %d does not match store row %d", c.Step, c.Coord(), i, p)
 		}
-		if want := c.net.Topo.Profitable(o.From, st.Dst[p]); o.Profitable != want {
-			r.t.Fatalf("step %d node %v: offer %d shows %v, measured fresh from the sender %v", c.Step, c.Coord(), i, o.Profitable, want)
+		if want := c.net.Topo.Profitable(offers.From(i), st.Dst[p]); offers.Profitable(i) != want {
+			r.t.Fatalf("step %d node %v: offer %d shows %v, measured fresh from the sender %v", c.Step, c.Coord(), i, offers.Profitable(i), want)
 		}
 		if free > 0 {
 			acc[i] = true

@@ -35,7 +35,7 @@ func (DimOrderFIFO) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 
 // Accept implements the round-robin inqueue policy with the swap rule and
 // a reserved slot for column-phase packets (see acceptDimOrderReserving).
-func (r DimOrderFIFO) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
+func (r DimOrderFIFO) Accept(c *dex.NodeCtx, offers dex.Offers, accept []bool) {
 	acceptDimOrderReserving(c, offers, accept)
 }
 

@@ -57,29 +57,35 @@ func DimOrderWant(prof grid.DirSet) grid.Dir {
 // Both rules use only node state, the node's own outqueue decision for this
 // step (NodeCtx.Scheduled) and offered packets' visible fields, so the
 // policy remains destination-exchangeable.
-func acceptRoundRobin(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
+//
+// The offers arrive on distinct inlinks (dex.Policy), so one pass applies
+// the swap rule and files every other offer under its inlink, and the
+// rotation reads that table.
+func acceptRoundRobin(c *dex.NodeCtx, offers dex.Offers, acc []bool) {
+	on := swapAndFile(c.Scheduled(), offers, acc)
 	free := c.K - c.QueueLen(0)
-	sched := c.Scheduled()
-	for i, o := range offers {
-		if sched.Has(o.Travel.Opposite()) {
+	start := grid.Dir(*c.State % grid.NumDirs)
+	for j := grid.Dir(0); j < grid.NumDirs && free > 0; j++ {
+		if i := on[(start+j)%grid.NumDirs]; i >= 0 {
+			acc[i] = true
+			free--
+		}
+	}
+}
+
+// swapAndFile accepts the offers the swap rule admits, sched being the
+// node's own scheduled outlinks, and returns for each inlink the index of
+// the other offer arriving on it, or -1.
+func swapAndFile(sched grid.DirSet, offers dex.Offers, acc []bool) [grid.NumDirs]int8 {
+	on := [grid.NumDirs]int8{-1, -1, -1, -1}
+	for i := range offers.Len() {
+		if in := offers.Travel(i).Opposite(); !sched.Has(in) {
+			on[in] = int8(i)
+		} else {
 			acc[i] = true // swap: our packet to them departs for sure
 		}
 	}
-	if free <= 0 {
-		return
-	}
-	start := grid.Dir(*c.State % grid.NumDirs)
-	for j := grid.Dir(0); j < grid.NumDirs && free > 0; j++ {
-		inlink := (start + j) % grid.NumDirs
-		for i, o := range offers {
-			if acc[i] || o.Travel.Opposite() != inlink {
-				continue
-			}
-			acc[i] = true
-			free--
-			break
-		}
-	}
+	return on
 }
 
 // rotate advances the round-robin counter stored in the node state.
@@ -88,8 +94,8 @@ func rotate(c *dex.NodeCtx) { *c.State = (*c.State + 1) % grid.NumDirs }
 // acceptDimOrderReserving is the inqueue policy used by the dimension-order
 // routers over a central queue. On top of the swap rule of
 // acceptRoundRobin, it reserves one queue slot for vertically-travelling
-// packets: a horizontally-travelling offer is accepted only if at least one
-// slot would remain free afterwards.
+// packets: an offer on the East or West inlink is accepted only if at least
+// one slot would remain free afterwards.
 //
 // Under dimension order, vertical (column-phase) packets never turn back
 // into a row, so their waiting chains run along a single column and end at
@@ -100,31 +106,23 @@ func rotate(c *dex.NodeCtx) { *c.State = (*c.State + 1) % grid.NumDirs }
 // in practice; with k = 1 there is no slot to reserve and dimension-order
 // central-queue routing can wedge, which is precisely why Theorem 15 moves
 // to four per-inlink queues.
-func acceptDimOrderReserving(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
-	sched := c.Scheduled()
-	for i, o := range offers {
-		if sched.Has(o.Travel.Opposite()) {
-			acc[i] = true // swap: occupancy-neutral
-		}
-	}
+func acceptDimOrderReserving(c *dex.NodeCtx, offers dex.Offers, acc []bool) {
+	on := swapAndFile(c.Scheduled(), offers, acc)
 	occ := c.QueueLen(0)
 	start := grid.Dir(*c.State % grid.NumDirs)
 	for j := grid.Dir(0); j < grid.NumDirs; j++ {
-		inlink := (start + j) % grid.NumDirs
-		for i, o := range offers {
-			if acc[i] || o.Travel.Opposite() != inlink {
-				continue
-			}
-			if o.Travel.Horizontal() {
-				if occ < c.K-1 {
-					acc[i] = true
-					occ++
-				}
-			} else if occ < c.K {
-				acc[i] = true
-				occ++
-			}
-			break
+		in := (start + j) % grid.NumDirs
+		i := on[in]
+		if i < 0 {
+			continue
+		}
+		room := c.K
+		if in.Horizontal() {
+			room-- // keep one slot for vertical traffic
+		}
+		if occ < room {
+			acc[i] = true
+			occ++
 		}
 	}
 }

@@ -24,7 +24,7 @@ type maskCheck struct {
 	accepts *int
 }
 
-func (m maskCheck) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
+func (m maskCheck) Accept(c *dex.NodeCtx, offers dex.Offers, accept []bool) {
 	var want grid.DirSet
 	for d, idx := range m.Policy.Schedule(c) {
 		if idx >= 0 {

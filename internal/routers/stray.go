@@ -102,7 +102,7 @@ func (r StrayDimOrder) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 }
 
 // Accept is round-robin with the swap rule (central queue).
-func (r StrayDimOrder) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
+func (r StrayDimOrder) Accept(c *dex.NodeCtx, offers dex.Offers, accept []bool) {
 	acceptRoundRobin(c, offers, accept)
 }
 

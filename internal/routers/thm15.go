@@ -55,14 +55,10 @@ func (Thm15) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 
 // Accept always admits vertical traffic and admits horizontal traffic only
 // if the target inqueue held fewer than k packets at the start of the step.
-func (Thm15) Accept(c *dex.NodeCtx, offers []dex.OfferView, acc []bool) {
-	for i, o := range offers {
-		if !o.Travel.Horizontal() {
-			acc[i] = true
-			continue
-		}
-		tag := uint8(o.Travel.Opposite())
-		acc[i] = c.QueueLen(tag) < c.K
+func (Thm15) Accept(c *dex.NodeCtx, offers dex.Offers, acc []bool) {
+	for i := range offers.Len() {
+		t := offers.Travel(i)
+		acc[i] = !t.Horizontal() || c.QueueLen(uint8(t.Opposite())) < c.K
 	}
 }
 

@@ -91,7 +91,7 @@ func (r ZigZag) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 }
 
 // Accept implements the round-robin inqueue policy with the swap rule.
-func (r ZigZag) Accept(c *dex.NodeCtx, offers []dex.OfferView, accept []bool) {
+func (r ZigZag) Accept(c *dex.NodeCtx, offers dex.Offers, accept []bool) {
 	acceptRoundRobin(c, offers, accept)
 }
 

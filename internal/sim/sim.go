@@ -370,7 +370,11 @@ type Algorithm interface {
 	// Accept implements the inqueue policy: accept[i] reports whether
 	// offers[i] is admitted. The engine provides accept with exactly
 	// len(offers) entries, cleared to false; the policy sets the entries
-	// it admits. It must never overflow a queue.
+	// it admits. It must never overflow a queue. A node's offers arrive
+	// on pairwise distinct inlinks, at most four of them: each inlink is
+	// one neighbour's outlink in one direction, which carries at most one
+	// packet per step, even where two outlinks of one neighbour reach the
+	// same node (a torus of side 1 or 2).
 	Accept(net *Network, n *Node, offers []Offer, accept []bool)
 	// Update is the part (e) state update, called for every node that
 	// held a packet at the start or end of the step.
