@@ -49,80 +49,40 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var (
-		res    *adversary.Result
-		replay func(sim.Algorithm) (*sim.Network, error)
-	)
+	// Every construction is one adversary.Construction; the flag picks its
+	// geometry and parameters. The δ and farthest-first constructions
+	// attack their own router, whatever -router says.
+	var c *adversary.Construction
 	switch *kind {
-	case "general", "torus", "hh":
-		hh := 1
-		if *kind == "hh" {
-			hh = *h
-		}
-		c, err := adversary.NewHHConstruction(*n, effK(spec, *k), hh)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.Verify = *verify && hh == 1
-		c.Queues = spec.Queues
-		c.NetK = *k
-		if *kind == "torus" {
-			c.Topo = meshroute.NewTorus(2 * *n)
-		}
-		r, err := c.Run(spec.New())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		replay = func(a sim.Algorithm) (*sim.Network, error) { return c.Replay(r, a) }
-	case "delta":
-		c, err := adversary.NewDeltaConstruction(*n, *k, *delta)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.Verify = *verify
-		stray, _ := meshroute.LookupRouter(meshroute.RouterStray)
-		d := *delta
-		stray.New = func() sim.Algorithm {
-			return meshroute.NewDexAdapter(routers.StrayDimOrder{Delta: d})
-		}
-		spec = stray
-		r, err := c.Run(spec.New())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		replay = func(a sim.Algorithm) (*sim.Network, error) { return c.Replay(r, a) }
+	case "general", "torus":
+		c, err = adversary.NewConstruction(*n, effK(spec, *k))
+	case "hh":
+		c, err = adversary.NewHHConstruction(*n, effK(spec, *k), *h)
 	case "dimorder":
-		c, err := adversary.NewDOConstruction(*n, effK(spec, *k))
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.Verify = *verify
-		c.Queues = spec.Queues
-		c.NetK = *k
-		r, err := c.Run(spec.New())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		replay = func(a sim.Algorithm) (*sim.Network, error) { return c.Replay(r, a) }
+		c, err = adversary.NewDOConstruction(*n, effK(spec, *k))
+	case "delta":
+		c, err = adversary.NewDeltaConstruction(*n, *k, *delta)
+		spec, _ = meshroute.LookupRouter(meshroute.RouterStray)
+		d := *delta
+		spec.New = func() sim.Algorithm { return meshroute.NewDexAdapter(routers.StrayDimOrder{Delta: d}) }
 	case "ff":
-		c, err := adversary.NewFFConstruction(*n, *k)
-		if err != nil {
-			log.Fatal(err)
-		}
-		c.Verify = *verify
-		ff, _ := meshroute.LookupRouter(meshroute.RouterFarthestFirst)
-		spec = ff
-		r, err := c.Run(spec.New())
-		if err != nil {
-			log.Fatal(err)
-		}
-		res = r
-		replay = func(a sim.Algorithm) (*sim.Network, error) { return c.Replay(r, a) }
+		c, err = adversary.NewFFConstruction(*n, *k)
+		spec, _ = meshroute.LookupRouter(meshroute.RouterFarthestFirst)
 	default:
 		log.Fatalf("unknown construction %q", *kind)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	c.Verify = *verify && c.H == 1
+	c.Queues = spec.Queues
+	c.NetK = *k
+	if *kind == "torus" {
+		c.Topo = meshroute.NewTorus(2 * *n)
+	}
+	res, err := c.Run(spec.New())
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("construction %q vs %q on n=%d k=%d\n", *kind, spec.Name, *n, *k)
@@ -131,7 +91,7 @@ func main() {
 	fmt.Printf("  permutation size: %d packets, exchanges performed: %d\n", len(res.Permutation), res.Exchanges)
 	fmt.Printf("  undelivered at the bound: %d\n", res.UndeliveredHard)
 
-	net, err := replay(spec.New())
+	net, err := c.Replay(res, spec.New())
 	if err != nil {
 		log.Fatal(err)
 	}

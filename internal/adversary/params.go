@@ -8,22 +8,25 @@
 //   - the farthest-first dimension-order construction (Section 5);
 //   - the h-h extension and the torus embedding.
 //
-// Each construction runs the target algorithm under the engine's exchange
-// hook, applying the paper's exchange rules (EX1–EX4) to swap destination
-// addresses of packets whose profitable-outlink views are identical, and
-// returns the constructed permutation — the final source→destination
-// assignment. Replaying that permutation without exchanges must reproduce
-// the exact same network configuration (Lemma 12), which the package
-// verifies, and must leave packets undelivered at step ⌊l⌋·d·n
-// (Theorem 13).
+// They are one engine, Construction, with three geometries (General,
+// DimOrder, FarthestFirst); δ-stray, h-h and the torus embedding are its
+// parameters. A construction runs the target algorithm under the
+// simulator's exchange hook, applying the geometry's exchange rules (EX1–EX4
+// for the general one) to swap destination addresses of packets whose
+// profitable-outlink views are identical, and returns the constructed
+// permutation — the final source→destination assignment. Replaying that
+// permutation without exchanges must reproduce the exact same network
+// configuration (Lemma 12), which the package verifies, and must leave
+// packets undelivered at step ⌊l⌋·d·n (Theorem 13).
 package adversary
 
 import (
 	"fmt"
 )
 
-// Params holds the integer constants of Section 4.3 for an instance of the
-// general construction.
+// Params holds the integer constants of a construction: Section 4.3's for
+// the general one (NewParams, NewDeltaParams, NewHHParams), Section 5's for
+// the dimension-order and farthest-first ones (NewDOParams, NewFFParams).
 type Params struct {
 	// N is the mesh side length.
 	N int
@@ -169,4 +172,59 @@ func NewHHParams(n, k, h int) (Params, error) {
 		return Params{}, fmt.Errorf("adversary: h-h 2pL = %d exceeds h·(cn)² = %d", 2*pr.P*pr.L, h*cn*cn)
 	}
 	return pr, nil
+}
+
+// NewDOParams computes the constants of the Section 5 dimension-order
+// construction ("Dimension Order Routing", Figure 4 left):
+// 2/(5(k+2)) <= c <= 1/(2(k+2)), 2/5 <= d <= 1/2, p = (k+1)·cn + dn and
+// ⌊l⌋ = ⌊(1-c)·c·n²/p⌋.
+func NewDOParams(n, k int) (Params, error) {
+	if k < 1 {
+		return Params{}, fmt.Errorf("adversary: k = %d, need k >= 1", k)
+	}
+	cn := n / (2 * (k + 2))
+	dn := n / 2
+	if cn < 2 {
+		return Params{}, fmt.Errorf("adversary: n = %d too small for k = %d (cn = %d)", n, k, cn)
+	}
+	p := (k+1)*cn + dn
+	par := Params{N: n, K: k, CN: cn, DN: dn, P: p, L: (n - cn) * cn / p}
+	if par.L < 1 {
+		return Params{}, fmt.Errorf("adversary: ⌊l⌋ = 0 for n=%d k=%d", n, k)
+	}
+	if par.L > cn {
+		return Params{}, fmt.Errorf("adversary: l = %d exceeds the cn = %d destination columns", par.L, cn)
+	}
+	if par.P > n-cn {
+		return Params{}, fmt.Errorf("adversary: p = %d exceeds the %d destination rows per column", par.P, n-cn)
+	}
+	return par, nil
+}
+
+// NewFFParams computes the constants of the Section 5 farthest-first
+// construction (Figure 4 right): 1/(5(k+1)) <= c <= 1/(4(k+1)),
+// 2/5 <= d <= 1/2, p = (2k+1)·cn + dn and ⌊l⌋ = ⌊c·n²/p⌋. The router it
+// attacks is NOT destination-exchangeable, since it inspects full remaining
+// distances.
+func NewFFParams(n, k int) (Params, error) {
+	if k < 1 {
+		return Params{}, fmt.Errorf("adversary: k = %d, need k >= 1", k)
+	}
+	cn := n / (4 * (k + 1))
+	dn := n / 2
+	if cn < 2 {
+		return Params{}, fmt.Errorf("adversary: n = %d too small for k = %d (cn = %d)", n, k, cn)
+	}
+	p := (2*k+1)*cn + dn
+	par := Params{N: n, K: k, CN: cn, DN: dn, P: p, L: cn * n / p}
+	if par.L < 1 {
+		return Params{}, fmt.Errorf("adversary: ff ⌊l⌋ = 0 for n=%d k=%d", n, k)
+	}
+	if par.P > n-cn {
+		return Params{}, fmt.Errorf("adversary: ff p = %d exceeds %d destination rows", par.P, n-cn)
+	}
+	if par.L >= n-cn {
+		return Params{}, fmt.Errorf("adversary: ff l = %d leaves no room for columns", par.L)
+	}
+	return par, nil
 }
