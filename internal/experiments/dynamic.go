@@ -5,6 +5,7 @@ import (
 
 	"meshroute"
 	"meshroute/internal/scenario"
+	"meshroute/internal/sim"
 	"meshroute/internal/stats"
 )
 
@@ -55,9 +56,10 @@ func E12(opts Options) (*Report, error) {
 			return nil, res.Err
 		}
 		sumLat, delivered := 0, 0
-		for _, p := range res.Net.Packets() {
-			if p.Delivered() && p.InjectStep > warm {
-				sumLat += p.DeliverStep - p.InjectStep
+		ps := &res.Net.P
+		for p := sim.PacketID(1); int(p) <= ps.Len(); p++ {
+			if ps.Delivered(p) && int(ps.InjectStep[p]) > warm {
+				sumLat += int(ps.DeliverStep[p] - ps.InjectStep[p])
 				delivered++
 			}
 		}

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -379,8 +378,9 @@ func (e *attemptError) Error() string { return fmt.Sprintf("worker %s: %v", e.wo
 func (e *attemptError) Unwrap() error { return e.err }
 
 // dispatch performs one POST /v1/cells attempt against w under the
-// per-cell deadline and splits the NDJSON response into event lines (kept
-// as bytes, never decoded) and the result line. Every failure short of a
+// per-cell deadline, reads the NDJSON response whole and splits off its
+// final line, the result; the event lines before it stay one block of
+// bytes, never decoded. Every failure short of a
 // well-formed result line — transport error, non-200, truncated stream, a
 // final line that is not a "t":"cell" record with totals — is an
 // *attemptError (retryable) except a 400, which is
@@ -412,30 +412,19 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, body []byte)
 		return nil, &attemptError{worker: w.url, err: err}
 	}
 
-	var events [][]byte
-	var prev []byte
-	br := bufio.NewReader(resp.Body)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			if len(line) > 0 {
-				prev = nil // truncated trailing line: not a result
-			}
-			break
-		}
-		if err != nil {
-			return nil, &attemptError{worker: w.url, err: fmt.Errorf("mid-stream disconnect: %w", err)}
-		}
-		if prev != nil {
-			events = append(events, prev)
-		}
-		prev = line
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, &attemptError{worker: w.url, err: fmt.Errorf("mid-stream disconnect: %w", err)}
 	}
-	if prev == nil {
+	// The last line is the result; a body not ending in a newline was cut
+	// inside its last line, so it has none.
+	if len(data) == 0 || data[len(data)-1] != '\n' {
 		return nil, &attemptError{worker: w.url, err: errors.New("mid-stream disconnect: response ended without a cell result")}
 	}
+	cut := bytes.LastIndexByte(data[:len(data)-1], '\n') + 1
+	events, last := data[:cut], data[cut:]
 	var cl cellLine
-	if err := json.Unmarshal(prev, &cl); err != nil || cl.T != lineCell || cl.Totals == nil {
+	if err := json.Unmarshal(last, &cl); err != nil || cl.T != lineCell || cl.Totals == nil {
 		return nil, &attemptError{worker: w.url, err: errors.New("mid-stream disconnect: final line is not a cell result")}
 	}
 	return &CellResult{
@@ -445,6 +434,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, body []byte)
 		Canceled:      cl.Canceled,
 		Diagnostics:   cl.Diagnostics,
 		Events:        events,
+		EventLines:    bytes.Count(events, []byte{'\n'}),
 		EventsDropped: cl.EventsDropped,
 	}, nil
 }

@@ -169,8 +169,10 @@ type CellResult struct {
 	// Diagnostics is the engine state snapshot at abort time.
 	Diagnostics string
 	// Events holds the cell's metrics-JSONL lines exactly as a local run
-	// would have produced them (newline-terminated, in order).
-	Events [][]byte
+	// would have produced them (newline-terminated, in order), as one block.
+	Events []byte
+	// EventLines is the number of lines in Events.
+	EventLines int
 	// Totals is what the cell's records — every one the run produced,
 	// including any the worker's buffer dropped — add to an obs.Counters.
 	Totals obs.Totals

@@ -47,8 +47,8 @@ func startWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// runLocal executes the spec in-process through the same Runner + line
-// buffer a worker uses — the byte-identity baseline.
+// runLocal executes the spec in-process through the same Runner + event
+// log a worker uses — the byte-identity baseline.
 func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte) {
 	t.Helper()
 	st, events, _ := runLocalCounted(t, spec)
@@ -60,8 +60,8 @@ func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte) {
 func runLocalCounted(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Totals) {
 	t.Helper()
 	var counters obs.Counters
-	buf := &lineBuffer{limit: 65536}
-	r := scenario.Runner{Sink: obs.Multi{&counters, buf}}
+	events := obs.NewEventLog(65536)
+	r := scenario.Runner{Sink: obs.Multi{&counters, events}}
 	res, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +69,7 @@ func runLocalCounted(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Tota
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	lines, _ := buf.snapshot()
-	return ToStats(res.Stats), bytes.Join(lines, nil), counters.Totals()
+	return ToStats(res.Stats), events.Bytes(), counters.Totals()
 }
 
 // execute runs one cell through the coordinator and fails the test on a
@@ -102,8 +101,8 @@ func TestExecuteMatchesLocalRun(t *testing.T) {
 	if res.Totals != wantTotals || res.Totals.Steps == 0 || res.Totals.Runs != 1 {
 		t.Errorf("remote totals %+v, want %+v", res.Totals, wantTotals)
 	}
-	if got := bytes.Join(res.Events, nil); !bytes.Equal(got, wantEvents) {
-		t.Errorf("remote events differ from local run:\nremote %d bytes\nlocal  %d bytes", len(got), len(wantEvents))
+	if got := res.Events; !bytes.Equal(got, wantEvents) || res.EventLines != bytes.Count(wantEvents, []byte{'\n'}) {
+		t.Errorf("remote events differ from local run:\nremote %d bytes in %d lines\nlocal  %d bytes", len(got), res.EventLines, len(wantEvents))
 	}
 	if res.Error != "" || res.Canceled || res.EventsDropped != 0 {
 		t.Errorf("unexpected abort fields in %+v", res)
@@ -221,7 +220,7 @@ func TestExecuteRetriesTransportErrors(t *testing.T) {
 	if res.Attempts != 3 {
 		t.Errorf("attempts %d, want 3 (two transport failures then success)", res.Attempts)
 	}
-	if res.Stats != wantStats || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+	if res.Stats != wantStats || !bytes.Equal(res.Events, wantEvents) {
 		t.Error("result after retries differs from local run")
 	}
 	if tot := c.Stats(); tot.Retries != 2 || tot.CellsCompleted != 1 {
@@ -280,7 +279,7 @@ func TestChaosSweepCompletes(t *testing.T) {
 		if res.Stats != wantStats {
 			t.Fatalf("cell %d: stats %+v, want %+v", i, res.Stats, wantStats)
 		}
-		if !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+		if !bytes.Equal(res.Events, wantEvents) {
 			t.Fatalf("cell %d: events differ from local run", i)
 		}
 	}
@@ -329,7 +328,7 @@ func TestDisconnectMidStreamRetried(t *testing.T) {
 	if res.Attempts != 2 {
 		t.Errorf("attempts %d, want 2 (first response was truncated)", res.Attempts)
 	}
-	if res.Stats != wantStats || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+	if res.Stats != wantStats || !bytes.Equal(res.Events, wantEvents) {
 		t.Error("result after mid-stream disconnect differs from local run")
 	}
 }
@@ -378,7 +377,7 @@ func TestCellLineWithoutTotalsRetried(t *testing.T) {
 	if res.Attempts != 2 || res.Worker == stale.URL {
 		t.Errorf("attempts %d on %s, want the second attempt on the real worker", res.Attempts, res.Worker)
 	}
-	if res.Stats != wantStats || res.Totals != wantTotals || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+	if res.Stats != wantStats || res.Totals != wantTotals || !bytes.Equal(res.Events, wantEvents) {
 		t.Error("result after a totals-less first answer differs from local run")
 	}
 }
@@ -419,7 +418,7 @@ func TestKillWorkerMidCellRedispatches(t *testing.T) {
 	if res.Attempts != 2 {
 		t.Errorf("attempts %d, want 2", res.Attempts)
 	}
-	if res.Stats != wantStats || !bytes.Equal(bytes.Join(res.Events, nil), wantEvents) {
+	if res.Stats != wantStats || !bytes.Equal(res.Events, wantEvents) {
 		t.Error("result after worker kill differs from local run")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"time"
 
 	"meshroute/internal/obs"
@@ -107,10 +106,10 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	}
 
 	// The same pair of sinks a local service job runs under: the counters
-	// see every record, the line buffer keeps the bounded stream.
+	// see every record, the event log keeps the bounded stream.
 	var counters obs.Counters
-	buf := &lineBuffer{limit: w.cfg.EventBuffer}
-	runner := scenario.Runner{Sink: obs.Multi{&counters, buf}}
+	events := obs.NewEventLog(w.cfg.EventBuffer)
+	runner := scenario.Runner{Sink: obs.Multi{&counters, events}}
 	res, err := runner.Run(r.Context(), spec)
 	if err != nil {
 		workerError(rw, http.StatusBadRequest, "%v", err)
@@ -124,8 +123,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		var cerr *sim.CanceledError
 		cl.Canceled = errors.As(res.Err, &cerr)
 	}
-	lines, dropped := buf.snapshot()
-	cl.EventsDropped = dropped
+	cl.EventsDropped = events.Dropped()
 	final, err := json.Marshal(cl)
 	if err != nil {
 		workerError(rw, http.StatusInternalServerError, "encode result: %v", err)
@@ -133,50 +131,9 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 	}
 	rw.Header().Set("Content-Type", "application/x-ndjson")
 	rw.WriteHeader(http.StatusOK)
-	for _, line := range lines {
-		if _, err := rw.Write(line); err != nil {
-			return // coordinator is gone; it will retry elsewhere
-		}
-	}
-	rw.Write(append(final, '\n')) //nolint:errcheck // see above
-}
-
-// lineBuffer collects a cell's metrics-JSONL lines verbatim, bounded like
-// the service's per-job stream so remote and local event streams agree
-// byte for byte.
-type lineBuffer struct {
-	mu      sync.Mutex
-	limit   int
-	lines   [][]byte
-	dropped int
-}
-
-func (b *lineBuffer) append(line []byte, err error) {
-	if err != nil {
-		return // an unencodable record is dropped, never fatal to the run
-	}
-	b.mu.Lock()
-	if len(b.lines) >= b.limit {
-		b.dropped++
-	} else {
-		b.lines = append(b.lines, line)
-	}
-	b.mu.Unlock()
-}
-
-// Step implements obs.Sink.
-func (b *lineBuffer) Step(s obs.StepSample) { b.append(obs.StepLine(s)) }
-
-// Span implements obs.Sink.
-func (b *lineBuffer) Span(sp obs.Span) { b.append(obs.SpanLine(sp)) }
-
-// Event implements obs.EventSink.
-func (b *lineBuffer) Event(e obs.Event) { b.append(obs.EventLine(e)) }
-
-func (b *lineBuffer) snapshot() ([][]byte, int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.lines, b.dropped
+	// The log is done with, so the result line goes on its end and the
+	// whole response is one write.
+	rw.Write(append(append(events.Bytes(), final...), '\n')) //nolint:errcheck // the coordinator is gone; it will retry elsewhere
 }
 
 // Announce registers selfURL with the coordinator and re-announces every

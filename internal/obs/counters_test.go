@@ -104,48 +104,45 @@ func TestCountersTotalsAdd(t *testing.T) {
 	}
 }
 
-// TestLineEncodersMatchJSONLSink checks StepLine/SpanLine/EventLine emit
-// byte-identical lines to the JSONL sink, so streams assembled line by
-// line stay readable by ReadJSONLRecords.
+// TestLineEncodersMatchJSONLSink checks the event log writes
+// byte-identical lines to the JSONL sink for every record type, so the
+// streams the service and the fleet assemble stay readable by
+// ReadJSONLRecords.
 func TestLineEncodersMatchJSONLSink(t *testing.T) {
 	sample := StepSample{Step: 3, Moves: 4, Delivered: 1, DeliveredTotal: 2, InFlight: 7, MaxQueue: 2}
 	span := Span{Name: "march", Class: "NE", Iteration: 1, Measured: 9, Formula: 12}
 	event := Event{Step: 5, Kind: "link-down", Node: 11, Dir: "E", Detail: "permanent"}
+	run := RunSummary{Scenario: "s", Router: "thm15", Makespan: 30, Congestion: 8, Dilation: 14, CDRatio: 30.0 / 22}
 
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
-	sink.Step(sample)
-	sink.Span(span)
-	sink.Event(event)
+	log := NewEventLog(4)
+	for _, s := range []interface {
+		Sink
+		EventSink
+		RunSink
+	}{sink, log} {
+		s.Step(sample)
+		s.Span(span)
+		s.Event(event)
+		s.Run(run)
+	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	var lines []byte
-	for _, enc := range []func() ([]byte, error){
-		func() ([]byte, error) { return StepLine(sample) },
-		func() ([]byte, error) { return SpanLine(span) },
-		func() ([]byte, error) { return EventLine(event) },
-	} {
-		line, err := enc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, line...)
-	}
+	lines := log.Bytes()
 	if !bytes.Equal(lines, buf.Bytes()) {
-		t.Fatalf("line encoders diverge from JSONL sink\n got: %q\nwant: %q", lines, buf.Bytes())
+		t.Fatalf("event log diverges from JSONL sink\n got: %q\nwant: %q", lines, buf.Bytes())
 	}
 
 	rec, err := ReadJSONLRecords(bytes.NewReader(lines))
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps, spans, events := rec.Steps, rec.Spans, rec.Events
-	if len(steps) != 1 || len(spans) != 1 || len(events) != 1 {
-		t.Fatalf("ReadJSONLRecords parsed %d/%d/%d records, want 1/1/1", len(steps), len(spans), len(events))
+	if len(rec.Steps) != 1 || len(rec.Spans) != 1 || len(rec.Events) != 1 || len(rec.Runs) != 1 {
+		t.Fatalf("ReadJSONLRecords parsed %d/%d/%d/%d records, want 1/1/1/1", len(rec.Steps), len(rec.Spans), len(rec.Events), len(rec.Runs))
 	}
-	if steps[0] != sample || spans[0] != span || events[0] != event {
+	if rec.Steps[0] != sample || rec.Spans[0] != span || rec.Events[0] != event || rec.Runs[0] != run {
 		t.Fatal("round-tripped records differ from originals")
 	}
 }

@@ -91,39 +91,6 @@ func appendIntsField(dst []byte, key string, vs []int) []byte {
 	return append(dst, ']')
 }
 
-// StepLine renders one step sample as a metrics-JSONL line (with trailing
-// newline) — the same wire format the JSONL sink writes, for producers
-// that buffer or stream individual lines themselves. The returned slice is
-// exactly as long as the line (len == cap): the service and the fleet
-// worker retain one per step, so spare capacity would be resident memory.
-// The error is always nil; the signature matches the other line encoders.
-func StepLine(s StepSample) ([]byte, error) {
-	var buf [512]byte // fits any line of 31-bit counts; longer ones spill to the heap
-	line := AppendStepLine(buf[:0], s)
-	return append(make([]byte, 0, len(line)), line...), nil
-}
-
-// SpanLine renders one span as a metrics-JSONL line (with trailing
-// newline).
-func SpanLine(sp Span) ([]byte, error) {
-	data, err := json.Marshal(spanLine{T: LineSpan, Span: sp})
-	return append(data, '\n'), err
-}
-
-// EventLine renders one fault/watchdog event as a metrics-JSONL line
-// (with trailing newline).
-func EventLine(e Event) ([]byte, error) {
-	data, err := json.Marshal(faultLine{T: LineFault, Event: e})
-	return append(data, '\n'), err
-}
-
-// RunLine renders one run summary as a metrics-JSONL line (with trailing
-// newline).
-func RunLine(r RunSummary) ([]byte, error) {
-	data, err := json.Marshal(runLine{T: LineRun, RunSummary: r})
-	return append(data, '\n'), err
-}
-
 // JSONL is a Sink that streams samples and spans to a writer as JSON
 // lines. Writes are buffered; call Close to flush and surface the first
 // write error. After an error the sink drops further records, so a run

@@ -12,10 +12,10 @@
 // emission with a nil check, so the disabled case costs one predictable
 // branch and zero allocations on the hot step loop.
 //
-// Three sinks are provided: JSONL streams samples and spans as JSON lines
-// (the wire format documented in docs/OBSERVABILITY.md), Memory accumulates
-// them for in-process analysis and tests, and Multi fans out to several
-// sinks at once.
+// The sinks: JSONL streams records as JSON lines (the wire format of
+// docs/OBSERVABILITY.md), EventLog keeps those bytes in memory up to a
+// record limit, Memory accumulates records for tests, Counters totals
+// them, and Multi fans out to several sinks at once.
 package obs
 
 import (

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -77,6 +79,49 @@ func TestFleetRemoteMatchesLocal(t *testing.T) {
 	}
 	if tot := coord.Stats(); tot.Dispatches != 1 {
 		t.Errorf("cache hit re-dispatched: %d dispatches, want 1", tot.Dispatches)
+	}
+}
+
+// TestEventsMatchMetricsOut pins the event stream to the metrics file:
+// for an analyzed spec, GET /v1/jobs/{id}/events returns the bytes the
+// scenario runner writes to Spec.MetricsOut (what meshroute -metrics-out
+// writes), terminal "t":"run" line included, whether the job ran
+// in-process or on a fleet of two workers.
+func TestEventsMatchMetricsOut(t *testing.T) {
+	spec := quickSpec("analyzed-events", 9)
+	spec.Analysis = true
+	direct := *spec
+	direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
+	if _, err := (&scenario.Runner{}).Run(context.Background(), &direct); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(direct.MetricsOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(want[bytes.LastIndexByte(want[:len(want)-1], '\n')+1:], []byte(`{"t":"run"`)) {
+		t.Fatalf("the metrics file does not end with a run line:\n%s", want)
+	}
+
+	coord, _ := startFleetWorker(t)
+	second := httptest.NewServer(fleet.NewWorker(fleet.WorkerConfig{}).Handler())
+	t.Cleanup(second.Close)
+	coord.Register(second.URL)
+	for name, cfg := range map[string]Config{
+		"local": {Workers: 1, QueueDepth: 4},
+		"fleet": {Workers: 1, QueueDepth: 4, Fleet: coord},
+	} {
+		s := newTestServer(t, cfg)
+		st := waitDone(t, s, submitSpec(t, s, spec).ID, StateDone)
+		if got := eventsBody(t, s, st.ID); !bytes.Equal(got, want) {
+			t.Errorf("%s: events differ from the metrics file\n got: %s\nwant: %s", name, got, want)
+		}
+		if lines := bytes.Count(want, []byte{'\n'}); st.Events != lines || st.EventsDropped != 0 {
+			t.Errorf("%s: status counts %d events, %d dropped; the file has %d lines", name, st.Events, st.EventsDropped, lines)
+		}
+	}
+	if tot := coord.Stats(); tot.CellsCompleted != 1 {
+		t.Errorf("coordinator completed %d cells, want 1", tot.CellsCompleted)
 	}
 }
 

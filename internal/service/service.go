@@ -338,10 +338,7 @@ func (s *Server) runRemote(j *job) bool {
 	// run) and add the totals the worker counted while producing them to the
 	// shared counters, so /metrics aggregates fleet-wide engine throughput
 	// exactly as if the cell had run here.
-	for _, line := range res.Events {
-		j.stream.appendRaw(line)
-	}
-	j.stream.addDropped(res.EventsDropped)
+	j.stream.commit(res.Events, res.EventLines, res.EventsDropped)
 	s.counters.Add(res.Totals)
 	st := res.Stats
 	switch {
@@ -697,9 +694,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents is GET /v1/jobs/{id}/events: an NDJSON replay-then-follow
-// stream of the job's per-step samples and fault events in the
-// docs/OBSERVABILITY.md wire format. The response ends when the job
-// retires; cache-hit jobs stream nothing (no simulation ran).
+// stream of the job's metrics records in the docs/OBSERVABILITY.md wire
+// format: the bytes a -metrics-out file of the same spec holds, up to the
+// event bound. The response ends when the job retires; cache-hit jobs
+// stream nothing (no simulation ran).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r.PathValue("id"))
 	if j == nil {
@@ -711,14 +709,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	stop := context.AfterFunc(r.Context(), j.stream.wake)
 	defer stop()
-	for i := 0; ; i++ {
-		line, ok := j.stream.next(r.Context(), i)
+	// Each wake-up writes every byte the log has gained and flushes once.
+	for off := 0; ; {
+		chunk, ok := j.stream.next(r.Context(), off)
 		if !ok {
 			return
 		}
-		if _, err := w.Write(line); err != nil {
+		if _, err := w.Write(chunk); err != nil {
 			return
 		}
+		off += len(chunk)
 		if flusher != nil {
 			flusher.Flush()
 		}

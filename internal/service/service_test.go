@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -357,6 +358,60 @@ func TestEventsStreamReplay(t *testing.T) {
 	}
 	if got := final.Events; got != len(steps) {
 		t.Fatalf("status reports %d events, stream carries %d", got, len(steps))
+	}
+}
+
+// TestStreamFollowersSeeEveryByte has followers attach to a stream at
+// different points while records are appended, a fleet block committed
+// and the log trimmed at close; each must end with exactly the log's bytes,
+// which are an unshared obs.EventLog's for the same records.
+func TestStreamFollowersSeeEveryByte(t *testing.T) {
+	const steps, limit, followers = 200, 230, 4
+	s, want := newStream(limit), obs.NewEventLog(limit)
+	cell := obs.NewEventLog(40)
+	for i := 1; i <= 40; i++ {
+		cell.Step(obs.StepSample{Step: i, Delivered: 1})
+	}
+
+	got := make([][]byte, followers)
+	attach := make([]chan struct{}, followers)
+	var wg sync.WaitGroup
+	for f := range attach {
+		attach[f] = make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-attach[f]
+			for off := 0; ; {
+				chunk, ok := s.next(context.Background(), off)
+				if !ok {
+					return
+				}
+				got[f] = append(got[f], chunk...)
+				off += len(chunk)
+			}
+		}()
+	}
+	for i := 1; i <= steps; i++ {
+		if i%(steps/followers) == 1 {
+			close(attach[i/(steps/followers)])
+		}
+		for _, k := range []obs.Sink{s, want} {
+			k.Step(obs.StepSample{Step: i, Moves: 3 * i, InFlight: steps - i})
+		}
+	}
+	s.commit(cell.Bytes(), cell.Lines(), 2)
+	want.Commit(cell.Bytes(), cell.Lines(), 2)
+	s.close()
+	wg.Wait()
+
+	if lines, dropped := s.counts(); lines != limit || dropped != steps+40-limit+2 {
+		t.Fatalf("stream kept %d records and dropped %d, want %d and %d", lines, dropped, limit, steps+40-limit+2)
+	}
+	for f := range got {
+		if !bytes.Equal(got[f], want.Bytes()) {
+			t.Errorf("follower %d read %d bytes, want the log's %d", f, len(got[f]), len(want.Bytes()))
+		}
 	}
 }
 

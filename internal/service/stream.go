@@ -7,102 +7,85 @@ import (
 	"meshroute/internal/obs"
 )
 
-// stream is one job's NDJSON event buffer: the running job appends
-// metrics-JSONL lines (the docs/OBSERVABILITY.md wire format) through the
-// obs.Sink interface, and any number of HTTP followers replay the buffer
-// from the start and then block for new lines until the job retires. The
-// buffer is bounded; once full, further step samples are counted as
-// dropped instead of growing without limit.
+// stream is one job's NDJSON event log (the docs/OBSERVABILITY.md wire
+// format) shared between the running job, which appends records through
+// the obs.Sink interface, and any number of HTTP followers, which replay
+// the log from the start and then block for new bytes until the job
+// retires. The log is bounded in records; once full, further records are
+// counted as dropped instead of growing without limit.
 type stream struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	lines   [][]byte
-	dropped int
-	closed  bool
-	limit   int
+	mu     sync.Mutex
+	cond   *sync.Cond
+	log    *obs.EventLog
+	closed bool
 }
 
 func newStream(limit int) *stream {
-	s := &stream{limit: limit}
+	s := &stream{log: obs.NewEventLog(limit)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
 
-// append adds one encoded line (already newline-terminated), dropping it
-// if the buffer is full.
-func (s *stream) append(line []byte, err error) {
-	if err != nil {
-		return // an unencodable record is dropped, never fatal to the run
-	}
-	s.mu.Lock()
-	if len(s.lines) >= s.limit {
-		s.dropped++
-	} else {
-		s.lines = append(s.lines, line)
-	}
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// appendRaw adds one already-encoded, newline-terminated line verbatim —
-// the commit path for event lines a fleet worker produced, preserving
-// byte identity with a local run.
-func (s *stream) appendRaw(line []byte) { s.append(line, nil) }
-
-// addDropped folds drops that happened upstream (a worker's own buffer
-// bound) into the stream's count.
-func (s *stream) addDropped(n int) {
-	if n <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.dropped += n
-	s.mu.Unlock()
-}
+// The sink methods append under the lock and wake the followers.
 
 // Step implements obs.Sink.
-func (s *stream) Step(sample obs.StepSample) { s.append(obs.StepLine(sample)) }
+func (s *stream) Step(x obs.StepSample) { s.mu.Lock(); s.log.Step(x); s.unlock() }
 
 // Span implements obs.Sink.
-func (s *stream) Span(sp obs.Span) { s.append(obs.SpanLine(sp)) }
+func (s *stream) Span(sp obs.Span) { s.mu.Lock(); s.log.Span(sp); s.unlock() }
 
 // Event implements obs.EventSink.
-func (s *stream) Event(e obs.Event) { s.append(obs.EventLine(e)) }
+func (s *stream) Event(e obs.Event) { s.mu.Lock(); s.log.Event(e); s.unlock() }
 
-// close marks the stream complete and wakes every follower. Idempotent.
+// Run implements obs.RunSink.
+func (s *stream) Run(r obs.RunSummary) { s.mu.Lock(); s.log.Run(r); s.unlock() }
+
+// commit appends a block of lines a fleet worker encoded, verbatim (byte
+// identity with a local run), with the drops of the worker's own bound.
+func (s *stream) commit(block []byte, lines, dropped int) {
+	s.mu.Lock()
+	s.log.Commit(block, lines, dropped)
+	s.unlock()
+}
+
+// close marks the stream complete, trims the log to its exact size and
+// wakes every follower. Idempotent.
 func (s *stream) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	s.log.Trim()
+	s.unlock()
 }
 
 // wake prods blocked followers so they can notice a canceled request
 // context (install with context.AfterFunc).
-func (s *stream) wake() {
-	s.mu.Lock()
+func (s *stream) wake() { s.mu.Lock(); s.unlock() }
+
+// unlock wakes every follower and releases the lock.
+func (s *stream) unlock() {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// counts returns the buffered and dropped line counts.
+// counts returns the buffered and dropped record counts.
 func (s *stream) counts() (buffered, dropped int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.lines), s.dropped
+	return s.log.Lines(), s.log.Dropped()
 }
 
-// next returns line i, blocking until it exists, the stream closes, or
-// ctx is canceled (callers must arrange a wake on cancellation). ok=false
-// means no more lines will come.
-func (s *stream) next(ctx context.Context, i int) (line []byte, ok bool) {
+// next returns every byte of the log from offset off on, blocking until
+// there is at least one, the stream closes, or ctx is canceled (callers
+// must arrange a wake on cancellation). ok=false means no more bytes will
+// come. The bytes are never rewritten, so the caller reads them unlocked.
+func (s *stream) next(ctx context.Context, off int) (chunk []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i >= len(s.lines) && !s.closed && ctx.Err() == nil {
+	for off >= len(s.log.Bytes()) && !s.closed && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if i < len(s.lines) {
-		return s.lines[i], true
+	if b := s.log.Bytes(); off < len(b) {
+		return b[off:len(b):len(b)], true
 	}
 	return nil, false
 }
