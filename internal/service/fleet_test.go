@@ -1,20 +1,26 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"meshroute/internal/fleet"
+	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
 )
 
@@ -86,7 +92,12 @@ func TestFleetRemoteMatchesLocal(t *testing.T) {
 // for an analyzed spec, GET /v1/jobs/{id}/events returns the bytes the
 // scenario runner writes to Spec.MetricsOut (what meshroute -metrics-out
 // writes), terminal "t":"run" line included, whether the job ran
-// in-process or on a fleet of two workers.
+// in-process or on a fleet of two workers, and whenever a follower reads:
+// over HTTP while the job runs, across the swap of the packed log (first
+// line read before the job retires, the rest once the worker has packed
+// the log, which it does at the latest when it stops), and after the
+// swap. In-process, the job pauses after step 3 until the HTTP follower
+// has its first line and the other has read.
 func TestEventsMatchMetricsOut(t *testing.T) {
 	spec := quickSpec("analyzed-events", 9)
 	spec.Analysis = true
@@ -112,9 +123,59 @@ func TestEventsMatchMetricsOut(t *testing.T) {
 		"fleet": {Workers: 1, QueueDepth: 4, Fleet: coord},
 	} {
 		s := newTestServer(t, cfg)
-		st := waitDone(t, s, submitSpec(t, s, spec).ID, StateDone)
-		if got := eventsBody(t, s, st.ID); !bytes.Equal(got, want) {
-			t.Errorf("%s: events differ from the metrics file\n got: %s\nwant: %s", name, got, want)
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		gate, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		s.testJobStart = func(*job) { <-gate }
+		s.testStepHook = func(_ string, step int) {
+			if step == 3 {
+				close(paused)
+				<-resume
+			}
+		}
+		id := submitSpec(t, s, spec).ID
+		attached, live := make(chan struct{}), make(chan []byte, 1)
+		go func() {
+			defer close(live)
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+			if err != nil {
+				t.Error(err)
+				close(attached)
+				return
+			}
+			defer resp.Body.Close()
+			body := bufio.NewReader(resp.Body)
+			line, err := body.ReadBytes('\n')
+			close(attached)
+			rest, err2 := io.ReadAll(body)
+			if err = cmp.Or(err, err2); err != nil {
+				t.Error(err)
+			}
+			live <- append(line, rest...)
+		}()
+		close(gate)
+		if name == "local" {
+			<-paused
+			<-attached
+		}
+		j := s.lookup(id)
+		first, _ := j.stream.next(context.Background(), 0)
+		first = first[:bytes.IndexByte(first, '\n')+1]
+		close(resume)
+		st := waitDone(t, s, id, StateDone)
+		reads := map[string][]byte{"live": <-live}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		s.Shutdown(ctx)
+		cancel()
+		if z, raw := j.stream.log.Retained(), j.stream.log.Len(); z >= raw {
+			t.Fatalf("%s: the stopped worker left the log at %d bytes for %d: not packed", name, z, raw)
+		}
+		reads["across swap"] = append(first, readStream(j.stream, len(first))...)
+		reads["after swap"] = eventsBody(t, s, id)
+		for when, got := range reads {
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s, %s: events differ from the metrics file\n got: %s\nwant: %s", name, when, got, want)
+			}
 		}
 		if lines := bytes.Count(want, []byte{'\n'}); st.Events != lines || st.EventsDropped != 0 {
 			t.Errorf("%s: status counts %d events, %d dropped; the file has %d lines", name, st.Events, st.EventsDropped, lines)
@@ -122,6 +183,108 @@ func TestEventsMatchMetricsOut(t *testing.T) {
 	}
 	if tot := coord.Stats(); tot.CellsCompleted != 1 {
 		t.Errorf("coordinator completed %d cells, want 1", tot.CellsCompleted)
+	}
+}
+
+// TestSealedEventsMatchScenarios runs every committed scenario spec
+// through an in-process server and through one coordinating a two-worker
+// fleet. Once the server has stopped, so every job's log is sealed and
+// packed, each /v1/jobs/{id}/events body must equal the -metrics-out
+// bytes of a direct run, and /metrics must count the logs at exactly
+// those bytes and hold them in at most 40 % of them. Under the race
+// detector the n=256 torus spec, which would take most of a minute there,
+// is left out.
+func TestSealedEventsMatchScenarios(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario specs: %v", err)
+	}
+	if raceDetector {
+		paths = slices.DeleteFunc(paths, func(p string) bool { return strings.Contains(p, "torus-n256") })
+	}
+	specs, want := make([]*scenario.Spec, len(paths)), make([][]byte, len(paths))
+	for i, path := range paths {
+		if specs[i], err = scenario.Load(path); err != nil {
+			t.Fatal(err)
+		}
+		direct := *specs[i]
+		direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
+		if _, err := (&scenario.Runner{}).Run(context.Background(), &direct); err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = os.ReadFile(direct.MetricsOut); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	coord, _ := startFleetWorker(t)
+	second := httptest.NewServer(fleet.NewWorker(fleet.WorkerConfig{}).Handler())
+	t.Cleanup(second.Close)
+	coord.Register(second.URL)
+	for name, cfg := range map[string]Config{
+		"local": {Workers: 2, QueueDepth: len(specs)},
+		"fleet": {Workers: 2, QueueDepth: len(specs), Fleet: coord},
+	} {
+		s := newTestServer(t, cfg)
+		ids := make([]string, len(specs))
+		for i, spec := range specs {
+			ids[i] = submitSpec(t, s, spec).ID
+		}
+		for _, id := range ids {
+			waitDone(t, s, id, StateDone)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		s.Shutdown(ctx)
+		cancel()
+		var raw int64
+		for i, id := range ids {
+			if got := eventsBody(t, s, id); !bytes.Equal(got, want[i]) {
+				t.Errorf("%s, %s: the packed events differ from the metrics file (%d bytes, want %d)", name, paths[i], len(got), len(want[i]))
+			}
+			raw += int64(len(want[i]))
+		}
+		var m Metrics
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Events.RawBytes != raw {
+			t.Errorf("%s: /metrics counts %d raw event bytes, the jobs stream %d", name, m.Events.RawBytes, raw)
+		}
+		if m.Events.RetainedBytes*10 > m.Events.RawBytes*4 {
+			t.Errorf("%s: the packed logs hold %d bytes for %d, over 40 %%", name, m.Events.RetainedBytes, m.Events.RawBytes)
+		}
+	}
+}
+
+// TestEventMetricsFollowEviction checks /metrics counts a log when it is
+// sealed, as the raw buffer it is, recounts it when it is packed and
+// uncounts it when its job leaves the registry.
+func TestEventMetricsFollowEviction(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2, RetainJobs: 1})
+	events := func() EventMetrics {
+		var m Metrics
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Events
+	}
+	var log *obs.EventLog
+	for seed := range int64(3) {
+		id := submitSpec(t, s, quickSpec("evicted", seed)).ID
+		waitDone(t, s, id, StateDone)
+		j := s.lookup(id)
+		waitSealed(j.stream)
+		log = j.stream.log
+		if got, want := events(), (EventMetrics{RetainedBytes: int64(log.Retained()), RawBytes: int64(log.Len())}); got != want {
+			t.Errorf("job %d: /metrics counts %+v, want only the retained job's raw log, %+v", seed, got, want)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	s.Shutdown(ctx)
+	want := EventMetrics{RetainedBytes: int64(log.Retained()), RawBytes: int64(log.Len())}
+	if got := events(); got != want || want.RetainedBytes >= want.RawBytes {
+		t.Errorf("after the worker packed the last log, /metrics counts %+v, want its packed %+v", got, want)
 	}
 }
 

@@ -73,6 +73,8 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	counters *obs.Counters
+	// events totals the sealed event logs of the retained jobs.
+	events   eventSizes
 	cache    *cache
 	queue    chan *job
 	stop     chan struct{}
@@ -255,10 +257,18 @@ func (s *Server) jobDone(j *job) {
 // already retired them) are drained defensively.
 func (s *Server) worker() {
 	defer s.workerWg.Done()
+	// last is the previous job's stream. Its sealed log is packed once
+	// the next job is done, or the worker stops: the job's submitter, the
+	// usual follower, reads the log just after the job retires, and so
+	// reads it raw instead of inflating it.
+	var last *stream
+	defer func() { last.pack() }()
 	for {
 		select {
 		case j := <-s.queue:
 			s.runJob(j)
+			last.pack()
+			last = j.stream
 		case <-s.stop:
 			for {
 				select {
@@ -579,7 +589,7 @@ func (s *Server) admitLocked(adm admission) JobStatus {
 			spec:        adm.spec,
 			fingerprint: adm.fp,
 			cancel:      func() {},
-			stream:      newStream(0),
+			stream:      newStream(0, nil),
 			state:       StateDone,
 			cacheHit:    true,
 			stats:       &st,
@@ -621,7 +631,7 @@ func (s *Server) admitLocked(adm admission) JobStatus {
 		fingerprint: adm.fp,
 		ctx:         ctx,
 		cancel:      cancel,
-		stream:      newStream(s.cfg.EventBuffer),
+		stream:      newStream(s.cfg.EventBuffer, &s.events),
 		state:       StateQueued,
 		created:     now,
 		done:        make(chan struct{}),
@@ -643,7 +653,10 @@ func (s *Server) evictJobsLocked() {
 	}
 	kept := s.jobOrder[:0]
 	for _, id := range s.jobOrder {
-		if len(s.jobs) > s.cfg.RetainJobs && s.jobs[id].currentState().Terminal() {
+		if j := s.jobs[id]; len(s.jobs) > s.cfg.RetainJobs && j.currentState().Terminal() {
+			if !j.sharedStream {
+				j.stream.evict()
+			}
 			delete(s.jobs, id)
 			continue
 		}
@@ -757,6 +770,7 @@ type Metrics struct {
 	QueueCapacity int           `json:"queue_capacity"`
 	Cache         CacheMetrics  `json:"cache"`
 	Engine        EngineMetrics `json:"engine"`
+	Events        EventMetrics  `json:"events"`
 	Fleet         *FleetMetrics `json:"fleet,omitempty"`
 }
 
@@ -769,6 +783,16 @@ type CacheMetrics struct {
 	// Deduped counts submissions that attached to an already-executing
 	// identical spec instead of running their own simulation.
 	Deduped int64 `json:"deduped"`
+}
+
+// EventMetrics describes the sealed event logs of the retained jobs. A
+// log is counted once its job retires and the log is sealed, with the job
+// that ran it, until that job is evicted.
+type EventMetrics struct {
+	// RetainedBytes is what the logs are held in, mostly flate-compressed.
+	RetainedBytes int64 `json:"retained_bytes"`
+	// RawBytes is what GET /v1/jobs/{id}/events serves for them.
+	RawBytes int64 `json:"raw_bytes"`
 }
 
 // FleetMetrics describes the coordinator's worker fleet (coordinator
@@ -822,6 +846,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	hits, misses, size := s.cache.stats()
 	m.Cache = CacheMetrics{Hits: hits, Misses: misses, Entries: size, Deduped: deduped}
+	m.Events = EventMetrics{RetainedBytes: s.events.retained.Load(), RawBytes: s.events.raw.Load()}
 	if s.cfg.Fleet != nil {
 		m.Fleet = &FleetMetrics{
 			Alive:   s.cfg.Fleet.Alive(),

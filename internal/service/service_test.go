@@ -361,13 +361,39 @@ func TestEventsStreamReplay(t *testing.T) {
 	}
 }
 
+// readStream reads a stream from byte off to its end, the way
+// handleEvents does.
+func readStream(s *stream, off int) []byte {
+	var got []byte
+	for {
+		chunk, ok := s.next(context.Background(), off)
+		if !ok {
+			return got
+		}
+		got = append(got, chunk...)
+		off += len(chunk)
+	}
+}
+
+// waitSealed blocks until a stream's log is sealed.
+func waitSealed(s *stream) {
+	s.mu.Lock()
+	for !s.log.Sealed() {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
 // TestStreamFollowersSeeEveryByte has followers attach to a stream at
-// different points while records are appended, a fleet block committed
-// and the log trimmed at close; each must end with exactly the log's bytes,
-// which are an unshared obs.EventLog's for the same records.
+// different points while records are appended, a fleet block committed,
+// the log sealed at close and packed while they may still be reading;
+// each must end with exactly the log's bytes, which are an unshared
+// obs.EventLog's for the same records. One more follower reads the steps
+// before the commit and the rest from the packed log, and one attaches
+// only after the swap.
 func TestStreamFollowersSeeEveryByte(t *testing.T) {
 	const steps, limit, followers = 200, 230, 4
-	s, want := newStream(limit), obs.NewEventLog(limit)
+	s, want := newStream(limit, nil), obs.NewEventLog(limit)
 	cell := obs.NewEventLog(40)
 	for i := 1; i <= 40; i++ {
 		cell.Step(obs.StepSample{Step: i, Delivered: 1})
@@ -382,14 +408,7 @@ func TestStreamFollowersSeeEveryByte(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-attach[f]
-			for off := 0; ; {
-				chunk, ok := s.next(context.Background(), off)
-				if !ok {
-					return
-				}
-				got[f] = append(got[f], chunk...)
-				off += len(chunk)
-			}
+			got[f] = readStream(s, 0)
 		}()
 	}
 	for i := 1; i <= steps; i++ {
@@ -400,18 +419,31 @@ func TestStreamFollowersSeeEveryByte(t *testing.T) {
 			k.Step(obs.StepSample{Step: i, Moves: 3 * i, InFlight: steps - i})
 		}
 	}
+	head, _ := s.next(context.Background(), 0)
 	s.commit(cell.Bytes(), cell.Lines(), 2)
 	want.Commit(cell.Bytes(), cell.Lines(), 2)
 	s.close()
+	s.pack()
 	wg.Wait()
+	straddled := append(head, readStream(s, len(head))...)
+	late := readStream(s, 0)
 
 	if lines, dropped := s.counts(); lines != limit || dropped != steps+40-limit+2 {
 		t.Fatalf("stream kept %d records and dropped %d, want %d and %d", lines, dropped, limit, steps+40-limit+2)
+	}
+	if z, raw := s.log.Retained(), s.log.Len(); z >= raw {
+		t.Fatalf("the packed log holds %d bytes for %d: not compressed", z, raw)
 	}
 	for f := range got {
 		if !bytes.Equal(got[f], want.Bytes()) {
 			t.Errorf("follower %d read %d bytes, want the log's %d", f, len(got[f]), len(want.Bytes()))
 		}
+	}
+	if !bytes.Equal(straddled, want.Bytes()) {
+		t.Errorf("the follower across the swap read %d bytes, want the log's %d", len(straddled), len(want.Bytes()))
+	}
+	if !bytes.Equal(late, want.Bytes()) {
+		t.Errorf("the follower after the swap read %d bytes, want the log's %d", len(late), len(want.Bytes()))
 	}
 }
 

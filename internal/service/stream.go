@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"meshroute/internal/obs"
 )
@@ -12,16 +13,33 @@ import (
 // the obs.Sink interface, and any number of HTTP followers, which replay
 // the log from the start and then block for new bytes until the job
 // retires. The log is bounded in records; once full, further records are
-// counted as dropped instead of growing without limit.
+// counted as dropped instead of growing without limit. A retired job's
+// log is sealed, and later packed: held flate-compressed.
 type stream struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	log    *obs.EventLog
-	closed bool
+	mu   sync.Mutex
+	cond *sync.Cond
+	log  *obs.EventLog
+	// sizes is the registry total the sealed log is counted in; nil once
+	// the job is evicted, so a log sealed after that is not counted.
+	sizes *eventSizes
 }
 
-func newStream(limit int) *stream {
-	s := &stream{log: obs.NewEventLog(limit)}
+// eventSizes totals the sealed event logs of the retained jobs: the bytes
+// they are held in and the bytes they inflate to.
+type eventSizes struct {
+	retained, raw atomic.Int64
+}
+
+// add adds to the totals; a nil receiver counts nothing.
+func (e *eventSizes) add(retained, raw int) {
+	if e != nil {
+		e.retained.Add(int64(retained))
+		e.raw.Add(int64(raw))
+	}
+}
+
+func newStream(limit int, sizes *eventSizes) *stream {
+	s := &stream{log: obs.NewEventLog(limit), sizes: sizes}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -48,13 +66,46 @@ func (s *stream) commit(block []byte, lines, dropped int) {
 	s.unlock()
 }
 
-// close marks the stream complete, trims the log to its exact size and
-// wakes every follower. Idempotent.
+// close seals the log, so no more bytes will come, counts it, and wakes
+// every follower, which ends on the raw bytes. Idempotent.
 func (s *stream) close() {
 	s.mu.Lock()
-	s.closed = true
-	s.log.Trim()
+	if !s.log.Sealed() {
+		s.log.Seal()
+		s.sizes.add(s.log.Retained(), s.log.Len())
+	}
 	s.unlock()
+}
+
+// pack compresses a sealed log's lines outside the lock — they are final
+// — and swaps the compressed form in under it. The worker that ran the job
+// calls it once, after its next job (see Server.worker); a nil stream
+// packs nothing.
+func (s *stream) pack() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	raw, held, sealed := s.log.Bytes(), s.log.Retained(), s.log.Sealed()
+	s.mu.Unlock()
+	if !sealed || len(raw) == 0 {
+		return
+	}
+	z := obs.Compress(raw)
+	s.mu.Lock()
+	s.log.Pack(z)
+	s.sizes.add(s.log.Retained()-held, 0)
+	s.mu.Unlock()
+}
+
+// evict takes the stream out of the registry's totals.
+func (s *stream) evict() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.log.Sealed() {
+		s.sizes.add(-s.log.Retained(), -s.log.Len())
+	}
+	s.sizes = nil
 }
 
 // wake prods blocked followers so they can notice a canceled request
@@ -77,15 +128,16 @@ func (s *stream) counts() (buffered, dropped int) {
 // next returns every byte of the log from offset off on, blocking until
 // there is at least one, the stream closes, or ctx is canceled (callers
 // must arrange a wake on cancellation). ok=false means no more bytes will
-// come. The bytes are never rewritten, so the caller reads them unlocked.
+// come. The bytes are never rewritten, so the caller reads them unlocked;
+// once the log is compressed they are inflated afresh.
 func (s *stream) next(ctx context.Context, off int) (chunk []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for off >= len(s.log.Bytes()) && !s.closed && ctx.Err() == nil {
+	for off >= s.log.Len() && !s.log.Sealed() && ctx.Err() == nil {
 		s.cond.Wait()
 	}
-	if b := s.log.Bytes(); off < len(b) {
-		return b[off:len(b):len(b)], true
+	if off < s.log.Len() {
+		return s.log.From(off), true
 	}
 	return nil, false
 }
