@@ -32,7 +32,9 @@ func runSubmit(ctx context.Context, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	specs, err := parseSubmission(data)
+	// The server's own parser, so mistakes are caught before any network
+	// round trip.
+	specs, sweep, err := scenario.ParseSubmission(data)
 	if err != nil {
 		return err
 	}
@@ -44,7 +46,7 @@ func runSubmit(ctx context.Context, o cliOptions) error {
 		defer cancel()
 	}
 
-	accepted, err := postJobsRetry(ctx, client, base, data, len(specs) > 1 || bytes.TrimSpace(data)[0] == '[')
+	accepted, err := postJobsRetry(ctx, client, base, data, sweep)
 	if err != nil {
 		return err
 	}
@@ -66,12 +68,12 @@ func runSubmit(ctx context.Context, o cliOptions) error {
 		spec := specs[i]
 		switch final.State {
 		case service.StateDone:
-			printStats(spec.Router, spec.N, spec.K, final.Stats.RouteStats())
+			printStats(spec.Router, spec.N, spec.K, *final.Stats)
 		case service.StateCanceled, service.StateFailed:
 			fmt.Fprintf(os.Stderr, "job %s %s: %s\n", final.ID, final.State, final.Error)
 			if final.Stats != nil {
 				fmt.Printf("partial results:\n")
-				printStats(spec.Router, spec.N, spec.K, final.Stats.RouteStats())
+				printStats(spec.Router, spec.N, spec.K, *final.Stats)
 			}
 			if final.Diagnostics != "" {
 				fmt.Printf("diagnostics: %s\n", final.Diagnostics)
@@ -84,36 +86,6 @@ func runSubmit(ctx context.Context, o cliOptions) error {
 		}
 	}
 	return firstErr
-}
-
-// parseSubmission validates the file locally with the same strict parser
-// the server uses, so mistakes are caught before any network round trip,
-// and returns the specs in submission order for printing.
-func parseSubmission(data []byte) ([]*scenario.Spec, error) {
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) == 0 {
-		return nil, fmt.Errorf("empty submission")
-	}
-	if trimmed[0] != '[' {
-		spec, err := scenario.Parse(data)
-		if err != nil {
-			return nil, err
-		}
-		return []*scenario.Spec{spec}, nil
-	}
-	var raw []json.RawMessage
-	if err := json.Unmarshal(trimmed, &raw); err != nil {
-		return nil, fmt.Errorf("sweep array: %w", err)
-	}
-	specs := make([]*scenario.Spec, len(raw))
-	for i, r := range raw {
-		spec, err := scenario.Parse(r)
-		if err != nil {
-			return nil, fmt.Errorf("sweep spec %d: %w", i, err)
-		}
-		specs[i] = spec
-	}
-	return specs, nil
 }
 
 // transientError marks a submission refusal worth retrying; retryAfter

@@ -428,11 +428,8 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerState, body []byte)
 		return nil, &attemptError{worker: w.url, err: errors.New("mid-stream disconnect: final line is not a cell result")}
 	}
 	return &CellResult{
-		Stats:         cl.Stats,
+		Outcome:       cl.Outcome,
 		Totals:        *cl.Totals,
-		Error:         cl.Error,
-		Canceled:      cl.Canceled,
-		Diagnostics:   cl.Diagnostics,
 		Events:        events,
 		EventLines:    bytes.Count(events, []byte{'\n'}),
 		EventsDropped: cl.EventsDropped,

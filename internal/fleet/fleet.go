@@ -37,6 +37,7 @@ import (
 
 	"meshroute"
 	"meshroute/internal/obs"
+	"meshroute/internal/scenario"
 )
 
 // ErrNoWorkers reports that no live worker is registered. Callers that
@@ -44,110 +45,27 @@ import (
 // degrade gracefully to in-process execution.
 var ErrNoWorkers = errors.New("fleet: no live workers")
 
-// Stats is the wire form of a run's routing statistics — the numbers
-// meshroute.RouteStats carries, with stable JSON names. internal/service
-// aliases this type, so the fleet protocol and the service API share one
-// definition.
-type Stats struct {
-	Makespan   int     `json:"makespan"`
-	Steps      int     `json:"steps"`
-	Done       bool    `json:"done"`
-	Delivered  int     `json:"delivered"`
-	Total      int     `json:"total"`
-	MaxQueue   int     `json:"max_queue"`
-	AvgDelay   float64 `json:"avg_delay"`
-	FaultDrops int     `json:"fault_drops"`
+// Stats is a run's routing statistics on the wire. It is
+// meshroute.RouteStats, whose JSON names are the protocol's.
+type Stats = meshroute.RouteStats
 
-	// Online-workload admission and throughput statistics; all omitted on
-	// the wire for static runs, so pre-online payloads are byte-stable.
-	Online     bool    `json:"online,omitempty"`
-	Offered    int     `json:"offered,omitempty"`
-	Admitted   int     `json:"admitted,omitempty"`
-	Refused    int     `json:"refused,omitempty"`
-	Dropped    int     `json:"dropped,omitempty"`
-	Throughput float64 `json:"throughput,omitempty"`
-	DelayP50   float64 `json:"delay_p50,omitempty"`
-	DelayP95   float64 `json:"delay_p95,omitempty"`
-	DelayP99   float64 `json:"delay_p99,omitempty"`
+// ToStats returns st unchanged: Stats and meshroute.RouteStats are one
+// type.
+func ToStats(st meshroute.RouteStats) Stats { return st }
 
-	// Congestion/dilation efficiency of an analyzed run (see
-	// docs/ANALYSIS.md); all omitted on the wire for analysis-off runs,
-	// so pre-analysis payloads are byte-stable.
-	Analyzed   bool    `json:"analyzed,omitempty"`
-	Congestion int     `json:"congestion,omitempty"`
-	Dilation   int     `json:"dilation,omitempty"`
-	CDRatio    float64 `json:"cd_ratio,omitempty"`
-}
-
-// RouteStats converts back to the facade's statistics type.
-func (s Stats) RouteStats() meshroute.RouteStats {
-	return meshroute.RouteStats{
-		Makespan:   s.Makespan,
-		Steps:      s.Steps,
-		Done:       s.Done,
-		Delivered:  s.Delivered,
-		Total:      s.Total,
-		MaxQueue:   s.MaxQueue,
-		AvgDelay:   s.AvgDelay,
-		FaultDrops: s.FaultDrops,
-		Online:     s.Online,
-		Offered:    s.Offered,
-		Admitted:   s.Admitted,
-		Refused:    s.Refused,
-		Dropped:    s.Dropped,
-		Throughput: s.Throughput,
-		DelayP50:   s.DelayP50,
-		DelayP95:   s.DelayP95,
-		DelayP99:   s.DelayP99,
-		Analyzed:   s.Analyzed,
-		Congestion: s.Congestion,
-		Dilation:   s.Dilation,
-		CDRatio:    s.CDRatio,
-	}
-}
-
-// ToStats converts the facade's statistics type to its wire form.
-func ToStats(st meshroute.RouteStats) Stats {
-	return Stats{
-		Makespan:   st.Makespan,
-		Steps:      st.Steps,
-		Done:       st.Done,
-		Delivered:  st.Delivered,
-		Total:      st.Total,
-		MaxQueue:   st.MaxQueue,
-		AvgDelay:   st.AvgDelay,
-		FaultDrops: st.FaultDrops,
-		Online:     st.Online,
-		Offered:    st.Offered,
-		Admitted:   st.Admitted,
-		Refused:    st.Refused,
-		Dropped:    st.Dropped,
-		Throughput: st.Throughput,
-		DelayP50:   st.DelayP50,
-		DelayP95:   st.DelayP95,
-		DelayP99:   st.DelayP99,
-		Analyzed:   st.Analyzed,
-		Congestion: st.Congestion,
-		Dilation:   st.Dilation,
-		CDRatio:    st.CDRatio,
-	}
-}
-
-// cellLine is the terminal NDJSON record of a POST /v1/cells response.
-// Its "t" discriminator is distinct from the obs line types, so a
-// response body splits unambiguously into verbatim event lines and one
-// result. Totals is what the cell's records add to an obs.Counters — the
-// worker counted them as the run produced them, so the coordinator never
-// parses the event lines it forwards. A worker always sends it (a pointer
-// only so that a line without one can be told from a cell that counted
-// nothing, and refused).
+// cellLine is the terminal NDJSON record of a POST /v1/cells response:
+// the run's scenario.Outcome plus what the coordinator needs to commit
+// the event lines before it. Its "t" discriminator is distinct from the
+// obs line types, so a response body splits unambiguously into verbatim
+// event lines and one result. Totals is what the cell's records add to an
+// obs.Counters — the worker counted them as the run produced them, so the
+// coordinator never parses the event lines it forwards. A worker always
+// sends it (a pointer only so that a line without one can be told from a
+// cell that counted nothing, and refused).
 type cellLine struct {
-	T             string      `json:"t"` // always lineCell
-	Stats         Stats       `json:"stats"`
+	T string `json:"t"` // always lineCell
+	scenario.Outcome
 	Totals        *obs.Totals `json:"totals"`
-	Error         string      `json:"error,omitempty"`
-	Canceled      bool        `json:"canceled,omitempty"`
-	Diagnostics   string      `json:"diagnostics,omitempty"`
 	EventsDropped int         `json:"events_dropped,omitempty"`
 }
 
@@ -160,14 +78,7 @@ const lineCell = "cell"
 // with Stats holding the partial numbers — the same contract
 // internal/service exposes for local runs.
 type CellResult struct {
-	// Stats is the run's statistics (partial when Error is set).
-	Stats Stats
-	// Error is the run-level abort message, empty on success.
-	Error string
-	// Canceled reports that the abort was a cancellation.
-	Canceled bool
-	// Diagnostics is the engine state snapshot at abort time.
-	Diagnostics string
+	scenario.Outcome
 	// Events holds the cell's metrics-JSONL lines exactly as a local run
 	// would have produced them (newline-terminated, in order), as one block.
 	Events []byte

@@ -69,7 +69,7 @@ func runLocalCounted(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Tota
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	return ToStats(res.Stats), events.Bytes(), counters.Totals()
+	return res.Stats, events.Bytes(), counters.Totals()
 }
 
 // execute runs one cell through the coordinator and fails the test on a

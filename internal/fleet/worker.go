@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -12,7 +11,6 @@ import (
 
 	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
-	"meshroute/internal/sim"
 )
 
 // WorkerConfig parameterizes a Worker. The zero value gets sensible
@@ -116,14 +114,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	totals := counters.Totals()
-	cl := cellLine{T: lineCell, Stats: ToStats(res.Stats), Totals: &totals}
-	if res.Err != nil {
-		cl.Error = res.Err.Error()
-		cl.Diagnostics = fmt.Sprintf("%s", res.Net.CollectDiagnostics())
-		var cerr *sim.CanceledError
-		cl.Canceled = errors.As(res.Err, &cerr)
-	}
-	cl.EventsDropped = events.Dropped()
+	cl := cellLine{T: lineCell, Outcome: res.Outcome(), Totals: &totals, EventsDropped: events.Dropped()}
 	final, err := json.Marshal(cl)
 	if err != nil {
 		workerError(rw, http.StatusInternalServerError, "encode result: %v", err)

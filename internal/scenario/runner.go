@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 
@@ -38,8 +39,31 @@ type Result struct {
 
 // Canceled reports whether the run was stopped by context cancellation.
 func (r *Result) Canceled() bool {
-	_, ok := r.Err.(*sim.CanceledError)
-	return ok
+	var cerr *sim.CanceledError
+	return errors.As(r.Err, &cerr)
+}
+
+// Outcome is how a run ended, in the form the service reports a job and a
+// fleet worker reports a cell: the statistics (partial when Error is set)
+// and, for a run-level abort, its message, whether it was a cancellation
+// and the engine's state snapshot at the abort.
+type Outcome struct {
+	Stats       meshroute.RouteStats `json:"stats"`
+	Error       string               `json:"error,omitempty"`
+	Canceled    bool                 `json:"canceled,omitempty"`
+	Diagnostics string               `json:"diagnostics,omitempty"`
+}
+
+// Outcome classifies the run. It is the one place an abort becomes error
+// text, a cancellation flag and diagnostics.
+func (r *Result) Outcome() Outcome {
+	o := Outcome{Stats: r.Stats}
+	if r.Err != nil {
+		o.Error = r.Err.Error()
+		o.Canceled = r.Canceled()
+		o.Diagnostics = fmt.Sprintf("%s", r.Net.CollectDiagnostics())
+	}
+	return o
 }
 
 // Runner executes built scenarios. The zero value is ready to use.

@@ -17,6 +17,7 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -617,6 +618,35 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return &s, nil
+}
+
+// ParseSubmission decodes a submission: one spec object, or a JSON array
+// of specs, which is a sweep even when it holds one spec. Each spec goes
+// through Parse. The error texts are the ones the service answers a bad
+// POST /v1/jobs body with.
+func ParseSubmission(data []byte) (specs []*Spec, sweep bool, err error) {
+	trimmed := bytes.TrimLeft(data, " \t\r\n")
+	if len(trimmed) == 0 || trimmed[0] != '[' {
+		spec, err := Parse(data)
+		if err != nil {
+			return nil, false, err
+		}
+		return []*Spec{spec}, false, nil
+	}
+	var raws []json.RawMessage
+	if err := json.Unmarshal(trimmed, &raws); err != nil {
+		return nil, true, fmt.Errorf("parse sweep: %w", err)
+	}
+	if len(raws) == 0 {
+		return nil, true, errors.New("empty sweep")
+	}
+	specs = make([]*Spec, len(raws))
+	for i, raw := range raws {
+		if specs[i], err = Parse(raw); err != nil {
+			return nil, true, fmt.Errorf("sweep spec %d: %w", i, err)
+		}
+	}
+	return specs, true, nil
 }
 
 // Load reads, parses and validates a scenario file.

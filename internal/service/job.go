@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"meshroute"
-	"meshroute/internal/fleet"
 	"meshroute/internal/scenario"
 )
 
@@ -30,13 +29,10 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Stats is the wire form of a run's routing statistics — the same numbers
-// meshroute.RouteStats carries, with stable JSON names. It is an alias of
-// fleet.Stats, so the service API and the fleet cell protocol share one
-// wire shape (and the client's RouteStats conversion works on both).
-type Stats = fleet.Stats
-
-func toStats(st meshroute.RouteStats) Stats { return fleet.ToStats(st) }
+// Stats is a run's routing statistics on the wire: meshroute.RouteStats,
+// the one stats type of the facade, the service API and the fleet cell
+// protocol.
+type Stats = meshroute.RouteStats
 
 // JobStatus is the JSON shape of one job in API responses
 // (POST /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}).

@@ -17,7 +17,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -282,9 +281,8 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job — on the fleet when this server coordinates
-// one with live workers, in-process otherwise — feeding the shared
-// counters and the job's event stream, and retires it.
+// runJob executes one job and retires it: done with its stats cached, or
+// failed or canceled, with partial stats if a run took place.
 func (s *Server) runJob(j *job) {
 	if !j.start() {
 		return // canceled while queued; already retired
@@ -298,8 +296,48 @@ func (s *Server) runJob(j *job) {
 	}
 	began := time.Now()
 	defer func() { s.recordDuration(time.Since(began)) }()
-	if s.cfg.Fleet != nil && s.cfg.Fleet.Alive() > 0 && s.runRemote(j) {
-		return
+	o, err := s.execute(j)
+	stats := &o.Stats
+	if err != nil {
+		stats, o.Error = nil, err.Error()
+	}
+	switch {
+	case o.Canceled:
+		j.finish(StateCanceled, stats, o.Error, o.Diagnostics)
+	case o.Error != "":
+		j.finish(StateFailed, stats, o.Error, o.Diagnostics)
+	default:
+		s.cache.put(j.fingerprint, o.Stats)
+		j.finish(StateDone, stats, "", "")
+	}
+}
+
+// execute runs one job — on the fleet when this server coordinates one
+// with live workers, in-process otherwise, and in-process as well if the
+// fleet loses its last worker before dispatch — feeding the shared
+// counters and the job's event stream. The error reports a job that
+// produced no run: a setup failure, or a fleet dispatch that failed or,
+// with the Outcome's Canceled set, was canceled.
+func (s *Server) execute(j *job) (scenario.Outcome, error) {
+	if s.cfg.Fleet != nil && s.cfg.Fleet.Alive() > 0 {
+		res, err := s.cfg.Fleet.Execute(j.ctx, j.spec)
+		switch {
+		case err == nil:
+			// Commit the worker's event lines verbatim (byte-identical to a
+			// local run) and add the totals the worker counted while
+			// producing them to the shared counters, so /metrics aggregates
+			// fleet-wide engine throughput exactly as if the cell had run
+			// here.
+			j.stream.commit(res.Events, res.EventLines, res.EventsDropped)
+			s.counters.Add(res.Totals)
+			return res.Outcome, nil
+		case errors.Is(err, fleet.ErrNoWorkers):
+			// Run it here.
+		case j.ctx.Err() != nil:
+			return scenario.Outcome{Canceled: true}, fmt.Errorf("canceled during fleet dispatch: %w", err)
+		default:
+			return scenario.Outcome{}, err
+		}
 	}
 	runner := scenario.Runner{Sink: obs.Multi{s.counters, j.stream}}
 	if s.testStepHook != nil {
@@ -308,59 +346,9 @@ func (s *Server) runJob(j *job) {
 	}
 	res, err := runner.Run(j.ctx, j.spec)
 	if err != nil {
-		j.finish(StateFailed, nil, err.Error(), "")
-		return
+		return scenario.Outcome{}, err
 	}
-	stats := toStats(res.Stats)
-	if res.Err != nil {
-		diag := fmt.Sprintf("%s", res.Net.CollectDiagnostics())
-		var cerr *sim.CanceledError
-		if errors.As(res.Err, &cerr) {
-			j.finish(StateCanceled, &stats, res.Err.Error(), diag)
-		} else {
-			j.finish(StateFailed, &stats, res.Err.Error(), diag)
-		}
-		return
-	}
-	s.cache.put(j.fingerprint, stats)
-	j.finish(StateDone, &stats, "", "")
-}
-
-// runRemote dispatches one job to the fleet and commits the outcome. It
-// returns false — leaving the job running, untouched — only when the
-// fleet reports no live workers, in which case the caller degrades to
-// in-process execution; every other outcome (success, run-level abort,
-// typed dispatch failure, cancellation) retires the job here.
-func (s *Server) runRemote(j *job) bool {
-	res, err := s.cfg.Fleet.Execute(j.ctx, j.spec)
-	if err != nil {
-		switch {
-		case errors.Is(err, fleet.ErrNoWorkers):
-			return false
-		case j.ctx.Err() != nil:
-			j.finish(StateCanceled, nil, "canceled during fleet dispatch: "+err.Error(), "")
-		default:
-			j.finish(StateFailed, nil, err.Error(), "")
-		}
-		return true
-	}
-	// Commit the worker's event lines verbatim (byte-identical to a local
-	// run) and add the totals the worker counted while producing them to the
-	// shared counters, so /metrics aggregates fleet-wide engine throughput
-	// exactly as if the cell had run here.
-	j.stream.commit(res.Events, res.EventLines, res.EventsDropped)
-	s.counters.Add(res.Totals)
-	st := res.Stats
-	switch {
-	case res.Canceled:
-		j.finish(StateCanceled, &st, res.Error, res.Diagnostics)
-	case res.Error != "":
-		j.finish(StateFailed, &st, res.Error, res.Diagnostics)
-	default:
-		s.cache.put(j.fingerprint, st)
-		j.finish(StateDone, &st, "", "")
-	}
-	return true
+	return res.Outcome(), nil
 }
 
 // recordDuration folds one executed job's wall time into the ring behind
@@ -480,33 +468,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	var specs []*scenario.Spec
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var raws []json.RawMessage
-		if err := json.Unmarshal(trimmed, &raws); err != nil {
-			writeError(w, http.StatusBadRequest, "parse sweep: %v", err)
-			return
-		}
-		if len(raws) == 0 {
-			writeError(w, http.StatusBadRequest, "empty sweep")
-			return
-		}
-		for i, raw := range raws {
-			spec, err := scenario.Parse(raw)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "sweep spec %d: %v", i, err)
-				return
-			}
-			specs = append(specs, spec)
-		}
-	} else {
-		spec, err := scenario.Parse(data)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		specs = []*scenario.Spec{spec}
+	specs, sweep, err := scenario.ParseSubmission(data)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	adms := make([]admission, len(specs))
@@ -564,7 +529,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.evictJobsLocked()
 	s.mu.Unlock()
 
-	if len(trimmed) > 0 && trimmed[0] == '[' {
+	if sweep {
 		writeJSON(w, http.StatusAccepted, struct {
 			Jobs []JobStatus `json:"jobs"`
 		}{statuses})

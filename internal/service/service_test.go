@@ -132,7 +132,7 @@ func TestSubmitMatchesDirectRun(t *testing.T) {
 	if st.Stats == nil {
 		t.Fatal("done job without stats")
 	}
-	if got, want := st.Stats.RouteStats(), direct.Stats; !reflect.DeepEqual(got, want) {
+	if got, want := *st.Stats, direct.Stats; !reflect.DeepEqual(got, want) {
 		t.Fatalf("service stats diverge from direct run\n got %+v\nwant %+v", got, want)
 	}
 }
