@@ -27,7 +27,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -295,16 +294,10 @@ func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool) error {
 		fmt.Printf("metrics: %d step samples, %d spans written to %s\n",
 			res.StepSamples, res.Spans, spec.MetricsOut)
 	}
+	printOutcome(spec, res.Outcome())
 	if res.Err != nil {
-		var cerr *sim.CanceledError
-		if errors.As(res.Err, &cerr) {
-			fmt.Printf("interrupted at step %d — partial results:\n", res.Net.Step())
-		}
-		printStats(spec.Router, spec.N, spec.K, res.Stats)
-		fmt.Printf("diagnostics: %s\n", res.Net.CollectDiagnostics())
 		return res.Err
 	}
-	printStats(spec.Router, spec.N, spec.K, res.Stats)
 	if showViz && spec.TraceOut != "" {
 		f, err := os.Open(spec.TraceOut)
 		if err != nil {
@@ -388,6 +381,19 @@ func runCLT(o cliOptions) error {
 			sink.StepCount(), sink.SpanCount(), o.metricsOut)
 	}
 	return nil
+}
+
+// printOutcome prints a run's statistics, marked partial and followed by
+// the engine's diagnostics when the run aborted: -scenario and -submit
+// print every run through it, so their stdouts are the same.
+func printOutcome(spec *scenario.Spec, o scenario.Outcome) {
+	if o.Error != "" {
+		fmt.Println("partial results:")
+	}
+	printStats(spec.Router, spec.N, spec.K, o.Stats)
+	if o.Diagnostics != "" {
+		fmt.Printf("diagnostics: %s\n", o.Diagnostics)
+	}
 }
 
 func printStats(router string, n, k int, st meshroute.RouteStats) {

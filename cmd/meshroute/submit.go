@@ -65,24 +65,15 @@ func runSubmit(ctx context.Context, o cliOptions) error {
 		if err != nil {
 			return err
 		}
-		spec := specs[i]
-		switch final.State {
-		case service.StateDone:
-			printStats(spec.Router, spec.N, spec.K, *final.Stats)
-		case service.StateCanceled, service.StateFailed:
+		if final.Stats != nil {
+			printOutcome(specs[i], scenario.Outcome{Stats: *final.Stats, Error: final.Error,
+				Canceled: final.State == service.StateCanceled, Diagnostics: final.Diagnostics})
+		}
+		if final.State != service.StateDone {
 			fmt.Fprintf(os.Stderr, "job %s %s: %s\n", final.ID, final.State, final.Error)
-			if final.Stats != nil {
-				fmt.Printf("partial results:\n")
-				printStats(spec.Router, spec.N, spec.K, *final.Stats)
-			}
-			if final.Diagnostics != "" {
-				fmt.Printf("diagnostics: %s\n", final.Diagnostics)
-			}
 			if firstErr == nil {
 				firstErr = fmt.Errorf("job %s ended %s: %s", final.ID, final.State, final.Error)
 			}
-		default:
-			return fmt.Errorf("job %s in non-terminal state %s after polling", final.ID, final.State)
 		}
 	}
 	return firstErr

@@ -5,7 +5,6 @@ import (
 
 	"meshroute/internal/adversary"
 	"meshroute/internal/par"
-	"meshroute/internal/sim"
 	"meshroute/internal/stats"
 )
 
@@ -86,5 +85,3 @@ func E14(opts Options) (*Report, error) {
 		"adaptive router's true worst case — the open problem remains open")
 	return rep, nil
 }
-
-var _ = sim.CentralQueue // keep the import for symmetry with siblings

@@ -47,17 +47,10 @@ func startWorker(t *testing.T) *httptest.Server {
 	return srv
 }
 
-// runLocal executes the spec in-process through the same Runner + event
-// log a worker uses — the byte-identity baseline.
-func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte) {
-	t.Helper()
-	st, events, _ := runLocalCounted(t, spec)
-	return st, events
-}
-
-// runLocalCounted is runLocal that also counts the run into a Counters,
-// the way a fleetless service does: the baseline for a cell's totals.
-func runLocalCounted(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Totals) {
+// runLocal executes the spec in-process through the same Runner, event
+// log and Counters a worker uses — the byte-identity baseline, with the
+// baseline for a cell's totals.
+func runLocal(t *testing.T, spec *scenario.Spec) (Stats, []byte, obs.Totals) {
 	t.Helper()
 	var counters obs.Counters
 	events := obs.NewEventLog(65536)
@@ -84,8 +77,8 @@ func execute(t *testing.T, c *Coordinator, spec *scenario.Spec) *CellResult {
 }
 
 // TestExecuteMatchesLocalRun pins the fleet's core guarantee: a cell
-// executed remotely returns exactly the stats and event bytes of a local
-// run.
+// executed remotely returns exactly the stats, event bytes and totals of
+// a local run, on its first attempt.
 func TestExecuteMatchesLocalRun(t *testing.T) {
 	srv := startWorker(t)
 	c := NewCoordinator(testConfig())
@@ -93,7 +86,7 @@ func TestExecuteMatchesLocalRun(t *testing.T) {
 
 	spec := testSpec("identity", 7)
 	spec.Analysis = true // so the totals carry a run summary too
-	wantStats, wantEvents, wantTotals := runLocalCounted(t, spec)
+	wantStats, wantEvents, wantTotals := runLocal(t, spec)
 	res := execute(t, c, spec)
 	if res.Stats != wantStats {
 		t.Errorf("remote stats %+v, want %+v", res.Stats, wantStats)
@@ -215,7 +208,7 @@ func TestExecuteRetriesTransportErrors(t *testing.T) {
 	c.Register(srv.URL)
 
 	spec := testSpec("flaky", 3)
-	wantStats, wantEvents := runLocal(t, spec)
+	wantStats, wantEvents, _ := runLocal(t, spec)
 	res := execute(t, c, spec)
 	if res.Attempts != 3 {
 		t.Errorf("attempts %d, want 3 (two transport failures then success)", res.Attempts)
@@ -274,7 +267,7 @@ func TestChaosSweepCompletes(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		spec := testSpec("chaos", int64(100+i))
-		wantStats, wantEvents := runLocal(t, spec)
+		wantStats, wantEvents, _ := runLocal(t, spec)
 		res := execute(t, c, spec)
 		if res.Stats != wantStats {
 			t.Fatalf("cell %d: stats %+v, want %+v", i, res.Stats, wantStats)
@@ -323,7 +316,7 @@ func TestDisconnectMidStreamRetried(t *testing.T) {
 	c.Register(srv.URL)
 
 	spec := testSpec("cut", 5)
-	wantStats, wantEvents := runLocal(t, spec)
+	wantStats, wantEvents, _ := runLocal(t, spec)
 	res := execute(t, c, spec)
 	if res.Attempts != 2 {
 		t.Errorf("attempts %d, want 2 (first response was truncated)", res.Attempts)
@@ -341,7 +334,7 @@ func TestDisconnectMidStreamRetried(t *testing.T) {
 // *CellError whose cause is the *attemptError.
 func TestCellLineWithoutTotalsRetried(t *testing.T) {
 	spec := testSpec("no-totals", 9)
-	wantStats, wantEvents, wantTotals := runLocalCounted(t, spec)
+	wantStats, wantEvents, wantTotals := runLocal(t, spec)
 	statsJSON, err := json.Marshal(wantStats)
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +403,7 @@ func TestKillWorkerMidCellRedispatches(t *testing.T) {
 		srv1.CloseClientConnections() // kill -9, as the coordinator sees it
 	}()
 	spec := testSpec("kill", 9)
-	wantStats, wantEvents := runLocal(t, spec)
+	wantStats, wantEvents, _ := runLocal(t, spec)
 	res := execute(t, c, spec)
 	if res.Worker != srv2.URL {
 		t.Errorf("cell completed on %s, want the surviving worker %s", res.Worker, srv2.URL)
@@ -444,7 +437,7 @@ func TestStragglerDeadlineRedispatches(t *testing.T) {
 	c.Register(fast.URL)
 
 	spec := testSpec("straggler", 11)
-	wantStats, _ := runLocal(t, spec)
+	wantStats, _, _ := runLocal(t, spec)
 	start := time.Now()
 	res := execute(t, c, spec)
 	if res.Worker != fast.URL {

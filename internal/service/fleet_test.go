@@ -1,15 +1,11 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
@@ -119,112 +115,14 @@ func TestFleetRemoteMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestEventsMatchMetricsOut pins the event stream to the metrics file:
-// for an analyzed spec, GET /v1/jobs/{id}/events returns the bytes the
-// scenario runner writes to Spec.MetricsOut (what meshroute -metrics-out
-// writes), terminal "t":"run" line included, whether the job ran
-// in-process or on a fleet of two workers, and whenever a follower reads:
-// over HTTP while the job runs, across the swap of the packed log (first
-// line read before the job retires, the rest once the worker has packed
-// the log, which it does at the latest when it stops), and after the
-// swap. In-process, the job pauses after step 3 until the HTTP follower
-// has its first line and the other has read.
-func TestEventsMatchMetricsOut(t *testing.T) {
-	spec := quickSpec("analyzed-events", 9)
-	spec.Analysis = true
-	direct := *spec
-	direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
-	if _, err := (&scenario.Runner{}).Run(context.Background(), &direct); err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(direct.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(want[bytes.LastIndexByte(want[:len(want)-1], '\n')+1:], []byte(`{"t":"run"`)) {
-		t.Fatalf("the metrics file does not end with a run line:\n%s", want)
-	}
-
-	coord, _ := startFleetWorker(t)
-	second := httptest.NewServer(fleet.NewWorker(fleet.WorkerConfig{}).Handler())
-	t.Cleanup(second.Close)
-	coord.Register(second.URL)
-	for name, cfg := range map[string]Config{
-		"local": {Workers: 1, QueueDepth: 4},
-		"fleet": {Workers: 1, QueueDepth: 4, Fleet: coord},
-	} {
-		s := newTestServer(t, cfg)
-		ts := httptest.NewServer(s.Handler())
-		defer ts.Close()
-		gate, paused, resume := make(chan struct{}), make(chan struct{}), make(chan struct{})
-		s.testJobStart = func(*job) { <-gate }
-		s.testStepHook = func(_ string, step int) {
-			if step == 3 {
-				close(paused)
-				<-resume
-			}
-		}
-		id := submitSpec(t, s, spec).ID
-		attached, live := make(chan struct{}), make(chan []byte, 1)
-		go func() {
-			defer close(live)
-			resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
-			if err != nil {
-				t.Error(err)
-				close(attached)
-				return
-			}
-			defer resp.Body.Close()
-			body := bufio.NewReader(resp.Body)
-			line, err := body.ReadBytes('\n')
-			close(attached)
-			rest, err2 := io.ReadAll(body)
-			if err = cmp.Or(err, err2); err != nil {
-				t.Error(err)
-			}
-			live <- append(line, rest...)
-		}()
-		close(gate)
-		if name == "local" {
-			<-paused
-			<-attached
-		}
-		j := s.lookup(id)
-		first, _ := j.stream.next(context.Background(), 0)
-		first = first[:bytes.IndexByte(first, '\n')+1]
-		close(resume)
-		st := waitDone(t, s, id, StateDone)
-		reads := map[string][]byte{"live": <-live}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		s.Shutdown(ctx)
-		cancel()
-		if z, raw := j.stream.log.Retained(), j.stream.log.Len(); z >= raw {
-			t.Fatalf("%s: the stopped worker left the log at %d bytes for %d: not packed", name, z, raw)
-		}
-		reads["across swap"] = append(first, readStream(j.stream, len(first))...)
-		reads["after swap"] = eventsBody(t, s, id)
-		for when, got := range reads {
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s, %s: events differ from the metrics file\n got: %s\nwant: %s", name, when, got, want)
-			}
-		}
-		if lines := bytes.Count(want, []byte{'\n'}); st.Events != lines || st.EventsDropped != 0 {
-			t.Errorf("%s: status counts %d events, %d dropped; the file has %d lines", name, st.Events, st.EventsDropped, lines)
-		}
-	}
-	if tot := coord.Stats(); tot.CellsCompleted != 1 {
-		t.Errorf("coordinator completed %d cells, want 1", tot.CellsCompleted)
-	}
-}
-
 // TestSealedEventsMatchScenarios runs every committed scenario spec
 // through an in-process server and through one coordinating a two-worker
-// fleet. Once the server has stopped, so every job's log is sealed and
-// packed, each /v1/jobs/{id}/events body must equal the -metrics-out
-// bytes of a direct run, and /metrics must count the logs at exactly
-// those bytes and hold them in at most 40 % of them. Under the race
-// detector the n=256 torus spec, which would take most of a minute there,
-// is left out.
+// fleet, two jobs at a time. Once the server has stopped, so every job's
+// log is sealed and packed, each /v1/jobs/{id}/events body must equal the
+// -metrics-out bytes of a direct run, and /metrics must count the logs at
+// exactly those bytes and hold them in at most 40 % of them. Under the
+// race detector the n=256 torus spec, which would take most of a minute
+// there, is left out.
 func TestSealedEventsMatchScenarios(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
 	if err != nil || len(paths) == 0 {
@@ -238,14 +136,7 @@ func TestSealedEventsMatchScenarios(t *testing.T) {
 		if specs[i], err = scenario.Load(path); err != nil {
 			t.Fatal(err)
 		}
-		direct := *specs[i]
-		direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
-		if _, err := (&scenario.Runner{}).Run(context.Background(), &direct); err != nil {
-			t.Fatal(err)
-		}
-		if want[i], err = os.ReadFile(direct.MetricsOut); err != nil {
-			t.Fatal(err)
-		}
+		want[i] = runDirect(t, specs[i]).file
 	}
 
 	coord, _ := startFleetWorker(t)
@@ -274,10 +165,7 @@ func TestSealedEventsMatchScenarios(t *testing.T) {
 			}
 			raw += int64(len(want[i]))
 		}
-		var m Metrics
-		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
+		m := getMetrics(t, s)
 		if m.Events.RawBytes != raw {
 			t.Errorf("%s: /metrics counts %d raw event bytes, the jobs stream %d", name, m.Events.RawBytes, raw)
 		}
@@ -292,13 +180,7 @@ func TestSealedEventsMatchScenarios(t *testing.T) {
 // uncounts it when its job leaves the registry.
 func TestEventMetricsFollowEviction(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2, RetainJobs: 1})
-	events := func() EventMetrics {
-		var m Metrics
-		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
-		return m.Events
-	}
+	events := func() EventMetrics { return getMetrics(t, s).Events }
 	var log *obs.EventLog
 	for seed := range int64(3) {
 		id := submitSpec(t, s, quickSpec("evicted", seed)).ID
@@ -323,7 +205,7 @@ func TestEventMetricsFollowEviction(t *testing.T) {
 // ran: after the same N jobs — static, analyzed, online with refusals, and
 // faulted — every engine counter of a coordinator that dispatched them all
 // equals a fleetless server's. The coordinator adds the totals each worker
-// counted (it no longer decodes the event lines), so this is the check that
+// counted (it does not decode the event lines), so this is the check that
 // nothing a local sink sees is missing from a cell's totals.
 func TestFleetMetricsMatchLocal(t *testing.T) {
 	coord, _ := startFleetWorker(t)
@@ -347,12 +229,9 @@ func TestFleetMetricsMatchLocal(t *testing.T) {
 		for _, spec := range specs {
 			waitDone(t, s, submitSpec(t, s, spec).ID, StateDone)
 		}
-		var m Metrics
-		if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-			t.Fatal(err)
-		}
-		m.Engine.StepsPerSec = 0 // a rate over wall time, not a counter
-		return m.Engine
+		m := getMetrics(t, s).Engine
+		m.StepsPerSec = 0 // a rate over wall time, not a counter
+		return m
 	}
 	want, got := engine(local), engine(remote)
 	if got != want {
@@ -412,11 +291,7 @@ func TestFleetWorkerEndpoints(t *testing.T) {
 		t.Fatalf("worker list %+v, want the registered worker alive", list.Workers)
 	}
 
-	var m Metrics
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Fleet == nil || m.Fleet.Alive != 1 || len(m.Fleet.Workers) != 1 {
+	if m := getMetrics(t, s); m.Fleet == nil || m.Fleet.Alive != 1 || len(m.Fleet.Workers) != 1 {
 		t.Fatalf("metrics fleet block %+v, want 1 live worker", m.Fleet)
 	}
 }
@@ -428,11 +303,7 @@ func TestFleetWithoutCoordinatorHidesEndpoints(t *testing.T) {
 	if w := do(t, s, http.MethodPost, "/v1/workers", []byte(`{"url":"http://x:1"}`)); w.Code == http.StatusOK {
 		t.Fatalf("non-coordinator accepted a worker registration: %d", w.Code)
 	}
-	var m Metrics
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Fleet != nil {
+	if m := getMetrics(t, s); m.Fleet != nil {
 		t.Fatalf("non-coordinator metrics carry a fleet block: %+v", m.Fleet)
 	}
 }
@@ -505,11 +376,7 @@ func TestSingleflightConcurrentSubmissions(t *testing.T) {
 	if deduped != n-1 {
 		t.Fatalf("%d submissions marked deduped, want %d", deduped, n-1)
 	}
-	var m Metrics
-	if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
-	if m.Cache.Deduped != int64(n-1) {
+	if m := getMetrics(t, s); m.Cache.Deduped != int64(n-1) {
 		t.Fatalf("metrics deduped %d, want %d", m.Cache.Deduped, n-1)
 	}
 }
@@ -557,13 +424,7 @@ func TestSingleflightWithinOneSweep(t *testing.T) {
 // running and completes.
 func TestDedupedCancelLeavesPrimary(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	s.testJobStart = func(*job) {
-		once.Do(func() { close(started) })
-		<-gate
-	}
+	started, gate := gateJobs(s)
 
 	spec := quickSpec("cancel-dup", 13)
 	primary := submitSpec(t, s, spec)
@@ -619,18 +480,12 @@ func TestRetryAfterEstimator(t *testing.T) {
 // carries a Retry-After that grows once the server has seen slow jobs.
 func TestRetryAfterHeaderGrowsUnderLoad(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	defer func() { close(gate) }()
-	s.testJobStart = func(*job) {
-		once.Do(func() { close(started) })
-		<-gate
-	}
+	started, gate := gateJobs(s)
+	defer close(gate)
 
-	running := submitSpec(t, s, quickSpec("occupant", 1))
+	submitSpec(t, s, quickSpec("occupant", 1))
 	<-started // the worker holds job 1; its queue slot is free again
-	queued := submitSpec(t, s, quickSpec("occupant", 2))
+	submitSpec(t, s, quickSpec("occupant", 2))
 
 	overflow := func() (int, string) {
 		data, err := quickSpec("overflow", 3).JSON()
@@ -662,6 +517,4 @@ func TestRetryAfterHeaderGrowsUnderLoad(t *testing.T) {
 	if loaded <= idle {
 		t.Fatalf("Retry-After did not grow under load: %d then %d", idle, loaded)
 	}
-	_ = running
-	_ = queued
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -46,6 +47,16 @@ func do(t *testing.T, s *Server, method, target string, body []byte) *httptest.R
 	return w
 }
 
+// getMetrics decodes GET /metrics.
+func getMetrics(t *testing.T, s *Server) Metrics {
+	t.Helper()
+	var m Metrics
+	if err := json.Unmarshal(do(t, s, http.MethodGet, "/metrics", nil).Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // submitSpec POSTs one spec and decodes the accepted job status.
 func submitSpec(t *testing.T, s *Server, spec *scenario.Spec) JobStatus {
 	t.Helper()
@@ -79,6 +90,18 @@ func waitDone(t *testing.T, s *Server, id string, want State) JobStatus {
 	return st
 }
 
+// gateJobs holds every job at its start until gate is closed; started
+// receives each held job's id, with room for every job a test starts so
+// that a job the test does not wait for still reaches the gate.
+func gateJobs(s *Server) (started chan string, gate chan struct{}) {
+	started, gate = make(chan string, 8), make(chan struct{})
+	s.testJobStart = func(j *job) {
+		started <- j.id
+		<-gate
+	}
+	return started, gate
+}
+
 func quickSpec(name string, seed int64) *scenario.Spec {
 	return &scenario.Spec{
 		Name:     name,
@@ -90,11 +113,10 @@ func quickSpec(name string, seed int64) *scenario.Spec {
 }
 
 // TestSubmitMatchesDirectRun pins the acceptance contract: a committed
-// scenario file submitted over HTTP yields exactly the statistics of a
-// direct scenario.Runner run.
+// scenario file POSTed as it is yields the fingerprint of its parsed spec
+// and exactly the statistics of a direct scenario.Runner run.
 func TestSubmitMatchesDirectRun(t *testing.T) {
-	path := filepath.Join("..", "..", "testdata", "scenarios", "smoke.json")
-	data, err := os.ReadFile(path)
+	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "smoke.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +124,9 @@ func TestSubmitMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runner scenario.Runner
-	direct, err := runner.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Err != nil {
-		t.Fatal(direct.Err)
+	direct, err := (&scenario.Runner{}).Run(context.Background(), spec)
+	if err != nil || direct.Err != nil {
+		t.Fatal(cmp.Or(err, direct.Err))
 	}
 
 	s := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
@@ -120,14 +138,9 @@ func TestSubmitMatchesDirectRun(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &accepted); err != nil {
 		t.Fatal(err)
 	}
-	fp, err := spec.Fingerprint()
-	if err != nil {
-		t.Fatal(err)
+	if fp, err := spec.Fingerprint(); err != nil || accepted.Fingerprint != fp {
+		t.Fatalf("job fingerprint %s, want %s (%v)", accepted.Fingerprint, fp, err)
 	}
-	if accepted.Fingerprint != fp {
-		t.Fatalf("job fingerprint %s, want %s", accepted.Fingerprint, fp)
-	}
-
 	st := waitDone(t, s, accepted.ID, StateDone)
 	if st.Stats == nil {
 		t.Fatal("done job without stats")
@@ -165,11 +178,7 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 		t.Fatalf("cache hit ran the engine: steps %d -> %d", stepsAfterFirst, got)
 	}
 
-	w := do(t, s, http.MethodGet, "/metrics", nil)
-	var m Metrics
-	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
-	}
+	m := getMetrics(t, s)
 	if m.Cache.Hits != 1 || m.Cache.Misses != 1 {
 		t.Fatalf("cache counters hits=%d misses=%d, want 1/1", m.Cache.Hits, m.Cache.Misses)
 	}
@@ -225,12 +234,7 @@ func TestSweepSubmission(t *testing.T) {
 // next submission is refused with 429 without disturbing admitted work.
 func TestQueueFullBackpressure(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 1})
-	gate := make(chan struct{})
-	started := make(chan string, 4)
-	s.testJobStart = func(j *job) {
-		started <- j.id
-		<-gate
-	}
+	started, gate := gateJobs(s)
 
 	a := submitSpec(t, s, quickSpec("a", 1))
 	select {
@@ -275,12 +279,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 // TestDeleteQueuedJob cancels a job that is still waiting in the queue.
 func TestDeleteQueuedJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
-	gate := make(chan struct{})
-	started := make(chan string, 4)
-	s.testJobStart = func(j *job) {
-		started <- j.id
-		<-gate
-	}
+	started, gate := gateJobs(s)
 	a := submitSpec(t, s, quickSpec("a", 1))
 	<-started
 	b := submitSpec(t, s, quickSpec("b", 2))
@@ -310,12 +309,7 @@ func TestDeleteQueuedJob(t *testing.T) {
 // canceled through the Runner's CanceledError, diagnostics included.
 func TestDeleteRunningJob(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
-	gate := make(chan struct{})
-	started := make(chan string, 4)
-	s.testJobStart = func(j *job) {
-		started <- j.id
-		<-gate
-	}
+	started, gate := gateJobs(s)
 	a := submitSpec(t, s, quickSpec("a", 1))
 	<-started
 	if w := do(t, s, http.MethodDelete, "/v1/jobs/"+a.ID, nil); w.Code != http.StatusAccepted {
@@ -452,12 +446,7 @@ func TestStreamFollowersSeeEveryByte(t *testing.T) {
 // retires, having delivered every line.
 func TestEventsStreamFollow(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
-	gate := make(chan struct{})
-	started := make(chan string, 4)
-	s.testJobStart = func(j *job) {
-		started <- j.id
-		<-gate
-	}
+	started, gate := gateJobs(s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

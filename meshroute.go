@@ -32,7 +32,6 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -339,5 +338,3 @@ var (
 	// AdversaryMinN is the paper's n >= 24(k+2)² recommendation.
 	AdversaryMinN = adversary.MinN
 )
-
-var _ = routers.DimOrderFIFO{} // keep the import graph explicit
