@@ -22,9 +22,8 @@ import (
 // An EventLog is not safe for concurrent use; the service's per-job
 // stream guards its log with the mutex its followers wait on.
 type EventLog struct {
-	buf     []byte // the lines; nil once packed
-	packed  []byte // a sealed log's lines, flate-compressed
-	size    int    // the length of the lines once packed
+	buf     []byte // the lines, flate-compressed once packed
+	size    int    // the length of the lines once packed, else 0
 	lines   int
 	dropped int
 	limit   int
@@ -36,7 +35,7 @@ func NewEventLog(limit int) *EventLog { return &EventLog{limit: limit} }
 
 // Len returns the length of the log's lines, compressed or not.
 func (l *EventLog) Len() int {
-	if l.packed != nil {
+	if l.size > 0 {
 		return l.size
 	}
 	return len(l.buf)
@@ -45,8 +44,8 @@ func (l *EventLog) Len() int {
 // Retained returns the bytes the log holds its lines in: the raw
 // buffer's capacity, or the compressed length once packed.
 func (l *EventLog) Retained() int {
-	if l.packed != nil {
-		return len(l.packed)
+	if l.size > 0 {
+		return len(l.buf)
 	}
 	return cap(l.buf)
 }
@@ -59,8 +58,8 @@ func (l *EventLog) Bytes() []byte { return l.From(0) }
 // rewrite, so it stays valid; once packed it is a fresh copy inflated
 // from the compressed lines.
 func (l *EventLog) From(off int) []byte {
-	if l.packed != nil {
-		return inflate(l.packed, off, l.size)
+	if l.size > 0 {
+		return inflate(l.buf, off, l.size)
 	}
 	return l.buf[off:len(l.buf):len(l.buf)]
 }
@@ -153,9 +152,9 @@ func (l *EventLog) Seal() { l.sealed = true }
 // log that is open or already packed.
 func (l *EventLog) Pack(z []byte) {
 	switch {
-	case !l.sealed || l.packed != nil:
+	case !l.sealed || l.size > 0:
 	case z != nil:
-		l.packed, l.size, l.buf = z, len(l.buf), nil
+		l.buf, l.size = z, len(l.buf)
 	case cap(l.buf) > len(l.buf):
 		l.buf = append(make([]byte, 0, len(l.buf)), l.buf...)
 	}

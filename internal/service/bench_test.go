@@ -93,3 +93,34 @@ func shutdownBench(b *testing.B, s *Server) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSubmitFullRegistry measures a submission to a registry full of
+// terminal jobs, where every submission evicts the oldest: a cache hit,
+// so the figure is the admission path and the eviction. Its ns/op should
+// not grow with RetainJobs.
+func BenchmarkSubmitFullRegistry(b *testing.B) {
+	for _, retain := range []int{4096, 65536} {
+		b.Run(fmt.Sprintf("retain=%d", retain), func(b *testing.B) {
+			s := New(Config{Workers: 1, RetainJobs: retain})
+			defer shutdownBench(b, s)
+			h := s.Handler()
+			body, err := quickSpec("bench-full", 1).JSON()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if st, ok := s.WaitJob(ctx, benchSubmit(b, h, body).ID); !ok || st.State != StateDone {
+				b.Fatalf("warmup job state %v", st.State)
+			}
+			for range retain {
+				benchSubmit(b, h, body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSubmit(b, h, body)
+			}
+		})
+	}
+}

@@ -9,12 +9,14 @@ import "sync"
 // entirely. Only successful (done) runs are stored; failed and canceled
 // runs are not results. Eviction is insertion-order FIFO at a fixed
 // capacity: the workload this serves is "the same spec resubmitted", which
-// an old entry satisfies as well as a fresh one.
+// an old entry satisfies as well as a fresh one. An entry points at the
+// stats of the retired job that produced it, which never change; an entry
+// keeps that job's record after the registry has evicted it.
 type cache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]Stats
-	order   []string // insertion order, for FIFO eviction
+	entries map[fingerprint]*Stats
+	order   []fingerprint // insertion order, for FIFO eviction
 	hits    int64
 	misses  int64
 }
@@ -22,18 +24,20 @@ type cache struct {
 // newCache returns a cache holding up to cap results; cap <= 0 disables
 // caching (every get misses, puts are dropped).
 func newCache(cap int) *cache {
-	return &cache{cap: cap, entries: make(map[string]Stats)}
+	return &cache{cap: cap, entries: make(map[fingerprint]*Stats)}
 }
 
 // lookup peeks a fingerprint without touching the hit/miss counters —
 // admission decides first whether the submission is accepted at all, then
 // records the outcome with record, so a 429'd submission never skews the
 // hit ratio.
-func (c *cache) lookup(fp string) (Stats, bool) {
+func (c *cache) lookup(fp fingerprint) (Stats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, ok := c.entries[fp]
-	return st, ok
+	if st := c.entries[fp]; st != nil {
+		return *st, true
+	}
+	return Stats{}, false
 }
 
 // record counts the hits and misses of one admitted submission.
@@ -45,7 +49,7 @@ func (c *cache) record(hits, misses int64) {
 }
 
 // put stores a result, evicting the oldest entry at capacity.
-func (c *cache) put(fp string, st Stats) {
+func (c *cache) put(fp fingerprint, st *Stats) {
 	if c.cap <= 0 {
 		return
 	}

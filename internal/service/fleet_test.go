@@ -181,13 +181,16 @@ func TestSealedEventsMatchScenarios(t *testing.T) {
 func TestEventMetricsFollowEviction(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2, RetainJobs: 1})
 	events := func() EventMetrics { return getMetrics(t, s).Events }
-	var log *obs.EventLog
+	var id string
+	logOf := func() obs.EventLog {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.findLocked(id).log
+	}
 	for seed := range int64(3) {
-		id := submitSpec(t, s, quickSpec("evicted", seed)).ID
+		id = submitSpec(t, s, quickSpec("evicted", seed)).ID
 		waitDone(t, s, id, StateDone)
-		j := s.lookup(id)
-		waitSealed(j.stream)
-		log = j.stream.log
+		log := logOf()
 		if got, want := events(), (EventMetrics{RetainedBytes: int64(log.Retained()), RawBytes: int64(log.Len())}); got != want {
 			t.Errorf("job %d: /metrics counts %+v, want only the retained job's raw log, %+v", seed, got, want)
 		}
@@ -195,6 +198,7 @@ func TestEventMetricsFollowEviction(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	s.Shutdown(ctx)
+	log := logOf()
 	want := EventMetrics{RetainedBytes: int64(log.Retained()), RawBytes: int64(log.Len())}
 	if got := events(); got != want || want.RetainedBytes >= want.RawBytes {
 		t.Errorf("after the worker packed the last log, /metrics counts %+v, want its packed %+v", got, want)

@@ -1,11 +1,16 @@
 package service
 
 import (
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"sync"
 	"time"
 
 	"meshroute"
+	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
 )
 
@@ -71,39 +76,63 @@ type JobStatus struct {
 	Finished *time.Time `json:"finished,omitempty"`
 }
 
-// job is the server-side record of one submitted spec. State transitions
-// go through start/finish under mu; finish fires onDone exactly once, which
-// is how the server's active-job accounting stays balanced no matter which
-// of the worker, the cancel handler, or the drain path retires the job.
-type job struct {
-	id          string
-	spec        *scenario.Spec
-	fingerprint string
+// record is one job as the registry keeps it: what GET /v1/jobs[/{id}],
+// /events and /metrics read. While the job is queued or runs, live is the
+// job itself and its outcome fields change under the job's mu; when it
+// retires, Server.retire swaps the record in for it, and the job (spec,
+// context, stream) is let go. From then on the record is immutable but
+// for its log, which Server.pack compresses in place under the server's
+// mu. A cache hit is a retired record from the start.
+type record struct {
+	seq                 int // the job's id is j-%06d of it
+	name                string
+	fingerprint         fingerprint
+	cacheHit, deduped   bool
+	hasStats, evicted   bool
+	state               State
+	stats               Stats
+	errMsg, diagnostics string
+	// created, started and finished are Unix nanoseconds; 0 until set.
+	created, started, finished int64
 
+	// live, src, log and evicted are guarded by the server's mu. src is a
+	// deduped job's primary, whose events it serves; log is the sealed
+	// event log, a copy of the stream's that shares its lines.
+	live *job
+	src  *record
+	log  obs.EventLog
+}
+
+func (r *record) id() string { return fmt.Sprintf("j-%06d", r.seq) }
+
+// fingerprint is a spec's content hash (the cache key): the SHA-256 that
+// scenario.Spec.Fingerprint spells in hex.
+type fingerprint [sha256.Size]byte
+
+func (f fingerprint) String() string { return hex.EncodeToString(f[:]) }
+
+// job is a record's live part, from admission to retirement: what running
+// it and following it need. State transitions go through start/finish
+// under mu; the first finish retires the job (Server.retire), which is how
+// the server's active-job accounting stays balanced no matter which of the
+// worker, the cancel handler, or the drain path retires it.
+type job struct {
+	*record
+	srv    *Server
+	spec   *scenario.Spec
 	ctx    context.Context
 	cancel context.CancelFunc
+	// stream is the job's event log; nil for a deduped job, which reads
+	// its primary's.
 	stream *stream
-	// sharedStream marks stream as borrowed from a singleflight primary:
-	// retiring this job must not close it (the primary owns it).
-	sharedStream bool
-	onDone       func()
 
 	// attached are deduped jobs coalesced onto this execution; they are
 	// retired with this job's outcome when it finishes. Guarded by the
 	// server's mu, not the job's.
 	attached []*job
 
-	mu          sync.Mutex
-	state       State
-	cacheHit    bool
-	deduped     bool
-	stats       *Stats
-	errMsg      string
-	diagnostics string
-	created     time.Time
-	started     time.Time
-	finished    time.Time
-	done        chan struct{}
+	mu   sync.Mutex
+	done chan struct{} // closed once retired
 }
 
 // start moves the job from queued to running. It returns false if the job
@@ -115,7 +144,7 @@ func (j *job) start() bool {
 		return false
 	}
 	j.state = StateRunning
-	j.started = time.Now()
+	j.started = time.Now().UnixNano()
 	return true
 }
 
@@ -126,7 +155,7 @@ func (j *job) finish(state State, stats *Stats, errMsg, diagnostics string) {
 	won := j.finishLocked(state, stats, errMsg, diagnostics)
 	j.mu.Unlock()
 	if won {
-		j.afterFinish()
+		j.srv.retire(j)
 	}
 }
 
@@ -137,74 +166,77 @@ func (j *job) finishLocked(state State, stats *Stats, errMsg, diagnostics string
 		return false
 	}
 	j.state = state
-	j.stats = stats
+	if stats != nil {
+		j.stats, j.hasStats = *stats, true
+	}
 	j.errMsg = errMsg
 	j.diagnostics = diagnostics
-	j.finished = time.Now()
-	close(j.done)
+	j.finished = time.Now().UnixNano()
 	return true
-}
-
-// afterFinish runs the transition's side effects outside j.mu: close the
-// event stream (unless it belongs to a singleflight primary), release the
-// context, and balance the server's active-job accounting.
-func (j *job) afterFinish() {
-	if !j.sharedStream {
-		j.stream.close()
-	}
-	j.cancel() // release the context even on natural completion
-	if j.onDone != nil {
-		j.onDone()
-	}
 }
 
 // cancelRequest implements DELETE: a still-queued job retires on the
 // spot; a running one gets its context canceled and retires through the
-// Runner's *sim.CanceledError path, keeping its partial stats.
-func (j *job) cancelRequest() {
+// Runner's *sim.CanceledError path, keeping its partial stats. It reports
+// false, doing nothing, if the job is already terminal.
+func (j *job) cancelRequest() bool {
 	j.mu.Lock()
-	won := false
-	if j.state == StateQueued {
-		won = j.finishLocked(StateCanceled, nil, "canceled before the job started", "")
-	}
+	state := j.state
+	won := state == StateQueued && j.finishLocked(StateCanceled, nil, "canceled before the job started", "")
 	j.mu.Unlock()
+	if state.Terminal() {
+		return false
+	}
 	j.cancel()
 	if won {
-		j.afterFinish()
+		j.srv.retire(j)
 	}
+	return true
 }
 
-// status snapshots the job for an API response.
-func (j *job) status() JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := JobStatus{
-		ID:          j.id,
-		Name:        j.spec.Name,
-		State:       j.state,
-		Fingerprint: j.fingerprint,
-		CacheHit:    j.cacheHit,
-		Deduped:     j.deduped,
-		Stats:       j.stats,
-		Error:       j.errMsg,
-		Diagnostics: j.diagnostics,
-		Created:     j.created,
+// stateLocked returns the job's state; the caller holds the server's mu.
+func (r *record) stateLocked() State {
+	if j := r.live; j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
 	}
-	st.Events, st.EventsDropped = j.stream.counts()
-	if !j.started.IsZero() {
-		t := j.started
+	return r.state
+}
+
+// statusLocked snapshots the record for an API response; the caller holds
+// the server's mu.
+func (r *record) statusLocked() JobStatus {
+	if j := r.live; j != nil {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+	}
+	st := JobStatus{
+		ID:          r.id(),
+		Name:        r.name,
+		State:       r.state,
+		Fingerprint: r.fingerprint.String(),
+		CacheHit:    r.cacheHit,
+		Deduped:     r.deduped,
+		Error:       r.errMsg,
+		Diagnostics: r.diagnostics,
+		Created:     time.Unix(0, r.created),
+	}
+	if r.hasStats {
+		stats := r.stats
+		st.Stats = &stats
+	}
+	if src := cmp.Or(r.src, r); src.live != nil {
+		st.Events, st.EventsDropped = src.live.stream.counts()
+	} else {
+		st.Events, st.EventsDropped = src.log.Lines(), src.log.Dropped()
+	}
+	if r.started != 0 {
+		t := time.Unix(0, r.started)
 		st.Started = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if r.finished != 0 {
+		t := time.Unix(0, r.finished)
 		st.Finished = &t
 	}
 	return st
-}
-
-// currentState returns the state under the job lock.
-func (j *job) currentState() State {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
 }

@@ -17,7 +17,9 @@
 package service
 
 import (
+	"cmp"
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +27,9 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -72,8 +76,6 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	counters *obs.Counters
-	// events totals the sealed event logs of the retained jobs.
-	events   eventSizes
 	cache    *cache
 	queue    chan *job
 	stop     chan struct{}
@@ -84,10 +86,12 @@ type Server struct {
 
 	mu       sync.Mutex
 	idleCond *sync.Cond
-	jobs     map[string]*job
-	jobOrder []string
-	inflight map[string]*job // fingerprint → executing job (singleflight)
-	dedups   int64           // submissions coalesced onto an in-flight job
+	// jobs is the registry in submission order, which is id order.
+	jobs []*record
+	// sealed totals the sealed event logs of the retained jobs.
+	sealed   EventMetrics
+	inflight map[fingerprint]*job // executing job by spec (singleflight)
+	dedups   int64                // submissions coalesced onto an in-flight job
 	nextID   int
 	active   int // admitted, not yet terminal (cache hits never count)
 	draining bool
@@ -133,8 +137,7 @@ func New(cfg Config) *Server {
 		cache:     newCache(cfg.CacheSize),
 		queue:     make(chan *job, cfg.QueueDepth),
 		stop:      make(chan struct{}),
-		jobs:      make(map[string]*job),
-		inflight:  make(map[string]*job),
+		inflight:  make(map[fingerprint]*job),
 		durations: make([]float64, 32),
 		start:     time.Now(),
 	}
@@ -201,47 +204,89 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // WaitJob blocks until the job reaches a terminal state (or ctx is
 // canceled) and returns its status; ok is false for an unknown id.
 func (s *Server) WaitJob(ctx context.Context, id string) (JobStatus, bool) {
-	j := s.lookup(id)
-	if j == nil {
+	r, j := s.lookup(id)
+	if r == nil {
 		return JobStatus{}, false
 	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
+	if j != nil {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+		}
 	}
-	return j.status(), true
+	return s.status(r), true
 }
 
 // Counters returns the shared engine-counter sink (total steps, moves,
 // deliveries across all jobs).
 func (s *Server) Counters() *obs.Counters { return s.counters }
 
-func (s *Server) lookup(id string) *job {
+// lookup returns a job's record and, until the job retires, the job.
+func (s *Server) lookup(id string) (*record, *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
+	if r := s.findLocked(id); r != nil {
+		return r, r.live
+	}
+	return nil, nil
 }
 
-// jobDone is every executing job's onDone callback: it releases the
-// job's singleflight slot, fans its outcome out to every submission that
-// attached while it ran, and balances the active count, waking Shutdown
-// when the service goes idle.
-func (s *Server) jobDone(j *job) {
-	final := j.status()
+// findLocked returns the retained job of an id, or nil: a binary search,
+// since ids count up in submission order.
+func (s *Server) findLocked(id string) *record {
+	seq, err := strconv.Atoi(strings.TrimPrefix(id, "j-"))
+	i, ok := slices.BinarySearchFunc(s.jobs, seq, func(r *record, seq int) int { return cmp.Compare(r.seq, seq) })
+	if err != nil || !ok || s.jobs[i].id() != id {
+		return nil
+	}
+	return s.jobs[i]
+}
+
+// status snapshots a record for an API response.
+func (s *Server) status(r *record) JobStatus {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	return r.statusLocked()
+}
+
+// retire swaps the record in for a job that has finished (won
+// job.finish): it releases the job's context and seals its log, which the
+// record keeps; from then on the registry holds nothing else of the job.
+// An executing job also releases its singleflight slot, retires every
+// submission attached to it with its outcome and balances the active
+// count, waking Shutdown when the service goes idle. Waiters on the job
+// wake once the record is in place.
+func (s *Server) retire(j *job) {
+	j.cancel() // release the context even on natural completion
+	if j.stream == nil {
+		// A deduped job: its record reads its primary's log.
+		s.mu.Lock()
+		j.live = nil
+		s.mu.Unlock()
+		close(j.done)
+		return
+	}
+	j.stream.close()
+	if j.state == StateDone {
+		s.cache.put(j.fingerprint, &j.stats)
+	}
+	s.mu.Lock()
+	j.live, j.log = nil, *j.stream.log
+	s.sealed.RetainedBytes += int64(j.log.Retained())
+	s.sealed.RawBytes += int64(j.log.Len())
 	if s.inflight[j.fingerprint] == j {
 		delete(s.inflight, j.fingerprint)
 	}
 	attached := j.attached
 	j.attached = nil
 	s.mu.Unlock()
+	close(j.done)
+	var stats *Stats
+	if j.hasStats {
+		stats = &j.stats
+	}
 	for _, a := range attached {
-		var stats *Stats
-		if final.Stats != nil {
-			st := *final.Stats
-			stats = &st
-		}
-		a.finish(final.State, stats, final.Error, final.Diagnostics)
+		a.finish(j.state, stats, j.errMsg, j.diagnostics)
 	}
 	s.mu.Lock()
 	s.active--
@@ -251,23 +296,47 @@ func (s *Server) jobDone(j *job) {
 	s.mu.Unlock()
 }
 
+// pack compresses a retired job's sealed log outside any lock (its lines
+// are final) and packs the record's log, unless the job has been evicted
+// since. Followers that read the raw log read on: nothing rewrites it.
+// The worker that ran the job calls pack once, after its next job (see
+// worker); a nil record packs nothing.
+func (s *Server) pack(r *record) {
+	if r == nil {
+		return
+	}
+	s.mu.Lock()
+	raw := r.log
+	s.mu.Unlock()
+	if raw.Len() == 0 {
+		return
+	}
+	z := obs.Compress(raw.Bytes())
+	s.mu.Lock()
+	if !r.evicted {
+		r.log.Pack(z)
+		s.sealed.RetainedBytes += int64(r.log.Retained() - raw.Retained())
+	}
+	s.mu.Unlock()
+}
+
 // worker executes queued jobs until the stop channel closes; any jobs
 // still queued at that point (only possible if Shutdown's accounting has
 // already retired them) are drained defensively.
 func (s *Server) worker() {
 	defer s.workerWg.Done()
-	// last is the previous job's stream. Its sealed log is packed once
-	// the next job is done, or the worker stops: the job's submitter, the
-	// usual follower, reads the log just after the job retires, and so
-	// reads it raw instead of inflating it.
-	var last *stream
-	defer func() { last.pack() }()
+	// last is the previous job. Its sealed log is packed once the next
+	// job is done, or the worker stops: the job's submitter, the usual
+	// follower, reads the log just after the job retires, and so reads it
+	// raw instead of inflating it.
+	var last *record
+	defer func() { s.pack(last) }()
 	for {
 		select {
 		case j := <-s.queue:
 			s.runJob(j)
-			last.pack()
-			last = j.stream
+			s.pack(last)
+			last = j.record
 		case <-s.stop:
 			for {
 				select {
@@ -307,7 +376,6 @@ func (s *Server) runJob(j *job) {
 	case o.Error != "":
 		j.finish(StateFailed, stats, o.Error, o.Diagnostics)
 	default:
-		s.cache.put(j.fingerprint, o.Stats)
 		j.finish(StateDone, stats, "", "")
 	}
 }
@@ -341,7 +409,7 @@ func (s *Server) execute(j *job) (scenario.Outcome, error) {
 	}
 	runner := scenario.Runner{Sink: obs.Multi{s.counters, j.stream}}
 	if s.testStepHook != nil {
-		hook, jobID := s.testStepHook, j.id
+		hook, jobID := s.testStepHook, j.id()
 		runner.StepHook = func(net *sim.Network, step int) { hook(jobID, step) }
 	}
 	res, err := runner.Run(j.ctx, j.spec)
@@ -439,7 +507,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // admission is one submitted spec with its fingerprint and cache outcome.
 type admission struct {
 	spec *scenario.Spec
-	fp   string
+	fp   fingerprint
 	hit  bool
 	st   Stats
 }
@@ -480,12 +548,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return
 		}
+		adms[i].spec = spec
 		fp, err := spec.Fingerprint()
+		if err == nil {
+			_, err = hex.Decode(adms[i].fp[:], []byte(fp))
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "spec %d: %v", i, err)
 			return
 		}
-		adms[i] = admission{spec: spec, fp: fp}
 	}
 
 	s.mu.Lock()
@@ -499,7 +570,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// submission) coalesce onto that execution via singleflight, and only
 	// genuinely fresh specs need queue slots.
 	var hits, deduped, misses int64
-	fresh := make(map[string]bool)
+	fresh := make(map[fingerprint]bool)
 	for i := range adms {
 		adms[i].st, adms[i].hit = s.cache.lookup(adms[i].fp)
 		switch {
@@ -539,103 +610,64 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // admitLocked registers one admitted spec as a job (caller holds s.mu and
-// has reserved queue capacity for fresh misses). A spec whose fingerprint
-// is already executing attaches to that job instead of enqueuing — the
-// singleflight guarantee that identical concurrent submissions run the
-// engine exactly once.
+// has reserved queue capacity for fresh misses). A cache hit is a retired
+// record from the start. A spec whose fingerprint is already executing
+// attaches to that job instead of enqueuing — the singleflight guarantee
+// that identical concurrent submissions run the engine exactly once.
 func (s *Server) admitLocked(adm admission) JobStatus {
 	s.nextID++
-	id := fmt.Sprintf("j-%06d", s.nextID)
-	now := time.Now()
-	if adm.hit {
-		st := adm.st
-		j := &job{
-			id:          id,
-			spec:        adm.spec,
-			fingerprint: adm.fp,
-			cancel:      func() {},
-			stream:      newStream(0, nil),
-			state:       StateDone,
-			cacheHit:    true,
-			stats:       &st,
-			created:     now,
-			started:     now,
-			finished:    now,
-			done:        make(chan struct{}),
-		}
-		close(j.done)
-		j.stream.close()
-		s.jobs[id] = j
-		s.jobOrder = append(s.jobOrder, id)
-		return j.status()
+	now := time.Now().UnixNano()
+	r := &record{seq: s.nextID, name: adm.spec.Name, fingerprint: adm.fp, state: StateQueued, created: now}
+	s.jobs = append(s.jobs, r)
+	switch primary := s.inflight[adm.fp]; {
+	case adm.hit:
+		r.state, r.cacheHit, r.stats, r.hasStats = StateDone, true, adm.st, true
+		r.started, r.finished = now, now
+	case primary != nil:
+		// Read the primary's events, so followers of either job see the
+		// same bytes; retire retires this job with the primary's outcome.
+		r.deduped, r.src = true, primary.record
+		r.live = &job{record: r, srv: s, cancel: func() {}, done: make(chan struct{})}
+		primary.attached = append(primary.attached, r.live)
+	default:
+		j := &job{record: r, srv: s, spec: adm.spec, stream: newStream(s.cfg.EventBuffer), done: make(chan struct{})}
+		j.ctx, j.cancel = context.WithCancel(s.jobsCtx)
+		r.live = j
+		s.inflight[adm.fp] = j
+		s.active++
+		s.queue <- j // capacity reserved under s.mu; never blocks
 	}
-	if primary := s.inflight[adm.fp]; primary != nil {
-		// Share the primary's stream so followers of either job see the
-		// same bytes; jobDone retires this job with the primary's outcome.
-		j := &job{
-			id:           id,
-			spec:         adm.spec,
-			fingerprint:  adm.fp,
-			cancel:       func() {},
-			stream:       primary.stream,
-			sharedStream: true,
-			state:        StateQueued,
-			deduped:      true,
-			created:      now,
-			done:         make(chan struct{}),
-		}
-		primary.attached = append(primary.attached, j)
-		s.jobs[id] = j
-		s.jobOrder = append(s.jobOrder, id)
-		return j.status()
-	}
-	ctx, cancel := context.WithCancel(s.jobsCtx)
-	j := &job{
-		id:          id,
-		spec:        adm.spec,
-		fingerprint: adm.fp,
-		ctx:         ctx,
-		cancel:      cancel,
-		stream:      newStream(s.cfg.EventBuffer, &s.events),
-		state:       StateQueued,
-		created:     now,
-		done:        make(chan struct{}),
-	}
-	j.onDone = func() { s.jobDone(j) }
-	s.jobs[id] = j
-	s.jobOrder = append(s.jobOrder, id)
-	s.inflight[adm.fp] = j
-	s.active++
-	s.queue <- j // capacity reserved under s.mu; never blocks
-	return j.status()
+	return r.statusLocked()
 }
 
 // evictJobsLocked trims the registry to RetainJobs by dropping the oldest
-// terminal jobs (running and queued jobs are never evicted).
+// retired jobs; queued and running jobs are never evicted. It scans from
+// the head and stops once the registry is back at the cap, so it costs
+// the jobs it evicts and the live jobs it passes over, which keep their
+// place and order, not the size of the registry.
 func (s *Server) evictJobsLocked() {
-	if len(s.jobs) <= s.cfg.RetainJobs {
-		return
-	}
-	kept := s.jobOrder[:0]
-	for _, id := range s.jobOrder {
-		if j := s.jobs[id]; len(s.jobs) > s.cfg.RetainJobs && j.currentState().Terminal() {
-			if !j.sharedStream {
-				j.stream.evict()
-			}
-			delete(s.jobs, id)
-			continue
+	over, kept, i := len(s.jobs)-s.cfg.RetainJobs, 0, 0
+	for ; over > 0 && i < len(s.jobs); i++ {
+		if r := s.jobs[i]; r.live != nil {
+			s.jobs[kept], kept = r, kept+1
+		} else {
+			r.evicted = true
+			s.sealed.RetainedBytes -= int64(r.log.Retained())
+			s.sealed.RawBytes -= int64(r.log.Len())
+			over--
 		}
-		kept = append(kept, id)
 	}
-	s.jobOrder = kept
+	copy(s.jobs[i-kept:i], s.jobs[:kept])
+	clear(s.jobs[:i-kept])
+	s.jobs = s.jobs[i-kept:]
 }
 
 // handleList is GET /v1/jobs: every retained job in submission order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	statuses := make([]JobStatus, 0, len(s.jobOrder))
-	for _, id := range s.jobOrder {
-		statuses = append(statuses, s.jobs[id].status())
+	statuses := make([]JobStatus, 0, len(s.jobs))
+	for _, rec := range s.jobs {
+		statuses = append(statuses, rec.statusLocked())
 	}
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, struct {
@@ -645,12 +677,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleGet is GET /v1/jobs/{id}.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
+	rec, _ := s.lookup(r.PathValue("id"))
+	if rec == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status())
+	writeJSON(w, http.StatusOK, s.status(rec))
 }
 
 // handleDelete is DELETE /v1/jobs/{id}: cancel. A queued job retires
@@ -658,17 +690,16 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 // partial stats via the Runner's *sim.CanceledError. Terminal jobs are a
 // 409 — there is nothing left to cancel.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
+	rec, j := s.lookup(r.PathValue("id"))
+	if rec == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	if j.currentState().Terminal() {
-		writeJSON(w, http.StatusConflict, j.status())
+	if j == nil || !j.cancelRequest() {
+		writeJSON(w, http.StatusConflict, s.status(rec))
 		return
 	}
-	j.cancelRequest()
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, s.status(rec))
 }
 
 // handleEvents is GET /v1/jobs/{id}/events: an NDJSON replay-then-follow
@@ -677,19 +708,19 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // event bound. The response ends when the job retires; cache-hit jobs
 // stream nothing (no simulation ran).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r.PathValue("id"))
-	if j == nil {
+	ev := s.eventsOf(r.PathValue("id"))
+	if ev == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	stop := context.AfterFunc(r.Context(), j.stream.wake)
+	stop := context.AfterFunc(r.Context(), ev.wake)
 	defer stop()
 	// Each wake-up writes every byte the log has gained and flushes once.
 	for off := 0; ; {
-		chunk, ok := j.stream.next(r.Context(), off)
+		chunk, ok := ev.next(r.Context(), off)
 		if !ok {
 			return
 		}
@@ -701,6 +732,16 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
+}
+
+// eventsOf returns a job's events, or nil for an unknown id.
+func (s *Server) eventsOf(id string) events {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.findLocked(id); r != nil {
+		return r.eventsLocked()
+	}
+	return nil
 }
 
 // healthBody is the JSON shape of GET /healthz.
@@ -805,13 +846,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m.Draining = s.draining
 	m.QueueDepth = len(s.queue)
 	deduped := s.dedups
-	for _, j := range s.jobs {
-		m.Jobs[j.currentState()]++
+	for _, r := range s.jobs {
+		m.Jobs[r.stateLocked()]++
 	}
+	m.Events = s.sealed
 	s.mu.Unlock()
 	hits, misses, size := s.cache.stats()
 	m.Cache = CacheMetrics{Hits: hits, Misses: misses, Entries: size, Deduped: deduped}
-	m.Events = EventMetrics{RetainedBytes: s.events.retained.Load(), RawBytes: s.events.raw.Load()}
 	if s.cfg.Fleet != nil {
 		m.Fleet = &FleetMetrics{
 			Alive:   s.cfg.Fleet.Alive(),

@@ -96,7 +96,7 @@ func waitDone(t *testing.T, s *Server, id string, want State) JobStatus {
 func gateJobs(s *Server) (started chan string, gate chan struct{}) {
 	started, gate = make(chan string, 8), make(chan struct{})
 	s.testJobStart = func(j *job) {
-		started <- j.id
+		started <- j.id()
 		<-gate
 	}
 	return started, gate
@@ -355,12 +355,12 @@ func TestEventsStreamReplay(t *testing.T) {
 	}
 }
 
-// readStream reads a stream from byte off to its end, the way
+// readEvents reads a job's events from byte off to their end, the way
 // handleEvents does.
-func readStream(s *stream, off int) []byte {
+func readEvents(ev events, off int) []byte {
 	var got []byte
 	for {
-		chunk, ok := s.next(context.Background(), off)
+		chunk, ok := ev.next(context.Background(), off)
 		if !ok {
 			return got
 		}
@@ -369,25 +369,16 @@ func readStream(s *stream, off int) []byte {
 	}
 }
 
-// waitSealed blocks until a stream's log is sealed.
-func waitSealed(s *stream) {
-	s.mu.Lock()
-	for !s.log.Sealed() {
-		s.cond.Wait()
-	}
-	s.mu.Unlock()
-}
-
 // TestStreamFollowersSeeEveryByte has followers attach to a stream at
 // different points while records are appended, a fleet block committed,
-// the log sealed at close and packed while they may still be reading;
-// each must end with exactly the log's bytes, which are an unshared
-// obs.EventLog's for the same records. One more follower reads the steps
-// before the commit and the rest from the packed log, and one attaches
-// only after the swap.
+// the log sealed at close and the retired record's copy of it packed
+// while they may still be reading; each must end with exactly the log's
+// bytes, which are an unshared obs.EventLog's for the same records. One
+// more follower reads the steps before the commit off the stream and the
+// rest from the packed record, and one reads only the packed record.
 func TestStreamFollowersSeeEveryByte(t *testing.T) {
 	const steps, limit, followers = 200, 230, 4
-	s, want := newStream(limit, nil), obs.NewEventLog(limit)
+	s, want := newStream(limit), obs.NewEventLog(limit)
 	cell := obs.NewEventLog(40)
 	for i := 1; i <= 40; i++ {
 		cell.Step(obs.StepSample{Step: i, Delivered: 1})
@@ -402,7 +393,7 @@ func TestStreamFollowersSeeEveryByte(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-attach[f]
-			got[f] = readStream(s, 0)
+			got[f] = readEvents(s, 0)
 		}()
 	}
 	for i := 1; i <= steps; i++ {
@@ -417,15 +408,18 @@ func TestStreamFollowersSeeEveryByte(t *testing.T) {
 	s.commit(cell.Bytes(), cell.Lines(), 2)
 	want.Commit(cell.Bytes(), cell.Lines(), 2)
 	s.close()
-	s.pack()
+	// The job retires: its record takes the sealed log, which its worker
+	// packs.
+	r := &record{seq: 1, log: *s.log}
+	(&Server{jobs: []*record{r}}).pack(r)
 	wg.Wait()
-	straddled := append(head, readStream(s, len(head))...)
-	late := readStream(s, 0)
+	straddled := append(head, readEvents(sealed{r.log}, len(head))...)
+	late := readEvents(sealed{r.log}, 0)
 
 	if lines, dropped := s.counts(); lines != limit || dropped != steps+40-limit+2 {
 		t.Fatalf("stream kept %d records and dropped %d, want %d and %d", lines, dropped, limit, steps+40-limit+2)
 	}
-	if z, raw := s.log.Retained(), s.log.Len(); z >= raw {
+	if z, raw := r.log.Retained(), r.log.Len(); z >= raw {
 		t.Fatalf("the packed log holds %d bytes for %d: not compressed", z, raw)
 	}
 	for f := range got {
@@ -554,13 +548,13 @@ func TestHealthz(t *testing.T) {
 // TestCacheEviction checks the FIFO bound holds.
 func TestCacheEviction(t *testing.T) {
 	c := newCache(2)
-	c.put("a", Stats{Steps: 1})
-	c.put("b", Stats{Steps: 2})
-	c.put("c", Stats{Steps: 3})
-	if _, ok := c.lookup("a"); ok {
+	c.put(fingerprint{'a'}, &Stats{Steps: 1})
+	c.put(fingerprint{'b'}, &Stats{Steps: 2})
+	c.put(fingerprint{'c'}, &Stats{Steps: 3})
+	if _, ok := c.lookup(fingerprint{'a'}); ok {
 		t.Fatal("oldest entry survived past capacity")
 	}
-	for _, fp := range []string{"b", "c"} {
+	for _, fp := range []fingerprint{{'b'}, {'c'}} {
 		if _, ok := c.lookup(fp); !ok {
 			t.Fatalf("entry %s evicted early", fp)
 		}

@@ -1,9 +1,9 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"meshroute/internal/obs"
 )
@@ -13,33 +13,17 @@ import (
 // the obs.Sink interface, and any number of HTTP followers, which replay
 // the log from the start and then block for new bytes until the job
 // retires. The log is bounded in records; once full, further records are
-// counted as dropped instead of growing without limit. A retired job's
-// log is sealed, and later packed: held flate-compressed.
+// counted as dropped instead of growing without limit. When the job
+// retires its log is sealed and handed to the job's record; followers
+// that attached through the stream read on through it.
 type stream struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	log  *obs.EventLog
-	// sizes is the registry total the sealed log is counted in; nil once
-	// the job is evicted, so a log sealed after that is not counted.
-	sizes *eventSizes
 }
 
-// eventSizes totals the sealed event logs of the retained jobs: the bytes
-// they are held in and the bytes they inflate to.
-type eventSizes struct {
-	retained, raw atomic.Int64
-}
-
-// add adds to the totals; a nil receiver counts nothing.
-func (e *eventSizes) add(retained, raw int) {
-	if e != nil {
-		e.retained.Add(int64(retained))
-		e.raw.Add(int64(raw))
-	}
-}
-
-func newStream(limit int, sizes *eventSizes) *stream {
-	s := &stream{log: obs.NewEventLog(limit), sizes: sizes}
+func newStream(limit int) *stream {
+	s := &stream{log: obs.NewEventLog(limit)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -66,46 +50,12 @@ func (s *stream) commit(block []byte, lines, dropped int) {
 	s.unlock()
 }
 
-// close seals the log, so no more bytes will come, counts it, and wakes
-// every follower, which ends on the raw bytes. Idempotent.
+// close seals the log, so no more bytes will come, and wakes every
+// follower, which ends on the raw bytes. Idempotent.
 func (s *stream) close() {
 	s.mu.Lock()
-	if !s.log.Sealed() {
-		s.log.Seal()
-		s.sizes.add(s.log.Retained(), s.log.Len())
-	}
+	s.log.Seal()
 	s.unlock()
-}
-
-// pack compresses a sealed log's lines outside the lock — they are final
-// — and swaps the compressed form in under it. The worker that ran the job
-// calls it once, after its next job (see Server.worker); a nil stream
-// packs nothing.
-func (s *stream) pack() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	raw, held, sealed := s.log.Bytes(), s.log.Retained(), s.log.Sealed()
-	s.mu.Unlock()
-	if !sealed || len(raw) == 0 {
-		return
-	}
-	z := obs.Compress(raw)
-	s.mu.Lock()
-	s.log.Pack(z)
-	s.sizes.add(s.log.Retained()-held, 0)
-	s.mu.Unlock()
-}
-
-// evict takes the stream out of the registry's totals.
-func (s *stream) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log.Sealed() {
-		s.sizes.add(-s.log.Retained(), -s.log.Len())
-	}
-	s.sizes = nil
 }
 
 // wake prods blocked followers so they can notice a canceled request
@@ -128,8 +78,7 @@ func (s *stream) counts() (buffered, dropped int) {
 // next returns every byte of the log from offset off on, blocking until
 // there is at least one, the stream closes, or ctx is canceled (callers
 // must arrange a wake on cancellation). ok=false means no more bytes will
-// come. The bytes are never rewritten, so the caller reads them unlocked;
-// once the log is compressed they are inflated afresh.
+// come. The bytes are never rewritten, so the caller reads them unlocked.
 func (s *stream) next(ctx context.Context, off int) (chunk []byte, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -141,3 +90,33 @@ func (s *stream) next(ctx context.Context, off int) (chunk []byte, ok bool) {
 	}
 	return nil, false
 }
+
+// events is where a job's event lines are read: the stream of the job that
+// writes them while it runs, then its sealed log.
+type events interface {
+	next(ctx context.Context, off int) (chunk []byte, ok bool)
+	wake()
+}
+
+// eventsLocked returns the record's events, which for a deduped job are
+// its primary's. The caller holds the server's mu.
+func (r *record) eventsLocked() events {
+	src := cmp.Or(r.src, r)
+	if src.live != nil {
+		return src.live.stream
+	}
+	return sealed{src.log}
+}
+
+// sealed is a retired job's event log as it was when read from the
+// record: its lines are never rewritten, so it is read without a lock.
+type sealed struct{ log obs.EventLog }
+
+func (l sealed) next(_ context.Context, off int) ([]byte, bool) {
+	if off >= l.log.Len() {
+		return nil, false
+	}
+	return l.log.From(off), true
+}
+
+func (sealed) wake() {}

@@ -257,7 +257,7 @@ func (sv *surfaceServer) column(t *testing.T, spec *scenario.Spec) func(baseline
 		}
 		sv.raw += int64(len(b.file))
 		sv.afterStop = append(sv.afterStop, func(t *testing.T) {
-			straddled := append(first, readStream(sv.lookup(id).stream, len(first))...)
+			straddled := append(first, readEvents(sv.eventsOf(id), len(first))...)
 			late := do(t, sv.Server, http.MethodGet, "/v1/jobs/"+id+"/events", nil).Body.Bytes()
 			if !bytes.Equal(straddled, b.file) || !bytes.Equal(late, b.file) {
 				t.Errorf("job %s: the straddling and late followers read %d and %d bytes, want %d", id, len(straddled), len(late), len(b.file))
