@@ -12,7 +12,7 @@ import (
 // TestBigMeshTorusPermutation is the million-node acceptance run: a full
 // transpose permutation on a 1024×1024 torus (1,048,576 packets) routed to
 // completion, with the live heap pinned under the budget documented in
-// docs/SCALING.md (~195 B/node measured on go1.24, asserted here with
+// docs/SCALING.md (~173 B/node measured on go1.24, asserted here with
 // headroom at 512 MiB). The run takes a few minutes, so it is opt-in:
 //
 //	MESHROUTE_BIGMESH=1 go test . -run BigMeshTorus -timeout 30m

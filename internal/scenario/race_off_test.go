@@ -1,0 +1,7 @@
+//go:build !race
+
+package scenario
+
+// raceDetector reports whether the tests run under the race detector,
+// whose shadow state inflates every allocation.
+const raceDetector = false

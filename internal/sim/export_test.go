@@ -13,3 +13,11 @@ func NodeMarks(net *Network, id grid.NodeID) (occupied, offered, sent, departing
 	f := node.flags
 	return f&nodeOccupied != 0, f&nodeOffered != 0, f&nodeSent != 0, departing
 }
+
+// ReservedCaps reports the capacities of the step buffers (moves,
+// arrivals, next, targets, senders) and of the slot arena, for the
+// external tests of this package.
+func ReservedCaps(net *Network) [6]int {
+	s := &net.scratch
+	return [6]int{cap(s.moves), cap(s.arrivals), cap(s.next), cap(s.targets), cap(s.senders), cap(net.slots)}
+}

@@ -835,7 +835,10 @@ const minQueueCap = 4
 // growQueue relocates the node's queue region to the end of the flat slot
 // array with doubled capacity. The abandoned region is never reused, which
 // bounds total slot memory at twice the peak live capacity; at steady state
-// (no queue ever exceeding its region) attach allocates nothing.
+// (no queue ever exceeding its region) attach allocates nothing. In a dense
+// static run under a central queue with K <= minQueueCap it never extends
+// the arena: no queue outgrows its first region, and reserveStatic left
+// room for one such region per node.
 func (net *Network) growQueue(n *Node) {
 	newCap := n.qCap * 2
 	if newCap < minQueueCap {

@@ -76,6 +76,10 @@ const (
 // placed exactly like Place, so a central-queue overflow at step 0 is an
 // error under AdmitRetry and a counted drop under AdmitDrop. It is an error
 // to attach a source after the run has started or to attach two sources.
+//
+// A one-shot source (exhausted at step 0) fixes the whole run before step 1:
+// its buffers are sized once (reserveStatic), and its Next buffer is not
+// kept.
 func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	if net.step != 0 || net.inited {
 		return errors.New("sim: AttachSource after run started")
@@ -89,8 +93,14 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	net.source = src
 	net.admit = policy
 	buf := src.Next(0, net.injBuf[:0])
-	net.injBuf = buf[:0]
+	net.srcExhausted = src.Exhausted(0)
+	net.openSource = !net.srcExhausted
 	net.ReserveInjections(len(buf))
+	if net.srcExhausted {
+		net.reserveStatic(len(buf))
+	} else {
+		net.injBuf = buf[:0]
+	}
 	for _, inj := range buf {
 		net.Metrics.Offered++
 		if policy == AdmitDrop && inj.Src != inj.Dst && net.Queues == CentralQueue &&
@@ -104,9 +114,32 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 		}
 		net.Metrics.Admitted++
 	}
-	net.srcExhausted = src.Exhausted(0)
-	net.openSource = !net.srcExhausted
 	return nil
+}
+
+// reserveStatic sizes the step loop's buffers for a run whose n packets are
+// all placed before step 1. Each resident moves at most once a step, so a
+// step has at most n moves and arrivals and min(n, N) targets and senders.
+// A dense instance (n >= N) also gets the occupied list and, under a
+// central queue with K <= minQueueCap, a first region per node, fixed points
+// included (a permutation passes packets through them later): no queue
+// outgrows it. A sparse instance's list and arena, and the arena of a
+// larger K (which nothing bounds), grow on demand.
+func (net *Network) reserveStatic(n int) {
+	s := &net.scratch
+	s.moves = make([]Move, 0, n)
+	s.arrivals = make([]Move, 0, n)
+	s.next = make([]int32, 0, n)
+	nodes := len(net.nodes)
+	s.targets = make([]grid.NodeID, 0, min(n, nodes))
+	s.senders = make([]grid.NodeID, 0, min(n, nodes))
+	if n < nodes {
+		return
+	}
+	net.occ = slices.Grow(net.occ, nodes)
+	if net.Queues == CentralQueue && net.K <= minQueueCap {
+		net.slots = slices.Grow(net.slots, nodes*minQueueCap)
+	}
 }
 
 // OpenWorkload reports whether the network was populated by a Source that

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
@@ -43,6 +44,7 @@ func (r *ReplaySource) Next(step int, buf []Injection) []Injection {
 	if step != r.step {
 		return buf
 	}
+	buf = slices.Grow(buf, len(r.pairs))
 	for _, pr := range r.pairs {
 		buf = append(buf, Injection{Src: pr.Src, Dst: pr.Dst})
 	}
