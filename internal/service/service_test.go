@@ -528,6 +528,47 @@ func TestJobLookupAndList(t *testing.T) {
 	}
 }
 
+// TestUnboundedHorizonIsServed submits an online spec whose horizon, 2⁴⁰
+// steps at rate 1 on a 64×64 mesh, would size a packet store of 2⁵² rows
+// from its mean: the reservation is capped by the network, so the job
+// builds and runs, and a DELETE at step 10 cancels it with the server
+// still healthy.
+func TestUnboundedHorizonIsServed(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2})
+	atStep := make(chan struct{})
+	var once sync.Once
+	s.testStepHook = func(_ string, step int) {
+		if step >= 10 {
+			once.Do(func() { close(atStep) })
+		}
+	}
+	body := []byte(`{"name":"unbounded-horizon","n":64,"k":4,"router":"dimorder",` +
+		`"workload":{"kind":"online","horizon":1099511627776,"rate":1}}`)
+	w := do(t, s, http.MethodPost, "/v1/jobs", body)
+	if w.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: %d %s", w.Code, w.Body)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-atStep:
+	case <-time.After(30 * time.Second):
+		t.Fatal("job never reached step 10")
+	}
+	if w := do(t, s, http.MethodDelete, "/v1/jobs/"+st.ID, nil); w.Code != http.StatusAccepted {
+		t.Fatalf("DELETE running: %d %s", w.Code, w.Body)
+	}
+	final := waitDone(t, s, st.ID, StateCanceled)
+	if final.Stats == nil || final.Stats.Steps < 10 || final.Stats.Total < 10*64*64 {
+		t.Fatalf("canceled job's partial stats %+v, want at least 10 steps of 4096 injections", final.Stats)
+	}
+	if w := do(t, s, http.MethodGet, "/healthz", nil); w.Code != http.StatusOK {
+		t.Fatalf("healthz after the job: %d", w.Code)
+	}
+}
+
 // TestHealthz checks the liveness endpoint in the accepting state (the
 // draining side is covered by the shutdown test).
 func TestHealthz(t *testing.T) {

@@ -21,3 +21,8 @@ func ReservedCaps(net *Network) [6]int {
 	s := &net.scratch
 	return [6]int{cap(s.moves), cap(s.arrivals), cap(s.next), cap(s.targets), cap(s.senders), cap(net.slots)}
 }
+
+// StoreCaps reports the capacity of the packet store's columns, which
+// share one, and of the placement list, for the external tests of this
+// package.
+func StoreCaps(net *Network) (store, placed int) { return cap(net.P.Src), cap(net.placed) }

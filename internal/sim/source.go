@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"meshroute/internal/grid"
@@ -50,6 +51,17 @@ type Source interface {
 	Exhausted(step int) bool
 }
 
+// sizedSource is an open Source whose injection count is binomial:
+// trials independent injections of probability p (p = 1 for a count known
+// to within a few packets). AttachSource sizes the packet store from it.
+type sizedSource interface{ InjectionTrials() (trials, p float64) }
+
+// maxReservedRowsPerNode caps the packet rows reserved for a sizedSource, a
+// bound set by the network and not by the spec's unbounded horizon and
+// rate: online-mesh needs about 24 a node, the dynamic burst specs 19; a
+// heavier run (E12's full sweep, up to 115) doubles from the cap.
+const maxReservedRowsPerNode = 32
+
 // AdmissionPolicy selects what happens to an injection whose source node's
 // k-bounded queue has no free slot at arrival time.
 type AdmissionPolicy uint8
@@ -79,7 +91,12 @@ const (
 //
 // A one-shot source (exhausted at step 0) fixes the whole run before step 1:
 // its buffers are sized once (reserveStatic), and its Next buffer is not
-// kept.
+// kept. Under AdmitRetry every injection becomes a packet, so a sizedSource
+// has the packet store and placement list reserved from its arrival
+// process: the mean count plus four standard deviations and minStoreCap,
+// capped at maxReservedRowsPerNode rows a node, which bounds the
+// reservation by the network whatever the horizon and rate. Under AdmitDrop
+// nothing is reserved: a dropped injection never becomes a packet.
 func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	if net.step != 0 || net.inited {
 		return errors.New("sim: AttachSource after run started")
@@ -95,7 +112,16 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	buf := src.Next(0, net.injBuf[:0])
 	net.srcExhausted = src.Exhausted(0)
 	net.openSource = !net.srcExhausted
-	net.ReserveInjections(len(buf))
+	reserve := len(buf)
+	if s, ok := src.(sizedSource); ok && net.openSource && policy == AdmitRetry {
+		trials, p := s.InjectionTrials()
+		expected := maxReservedRowsPerNode * len(net.nodes)
+		if want := trials*p + 4*math.Sqrt(trials*p*(1-p)) + minStoreCap; want < float64(expected) {
+			expected = int(want) // a NaN keeps the cap
+		}
+		reserve += expected
+	}
+	net.ReserveInjections(reserve)
 	if net.srcExhausted {
 		net.reserveStatic(len(buf))
 	} else {
@@ -149,9 +175,9 @@ func (net *Network) reserveStatic(n int) {
 func (net *Network) OpenWorkload() bool { return net.openSource }
 
 // ReserveInjections makes room in the packet store and placement list for n
-// additional packets. AttachSource calls it with the step-0 count, so a
-// static run sizes its store exactly once; an online run may call it to move
-// the store's doubling out of a measured window. Purely an optimization.
+// additional packets. AttachSource calls it once, for the step-0 packets
+// and a sizedSource's expected ones; past that the store doubles. Purely
+// an optimization.
 func (net *Network) ReserveInjections(n int) {
 	net.P.reserve(n)
 	net.placed = slices.Grow(net.placed, n)

@@ -148,25 +148,27 @@ func Summarize(samples []float64) Summary {
 	}
 }
 
-// Quantiles returns the nearest-rank quantiles of the samples at the given
-// probabilities (each in [0, 1]; 0 is the minimum, 1 the maximum). The
-// input is not modified. An empty sample yields all zeros.
-func Quantiles(samples []float64, qs ...float64) []float64 {
+// CountQuantiles returns the nearest-rank quantiles, at the given
+// probabilities (each in [0, 1]; 0 is the minimum, 1 the maximum), of a
+// sample of non-negative integers held as a histogram: counts[v] samples
+// equal v. An empty sample yields all zeros.
+func CountQuantiles(counts []int, qs ...float64) []float64 {
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
 	out := make([]float64, len(qs))
-	if len(samples) == 0 {
+	if total == 0 {
 		return out
 	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
 	for i, q := range qs {
-		r := int(math.Ceil(q*float64(len(s)))) - 1
-		if r < 0 {
-			r = 0
+		r := min(max(int(math.Ceil(q*float64(total)))-1, 0), total-1)
+		v, below := 0, counts[0]
+		for below <= r {
+			v++
+			below += counts[v]
 		}
-		if r >= len(s) {
-			r = len(s) - 1
-		}
-		out[i] = s[r]
+		out[i] = float64(v)
 	}
 	return out
 }

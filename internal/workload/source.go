@@ -90,6 +90,12 @@ func (s *BernoulliSource) Next(step int, buf []Injection) []Injection {
 // Exhausted implements Source.
 func (s *BernoulliSource) Exhausted(step int) bool { return step >= s.horizon }
 
+// InjectionTrials reports n·horizon trials of probability rate; the engine
+// sizes an online run's packet store from it.
+func (s *BernoulliSource) InjectionTrials() (trials, p float64) {
+	return float64(s.n) * float64(s.horizon), s.rate
+}
+
 // BurstSource is the deterministic bursty stream the scenario layer's
 // "burst" workload has always used: for steps 1..horizon/2, node id injects
 // when (id+step)%7 == 0, toward (id*13 + step*29) mod n. Kept arithmetic-
@@ -119,6 +125,12 @@ func (s *BurstSource) Next(step int, buf []Injection) []Injection {
 
 // Exhausted implements Source.
 func (s *BurstSource) Exhausted(step int) bool { return step >= s.horizon/2 }
+
+// InjectionTrials reports n/7 certain injections a step for horizon/2
+// steps: any seven consecutive steps inject exactly n, so within 6.
+func (s *BurstSource) InjectionTrials() (trials, p float64) {
+	return float64(s.n) * float64(s.horizon/2) / 7, 1
+}
 
 // OnOffSource is a bursty on/off modulated Bernoulli process: the stream
 // alternates "on" windows of burst steps (each node injects with
@@ -160,6 +172,13 @@ func (s *OnOffSource) Next(step int, buf []Injection) []Injection {
 
 // Exhausted implements Source.
 func (s *OnOffSource) Exhausted(step int) bool { return step >= s.horizon }
+
+// InjectionTrials reports n trials of probability rate per on-step.
+func (s *OnOffSource) InjectionTrials() (trials, p float64) {
+	period := s.burst + s.gap
+	on := s.horizon/period*s.burst + min(s.horizon%period, s.burst)
+	return float64(s.n) * float64(on), s.rate
+}
 
 // HotspotSource is the adversarial hotspot stream: every node injects with
 // probability rate, but all traffic converges on a small set of hot nodes
@@ -210,6 +229,11 @@ func (s *HotspotSource) Next(step int, buf []Injection) []Injection {
 // Exhausted implements Source.
 func (s *HotspotSource) Exhausted(step int) bool { return step >= s.horizon }
 
+// InjectionTrials reports n·horizon trials of probability rate.
+func (s *HotspotSource) InjectionTrials() (trials, p float64) {
+	return float64(s.n) * float64(s.horizon), s.rate
+}
+
 // TransposeStreamSource is the adversarial structured stream: every node
 // injects with probability rate toward its transpose (x,y) -> (y,x), so the
 // sustained load reproduces the classic transpose congestion pattern
@@ -248,3 +272,8 @@ func (s *TransposeStreamSource) Next(step int, buf []Injection) []Injection {
 
 // Exhausted implements Source.
 func (s *TransposeStreamSource) Exhausted(step int) bool { return step >= s.horizon }
+
+// InjectionTrials reports n·horizon trials of probability rate.
+func (s *TransposeStreamSource) InjectionTrials() (trials, p float64) {
+	return float64(s.topo.N()) * float64(s.horizon), s.rate
+}
