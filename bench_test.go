@@ -110,7 +110,7 @@ func BenchmarkE4Theorem15Upper(b *testing.B) {
 			b.Fatal(err)
 		}
 		spec, _ := meshroute.LookupRouter(meshroute.RouterThm15)
-		if _, err := net.RunPartial(spec.New(), 500*n*n); err != nil || !net.Done() {
+		if _, err := net.Run(nil, spec.New(), 500*n*n, nil); err != nil || !net.Done() {
 			b.Fatalf("incomplete: %v", err)
 		}
 		mk, maxq = net.Metrics.Makespan, net.Metrics.MaxQueueLen
@@ -188,7 +188,7 @@ func BenchmarkE8AverageCase(b *testing.B) {
 		if err := workload.Random(topo, int64(i)).Place(net); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.RunPartial(spec.New(), 100*n); err != nil || !net.Done() {
+		if _, err := net.Run(nil, spec.New(), 100*n, nil); err != nil || !net.Done() {
 			b.Fatalf("incomplete: %v", err)
 		}
 		mk = net.Metrics.Makespan
@@ -270,7 +270,7 @@ func BenchmarkE11CrossHardness(b *testing.B) {
 		if err := perm.Place(net); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.RunPartial(specZ.New(), 40*res.Steps); err != nil {
+		if _, err := net.Run(nil, specZ.New(), 40*res.Steps, nil); err != nil {
 			b.Fatal(err)
 		}
 		mk = net.Metrics.Makespan
@@ -359,7 +359,7 @@ func BenchmarkE13RandomizedHatch(b *testing.B) {
 		if err := perm.Place(net); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.RunPartial(routers.RandZigZag{Seed: uint64(i)}, 40*res.Steps); err != nil {
+		if _, err := net.Run(nil, routers.RandZigZag{Seed: uint64(i)}, 40*res.Steps, nil); err != nil {
 			b.Fatal(err)
 		}
 		mk = net.Metrics.Makespan

@@ -102,7 +102,7 @@ func main() {
 		// SIGINT: an interrupt stops between steps and reports the partial
 		// progress instead of discarding the construction.
 		cap := *capMul * res.Steps
-		_, err := net.RunPartialContext(ctx, spec.New(), cap-net.Step())
+		_, err := net.Run(ctx, spec.New(), cap-net.Step(), nil)
 		var cerr *sim.CanceledError
 		if errors.As(err, &cerr) {
 			fmt.Printf("  completion: interrupted at step %d — %s\n", net.Step(), cerr.Diag)
@@ -115,7 +115,7 @@ func main() {
 		if done {
 			fmt.Printf("  completion: %d steps (%.1f× the bound)\n", mk, float64(mk)/float64(res.Steps))
 		} else {
-			fmt.Printf("  completion: not done after %d steps (≥ %d× the bound)\n", cap, *capMul)
+			fmt.Printf("  completion: not done after %d steps (≥ %d× the bound)\n", net.Step(), *capMul)
 		}
 	}
 }

@@ -94,7 +94,7 @@ func TestOffersArriveOnDistinctInlinks(t *testing.T) {
 				}
 				place(net)
 				var seen offerTally
-				if _, err := net.RunPartial(inlinkSpy{spec.New(), t, &seen}, 200); err != nil {
+				if _, err := net.Run(nil, inlinkSpy{spec.New(), t, &seen}, 200, nil); err != nil {
 					t.Fatalf("%s on %dx%d torus=%v: %v", name, topo.Width(), topo.Height(), topo.Wraparound(), err)
 				}
 				if topo.N() > 1 && seen.calls == 0 {

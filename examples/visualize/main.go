@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"fmt"
 	"log"
+	"math"
 
 	"meshroute"
 	"meshroute/internal/dex"
@@ -53,13 +54,13 @@ func run(title string, topo meshroute.Topology, k int, perm *meshroute.Permutati
 	alg := dex.NewAdapter(routers.Thm15{})
 
 	fmt.Printf("=== %s ===\n", title)
-	for !net.Done() {
-		if err := net.StepOnce(alg); err != nil {
-			log.Fatal(err)
+	snapshot := func(net *sim.Network, step int) {
+		if step == n/2 {
+			fmt.Printf("\noccupancy after %d steps:\n%s", step, viz.Occupancy(net))
 		}
-		if net.Step() == n/2 {
-			fmt.Printf("\noccupancy after %d steps:\n%s", net.Step(), viz.Occupancy(net))
-		}
+	}
+	if _, err := net.Run(nil, alg, math.MaxInt, snapshot); err != nil {
+		log.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
 		log.Fatal(err)

@@ -13,6 +13,20 @@ func TestRouteUnknownRouter(t *testing.T) {
 	}
 }
 
+// Every router refuses k <= 0 with an error naming k, the hot-potato one
+// included although its configuration ignores k.
+func TestRouteRejectsNonPositiveK(t *testing.T) {
+	topo := NewMesh(4)
+	for _, router := range RouterNames() {
+		for _, k := range []int{0, -1} {
+			_, err := Route(router, topo, k, Transpose(topo), 0)
+			if want := fmt.Sprintf("k=%d", k); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s at k=%d: error %v, want one naming %s", router, k, err, want)
+			}
+		}
+	}
+}
+
 func TestRouteCLTBadSize(t *testing.T) {
 	// 27·3^j and n < 27 are the only sides the tilings fit. The multiples
 	// of 3 in this list used to pass New and panic inside Route.

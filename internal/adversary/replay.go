@@ -122,7 +122,7 @@ func ConfigsEqual(a, b *sim.Network) error {
 // delivered or maxSteps total steps have elapsed, returning the makespan
 // (or maxSteps if undelivered packets remain, with done=false).
 func RunToCompletion(net *sim.Network, alg sim.Algorithm, maxSteps int) (makespan int, done bool, err error) {
-	if _, err := net.RunPartial(alg, maxSteps-net.Step()); err != nil {
+	if _, err := net.Run(nil, alg, maxSteps-net.Step(), nil); err != nil {
 		return net.Step(), false, err
 	}
 	return net.Metrics.Makespan, net.Done(), nil

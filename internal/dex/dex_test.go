@@ -87,8 +87,11 @@ func TestAdapterRoutesAndHidesDestination(t *testing.T) {
 	p := net.NewPacket(topo.ID(grid.XY(1, 1)), topo.ID(grid.XY(4, 5)))
 	net.MustPlace(p)
 	spy := &spyPolicy{}
-	if _, err := net.Run(NewAdapter(spy), 100); err != nil {
+	if _, err := net.Run(nil, NewAdapter(spy), 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if !net.P.Delivered(p) {
 		t.Fatal("undelivered")
@@ -156,8 +159,11 @@ func TestOfferViewsMeasuredFromSender(t *testing.T) {
 	net.MustPlace(a)
 	net.MustPlace(bq)
 	spy := &spyPolicy{}
-	if _, err := net.Run(NewAdapter(spy), 100); err != nil {
+	if _, err := net.Run(nil, NewAdapter(spy), 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if len(spy.offers) == 0 {
 		t.Fatal("no offers observed")

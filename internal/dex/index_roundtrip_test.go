@@ -150,15 +150,15 @@ func TestIndexRoundTripUnderFaultsAndCancellation(t *testing.T) {
 		pol := &roundtripPolicy{t: t, pidOf: map[int32]sim.PacketID{}, bySrc: map[grid.NodeID]sim.PacketID{}}
 		alg := NewAdapter(pol)
 		// Pause mid-run, then resume: the pause must not disturb the
-		// index mapping (RunPartial returns without error at the budget,
+		// index mapping (Run returns without error at the budget,
 		// exactly like a cancelled runner stopping between steps). The
 		// second leg is budgeted too — the round-trip policy is a
 		// deliberately naive scheduler, not a livelock-free router, so
 		// the property is index stability across the run, not delivery.
-		if _, err := net.RunPartial(alg, 5); err != nil {
+		if _, err := net.Run(nil, alg, 5, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.RunPartial(alg, 2000); err != nil {
+		if _, err := net.Run(nil, alg, 2000, nil); err != nil {
 			t.Fatal(err)
 		}
 		// Closing the loop: the recorded handles still resolve to their

@@ -33,8 +33,11 @@ func TestGoldenJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	net.SetMetricsSink(sink)
-	if _, err := net.Run(dex.NewAdapter(routers.DimOrderFIFO{}), 10000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.DimOrderFIFO{}), 10000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)

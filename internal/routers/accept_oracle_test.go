@@ -164,7 +164,7 @@ func TestOnePassAcceptMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					alg := dex.NewAdapter(acceptOracle{pc.pol, t, pc.ref, &seen})
-					if _, err := net.RunPartial(alg, 40*n); err != nil {
+					if _, err := net.Run(nil, alg, 40*n, nil); err != nil {
 						t.Fatalf("%s torus=%v k=%d: %v", pc.pol.Name(), topo.Wraparound(), k, err)
 					}
 				}

@@ -72,7 +72,7 @@ func FuzzRouteUnderFaults(f *testing.F) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		_, err = net.RunPartial(alg, 500*n*n)
+		_, err = net.Run(nil, alg, 500*n*n, nil)
 		var ue *sim.UnreachableError
 		if err != nil && !errors.As(err, &ue) {
 			t.Fatalf("engine invariant violated under faults: %v", err)

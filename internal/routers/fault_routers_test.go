@@ -42,7 +42,7 @@ func TestZigZagFaultAwareAvoidsDownLink(t *testing.T) {
 		net := sim.MustNew(faultCfg(topo, 3, outageAt(topo, src, grid.North)))
 		pk := net.NewPacket(src, dst)
 		net.MustPlace(pk)
-		steps, err := net.Run(dex.NewAdapter(p), 200)
+		steps, err := net.Run(nil, dex.NewAdapter(p), 200, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
 		}
@@ -75,8 +75,11 @@ func TestRandZigZagFaultAwareAvoidsDownLink(t *testing.T) {
 	net := sim.MustNew(faultCfg(topo, 3, outageAt(topo, src, grid.North)))
 	pk := net.NewPacket(src, dst)
 	net.MustPlace(pk)
-	if _, err := net.Run(RandZigZag{Seed: 7, FaultAware: true}, 200); err != nil {
+	if _, err := net.Run(nil, RandZigZag{Seed: 7, FaultAware: true}, 200, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if !net.P.Delivered(pk) || int(net.P.Hops[pk]) != topo.Dist(src, dst) {
 		t.Fatalf("packet %+v not delivered minimally", net.PacketSnapshot(pk))
@@ -113,7 +116,7 @@ func TestThm15QueueBoundNotFaultTolerant(t *testing.T) {
 	if err := workload.Random(topo, 454).Place(net); err != nil {
 		t.Fatal(err)
 	}
-	_, err = net.RunPartial(dex.NewAdapter(Thm15{}), 500*n*n)
+	_, err = net.Run(nil, dex.NewAdapter(Thm15{}), 500*n*n, nil)
 	if err == nil || !strings.Contains(err.Error(), "overflowed") {
 		t.Fatalf("want the invariant checker to catch the thm15 queue overflow, got %v", err)
 	}
@@ -130,8 +133,11 @@ func TestFaultAwareMatchesObliviousWithoutFaults(t *testing.T) {
 		if err := workload.Random(topo, 5).Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(alg, 10000); err != nil {
+		if _, err := net.Run(nil, alg, 10000, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		m := net.Metrics
 		return [4]int{m.Makespan, m.TotalHops, m.SumDelay, m.MaxQueueLen}

@@ -56,7 +56,7 @@ func FuzzRouteRandomPermutation(f *testing.F) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.RunPartial(alg, 500*n*n); err != nil {
+		if _, err := net.Run(nil, alg, 500*n*n, nil); err != nil {
 			t.Fatalf("engine invariant violated: %v", err)
 		}
 		if guaranteed && !net.Done() {

@@ -16,8 +16,11 @@ func TestRandZigZagRoutesPermutations(t *testing.T) {
 			if err := perm.Place(net); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := net.Run(RandZigZag{Seed: seed}, 500*n*n); err != nil {
+			if _, err := net.Run(nil, RandZigZag{Seed: seed}, 500*n*n, nil); err != nil {
 				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+			if !net.Done() {
+				t.Fatal("packets undelivered at the step budget")
 			}
 			for _, p := range net.Packets() {
 				if p.Hops != net.Topo.Dist(p.Src, p.Dst) {
@@ -36,8 +39,11 @@ func TestRandZigZagReproducible(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(RandZigZag{Seed: seed}, 500*n*n); err != nil {
+		if _, err := net.Run(nil, RandZigZag{Seed: seed}, 500*n*n, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		return net.Metrics.Makespan
 	}

@@ -23,16 +23,22 @@ func TestRectangularMesh(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(alg, 10000); err != nil {
+		if _, err := net.Run(nil, alg, 10000, nil); err != nil {
 			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 	}
 	net := sim.MustNew(Thm15Config(topo, 2))
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(dex.NewAdapter(Thm15{}), 10000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 10000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 }
 
@@ -44,8 +50,11 @@ func TestThm15Torus(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(dex.NewAdapter(Thm15{}), 5000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 5000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	for _, p := range net.Packets() {
 		if p.Hops != topo.Dist(p.Src, p.Dst) {
@@ -63,8 +72,11 @@ func TestHotPotatoTorus(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(HotPotato{}, 20000); err != nil {
+	if _, err := net.Run(nil, HotPotato{}, 20000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 }
 
@@ -91,7 +103,7 @@ func TestZigZagSingleProfitableStable(t *testing.T) {
 	topo := net.Topo
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(6, 3))) // due east
 	net.MustPlace(p)
-	steps, err := net.Run(dex.NewAdapter(ZigZag{}), 100)
+	steps, err := net.Run(nil, dex.NewAdapter(ZigZag{}), 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +125,11 @@ func TestThm15TurnerEventuallyTurns(t *testing.T) {
 	// One turner entering column 4 from the west, destination up top.
 	turner := net.NewPacket(topo.ID(grid.XY(0, 4)), topo.ID(grid.XY(4, 6)))
 	net.MustPlace(turner)
-	if _, err := net.Run(dex.NewAdapter(Thm15{}), 500); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 500, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	st := &net.P
 	if !st.Delivered(turner) {
@@ -137,8 +152,11 @@ func TestSwapRuleBreaksHeadOnDeadlock(t *testing.T) {
 	w := net.NewPacket(topo.ID(grid.XY(4, 0)), topo.ID(grid.XY(1, 0)))
 	net.MustPlace(e)
 	net.MustPlace(w)
-	if _, err := net.Run(dex.NewAdapter(ZigZag{}), 100); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(ZigZag{}), 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if !net.P.Delivered(e) || !net.P.Delivered(w) {
 		t.Fatal("head-on pair did not resolve")

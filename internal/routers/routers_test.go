@@ -27,8 +27,11 @@ func runPerm(t *testing.T, cfg sim.Config, alg sim.Algorithm, p *workload.Permut
 	if err := p.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(alg, maxSteps); err != nil {
+	if _, err := net.Run(nil, alg, maxSteps, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	return net
 }
@@ -93,8 +96,11 @@ func TestDimOrderFIFOFollowsXYOrder(t *testing.T) {
 			t.Fatalf("step %d: at %v, want %v (row first)", i+1, got, want)
 		}
 	}
-	if _, err := net.Run(alg, 100); err != nil {
+	if _, err := net.Run(nil, alg, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if net.P.Hops[p] != 10 {
 		t.Fatalf("hops = %d", net.P.Hops[p])
@@ -137,8 +143,11 @@ func TestZigZagAlternatesWhenBlocked(t *testing.T) {
 	mover := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(2, 2)))
 	net.MustPlace(mover)
 	alg := dex.NewAdapter(ZigZag{})
-	if _, err := net.Run(alg, 100); err != nil {
+	if _, err := net.Run(nil, alg, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	checkMinimalPaths(t, net)
 	if !net.P.Delivered(mover) || !net.P.Delivered(blocker) {
@@ -215,8 +224,11 @@ func TestThm15StraightPriority(t *testing.T) {
 	net.P.Dst[turner] = topo.ID(grid.XY(2, 4))
 	net.MustPlace(turner)
 	alg := dex.NewAdapter(Thm15{})
-	if _, err := net.Run(alg, 200); err != nil {
+	if _, err := net.Run(nil, alg, 200, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	checkMinimalPaths(t, net)
 }
@@ -249,8 +261,11 @@ func TestDimOrderFFPrefersFarthest(t *testing.T) {
 	if findPacketCoord(net, near) != grid.XY(0, 0) {
 		t.Fatal("near packet must wait")
 	}
-	if _, err := net.Run(DimOrderFF{}, 100); err != nil {
+	if _, err := net.Run(nil, DimOrderFF{}, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 }
 
@@ -261,8 +276,11 @@ func TestHotPotatoDeliversPermutations(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(HotPotato{}, 1000*n); err != nil {
+		if _, err := net.Run(nil, HotPotato{}, 1000*n, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		if net.DeliveredCount() != n*n {
 			t.Fatalf("delivered %d/%d", net.DeliveredCount(), n*n)
@@ -277,8 +295,11 @@ func TestHotPotatoTakesNonminimalPathsUnderContention(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(HotPotato{}, 5000); err != nil {
+	if _, err := net.Run(nil, HotPotato{}, 5000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	extra := 0
 	for _, p := range net.Packets() {
@@ -319,8 +340,11 @@ func TestRoutersAreDeterministic(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(mk(), 100000); err != nil {
+		if _, err := net.Run(nil, mk(), 100000, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		return slices.Clone(net.Packets())
 	}

@@ -64,7 +64,7 @@ func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 				t.Fatal(err)
 			}
 			var accepts int
-			if _, err := net.RunPartial(dex.NewAdapter(maskCheck{p, t, &accepts}), 600); err != nil {
+			if _, err := net.Run(nil, dex.NewAdapter(maskCheck{p, t, &accepts}), 600, nil); err != nil {
 				t.Fatalf("%s faults=%v: %v", p.Name(), faults != nil, err)
 			}
 			if accepts == 0 {

@@ -25,8 +25,11 @@ func runScheduled(t *testing.T, topo grid.Topology, k int, perm *workload.Permut
 		t.Fatal(err)
 	}
 	alg := NewScheduled(0)
-	if _, err := net.Run(alg, maxSteps); err != nil {
+	if _, err := net.Run(nil, alg, maxSteps, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	return net, alg
 }
@@ -120,8 +123,11 @@ func TestScheduledSeedsDiffer(t *testing.T) {
 			t.Fatal(err)
 		}
 		alg := NewScheduled(seed)
-		if _, err := net.Run(alg, 5000); err != nil {
+		if _, err := net.Run(nil, alg, 5000, nil); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		if cd := alg.Result().CD(); net.Metrics.Makespan > scheduledCDBound*cd {
 			t.Fatalf("seed %d: makespan %d > %d·(C+D)", seed, net.Metrics.Makespan, scheduledCDBound)
@@ -144,8 +150,11 @@ func TestScheduledParallelEquivalence(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(alg, 20000); err != nil {
+		if _, err := net.Run(nil, alg, 20000, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		var out [][3]int
 		for _, p := range net.Packets() {

@@ -43,8 +43,11 @@ func TestStrayRoutesRandomPermutations(t *testing.T) {
 				t.Fatal(err)
 			}
 			alg := dex.NewAdapter(StrayDimOrder{Delta: delta})
-			if _, err := net.Run(alg, 200*n*n); err != nil {
+			if _, err := net.Run(nil, alg, 200*n*n, nil); err != nil {
 				t.Fatalf("n=%d delta=%d: %v", n, delta, err)
+			}
+			if !net.Done() {
+				t.Fatal("packets undelivered at the step budget")
 			}
 		}
 	}
@@ -96,8 +99,11 @@ func TestStrayZeroBudgetNeverStrays(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(dex.NewAdapter(StrayDimOrder{Delta: 0}), 200*n*n); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(StrayDimOrder{Delta: 0}), 200*n*n, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	for _, p := range net.Packets() {
 		if p.Hops != net.Topo.Dist(p.Src, p.Dst) {

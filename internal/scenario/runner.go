@@ -18,8 +18,8 @@ import (
 // (livelock, cancellation, invariant violations) land in Err with Net and
 // Stats still populated, so callers can report partial progress and
 // diagnostics; an exhausted step budget is not an abort — it shows up as
-// Stats.Done == false, matching RunPartial. Only setup failures prevent a
-// Result.
+// Stats.Done == false, as sim.Network.Run reports it. Only setup failures
+// prevent a Result.
 type Result struct {
 	// Spec is the executed spec.
 	Spec *Spec
@@ -71,8 +71,8 @@ type Runner struct {
 	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS).
 	Workers int
 	// StepHook, when set, runs after every engine step (visualization
-	// snapshots, custom progress reporting). Setting it moves the run
-	// onto the instrumented step-by-step path.
+	// snapshots, custom progress reporting), including the step a watchdog
+	// abort ends the run on. It does not change the run.
 	StepHook func(net *sim.Network, step int)
 	// Sink, when set, receives every executed run's step samples, spans
 	// and fault events, in addition to any Spec.MetricsOut file sink.
@@ -132,14 +132,7 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		rec.Attach(net)
 	}
 
-	alg := run.NewAlg()
-	var steps int
-	var runErr error
-	if !run.Exact && r.StepHook == nil {
-		steps, runErr = net.RunPartialContext(ctx, alg, run.Budget)
-	} else {
-		steps, runErr = r.stepLoop(ctx, run, alg)
-	}
+	steps, runErr := net.Run(ctx, run.NewAlg(), run.Budget, r.StepHook)
 
 	res := &Result{
 		Spec:  s,
@@ -220,42 +213,6 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// stepLoop is the instrumented path: one StepOnce per iteration with the
-// context checked and the hook invoked between steps. Exact runs execute
-// precisely Budget steps (dynamic workloads keep injecting over their
-// horizon, so Done() mid-run is not termination); non-exact runs stop at
-// delivery like RunPartial. The watchdog is StepOnce's, as on every path;
-// the hook still sees the step it ends the run on.
-func (r *Runner) stepLoop(ctx context.Context, run *Run, alg sim.Algorithm) (int, error) {
-	net := run.Net
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
-	for step := 0; step < run.Budget; step++ {
-		if !run.Exact && net.Done() {
-			return step, nil
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				return step, &sim.CanceledError{
-					Alg: alg.Name(), Steps: step, Cause: ctx.Err(), Diag: net.CollectDiagnostics(),
-				}
-			default:
-			}
-		}
-		err := net.StepOnce(alg)
-		if _, livelock := err.(*sim.LivelockError); r.StepHook != nil && (err == nil || livelock) {
-			r.StepHook(net, net.Step())
-		}
-		if err != nil {
-			return step + 1, err
-		}
-	}
-	return run.Budget, nil
 }
 
 // Sweep builds and executes the specs on a bounded worker pool (Workers

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshroute"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -325,8 +326,9 @@ func TestRunnerSeededRouter(t *testing.T) {
 	}
 }
 
-// TestRunnerCancellation checks that a canceled context stops the run
-// between steps with partial diagnostics, on both execution paths.
+// TestRunnerCancellation checks that a context canceled before the run
+// stops it before its first step with partial diagnostics, for a static
+// and a burst spec, with and without a StepHook.
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -335,20 +337,30 @@ func TestRunnerCancellation(t *testing.T) {
 		"instrumented path": {N: 12, K: 2, Router: "dimorder", Workload: Workload{Kind: KindBurst, Horizon: 200}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var r Runner
-			res, err := r.Run(ctx, s)
-			if err != nil {
-				t.Fatal(err)
+			var stats []meshroute.RouteStats
+			for _, hook := range []func(*sim.Network, int){nil, func(*sim.Network, int) { t.Error("the hook ran") }} {
+				r := Runner{StepHook: hook}
+				res, err := r.Run(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var cerr *sim.CanceledError
+				if !errors.As(res.Err, &cerr) {
+					t.Fatalf("want *sim.CanceledError, got %v", res.Err)
+				}
+				if !res.Canceled() {
+					t.Fatal("Canceled() should report true")
+				}
+				if !errors.Is(res.Err, context.Canceled) {
+					t.Fatal("CanceledError should unwrap to context.Canceled")
+				}
+				if res.Steps != 0 || cerr.Steps != 0 {
+					t.Fatalf("canceled before the run, yet it executed %d steps (error says %d)", res.Steps, cerr.Steps)
+				}
+				stats = append(stats, res.Stats)
 			}
-			var cerr *sim.CanceledError
-			if !errors.As(res.Err, &cerr) {
-				t.Fatalf("want *sim.CanceledError, got %v", res.Err)
-			}
-			if !res.Canceled() {
-				t.Fatal("Canceled() should report true")
-			}
-			if !errors.Is(res.Err, context.Canceled) {
-				t.Fatal("CanceledError should unwrap to context.Canceled")
+			if stats[0] != stats[1] {
+				t.Fatalf("stats differ with a hook: %+v vs %+v", stats[1], stats[0])
 			}
 		})
 	}
@@ -374,77 +386,125 @@ func TestRunnerStepHook(t *testing.T) {
 	}
 }
 
-// TestRunnerWatchdogOnePath pins that the livelock watchdog behaves the
-// same whichever loop runs the spec: a run without a StepHook goes through
-// sim.Network.RunPartialContext, a run with one through the step-by-step
-// loop, and both must abort with a *sim.LivelockError and write the same
-// metrics file, with exactly one watchdog event line.
+// TestRunnerWatchdogOnePath pins that a run reads the same with and
+// without a StepHook, which only observes: each row runs both ways, and
+// Steps, Stats and the metrics bytes must match. The rows are a watchdog
+// abort (one watchdog event line, the abort step seen by the hook), the
+// ways a run ends: a static one at delivery, a burst or online one without
+// drain at exactly its horizon, an online one with drain at delivery, and
+// two idle networks under a watchdog: a burst's quiet tail and an on/off
+// gap run out their horizon, since an empty network is not a livelock.
 func TestRunnerWatchdogOnePath(t *testing.T) {
 	dir := t.TempDir()
-	metrics := func(name string, hook func(*sim.Network, int)) []byte {
-		t.Helper()
-		out := filepath.Join(dir, name+".jsonl")
-		s := &Spec{
-			Name: name, N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindReversal},
-			Watchdog:   1, // no delivery can happen in one step on a 6×6 reversal
-			MetricsOut: out,
-		}
-		run, err := s.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := Runner{StepHook: hook}
-		res, err := r.RunBuilt(context.Background(), run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var le *sim.LivelockError
-		if !errors.As(res.Err, &le) {
-			t.Fatalf("%s: run error %v, want *sim.LivelockError", name, res.Err)
-		}
-		data, err := os.ReadFile(out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	plain := metrics("plain", nil)
-	hooked := metrics("hooked", func(*sim.Network, int) {})
-	if string(plain) != string(hooked) {
-		t.Fatalf("metrics differ between the two run loops:\n%s\nvs\n%s", plain, hooked)
-	}
-	if n := strings.Count(string(plain), `"k":"watchdog"`); n != 1 {
-		t.Fatalf("%d watchdog event lines, want 1:\n%s", n, plain)
-	}
-}
-
-// TestStepLoopAllocs pins that the step-by-step loop (StepHook runs and
-// exact-horizon specs) adds no allocation to the steady-state steps it
-// drives.
-func TestStepLoopAllocs(t *testing.T) {
-	s := &Spec{N: 16, K: 2, Router: "dimorder", Workload: Workload{Kind: KindReversal}}
-	run, err := s.Build()
+	burst, err := Load(filepath.Join("..", "..", "testdata", "scenarios", "dynamic-thm15-n12-k1.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run.Budget = 1
-	alg := run.NewAlg()
-	r := Runner{StepHook: func(*sim.Network, int) {}}
-	for i := 0; i < 5; i++ { // warm the engine's scratch buffers
-		if _, err := r.stepLoop(context.Background(), run, alg); err != nil {
-			t.Fatal(err)
-		}
+	online := func(drain bool) *Spec {
+		return &Spec{N: 8, K: 2, Router: "dimorder", Workload: Workload{
+			Kind: KindOnline, Horizon: 120, Rate: 0.05, Seed: 3, Drain: drain,
+		}}
 	}
-	avg := testing.AllocsPerRun(10, func() {
-		if _, err := r.stepLoop(context.Background(), run, alg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("a hooked step allocates %.1f times, want 0", avg)
+	withWatchdog := func(s *Spec, w int) *Spec {
+		c := *s
+		c.Watchdog = w
+		return &c
 	}
-	if run.Net.Done() {
-		t.Fatal("the run finished during the measurement; it measured no steps")
+	for _, tc := range []struct {
+		name  string
+		spec  *Spec
+		check func(t *testing.T, res *Result, metrics string)
+	}{
+		{"watchdog", &Spec{
+			N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindReversal},
+			Watchdog: 1, // no delivery can happen in one step on a 6×6 reversal
+		}, func(t *testing.T, res *Result, metrics string) {
+			var le *sim.LivelockError
+			if !errors.As(res.Err, &le) {
+				t.Fatalf("run error %v, want *sim.LivelockError", res.Err)
+			}
+			if n := strings.Count(metrics, `"k":"watchdog"`); n != 1 {
+				t.Fatalf("%d watchdog event lines, want 1:\n%s", n, metrics)
+			}
+		}},
+		{"static stops at delivery", &Spec{N: 8, K: 2, Router: "dimorder", Workload: Workload{Kind: KindTranspose}},
+			func(t *testing.T, res *Result, _ string) {
+				if st := res.Stats; !st.Done || st.Steps != st.Makespan {
+					t.Fatalf("static run: done %v after %d steps, makespan %d", st.Done, st.Steps, st.Makespan)
+				}
+			}},
+		{"burst runs its horizon", burst, func(t *testing.T, res *Result, _ string) {
+			if st := res.Stats; !st.Done || st.Makespan != 156 || st.Steps != 260 {
+				t.Fatalf("burst run: done %v, makespan %d, %d steps; want true, 156, 260", st.Done, st.Makespan, st.Steps)
+			}
+		}},
+		{"burst tail under a watchdog", withWatchdog(burst, 50), func(t *testing.T, res *Result, _ string) {
+			const want = `{"makespan":156,"steps":260,"done":true,"delivered":2673,"total":2673,"max_queue":1,"avg_delay":10.851851851851851,"fault_drops":0,"online":true,"offered":2673,"admitted":2673,"throughput":10.28076923076923,"delay_p50":10,"delay_p95":23,"delay_p99":31}`
+			if got, _ := json.Marshal(res.Stats); res.Err != nil || string(got) != want {
+				t.Fatalf("error %v, stats %s; want none, %s", res.Err, got, want)
+			}
+		}},
+		{"onoff gap under a watchdog", &Spec{N: 6, K: 2, Router: "dimorder", Watchdog: 20, Workload: Workload{
+			Kind: KindOnline, Process: ProcessOnOff, Horizon: 200, Rate: 0.05, Burst: 5, Gap: 60, Seed: 1,
+		}}, func(t *testing.T, res *Result, _ string) {
+			// The 60-step gaps leave the network empty for longer than the
+			// window: an idle step is progress, so the run reaches its horizon.
+			if res.Err != nil || res.Steps != 200 {
+				t.Fatalf("error %v after %d steps; want none after 200", res.Err, res.Steps)
+			}
+		}},
+		{"online runs its horizon", online(false), func(t *testing.T, res *Result, _ string) {
+			if st := res.Stats; st.Steps != 120 || !st.Online {
+				t.Fatalf("online run without drain: %d steps, online %v; want 120, true", st.Steps, st.Online)
+			}
+		}},
+		{"online drain stops at delivery", online(true), func(t *testing.T, res *Result, _ string) {
+			if st := res.Stats; !st.Done || st.Steps < 120 || st.Steps >= online(true).StepBudget() {
+				t.Fatalf("online run with drain: done %v after %d steps, budget %d", st.Done, st.Steps, online(true).StepBudget())
+			}
+		}},
+		{"burst of horizon 1", &Spec{N: 8, K: 1, Router: "thm15", Queues: QueuesPerInlink, Workload: Workload{Kind: KindBurst, Horizon: 1}},
+			func(t *testing.T, res *Result, _ string) {
+				const want = `{"makespan":0,"steps":1,"done":true,"delivered":0,"total":0,"max_queue":0,"avg_delay":0,"fault_drops":0}`
+				if got, _ := json.Marshal(res.Stats); string(got) != want {
+					t.Fatalf("stats %s, want %s", got, want)
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(name string, hook func(*sim.Network, int)) (*Result, string) {
+				t.Helper()
+				s := *tc.spec
+				s.MetricsOut = filepath.Join(dir, strings.ReplaceAll(tc.name, " ", "-")+"-"+name+".jsonl")
+				r := Runner{StepHook: hook}
+				res, err := r.Run(context.Background(), &s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(s.MetricsOut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, string(data)
+			}
+			hooked := 0
+			plain, plainMetrics := run("plain", nil)
+			res, metrics := run("hooked", func(_ *sim.Network, step int) {
+				if hooked++; step != hooked {
+					t.Errorf("hook call %d saw step %d", hooked, step)
+				}
+			})
+			if hooked != res.Steps {
+				t.Errorf("the hook ran %d times over %d steps", hooked, res.Steps)
+			}
+			if plain.Steps != res.Steps || plain.Stats != res.Stats {
+				t.Fatalf("the hook changed the run: %d steps %+v, without it %d steps %+v", res.Steps, res.Stats, plain.Steps, plain.Stats)
+			}
+			if metrics != plainMetrics {
+				t.Fatalf("metrics differ with a hook:\n%s\nvs\n%s", metrics, plainMetrics)
+			}
+			tc.check(t, plain, plainMetrics)
+		})
 	}
 }
 

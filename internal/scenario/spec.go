@@ -412,9 +412,6 @@ type Run struct {
 	NewAlg func() sim.Algorithm
 	// Budget is the step budget of the run.
 	Budget int
-	// Exact makes the run execute exactly Budget steps instead of
-	// stopping at delivery (dynamic workloads).
-	Exact bool
 	// Faults is the generated fault schedule, or nil.
 	Faults *fault.Schedule
 	// Analysis, when the spec set "analysis": true, yields the workload's
@@ -476,7 +473,6 @@ func (s *Spec) Build() (*Run, error) {
 		Net:      net,
 		NewAlg:   newAlg,
 		Budget:   budget,
-		Exact:    s.Workload.Dynamic() && !s.Workload.Drain,
 		Faults:   sched,
 		Analysis: analyze,
 	}, nil

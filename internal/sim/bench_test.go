@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -165,6 +166,47 @@ func TestStepDenseNilSinkZeroAllocs(t *testing.T) {
 	requireZeroAllocSteps(t, 60, func() error { return net.StepOnce(greedyXY{}) })
 	if net.Done() {
 		t.Fatal("the mesh drained inside the measured window; the steps were not dense")
+	}
+}
+
+// TestStepLoopAllocs pins that Run adds no allocation to the steady-state
+// steps it drives, with no hook, with a hook and under a cancelable
+// context: each measured call runs one step of the loaded 64×64 mesh.
+func TestStepLoopAllocs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hooked := 0
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		after func(*Network, int)
+	}{
+		{"nil hook", nil, nil},
+		{"hook", nil, func(*Network, int) { hooked++ }},
+		{"cancelable context", ctx, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := denseNet(t, nil)
+			run := func() error {
+				steps, err := net.Run(tc.ctx, greedyXY{}, 1, tc.after)
+				if err == nil && steps != 1 {
+					err = fmt.Errorf("Run executed %d steps, want 1", steps)
+				}
+				return err
+			}
+			for i := 0; i < 12; i++ {
+				if err := run(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			requireZeroAllocSteps(t, 60, run)
+			if net.Done() {
+				t.Fatal("the mesh drained inside the measured window; the steps were not dense")
+			}
+		})
+	}
+	if hooked != 73 {
+		t.Fatalf("the hook ran %d times, want once for each of the 73 steps", hooked)
 	}
 }
 

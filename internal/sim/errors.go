@@ -24,9 +24,9 @@ type QueueDiag struct {
 // maxDiagQueues bounds how many hot queues a diagnostic reports.
 const maxDiagQueues = 8
 
-// Diagnostics is the structured state snapshot attached to the step-limit
-// and livelock-watchdog errors, so a failed run reports *why* it failed
-// instead of only that it did.
+// Diagnostics is the structured state snapshot attached to the
+// livelock-watchdog and cancellation errors, so a failed run reports *why*
+// it failed instead of only that it did.
 type Diagnostics struct {
 	// Step is the step at which the run gave up.
 	Step int
@@ -97,26 +97,6 @@ func (net *Network) CollectDiagnostics() Diagnostics {
 	return d
 }
 
-// StepLimitError reports that Run exhausted its step budget with packets
-// undelivered. It carries the same structured diagnostics as the livelock
-// watchdog.
-type StepLimitError struct {
-	// Alg is the routing algorithm's name.
-	Alg string
-	// MaxSteps is the exhausted budget.
-	MaxSteps int
-	// Delivered and Total count packets.
-	Delivered, Total int
-	// Diag is the end-of-run state snapshot.
-	Diag Diagnostics
-}
-
-// Error implements error.
-func (e *StepLimitError) Error() string {
-	return fmt.Sprintf("sim: %s did not deliver all packets in %d steps (%d/%d delivered): %s",
-		e.Alg, e.MaxSteps, e.Delivered, e.Total, e.Diag)
-}
-
 // LivelockError reports that the livelock watchdog saw no delivery for a
 // full no-progress window and aborted the run early (instead of burning
 // the rest of the step budget).
@@ -135,11 +115,10 @@ func (e *LivelockError) Error() string {
 		e.Alg, e.Window, e.Diag.Step, e.Diag)
 }
 
-// CanceledError reports that a context-aware run (RunContext,
-// RunPartialContext) was canceled between steps. It carries the same
-// structured diagnostics as the other abort errors, so callers can report
-// partial progress, and unwraps to the context's error (context.Canceled
-// or context.DeadlineExceeded).
+// CanceledError reports that Run was canceled by its context between
+// steps. It carries the same structured diagnostics as the watchdog abort,
+// so callers can report partial progress, and unwraps to the context's
+// error (context.Canceled or context.DeadlineExceeded).
 type CanceledError struct {
 	// Alg is the routing algorithm's name.
 	Alg string

@@ -19,7 +19,7 @@ func ExampleNetwork_SetMetricsSink() {
 
 	sink := &obs.Memory{}
 	net.SetMetricsSink(sink)
-	if _, err := net.Run(greedyXY{}, 100); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 100, nil); err != nil {
 		fmt.Println(err)
 		return
 	}

@@ -39,7 +39,7 @@ func TestTransientLinkFaultDelaysDelivery(t *testing.T) {
 	net := faultNet(t, 8, 2, true, sched, 0)
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(5, 3)))
 	net.MustPlace(p)
-	steps, err := net.Run(greedyXY{}, 100)
+	steps, err := net.Run(nil, greedyXY{}, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestNodeStallFreezesNode(t *testing.T) {
 	net := faultNet(t, 8, 2, true, sched, 0)
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(3, 3)))
 	net.MustPlace(p)
-	steps, err := net.Run(greedyXY{}, 100)
+	steps, err := net.Run(nil, greedyXY{}, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPermanentFaultUnreachable(t *testing.T) {
 	net := faultNet(t, 8, 2, true, sched, 0)
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(6, 3)))
 	net.MustPlace(p)
-	_, err := net.Run(greedyXY{}, 100)
+	_, err := net.Run(nil, greedyXY{}, 100, nil)
 	var ue *UnreachableError
 	if !errors.As(err, &ue) {
 		t.Fatalf("want UnreachableError, got %v", err)
@@ -114,7 +114,7 @@ func TestWatchdogAbortsWedgedRun(t *testing.T) {
 	net := faultNet(t, 8, 2, false, sched, 10)
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(6, 3)))
 	net.MustPlace(p)
-	steps, err := net.Run(greedyXY{}, 10000)
+	steps, err := net.Run(nil, greedyXY{}, 10000, nil)
 	var le *LivelockError
 	if !errors.As(err, &le) {
 		t.Fatalf("want LivelockError, got %v after %d steps", err, steps)
@@ -134,20 +134,25 @@ func TestWatchdogAbortsWedgedRun(t *testing.T) {
 	_ = p
 }
 
+// TestStepLimitErrorCarriesDiagnostics checks that a run stopped at its
+// step limit leaves a state whose diagnostics name the undelivered packet,
+// its queue and the step the run stopped on.
 func TestStepLimitErrorCarriesDiagnostics(t *testing.T) {
 	net := newTestNet(t, 8, 2)
 	topo := net.Topo
 	net.MustPlace(net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(6, 3))))
-	_, err := net.Run(greedyXY{}, 2)
-	var sle *StepLimitError
-	if !errors.As(err, &sle) {
-		t.Fatalf("want StepLimitError, got %v", err)
+	if _, err := net.Run(nil, greedyXY{}, 2, nil); err != nil {
+		t.Fatal(err)
 	}
-	if sle.Diag.Undelivered != 1 || len(sle.Diag.TopQueues) != 1 {
-		t.Fatalf("diagnostics %+v", sle.Diag)
+	if net.Done() {
+		t.Fatal("packet delivered inside a 2-step limit")
 	}
-	if sle.Diag.Step != 2 {
-		t.Fatalf("Diag.Step = %d, want 2", sle.Diag.Step)
+	d := net.CollectDiagnostics()
+	if d.Undelivered != 1 || len(d.TopQueues) != 1 {
+		t.Fatalf("diagnostics %+v", d)
+	}
+	if d.Step != 2 {
+		t.Fatalf("Diag.Step = %d, want 2", d.Step)
 	}
 }
 
@@ -168,7 +173,7 @@ func runWithFaultSink(t *testing.T, seed int64) []obs.Event {
 	}
 	mem := &obs.Memory{}
 	net.SetMetricsSink(mem)
-	if _, err := net.RunPartial(greedyXY{}, 500); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {
 		t.Fatal(err)
 	}
 	return mem.Events
@@ -201,7 +206,7 @@ func TestInvariantCheckerAccountsForInjections(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		net.QueueInjection(net.NewPacket(topo.ID(grid.XY(2, 2)), topo.ID(grid.XY(5, 5))), i+1)
 	}
-	if _, err := net.Run(greedyXY{}, 500); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

@@ -108,7 +108,7 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 		}
 		sink := &rescanSink{t: t, net: net}
 		net.SetMetricsSink(sink)
-		if _, err := net.RunPartial(greedyXY{}, 400); err != nil {
+		if _, err := net.Run(nil, greedyXY{}, 400, nil); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if sink.n != net.Step() || sink.n < 20 {
@@ -122,7 +122,7 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 // injection to come due does.
 func TestBacklogAllocatedOnDemand(t *testing.T) {
 	net := buildReversal(t, 8, 2)
-	if _, err := net.RunPartial(greedyXY{}, 30); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	if net.backlog != nil || net.inBacklog != nil || net.backlogHead != nil {
@@ -132,7 +132,7 @@ func TestBacklogAllocatedOnDemand(t *testing.T) {
 	if net.backlog != nil {
 		t.Fatal("backlog allocated before any injection came due")
 	}
-	if _, err := net.RunPartial(greedyXY{}, 30); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 30, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(net.backlog) != 64 || len(net.inBacklog) != 64 || len(net.backlogHead) != 64 {

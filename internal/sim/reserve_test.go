@@ -65,7 +65,7 @@ func TestStaticReservationIsABound(t *testing.T) {
 								t.Fatalf("%s: %s reserved %d, want at least the %d packets", label, reservedNames[i], c, n*n)
 							}
 						}
-						_, runErr := net.RunPartial(newAlg(), 4*n*n)
+						_, runErr := net.Run(nil, newAlg(), 4*n*n, nil)
 						got := sim.ReservedCaps(net)
 						checked := len(got)
 						if net.Queues != sim.CentralQueue || k > 4 {
@@ -133,8 +133,11 @@ func TestStaticRunAllocatesNoMoreThanPlaced(t *testing.T) {
 				if err := populate(net); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := net.Run(rs.New(), 10*tc.n*tc.n); err != nil {
+				if _, err := net.Run(nil, rs.New(), 10*tc.n*tc.n, nil); err != nil {
 					t.Fatal(err)
+				}
+				if !net.Done() {
+					t.Fatal("packets undelivered at the step budget")
 				}
 				runtime.ReadMemStats(&after)
 				runtime.KeepAlive(net)

@@ -414,7 +414,9 @@ type Config struct {
 	// in steps: the step that completes this many consecutive steps
 	// without a single delivery returns a *LivelockError carrying
 	// structured diagnostics instead of burning the remaining step budget.
-	// Each Run call opens a fresh window. 0 disables the watchdog.
+	// Each Run call opens a fresh window, and a step Run begins with
+	// nothing undelivered or pending counts as progress. 0 disables the
+	// watchdog.
 	Watchdog int
 }
 
@@ -507,7 +509,7 @@ type Network struct {
 	linkPerm    []grid.DirSet         // per node: permanently failed outlinks
 	stalledCnt  []int16               // per node: open stall episodes
 
-	lastProgress int // last step with a delivery (watchdog progress mark)
+	lastProgress int // last step with a delivery or begun empty (watchdog progress mark)
 
 	// Metrics accumulates run statistics.
 	Metrics Metrics

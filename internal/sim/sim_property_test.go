@@ -60,7 +60,7 @@ func TestQuickTorusSinglePacket(t *testing.T) {
 		net := MustNew(Config{Topo: tr, K: 2, Queues: CentralQueue, RequireMinimal: true, CheckInvariants: true})
 		p := net.NewPacket(s, d)
 		net.MustPlace(p)
-		steps, err := net.RunPartial(greedyXY{}, 100)
+		steps, err := net.Run(nil, greedyXY{}, 100, nil)
 		if err != nil {
 			return false
 		}
@@ -107,8 +107,11 @@ func TestInjectionFIFO(t *testing.T) {
 		net.QueueInjection(p, 1)
 		ps = append(ps, p)
 	}
-	if _, err := net.Run(greedyXY{}, 500); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	st := &net.P
 	for i := 1; i < len(ps); i++ {
@@ -155,8 +158,11 @@ func TestManyToOneTraffic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		net.MustPlace(net.NewPacket(topo.ID(grid.XY(i, 0)), dst))
 	}
-	if _, err := net.Run(greedyXY{}, 200); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 200, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if net.DeliveredCount() != 5 {
 		t.Fatalf("delivered %d/5", net.DeliveredCount())

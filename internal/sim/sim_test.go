@@ -70,7 +70,7 @@ func TestSinglePacketStraightLine(t *testing.T) {
 	m := net.Topo
 	p := net.NewPacket(m.ID(grid.XY(0, 3)), m.ID(grid.XY(5, 3)))
 	net.MustPlace(p)
-	steps, err := net.Run(greedyXY{}, 100)
+	steps, err := net.Run(nil, greedyXY{}, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSinglePacketTurns(t *testing.T) {
 	m := net.Topo
 	p := net.NewPacket(m.ID(grid.XY(1, 1)), m.ID(grid.XY(6, 7)))
 	net.MustPlace(p)
-	steps, err := net.Run(greedyXY{}, 100)
+	steps, err := net.Run(nil, greedyXY{}, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestSelfDeliveredAtPlacement(t *testing.T) {
 	if !net.Done() {
 		t.Fatal("done expected")
 	}
-	steps, err := net.Run(greedyXY{}, 10)
+	steps, err := net.Run(nil, greedyXY{}, 10, nil)
 	if err != nil || steps != 0 {
 		t.Fatalf("run on done network: steps=%d err=%v", steps, err)
 	}
@@ -135,7 +135,7 @@ func TestFullReversalPermutationDelivers(t *testing.T) {
 			net.MustPlace(net.NewPacket(src, dst))
 		}
 	}
-	steps, err := net.Run(greedyXY{}, 10*n*n)
+	steps, err := net.Run(nil, greedyXY{}, 10*n*n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,8 +162,11 @@ func TestMinimalPathsHopsEqualDistance(t *testing.T) {
 			net.MustPlace(net.NewPacket(src, dst))
 		}
 	}
-	if _, err := net.Run(greedyXY{}, 1000); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 1000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	for _, p := range net.Packets() {
 		if p.Hops != m.Dist(p.Src, p.Dst) {
@@ -186,8 +189,11 @@ func TestExchangeHookSwapsDestinations(t *testing.T) {
 			swapped = true
 		}
 	})
-	if _, err := net.Run(greedyXY{}, 100); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if m.CoordOf(net.P.Dst[a]) != (grid.XY(5, 5)) || m.CoordOf(net.P.Dst[b]) != (grid.XY(4, 4)) {
 		t.Fatal("exchange did not persist")
@@ -201,28 +207,27 @@ func TestExchangeHookSwapsDestinations(t *testing.T) {
 	}
 }
 
+// TestRunPartialStopsWithoutError checks that a run cut short by its
+// budget is not an error: Run returns the steps it executed and Done
+// reports the undelivered packet. A second call carries on to delivery and
+// counts only its own steps.
 func TestRunPartialStopsWithoutError(t *testing.T) {
 	net := newTestNet(t, 8, 2)
 	m := net.Topo
-	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 0)), m.ID(grid.XY(7, 7))))
-	steps, err := net.RunPartial(greedyXY{}, 3)
+	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 3)), m.ID(grid.XY(6, 3))))
+	steps, err := net.Run(nil, greedyXY{}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != 3 || net.Done() {
-		t.Fatalf("partial run: steps=%d done=%v", steps, net.Done())
+	if steps != 2 || net.Done() {
+		t.Fatalf("budget-bound run: steps=%d done=%v", steps, net.Done())
 	}
-	if _, err := net.Run(greedyXY{}, 100); err != nil {
+	steps, err = net.Run(nil, greedyXY{}, 100, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRunErrorsWhenOutOfSteps(t *testing.T) {
-	net := newTestNet(t, 8, 2)
-	m := net.Topo
-	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 0)), m.ID(grid.XY(7, 7))))
-	if _, err := net.Run(greedyXY{}, 3); err == nil {
-		t.Fatal("Run must error when step budget exhausted")
+	if steps != 4 || !net.Done() {
+		t.Fatalf("second call: steps=%d done=%v, want 4 and true", steps, net.Done())
 	}
 }
 
@@ -279,8 +284,11 @@ func TestInjectionWaitsForRoom(t *testing.T) {
 	p2 := net.NewPacket(src, m.ID(grid.XY(0, 3)))
 	net.QueueInjection(p1, 1)
 	net.QueueInjection(p2, 1)
-	if _, err := net.Run(greedyXY{}, 100); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if !net.P.Delivered(p1) || !net.P.Delivered(p2) {
 		t.Fatal("both injected packets must deliver")
@@ -296,8 +304,11 @@ func TestMetricsBasics(t *testing.T) {
 	m := net.Topo
 	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 0)), m.ID(grid.XY(3, 0))))
 	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 1)), m.ID(grid.XY(0, 5))))
-	if _, err := net.Run(greedyXY{}, 100); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 100, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if net.Metrics.Makespan != 4 {
 		t.Fatalf("makespan = %d, want 4", net.Metrics.Makespan)
@@ -351,8 +362,11 @@ func TestOccupiedTracking(t *testing.T) {
 	if len(net.Occupied()) != 1 {
 		t.Fatal("one occupied node expected")
 	}
-	if _, err := net.Run(greedyXY{}, 10); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 10, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if len(net.Occupied()) != 0 {
 		t.Fatal("no occupied nodes after delivery")
@@ -370,8 +384,11 @@ func TestDeterminism(t *testing.T) {
 				net.MustPlace(net.NewPacket(m.ID(grid.XY(x, y)), m.ID(grid.XY(y, (x+1)%n))))
 			}
 		}
-		if _, err := net.Run(greedyXY{}, 10000); err != nil {
+		if _, err := net.Run(nil, greedyXY{}, 10000, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 		out := make([]int, 0, n*n)
 		for _, p := range net.Packets() {

@@ -23,8 +23,11 @@ func TestMetricsSinkSamples(t *testing.T) {
 	net := reversalNet(8, 4)
 	m := &obs.Memory{}
 	net.SetMetricsSink(m)
-	if _, err := net.Run(greedyXY{}, 10000); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 10000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if len(m.Steps) != net.Step() {
 		t.Fatalf("recorded %d samples over %d steps", len(m.Steps), net.Step())
@@ -77,8 +80,11 @@ func TestMetricsSinkPerInlinkQueues(t *testing.T) {
 	}
 	m := &obs.Memory{}
 	net.SetMetricsSink(m)
-	if _, err := net.Run(greedyXY{}, 1000); err != nil {
+	if _, err := net.Run(nil, greedyXY{}, 1000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	// Origin-buffer packets count as in flight but never enter the
 	// queue histogram or MaxQueue (the origin buffer is unbounded).
@@ -101,8 +107,11 @@ func TestSinkSamplingZeroAlloc(t *testing.T) {
 		if sink != nil {
 			net.SetMetricsSink(sink)
 		}
-		if _, err := net.Run(greedyXY{}, 10000); err != nil {
+		if _, err := net.Run(nil, greedyXY{}, 10000, nil); err != nil {
 			t.Fatal(err)
+		}
+		if !net.Done() {
+			t.Fatal("packets undelivered at the step budget")
 		}
 	}
 	m := &obs.Memory{Steps: make([]obs.StepSample, 0, 4096)}

@@ -53,7 +53,11 @@ type Source interface {
 
 // sizedSource is an open Source whose injection count is binomial:
 // trials independent injections of probability p (p = 1 for a count known
-// to within a few packets). AttachSource sizes the packet store from it.
+// to within a few packets). AttachSource sizes the packet store from it,
+// and the count also decides OpenWorkload: a sizedSource of zero trials
+// (a burst of horizon 1) injects nothing after step 0, so its run is not an
+// online one, though it lasts until the source is exhausted. A source
+// without the method is online whenever it is not exhausted at step 0.
 type sizedSource interface{ InjectionTrials() (trials, p float64) }
 
 // maxReservedRowsPerNode caps the packet rows reserved for a sizedSource, a
@@ -113,13 +117,18 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	net.srcExhausted = src.Exhausted(0)
 	net.openSource = !net.srcExhausted
 	reserve := len(buf)
-	if s, ok := src.(sizedSource); ok && net.openSource && policy == AdmitRetry {
+	if s, ok := src.(sizedSource); ok && net.openSource {
 		trials, p := s.InjectionTrials()
-		expected := maxReservedRowsPerNode * len(net.nodes)
-		if want := trials*p + 4*math.Sqrt(trials*p*(1-p)) + minStoreCap; want < float64(expected) {
-			expected = int(want) // a NaN keeps the cap
+		// A process of no trials injects nothing after step 0: its run
+		// lasts until the source is exhausted, but it is not an online one.
+		net.openSource = trials > 0
+		if net.openSource && policy == AdmitRetry {
+			expected := maxReservedRowsPerNode * len(net.nodes)
+			if want := trials*p + 4*math.Sqrt(trials*p*(1-p)) + minStoreCap; want < float64(expected) {
+				expected = int(want) // a NaN keeps the cap
+			}
+			reserve += expected
 		}
-		reserve += expected
 	}
 	net.ReserveInjections(reserve)
 	if net.srcExhausted {
@@ -170,8 +179,8 @@ func (net *Network) reserveStatic(n int) {
 
 // OpenWorkload reports whether the network was populated by a Source that
 // injects beyond step 0 — an online run, for which throughput and refusal
-// statistics are meaningful. One-shot sources (everything at step 0) and
-// source-less networks report false.
+// statistics are meaningful. One-shot sources (everything at step 0), a
+// sizedSource of no trials and source-less networks report false.
 func (net *Network) OpenWorkload() bool { return net.openSource }
 
 // ReserveInjections makes room in the packet store and placement list for n

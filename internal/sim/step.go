@@ -1,79 +1,12 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"slices"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
 )
-
-// Run executes steps until every packet is delivered or maxSteps is
-// exhausted, returning the number of steps executed in this call. It is an
-// error to exceed maxSteps with undelivered packets unless allowPartial.
-func (net *Network) Run(alg Algorithm, maxSteps int) (int, error) {
-	return net.run(nil, alg, maxSteps, false)
-}
-
-// RunPartial executes up to maxSteps steps, stopping early if all packets
-// are delivered; unlike Run it does not treat hitting the step limit as an
-// error. It returns the number of steps executed in this call.
-func (net *Network) RunPartial(alg Algorithm, maxSteps int) (int, error) {
-	return net.run(nil, alg, maxSteps, true)
-}
-
-// RunContext is Run with cooperative cancellation: the context is checked
-// between steps, and a canceled run returns a *CanceledError carrying
-// partial-progress diagnostics. A nil or background context never cancels.
-func (net *Network) RunContext(ctx context.Context, alg Algorithm, maxSteps int) (int, error) {
-	return net.run(ctx, alg, maxSteps, false)
-}
-
-// RunPartialContext is RunPartial with cooperative cancellation checked
-// between steps (see RunContext).
-func (net *Network) RunPartialContext(ctx context.Context, alg Algorithm, maxSteps int) (int, error) {
-	return net.run(ctx, alg, maxSteps, true)
-}
-
-func (net *Network) run(ctx context.Context, alg Algorithm, maxSteps int, allowPartial bool) (int, error) {
-	// Every call opens a fresh watchdog window: steps of an earlier call
-	// count as progress.
-	start := net.step
-	if net.lastProgress < start {
-		net.lastProgress = start
-	}
-	var cancel <-chan struct{}
-	if ctx != nil {
-		cancel = ctx.Done()
-	}
-	for !net.Done() {
-		if net.step-start >= maxSteps {
-			if allowPartial {
-				return net.step - start, nil
-			}
-			return net.step - start, &StepLimitError{
-				Alg: alg.Name(), MaxSteps: maxSteps,
-				Delivered: net.delivered, Total: net.total,
-				Diag: net.CollectDiagnostics(),
-			}
-		}
-		if cancel != nil {
-			select {
-			case <-cancel:
-				return net.step - start, &CanceledError{
-					Alg: alg.Name(), Steps: net.step - start,
-					Cause: ctx.Err(), Diag: net.CollectDiagnostics(),
-				}
-			default:
-			}
-		}
-		if err := net.StepOnce(alg); err != nil {
-			return net.step - start, err
-		}
-	}
-	return net.step - start, nil
-}
 
 // StepOnce executes one synchronous step: faults and admission, then the
 // five parts of Section 2 — (a) outqueue scheduling, (b) adversary

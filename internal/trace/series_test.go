@@ -29,8 +29,11 @@ func TestSeriesMatchesLiveSink(t *testing.T) {
 	live := &obs.Memory{}
 	net.SetMetricsSink(live)
 
-	if _, err := net.Run(dex.NewAdapter(routers.DimOrderFIFO{}), 10000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.DimOrderFIFO{}), 10000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

@@ -23,8 +23,11 @@ func recordRun(t *testing.T, n int) ([]StepTrace, *sim.Network) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(dex.NewAdapter(routers.Thm15{}), 100*n); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 100*n, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
@@ -121,8 +124,11 @@ func TestTraceShowsCornerConcentration(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(dex.NewAdapter(routers.Thm15{}), 2000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 2000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

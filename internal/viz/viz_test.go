@@ -80,8 +80,11 @@ func TestLinkTrafficAndDeliveryCurve(t *testing.T) {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(dex.NewAdapter(routers.Thm15{}), 1000); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 1000, nil); err != nil {
 		t.Fatal(err)
+	}
+	if !net.Done() {
+		t.Fatal("packets undelivered at the step budget")
 	}
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)

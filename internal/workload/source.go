@@ -99,7 +99,8 @@ func (s *BernoulliSource) InjectionTrials() (trials, p float64) {
 // BurstSource is the deterministic bursty stream the scenario layer's
 // "burst" workload has always used: for steps 1..horizon/2, node id injects
 // when (id+step)%7 == 0, toward (id*13 + step*29) mod n. Kept arithmetic-
-// identical so existing burst golden digests are unchanged.
+// identical so existing burst golden digests are unchanged. It is exhausted
+// only at horizon, like every other process, so a run lasts until then.
 type BurstSource struct {
 	n       int
 	horizon int
@@ -124,7 +125,7 @@ func (s *BurstSource) Next(step int, buf []Injection) []Injection {
 }
 
 // Exhausted implements Source.
-func (s *BurstSource) Exhausted(step int) bool { return step >= s.horizon/2 }
+func (s *BurstSource) Exhausted(step int) bool { return step >= s.horizon }
 
 // InjectionTrials reports n/7 certain injections a step for horizon/2
 // steps: any seven consecutive steps inject exactly n, so within 6.

@@ -73,10 +73,8 @@ type (
 	// FaultEvent is one scheduled fault transition.
 	FaultEvent = fault.Event
 	// RunDiagnostics is the structured state snapshot attached to
-	// step-limit and livelock errors.
+	// livelock and cancellation errors.
 	RunDiagnostics = sim.Diagnostics
-	// StepLimitError reports an exhausted step budget, with diagnostics.
-	StepLimitError = sim.StepLimitError
 	// LivelockError reports a watchdog abort after a no-progress window.
 	LivelockError = sim.LivelockError
 	// UnreachableError reports a destination cut off by permanent link
@@ -229,6 +227,9 @@ func Route(router string, topo Topology, k int, perm *Permutation, maxSteps int)
 // RouteWithOptions is Route with fault injection, fault-aware routing and
 // a livelock watchdog available.
 func RouteWithOptions(router string, topo Topology, k int, perm *Permutation, opts RouteOptions) (RouteStats, error) {
+	if k < 1 {
+		return RouteStats{}, fmt.Errorf("meshroute: queue capacity k=%d, need k >= 1", k)
+	}
 	spec, err := LookupRouter(router)
 	if err != nil {
 		return RouteStats{}, err
@@ -265,7 +266,7 @@ func RouteWithOptions(router string, topo Topology, k int, perm *Permutation, op
 		n := topo.Width()
 		maxSteps = 200 * (n*n/k + 2*n)
 	}
-	steps, err := net.RunPartial(newAlg(), maxSteps)
+	steps, err := net.Run(nil, newAlg(), maxSteps, nil)
 	if err != nil {
 		return RouteStats{}, err
 	}

@@ -44,7 +44,7 @@ func TestReplayEquivalentToDirectPlacement(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := direct.RunPartial(rspec.New(), budget); err != nil {
+			if _, err := direct.Run(nil, rspec.New(), budget, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -55,7 +55,7 @@ func TestReplayEquivalentToDirectPlacement(t *testing.T) {
 			if replayed.OpenWorkload() {
 				t.Fatal("a step-0 replay must not register as an open workload")
 			}
-			if _, err := replayed.RunPartial(rspec.New(), budget); err != nil {
+			if _, err := replayed.Run(nil, rspec.New(), budget, nil); err != nil {
 				t.Fatal(err)
 			}
 
@@ -97,7 +97,7 @@ func TestReplayAtEquivalentToQueueInjection(t *testing.T) {
 	for _, pr := range hh.Pairs {
 		legacy.QueueInjection(legacy.NewPacket(pr.Src, pr.Dst), 1)
 	}
-	if _, err := legacy.RunPartial(rspec.New(), budget); err != nil {
+	if _, err := legacy.Run(nil, rspec.New(), budget, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -105,7 +105,7 @@ func TestReplayAtEquivalentToQueueInjection(t *testing.T) {
 	if err := streamed.AttachSource(hh.Source(), sim.AdmitRetry); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := streamed.RunPartial(rspec.New(), budget); err != nil {
+	if _, err := streamed.Run(nil, rspec.New(), budget, nil); err != nil {
 		t.Fatal(err)
 	}
 
