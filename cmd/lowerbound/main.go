@@ -52,81 +52,63 @@ func main() {
 	// Every construction is one adversary.Construction; the flag picks its
 	// geometry and parameters. The δ and farthest-first constructions
 	// attack their own router, whatever -router says.
-	var c *adversary.Construction
+	var newC func(n, k int) (*adversary.Construction, error)
 	switch *kind {
 	case "general", "torus":
-		c, err = adversary.NewConstruction(*n, effK(spec, *k))
+		newC = adversary.NewConstruction
 	case "hh":
-		c, err = adversary.NewHHConstruction(*n, effK(spec, *k), *h)
+		newC = func(n, k int) (*adversary.Construction, error) { return adversary.NewHHConstruction(n, k, *h) }
 	case "dimorder":
-		c, err = adversary.NewDOConstruction(*n, effK(spec, *k))
+		newC = adversary.NewDOConstruction
 	case "delta":
-		c, err = adversary.NewDeltaConstruction(*n, *k, *delta)
+		newC = func(n, k int) (*adversary.Construction, error) { return adversary.NewDeltaConstruction(n, k, *delta) }
 		spec, _ = meshroute.LookupRouter(meshroute.RouterStray)
 		d := *delta
 		spec.New = func() sim.Algorithm { return meshroute.NewDexAdapter(routers.StrayDimOrder{Delta: d}) }
 	case "ff":
-		c, err = adversary.NewFFConstruction(*n, *k)
+		newC = adversary.NewFFConstruction
 		spec, _ = meshroute.LookupRouter(meshroute.RouterFarthestFirst)
 	default:
 		log.Fatalf("unknown construction %q", *kind)
 	}
+	c, err := adversary.ForQueues(newC, *n, *k, spec.Queues)
 	if err != nil {
 		log.Fatal(err)
 	}
 	c.Verify = *verify && c.H == 1
-	c.Queues = spec.Queues
-	c.NetK = *k
 	if *kind == "torus" {
 		c.Topo = meshroute.NewTorus(2 * *n)
 	}
-	res, err := c.Run(spec.New())
-	if err != nil {
+	// The completion replay can run for cap × bound steps, so it honors
+	// SIGINT: an interrupt stops between steps and reports the partial
+	// progress instead of discarding the construction.
+	budget := 0
+	if *complete {
+		budget = *capMul * c.Par.Steps()
+	}
+	out, err := c.Pipeline(ctx, spec.New, budget)
+	if out == nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("construction %q vs %q on n=%d k=%d\n", *kind, spec.Name, *n, *k)
-	fmt.Printf("  constants: cn=%d dn=%d p=%d l=%d\n", res.Par.CN, res.Par.DN, res.Par.P, res.Par.L)
-	fmt.Printf("  lower bound (Theorem 13): %d steps\n", res.Steps)
-	fmt.Printf("  permutation size: %d packets, exchanges performed: %d\n", len(res.Permutation), res.Exchanges)
-	fmt.Printf("  undelivered at the bound: %d\n", res.UndeliveredHard)
-
-	net, err := c.Replay(res, spec.New())
-	if err != nil {
-		log.Fatal(err)
-	}
+	fmt.Printf("  constants: cn=%d dn=%d p=%d l=%d\n", out.Par.CN, out.Par.DN, out.Par.P, out.Par.L)
+	fmt.Printf("  lower bound (Theorem 13): %d steps\n", out.Steps)
+	fmt.Printf("  permutation size: %d packets, exchanges performed: %d\n", len(out.Permutation), out.Exchanges)
+	fmt.Printf("  undelivered at the bound: %d\n", out.UndeliveredHard)
 	fmt.Println("  replay: Lemma 12 configuration equivalence OK, packets still undelivered OK")
 
-	if *complete {
-		// The completion replay can run for cap × bound steps, so it honors
-		// SIGINT: an interrupt stops between steps and reports the partial
-		// progress instead of discarding the construction.
-		cap := *capMul * res.Steps
-		_, err := net.Run(ctx, spec.New(), cap-net.Step(), nil)
-		var cerr *sim.CanceledError
-		if errors.As(err, &cerr) {
-			fmt.Printf("  completion: interrupted at step %d — %s\n", net.Step(), cerr.Diag)
-			os.Exit(1)
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		mk, done := net.Metrics.Makespan, net.Done()
-		if done {
-			fmt.Printf("  completion: %d steps (%.1f× the bound)\n", mk, float64(mk)/float64(res.Steps))
-		} else {
-			fmt.Printf("  completion: not done after %d steps (≥ %d× the bound)\n", net.Step(), *capMul)
-		}
+	var cerr *sim.CanceledError
+	switch {
+	case errors.As(err, &cerr):
+		fmt.Printf("  completion: interrupted at step %d — %s\n", out.Steps+out.Executed, cerr.Diag)
+		os.Exit(1)
+	case err != nil:
+		log.Fatal(err)
+	case !*complete:
+	case out.Done:
+		fmt.Printf("  completion: %d steps (%.1f× the bound)\n", out.Makespan, float64(out.Makespan)/float64(out.Steps))
+	default:
+		fmt.Printf("  completion: not done after %d steps (≥ %d× the bound)\n", out.Steps+out.Executed, *capMul)
 	}
-}
-
-// effK maps the router's queue model to the effective central-queue
-// capacity the construction constants must assume (Section 5, "Other Queue
-// Types": four queues of size k simulate a central queue of size 4k; +1
-// for the origin slot).
-func effK(spec meshroute.RouterSpec, k int) int {
-	if spec.Queues == sim.PerInlinkQueues {
-		return 4*k + 1
-	}
-	return k
 }

@@ -143,3 +143,37 @@ func TestRouteWithOptionsNoFaultAwareVariant(t *testing.T) {
 		t.Fatalf("dimension order has no fault-aware variant; got %v", err)
 	}
 }
+
+// A pair outside the topology is refused, under every router, with an
+// error naming it — not an index panic, a misleading mid-run failure or a
+// run that never ends. The empty permutation still routes trivially, and a
+// negative MaxSteps still means the default budget.
+func TestRouteRejectsPairsOutsideTopology(t *testing.T) {
+	topo := NewMesh(4)
+	route := func(router string, perm *Permutation, maxSteps int) (st RouteStats, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return Route(router, topo, 2, perm, maxSteps)
+	}
+	for _, router := range RouterNames() {
+		for _, pair := range []Pair{{Src: 99, Dst: 0}, {Src: 0, Dst: 99}, {Src: 0, Dst: -1}} {
+			_, err := route(router, &Permutation{Pairs: []Pair{{Src: 1, Dst: 2}, pair}}, 0)
+			if want := fmt.Sprintf("pair 1 (%d->%d) outside", pair.Src, pair.Dst); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, pair %d->%d: error %v, want one containing %q", router, pair.Src, pair.Dst, err, want)
+			}
+		}
+		if st, err := route(router, &Permutation{}, 0); err != nil || st != (RouteStats{Done: true}) {
+			t.Errorf("%s, empty permutation: %+v, %v; want done with zero stats", router, st, err)
+		}
+		def, err := route(router, Transpose(topo), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", router, err)
+		}
+		if neg, err := route(router, Transpose(topo), -5); err != nil || neg != def {
+			t.Errorf("%s, MaxSteps -5: %+v, %v; want the default budget's %+v", router, neg, err, def)
+		}
+	}
+}

@@ -213,10 +213,15 @@ func TestHardPermutationMeetsBound(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		n := 120 * k
 		cap := 20000
-		perm, bound, makespan, done, err := HardPermutation(n, k, dimOrderFactory, cap)
+		c, err := NewConstruction(n, k)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out, err := c.Pipeline(nil, dimOrderFactory, cap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm, bound, makespan, done := out.Permutation, out.Steps, out.Makespan, out.Done
 		if len(perm) == 0 || bound < 1 {
 			t.Fatalf("degenerate result: %d pairs, bound %d", len(perm), bound)
 		}

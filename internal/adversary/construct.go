@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"context"
 	"fmt"
 
 	"meshroute/internal/grid"
@@ -60,10 +61,8 @@ type Construction struct {
 	// router, per the Section 5 "Other Queue Types" extension).
 	Queues sim.QueueModel
 	// NetK overrides the per-queue capacity of the network under test.
-	// Leave 0 to use Par.K. Per the "Other Queue Types" simulation, a
-	// node with four incoming queues of size k behaves like a central
-	// queue of size 4k, so to attack such a router compute Params with
-	// k_eff = 4k+1 (the +1 covers the origin packet) and set NetK = k.
+	// Leave 0 to use Par.K. ForQueues sets Queues and NetK for a router's
+	// queue model.
 	NetK int
 	// Delta targets the Section 5 "Nonminimal extensions" class: the
 	// router under test may move packets up to Delta nodes beyond their
@@ -173,6 +172,24 @@ func NewDOConstruction(n, k int) (*Construction, error) {
 func NewFFConstruction(n, k int) (*Construction, error) {
 	par, err := NewFFParams(n, k)
 	return construction(FarthestFirst, par, 1, 0, err)
+}
+
+// ForQueues builds the construction newC makes for an n×n mesh against a
+// network of queue model q with per-queue capacity k. Per Section 5's
+// "Other Queue Types", four inlink queues of size k act as a central queue
+// of 4k+1 (the +1 is the origin slot), so for PerInlinkQueues the
+// construction's constants assume that capacity.
+func ForQueues(newC func(n, k int) (*Construction, error), n, k int, q sim.QueueModel) (*Construction, error) {
+	keff := k
+	if q == sim.PerInlinkQueues {
+		keff = 4*k + 1
+	}
+	c, err := newC(n, keff)
+	if err != nil {
+		return nil, err
+	}
+	c.Queues, c.NetK = q, k
+	return c, nil
 }
 
 // construction wraps the result of a Params constructor into a
@@ -299,19 +316,26 @@ func (c *Construction) Run(alg sim.Algorithm) (*Result, error) {
 		c.sched = newSchedTable(net)
 		net.SetExchange(c.exchangeHook)
 	}
+	// After each step, the first exchange or verifier error stops the run
+	// (through ctx) and is reported ahead of the run's own error.
+	ctx, stop := context.WithCancel(context.TODO())
+	defer stop()
+	var failed error
+	after := func(net *sim.Network, step int) {
+		if failed = c.err; failed == nil && c.ver != nil {
+			failed = c.ver.check(step)
+		}
+		if failed != nil {
+			stop()
+		}
+	}
 	steps := c.Par.Steps()
-	for t := 0; t < steps; t++ {
-		if err := net.StepOnce(alg); err != nil {
-			return nil, err
-		}
-		if c.err != nil {
-			return nil, c.err
-		}
-		if c.ver != nil {
-			if err := c.ver.check(t + 1); err != nil {
-				return nil, err
-			}
-		}
+	_, err = net.Run(ctx, alg, steps, after)
+	if failed != nil {
+		return nil, failed
+	}
+	if err != nil {
+		return nil, err
 	}
 	net.SetExchange(nil)
 	if c.ver != nil {

@@ -2,12 +2,12 @@ package adversary
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"slices"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
-	"meshroute/internal/workload"
 )
 
 // Replay re-runs the constructed permutation from scratch — same placement
@@ -31,10 +31,8 @@ func (c *Construction) Replay(res *Result, alg sim.Algorithm) (*sim.Network, err
 	if err := c.place(net, res.Permutation); err != nil {
 		return nil, err
 	}
-	for t := 0; t < res.Steps; t++ {
-		if err := net.StepOnce(alg); err != nil {
-			return nil, err
-		}
+	if _, err := net.Run(nil, alg, res.Steps, nil); err != nil {
+		return nil, err
 	}
 	if err := ConfigsEqual(res.Net, net); err != nil {
 		return nil, fmt.Errorf("adversary: %v construction: Lemma 12 equivalence failed: %w", c.geometry, err)
@@ -128,26 +126,38 @@ func RunToCompletion(net *sim.Network, alg sim.Algorithm, maxSteps int) (makespa
 	return net.Metrics.Makespan, net.Done(), nil
 }
 
-// HardPermutation runs the full pipeline for one algorithm: construction,
-// replay verification, then completion measurement. It returns the
-// constructed permutation, the Theorem 13 bound, and the measured delivery
-// time (capped at maxSteps).
-func HardPermutation(n, k int, algFactory func() sim.Algorithm, maxSteps int) (perm []workload.Pair, bound, makespan int, done bool, err error) {
-	c, err := NewConstruction(n, k)
+// Outcome is what the Theorem 14 pipeline reports: the construction's
+// Result, and the replay's delivery time once completion has run.
+type Outcome struct {
+	*Result
+	// Makespan is the replay's delivery step of its last packet so far;
+	// the total delivery time when Done.
+	Makespan int
+	// Done reports that completion delivered every packet.
+	Done bool
+	// Executed counts the steps completion ran past the replay, so the
+	// replay network stands at step Steps+Executed.
+	Executed int
+}
+
+// Pipeline runs the Theorem 14 pipeline against fresh instances of one
+// algorithm: the construction (Run), the Lemma 12 / Theorem 13 check
+// (Replay), then completion of the replay until every packet is delivered
+// or budget total steps have elapsed; a budget of 0 (or anything up to
+// Par.Steps()) stops after the replay. Completion honors ctx (nil never
+// cancels); when it fails, the Outcome comes back with the error, so the
+// caller can still report the construction.
+func (c *Construction) Pipeline(ctx context.Context, newAlg func() sim.Algorithm, budget int) (*Outcome, error) {
+	res, err := c.Run(newAlg())
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
-	res, err := c.Run(algFactory())
+	net, err := c.Replay(res, newAlg())
 	if err != nil {
-		return nil, 0, 0, false, err
+		return nil, err
 	}
-	replayNet, err := c.Replay(res, algFactory())
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	makespan, done, err = RunToCompletion(replayNet, algFactory(), maxSteps)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
-	return res.Permutation, res.Steps, makespan, done, nil
+	out := &Outcome{Result: res}
+	out.Executed, err = net.Run(ctx, newAlg(), budget-net.Step(), nil)
+	out.Makespan, out.Done = net.Metrics.Makespan, net.Done()
+	return out, err
 }

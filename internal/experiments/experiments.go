@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"meshroute"
@@ -140,24 +141,16 @@ func E1(opts Options) (*Report, error) {
 		if err != nil {
 			return cellOut{skip: true}, nil // n too small for this k
 		}
-		res, err := c.Run(in.alg())
+		cap := 30 * c.Par.Steps()
+		out, err := c.Pipeline(nil, in.alg, cap)
 		if err != nil {
 			return cellOut{}, fmt.Errorf("E1 %s n=%d k=%d: %w", in.name, in.n, in.k, err)
 		}
-		replay, err := c.Replay(res, in.alg())
-		if err != nil {
-			return cellOut{}, fmt.Errorf("E1 %s n=%d k=%d replay: %w", in.name, in.n, in.k, err)
-		}
-		cap := 30 * res.Steps
-		mk, done, err := adversary.RunToCompletion(replay, in.alg(), cap)
-		if err != nil {
-			return cellOut{}, err
-		}
-		comp := fmt.Sprint(mk)
-		if !done {
+		comp := fmt.Sprint(out.Makespan)
+		if !out.Done {
 			comp = fmt.Sprintf(">%d", cap)
 		}
-		return cellOut{bound: res.Steps, undeliv: res.UndeliveredHard, exchg: res.Exchanges, comp: comp, done: done}, nil
+		return cellOut{bound: out.Steps, undeliv: out.UndeliveredHard, exchg: out.Exchanges, comp: comp, done: out.Done}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -201,31 +194,19 @@ func E2(opts Options) (*Report, error) {
 			return interrupted(rep), nil
 		}
 		for _, k := range []int{1, 2} {
-			// Attack the Thm15 router: per the Other Queue Types
-			// simulation, its four queues of size k act like a
-			// central queue of 4k (+1 origin slot).
-			c, err := adversary.NewDOConstruction(n, 4*k+1)
+			c, err := adversary.ForQueues(adversary.NewDOConstruction, n, k, sim.PerInlinkQueues)
 			if err != nil {
 				continue
 			}
-			c.Queues = sim.PerInlinkQueues
-			c.NetK = k
-			res, err := c.Run(thm15())
+			out, err := c.Pipeline(nil, thm15, 100*n*n)
 			if err != nil {
 				return nil, fmt.Errorf("E2 n=%d k=%d: %w", n, k, err)
 			}
-			replay, err := c.Replay(res, thm15())
-			if err != nil {
-				return nil, fmt.Errorf("E2 n=%d k=%d replay: %w", n, k, err)
-			}
-			mk, done, err := adversary.RunToCompletion(replay, thm15(), 100*n*n)
-			if err != nil {
-				return nil, err
-			}
-			if !done {
+			if !out.Done {
 				return nil, fmt.Errorf("E2: thm15 did not complete n=%d k=%d", n, k)
 			}
-			rep.Table.AddRow(n, k, res.Steps, res.UndeliveredHard, mk, float64(mk)*float64(k)/float64(n*n))
+			mk := out.Makespan
+			rep.Table.AddRow(n, k, out.Steps, out.UndeliveredHard, mk, float64(mk)*float64(k)/float64(n*n))
 			if k == 1 {
 				xs = append(xs, float64(n))
 				ys = append(ys, float64(mk))
@@ -259,14 +240,11 @@ func E3(opts Options) (*Report, error) {
 			if err != nil {
 				continue
 			}
-			res, err := c.Run(routers.DimOrderFF{})
+			out, err := c.Pipeline(nil, func() sim.Algorithm { return routers.DimOrderFF{} }, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E3 n=%d k=%d: %w", n, k, err)
 			}
-			if _, err := c.Replay(res, routers.DimOrderFF{}); err != nil {
-				return nil, fmt.Errorf("E3 n=%d k=%d replay: %w", n, k, err)
-			}
-			rep.Table.AddRow(n, k, res.Steps, res.UndeliveredHard, res.Exchanges)
+			rep.Table.AddRow(n, k, out.Steps, out.UndeliveredHard, out.Exchanges)
 		}
 	}
 	return rep, nil
@@ -416,14 +394,11 @@ func E7(opts Options) (*Report, error) {
 				continue
 			}
 			c := &adversary.Construction{Par: par, Topo: grid.NewSquareTorus(2 * m), H: 1}
-			res, err := c.Run(dimOrder())
+			out, err := c.Pipeline(nil, dimOrder, 0)
 			if err != nil {
 				return nil, fmt.Errorf("E7 m=%d k=%d: %w", m, k, err)
 			}
-			if _, err := c.Replay(res, dimOrder()); err != nil {
-				return nil, fmt.Errorf("E7 m=%d k=%d replay: %w", m, k, err)
-			}
-			rep.Table.AddRow(2*m, m, k, res.Steps, res.UndeliveredHard)
+			rep.Table.AddRow(2*m, m, k, out.Steps, out.UndeliveredHard)
 		}
 	}
 	return rep, nil
@@ -500,26 +475,19 @@ func E9(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Run(dimOrder())
-	if err != nil {
-		return nil, err
-	}
-	bound := res.Steps
-	perm := &workload.Permutation{Pairs: res.Permutation}
-
 	// Destination-exchangeable minimal: must exceed the bound.
-	replay, err := c.Replay(res, dimOrder())
-	if err != nil {
-		return nil, err
-	}
-	if opts.canceled() {
+	bound := c.Par.Steps()
+	cap := 40 * bound
+	out, err := c.Pipeline(opts.ctx(), dimOrder, cap)
+	var cerr *sim.CanceledError
+	if errors.As(err, &cerr) {
 		return interrupted(rep), nil
 	}
-	cap := 40 * bound
-	mk, done, err := adversary.RunToCompletion(replay, dimOrder(), cap)
 	if err != nil {
 		return nil, err
 	}
+	perm := &workload.Permutation{Pairs: out.Permutation}
+	mk, done := out.Makespan, out.Done
 	t := fmt.Sprint(mk)
 	if !done {
 		t = fmt.Sprintf(">%d", cap)
@@ -577,25 +545,16 @@ func A1(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Run(zigzag())
+	cap := 40 * c.Par.Steps()
+	res, err := c.Pipeline(nil, zigzag, cap)
 	if err != nil {
 		return nil, err
 	}
-	cap := 40 * res.Steps
-
-	replay, err := c.Replay(res, zigzag())
-	if err != nil {
-		return nil, err
-	}
-	mk, done, err := adversary.RunToCompletion(replay, zigzag(), cap)
-	if err != nil {
-		return nil, err
-	}
-	comp := fmt.Sprint(mk)
-	if !done {
+	comp := fmt.Sprint(res.Makespan)
+	if !res.Done {
 		comp = fmt.Sprintf(">%d", cap)
 	}
-	rep.Table.AddRow("constructed (exchanges on)", res.Exchanges, res.UndeliveredHard, comp, done)
+	rep.Table.AddRow("constructed (exchanges on)", res.Exchanges, res.UndeliveredHard, comp, res.Done)
 
 	if opts.canceled() {
 		return interrupted(rep), nil

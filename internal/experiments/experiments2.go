@@ -38,12 +38,9 @@ func E10(opts Options) (*Report, error) {
 		alg := func() sim.Algorithm {
 			return dex.NewAdapter(routers.StrayDimOrder{Delta: tc.delta})
 		}
-		res, err := c.Run(alg())
+		res, err := c.Pipeline(nil, alg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E10 n=%d delta=%d: %w", tc.n, tc.delta, err)
-		}
-		if _, err := c.Replay(res, alg()); err != nil {
-			return nil, fmt.Errorf("E10 n=%d delta=%d replay: %w", tc.n, tc.delta, err)
 		}
 		rep.Table.AddRow(tc.n, tc.k, tc.delta, res.Steps, res.UndeliveredHard, res.Exchanges)
 	}

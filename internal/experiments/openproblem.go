@@ -40,19 +40,11 @@ func E14(opts Options) (*Report, error) {
 		if err != nil {
 			return out{}, err
 		}
-		res, err := c.Run(zigzag())
+		res, err := c.Pipeline(nil, zigzag, 60*c.Par.Steps())
 		if err != nil {
 			return out{}, err
 		}
-		replay, err := c.Replay(res, zigzag())
-		if err != nil {
-			return out{}, err
-		}
-		mk, done, err := adversary.RunToCompletion(replay, zigzag(), 60*res.Steps)
-		if err != nil {
-			return out{}, err
-		}
-		return out{bound: res.Steps, mk: mk, done: done}, nil
+		return out{bound: res.Steps, mk: res.Makespan, done: res.Done}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -35,24 +35,15 @@ func E13(opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := c.Run(zigzag())
+	// Deterministic zigzag: Theorem 13 applies.
+	bound := c.Par.Steps()
+	cap := 40 * bound
+	res, err := c.Pipeline(nil, zigzag, cap)
 	if err != nil {
 		return nil, err
 	}
 	wl := scenario.Workload{Kind: scenario.KindPairs, Pairs: res.Permutation}
-	bound := res.Steps
-	cap := 40 * bound
-
-	// Deterministic zigzag: Theorem 13 applies.
-	replay, err := c.Replay(res, zigzag())
-	if err != nil {
-		return nil, err
-	}
-	mk, done, err := adversary.RunToCompletion(replay, zigzag(), cap)
-	if err != nil {
-		return nil, err
-	}
-	rep.Table.AddRow("zigzag (deterministic, k=1)", mk, float64(mk)/float64(bound), done)
+	rep.Table.AddRow("zigzag (deterministic, k=1)", res.Makespan, float64(res.Makespan)/float64(bound), res.Done)
 
 	// Deterministic zigzag at the same k the randomized runs use, for an
 	// apples-to-apples queue comparison.

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 
-	"meshroute"
 	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
 )
@@ -46,12 +45,13 @@ import (
 var ErrNoWorkers = errors.New("fleet: no live workers")
 
 // Stats is a run's routing statistics on the wire. It is
-// meshroute.RouteStats, whose JSON names are the protocol's.
-type Stats = meshroute.RouteStats
+// scenario.RouteStats (meshroute.RouteStats), whose JSON names are the
+// protocol's.
+type Stats = scenario.RouteStats
 
-// ToStats returns st unchanged: Stats and meshroute.RouteStats are one
+// ToStats returns st unchanged: Stats and scenario.RouteStats are one
 // type.
-func ToStats(st meshroute.RouteStats) Stats { return st }
+func ToStats(st scenario.RouteStats) Stats { return st }
 
 // cellLine is the terminal NDJSON record of a POST /v1/cells response:
 // the run's scenario.Outcome plus what the coordinator needs to commit

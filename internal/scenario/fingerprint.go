@@ -7,7 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"meshroute"
+	"meshroute/internal/routers"
 )
 
 // Fingerprint returns the canonical content hash of the Spec: the SHA-256
@@ -45,10 +45,7 @@ func (s *Spec) Fingerprint() (string, error) {
 	if c.Topology == "" {
 		c.Topology = TopoMesh
 	}
-	rspec, err := meshroute.LookupRouter(c.Router)
-	if err != nil {
-		return "", err
-	}
+	rspec, _ := routers.Lookup(c.Router)
 	if c.Queues == "" {
 		c.Queues = queueModelName(rspec.Queues)
 	}
@@ -60,8 +57,8 @@ func (s *Spec) Fingerprint() (string, error) {
 	c.Workload.ApplyOnlineDefaults()
 	if c.Workload.Dynamic() && !c.Workload.Drain {
 		c.MaxSteps = 0 // ignored by exact-horizon runs
-	} else if c.MaxSteps == 0 {
-		c.MaxSteps = 200 * (c.N*c.N/c.K + 2*c.N)
+	} else {
+		c.MaxSteps = c.staticBudget()
 	}
 	if f := c.Faults; f != nil {
 		ff := *f

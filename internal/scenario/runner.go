@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 
-	"meshroute"
 	"meshroute/internal/obs"
 	"meshroute/internal/par"
 	"meshroute/internal/sim"
@@ -28,7 +27,7 @@ type Result struct {
 	// Steps is the number of steps executed.
 	Steps int
 	// Stats summarizes the run.
-	Stats meshroute.RouteStats
+	Stats RouteStats
 	// Err is the run-level abort, if any: *sim.LivelockError,
 	// *sim.CanceledError, or an invariant violation.
 	Err error
@@ -48,10 +47,10 @@ func (r *Result) Canceled() bool {
 // and, for a run-level abort, its message, whether it was a cancellation
 // and the engine's state snapshot at the abort.
 type Outcome struct {
-	Stats       meshroute.RouteStats `json:"stats"`
-	Error       string               `json:"error,omitempty"`
-	Canceled    bool                 `json:"canceled,omitempty"`
-	Diagnostics string               `json:"diagnostics,omitempty"`
+	Stats       RouteStats `json:"stats"`
+	Error       string     `json:"error,omitempty"`
+	Canceled    bool       `json:"canceled,omitempty"`
+	Diagnostics string     `json:"diagnostics,omitempty"`
 }
 
 // Outcome classifies the run. It is the one place an abort becomes error
@@ -139,7 +138,7 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		Net:   net,
 		Steps: steps,
 		Err:   runErr,
-		Stats: meshroute.RouteStats{
+		Stats: RouteStats{
 			Makespan:   net.Metrics.Makespan,
 			Steps:      steps,
 			Done:       net.Done(),

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"meshroute"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -337,7 +336,7 @@ func TestRunnerCancellation(t *testing.T) {
 		"instrumented path": {N: 12, K: 2, Router: "dimorder", Workload: Workload{Kind: KindBurst, Horizon: 200}},
 	} {
 		t.Run(name, func(t *testing.T) {
-			var stats []meshroute.RouteStats
+			var stats []RouteStats
 			for _, hook := range []func(*sim.Network, int){nil, func(*sim.Network, int) { t.Error("the hook ran") }} {
 				r := Runner{StepHook: hook}
 				res, err := r.Run(ctx, s)

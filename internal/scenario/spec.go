@@ -6,12 +6,14 @@
 // with JSON (de)serialization, typed validation errors, and a Build step
 // that resolves the router registry into a ready-to-run network.
 //
-// Every run of the reproduction goes through this layer: the CLIs
-// (cmd/meshroute -scenario, cmd/lowerbound, cmd/experiments), the
-// experiment cells in internal/experiments, the repository benchmark
-// under bench/, and the golden-digest suite, whose pinned scenarios are
-// committed spec files under testdata/scenarios/. See
-// docs/ARCHITECTURE.md for how the layers stack.
+// Every routing run of the reproduction goes through this layer: the root
+// package's Route facade, the CLIs (cmd/meshroute -scenario,
+// cmd/experiments), the experiment cells in internal/experiments, the
+// service and fleet, the repository benchmark under bench/, and the
+// golden-digest suite, whose pinned scenarios are committed spec files
+// under testdata/scenarios/. The adversary constructions drive the engine
+// themselves (internal/adversary). See docs/ARCHITECTURE.md for how the
+// layers stack.
 package scenario
 
 import (
@@ -22,10 +24,10 @@ import (
 	"io"
 	"os"
 
-	"meshroute"
 	"meshroute/internal/analysis"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -177,7 +179,7 @@ type Spec struct {
 	N int `json:"n"`
 	// K is the per-queue capacity passed to the router's Config.
 	K int `json:"k"`
-	// Router is the registry name (meshroute.RouterNames).
+	// Router is the registry name (routers.Names).
 	Router string `json:"router"`
 	// FaultAware selects the router's fault-aware variant.
 	FaultAware bool `json:"fault_aware,omitempty"`
@@ -262,11 +264,11 @@ func (s *Spec) Validate() error {
 		return invalid("n", "side length %d, need n >= 1", s.N)
 	}
 	if s.K < 1 {
-		return invalid("k", "queue capacity %d, need k >= 1", s.K)
+		return invalid("k", "queue capacity k=%d, need k >= 1", s.K)
 	}
-	rspec, err := meshroute.LookupRouter(s.Router)
-	if err != nil {
-		return invalid("router", "unknown router %q (have %v)", s.Router, meshroute.RouterNames())
+	rspec, ok := routers.Lookup(s.Router)
+	if !ok {
+		return invalid("router", "unknown router %q (have %v)", s.Router, routers.Names())
 	}
 	if s.FaultAware && rspec.NewFaultAware == nil {
 		return invalid("fault_aware", "router %q has no fault-aware variant", s.Router)
@@ -425,7 +427,12 @@ type Run struct {
 // Build validates the Spec, resolves the router registry, generates the
 // fault schedule, constructs the network and applies the workload. The
 // returned Run is ready for a Runner.
-func (s *Spec) Build() (*Run, error) {
+func (s *Spec) Build() (*Run, error) { return s.BuildWithFaults(nil) }
+
+// BuildWithFaults is Build with a caller-built fault schedule, the one run
+// input a Spec's JSON cannot carry: a non-nil sched is used in place of
+// the schedule s.Faults would generate.
+func (s *Spec) BuildWithFaults(sched *fault.Schedule) (*Run, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -435,23 +442,24 @@ func (s *Spec) Build() (*Run, error) {
 	} else {
 		topo = grid.NewSquareMesh(s.N)
 	}
-	rspec, err := meshroute.LookupRouter(s.Router)
-	if err != nil {
-		return nil, err
-	}
+	rspec, _ := routers.Lookup(s.Router)
 	cfg := rspec.Config(topo, s.K)
 	if s.CheckInvariants != nil {
 		cfg.CheckInvariants = *s.CheckInvariants
 	}
 	cfg.Watchdog = s.Watchdog
-	var sched *fault.Schedule
-	if s.Faults != nil {
-		sched, err = fault.Generate(topo, s.Faults.config())
-		if err != nil {
+	if sched != nil {
+		// A caller's schedule fails on its own terms, as sim.New reports it.
+		if err := sched.Validate(topo); err != nil {
+			return nil, err
+		}
+	} else if s.Faults != nil {
+		var err error
+		if sched, err = fault.Generate(topo, s.Faults.config()); err != nil {
 			return nil, fmt.Errorf("scenario %s: faults: %w", s.describe(), err)
 		}
-		cfg.Faults = sched
 	}
+	cfg.Faults = sched
 	net, err := sim.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", s.describe(), err)
@@ -484,18 +492,23 @@ func (s *Spec) Build() (*Run, error) {
 // budget for an online workload with Drain, which keeps stepping past the
 // horizon until the network empties.
 func (s *Spec) StepBudget() int {
-	auto := s.MaxSteps
-	if auto == 0 {
-		auto = 200 * (s.N*s.N/s.K + 2*s.N)
-	}
 	w := s.Workload
 	if !w.Dynamic() {
-		return auto
+		return s.staticBudget()
 	}
 	if w.Kind == KindOnline && w.Drain {
-		return w.Horizon + auto
+		return w.Horizon + s.staticBudget()
 	}
 	return w.Horizon
+}
+
+// staticBudget is MaxSteps, or the automatic budget 200·(n²/k + 2n) when
+// MaxSteps is zero.
+func (s *Spec) staticBudget() int {
+	if s.MaxSteps != 0 {
+		return s.MaxSteps
+	}
+	return 200 * (s.N*s.N/s.K + 2*s.N)
 }
 
 // applyWorkload places or schedules the Spec's workload and returns the

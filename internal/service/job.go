@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"meshroute"
 	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
 )
@@ -34,10 +33,10 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Stats is a run's routing statistics on the wire: meshroute.RouteStats,
+// Stats is a run's routing statistics on the wire: scenario.RouteStats,
 // the one stats type of the facade, the service API and the fleet cell
 // protocol.
-type Stats = meshroute.RouteStats
+type Stats = scenario.RouteStats
 
 // JobStatus is the JSON shape of one job in API responses
 // (POST /v1/jobs, GET /v1/jobs, GET /v1/jobs/{id}).

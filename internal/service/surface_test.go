@@ -159,6 +159,8 @@ func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 
 // facadeColumn routes a static, unanalyzed row's placed pairs through
 // meshroute.RouteWithOptions, which tells the stats or an abort's text.
+// The facade turns the call back into a pairs Spec and runs it, so the
+// column tests that translation.
 func facadeColumn(t *testing.T, spec *scenario.Spec) func(baseline) {
 	run, err := spec.Build()
 	if err != nil || spec.Workload.Dynamic() || spec.Analysis {

@@ -25,6 +25,8 @@
 package meshroute
 
 import (
+	"context"
+	"errors"
 	"fmt"
 
 	"meshroute/internal/adversary"
@@ -32,6 +34,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -129,79 +132,13 @@ var (
 // Rotation is the torus-shift permutation (x,y) -> (x+dx, y+dy) mod n.
 func Rotation(topo Topology, dx, dy int) *Permutation { return workload.Rotation(topo, dx, dy) }
 
-// RouteStats summarizes one routing run. Its JSON form is the wire form
-// of the service API and the fleet cell protocol; the fields added for
-// online and analyzed runs are omitted when zero, so a static run's bytes
-// carry only the first eight.
-type RouteStats struct {
-	// Makespan is the delivery step of the last packet.
-	Makespan int `json:"makespan"`
-	// Steps is the number of steps executed (>= Makespan; larger only
-	// if the run was truncated).
-	Steps int `json:"steps"`
-	// Done reports whether every packet was delivered.
-	Done bool `json:"done"`
-	// Delivered and Total count packets.
-	Delivered int `json:"delivered"`
-	Total     int `json:"total"`
-	// MaxQueue is the peak end-of-step occupancy of any single queue.
-	MaxQueue int `json:"max_queue"`
-	// AvgDelay is the mean delivery delay.
-	AvgDelay float64 `json:"avg_delay"`
-	// FaultDrops counts moves dropped on failed links or into stalled
-	// nodes (0 without fault injection).
-	FaultDrops int `json:"fault_drops"`
-
-	// Online reports an open workload: a streaming source injecting past
-	// step 0, for which the admission and throughput fields below are
-	// meaningful (they stay zero on static one-shot runs).
-	Online bool `json:"online,omitempty"`
-	// Offered counts distinct injection requests presented to admission;
-	// Admitted those that entered the network; Refused the refusal events
-	// (per-step backlog waits plus drops), so the per-attempt refusal rate
-	// is Refused/(Admitted+Refused); Dropped the offers discarded
-	// terminally under the drop policy.
-	Offered  int `json:"offered,omitempty"`
-	Admitted int `json:"admitted,omitempty"`
-	Refused  int `json:"refused,omitempty"`
-	Dropped  int `json:"dropped,omitempty"`
-	// Throughput is the delivered-per-step rate over the whole run.
-	Throughput float64 `json:"throughput,omitempty"`
-	// DelayP50, DelayP95 and DelayP99 are time-in-system percentiles
-	// (delivery step minus injection step) over delivered packets.
-	DelayP50 float64 `json:"delay_p50,omitempty"`
-	DelayP95 float64 `json:"delay_p95,omitempty"`
-	DelayP99 float64 `json:"delay_p99,omitempty"`
-
-	// Efficiency block (scenario knob "analysis": true). Analyzed reports
-	// that the run computed its congestion+dilation yardstick; the fields
-	// below stay zero otherwise. Congestion is the maximum number of
-	// minimal paths sharing one directed edge in the analyzed path system
-	// (static workloads: canonical dimension-order plus a greedy
-	// congestion-lowering pass; online workloads: canonical paths accrued
-	// at admission time), Dilation the longest path length, and CDRatio
-	// the theory-grounded efficiency ratio Makespan/(C+D) — Θ(1) for any
-	// near-optimal schedule by Rothvoß's O(congestion+dilation) bound.
-	Analyzed bool `json:"analyzed,omitempty"`
-	// Congestion and Dilation are the analyzed C and D.
-	Congestion int `json:"congestion,omitempty"`
-	Dilation   int `json:"dilation,omitempty"`
-	// CDRatio is Makespan/(Congestion+Dilation), 0 for an empty workload.
-	CDRatio float64 `json:"cd_ratio,omitempty"`
-}
-
-// RefusalRate returns Refused/(Admitted+Refused), the fraction of
-// admission attempts refused, or 0 when there were none.
-func (s RouteStats) RefusalRate() float64 {
-	if s.Admitted+s.Refused == 0 {
-		return 0
-	}
-	return float64(s.Refused) / float64(s.Admitted+s.Refused)
-}
+// RouteStats summarizes one routing run; see scenario.RouteStats for its
+// fields and wire form.
+type RouteStats = scenario.RouteStats
 
 // RouteOptions extends Route with robustness controls.
 type RouteOptions struct {
-	// MaxSteps caps the run (0 means a generous default).
+	// MaxSteps caps the run (0 or less means a generous default).
 	MaxSteps int
 	// Faults injects the schedule into the run (nil disables faults).
 	Faults *FaultSchedule
@@ -225,61 +162,42 @@ func Route(router string, topo Topology, k int, perm *Permutation, maxSteps int)
 }
 
 // RouteWithOptions is Route with fault injection, fault-aware routing and
-// a livelock watchdog available.
+// a livelock watchdog available. The call is a scenario.Spec with a pairs
+// workload, validated, built and run as every spec is.
 func RouteWithOptions(router string, topo Topology, k int, perm *Permutation, opts RouteOptions) (RouteStats, error) {
-	if k < 1 {
-		return RouteStats{}, fmt.Errorf("meshroute: queue capacity k=%d, need k >= 1", k)
+	if topo.Width() != topo.Height() {
+		return RouteStats{}, fmt.Errorf("meshroute: %d×%d topology, need a square one", topo.Width(), topo.Height())
 	}
-	spec, err := LookupRouter(router)
+	spec := &scenario.Spec{
+		N: topo.Width(), K: k, Router: router,
+		FaultAware: opts.FaultAware, Seed: opts.Seed, Watchdog: opts.Watchdog,
+		MaxSteps: max(opts.MaxSteps, 0),
+		Workload: scenario.Workload{Kind: scenario.KindPairs, Pairs: perm.Pairs},
+	}
+	if topo.Wraparound() {
+		spec.Topology = scenario.TopoTorus
+	}
+	if err := spec.Validate(); err != nil {
+		// A spec refuses an empty pairs list; the empty permutation is
+		// routed, trivially, in zero steps.
+		var verr *scenario.ValidationError
+		if len(perm.Pairs) == 0 && errors.As(err, &verr) && verr.Field == "workload.pairs" {
+			return RouteStats{Done: true}, nil
+		}
+		return RouteStats{}, err
+	}
+	run, err := spec.BuildWithFaults(opts.Faults)
 	if err != nil {
 		return RouteStats{}, err
 	}
-	newAlg := spec.New
-	switch {
-	case opts.Seed != 0:
-		if spec.NewSeeded == nil {
-			return RouteStats{}, fmt.Errorf("meshroute: router %q is deterministic and takes no seed", router)
-		}
-		if opts.FaultAware && spec.NewFaultAware == nil {
-			return RouteStats{}, fmt.Errorf("meshroute: router %q has no fault-aware variant", router)
-		}
-		seed, fa := opts.Seed, opts.FaultAware
-		newAlg = func() sim.Algorithm { return spec.NewSeeded(seed, fa) }
-	case opts.FaultAware:
-		if spec.NewFaultAware == nil {
-			return RouteStats{}, fmt.Errorf("meshroute: router %q has no fault-aware variant", router)
-		}
-		newAlg = spec.NewFaultAware
-	}
-	cfg := spec.Config(topo, k)
-	cfg.Faults = opts.Faults
-	cfg.Watchdog = opts.Watchdog
-	net, err := sim.New(cfg)
+	res, err := new(scenario.Runner).RunBuilt(context.TODO(), run)
 	if err != nil {
 		return RouteStats{}, err
 	}
-	if err := perm.Place(net); err != nil {
-		return RouteStats{}, err
+	if res.Err != nil {
+		return RouteStats{}, res.Err
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps <= 0 {
-		n := topo.Width()
-		maxSteps = 200 * (n*n/k + 2*n)
-	}
-	steps, err := net.Run(nil, newAlg(), maxSteps, nil)
-	if err != nil {
-		return RouteStats{}, err
-	}
-	return RouteStats{
-		Makespan:   net.Metrics.Makespan,
-		Steps:      steps,
-		Done:       net.Done(),
-		Delivered:  net.DeliveredCount(),
-		Total:      net.TotalPackets(),
-		MaxQueue:   net.Metrics.MaxQueueLen,
-		AvgDelay:   net.AvgDelay(),
-		FaultDrops: net.Metrics.FaultDrops,
-	}, nil
+	return res.Stats, nil
 }
 
 // HardPermutation builds the Theorem 14 adversarial permutation against a
@@ -297,7 +215,15 @@ func HardPermutation(n, k int, router string, maxSteps int) (perm []Pair, bound,
 	if spec.Queues != sim.CentralQueue {
 		return nil, 0, 0, false, fmt.Errorf("meshroute: HardPermutation supports central-queue routers; use the adversary package directly for %q", router)
 	}
-	return adversary.HardPermutation(n, k, spec.New, maxSteps)
+	c, err := adversary.NewConstruction(n, k)
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	out, err := c.Pipeline(nil, spec.New, maxSteps)
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	return out.Permutation, out.Steps, out.Makespan, out.Done, nil
 }
 
 // CLTOptions configures the Section 6 algorithm.

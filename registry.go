@@ -2,11 +2,8 @@ package meshroute
 
 import (
 	"fmt"
-	"sort"
 
-	"meshroute/internal/dex"
 	"meshroute/internal/routers"
-	"meshroute/internal/sim"
 )
 
 // Router names accepted by Route, HardPermutation and LookupRouter.
@@ -14,168 +11,45 @@ const (
 	// RouterDimOrder is dimension-order routing with FIFO outqueue and
 	// round-robin inqueue over a central queue — the paper's canonical
 	// destination-exchangeable example (Section 2). Use k >= 2.
-	RouterDimOrder = "dimorder"
+	RouterDimOrder = routers.NameDimOrder
 	// RouterZigZag is the minimal adaptive alternation router of
 	// Section 2: move in one profitable direction until blocked, then
 	// the other. Destination-exchangeable. Use k >= 2.
-	RouterZigZag = "zigzag"
+	RouterZigZag = routers.NameZigZag
 	// RouterThm15 is the Theorem 15 bounded-queue dimension-order
 	// router: four incoming queues of size k, straight priority,
 	// O(n²/k + n) worst case. Works for every k >= 1.
-	RouterThm15 = "thm15"
+	RouterThm15 = routers.NameThm15
 	// RouterFarthestFirst is dimension-order routing with the
 	// farthest-first outqueue policy — not destination-exchangeable.
-	RouterFarthestFirst = "farthest-first"
+	RouterFarthestFirst = routers.NameFarthestFirst
 	// RouterHotPotato is the deflection baseline — nonminimal,
 	// destination-exchangeable (ignores k; capacity is the node degree).
-	RouterHotPotato = "hot-potato"
+	RouterHotPotato = routers.NameHotPotato
 	// RouterRandZigZag is the randomized minimal adaptive router — the
 	// Section 7 "incorporate randomness" escape hatch. Deterministic
 	// given its seed (0 by default; set RouteOptions.Seed or a scenario
 	// Spec's seed for other streams), but outside the Theorem 14 model.
-	RouterRandZigZag = "rand-zigzag"
+	RouterRandZigZag = routers.NameRandZigZag
 	// RouterScheduled is the offline path-scheduled O(C+D) baseline:
 	// precomputes the internal/analysis minimal path system, delays each
 	// packet by a seeded random amount in [0, C), then replays the
 	// schedule deterministically. Offline — static workloads only.
-	RouterScheduled = "scheduled"
+	RouterScheduled = routers.NameScheduled
 	// RouterStray is the Section 5 "Nonminimal extensions" router:
 	// dimension order that may overshoot its turning column by up to
 	// δ = 1 columns when blocked (destination-exchangeable, bounded
 	// stray). Use routers.StrayDimOrder directly for other δ.
-	RouterStray = "stray-dimorder"
+	RouterStray = routers.NameStrayDimOrder
 )
 
-// RouterSpec describes one of the built-in routing algorithms.
-type RouterSpec struct {
-	// Name is the registry key.
-	Name string
-	// Summary is a one-line description.
-	Summary string
-	// DestinationExchangeable reports whether the router fits the
-	// Section 2 restricted model (and therefore Theorem 14).
-	DestinationExchangeable bool
-	// Minimal reports whether the router uses only shortest paths.
-	Minimal bool
-	// Offline reports that the router must see the whole instance before
-	// step 1 (it precomputes a global schedule), so it supports static
-	// workloads only; the scenario layer rejects dynamic workloads for it.
-	Offline bool
-	// Queues is the queue model the router requires.
-	Queues sim.QueueModel
-	// New creates a fresh instance for one run.
-	New func() sim.Algorithm
-	// NewFaultAware creates the router's fault-aware variant (detours
-	// around failed links), or is nil if the router has none.
-	NewFaultAware func() sim.Algorithm
-	// NewSeeded creates the router with an explicit randomness seed (and,
-	// when faultAware is set, its fault-aware variant). It is nil for
-	// deterministic routers, which have no seed to set; New is equivalent
-	// to NewSeeded(0, false) where both exist.
-	NewSeeded func(seed uint64, faultAware bool) sim.Algorithm
-	// Config builds the network configuration for a topology and k.
-	Config func(topo Topology, k int) sim.Config
-}
-
-var registry = map[string]RouterSpec{
-	RouterDimOrder: {
-		Name:                    RouterDimOrder,
-		Summary:                 "dimension order, FIFO outqueue, round-robin inqueue, central queue",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(routers.DimOrderFIFO{}) },
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-		},
-	},
-	RouterZigZag: {
-		Name:                    RouterZigZag,
-		Summary:                 "minimal adaptive alternation (Section 2 example), central queue",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(routers.ZigZag{}) },
-		NewFaultAware:           func() sim.Algorithm { return dex.NewAdapter(routers.ZigZag{FaultAware: true}) },
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-		},
-	},
-	RouterThm15: {
-		Name:                    RouterThm15,
-		Summary:                 "Theorem 15: four inlink queues of size k, straight priority, O(n²/k+n)",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.PerInlinkQueues,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) },
-		Config:                  func(topo Topology, k int) sim.Config { return routers.Thm15Config(topo, k) },
-	},
-	RouterFarthestFirst: {
-		Name:                    RouterFarthestFirst,
-		Summary:                 "dimension order with farthest-first outqueue (not destination-exchangeable)",
-		DestinationExchangeable: false,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return routers.DimOrderFF{} },
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-		},
-	},
-	RouterRandZigZag: {
-		Name:                    RouterRandZigZag,
-		Summary:                 "randomized minimal adaptive alternation (Section 7 escape hatch 3)",
-		DestinationExchangeable: false, // randomized: outside the deterministic model
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return routers.RandZigZag{Seed: 0} },
-		NewFaultAware:           func() sim.Algorithm { return routers.RandZigZag{Seed: 0, FaultAware: true} },
-		NewSeeded: func(seed uint64, faultAware bool) sim.Algorithm {
-			return routers.RandZigZag{Seed: seed, FaultAware: faultAware}
-		},
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-		},
-	},
-	RouterScheduled: {
-		Name:                    RouterScheduled,
-		Summary:                 "offline path-scheduled O(C+D) baseline: random delays in [0,C) over the analysis path system",
-		DestinationExchangeable: false,
-		Minimal:                 true,
-		Offline:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return routers.NewScheduled(0) },
-		NewSeeded: func(seed uint64, faultAware bool) sim.Algorithm {
-			return routers.NewScheduled(seed)
-		},
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-		},
-	},
-	RouterStray: {
-		Name:                    RouterStray,
-		Summary:                 "dimension order with a 1-column overshoot budget (Section 5 nonminimal extension)",
-		DestinationExchangeable: true,
-		Minimal:                 false,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(routers.StrayDimOrder{Delta: 1}) },
-		Config: func(topo Topology, k int) sim.Config {
-			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, MaxStray: 1, CheckInvariants: true}
-		},
-	},
-	RouterHotPotato: {
-		Name:                    RouterHotPotato,
-		Summary:                 "deterministic deflection baseline (nonminimal)",
-		DestinationExchangeable: true,
-		Minimal:                 false,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return routers.HotPotato{} },
-		Config:                  func(topo Topology, k int) sim.Config { return routers.HotPotatoConfig(topo) },
-	},
-}
+// RouterSpec describes one of the built-in routing algorithms; see
+// routers.Spec for its fields.
+type RouterSpec = routers.Spec
 
 // LookupRouter returns the spec for a router name.
 func LookupRouter(name string) (RouterSpec, error) {
-	spec, ok := registry[name]
+	spec, ok := routers.Lookup(name)
 	if !ok {
 		return RouterSpec{}, fmt.Errorf("meshroute: unknown router %q (have %v)", name, RouterNames())
 	}
@@ -183,11 +57,4 @@ func LookupRouter(name string) (RouterSpec, error) {
 }
 
 // RouterNames lists the registered router names, sorted.
-func RouterNames() []string {
-	names := make([]string, 0, len(registry))
-	for n := range registry {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func RouterNames() []string { return routers.Names() }
