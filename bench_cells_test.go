@@ -315,7 +315,7 @@ func cells() []cell {
 			return specCell(&scenario.Spec{
 				N: n, K: 2, Router: "thm15",
 				Workload: scenario.Workload{
-					Kind: scenario.KindBernoulli, Seed: 7,
+					Kind: scenario.KindOnline, Process: scenario.ProcessBernoulli, Seed: 7,
 					Rate: 0.6 * 4 / float64(n), Horizon: 16 * n,
 				},
 			}, false)

@@ -103,31 +103,19 @@ func runAll(opts experiments.Options, only, csvDir string) error {
 		}
 	}
 
-	type entry struct {
-		id string
-		fn func(experiments.Options) (*experiments.Report, error)
-	}
-	all := []entry{
-		{"E1", experiments.E1}, {"E2", experiments.E2}, {"E3", experiments.E3},
-		{"E4", experiments.E4}, {"E5", experiments.E5}, {"E6", experiments.E6},
-		{"E7", experiments.E7}, {"E8", experiments.E8}, {"E9", experiments.E9},
-		{"E10", experiments.E10}, {"E11", experiments.E11}, {"E12", experiments.E12}, {"E13", experiments.E13}, {"E14", experiments.E14},
-		{"E15", experiments.E15}, {"E16", experiments.E16},
-		{"A1", experiments.A1}, {"A2", experiments.A2},
-	}
-	for _, e := range all {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.Index {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		rep, err := e.fn(opts)
+		rep, err := e.Run(opts)
 		if err != nil {
-			return fmt.Errorf("%s failed: %w", e.id, err)
+			return fmt.Errorf("%s failed: %w", e.ID, err)
 		}
 		fmt.Println(rep)
-		fmt.Printf("   (%s in %.1fs)\n\n", e.id, time.Since(start).Seconds())
+		fmt.Printf("   (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
 		if csvDir != "" {
-			path := filepath.Join(csvDir, strings.ToLower(e.id)+".csv")
+			path := filepath.Join(csvDir, strings.ToLower(e.ID)+".csv")
 			f, err := os.Create(path)
 			if err != nil {
 				return err

@@ -144,9 +144,9 @@ func TestRouteWithOptionsNoFaultAwareVariant(t *testing.T) {
 	}
 }
 
-// A pair outside the topology is refused, under every router, with an
-// error naming it — not an index panic, a misleading mid-run failure or a
-// run that never ends. The empty permutation still routes trivially, and a
+// A pair outside the topology is refused, by the engine and under every
+// router, with an error naming it — not an index panic, a misleading
+// mid-run failure or a run that never ends. The empty permutation still routes trivially, and a
 // negative MaxSteps still means the default budget.
 func TestRouteRejectsPairsOutsideTopology(t *testing.T) {
 	topo := NewMesh(4)
@@ -158,11 +158,35 @@ func TestRouteRejectsPairsOutsideTopology(t *testing.T) {
 		}()
 		return Route(router, topo, 2, perm, maxSteps)
 	}
+	// The engine column: a network built directly refuses the pair when it
+	// places the packet, naming the packet (IDs start at 1) and the node.
+	place := func(perm *Permutation) (err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		net, err := NewNetwork(NetworkConfig{Topo: topo, K: 2})
+		if err != nil {
+			return err
+		}
+		return perm.Place(net)
+	}
+	bad := []struct {
+		pair Pair
+		node NodeID
+	}{{Pair{Src: 99, Dst: 0}, 99}, {Pair{Src: 0, Dst: 99}, 99}, {Pair{Src: 0, Dst: -1}, -1}}
+	for _, b := range bad {
+		err := place(&Permutation{Pairs: []Pair{{Src: 1, Dst: 2}, b.pair}})
+		if want := fmt.Sprintf("packet 2 (%d->%d): node %d is not", b.pair.Src, b.pair.Dst, b.node); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("engine, pair %d->%d: error %v, want one containing %q", b.pair.Src, b.pair.Dst, err, want)
+		}
+	}
 	for _, router := range RouterNames() {
-		for _, pair := range []Pair{{Src: 99, Dst: 0}, {Src: 0, Dst: 99}, {Src: 0, Dst: -1}} {
-			_, err := route(router, &Permutation{Pairs: []Pair{{Src: 1, Dst: 2}, pair}}, 0)
-			if want := fmt.Sprintf("pair 1 (%d->%d) outside", pair.Src, pair.Dst); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("%s, pair %d->%d: error %v, want one containing %q", router, pair.Src, pair.Dst, err, want)
+		for _, b := range bad {
+			_, err := route(router, &Permutation{Pairs: []Pair{{Src: 1, Dst: 2}, b.pair}}, 0)
+			if want := fmt.Sprintf("pair 1 (%d->%d) outside", b.pair.Src, b.pair.Dst); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s, pair %d->%d: error %v, want one containing %q", router, b.pair.Src, b.pair.Dst, err, want)
 			}
 		}
 		if st, err := route(router, &Permutation{}, 0); err != nil || st != (RouteStats{Done: true}) {

@@ -623,16 +623,14 @@ func A2(opts Options) (*Report, error) {
 	return rep, nil
 }
 
-// All runs every experiment.
-func All(opts Options) ([]*Report, error) {
-	fns := []func(Options) (*Report, error){E1, E2, E3, E4, E5, E6, E7, E8, E9, E10, E11, E12, E13, E14, E16, A1, A2}
-	var out []*Report
-	for _, fn := range fns {
-		r, err := fn(opts)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
+// Index lists every experiment in id order: E1..E16, then the ablations
+// A1 and A2. cmd/experiments runs it.
+var Index = []struct {
+	ID  string
+	Run func(Options) (*Report, error)
+}{
+	{"E1", E1}, {"E2", E2}, {"E3", E3}, {"E4", E4}, {"E5", E5}, {"E6", E6},
+	{"E7", E7}, {"E8", E8}, {"E9", E9}, {"E10", E10}, {"E11", E11}, {"E12", E12},
+	{"E13", E13}, {"E14", E14}, {"E15", E15}, {"E16", E16},
+	{"A1", A1}, {"A2", A2},
 }

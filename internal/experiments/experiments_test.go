@@ -1,36 +1,38 @@
 package experiments
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// Each experiment must run in quick mode and produce a non-empty table.
+// The index holds exactly E1..E16, A1 and A2 in id order, and each
+// experiment runs in quick mode and produces a non-empty table under its
+// own id.
 func TestAllExperimentsQuick(t *testing.T) {
+	var ids, want []string
+	for _, e := range Index {
+		ids = append(ids, e.ID)
+	}
+	for i := 1; i <= 16; i++ {
+		want = append(want, fmt.Sprintf("E%d", i))
+	}
+	want = append(want, "A1", "A2")
+	if !slices.Equal(ids, want) {
+		t.Fatalf("experiment index %v, want %v", ids, want)
+	}
 	if testing.Short() {
 		t.Skip("experiments are slow")
 	}
-	reps, err := All(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 17 {
-		t.Fatalf("want 17 reports, got %d", len(reps))
-	}
-	seen := map[string]bool{}
-	for _, r := range reps {
-		if seen[r.ID] {
-			t.Fatalf("duplicate id %s", r.ID)
+	for _, e := range Index {
+		r, err := e.Run(Options{Quick: true})
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
 		}
-		seen[r.ID] = true
 		out := r.String()
-		if !strings.Contains(out, r.ID) || len(strings.Split(out, "\n")) < 4 {
-			t.Fatalf("%s: degenerate output:\n%s", r.ID, out)
-		}
-	}
-	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E16", "A1", "A2"} {
-		if !seen[id] {
-			t.Fatalf("missing %s", id)
+		if r.ID != e.ID || !strings.Contains(out, r.ID) || len(strings.Split(out, "\n")) < 4 {
+			t.Fatalf("%s: degenerate output (report id %s):\n%s", e.ID, r.ID, out)
 		}
 	}
 }

@@ -263,28 +263,6 @@ func (m *Memory) PeakQueue() int {
 	return peak
 }
 
-// PeakInFlight returns the largest per-step InFlight over the run.
-func (m *Memory) PeakInFlight() int {
-	peak := 0
-	for _, s := range m.Steps {
-		if s.InFlight > peak {
-			peak = s.InFlight
-		}
-	}
-	return peak
-}
-
-// TotalLinkUse sums the per-direction link utilization over the run.
-func (m *Memory) TotalLinkUse() [grid.NumDirs]int {
-	var out [grid.NumDirs]int
-	for _, s := range m.Steps {
-		for d, c := range s.LinkUse {
-			out[d] += c
-		}
-	}
-	return out
-}
-
 // Multi fans every sample and span out to each member sink in order.
 type Multi []Sink
 

@@ -153,7 +153,7 @@ func TestFingerprintDynamicIgnoresBudget(t *testing.T) {
 	mk := func(maxSteps int) *Spec {
 		return &Spec{
 			N: 6, K: 2, Router: "dimorder",
-			Workload: Workload{Kind: KindBurst, Horizon: 40},
+			Workload: Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 40},
 			MaxSteps: maxSteps,
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"meshroute/internal/obs"
-	"meshroute/internal/par"
 	"meshroute/internal/sim"
 	"meshroute/internal/stats"
 	"meshroute/internal/trace"
@@ -67,17 +66,14 @@ func (r *Result) Outcome() Outcome {
 
 // Runner executes built scenarios. The zero value is ready to use.
 type Runner struct {
-	// Workers bounds Sweep's cross-scenario fan-out (0 = GOMAXPROCS).
-	Workers int
 	// StepHook, when set, runs after every engine step (visualization
 	// snapshots, custom progress reporting), including the step a watchdog
 	// abort ends the run on. It does not change the run.
 	StepHook func(net *sim.Network, step int)
 	// Sink, when set, receives every executed run's step samples, spans
-	// and fault events, in addition to any Spec.MetricsOut file sink.
-	// Sweep executes scenarios concurrently, so a Sink shared across a
-	// sweep must be safe for concurrent use (obs.Counters is; obs.Memory
-	// is not).
+	// and fault events, in addition to any Spec.MetricsOut file sink. A
+	// Sink shared by runs on several goroutines must be safe for
+	// concurrent use (obs.Counters is; obs.Memory is not).
 	Sink obs.Sink
 }
 
@@ -212,26 +208,4 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// Sweep builds and executes the specs on a bounded worker pool (Workers
-// wide) and returns results in input order. Cells that had not started
-// when the context was canceled come back nil; cells interrupted mid-run
-// carry a *sim.CanceledError in their Result.Err. The returned error
-// reports the first (lowest-index) setup failure, wrapped with the
-// offending spec's index and label so a failed cell in a large batch is
-// attributable; the underlying cause (e.g. *ValidationError) stays
-// reachable through errors.As. Cancellation itself is not an error, so
-// callers can print the partial table.
-func (r *Runner) Sweep(ctx context.Context, specs []*Spec) ([]*Result, error) {
-	return par.Map(len(specs), r.Workers, func(i int) (*Result, error) {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, nil
-		}
-		res, err := r.Run(ctx, specs[i])
-		if err != nil {
-			return nil, fmt.Errorf("sweep spec %d (%s): %w", i, specs[i].describe(), err)
-		}
-		return res, nil
-	})
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"meshroute/internal/obs"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -29,7 +30,7 @@ func randomSpec(rng *rand.Rand) *Spec {
 	if rng.Intn(2) == 0 {
 		s.Topology = []string{TopoMesh, TopoTorus}[rng.Intn(2)]
 	}
-	switch rng.Intn(7) {
+	switch rng.Intn(5) {
 	case 0:
 		s.Workload = Workload{Kind: KindRandom, Seed: rng.Int63n(1000)}
 	case 1:
@@ -37,14 +38,10 @@ func randomSpec(rng *rand.Rand) *Spec {
 	case 2:
 		s.Workload = Workload{Kind: KindRotation, DX: rng.Intn(3), DY: rng.Intn(3)}
 	case 3:
-		s.Workload = Workload{Kind: KindBurst, Horizon: 10 + rng.Intn(100)}
-	case 4:
-		s.Workload = Workload{Kind: KindBernoulli, Horizon: 10 + rng.Intn(100), Seed: rng.Int63n(1000), Rate: 0.1 + 0.8*rng.Float64()}
-	case 5:
 		s.Workload = Workload{Kind: KindPairs, Pairs: []workload.Pair{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}}}
-	case 6:
+	case 4:
 		s.Workload = Workload{Kind: KindOnline, Horizon: 10 + rng.Intn(100), Seed: rng.Int63n(1000), Rate: 0.1 + 0.8*rng.Float64()}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			s.Workload.Process = ProcessBernoulli
 		case 1:
@@ -56,6 +53,9 @@ func randomSpec(rng *rand.Rand) *Spec {
 			s.Workload.Hotspots = 1 + rng.Intn(3)
 		case 3:
 			s.Workload.Process = ProcessTranspose
+		case 4:
+			s.Workload.Process = ProcessPeriodic
+			s.Workload.Rate, s.Workload.Seed = 0, 0
 		}
 		if rng.Intn(2) == 0 {
 			s.Workload.Admission = []string{AdmissionRetry, AdmissionDrop}[rng.Intn(2)]
@@ -138,12 +138,19 @@ func TestValidate(t *testing.T) {
 		{"pair out of range", func(s *Spec) {
 			s.Workload = Workload{Kind: KindPairs, Pairs: []workload.Pair{{Src: 0, Dst: 64}}}
 		}, "workload.pairs"},
-		{"burst without horizon", func(s *Spec) { s.Workload = Workload{Kind: KindBurst} }, "workload.horizon"},
+		{"burst kind", func(s *Spec) { s.Workload = Workload{Kind: "burst", Horizon: 10} }, "workload.kind"},
+		{"bernoulli kind", func(s *Spec) { s.Workload = Workload{Kind: "bernoulli", Horizon: 10, Rate: 0.5} }, "workload.kind"},
+		{"burst without horizon", func(s *Spec) {
+			s.Workload = Workload{Kind: KindOnline, Process: ProcessPeriodic}
+		}, "workload.horizon"},
+		{"periodic with a rate", func(s *Spec) {
+			s.Workload = Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 10, Rate: 0.5}
+		}, "workload.rate"},
 		{"bernoulli rate above 1", func(s *Spec) {
-			s.Workload = Workload{Kind: KindBernoulli, Horizon: 10, Rate: 1.5}
+			s.Workload = Workload{Kind: KindOnline, Process: ProcessBernoulli, Horizon: 10, Rate: 1.5}
 		}, "workload.rate"},
 		{"bernoulli rate zero", func(s *Spec) {
-			s.Workload = Workload{Kind: KindBernoulli, Horizon: 10}
+			s.Workload = Workload{Kind: KindOnline, Process: ProcessBernoulli, Horizon: 10}
 		}, "workload.rate"},
 		{"online without horizon", func(s *Spec) {
 			s.Workload = Workload{Kind: KindOnline, Rate: 0.1}
@@ -176,7 +183,7 @@ func TestValidate(t *testing.T) {
 		{"hotspots on static kind", func(s *Spec) { s.Workload.Hotspots = 1 }, "workload.hotspots"},
 		{"offline router on dynamic workload", func(s *Spec) {
 			s.Router = "scheduled"
-			s.Workload = Workload{Kind: KindBurst, Horizon: 40}
+			s.Workload = Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 40}
 		}, "router"},
 		{"offline router on per-inlink queues", func(s *Spec) {
 			s.Router = "scheduled"
@@ -327,13 +334,13 @@ func TestRunnerSeededRouter(t *testing.T) {
 
 // TestRunnerCancellation checks that a context canceled before the run
 // stops it before its first step with partial diagnostics, for a static
-// and a burst spec, with and without a StepHook.
+// and a periodic online spec, with and without a StepHook.
 func TestRunnerCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, s := range map[string]*Spec{
 		"fast path":         {N: 16, K: 2, Router: "dimorder", Workload: Workload{Kind: KindTranspose}},
-		"instrumented path": {N: 12, K: 2, Router: "dimorder", Workload: Workload{Kind: KindBurst, Horizon: 200}},
+		"instrumented path": {N: 12, K: 2, Router: "dimorder", Workload: Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 200}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var stats []RouteStats
@@ -389,10 +396,11 @@ func TestRunnerStepHook(t *testing.T) {
 // without a StepHook, which only observes: each row runs both ways, and
 // Steps, Stats and the metrics bytes must match. The rows are a watchdog
 // abort (one watchdog event line, the abort step seen by the hook), the
-// ways a run ends: a static one at delivery, a burst or online one without
-// drain at exactly its horizon, an online one with drain at delivery, and
-// two idle networks under a watchdog: a burst's quiet tail and an on/off
-// gap run out their horizon, since an empty network is not a livelock.
+// ways a run ends: a static one at delivery, an online one (periodic
+// "burst" rows or bernoulli) without drain at exactly its horizon, an
+// online one with drain at delivery, and two idle networks under a
+// watchdog: a periodic process's quiet tail and an on/off gap run out
+// their horizon, since an empty network is not a livelock.
 func TestRunnerWatchdogOnePath(t *testing.T) {
 	dir := t.TempDir()
 	burst, err := Load(filepath.Join("..", "..", "testdata", "scenarios", "dynamic-thm15-n12-k1.json"))
@@ -462,7 +470,7 @@ func TestRunnerWatchdogOnePath(t *testing.T) {
 				t.Fatalf("online run with drain: done %v after %d steps, budget %d", st.Done, st.Steps, online(true).StepBudget())
 			}
 		}},
-		{"burst of horizon 1", &Spec{N: 8, K: 1, Router: "thm15", Queues: QueuesPerInlink, Workload: Workload{Kind: KindBurst, Horizon: 1}},
+		{"burst of horizon 1", &Spec{N: 8, K: 1, Router: "thm15", Queues: QueuesPerInlink, Workload: Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 1}},
 			func(t *testing.T, res *Result, _ string) {
 				const want = `{"makespan":0,"steps":1,"done":true,"delivered":0,"total":0,"max_queue":0,"avg_delay":0,"fault_drops":0}`
 				if got, _ := json.Marshal(res.Stats); string(got) != want {
@@ -521,39 +529,25 @@ func TestRunnerMetricsOut(t *testing.T) {
 	}
 }
 
-// TestSweepOrderAndCancellation checks input-order results and graceful
-// partial sweeps.
-func TestSweepOrderAndCancellation(t *testing.T) {
-	specs := []*Spec{
-		{Name: "a", N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindTranspose}},
-		{Name: "b", N: 8, K: 2, Router: "zigzag", Workload: Workload{Kind: KindReversal}},
-		{Name: "c", N: 6, K: 1, Router: "thm15", Workload: Workload{Kind: KindTranspose}},
-	}
-	var r Runner
-	results, err := r.Sweep(context.Background(), specs)
+// TestRunnerSinkAttachment checks that Runner.Sink receives the run's
+// per-step samples without a metrics_out file configured.
+func TestRunnerSinkAttachment(t *testing.T) {
+	mem := &obs.Memory{}
+	r := Runner{Sink: mem}
+	res, err := r.Run(context.Background(), &Spec{
+		N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindTranspose},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, res := range results {
-		if res == nil || res.Spec.Name != specs[i].Name {
-			t.Fatalf("result %d out of order or missing", i)
-		}
-		if res.Err != nil || !res.Stats.Done {
-			t.Fatalf("%s: %v %+v", res.Spec.Name, res.Err, res.Stats)
-		}
+	if res.Err != nil || !res.Stats.Done {
+		t.Fatalf("run did not complete: %+v", res)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, err = r.Sweep(ctx, specs)
-	if err != nil {
-		t.Fatal(err)
+	if len(mem.Steps) != res.Steps {
+		t.Fatalf("sink saw %d samples over %d steps", len(mem.Steps), res.Steps)
 	}
-	for i, res := range results {
-		if res == nil {
-			continue // skipped before starting: the graceful outcome
-		}
-		if res.Err != nil && !res.Canceled() {
-			t.Fatalf("result %d: unexpected abort %v", i, res.Err)
-		}
+	if mem.Steps[len(mem.Steps)-1].DeliveredTotal != res.Stats.Delivered {
+		t.Fatalf("delivery curve tail %d != delivered %d",
+			mem.Steps[len(mem.Steps)-1].DeliveredTotal, res.Stats.Delivered)
 	}
 }

@@ -45,9 +45,9 @@ const (
 )
 
 // Workload kinds accepted by Workload.Kind. The static kinds place every
-// packet before step 1; the dynamic kinds (KindBurst, KindBernoulli)
-// pre-schedule injections over a horizon and run for exactly that many
-// steps.
+// packet before step 1; the one dynamic kind, KindOnline, streams
+// injections from an arrival process over a horizon and runs for exactly
+// that many steps (or, with Drain, until the network empties).
 const (
 	KindRandom     = "random"      // uniformly random full permutation (Seed)
 	KindRandomDest = "random-dest" // independent uniform destinations (Seed)
@@ -55,10 +55,8 @@ const (
 	KindReversal   = "reversal"
 	KindBitRev     = "bitrev" // power-of-two side required
 	KindRotation   = "rotation"
-	KindHH         = "hh"    // h random permutations overlaid (H, Seed)
-	KindPairs      = "pairs" // explicit source/destination pairs
-	KindBurst      = "burst" // deterministic arithmetic injection pattern
-	KindBernoulli  = "bernoulli"
+	KindHH         = "hh"     // h random permutations overlaid (H, Seed)
+	KindPairs      = "pairs"  // explicit source/destination pairs
 	KindOnline     = "online" // streaming arrival process with admission policy
 )
 
@@ -68,6 +66,7 @@ const (
 	ProcessOnOff     = "onoff"     // bursty on/off windows (Burst, Gap)
 	ProcessHotspot   = "hotspot"   // all traffic converges on Hotspots nodes
 	ProcessTranspose = "transpose" // sustained transpose pattern
+	ProcessPeriodic  = "periodic"  // deterministic pattern, sets its own rate
 )
 
 // Admission policies accepted by Workload.Admission for the online kind.
@@ -80,7 +79,8 @@ const (
 type Workload struct {
 	// Kind is one of the Kind* constants.
 	Kind string `json:"kind"`
-	// Seed drives the random kinds (random, random-dest, hh, bernoulli).
+	// Seed drives the random kinds (random, random-dest, hh) and the
+	// online kind's random arrival processes; periodic ignores it.
 	Seed int64 `json:"seed,omitempty"`
 	// H is the per-node send bound of the hh kind.
 	H int `json:"h,omitempty"`
@@ -89,12 +89,13 @@ type Workload struct {
 	DY int `json:"dy,omitempty"`
 	// Pairs are the explicit endpoints of the pairs kind.
 	Pairs []workload.Pair `json:"pairs,omitempty"`
-	// Horizon is the dynamic kinds' injection-and-run window in steps:
-	// the run executes exactly Horizon steps. The burst kind injects over
-	// the first Horizon/2 steps; bernoulli and online over all of them.
+	// Horizon is the online kind's injection-and-run window in steps:
+	// the run executes exactly Horizon steps (more with Drain). The
+	// periodic process injects over the first Horizon/2 steps, the others
+	// over all of them.
 	Horizon int `json:"horizon,omitempty"`
-	// Rate is the per-node injection probability per step (bernoulli kind
-	// and every online arrival process).
+	// Rate is the per-node injection probability per step of every online
+	// arrival process but periodic, which takes none.
 	Rate float64 `json:"rate,omitempty"`
 	// Process selects the online kind's arrival process (Process*
 	// constants); empty defaults to "bernoulli".
@@ -116,10 +117,8 @@ type Workload struct {
 
 // Dynamic reports whether the workload schedules injections over time (and
 // therefore runs for exactly Horizon steps, unless Drain is set) rather
-// than placing packets up front.
-func (w Workload) Dynamic() bool {
-	return w.Kind == KindBurst || w.Kind == KindBernoulli || w.Kind == KindOnline
-}
+// than placing packets up front: whether it is the online kind.
+func (w Workload) Dynamic() bool { return w.Kind == KindOnline }
 
 // ApplyOnlineDefaults materializes the online kind's defaulted knobs in
 // place (process "bernoulli", admission "retry", one hotspot for the
@@ -336,26 +335,18 @@ func (s *Spec) validateWorkload() error {
 				return invalid("workload.pairs", "pair %d (%d->%d) outside the %d-node topology", i, p.Src, p.Dst, max)
 			}
 		}
-	case KindBurst:
-		if w.Horizon < 1 {
-			return invalid("workload.horizon", "burst workload needs horizon >= 1, got %d", w.Horizon)
-		}
-	case KindBernoulli:
-		if w.Horizon < 1 {
-			return invalid("workload.horizon", "bernoulli workload needs horizon >= 1, got %d", w.Horizon)
-		}
-		if w.Rate <= 0 || w.Rate > 1 {
-			return invalid("workload.rate", "rate %v outside (0, 1]", w.Rate)
-		}
 	case KindOnline:
 		if w.Horizon < 1 {
 			return invalid("workload.horizon", "online workload needs horizon >= 1, got %d", w.Horizon)
 		}
-		if w.Rate <= 0 || w.Rate > 1 {
+		switch {
+		case w.Process == ProcessPeriodic && w.Rate != 0:
+			return invalid("workload.rate", "rate %v set but the periodic process sets its own rate", w.Rate)
+		case w.Process != ProcessPeriodic && (w.Rate <= 0 || w.Rate > 1):
 			return invalid("workload.rate", "rate %v outside (0, 1]", w.Rate)
 		}
 		switch w.Process {
-		case "", ProcessBernoulli, ProcessHotspot, ProcessTranspose:
+		case "", ProcessBernoulli, ProcessHotspot, ProcessTranspose, ProcessPeriodic:
 		case ProcessOnOff:
 			if w.Burst < 1 {
 				return invalid("workload.burst", "onoff process needs burst >= 1, got %d", w.Burst)
@@ -488,15 +479,15 @@ func (s *Spec) BuildWithFaults(sched *fault.Schedule) (*Run, error) {
 
 // StepBudget returns the run's step budget as Build computes it: MaxSteps
 // (or the generous automatic budget 200·(n²/k + 2n) when zero) for static
-// workloads; exactly Horizon for dynamic ones; Horizon plus the static
+// workloads; exactly Horizon for an online one; Horizon plus the static
 // budget for an online workload with Drain, which keeps stepping past the
 // horizon until the network empties.
 func (s *Spec) StepBudget() int {
 	w := s.Workload
-	if !w.Dynamic() {
+	switch {
+	case !w.Dynamic():
 		return s.staticBudget()
-	}
-	if w.Kind == KindOnline && w.Drain {
+	case w.Drain:
 		return w.Horizon + s.staticBudget()
 	}
 	return w.Horizon
@@ -544,25 +535,6 @@ func (s *Spec) applyWorkload(net *sim.Network, topo grid.Topology) (int, func() 
 		perm = &workload.Permutation{Pairs: hh.Pairs}
 	case KindPairs:
 		perm = &workload.Permutation{Pairs: w.Pairs}
-	case KindBurst:
-		// Bursty deterministic arithmetic pattern (no RNG) over the first
-		// half of the horizon: node id injects at steps congruent to
-		// id mod 7, toward a shifted destination. This is the pinned
-		// pattern of the dynamic golden-digest scenarios, now streamed
-		// lazily through the Source contract (bit-identical to the old
-		// pre-scheduled QueueInjection loop).
-		if err := net.AttachSource(workload.NewBurst(s.N*s.N, w.Horizon), sim.AdmitRetry); err != nil {
-			return 0, nil, fmt.Errorf("scenario %s: attach workload: %w", s.describe(), err)
-		}
-		return s.StepBudget(), analyze, nil
-	case KindBernoulli:
-		// Each node sources a packet with probability Rate per step,
-		// uniform destination; the stream is pinned by the seed under the
-		// Source contract, so the run is exactly reproducible.
-		if err := net.AttachSource(workload.NewBernoulli(s.N*s.N, w.Rate, w.Horizon, w.Seed), sim.AdmitRetry); err != nil {
-			return 0, nil, fmt.Errorf("scenario %s: attach workload: %w", s.describe(), err)
-		}
-		return s.StepBudget(), analyze, nil
 	case KindOnline:
 		w.ApplyOnlineDefaults()
 		var src workload.Source
@@ -575,6 +547,8 @@ func (s *Spec) applyWorkload(net *sim.Network, topo grid.Topology) (int, func() 
 			src = workload.NewHotspot(topo, w.Hotspots, w.Rate, w.Horizon, w.Seed)
 		case ProcessTranspose:
 			src = workload.NewTransposeStream(topo, w.Rate, w.Horizon, w.Seed)
+		case ProcessPeriodic:
+			src = workload.NewBurst(s.N*s.N, w.Horizon)
 		default:
 			return 0, nil, invalid("workload.process", "unknown arrival process %q", w.Process)
 		}

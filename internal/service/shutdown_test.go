@@ -11,7 +11,7 @@ import (
 	"meshroute/internal/scenario"
 )
 
-// longSpec is a burst-workload run that injects for thousands of exact
+// longSpec is a periodic online run that injects for thousands of exact
 // steps — long enough that a drain with an expired deadline always
 // interrupts it mid-flight.
 func longSpec() *scenario.Spec {
@@ -21,8 +21,8 @@ func longSpec() *scenario.Spec {
 		K:      1,
 		Router: "thm15",
 		Workload: scenario.Workload{
-			Kind:    scenario.KindBurst,
-			Seed:    9,
+			Kind:    scenario.KindOnline,
+			Process: scenario.ProcessPeriodic,
 			Horizon: 5000,
 		},
 	}

@@ -15,9 +15,6 @@ type Metrics struct {
 	// SumDelay is the sum over delivered packets of delivery step minus
 	// injection step.
 	SumDelay int
-	// DeliveredAtStep, if enabled with RecordHistory, holds the number of
-	// deliveries per step (index = step).
-	DeliveredAtStep []int
 	// MaxQueueLen is the maximum end-of-step occupancy of any single
 	// queue (excluding the unbounded origin buffer).
 	MaxQueueLen int
@@ -40,24 +37,13 @@ type Metrics struct {
 	Admitted int
 	Refused  int
 	Dropped  int
-
-	recordHistory bool
 }
-
-// RecordHistory enables per-step delivery counts.
-func (m *Metrics) RecordHistory() { m.recordHistory = true }
 
 func (m *Metrics) noteDelivered(injectStep, step int) {
 	if step > m.Makespan {
 		m.Makespan = step
 	}
 	m.SumDelay += step - injectStep
-	if m.recordHistory {
-		for len(m.DeliveredAtStep) <= step {
-			m.DeliveredAtStep = append(m.DeliveredAtStep, 0)
-		}
-		m.DeliveredAtStep[step]++
-	}
 }
 
 // noteDeliveredBatch folds a whole step's deliveries into the metrics at
@@ -72,12 +58,6 @@ func (m *Metrics) noteDeliveredBatch(step, count, sumDelay int) {
 		m.Makespan = step
 	}
 	m.SumDelay += sumDelay
-	if m.recordHistory {
-		for len(m.DeliveredAtStep) <= step {
-			m.DeliveredAtStep = append(m.DeliveredAtStep, 0)
-		}
-		m.DeliveredAtStep[step] += count
-	}
 }
 
 // noteOccupancy folds one end-of-step occupancy maxima observation (from

@@ -13,8 +13,9 @@ import "context"
 //
 // Every call opens a fresh watchdog window: steps of an earlier call count
 // as progress. A step that begins with nothing undelivered or pending also
-// counts: an empty network is idle, not livelocked, so a burst's quiet tail
-// before its horizon runs out its steps whatever the watchdog window.
+// counts: an empty network is idle, not livelocked, so the quiet tail of a
+// periodic process before its horizon runs out its steps whatever the
+// watchdog window.
 func (net *Network) Run(ctx context.Context, alg Algorithm, budget int, after func(net *Network, step int)) (int, error) {
 	start := net.step
 	if net.lastProgress < start {

@@ -772,13 +772,19 @@ func (net *Network) NewPacket(src, dst grid.NodeID) PacketID {
 }
 
 // Place puts a packet at its source node before the run starts. A packet
-// whose source equals its destination is delivered immediately. Placement
-// must respect the queue capacity in the central-queue model.
+// whose source equals its destination is delivered immediately. Both
+// endpoints must be nodes of the topology, and placement must respect the
+// queue capacity in the central-queue model.
 func (net *Network) Place(p PacketID) error {
 	if net.step != 0 || net.inited {
 		return errors.New("sim: Place after run started")
 	}
 	st := &net.P
+	for _, v := range [...]grid.NodeID{st.Src[p], st.Dst[p]} {
+		if v < 0 || int(v) >= len(net.nodes) {
+			return fmt.Errorf("sim: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, st.Src[p], st.Dst[p], v, len(net.nodes))
+		}
+	}
 	if net.analyzer != nil {
 		net.analyzer.Admit(st.Src[p], st.Dst[p])
 	}

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"meshroute/internal/grid"
+	"meshroute/internal/obs"
 )
 
 // greedyXY is a minimal test algorithm: dimension order (row first), FIFO
@@ -300,7 +302,8 @@ func TestInjectionWaitsForRoom(t *testing.T) {
 
 func TestMetricsBasics(t *testing.T) {
 	net := newTestNet(t, 8, 4)
-	net.Metrics.RecordHistory()
+	mem := &obs.Memory{}
+	net.SetMetricsSink(mem)
 	m := net.Topo
 	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 0)), m.ID(grid.XY(3, 0))))
 	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 1)), m.ID(grid.XY(0, 5))))
@@ -319,12 +322,14 @@ func TestMetricsBasics(t *testing.T) {
 	if got := net.AvgDelay(); got != 3.5 {
 		t.Fatalf("avg delay = %v, want 3.5", got)
 	}
-	sum := 0
-	for _, c := range net.Metrics.DeliveredAtStep {
-		sum += c
+	// The per-step history is the sink's sample stream: one delivery at
+	// each of steps 3 and 4.
+	var got []int
+	for _, s := range mem.Steps {
+		got = append(got, s.Delivered)
 	}
-	if sum != 2 {
-		t.Fatalf("history delivered sum = %d, want 2", sum)
+	if want := []int{0, 0, 1, 1}; !slices.Equal(got, want) {
+		t.Fatalf("per-step deliveries %v, want %v", got, want)
 	}
 }
 

@@ -55,14 +55,14 @@ type Source interface {
 // trials independent injections of probability p (p = 1 for a count known
 // to within a few packets). AttachSource sizes the packet store from it,
 // and the count also decides OpenWorkload: a sizedSource of zero trials
-// (a burst of horizon 1) injects nothing after step 0, so its run is not an
+// (a periodic process of horizon 1) injects nothing after step 0, so its run is not an
 // online one, though it lasts until the source is exhausted. A source
 // without the method is online whenever it is not exhausted at step 0.
 type sizedSource interface{ InjectionTrials() (trials, p float64) }
 
 // maxReservedRowsPerNode caps the packet rows reserved for a sizedSource, a
 // bound set by the network and not by the spec's unbounded horizon and
-// rate: online-mesh needs about 24 a node, the dynamic burst specs 19; a
+// rate: online-mesh needs about 24 a node, the periodic specs 19; a
 // heavier run (E12's full sweep, up to 115) doubles from the cap.
 const maxReservedRowsPerNode = 32
 

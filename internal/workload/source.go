@@ -58,8 +58,8 @@ func (r *ReplaySource) Exhausted(step int) bool { return step >= r.step }
 // [1, horizon], each of the n nodes independently injects a packet with
 // probability rate, toward a uniformly random destination. The per-step,
 // per-node RNG consumption order (one Float64 per node, one Intn on a hit,
-// nodes in ascending id order) is part of the format: it reproduces the
-// scenario layer's historical "bernoulli" workload stream bit-exactly.
+// nodes in ascending id order) is part of the format: it pins the scenario
+// layer's "bernoulli" arrival process bit-exactly.
 type BernoulliSource struct {
 	n       int
 	rate    float64
@@ -96,11 +96,11 @@ func (s *BernoulliSource) InjectionTrials() (trials, p float64) {
 	return float64(s.n) * float64(s.horizon), s.rate
 }
 
-// BurstSource is the deterministic bursty stream the scenario layer's
-// "burst" workload has always used: for steps 1..horizon/2, node id injects
-// when (id+step)%7 == 0, toward (id*13 + step*29) mod n. Kept arithmetic-
-// identical so existing burst golden digests are unchanged. It is exhausted
-// only at horizon, like every other process, so a run lasts until then.
+// BurstSource is the deterministic bursty stream of the scenario layer's
+// "periodic" arrival process: for steps 1..horizon/2, node id injects when
+// (id+step)%7 == 0, toward (id*13 + step*29) mod n. Its arithmetic is part
+// of the format: the dynamic golden digests pin it. It is exhausted only at
+// horizon, like every other process, so a run lasts until then.
 type BurstSource struct {
 	n       int
 	horizon int
