@@ -61,7 +61,7 @@ func TestGoldenScenariosCDInvariant(t *testing.T) {
 				t.Fatalf("dilation %d > makespan %d", st.Dilation, st.Makespan)
 			}
 			rspec, rerr := meshroute.LookupRouter(s.Router)
-			if rerr == nil && rspec.Minimal && !s.Workload.Dynamic() && s.Faults == nil {
+			if rerr == nil && rspec.Minimal() && !s.Workload.Dynamic() && s.Faults == nil {
 				if st.Congestion > st.Makespan {
 					t.Fatalf("congestion %d > makespan %d on a minimal static run", st.Congestion, st.Makespan)
 				}

@@ -71,7 +71,7 @@ func main() {
 	default:
 		log.Fatalf("unknown construction %q", *kind)
 	}
-	c, err := adversary.ForQueues(newC, *n, *k, spec.Queues)
+	c, err := adversary.ForQueues(newC, *n, *k, spec.Queues())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -320,27 +320,11 @@ func runCLT(o cliOptions) error {
 	if o.torus {
 		return fmt.Errorf("the Section 6 algorithm targets the mesh")
 	}
-	topo := meshroute.NewMesh(o.n)
-	var perm *meshroute.Permutation
-	switch o.wl {
-	case "random":
-		perm = meshroute.RandomPermutation(topo, o.seed)
-	case "random-dest":
-		perm = meshroute.RandomDestinations(topo, o.seed)
-	case "transpose":
-		perm = meshroute.Transpose(topo)
-	case "reversal":
-		perm = meshroute.Reversal(topo)
-	case "bitrev":
-		perm = meshroute.BitReversal(topo)
-	case "rotation":
-		perm = meshroute.Rotation(topo, o.n/3, o.n/5)
-	case "hh":
-		hh := meshroute.RandomHH(topo, o.h, o.seed)
-		perm = &meshroute.Permutation{Pairs: hh.Pairs}
-	default:
-		return fmt.Errorf("unknown workload %q", o.wl)
+	s, err := o.spec()
+	if err != nil {
+		return err
 	}
+	perm := s.Workload.Permutation(meshroute.NewMesh(o.n))
 
 	var sink *obs.JSONL
 	var sinkOut *os.File

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"meshroute"
-	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
@@ -187,7 +186,7 @@ func TestExchangeInvisibleToDecisions(t *testing.T) {
 	const n = 8
 	for _, name := range meshroute.RouterNames() {
 		spec, _ := meshroute.LookupRouter(name)
-		if _, ok := spec.New().(*dex.Adapter); !ok {
+		if !spec.DestinationExchangeable() {
 			continue
 		}
 		for _, topo := range []grid.Topology{grid.NewSquareMesh(n), grid.NewSquareTorus(n)} {

@@ -52,7 +52,7 @@ func ExampleRouteCLT() {
 func ExampleRouterNames() {
 	for _, name := range meshroute.RouterNames() {
 		spec, _ := meshroute.LookupRouter(name)
-		fmt.Printf("%s minimal=%v dex=%v\n", name, spec.Minimal, spec.DestinationExchangeable)
+		fmt.Printf("%s minimal=%v dex=%v\n", name, spec.Minimal(), spec.DestinationExchangeable())
 	}
 	// Output:
 	// dimorder minimal=true dex=true

@@ -35,6 +35,7 @@ import (
 // View is everything a destination-exchangeable policy may observe about
 // one resident packet, as one value built by NodeCtx.View (the accessors of
 // the same names say why the model allows each field): no destination.
+// Packet age is a relation between two residents, read with NodeCtx.Older.
 type View struct {
 	// Index is the packet's index in the node (use it in Schedule).
 	Index       int
@@ -89,6 +90,16 @@ func (c *NodeCtx) ArrivedStep(i int) int { return int(c.net.P.ArrivedStep[c.pids
 
 // Source returns the i-th resident's source address (allowed by the model).
 func (c *NodeCtx) Source(i int) grid.NodeID { return c.net.P.Src[c.pids[i]] }
+
+// Older reports whether the i-th resident entered the network before the
+// j-th: at an earlier step, or at the same step and created first. A
+// packet's age is fixed when it is created and injected, so it is part of
+// the packet's state, and exchanging destinations leaves it unchanged.
+func (c *NodeCtx) Older(i, j int) bool {
+	p, q := c.pids[i], c.pids[j]
+	a, b := c.net.P.InjectStep[p], c.net.P.InjectStep[q]
+	return a < b || (a == b && p < q)
+}
 
 // QTag returns the queue holding the i-th resident (sim.OriginTag for
 // packets that have not moved, under the per-inlink model).

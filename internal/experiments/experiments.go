@@ -511,7 +511,7 @@ func E9(opts Options) (*Report, error) {
 	if err := perm.Place(net); err != nil {
 		return nil, err
 	}
-	if _, err := net.Run(nil, routers.HotPotato{}, 400*n, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(routers.HotPotato{}), 400*n, nil); err != nil {
 		return nil, err
 	}
 	hp := fmt.Sprint(net.Metrics.Makespan)

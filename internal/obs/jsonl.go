@@ -103,7 +103,6 @@ type JSONL struct {
 	steps  int
 	spans  int
 	events int
-	runs   int
 }
 
 // NewJSONL creates a JSONL sink writing to w, in chunks of 32 KiB: a step
@@ -159,9 +158,7 @@ func (j *JSONL) Run(r RunSummary) {
 	}
 	if err := j.enc.Encode(runLine{T: LineRun, RunSummary: r}); err != nil {
 		j.err = err
-		return
 	}
-	j.runs++
 }
 
 // StepCount returns the number of step lines written.
@@ -172,9 +169,6 @@ func (j *JSONL) SpanCount() int { return j.spans }
 
 // EventCount returns the number of fault lines written.
 func (j *JSONL) EventCount() int { return j.events }
-
-// RunCount returns the number of run-summary lines written.
-func (j *JSONL) RunCount() int { return j.runs }
 
 // Close flushes the buffer and returns the first write error, if any.
 func (j *JSONL) Close() error {

@@ -149,3 +149,40 @@ func TestFaultAwareMatchesObliviousWithoutFaults(t *testing.T) {
 		t.Fatalf("rand-zigzag metrics diverged without faults:\n%+v\nvs\n%+v", a, b)
 	}
 }
+
+// TestHotPotatoOverfullNodeUnderFaults: a down outlink keeps a hot-potato
+// packet at its node while the node still accepts an offer on every
+// inlink, so with the invariant checker off it holds more than K = 4
+// packets. Here the centre of a 5×5 mesh holds four packets, one per
+// outlink, its East outlink alone fails, and each neighbour sends it one
+// packet: five residents. Schedule must order and forward them all the
+// same instead of indexing past a four-slot buffer.
+func TestHotPotatoOverfullNodeUnderFaults(t *testing.T) {
+	topo := grid.NewSquareMesh(5)
+	c := topo.ID(grid.XY(2, 2))
+	step := func(v grid.NodeID, d grid.Dir) grid.NodeID {
+		nb, _ := topo.Neighbor(v, d)
+		return nb
+	}
+	cfg := HotPotatoConfig(topo)
+	cfg.CheckInvariants = false
+	cfg.Faults = (&fault.Schedule{N: topo.N(), Events: []fault.Event{
+		{Step: 1, Kind: fault.LinkDown, Node: c, Dir: grid.East, Permanent: true},
+	}}).Finalize()
+	net := sim.MustNew(cfg)
+	for d := range grid.NumDirs {
+		out, in := grid.Dir(d), grid.Dir(d).Opposite()
+		net.MustPlace(net.NewPacket(c, step(step(c, out), out)))
+		net.MustPlace(net.NewPacket(step(c, out), step(step(c, in), in)))
+	}
+	alg := dex.NewAdapter(HotPotato{})
+	if err := net.StepOnce(alg); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Metrics.MaxNodeLoad; got <= cfg.K {
+		t.Fatalf("the centre holds at most %d packets after step 1, want more than %d", got, cfg.K)
+	}
+	if _, err := net.Run(nil, alg, 100, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,6 +1,9 @@
 package routers
 
 import (
+	"math/bits"
+
+	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
 )
@@ -8,93 +11,75 @@ import (
 // HotPotato is a simple deterministic deflection ("hot potato") router: at
 // every step each node forwards ALL packets it holds, assigning each packet
 // a profitable outlink when one is free and deflecting it on any free
-// outlink otherwise. Older packets (earlier injection, then lower ID)
-// choose first, which guarantees global progress: the oldest packet in the
-// network always advances along a minimal path, so routing terminates.
+// outlink otherwise. Older packets (earlier injection, then earlier
+// creation) choose first, which guarantees global progress: the oldest
+// packet in the network always advances along a minimal path, so routing
+// terminates.
 //
 // Hot potato routers take nonminimal paths. They are destination-
-// exchangeable (the assignment uses only profitable outlinks and the ages
-// carried in packet state), which is exactly why Theorem 14 needs the
-// minimality assumption: the paper notes that the O(n^{3/2}) deflection
-// algorithm of Bar-Noy et al. is destination-exchangeable, so the
-// restriction to minimal paths cannot be dropped. HotPotato plays that
-// role as a runnable baseline.
+// exchangeable (the assignment uses only profitable outlinks and packet
+// ages), which is exactly why Theorem 14 needs the minimality assumption:
+// the paper notes that the O(n^{3/2}) deflection algorithm of Bar-Noy et
+// al. is destination-exchangeable, so the restriction to minimal paths
+// cannot be dropped. HotPotato plays that role as a runnable baseline.
 //
-// Build the network with a central queue of capacity >= 4 and
-// RequireMinimal disabled.
+// Build the network with HotPotatoConfig: its central queue of K = 4 bounds
+// the residents of a node at four while no fault holds a packet back.
 type HotPotato struct{}
 
-// Name implements sim.Algorithm.
+// Name implements dex.Policy.
 func (HotPotato) Name() string { return "hot-potato" }
 
-// InitNode implements sim.Algorithm.
-func (HotPotato) InitNode(net *sim.Network, n *sim.Node) {}
+// InitNode implements dex.Policy.
+func (HotPotato) InitNode(c *dex.NodeCtx) {}
 
-// Update implements sim.Algorithm.
-func (HotPotato) Update(net *sim.Network, n *sim.Node) {}
+// Update implements dex.Policy.
+func (HotPotato) Update(c *dex.NodeCtx) {}
 
 // Schedule forwards every resident packet: oldest packets pick their best
 // profitable free outlink first; leftovers are deflected to any free
 // outlink.
-func (HotPotato) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
+func (HotPotato) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
-	st := &net.P
-	q := net.PacketsOf(n)
-	// Order packets oldest first (InjectStep, then ID; PacketIDs are
-	// assigned in ID order, so comparing handles breaks ties identically).
-	order := make([]int, len(q))
-	for i := range order {
-		order[i] = i
-	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0; j-- {
-			a, b := q[order[j-1]], q[order[j]]
-			if st.InjectStep[a] > st.InjectStep[b] || (st.InjectStep[a] == st.InjectStep[b] && a > b) {
-				order[j-1], order[j] = order[j], order[j-1]
-			} else {
-				break
-			}
+	// Order packets oldest first by insertion; a fault can leave a node
+	// more than four packets, so the buffers may grow.
+	var obuf, lbuf [grid.NumDirs]int
+	order := obuf[:0]
+	for i := range c.Len() {
+		order = append(order, i)
+		j := i
+		for ; j > 0 && c.Older(i, order[j-1]); j-- {
+			order[j] = order[j-1]
 		}
+		order[j] = i
 	}
-	taken := [grid.NumDirs]bool{}
-	assigned := make([]bool, len(q))
+	free := c.Outlinks()
+	left := lbuf[:0]
 	// First pass: profitable outlinks, oldest first.
 	for _, i := range order {
-		prof := st.Prof[q[i]]
-		for d := grid.Dir(0); d < grid.NumDirs; d++ {
-			if prof.Has(d) && !taken[d] {
-				sched[d] = i
-				taken[d] = true
-				assigned[i] = true
-				break
-			}
+		if want := c.Profitable(i) & free; want != 0 {
+			d := bits.TrailingZeros8(uint8(want))
+			sched[d], free = i, free&^(1<<d)
+		} else {
+			left = append(left, i)
 		}
 	}
-	// Second pass: deflect leftovers on any free outlink.
-	for _, i := range order {
-		if assigned[i] {
-			continue
+	// Second pass: deflect leftovers on any free outlink, oldest first.
+	for _, i := range left {
+		if free == 0 {
+			break
 		}
-		for d := grid.Dir(0); d < grid.NumDirs; d++ {
-			if taken[d] {
-				continue
-			}
-			if _, ok := net.Topo.Neighbor(n.ID, d); ok {
-				sched[d] = i
-				taken[d] = true
-				assigned[i] = true
-				break
-			}
-		}
+		d := bits.TrailingZeros8(uint8(free))
+		sched[d], free = i, free&^(1<<d)
 	}
 	return sched
 }
 
-// Accept admits everything: deflection nodes always forward all packets
-// next step, so the queue never exceeds the node degree.
-func (HotPotato) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
-	for i := range acc {
-		acc[i] = true
+// Accept admits everything: deflection nodes forward all packets next
+// step, so without faults the queue never exceeds the node degree.
+func (HotPotato) Accept(c *dex.NodeCtx, offers dex.Offers, accept []bool) {
+	for i := range accept {
+		accept[i] = true
 	}
 }
 
@@ -102,11 +87,5 @@ func (HotPotato) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc [
 // deflection router: central queue with room for one packet per inlink and
 // no minimality requirement.
 func HotPotatoConfig(topo grid.Topology) sim.Config {
-	return sim.Config{
-		Topo:            topo,
-		K:               grid.NumDirs,
-		Queues:          sim.CentralQueue,
-		RequireMinimal:  false,
-		CheckInvariants: true,
-	}
+	return sim.Config{Topo: topo, K: grid.NumDirs, Queues: sim.CentralQueue, CheckInvariants: true}
 }

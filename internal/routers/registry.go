@@ -21,23 +21,18 @@ const (
 	NameStrayDimOrder = "stray-dimorder"
 )
 
-// Spec describes one of the built-in routing algorithms.
+// Spec describes one of the built-in routing algorithms. What the router
+// is — destination-exchangeable, minimal, its queue model — is not declared
+// here but read off New and Config by the methods of the same names.
 type Spec struct {
 	// Name is the registry key.
 	Name string
 	// Summary is a one-line description.
 	Summary string
-	// DestinationExchangeable reports whether the router fits the
-	// Section 2 restricted model (and therefore Theorem 14).
-	DestinationExchangeable bool
-	// Minimal reports whether the router uses only shortest paths.
-	Minimal bool
 	// Offline reports that the router must see the whole instance before
 	// step 1 (it precomputes a global schedule), so it supports static
 	// workloads only; the scenario layer rejects dynamic workloads for it.
 	Offline bool
-	// Queues is the queue model the router requires.
-	Queues sim.QueueModel
 	// New creates a fresh instance for one run.
 	New func() sim.Algorithm
 	// NewFaultAware creates the router's fault-aware variant (detours
@@ -48,9 +43,26 @@ type Spec struct {
 	// deterministic routers, which have no seed to set; New is equivalent
 	// to NewSeeded(0, false) where both exist.
 	NewSeeded func(seed uint64, faultAware bool) sim.Algorithm
-	// Config builds the network configuration for a topology and k.
+	// Config builds the network configuration for a topology and k. It
+	// only stores the topology it is given, so Config(nil, k) describes
+	// the router on every topology.
 	Config func(topo grid.Topology, k int) sim.Config
 }
+
+// DestinationExchangeable reports whether the router fits the Section 2
+// restricted model (and therefore Theorem 14): whether New builds it on the
+// dex adapter, through which a policy never sees a destination.
+func (s Spec) DestinationExchangeable() bool {
+	_, ok := s.New().(*dex.Adapter)
+	return ok
+}
+
+// Minimal reports whether the router uses only shortest paths: whether its
+// configuration has the engine refuse every nonminimal move.
+func (s Spec) Minimal() bool { return s.Config(nil, 1).RequireMinimal }
+
+// Queues returns the queue model the router's configuration builds.
+func (s Spec) Queues() sim.QueueModel { return s.Config(nil, 1).Queues }
 
 // minimalCentral is the configuration of a minimal central-queue router.
 func minimalCentral(topo grid.Topology, k int) sim.Config {
@@ -59,87 +71,63 @@ func minimalCentral(topo grid.Topology, k int) sim.Config {
 
 var registry = map[string]Spec{
 	NameDimOrder: {
-		Name:                    NameDimOrder,
-		Summary:                 "dimension order, FIFO outqueue, round-robin inqueue, central queue",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(DimOrderFIFO{}) },
-		Config:                  minimalCentral,
+		Name:    NameDimOrder,
+		Summary: "dimension order, FIFO outqueue, round-robin inqueue, central queue",
+		New:     func() sim.Algorithm { return dex.NewAdapter(DimOrderFIFO{}) },
+		Config:  minimalCentral,
 	},
 	NameZigZag: {
-		Name:                    NameZigZag,
-		Summary:                 "minimal adaptive alternation (Section 2 example), central queue",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(ZigZag{}) },
-		NewFaultAware:           func() sim.Algorithm { return dex.NewAdapter(ZigZag{FaultAware: true}) },
-		Config:                  minimalCentral,
+		Name:          NameZigZag,
+		Summary:       "minimal adaptive alternation (Section 2 example), central queue",
+		New:           func() sim.Algorithm { return dex.NewAdapter(ZigZag{}) },
+		NewFaultAware: func() sim.Algorithm { return dex.NewAdapter(ZigZag{FaultAware: true}) },
+		Config:        minimalCentral,
 	},
 	NameThm15: {
-		Name:                    NameThm15,
-		Summary:                 "Theorem 15: four inlink queues of size k, straight priority, O(n²/k+n)",
-		DestinationExchangeable: true,
-		Minimal:                 true,
-		Queues:                  sim.PerInlinkQueues,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(Thm15{}) },
-		Config:                  Thm15Config,
+		Name:    NameThm15,
+		Summary: "Theorem 15: four inlink queues of size k, straight priority, O(n²/k+n)",
+		New:     func() sim.Algorithm { return dex.NewAdapter(Thm15{}) },
+		Config:  Thm15Config,
 	},
 	NameFarthestFirst: {
-		Name:                    NameFarthestFirst,
-		Summary:                 "dimension order with farthest-first outqueue (not destination-exchangeable)",
-		DestinationExchangeable: false,
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return DimOrderFF{} },
-		Config:                  minimalCentral,
+		Name:    NameFarthestFirst,
+		Summary: "dimension order with farthest-first outqueue (not destination-exchangeable)",
+		New:     func() sim.Algorithm { return DimOrderFF{} },
+		Config:  minimalCentral,
 	},
 	NameRandZigZag: {
-		Name:                    NameRandZigZag,
-		Summary:                 "randomized minimal adaptive alternation (Section 7 escape hatch 3)",
-		DestinationExchangeable: false, // randomized: outside the deterministic model
-		Minimal:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return RandZigZag{Seed: 0} },
-		NewFaultAware:           func() sim.Algorithm { return RandZigZag{Seed: 0, FaultAware: true} },
+		Name:          NameRandZigZag,
+		Summary:       "randomized minimal adaptive alternation (Section 7 escape hatch 3)",
+		New:           func() sim.Algorithm { return RandZigZag{Seed: 0} },
+		NewFaultAware: func() sim.Algorithm { return RandZigZag{Seed: 0, FaultAware: true} },
 		NewSeeded: func(seed uint64, faultAware bool) sim.Algorithm {
 			return RandZigZag{Seed: seed, FaultAware: faultAware}
 		},
 		Config: minimalCentral,
 	},
 	NameScheduled: {
-		Name:                    NameScheduled,
-		Summary:                 "offline path-scheduled O(C+D) baseline: random delays in [0,C) over the analysis path system",
-		DestinationExchangeable: false,
-		Minimal:                 true,
-		Offline:                 true,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return NewScheduled(0) },
+		Name:    NameScheduled,
+		Summary: "offline path-scheduled O(C+D) baseline: random delays in [0,C) over the analysis path system",
+		Offline: true,
+		New:     func() sim.Algorithm { return NewScheduled(0) },
 		NewSeeded: func(seed uint64, faultAware bool) sim.Algorithm {
 			return NewScheduled(seed)
 		},
 		Config: minimalCentral,
 	},
 	NameStrayDimOrder: {
-		Name:                    NameStrayDimOrder,
-		Summary:                 "dimension order with a 1-column overshoot budget (Section 5 nonminimal extension)",
-		DestinationExchangeable: true,
-		Minimal:                 false,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return dex.NewAdapter(StrayDimOrder{Delta: 1}) },
+		Name:    NameStrayDimOrder,
+		Summary: "dimension order with a 1-column overshoot budget (Section 5 nonminimal extension)",
+		New:     func() sim.Algorithm { return dex.NewAdapter(StrayDimOrder{Delta: 1}) },
 		Config: func(topo grid.Topology, k int) sim.Config {
 			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, MaxStray: 1, CheckInvariants: true}
 		},
 	},
 	NameHotPotato: {
-		Name:                    NameHotPotato,
-		Summary:                 "deterministic deflection baseline (nonminimal)",
-		DestinationExchangeable: true,
-		Minimal:                 false,
-		Queues:                  sim.CentralQueue,
-		New:                     func() sim.Algorithm { return HotPotato{} },
-		Config:                  func(topo grid.Topology, k int) sim.Config { return HotPotatoConfig(topo) },
+		Name:    NameHotPotato,
+		Summary: "deterministic deflection baseline (nonminimal)",
+		New:     func() sim.Algorithm { return dex.NewAdapter(HotPotato{}) },
+		Config:  func(topo grid.Topology, k int) sim.Config { return HotPotatoConfig(topo) },
 	},
 }
 

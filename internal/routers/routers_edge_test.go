@@ -72,7 +72,7 @@ func TestHotPotatoTorus(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, HotPotato{}, 20000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 20000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

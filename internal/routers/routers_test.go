@@ -276,7 +276,7 @@ func TestHotPotatoDeliversPermutations(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(nil, HotPotato{}, 1000*n, nil); err != nil {
+		if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 1000*n, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !net.Done() {
@@ -295,7 +295,7 @@ func TestHotPotatoTakesNonminimalPathsUnderContention(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, HotPotato{}, 5000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 5000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -359,7 +359,7 @@ func TestRoutersAreDeterministic(t *testing.T) {
 		{"stray", func() sim.Algorithm { return dex.NewAdapter(StrayDimOrder{Delta: 2}) }, strayConfig(8, 3, 2)},
 		{"ff", func() sim.Algorithm { return DimOrderFF{} }, centralConfig(8, 4)},
 		{"randzz", func() sim.Algorithm { return RandZigZag{Seed: 7} }, centralConfig(8, 4)},
-		{"hotpotato", func() sim.Algorithm { return HotPotato{} }, HotPotatoConfig(grid.NewSquareMesh(8))},
+		{"hotpotato", func() sim.Algorithm { return dex.NewAdapter(HotPotato{}) }, HotPotatoConfig(grid.NewSquareMesh(8))},
 		{"scheduled", func() sim.Algorithm { return NewScheduled(0) }, centralConfig(8, 2)},
 	}
 	for _, a := range algs {

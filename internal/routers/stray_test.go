@@ -156,7 +156,8 @@ func (greedyStub) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc 
 // which cannot import this one) for the destination-exchangeable routers:
 // after warm-up a step through the adapter and each policy allocates
 // nothing. stray is the case that used to fail — its Schedule built a
-// map[int]bool per call, twice per node per step.
+// map[int]bool per call, twice per node per step — and so was hot-potato,
+// whose Schedule made two slices per call.
 func TestDexSteadyStateStepAllocs(t *testing.T) {
 	const n = 16
 	cases := []struct {
@@ -167,6 +168,7 @@ func TestDexSteadyStateStepAllocs(t *testing.T) {
 		{centralConfig(n, 2), ZigZag{}},
 		{Thm15Config(grid.NewSquareMesh(n), 2), Thm15{}},
 		{strayConfig(n, 3, 2), StrayDimOrder{Delta: 2}},
+		{HotPotatoConfig(grid.NewSquareMesh(n)), HotPotato{}},
 	}
 	for _, c := range cases {
 		net := sim.MustNew(c.cfg)

@@ -47,7 +47,7 @@ func (s *Spec) Fingerprint() (string, error) {
 	}
 	rspec, _ := routers.Lookup(c.Router)
 	if c.Queues == "" {
-		c.Queues = queueModelName(rspec.Queues)
+		c.Queues = queueModelName(rspec.Queues())
 	}
 	if c.CheckInvariants == nil {
 		// Config only stores the topology it is given; the default does not

@@ -278,7 +278,7 @@ func (s *Spec) Validate() error {
 	switch s.Queues {
 	case "":
 	case QueuesCentral, QueuesPerInlink:
-		if want := queueModelName(rspec.Queues); s.Queues != want {
+		if want := queueModelName(rspec.Queues()); s.Queues != want {
 			return invalid("queues", "router %q requires the %q queue model, spec says %q", s.Router, want, s.Queues)
 		}
 	default:
@@ -502,6 +502,31 @@ func (s *Spec) staticBudget() int {
 	return 200 * (s.N*s.N/s.K + 2*s.N)
 }
 
+// Permutation returns the static permutation the workload names on topo,
+// or nil for the online kind, which injects over time, and for an unknown
+// kind.
+func (w *Workload) Permutation(topo grid.Topology) *workload.Permutation {
+	switch w.Kind {
+	case KindRandom:
+		return workload.Random(topo, w.Seed)
+	case KindRandomDest:
+		return workload.RandomDestinations(topo, w.Seed)
+	case KindTranspose:
+		return workload.Transpose(topo)
+	case KindReversal:
+		return workload.Reversal(topo)
+	case KindBitRev:
+		return workload.BitReversal(topo)
+	case KindRotation:
+		return workload.Rotation(topo, w.DX, w.DY)
+	case KindHH:
+		return &workload.Permutation{Pairs: workload.RandomHH(topo, w.H, w.Seed).Pairs}
+	case KindPairs:
+		return &workload.Permutation{Pairs: w.Pairs}
+	}
+	return nil
+}
+
 // applyWorkload places or schedules the Spec's workload and returns the
 // run's step budget and, when the analysis knob is on, the function
 // yielding the workload's congestion/dilation (see Run.Analysis).
@@ -516,26 +541,7 @@ func (s *Spec) applyWorkload(net *sim.Network, topo grid.Topology) (int, func() 
 		net.SetAnalyzer(acc)
 		analyze = acc.Result
 	}
-	var perm *workload.Permutation
-	switch w.Kind {
-	case KindRandom:
-		perm = workload.Random(topo, w.Seed)
-	case KindRandomDest:
-		perm = workload.RandomDestinations(topo, w.Seed)
-	case KindTranspose:
-		perm = workload.Transpose(topo)
-	case KindReversal:
-		perm = workload.Reversal(topo)
-	case KindBitRev:
-		perm = workload.BitReversal(topo)
-	case KindRotation:
-		perm = workload.Rotation(topo, w.DX, w.DY)
-	case KindHH:
-		hh := workload.RandomHH(topo, w.H, w.Seed)
-		perm = &workload.Permutation{Pairs: hh.Pairs}
-	case KindPairs:
-		perm = &workload.Permutation{Pairs: w.Pairs}
-	case KindOnline:
+	if w.Kind == KindOnline {
 		w.ApplyOnlineDefaults()
 		var src workload.Source
 		switch w.Process {
@@ -560,7 +566,9 @@ func (s *Spec) applyWorkload(net *sim.Network, topo grid.Topology) (int, func() 
 			return 0, nil, fmt.Errorf("scenario %s: attach workload: %w", s.describe(), err)
 		}
 		return s.StepBudget(), analyze, nil
-	default:
+	}
+	perm := w.Permutation(topo)
+	if perm == nil {
 		return 0, nil, invalid("workload.kind", "unknown workload kind %q", w.Kind)
 	}
 	if err := perm.Place(net); err != nil {

@@ -6,7 +6,9 @@ import "context"
 // have run, the context is canceled or a step fails, and returns the number
 // of steps executed in this call. An exhausted budget is not an error: the
 // caller reads Done. A canceled run returns a *CanceledError carrying
-// partial-progress diagnostics; a nil context never cancels. After every
+// partial-progress diagnostics; a nil context never cancels. A step whose
+// source pull named a node outside the topology ends the run with that
+// error (Err), and so does every later call, which steps no more. After every
 // step that succeeds or ends in a *LivelockError, after (if non-nil) sees
 // the network and its step counter, so it also sees the step a watchdog
 // abort ends the run on.
@@ -25,7 +27,7 @@ func (net *Network) Run(ctx context.Context, alg Algorithm, budget int, after fu
 	if ctx != nil {
 		cancel = ctx.Done()
 	}
-	for !net.Done() && net.step-start < budget {
+	for !net.Done() && net.srcErr == nil && net.step-start < budget {
 		if cancel != nil {
 			select {
 			case <-cancel:
@@ -47,5 +49,5 @@ func (net *Network) Run(ctx context.Context, alg Algorithm, budget int, after fu
 			return net.step - start, err
 		}
 	}
-	return net.step - start, nil
+	return net.step - start, net.srcErr
 }

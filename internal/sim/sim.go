@@ -473,12 +473,14 @@ type Network struct {
 	backlogHead  []int32
 
 	// Streaming-workload state (see source.go). The source is pulled once
-	// per step by the injection phase; injBuf is the reused Next buffer.
+	// per step by the injection phase; injBuf is the reused Next buffer;
+	// srcErr refuses a pull that named a node outside the topology.
 	source       Source
 	admit        AdmissionPolicy
 	srcExhausted bool
 	openSource   bool // source injects beyond step 0 (an online run)
 	injBuf       []Injection
+	srcErr       error
 
 	// analyzer, when non-nil, observes every packet that materializes in
 	// the run (placements, queued injections, admitted streamed
@@ -657,9 +659,10 @@ func (net *Network) DeliveredCount() int { return net.delivered }
 // been delivered, no injections are still scheduled, and any attached
 // streaming source is exhausted. For open workloads (a live source) Done
 // stays false until the source dries up and the network drains, so run
-// termination comes from the step budget (the horizon) instead.
+// termination comes from the step budget (the horizon) instead. A source
+// refused by Err never makes the run done.
 func (net *Network) Done() bool {
-	return (net.source == nil || net.srcExhausted) &&
+	return net.srcErr == nil && (net.source == nil || net.srcExhausted) &&
 		net.delivered == net.total && len(net.pendingInj) == 0
 }
 
@@ -706,9 +709,6 @@ func (net *Network) SetMetricsSink(s obs.Sink) {
 	net.sink = s
 	net.eventSink, _ = s.(obs.EventSink)
 }
-
-// MetricsSink returns the installed metrics sink, or nil.
-func (net *Network) MetricsSink() obs.Sink { return net.sink }
 
 // LinkUp reports whether the directed channel (id, d) is currently up.
 // Without a fault schedule every link is always up.
@@ -782,7 +782,7 @@ func (net *Network) Place(p PacketID) error {
 	st := &net.P
 	for _, v := range [...]grid.NodeID{st.Src[p], st.Dst[p]} {
 		if v < 0 || int(v) >= len(net.nodes) {
-			return fmt.Errorf("sim: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, st.Src[p], st.Dst[p], v, len(net.nodes))
+			return fmt.Errorf("sim: step 0: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, st.Src[p], st.Dst[p], v, len(net.nodes))
 		}
 	}
 	if net.analyzer != nil {

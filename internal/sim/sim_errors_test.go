@@ -329,3 +329,77 @@ func TestStaleProfIsInvariantError(t *testing.T) {
 		t.Fatalf("want an invariant error naming packet 1 and step 1, got %v", err)
 	}
 }
+
+// badAtSource injects one in-range packet a step and, at step bad, inj too.
+type badAtSource struct {
+	bad int
+	inj Injection
+}
+
+func (s badAtSource) Next(step int, buf []Injection) []Injection {
+	buf = append(buf, Injection{Src: 0, Dst: 5})
+	if step == s.bad {
+		buf = append(buf, s.inj)
+	}
+	return buf
+}
+
+func (badAtSource) Exhausted(step int) bool { return step >= 10 }
+
+// TestStreamedInjectionOutsideTopologyRefused: a caller-written source
+// that names a node outside the 4×4 mesh, as source or destination, is
+// refused with an error naming the step, both endpoints and the node — by
+// AttachSource at step 0 under either policy (through Place under
+// AdmitRetry), and by Run after step 0, which ends on that step. A caller
+// stepping with StepOnce reads it from Err, and Done stays false.
+func TestStreamedInjectionOutsideTopologyRefused(t *testing.T) {
+	bad := []Injection{{Src: 99, Dst: 5}, {Src: 3, Dst: 99}, {Src: -1, Dst: 5}, {Src: 3, Dst: 16}}
+	for _, inj := range bad {
+		for _, step := range []int{0, 3} {
+			for _, policy := range []AdmissionPolicy{AdmitRetry, AdmitDrop} {
+				name := fmt.Sprintf("%d->%d at step %d, policy %d", inj.Src, inj.Dst, step, policy)
+				v := inj.Src
+				if v >= 0 && v < 16 {
+					v = inj.Dst
+				}
+				want := fmt.Sprintf("(%d->%d): node %d is not one of the topology's 16 nodes", inj.Src, inj.Dst, v)
+				net := newTestNet(t, 4, 2)
+				err := net.AttachSource(badAtSource{step, inj}, policy)
+				if step > 0 {
+					if err != nil {
+						t.Fatalf("%s: AttachSource: %v", name, err)
+					}
+					var steps int
+					steps, err = net.Run(nil, greedyXY{}, 20, nil)
+					if steps != step {
+						t.Errorf("%s: Run stopped after %d steps, want %d", name, steps, step)
+					}
+				}
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.HasPrefix(err.Error(), fmt.Sprintf("sim: step %d: ", step)) {
+					t.Errorf("%s: got %v, want an error of step %d containing %q", name, err, step, want)
+				}
+				if step == 0 {
+					continue
+				}
+				// A second Run steps no more and returns the same error.
+				if steps, again := net.Run(nil, greedyXY{}, 20, nil); steps != 0 || again != err {
+					t.Errorf("%s: second Run: %d steps, %v; want 0 steps and %v", name, steps, again, err)
+				}
+				// Stepping by hand, the refusal shows in Err and Done
+				// never reports the truncated run as finished.
+				hand := newTestNet(t, 4, 2)
+				if err := hand.AttachSource(badAtSource{step, inj}, policy); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 40; i++ {
+					if err := hand.StepOnce(greedyXY{}); err != nil {
+						t.Fatalf("%s: StepOnce: %v", name, err)
+					}
+				}
+				if hand.Done() || hand.Err() == nil || hand.Err().Error() != err.Error() {
+					t.Errorf("%s: after 40 hand steps Done=%v Err=%v, want Done=false and %v", name, hand.Done(), hand.Err(), err)
+				}
+			}
+		}
+	}
+}

@@ -138,11 +138,15 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	}
 	for _, inj := range buf {
 		net.Metrics.Offered++
-		if policy == AdmitDrop && inj.Src != inj.Dst && net.Queues == CentralQueue &&
-			net.nodes[inj.Src].QueueLen(0) >= net.K {
-			net.Metrics.Refused++
-			net.Metrics.Dropped++
-			continue
+		if policy == AdmitDrop {
+			if err := net.checkInjection(0, inj); err != nil {
+				return err // under AdmitRetry, Place refuses it
+			}
+			if inj.Src != inj.Dst && net.Queues == CentralQueue && net.nodes[inj.Src].QueueLen(0) >= net.K {
+				net.Metrics.Refused++
+				net.Metrics.Dropped++
+				continue
+			}
 		}
 		if err := net.Place(net.NewPacket(inj.Src, inj.Dst)); err != nil {
 			return err
@@ -206,16 +210,23 @@ func (net *Network) sourcePacket(inj Injection) PacketID {
 }
 
 // pullSource asks the attached source for step t's injections and admits
-// them under the configured policy. Under AdmitRetry the injections
-// materialize immediately and join the per-node backlog (behind any
-// QueueInjection packets due this step), to be drained by the normal FIFO
-// admission below; under AdmitDrop each injection is admitted directly if
-// its source queue has room (and the node is not stalled) and discarded —
-// without ever materializing — otherwise.
+// them under the configured policy. A pull that names a node outside the
+// topology admits nothing, stops the source and is refused by Run. Under
+// AdmitRetry the injections materialize immediately and join the per-node
+// backlog (behind any QueueInjection packets due this step), to be drained
+// by the normal FIFO admission below; under AdmitDrop each injection is
+// admitted directly if its source queue has room (and the node is not
+// stalled) and discarded — without ever materializing — otherwise.
 func (net *Network) pullSource(t int) {
 	st := &net.P
 	buf := net.source.Next(t, net.injBuf[:0])
 	net.injBuf = buf[:0] // keep the grown capacity for the next pull
+	for _, inj := range buf {
+		if net.srcErr = net.checkInjection(t, inj); net.srcErr != nil {
+			net.srcExhausted = true
+			return
+		}
+	}
 	net.stepOffered += len(buf)
 	if net.admit == AdmitDrop {
 		for _, inj := range buf {
@@ -249,6 +260,21 @@ func (net *Network) pullSource(t int) {
 		}
 	}
 	net.srcExhausted = net.source.Exhausted(t)
+}
+
+// Err reports the pull refused for naming a node outside the topology. Run
+// returns it and Done stays false; a caller of StepOnce must read it.
+func (net *Network) Err() error { return net.srcErr }
+
+// checkInjection refuses an injection of step t that names a node outside
+// the topology, in the words Place uses for a packet.
+func (net *Network) checkInjection(t int, inj Injection) error {
+	for _, v := range [...]grid.NodeID{inj.Src, inj.Dst} {
+		if v < 0 || int(v) >= len(net.nodes) {
+			return fmt.Errorf("sim: step %d: injection (%d->%d): node %d is not one of the topology's %d nodes", t, inj.Src, inj.Dst, v, len(net.nodes))
+		}
+	}
+	return nil
 }
 
 // toBacklog appends p to its source node's backlog and puts the node on the

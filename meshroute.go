@@ -209,10 +209,10 @@ func HardPermutation(n, k int, router string, maxSteps int) (perm []Pair, bound,
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	if !spec.DestinationExchangeable {
+	if !spec.DestinationExchangeable() {
 		return nil, 0, 0, false, fmt.Errorf("meshroute: router %q is not destination-exchangeable; Theorem 14 does not apply", router)
 	}
-	if spec.Queues != sim.CentralQueue {
+	if spec.Queues() != sim.CentralQueue {
 		return nil, 0, 0, false, fmt.Errorf("meshroute: HardPermutation supports central-queue routers; use the adversary package directly for %q", router)
 	}
 	c, err := adversary.NewConstruction(n, k)

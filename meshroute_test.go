@@ -30,15 +30,15 @@ func TestLookupRouterErrors(t *testing.T) {
 		t.Fatal("unknown router must error")
 	}
 	spec, err := LookupRouter(RouterThm15)
-	if err != nil || !spec.DestinationExchangeable || !spec.Minimal {
+	if err != nil || !spec.DestinationExchangeable() || !spec.Minimal() {
 		t.Fatalf("thm15 spec wrong: %+v err=%v", spec, err)
 	}
 	hp, _ := LookupRouter(RouterHotPotato)
-	if hp.Minimal {
+	if hp.Minimal() {
 		t.Fatal("hot potato must be nonminimal")
 	}
 	ff, _ := LookupRouter(RouterFarthestFirst)
-	if ff.DestinationExchangeable {
+	if ff.DestinationExchangeable() {
 		t.Fatal("farthest-first must not be destination-exchangeable")
 	}
 }

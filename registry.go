@@ -43,8 +43,11 @@ const (
 	RouterStray = routers.NameStrayDimOrder
 )
 
-// RouterSpec describes one of the built-in routing algorithms; see
-// routers.Spec for its fields.
+// RouterSpec describes one of the built-in routing algorithms: its name,
+// summary, Offline flag, constructors and Config (see routers.Spec). Its
+// methods DestinationExchangeable, Minimal and Queues derive the rest from
+// that code: dex exactly when New returns a *dex.Adapter, minimal and the
+// queue model as Config sets them.
 type RouterSpec = routers.Spec
 
 // LookupRouter returns the spec for a router name.
