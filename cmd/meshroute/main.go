@@ -175,7 +175,6 @@ func (o cliOptions) spec() (*scenario.Spec, error) {
 		Watchdog:   o.watchdog,
 		MaxSteps:   o.maxSteps,
 		MetricsOut: o.metricsOut,
-		TraceOut:   o.traceFile,
 		Analysis:   o.analyze,
 	}
 	if o.torus {
@@ -233,9 +232,6 @@ func run(ctx context.Context, o cliOptions) error {
 		if o.metricsOut != "" {
 			spec.MetricsOut = o.metricsOut
 		}
-		if o.traceFile != "" {
-			spec.TraceOut = o.traceFile
-		}
 		if o.analyze {
 			spec.Analysis = true
 		}
@@ -261,18 +257,29 @@ func run(ctx context.Context, o cliOptions) error {
 		}
 		return nil
 	}
-	return runScenario(ctx, spec, o.showViz)
+	return runScenario(ctx, spec, o.showViz, o.traceFile)
 }
 
 // runScenario executes one spec through the Runner and prints statistics —
-// full on success, partial with diagnostics when the run aborts.
-func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool) error {
+// full on success, partial with diagnostics when the run aborts. A
+// non-empty traceFile gets the run's per-move trace, one JSON line per step.
+func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool, traceFile string) error {
 	run, err := spec.Build()
 	if err != nil {
 		return err
 	}
 	if run.Faults != nil {
 		fmt.Printf("faults: %s (seed %d)\n", run.Faults, spec.Faults.Seed)
+	}
+	var rec *trace.Recorder
+	var traceOut *os.File
+	if traceFile != "" {
+		if traceOut, err = os.Create(traceFile); err != nil {
+			return err
+		}
+		defer traceOut.Close() // for the early returns; the checked Close is below
+		rec = trace.NewRecorder(traceOut)
+		rec.Attach(run.Net)
 	}
 	r := scenario.Runner{}
 	if showViz {
@@ -287,8 +294,14 @@ func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool) error {
 	if err != nil {
 		return err
 	}
-	if spec.TraceOut != "" {
-		fmt.Printf("trace: %d steps written to %s\n", res.Steps, spec.TraceOut)
+	if rec != nil {
+		if err := rec.Close(); err != nil {
+			return err
+		}
+		if err := traceOut.Close(); err != nil {
+			return err
+		}
+		fmt.Printf("trace: %d steps written to %s\n", res.Steps, traceFile)
 	}
 	if spec.MetricsOut != "" {
 		fmt.Printf("metrics: %d step samples, %d spans written to %s\n",
@@ -298,8 +311,8 @@ func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool) error {
 	if res.Err != nil {
 		return res.Err
 	}
-	if showViz && spec.TraceOut != "" {
-		f, err := os.Open(spec.TraceOut)
+	if showViz && rec != nil {
+		f, err := os.Open(traceFile)
 		if err != nil {
 			return err
 		}
@@ -324,7 +337,9 @@ func runCLT(o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	perm := s.Workload.Permutation(meshroute.NewMesh(o.n))
+	if err := s.ValidateWorkload(); err != nil {
+		return err
+	}
 
 	var sink *obs.JSONL
 	var sinkOut *os.File
@@ -344,7 +359,7 @@ func runCLT(o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.Route(perm)
+	res, err := r.Route(s.Workload.Permutation(meshroute.NewMesh(o.n)))
 	if err != nil {
 		return err
 	}

@@ -507,18 +507,22 @@ func E9(opts Options) (*Report, error) {
 	rep.Table.AddRow("clt-section6", "minimal, NOT dex (hatch 1)", cres.TimeFormula, float64(cres.TimeFormula)/float64(bound), true)
 
 	// Hot potato: destination-exchangeable but nonminimal.
-	net := sim.MustNew(routers.HotPotatoConfig(grid.NewSquareMesh(n)))
-	if err := perm.Place(net); err != nil {
+	hres, err := opts.runSpec(&scenario.Spec{N: n, K: k, Router: meshroute.RouterHotPotato,
+		Workload: scenario.Workload{Kind: scenario.KindPairs, Pairs: out.Permutation}, MaxSteps: 400 * n})
+	if err != nil {
 		return nil, err
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(routers.HotPotato{}), 400*n, nil); err != nil {
-		return nil, err
+	if hres.Canceled() {
+		return interrupted(rep), nil
 	}
-	hp := fmt.Sprint(net.Metrics.Makespan)
-	if !net.Done() {
+	if hres.Err != nil {
+		return nil, hres.Err
+	}
+	hp := fmt.Sprint(hres.Stats.Makespan)
+	if !hres.Stats.Done {
 		hp = fmt.Sprintf(">%d", 400*n)
 	}
-	rep.Table.AddRow("hot-potato", "dex, NOT minimal (hatch 2)", hp, float64(net.Metrics.Makespan)/float64(bound), net.Done())
+	rep.Table.AddRow("hot-potato", "dex, NOT minimal (hatch 2)", hp, float64(hres.Stats.Makespan)/float64(bound), hres.Stats.Done)
 
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("Theorem 13 bound = %d steps; the dex minimal router cannot beat it — and in fact wedges far above it", bound),

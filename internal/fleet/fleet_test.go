@@ -76,35 +76,6 @@ func execute(t *testing.T, c *Coordinator, spec *scenario.Spec) *CellResult {
 	return res
 }
 
-// TestExecuteMatchesLocalRun pins the fleet's core guarantee: a cell
-// executed remotely returns exactly the stats, event bytes and totals of
-// a local run, on its first attempt.
-func TestExecuteMatchesLocalRun(t *testing.T) {
-	srv := startWorker(t)
-	c := NewCoordinator(testConfig())
-	c.Register(srv.URL)
-
-	spec := testSpec("identity", 7)
-	spec.Analysis = true // so the totals carry a run summary too
-	wantStats, wantEvents, wantTotals := runLocal(t, spec)
-	res := execute(t, c, spec)
-	if res.Stats != wantStats {
-		t.Errorf("remote stats %+v, want %+v", res.Stats, wantStats)
-	}
-	if res.Totals != wantTotals || res.Totals.Steps == 0 || res.Totals.Runs != 1 {
-		t.Errorf("remote totals %+v, want %+v", res.Totals, wantTotals)
-	}
-	if got := res.Events; !bytes.Equal(got, wantEvents) || res.EventLines != bytes.Count(wantEvents, []byte{'\n'}) {
-		t.Errorf("remote events differ from local run:\nremote %d bytes in %d lines\nlocal  %d bytes", len(got), res.EventLines, len(wantEvents))
-	}
-	if res.Error != "" || res.Canceled || res.EventsDropped != 0 {
-		t.Errorf("unexpected abort fields in %+v", res)
-	}
-	if res.Attempts != 1 || res.Worker != srv.URL {
-		t.Errorf("attempts %d worker %s, want 1 attempt on %s", res.Attempts, res.Worker, srv.URL)
-	}
-}
-
 // TestExecuteNoWorkers covers both empty and all-dead fleets.
 func TestExecuteNoWorkers(t *testing.T) {
 	c := NewCoordinator(testConfig())

@@ -88,8 +88,8 @@ func (w *Worker) handleCell(rw http.ResponseWriter, r *http.Request) {
 		workerError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if spec.MetricsOut != "" || spec.TraceOut != "" {
-		workerError(rw, http.StatusBadRequest, "metrics_out/trace_out are worker-side file paths and are not accepted")
+	if spec.MetricsOut != "" {
+		workerError(rw, http.StatusBadRequest, "metrics_out is a worker-side file path and is not accepted")
 		return
 	}
 	select {

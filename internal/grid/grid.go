@@ -129,34 +129,10 @@ func (c Coord) Add(d Dir) Coord {
 	return Coord{c.X + dx, c.Y + dy}
 }
 
-// Topology abstracts the mesh and torus networks. All methods must be
-// deterministic and safe for concurrent readers.
-type Topology interface {
-	// Width returns the number of columns.
-	Width() int
-	// Height returns the number of rows.
-	Height() int
-	// N returns the number of nodes.
-	N() int
-	// ID maps a coordinate to its node identifier. The coordinate must be
-	// in range.
-	ID(c Coord) NodeID
-	// CoordOf maps a node identifier back to its coordinate.
-	CoordOf(id NodeID) Coord
-	// Neighbor returns the node one hop away in direction d, and whether
-	// that outlink exists.
-	Neighbor(id NodeID, d Dir) (NodeID, bool)
-	// Dist returns the shortest-path distance between two nodes.
-	Dist(a, b NodeID) int
-	// Profitable returns the set of outlinks of from that strictly
-	// decrease the distance to dst.
-	Profitable(from, dst NodeID) DirSet
-	// Outlinks returns the set of outlinks that exist at id: exactly the
-	// directions for which Neighbor reports true.
-	Outlinks(id NodeID) DirSet
-	// Wraparound reports whether the topology is a torus.
-	Wraparound() bool
-}
+// Topology is the network type every layer takes: the mesh, or the torus,
+// which is the mesh with wraparound links. Its methods are deterministic and
+// safe for concurrent readers.
+type Topology = *Grid
 
 // EdgeIndex numbers the directed edge leaving node id in direction d, densely
 // in [0, NumDirs*N): the slot of that outlink in any flat per-port table.

@@ -110,41 +110,11 @@ func (c *Counters) Add(t Totals) {
 	c.runCD.Add(t.RunCD)
 }
 
-// Steps returns the number of engine steps observed.
-func (c *Counters) Steps() int64 { return c.steps.Load() }
-
-// Moves returns the total accepted transmissions observed.
-func (c *Counters) Moves() int64 { return c.moves.Load() }
-
-// Delivered returns the total packet deliveries observed.
-func (c *Counters) Delivered() int64 { return c.delivered.Load() }
-
-// Offered returns the total injection offers observed (streamed and
-// scheduled injection; 0 for static one-shot runs).
-func (c *Counters) Offered() int64 { return c.offered.Load() }
-
-// Admitted returns the total injection admissions observed.
-func (c *Counters) Admitted() int64 { return c.admitted.Load() }
-
-// Refused returns the total admission refusals observed (backlogged
-// retries plus dropped offers).
-func (c *Counters) Refused() int64 { return c.refused.Load() }
-
-// Spans returns the number of phase spans observed.
-func (c *Counters) Spans() int64 { return c.spans.Load() }
-
-// Events returns the number of fault/watchdog events observed.
-func (c *Counters) Events() int64 { return c.events.Load() }
-
-// Runs returns the number of analyzed-run summaries observed.
-func (c *Counters) Runs() int64 { return c.runs.Load() }
-
 // CDRatio returns the aggregate efficiency ratio over all analyzed runs,
 // sum(makespan)/sum(C+D), or 0 when no analyzed run has been observed.
-func (c *Counters) CDRatio() float64 {
-	cd := c.runCD.Load()
-	if cd == 0 {
+func (t Totals) CDRatio() float64 {
+	if t.RunCD == 0 {
 		return 0
 	}
-	return float64(c.runMakespan.Load()) / float64(cd)
+	return float64(t.RunMakespan) / float64(t.RunCD)
 }

@@ -15,20 +15,8 @@ func TestCountersAggregates(t *testing.T) {
 	c.Span(Span{Name: "march"})
 	c.Event(Event{Kind: "link-down"})
 	c.Event(Event{Kind: "link-up"})
-	if got := c.Steps(); got != 2 {
-		t.Errorf("Steps() = %d, want 2", got)
-	}
-	if got := c.Moves(); got != 8 {
-		t.Errorf("Moves() = %d, want 8", got)
-	}
-	if got := c.Delivered(); got != 3 {
-		t.Errorf("Delivered() = %d, want 3", got)
-	}
-	if got := c.Spans(); got != 1 {
-		t.Errorf("Spans() = %d, want 1", got)
-	}
-	if got := c.Events(); got != 2 {
-		t.Errorf("Events() = %d, want 2", got)
+	if got, want := c.Totals(), (Totals{Steps: 2, Moves: 8, Delivered: 3, Spans: 1, Events: 2}); got != want {
+		t.Errorf("Totals() = %+v, want %+v", got, want)
 	}
 }
 
@@ -50,14 +38,9 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Steps(); got != workers*per {
-		t.Errorf("Steps() = %d, want %d", got, workers*per)
-	}
-	if got := c.Moves(); got != 2*workers*per {
-		t.Errorf("Moves() = %d, want %d", got, 2*workers*per)
-	}
-	if got := c.Events(); got != workers*per {
-		t.Errorf("Events() = %d, want %d", got, workers*per)
+	want := Totals{Steps: workers * per, Moves: 2 * workers * per, Delivered: workers * per, Events: workers * per}
+	if got := c.Totals(); got != want {
+		t.Errorf("Totals() = %+v, want %+v", got, want)
 	}
 }
 
@@ -99,7 +82,7 @@ func TestCountersTotalsAdd(t *testing.T) {
 	if got, want := shared.Totals(), direct.Totals(); got != want {
 		t.Fatalf("added totals %+v, direct %+v", got, want)
 	}
-	if got, want := shared.CDRatio(), direct.CDRatio(); got != want {
+	if got, want := shared.Totals().CDRatio(), direct.Totals().CDRatio(); got != want {
 		t.Fatalf("CDRatio %v after Add, %v direct", got, want)
 	}
 }

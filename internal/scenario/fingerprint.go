@@ -19,7 +19,7 @@ import (
 //
 // Canonicalization:
 //
-//   - presentation-only fields (name, metrics_out, trace_out) are cleared —
+//   - presentation-only fields (name, metrics_out) are cleared —
 //     they label or export a run without changing its outcome — and so is
 //     the deprecated workers field, which Build ignores;
 //   - defaults are materialized: an empty topology becomes "mesh", an empty
@@ -40,7 +40,6 @@ func (s *Spec) Fingerprint() (string, error) {
 	c := *s
 	c.Name = ""
 	c.MetricsOut = ""
-	c.TraceOut = ""
 	c.Workers = 0
 	if c.Topology == "" {
 		c.Topology = TopoMesh

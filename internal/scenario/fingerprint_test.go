@@ -43,11 +43,7 @@ func TestFingerprintSemanticEquality(t *testing.T) {
 		"explicit mesh topology": func() *Spec { s := baseSpec(); s.Topology = TopoMesh; return s }(),
 		"explicit queue model":   func() *Spec { s := baseSpec(); s.Queues = QueuesCentral; return s }(),
 		"name set":               func() *Spec { s := baseSpec(); s.Name = "labelled"; return s }(),
-		"metrics/trace outputs": func() *Spec {
-			s := baseSpec()
-			s.MetricsOut, s.TraceOut = "m.jsonl", "t.jsonl"
-			return s
-		}(),
+		"metrics output":         func() *Spec { s := baseSpec(); s.MetricsOut = "m.jsonl"; return s }(),
 		"explicit automatic budget": func() *Spec {
 			s := baseSpec()
 			s.MaxSteps = 200 * (s.N*s.N/s.K + 2*s.N)

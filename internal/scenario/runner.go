@@ -9,7 +9,6 @@ import (
 	"meshroute/internal/obs"
 	"meshroute/internal/sim"
 	"meshroute/internal/stats"
-	"meshroute/internal/trace"
 )
 
 // Result is the outcome of executing one scenario. Run-level aborts
@@ -89,42 +88,28 @@ func (r *Runner) Run(ctx context.Context, s *Spec) (*Result, error) {
 // RunBuilt executes an already-built scenario under the context:
 // cancellation is honored between steps and surfaces as a
 // *sim.CanceledError in Result.Err. The returned error is non-nil only
-// for setup problems (unwritable output files); run-level aborts are
+// for setup problems (an unwritable metrics file); run-level aborts are
 // reported via Result.Err so partial statistics stay available.
 func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 	net, s := run.Net, run.Spec
 
-	var sink *obs.JSONL
-	var sinkOut *os.File
+	// The run's one sink: the metrics_out file, the caller's Sink, or both.
+	var file *obs.JSONL
+	var fileOut *os.File
+	sink := r.Sink
 	if s.MetricsOut != "" {
 		f, err := os.Create(s.MetricsOut)
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.describe(), err)
 		}
-		sinkOut = f
-		sink = obs.NewJSONL(f)
-	}
-	switch {
-	case sink != nil && r.Sink != nil:
-		net.SetMetricsSink(obs.Multi{sink, r.Sink})
-	case sink != nil:
-		net.SetMetricsSink(sink)
-	case r.Sink != nil:
-		net.SetMetricsSink(r.Sink)
-	}
-	var rec *trace.Recorder
-	var traceOut *os.File
-	if s.TraceOut != "" {
-		f, err := os.Create(s.TraceOut)
-		if err != nil {
-			if sinkOut != nil {
-				sinkOut.Close()
-			}
-			return nil, fmt.Errorf("scenario %s: %w", s.describe(), err)
+		fileOut, file = f, obs.NewJSONL(f)
+		sink = file
+		if r.Sink != nil {
+			sink = obs.Multi{file, r.Sink}
 		}
-		traceOut = f
-		rec = trace.NewRecorder(f)
-		rec.Attach(net)
+	}
+	if sink != nil {
+		net.SetMetricsSink(sink)
 	}
 
 	steps, runErr := net.Run(ctx, run.NewAlg(), run.Budget, r.StepHook)
@@ -174,36 +159,24 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		st.Analyzed = true
 		st.Congestion, st.Dilation = ar.Congestion, ar.Dilation
 		st.CDRatio = ar.Ratio(st.Makespan)
-		summary := obs.RunSummary{
-			Scenario:   s.Name,
-			Router:     s.Router,
-			Makespan:   st.Makespan,
-			Congestion: ar.Congestion,
-			Dilation:   ar.Dilation,
-			CDRatio:    st.CDRatio,
-		}
-		if sink != nil {
-			sink.Run(summary)
-		}
-		if rs, ok := r.Sink.(obs.RunSink); ok {
-			rs.Run(summary)
+		if rs, ok := sink.(obs.RunSink); ok {
+			rs.Run(obs.RunSummary{
+				Scenario:   s.Name,
+				Router:     s.Router,
+				Makespan:   st.Makespan,
+				Congestion: ar.Congestion,
+				Dilation:   ar.Dilation,
+				CDRatio:    st.CDRatio,
+			})
 		}
 	}
 
-	if rec != nil {
-		if err := rec.Close(); err != nil {
+	if file != nil {
+		res.StepSamples, res.Spans = file.StepCount(), file.SpanCount()
+		if err := file.Close(); err != nil {
 			return nil, err
 		}
-		if err := traceOut.Close(); err != nil {
-			return nil, err
-		}
-	}
-	if sink != nil {
-		res.StepSamples, res.Spans = sink.StepCount(), sink.SpanCount()
-		if err := sink.Close(); err != nil {
-			return nil, err
-		}
-		if err := sinkOut.Close(); err != nil {
+		if err := fileOut.Close(); err != nil {
 			return nil, err
 		}
 	}

@@ -228,11 +228,17 @@ func TestValidQueueAssertion(t *testing.T) {
 	}
 }
 
-// TestParseRejectsUnknownFields makes typos in scenario files loud.
+// TestParseRejectsUnknownFields makes typos in scenario files loud. A
+// per-move trace is the CLI's -trace flag, not a spec field, so a spec
+// naming trace_out is refused the same way.
 func TestParseRejectsUnknownFields(t *testing.T) {
-	_, err := Parse([]byte(`{"n": 8, "k": 2, "router": "dimorder", "max_stepz": 100, "workload": {"kind": "transpose"}}`))
-	if err == nil || !strings.Contains(err.Error(), "max_stepz") {
-		t.Fatalf("want unknown-field error naming max_stepz, got %v", err)
+	for name, value := range map[string]string{"max_stepz": `100`, "trace_out": `"t.jsonl"`} {
+		t.Run(name, func(t *testing.T) {
+			_, err := Parse([]byte(`{"n": 8, "k": 2, "router": "dimorder", "` + name + `": ` + value + `, "workload": {"kind": "transpose"}}`))
+			if err == nil || !strings.Contains(err.Error(), `unknown field "`+name+`"`) {
+				t.Fatalf("want unknown-field error naming %s, got %v", name, err)
+			}
+		})
 	}
 }
 

@@ -218,8 +218,6 @@ type Spec struct {
 	MaxSteps int `json:"max_steps,omitempty"`
 	// MetricsOut, when set, writes per-step metrics JSONL to this path.
 	MetricsOut string `json:"metrics_out,omitempty"`
-	// TraceOut, when set, writes a JSON-lines step trace to this path.
-	TraceOut string `json:"trace_out,omitempty"`
 }
 
 // Bool returns a pointer for Spec.CheckInvariants literals.
@@ -296,7 +294,7 @@ func (s *Spec) Validate() error {
 	if s.MaxSteps < 0 {
 		return invalid("max_steps", "negative budget %d", s.MaxSteps)
 	}
-	if err := s.validateWorkload(); err != nil {
+	if err := s.ValidateWorkload(); err != nil {
 		return err
 	}
 	if f := s.Faults; f != nil {
@@ -313,7 +311,10 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-func (s *Spec) validateWorkload() error {
+// ValidateWorkload checks the Spec's workload against its side length: the
+// part of Validate a caller outside the router registry (meshroute's clt
+// path) also needs. It returns a *ValidationError or nil.
+func (s *Spec) ValidateWorkload() error {
 	w := s.Workload
 	switch w.Kind {
 	case KindRandom, KindRandomDest, KindTranspose, KindReversal, KindRotation:

@@ -89,7 +89,7 @@ func TestFleetRemoteMatchesLocal(t *testing.T) {
 			if !bytes.Equal(evLocal, evRemote) {
 				t.Errorf("event streams differ: local %d bytes, remote %d bytes", len(evLocal), len(evRemote))
 			}
-			if lc, rc := local.Counters().Steps(), remote.Counters().Steps(); lc != rc {
+			if lc, rc := local.Counters().Totals().Steps, remote.Counters().Totals().Steps; lc != rc {
 				t.Errorf("shared counters diverge: local %d steps, remote %d", lc, rc)
 			}
 			if tot := coord.Stats(); tot.CellsCompleted != 1 {

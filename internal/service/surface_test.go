@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -38,8 +39,11 @@ type baseline struct {
 // again. A column starts a row and returns the check that holds it to the
 // row's baseline: an in-process server, a server coordinating two workers
 // (one is closed after the first row), the facade and the coordinator
-// itself. Once every row has run, a resubmitted done row must come from
-// the cache and the servers' /metrics must agree and count the logs.
+// itself. The servers are POSTed a committed spec's file bytes as they
+// are; the coordinator must complete a cell on a live worker, on its first
+// attempt while both are up. Once every row has run, a resubmitted done
+// row must come from the cache and the servers' /metrics must agree and
+// count the logs.
 func TestSurfaceMatrix(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Minute, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	workers := make([]*httptest.Server, 2)
@@ -49,33 +53,43 @@ func TestSurfaceMatrix(t *testing.T) {
 		t.Cleanup(workers[w].Close)
 		coord.Register(workers[w].URL)
 	}
+	live := []string{workers[0].URL, workers[1].URL}
 	servers := []*surfaceServer{newSurfaceServer(t, nil), newSurfaceServer(t, coord)}
-	columns := []func(*testing.T, *scenario.Spec) func(baseline){servers[0].column, servers[1].column, facadeColumn,
-		func(t *testing.T, spec *scenario.Spec) func(baseline) {
-			res, err := coord.Execute(context.Background(), spec)
+	columns := []func(*testing.T, surfaceRow) func(baseline){servers[0].column, servers[1].column, facadeColumn,
+		func(t *testing.T, row surfaceRow) func(baseline) {
+			res, err := coord.Execute(context.Background(), row.Spec)
 			return func(b baseline) {
-				if err != nil || res.Outcome != b.want || !bytes.Equal(res.Events, b.file) ||
-					res.EventLines != bytes.Count(b.file, []byte{'\n'}) || res.Totals != b.totals || res.EventsDropped != 0 {
-					t.Errorf("Execute: %+v (%v)\nwant %+v, %d event bytes, totals %+v", res, err, b.want, len(b.file), b.totals)
+				if err != nil {
+					t.Errorf("Execute: %v", err)
+					return
+				}
+				lines := bytes.Count(b.file, []byte{'\n'})
+				if res.Outcome != b.want || !bytes.Equal(res.Events, b.file) ||
+					res.EventLines != lines || res.Totals != b.totals || res.EventsDropped != 0 ||
+					!slices.Contains(live, res.Worker) || len(live) == 2 && res.Attempts != 1 {
+					t.Errorf("Execute: %+v, totals %+v, %d event lines in %d bytes (%d dropped, same bytes %t), worker %s, attempt %d\nwant %+v, totals %+v, %d event lines in %d bytes, on one of %v",
+						res.Outcome, res.Totals, res.EventLines, len(res.Events), res.EventsDropped, bytes.Equal(res.Events, b.file), res.Worker, res.Attempts,
+						b.want, b.totals, lines, len(b.file), live)
 				}
 			}
 		},
 	}
 	rows, base, ran := surfaceRows(t), map[string]baseline{}, 0
-	for i, spec := range rows {
-		t.Run(spec.Name, func(t *testing.T) {
+	for i, row := range rows {
+		t.Run(row.Name, func(t *testing.T) {
 			ran++
 			checks := make([]func(baseline), len(columns))
 			for c, col := range columns {
-				checks[c] = col(t, spec)
+				checks[c] = col(t, row)
 			}
-			base[spec.Name] = runDirect(t, spec)
+			base[row.Name] = runDirect(t, row.Spec)
 			for _, check := range checks {
-				check(base[spec.Name])
+				check(base[row.Name])
 			}
 		})
 		if i == 0 {
 			workers[1].Close()
+			live = live[:1]
 		}
 	}
 	done, all := rows[0], ran == len(rows)
@@ -85,7 +99,7 @@ func TestSurfaceMatrix(t *testing.T) {
 	for k, sv := range servers {
 		sv.testJobStart, sv.testStepHook = nil, nil // a regression that runs the resubmission must not hang
 		if all {
-			if st := submitSpec(t, sv.Server, done); !st.CacheHit || *cmp.Or(st.Stats, new(Stats)) != base[done.Name].want.Stats {
+			if st := submitSpec(t, sv.Server, done.Spec); !st.CacheHit || *cmp.Or(st.Stats, new(Stats)) != base[done.Name].want.Stats {
 				t.Errorf("resubmitted %s: %+v, want a cache hit with its stats", done.Name, st)
 			}
 		}
@@ -115,28 +129,47 @@ func TestSurfaceMatrix(t *testing.T) {
 	}
 }
 
+// surfaceRow is one row of the matrix: a spec and the body the servers are
+// POSTed, a committed spec's file as it is or the spec's JSON.
+type surfaceRow struct {
+	*scenario.Spec
+	body []byte
+}
+
+func specRow(t *testing.T, spec *scenario.Spec) surfaceRow {
+	body, err := spec.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return surfaceRow{spec, body}
+}
+
 // surfaceRows are the matrix's rows, a done one first.
-func surfaceRows(t *testing.T) (rows []*scenario.Spec) {
+func surfaceRows(t *testing.T) (rows []surfaceRow) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
 	for _, path := range paths {
-		spec, err := scenario.Load(path)
+		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spec, err := scenario.Parse(file)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 		if !raceDetector || !strings.Contains(path, "torus-n256") {
-			rows = append(rows, spec)
+			rows = append(rows, surfaceRow{spec, file})
 		}
 		if spec.Name == "smoke" || spec.Name == "dynamic-thm15-n12-k1" { // static and admission-time C+D
 			analyzed := *spec
 			analyzed.Name, analyzed.Analysis = spec.Name+"-analyzed", true
-			rows = append(rows, &analyzed)
+			rows = append(rows, specRow(t, &analyzed))
 		}
 	}
 	abort := &scenario.Spec{Name: "watchdog-abort", N: 6, K: 2, Router: "dimorder",
 		Workload: scenario.Workload{Kind: scenario.KindReversal}, Watchdog: 1}
 	again := *abort
 	again.Name = "watchdog-abort-again"
-	return append(rows, abort, &again)
+	return append(rows, specRow(t, abort), specRow(t, &again))
 }
 
 // runDirect is the baseline: spec run by a scenario.Runner writing
@@ -161,7 +194,8 @@ func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 // meshroute.RouteWithOptions, which tells the stats or an abort's text.
 // The facade turns the call back into a pairs Spec and runs it, so the
 // column tests that translation.
-func facadeColumn(t *testing.T, spec *scenario.Spec) func(baseline) {
+func facadeColumn(t *testing.T, row surfaceRow) func(baseline) {
+	spec := row.Spec
 	run, err := spec.Build()
 	if err != nil || spec.Workload.Dynamic() || spec.Analysis {
 		return func(baseline) {}
@@ -211,12 +245,13 @@ func newSurfaceServer(t *testing.T, coord *fleet.Coordinator) *surfaceServer {
 	return sv
 }
 
-// column submits the spec; its check holds the retired job's status and
-// live follower to the baseline. The straddling follower is the first line
-// the live one read off the raw log, then the rest read once Shutdown has
-// packed it.
-func (sv *surfaceServer) column(t *testing.T, spec *scenario.Spec) func(baseline) {
-	st := submitSpec(t, sv.Server, spec)
+// column submits the row's body; its check
+// holds the retired job's status and live follower to the baseline. The
+// straddling follower is the first line the live one read off the raw log,
+// then the rest read once Shutdown has packed it.
+func (sv *surfaceServer) column(t *testing.T, row surfaceRow) func(baseline) {
+	spec := row.Spec
+	st := submitJSON(t, sv.Server, row.body)
 	if st.CacheHit {
 		t.Fatalf("job %s for %s came from the cache", st.ID, spec.Name)
 	}

@@ -26,7 +26,7 @@ func TestObservedStepAllocs(t *testing.T) {
 		}
 	}
 	requireZeroAllocSteps(t, 20, func() error { return net.StepOnce(alg) })
-	if got := counters.Steps(); got != 26 { // 5 warm + the helper's 1 + 20
+	if got := counters.Totals().Steps; got != 26 { // 5 warm + the helper's 1 + 20
 		t.Errorf("sink saw %d steps, want 26", got)
 	}
 }
