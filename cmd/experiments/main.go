@@ -35,7 +35,7 @@ func main() {
 	full := flag.Bool("full", false, "run the full (slow) parameter sweeps")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E5,A2)")
 	csvDir := flag.String("csv", "", "also write each experiment's table as <id>.csv into this directory")
-	workers := flag.Int("workers", 0, "parallel sweep fan-out (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "cells of a table run at once (0 = GOMAXPROCS, 1 = one at a time)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()

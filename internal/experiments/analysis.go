@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"meshroute"
+	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/stats"
 )
@@ -27,47 +27,43 @@ func E16(opts Options) (*Report, error) {
 		ns = []int{16, 32, 64}
 	}
 	const k = 2
-	var worstScheduled float64
+	var cells []*scenario.Spec
 	for _, n := range ns {
-		for _, wl := range []struct {
-			name string
-			wl   scenario.Workload
-		}{
-			{"transpose", scenario.Workload{Kind: scenario.KindTranspose}},
-			{"reversal", scenario.Workload{Kind: scenario.KindReversal}},
-			{"random-perm", scenario.Workload{Kind: scenario.KindRandom, Seed: 3}},
-		} {
-			for _, router := range []string{meshroute.RouterScheduled, meshroute.RouterDimOrder, meshroute.RouterZigZag} {
-				if opts.canceled() {
-					return interrupted(rep), nil
-				}
-				res, err := opts.runSpec(&scenario.Spec{N: n, K: k, Router: router, Workload: wl.wl, MaxSteps: 500 * n})
-				if err != nil {
-					return nil, err
-				}
-				if res.Canceled() {
-					return interrupted(rep), nil
-				}
-				if res.Err != nil {
-					return nil, res.Err
-				}
-				st := res.Stats
-				if !st.Analyzed {
-					return nil, fmt.Errorf("E16: %s on %s n=%d ran without analysis", router, wl.name, n)
-				}
-				if router == meshroute.RouterScheduled && !st.Done {
-					// The offline baseline's whole point is its completion
-					// contract; an online router may stall at small k
-					// (reversal strands zigzag at n≥32), which the done
-					// column records instead.
-					return nil, fmt.Errorf("E16: scheduled incomplete on %s n=%d", wl.name, n)
-				}
-				rep.Table.AddRow(router, n, k, wl.name, st.Congestion, st.Dilation,
-					st.Makespan, st.CDRatio, st.MaxQueue, st.Done)
-				if router == meshroute.RouterScheduled && st.CDRatio > worstScheduled {
-					worstScheduled = st.CDRatio
-				}
+		for _, kind := range []string{scenario.KindTranspose, scenario.KindReversal, scenario.KindRandom} {
+			for _, router := range []string{routers.NameScheduled, routers.NameDimOrder, routers.NameZigZag} {
+				cells = append(cells, &scenario.Spec{Name: workloadName(kind), N: n, K: k, Router: router,
+					Workload: scenario.Workload{Kind: kind, Seed: 3}, MaxSteps: 500 * n})
 			}
+		}
+	}
+	outs, err := sweep(opts, rep, cells, func(s *scenario.Spec) (scenario.RouteStats, error) {
+		res, err := opts.runSpec(s)
+		if err != nil {
+			return scenario.RouteStats{}, err
+		}
+		st := res.Stats
+		if !st.Analyzed {
+			return st, fmt.Errorf("E16: %s on %s n=%d ran without analysis", s.Router, s.Name, s.N)
+		}
+		if s.Router == routers.NameScheduled && !st.Done {
+			// The offline baseline's whole point is its completion
+			// contract; an online router may stall at small k
+			// (reversal strands zigzag at n≥32), which the done
+			// column records instead.
+			return st, fmt.Errorf("E16: scheduled incomplete on %s n=%d", s.Name, s.N)
+		}
+		return st, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var worstScheduled float64
+	for i, st := range outs {
+		s := cells[i]
+		rep.Table.AddRow(s.Router, s.N, k, s.Name, st.Congestion, st.Dilation,
+			st.Makespan, st.CDRatio, st.MaxQueue, st.Done)
+		if s.Router == routers.NameScheduled && st.CDRatio > worstScheduled {
+			worstScheduled = st.CDRatio
 		}
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(

@@ -3,7 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"meshroute"
+	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
 	"meshroute/internal/stats"
@@ -36,11 +36,18 @@ func E12(opts Options) (*Report, error) {
 		Title: fmt.Sprintf("Dynamic routing: Theorem 15 router under Bernoulli injection (n=%d, k=2, %d steps)",
 			n, horizon),
 		Table: stats.NewTable("load λ·n/4", "rate λ", "offered", "delivered", "avg latency", "p95 delay", "thru/step", "refusal rate", "p. in flight @end"),
+		Notes: []string{
+			"latency is flat well below the bisection knee and grows sharply past it;",
+			"refusal rate stays 0: per-inlink queues have an unbounded origin buffer, so admission pressure",
+			"surfaces as the in-flight blow-up, not as refusals (contrast central-queue online scenarios);",
+			"the Theorem 15 router needs no global synchronization, so it runs unchanged in the dynamic setting —",
+			"the practicality axis the paper's Section 7 asks about",
+		},
 	}
-	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2} {
+	return table(opts, rep, []float64{0.2, 0.4, 0.6, 0.8, 1.0, 1.2}, func(frac float64) ([]any, error) {
 		lambda := frac * 4 / float64(n)
 		res, err := opts.runSpec(&scenario.Spec{
-			N: n, K: 2, Router: meshroute.RouterThm15,
+			N: n, K: 2, Router: routers.NameThm15,
 			Workload: scenario.Workload{
 				Kind: scenario.KindOnline, Seed: 7, Rate: lambda, Horizon: horizon,
 				Process: scenario.ProcessBernoulli, Admission: scenario.AdmissionRetry,
@@ -48,12 +55,6 @@ func E12(opts Options) (*Report, error) {
 		})
 		if err != nil {
 			return nil, err
-		}
-		if res.Canceled() {
-			return interrupted(rep), nil
-		}
-		if res.Err != nil {
-			return nil, res.Err
 		}
 		sumLat, delivered := 0, 0
 		ps := &res.Net.P
@@ -67,16 +68,9 @@ func E12(opts Options) (*Report, error) {
 		if delivered > 0 {
 			avg = float64(sumLat) / float64(delivered)
 		}
-		inFlight := res.Stats.Total - res.Stats.Delivered
-		rep.Table.AddRow(frac, fmt.Sprintf("%.4f", lambda), res.Stats.Offered, res.Stats.Delivered, avg,
-			res.Stats.DelayP95, fmt.Sprintf("%.2f", res.Stats.Throughput),
-			fmt.Sprintf("%.3f", res.Stats.RefusalRate()), inFlight)
-	}
-	rep.Notes = append(rep.Notes,
-		"latency is flat well below the bisection knee and grows sharply past it;",
-		"refusal rate stays 0: per-inlink queues have an unbounded origin buffer, so admission pressure",
-		"surfaces as the in-flight blow-up, not as refusals (contrast central-queue online scenarios);",
-		"the Theorem 15 router needs no global synchronization, so it runs unchanged in the dynamic setting —",
-		"the practicality axis the paper's Section 7 asks about")
-	return rep, nil
+		st := res.Stats
+		return []any{frac, fmt.Sprintf("%.4f", lambda), st.Offered, st.Delivered, avg,
+			st.DelayP95, fmt.Sprintf("%.2f", st.Throughput),
+			fmt.Sprintf("%.3f", st.RefusalRate()), st.Total - st.Delivered}, nil
+	})
 }

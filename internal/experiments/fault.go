@@ -4,8 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"meshroute"
-	"meshroute/internal/par"
+	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
 	"meshroute/internal/stats"
@@ -36,41 +35,31 @@ func E15(opts Options) (*Report, error) {
 		failureLevels = []int{0, 8, 16, 32, 64, 128}
 	}
 	budget := 40 * (n*n/k + 2*n)
-
-	type family struct {
-		name       string
-		router     string
-		faultAware bool
-	}
-	families := []family{
-		{"dimorder", meshroute.RouterDimOrder, false},
-		{"zigzag-fa", meshroute.RouterZigZag, true},
+	rep.Notes = []string{
+		fmt.Sprintf("transient failures, mean outage %d steps, onsets uniform in [1,%d]; watchdog %d steps", n, 2*n, 20*n*n),
+		"slowdown = mean makespan over completed seeds / same-router zero-failure baseline",
 	}
 
+	// Each cell averages one router over the seeds at one failure level.
 	type cellIn struct {
-		fam      family
-		failures int
+		name, router string
+		failures     int
 	}
 	var cells []cellIn
-	for _, f := range families {
+	for _, f := range [][2]string{{"dimorder", routers.NameDimOrder}, {"zigzag-fa", routers.NameZigZag}} {
 		for _, fl := range failureLevels {
-			cells = append(cells, cellIn{f, fl})
+			cells = append(cells, cellIn{f[0], f[1], fl})
 		}
 	}
 	type cellOut struct {
 		done     int
 		makespan float64
 		drops    int
-		skip     bool
 	}
-	outs, err := par.Map(len(cells), opts.Workers, func(i int) (cellOut, error) {
-		in := cells[i]
+	outs, err := sweep(opts, rep, cells, func(in cellIn) (cellOut, error) {
 		var out cellOut
-		sum, completed := 0, 0
+		sum := 0
 		for _, seed := range seeds {
-			if opts.canceled() {
-				return cellOut{skip: true}, nil
-			}
 			// Onsets are drawn inside the fault-free delivery window
 			// (makespan ≈ 2n for random permutations), so the failures
 			// actually intersect the traffic instead of landing on a
@@ -78,7 +67,7 @@ func E15(opts Options) (*Report, error) {
 			// stays off so the watchdog, not the checker, bounds
 			// wedged runs.
 			res, err := opts.runSpec(&scenario.Spec{
-				N: n, K: k, Router: in.fam.router, FaultAware: in.fam.faultAware,
+				N: n, K: k, Router: in.router, FaultAware: in.router == routers.NameZigZag,
 				CheckInvariants: scenario.Bool(false),
 				Workload:        scenario.Workload{Kind: scenario.KindRandom, Seed: seed},
 				Faults: &scenario.Faults{
@@ -88,54 +77,39 @@ func E15(opts Options) (*Report, error) {
 				Watchdog: 20 * n * n,
 				MaxSteps: budget,
 			})
-			if err != nil {
-				return out, err
-			}
-			if res.Canceled() {
-				return cellOut{skip: true}, nil
-			}
 			var le *sim.LivelockError
-			if res.Err != nil && !errors.As(res.Err, &le) {
-				return out, fmt.Errorf("E15 %s failures=%d seed=%d: %w", in.fam.name, in.failures, seed, res.Err)
+			if err != nil && !errors.As(err, &le) {
+				return out, fmt.Errorf("E15 %s failures=%d seed=%d: %w", in.name, in.failures, seed, err)
 			}
 			out.drops += res.Stats.FaultDrops
 			if res.Stats.Done {
-				completed++
+				out.done++
 				sum += res.Stats.Makespan
 			}
 		}
-		out.done = completed
-		if completed > 0 {
-			out.makespan = float64(sum) / float64(completed)
+		if out.done > 0 {
+			out.makespan = float64(sum) / float64(out.done)
 		}
 		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, out := range outs {
-		if out.skip {
-			return interrupted(rep), nil
-		}
-	}
 	// The zero-failure cell of each family is its no-fault baseline.
 	base := map[string]float64{}
 	for i, out := range outs {
 		if cells[i].failures == 0 && out.done > 0 {
-			base[cells[i].fam.name] = out.makespan
+			base[cells[i].name] = out.makespan
 		}
 	}
 	for i, out := range outs {
 		in := cells[i]
 		slow := "n/a"
-		if b := base[in.fam.name]; b > 0 && out.done > 0 {
+		if b := base[in.name]; b > 0 && out.done > 0 {
 			slow = fmt.Sprintf("%.2fx", out.makespan/b)
 		}
-		rep.Table.AddRow(in.fam.name, n, k, in.failures,
-			fmt.Sprintf("%d/%d", out.done, len(seeds)), out.makespan, base[in.fam.name], slow, out.drops)
+		rep.Table.AddRow(in.name, n, k, in.failures,
+			fmt.Sprintf("%d/%d", out.done, len(seeds)), out.makespan, base[in.name], slow, out.drops)
 	}
-	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("transient failures, mean outage %d steps, onsets uniform in [1,%d]; watchdog %d steps", n, 2*n, 20*n*n),
-		"slowdown = mean makespan over completed seeds / same-router zero-failure baseline")
 	return rep, nil
 }

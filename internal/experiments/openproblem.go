@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"meshroute/internal/adversary"
-	"meshroute/internal/par"
+	"meshroute/internal/routers"
 	"meshroute/internal/stats"
 )
 
@@ -26,45 +26,25 @@ func E14(opts Options) (*Report, error) {
 		Title: fmt.Sprintf("Open problem 1: how does the adaptive router's hard-instance completion actually scale? (k=%d)", k),
 		Table: stats.NewTable("n", "bound ⌊l⌋dn", "zigzag completion", "compl·k²/n²", "compl·k/n²"),
 	}
-	type out struct {
-		bound, mk int
-		done      bool
-		skip      bool
-	}
-	outs, err := par.Map(len(ns), opts.Workers, func(i int) (out, error) {
-		if opts.canceled() {
-			return out{skip: true}, nil
-		}
-		n := ns[i]
+	outs, err := sweep(opts, rep, ns, func(n int) (*adversary.Outcome, error) {
 		c, err := adversary.NewConstruction(n, k)
 		if err != nil {
-			return out{}, err
+			return nil, err
 		}
-		res, err := c.Pipeline(nil, zigzag, 60*c.Par.Steps())
-		if err != nil {
-			return out{}, err
-		}
-		return out{bound: res.Steps, mk: res.Makespan, done: res.Done}, nil
+		return c.Pipeline(opts.ctx(), router(routers.NameZigZag), 60*c.Par.Steps())
 	})
 	if err != nil {
 		return nil, err
 	}
 	var xs, ys []float64
 	for i, o := range outs {
-		if o.skip {
-			return interrupted(rep), nil
-		}
 		n := ns[i]
-		comp := fmt.Sprint(o.mk)
-		if !o.done {
-			comp = fmt.Sprintf(">%d", 60*o.bound)
-		}
-		rep.Table.AddRow(n, o.bound, comp,
-			float64(o.mk)*float64(k*k)/float64(n*n),
-			float64(o.mk)*float64(k)/float64(n*n))
-		if o.done {
+		rep.Table.AddRow(n, o.Steps, completion(o.Makespan, o.Done, 60*o.Steps),
+			float64(o.Makespan)*float64(k*k)/float64(n*n),
+			float64(o.Makespan)*float64(k)/float64(n*n))
+		if o.Done {
 			xs = append(xs, float64(n))
-			ys = append(ys, float64(o.mk))
+			ys = append(ys, float64(o.Makespan))
 		}
 	}
 	if _, bexp, err := stats.PowerFit(xs, ys); err == nil {

@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
-	"meshroute"
 	"meshroute/internal/adversary"
-	"meshroute/internal/par"
+	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/stats"
 )
@@ -14,8 +14,7 @@ import (
 // Theorem 14 adversary needs to predict every routing decision; against a
 // router with randomized preferences it cannot even be run. We build the
 // constructed permutation against the DETERMINISTIC zigzag router, then
-// route it with the randomized variant across many seeds (in parallel —
-// the cells are independent simulations).
+// route it with the randomized variant across many seeds.
 func E13(opts Options) (*Report, error) {
 	n, k := 120, 1
 	seeds := 8
@@ -28,76 +27,57 @@ func E13(opts Options) (*Report, error) {
 		Title: fmt.Sprintf("Section 7 hatch 3: randomized routing vs the deterministic router's constructed permutation (n=%d, k=%d)", n, k),
 		Table: stats.NewTable("router", "completion", "×bound", "done"),
 	}
-	if opts.canceled() {
-		return interrupted(rep), nil
-	}
 	c, err := adversary.NewConstruction(n, k)
 	if err != nil {
 		return nil, err
 	}
-	// Deterministic zigzag: Theorem 13 applies.
 	bound := c.Par.Steps()
 	cap := 40 * bound
-	res, err := c.Pipeline(nil, zigzag, cap)
-	if err != nil {
-		return nil, err
-	}
-	wl := scenario.Workload{Kind: scenario.KindPairs, Pairs: res.Permutation}
-	rep.Table.AddRow("zigzag (deterministic, k=1)", res.Makespan, float64(res.Makespan)/float64(bound), res.Done)
-
-	// Deterministic zigzag at the same k the randomized runs use, for an
-	// apples-to-apples queue comparison.
-	r4, err := opts.runSpec(&scenario.Spec{N: n, K: 4, Router: meshroute.RouterZigZag, Workload: wl, MaxSteps: cap})
-	if err != nil {
-		return nil, err
-	}
-	if r4.Canceled() {
-		return interrupted(rep), nil
-	}
-	if r4.Err != nil {
-		return nil, r4.Err
-	}
-	rep.Table.AddRow("zigzag (deterministic, k=4)", r4.Stats.Makespan,
-		float64(r4.Stats.Makespan)/float64(bound), r4.Stats.Done)
-
-	// Randomized zigzag, many seeds, in parallel.
+	// Deterministic zigzag: Theorem 13 applies. Every cell routes the
+	// permutation this run constructs.
+	hard := sync.OnceValues(func() (*adversary.Outcome, error) {
+		return c.Pipeline(opts.ctx(), router(routers.NameZigZag), cap)
+	})
+	// Cell 0 is that run itself; cell 1 the deterministic router at the k
+	// the randomized runs use, for an apples-to-apples queue comparison;
+	// the rest are randomized zigzag, one seed each.
 	type cell struct {
-		mk       int
-		done     bool
-		canceled bool
+		name string
+		spec *scenario.Spec
 	}
-	cells, err := par.Map(seeds, opts.Workers, func(i int) (cell, error) {
-		if opts.canceled() {
-			return cell{canceled: true}, nil
-		}
-		rres, err := opts.runSpec(&scenario.Spec{
-			N: n, K: 4, Router: meshroute.RouterRandZigZag, Seed: uint64(i),
-			Workload: wl, MaxSteps: cap,
-		})
+	cells := []cell{
+		{"zigzag (deterministic, k=1)", nil},
+		{"zigzag (deterministic, k=4)", &scenario.Spec{N: n, K: 4, Router: routers.NameZigZag, MaxSteps: cap}},
+	}
+	for i := range seeds {
+		cells = append(cells, cell{fmt.Sprintf("rand-zigzag seed=%d", i),
+			&scenario.Spec{N: n, K: 4, Router: routers.NameRandZigZag, Seed: uint64(i), MaxSteps: cap}})
+	}
+	runs, err := sweep(opts, rep, cells, func(in cell) (scenario.RouteStats, error) {
+		out, err := hard()
 		if err != nil {
-			return cell{}, err
+			return scenario.RouteStats{}, err
 		}
-		if rres.Canceled() {
-			return cell{canceled: true}, nil
+		if in.spec == nil {
+			return scenario.RouteStats{Makespan: out.Makespan, Done: out.Done}, nil
 		}
-		if rres.Err != nil {
-			return cell{}, rres.Err
+		in.spec.Workload = scenario.Workload{Kind: scenario.KindPairs, Pairs: out.Permutation}
+		res, err := opts.runSpec(in.spec)
+		if err != nil {
+			return scenario.RouteStats{}, err
 		}
-		return cell{mk: rres.Stats.Makespan, done: rres.Stats.Done}, nil
+		return res.Stats, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	var samples []float64
-	for i, cl := range cells {
-		if cl.canceled {
-			return interrupted(rep), nil
+	for i, st := range runs {
+		if i < 5 { // show a few seeds individually
+			rep.Table.AddRow(cells[i].name, st.Makespan, float64(st.Makespan)/float64(bound), st.Done)
 		}
-		if i < 3 { // show a few seeds individually
-			rep.Table.AddRow(fmt.Sprintf("rand-zigzag seed=%d", i), cl.mk, float64(cl.mk)/float64(bound), cl.done)
-		}
-		if cl.done {
-			samples = append(samples, float64(cl.mk))
+		if i >= 2 && st.Done {
+			samples = append(samples, float64(st.Makespan))
 		}
 	}
 	if len(samples) > 0 {

@@ -45,76 +45,6 @@ func eventsBody(t *testing.T, s *Server, id string) []byte {
 	return w.Body.Bytes()
 }
 
-// TestFleetRemoteMatchesLocal pins the service-level identity guarantee:
-// a job dispatched to a fleet worker ends in the same state with the same
-// error, diagnostics and (partial) stats, byte-identical events and the
-// same shared-counter totals as the identical job run in-process, and only
-// a done job fills the cache. The aborted case is the livelock watchdog on
-// a 6×6 reversal, where no packet can be delivered in one step.
-func TestFleetRemoteMatchesLocal(t *testing.T) {
-	aborted := quickSpec("fleet-identity-abort", 1)
-	aborted.Workload = scenario.Workload{Kind: scenario.KindReversal}
-	aborted.Watchdog = 1
-	for _, tc := range []struct {
-		name  string
-		spec  *scenario.Spec
-		state State
-	}{
-		{"done", quickSpec("fleet-identity", 42), StateDone},
-		{"watchdog abort", aborted, StateFailed},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			coord, _ := startFleetWorker(t)
-			remote := newTestServer(t, Config{Workers: 1, QueueDepth: 4, Fleet: coord})
-			local := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-
-			stLocal := waitDone(t, local, submitSpec(t, local, tc.spec).ID, tc.state)
-			stRemote := waitDone(t, remote, submitSpec(t, remote, tc.spec).ID, tc.state)
-
-			if stLocal.Stats == nil || stRemote.Stats == nil {
-				t.Fatalf("stats local %v, remote %v; want both", stLocal.Stats, stRemote.Stats)
-			}
-			if *stRemote.Stats != *stLocal.Stats {
-				t.Errorf("remote stats %+v, want local %+v", stRemote.Stats, stLocal.Stats)
-			}
-			if stRemote.Error != stLocal.Error || stRemote.Diagnostics != stLocal.Diagnostics {
-				t.Errorf("remote error %q diagnostics %q, want local %q %q",
-					stRemote.Error, stRemote.Diagnostics, stLocal.Error, stLocal.Diagnostics)
-			}
-			if tc.state != StateDone && (stLocal.Error == "" || stLocal.Diagnostics == "") {
-				t.Errorf("%s job without error or diagnostics: %+v", tc.state, stLocal)
-			}
-			evLocal := eventsBody(t, local, stLocal.ID)
-			evRemote := eventsBody(t, remote, stRemote.ID)
-			if !bytes.Equal(evLocal, evRemote) {
-				t.Errorf("event streams differ: local %d bytes, remote %d bytes", len(evLocal), len(evRemote))
-			}
-			if lc, rc := local.Counters().Totals().Steps, remote.Counters().Totals().Steps; lc != rc {
-				t.Errorf("shared counters diverge: local %d steps, remote %d", lc, rc)
-			}
-			if tot := coord.Stats(); tot.CellsCompleted != 1 {
-				t.Errorf("coordinator totals %+v, want 1 completed cell", tot)
-			}
-
-			// The coordinator-side cache is shared: resubmitting a done
-			// spec must answer from cache without another dispatch, and an
-			// aborted one is not a result, so it runs again.
-			st2 := submitSpec(t, remote, tc.spec)
-			if st2.CacheHit != (tc.state == StateDone) {
-				t.Errorf("resubmission of a %s job: cache hit %v", tc.state, st2.CacheHit)
-			}
-			waitDone(t, remote, st2.ID, tc.state)
-			wantDispatches := int64(1)
-			if tc.state != StateDone {
-				wantDispatches = 2
-			}
-			if tot := coord.Stats(); tot.Dispatches != wantDispatches {
-				t.Errorf("%d dispatches, want %d", tot.Dispatches, wantDispatches)
-			}
-		})
-	}
-}
-
 // TestSealedEventsMatchScenarios runs every committed scenario spec
 // through an in-process server and through one coordinating a two-worker
 // fleet, two jobs at a time. Once the server has stopped, so every job's

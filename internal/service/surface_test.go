@@ -41,9 +41,11 @@ type baseline struct {
 // (one is closed after the first row), the facade and the coordinator
 // itself. The servers are POSTed a committed spec's file bytes as they
 // are; the coordinator must complete a cell on a live worker, on its first
-// attempt while both are up. Once every row has run, a resubmitted done
-// row must come from the cache and the servers' /metrics must agree and
-// count the logs.
+// attempt while both are up. Once every row has run, each server is
+// resubmitted the done row, which must come from the cache and, through
+// the coordinator, dispatch no cell, and the aborted row, which must run
+// again, dispatched as one more cell; then the servers' /metrics must agree
+// and count the logs.
 func TestSurfaceMatrix(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Minute, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	workers := make([]*httptest.Server, 2)
@@ -92,15 +94,35 @@ func TestSurfaceMatrix(t *testing.T) {
 			live = live[:1]
 		}
 	}
-	done, all := rows[0], ran == len(rows)
-	if abort := base["watchdog-abort"].want; all && (abort.Error == "" || abort.Diagnostics == "") {
-		t.Errorf("watchdog-abort ended %+v, want an abort with diagnostics", abort)
+	done, abort, all := rows[0], rows[len(rows)-2], ran == len(rows)
+	if want := base[abort.Name].want; all && (want.Error == "" || want.Diagnostics == "") {
+		t.Errorf("%s ended %+v, want an abort with diagnostics", abort.Name, want)
 	}
+	// Cells the coordinator dispatched: first attempts, whatever the retries.
+	dispatched := func() int64 { tot := coord.Stats(); return tot.Dispatches - tot.Retries }
 	for k, sv := range servers {
 		sv.testJobStart, sv.testStepHook = nil, nil // a regression that runs the resubmission must not hang
+		// A done row resubmitted comes from the cache, and through the
+		// coordinator dispatches no cell; an aborted row is no result, so
+		// it runs, and is dispatched, again.
 		if all {
-			if st := submitSpec(t, sv.Server, done.Spec); !st.CacheHit || *cmp.Or(st.Stats, new(Stats)) != base[done.Name].want.Stats {
-				t.Errorf("resubmitted %s: %+v, want a cache hit with its stats", done.Name, st)
+			for _, row := range []surfaceRow{done, abort} {
+				hit, state, cells := row.Name == done.Name, StateFailed, int64(1)
+				if hit {
+					state, cells = StateDone, 0
+				}
+				before := dispatched()
+				st := waitDone(t, sv.Server, submitSpec(t, sv.Server, row.Spec).ID, state)
+				got := scenario.Outcome{Stats: *cmp.Or(st.Stats, new(Stats)), Error: st.Error, Diagnostics: st.Diagnostics}
+				if st.CacheHit != hit || got != base[row.Name].want {
+					t.Errorf("server %d, resubmitted %s: %+v, want cache hit %t and its outcome", k, row.Name, st, hit)
+				}
+				if n := dispatched() - before; sv.cfg.Fleet != nil && n != cells {
+					t.Errorf("resubmitted %s through the coordinator: %d cells dispatched, want %d", row.Name, n, cells)
+				}
+				if !hit {
+					sv.raw += int64(len(base[row.Name].file))
+				}
 			}
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -115,9 +137,10 @@ func TestSurfaceMatrix(t *testing.T) {
 		}
 		sv.engine, sv.engine.StepsPerSec = m.Engine, 0 // a rate over wall time, not a counter
 	}
-	// A row is one Execute and one fleet job; a cache hit dispatches nothing.
-	if got := coord.Stats().CellsCompleted; all && got != int64(2*len(rows)) {
-		t.Errorf("coordinator completed %d cells, want %d", got, 2*len(rows))
+	// A row is one Execute and one fleet job, and the resubmitted abort one
+	// more fleet job; a cache hit dispatches nothing.
+	if got := coord.Stats().CellsCompleted; all && got != int64(2*len(rows)+1) {
+		t.Errorf("coordinator completed %d cells, want %d", got, 2*len(rows)+1)
 	}
 	if all && servers[0].engine != servers[1].engine {
 		t.Errorf("engine metrics differ\nin-process %+v\nfleet      %+v", servers[0].engine, servers[1].engine)
@@ -144,7 +167,8 @@ func specRow(t *testing.T, spec *scenario.Spec) surfaceRow {
 	return surfaceRow{spec, body}
 }
 
-// surfaceRows are the matrix's rows, a done one first.
+// surfaceRows are the matrix's rows, a done one first and the two
+// watchdog aborts last.
 func surfaceRows(t *testing.T) (rows []surfaceRow) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
 	for _, path := range paths {

@@ -76,20 +76,18 @@ func LinkTraffic(topo grid.Topology, a *trace.Analysis) string {
 	return Grid(w, h, counts, fmt.Sprintf("link traffic, %d moves over %d steps", a.TotalMoves, a.Steps))
 }
 
-// DeliveryCurve renders deliveries per step as a tiny bar chart (one row
-// per bucket of steps).
+// DeliveryCurve renders deliveries per step as a tiny bar chart: one row
+// per ⌈steps/buckets⌉ steps, so at most buckets rows and none starting
+// past the last step.
 func DeliveryCurve(a *trace.Analysis, buckets int) string {
 	if a.Steps == 0 || buckets < 1 {
 		return "(empty trace)\n"
 	}
 	per := (a.Steps + buckets - 1) / buckets
-	counts := make([]int, buckets)
+	counts := make([]int, (a.Steps+per-1)/per)
 	max := 0
 	for step, c := range a.DeliveredAt {
 		i := (step - 1) / per
-		if i >= buckets {
-			i = buckets - 1
-		}
 		counts[i] += c
 		if counts[i] > max {
 			max = counts[i]
@@ -104,11 +102,4 @@ func DeliveryCurve(a *trace.Analysis, buckets int) string {
 		fmt.Fprintf(&b, "steps %4d-%4d %s %d\n", i*per+1, min((i+1)*per, a.Steps), strings.Repeat("█", bar), c)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

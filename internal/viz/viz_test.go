@@ -2,6 +2,8 @@ package viz
 
 import (
 	"bytes"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -98,11 +100,38 @@ func TestLinkTrafficAndDeliveryCurve(t *testing.T) {
 	if !strings.Contains(lt, "link traffic") {
 		t.Fatal("traffic caption missing")
 	}
-	dc := DeliveryCurve(a, 5)
-	if !strings.Contains(dc, "steps") {
-		t.Fatalf("delivery curve malformed:\n%s", dc)
+	checkCurve(t, a, 5)
+	// 12 steps in 8 buckets round up to 6 rows of 2 steps, the last 11-12.
+	a12 := &trace.Analysis{Steps: 12, Delivered: 10, DeliveredAt: map[int]int{2: 1, 5: 3, 9: 4, 12: 2}}
+	if rows := checkCurve(t, a12, 8); len(rows) != 6 || !strings.HasPrefix(rows[5], "steps   11-  12 ") {
+		t.Fatalf("12 steps in 8 buckets: rows %q, want 6 ending 11-12", rows)
 	}
 	if DeliveryCurve(&trace.Analysis{}, 5) != "(empty trace)\n" {
 		t.Fatal("empty curve handling")
 	}
+}
+
+// checkCurve renders a's delivery curve in the given number of buckets and
+// checks that it has at most that many rows, that its last row ends on the
+// last step and that its counts sum to a.Delivered. It returns the rows.
+func checkCurve(t *testing.T, a *trace.Analysis, buckets int) []string {
+	t.Helper()
+	dc := DeliveryCurve(a, buckets)
+	rows := strings.Split(strings.TrimSuffix(dc, "\n"), "\n")
+	if len(rows) > buckets || !strings.Contains(rows[len(rows)-1], fmt.Sprintf("-%4d ", a.Steps)) {
+		t.Fatalf("delivery curve in %d buckets does not end on step %d:\n%s", buckets, a.Steps, dc)
+	}
+	sum := 0
+	for _, r := range rows {
+		f := strings.Fields(r)
+		n, err := strconv.Atoi(f[len(f)-1])
+		if err != nil {
+			t.Fatalf("delivery curve row %q: %v", r, err)
+		}
+		sum += n
+	}
+	if sum != a.Delivered {
+		t.Fatalf("delivery curve counts sum to %d, want %d:\n%s", sum, a.Delivered, dc)
+	}
+	return rows
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Diffs the stdout of cmd/lowerbound, of cmd/meshroute on the two dynamic
-# scenario specs and of three examples against the goldens in this
-# directory; any difference fails. Run from the repository root:
+# scenario specs and on the smoke spec with -trace -viz, and of three
+# examples against the goldens in this directory; any difference fails. Run from the repository root:
 # sh testdata/cli/check.sh
 set -eu
 dir=testdata/cli
@@ -21,6 +21,11 @@ check lowerbound-hh-n120-k1-h2.txt "$bin/lowerbound" -construction hh -n 120 -k 
 check lowerbound-torus-n120-k1.txt "$bin/lowerbound" -construction torus -n 120 -k 1 -verify
 check scenario-dynamic-dimorder-n12-k2.txt "$bin/meshroute" -scenario testdata/scenarios/dynamic-dimorder-n12-k2.json
 check scenario-dynamic-thm15-n12-k1.txt "$bin/meshroute" -scenario testdata/scenarios/dynamic-thm15-n12-k1.json
+# -viz names the trace file, which lives in the temporary directory.
+smokeviz() {
+	"$bin/meshroute" -scenario testdata/scenarios/smoke.json -trace "$bin/t.jsonl" -viz | sed "s|$bin/|TMP/|"
+}
+check scenario-smoke-viz.txt smokeviz
 check example-quickstart.txt "$bin/quickstart"
 check example-adversary.txt "$bin/adversary"
 check example-hhrouting.txt "$bin/hhrouting"
