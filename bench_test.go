@@ -408,14 +408,14 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkEngineStepMetricsSink is BenchmarkEngineStep with an
-// obs.Memory sink attached, so the cost of live per-step sampling can be
+// obs.Records sink attached, so the cost of live per-step sampling can be
 // compared against the uninstrumented loop (internal/sim's bench has the
 // matching nil-sink variant).
 func BenchmarkEngineStepMetricsSink(b *testing.B) {
 	const n = 64
 	topo := grid.NewSquareMesh(n)
 	spec, _ := meshroute.LookupRouter(meshroute.RouterThm15)
-	sink := &obs.Memory{}
+	sink := &obs.Records{}
 	net := sim.MustNew(routers.Thm15Config(topo, 2))
 	net.SetMetricsSink(sink)
 	if err := workload.Reversal(topo).Place(net); err != nil {

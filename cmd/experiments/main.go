@@ -40,9 +40,9 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	flag.Parse()
 
-	// SIGINT/SIGTERM stop the sweeps between simulation steps; each
-	// experiment returns the rows it completed with an "interrupted"
-	// note instead of discarding the partial table.
+	// SIGINT/SIGTERM stop the sweeps between simulation steps; the
+	// running experiment prints the rows it completed with an
+	// "interrupted" note, writes no CSV, and the command exits 1.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -114,6 +114,11 @@ func runAll(opts experiments.Options, only, csvDir string) error {
 		}
 		fmt.Println(rep)
 		fmt.Printf("   (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		// A canceled context means the table may be partial: print it,
+		// but write no <id>.csv a script would take for a complete one.
+		if opts.Ctx != nil && opts.Ctx.Err() != nil {
+			return fmt.Errorf("%s interrupted: partial table not written, remaining experiments skipped", e.ID)
+		}
 		if csvDir != "" {
 			path := filepath.Join(csvDir, strings.ToLower(e.ID)+".csv")
 			f, err := os.Create(path)
@@ -128,10 +133,6 @@ func runAll(opts experiments.Options, only, csvDir string) error {
 				return err
 			}
 			fmt.Printf("   (table written to %s)\n\n", path)
-		}
-		if opts.Ctx != nil && opts.Ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "interrupted — remaining experiments skipped")
-			return nil
 		}
 	}
 	return nil

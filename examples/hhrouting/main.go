@@ -40,8 +40,7 @@ func main() {
 	// (packets beyond the queue capacity wait at their sources).
 	topo := meshroute.NewMesh(48)
 	hh := meshroute.RandomHH(topo, 3, 11)
-	perm := &meshroute.Permutation{Pairs: hh.Pairs}
-	st, err := meshroute.Route(meshroute.RouterThm15, topo, 2, perm, 0)
+	st, err := meshroute.Route(meshroute.RouterThm15, topo, 2, hh, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

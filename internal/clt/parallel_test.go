@@ -25,7 +25,7 @@ type outcome struct {
 // GOMAXPROCS set to procs.
 func atProcs(procs int, route func(sink obs.Sink) (*Router, *Result, error)) outcome {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	sink := &obs.Memory{}
+	sink := &obs.Records{}
 	r, res, err := route(sink)
 	out := outcome{res: res, spans: sink.Spans, pkts: r.packets()}
 	if err != nil {

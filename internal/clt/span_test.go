@@ -14,7 +14,7 @@ import (
 // clock reconstructing the synchronized schedule exactly.
 func TestPhaseSpans(t *testing.T) {
 	const n = 81
-	sink := &obs.Memory{}
+	sink := &obs.Records{}
 	r, err := New(Config{N: n, Sink: sink})
 	if err != nil {
 		t.Fatal(err)

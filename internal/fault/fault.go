@@ -77,27 +77,29 @@ type Event struct {
 }
 
 // Config parameterizes Generate. The zero value yields an empty schedule.
+// Its JSON names are the keys of a scenario spec's "faults" object
+// (internal/scenario), which parses straight into it.
 type Config struct {
 	// Seed selects the deterministic random stream.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 	// Horizon is the number of steps over which fault onsets are drawn
 	// (onset steps are uniform in [1, Horizon]). Required (>= 1) when any
 	// episode count is positive.
-	Horizon int
+	Horizon int `json:"horizon,omitempty"`
 	// LinkFailures is the number of link-failure episodes to inject.
 	// Links are drawn uniformly with replacement, so the same link may
 	// fail more than once.
-	LinkFailures int
+	LinkFailures int `json:"link_failures,omitempty"`
 	// MeanDownSteps is the mean duration of a transient link failure
 	// (durations are 1 + an exponential with this mean). Default 1.
-	MeanDownSteps int
+	MeanDownSteps int `json:"mean_down_steps,omitempty"`
 	// PermanentFrac is the probability, per link-failure episode, that
 	// the failure is permanent. Must be in [0, 1].
-	PermanentFrac float64
+	PermanentFrac float64 `json:"permanent_frac,omitempty"`
 	// NodeStalls is the number of node-stall episodes to inject.
-	NodeStalls int
+	NodeStalls int `json:"node_stalls,omitempty"`
 	// MeanStallSteps is the mean stall duration. Default 1.
-	MeanStallSteps int
+	MeanStallSteps int `json:"mean_stall_steps,omitempty"`
 }
 
 // Schedule is an immutable, sorted fault schedule. Build one with

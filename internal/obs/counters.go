@@ -1,58 +1,34 @@
 package obs
 
-import "sync/atomic"
+import "sync"
 
-// Counters is a concurrency-safe aggregate Sink: instead of retaining
-// records like Memory, it folds every sample, span and event into a
-// handful of atomic totals. One Counters value can be shared by many
+// Counters is a concurrency-safe aggregate Sink: where Records keeps every
+// record, Counters folds each sample, span, event and run summary into one
+// Totals behind a mutex. One Counters value can be shared by many
 // concurrent runs (it is the operational-metrics feed of the simulation
 // service, which attaches it to every job alongside the job's own stream),
-// and reading a total never blocks a producer.
+// and a snapshot is consistent across fields. The zero value is ready to
+// use.
 type Counters struct {
-	steps     atomic.Int64
-	moves     atomic.Int64
-	delivered atomic.Int64
-	offered   atomic.Int64
-	admitted  atomic.Int64
-	refused   atomic.Int64
-	spans     atomic.Int64
-	events    atomic.Int64
-	// Analyzed-run aggregates: per-run makespans and C+D totals are
-	// summed separately so the fleet-wide efficiency ratio can be
-	// reported as sum(makespan)/sum(C+D) — the C+D-weighted mean of the
-	// per-run ratios, stable under mixed run sizes.
-	runs        atomic.Int64
-	runMakespan atomic.Int64
-	runCD       atomic.Int64
+	mu sync.Mutex
+	t  Totals
 }
 
 // Step folds one step sample into the totals.
 func (c *Counters) Step(s StepSample) {
-	c.steps.Add(1)
-	c.moves.Add(int64(s.Moves))
-	c.delivered.Add(int64(s.Delivered))
-	if s.Offered != 0 {
-		c.offered.Add(int64(s.Offered))
-	}
-	if s.Admitted != 0 {
-		c.admitted.Add(int64(s.Admitted))
-	}
-	if s.Refused != 0 {
-		c.refused.Add(int64(s.Refused))
-	}
+	c.Add(Totals{Steps: 1, Moves: int64(s.Moves), Delivered: int64(s.Delivered),
+		Offered: int64(s.Offered), Admitted: int64(s.Admitted), Refused: int64(s.Refused)})
 }
 
 // Span counts one phase span.
-func (c *Counters) Span(Span) { c.spans.Add(1) }
+func (c *Counters) Span(Span) { c.Add(Totals{Spans: 1}) }
 
 // Event counts one fault/watchdog event.
-func (c *Counters) Event(Event) { c.events.Add(1) }
+func (c *Counters) Event(Event) { c.Add(Totals{Events: 1}) }
 
 // Run folds one analyzed run's terminal summary into the totals.
 func (c *Counters) Run(r RunSummary) {
-	c.runs.Add(1)
-	c.runMakespan.Add(int64(r.Makespan))
-	c.runCD.Add(int64(r.Congestion + r.Dilation))
+	c.Add(Totals{Runs: 1, RunMakespan: int64(r.Makespan), RunCD: int64(r.Congestion + r.Dilation)})
 }
 
 // Totals is a snapshot of a Counters value: what one run (or any set of
@@ -70,44 +46,37 @@ type Totals struct {
 	Spans     int64 `json:"spans,omitempty"`
 	Events    int64 `json:"events,omitempty"`
 	// Runs counts analyzed-run summaries; RunMakespan and RunCD are the
-	// sums behind CDRatio.
+	// sums behind CDRatio. They are summed separately so the fleet-wide
+	// ratio is sum(makespan)/sum(C+D), the C+D-weighted mean of the
+	// per-run ratios, stable under mixed run sizes.
 	Runs        int64 `json:"runs,omitempty"`
 	RunMakespan int64 `json:"run_makespan,omitempty"`
 	RunCD       int64 `json:"run_cd,omitempty"`
 }
 
-// Totals snapshots the counters. Each field is read atomically; taken while
-// producers are still running, the fields may be from different instants.
+// Totals snapshots the counters.
 func (c *Counters) Totals() Totals {
-	return Totals{
-		Steps:       c.steps.Load(),
-		Moves:       c.moves.Load(),
-		Delivered:   c.delivered.Load(),
-		Offered:     c.offered.Load(),
-		Admitted:    c.admitted.Load(),
-		Refused:     c.refused.Load(),
-		Spans:       c.spans.Load(),
-		Events:      c.events.Load(),
-		Runs:        c.runs.Load(),
-		RunMakespan: c.runMakespan.Load(),
-		RunCD:       c.runCD.Load(),
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
 }
 
-// Add folds a snapshot taken elsewhere into the totals. Safe to call
-// concurrently with producers and with other Adds.
+// Add folds a snapshot taken elsewhere into the totals, field by field.
+// Safe to call concurrently with producers and with other Adds.
 func (c *Counters) Add(t Totals) {
-	c.steps.Add(t.Steps)
-	c.moves.Add(t.Moves)
-	c.delivered.Add(t.Delivered)
-	c.offered.Add(t.Offered)
-	c.admitted.Add(t.Admitted)
-	c.refused.Add(t.Refused)
-	c.spans.Add(t.Spans)
-	c.events.Add(t.Events)
-	c.runs.Add(t.Runs)
-	c.runMakespan.Add(t.RunMakespan)
-	c.runCD.Add(t.RunCD)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t.Steps += t.Steps
+	c.t.Moves += t.Moves
+	c.t.Delivered += t.Delivered
+	c.t.Offered += t.Offered
+	c.t.Admitted += t.Admitted
+	c.t.Refused += t.Refused
+	c.t.Spans += t.Spans
+	c.t.Events += t.Events
+	c.t.Runs += t.Runs
+	c.t.RunMakespan += t.RunMakespan
+	c.t.RunCD += t.RunCD
 }
 
 // CDRatio returns the aggregate efficiency ratio over all analyzed runs,

@@ -178,15 +178,6 @@ func (j *JSONL) Close() error {
 	return j.w.Flush()
 }
 
-// Records holds every record of a parsed metrics JSONL stream, grouped by
-// line type.
-type Records struct {
-	Steps  []StepSample
-	Spans  []Span
-	Events []Event
-	Runs   []RunSummary
-}
-
 // ReadJSONLRecords parses a metrics JSONL stream back into its records
 // (the inverse of the JSONL sink, for tests and offline analysis). Lines
 // with an unknown "t" are an error: the schema is versioned by its line
@@ -212,25 +203,25 @@ func ReadJSONLRecords(r io.Reader) (Records, error) {
 			if err := json.Unmarshal(payload, &s); err != nil {
 				return Records{}, fmt.Errorf("obs: step line: %w", err)
 			}
-			rec.Steps = append(rec.Steps, s)
+			rec.Step(s)
 		case LineSpan:
 			var sp Span
 			if err := json.Unmarshal(payload, &sp); err != nil {
 				return Records{}, fmt.Errorf("obs: span line: %w", err)
 			}
-			rec.Spans = append(rec.Spans, sp)
+			rec.Span(sp)
 		case LineFault:
 			var e Event
 			if err := json.Unmarshal(payload, &e); err != nil {
 				return Records{}, fmt.Errorf("obs: fault line: %w", err)
 			}
-			rec.Events = append(rec.Events, e)
+			rec.Event(e)
 		case LineRun:
 			var ru RunSummary
 			if err := json.Unmarshal(payload, &ru); err != nil {
 				return Records{}, fmt.Errorf("obs: run line: %w", err)
 			}
-			rec.Runs = append(rec.Runs, ru)
+			rec.Run(ru)
 		default:
 			return Records{}, fmt.Errorf("obs: unknown line type %q", raw.T)
 		}

@@ -14,8 +14,9 @@
 //
 // The sinks: JSONL streams records as JSON lines (the wire format of
 // docs/OBSERVABILITY.md), EventLog keeps those bytes in memory up to a
-// record limit, Memory accumulates records for tests, Counters totals
-// them, and Multi fans out to several sinks at once.
+// record limit, Records collects them (the type ReadJSONLRecords parses a
+// stream back into), Counters totals them, and Multi fans out to several
+// sinks at once.
 package obs
 
 import (
@@ -202,7 +203,7 @@ type Sink interface {
 
 // EventSink is the optional extension of Sink for fault and watchdog
 // events. Producers check for it once with a type assertion; sinks that do
-// not implement it simply never see events. Memory, JSONL and Multi all
+// not implement it simply never see events. Records, JSONL and Multi all
 // implement it.
 type EventSink interface {
 	// Event records one fault/watchdog event.
@@ -211,57 +212,35 @@ type EventSink interface {
 
 // RunSink is the optional extension of Sink for terminal run summaries
 // (emitted once per analyzed run by the scenario runner). Producers check
-// for it with a type assertion, like EventSink; Memory, JSONL, Counters
+// for it with a type assertion, like EventSink; Records, JSONL, Counters
 // and Multi all implement it.
 type RunSink interface {
 	// Run records one analyzed run's terminal summary.
 	Run(r RunSummary)
 }
 
-// Memory is a Sink that accumulates everything in memory — the natural
-// sink for tests and for in-process aggregation.
-type Memory struct {
-	// Steps holds every recorded sample in step order.
-	Steps []StepSample
-	// Spans holds every recorded span in emission order.
-	Spans []Span
-	// Events holds every recorded fault/watchdog event in emission order.
+// Records holds records grouped by line type, in emission order. It is
+// what ReadJSONLRecords parses a metrics stream into and, as a pointer, a
+// Sink that appends what it is given (EventSink and RunSink too), so a
+// test collects records in the same type it reads a file back into.
+type Records struct {
+	Steps  []StepSample
+	Spans  []Span
 	Events []Event
-	// Runs holds every recorded run summary in emission order.
-	Runs []RunSummary
+	Runs   []RunSummary
 }
 
 // Step appends the sample.
-func (m *Memory) Step(s StepSample) { m.Steps = append(m.Steps, s) }
+func (r *Records) Step(s StepSample) { r.Steps = append(r.Steps, s) }
 
 // Span appends the span.
-func (m *Memory) Span(sp Span) { m.Spans = append(m.Spans, sp) }
+func (r *Records) Span(sp Span) { r.Spans = append(r.Spans, sp) }
 
 // Event appends the event.
-func (m *Memory) Event(e Event) { m.Events = append(m.Events, e) }
+func (r *Records) Event(e Event) { r.Events = append(r.Events, e) }
 
 // Run appends the run summary.
-func (m *Memory) Run(r RunSummary) { m.Runs = append(m.Runs, r) }
-
-// DeliveryCurve returns the cumulative deliveries per recorded step.
-func (m *Memory) DeliveryCurve() []int {
-	out := make([]int, len(m.Steps))
-	for i, s := range m.Steps {
-		out[i] = s.DeliveredTotal
-	}
-	return out
-}
-
-// PeakQueue returns the largest per-step MaxQueue over the run.
-func (m *Memory) PeakQueue() int {
-	peak := 0
-	for _, s := range m.Steps {
-		if s.MaxQueue > peak {
-			peak = s.MaxQueue
-		}
-	}
-	return peak
-}
+func (r *Records) Run(ru RunSummary) { r.Runs = append(r.Runs, ru) }
 
 // Multi fans every sample and span out to each member sink in order.
 type Multi []Sink

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -81,27 +82,43 @@ func TestReadJSONLUnknownType(t *testing.T) {
 	}
 }
 
-func TestMemoryAggregates(t *testing.T) {
-	m := &Memory{}
-	for i := 1; i <= 3; i++ {
-		s := StepSample{Step: i, DeliveredTotal: i * 2, InFlight: 10 - i, MaxQueue: i}
-		s.LinkUse[2] = i
-		m.Step(s)
+// TestRecordsSinkMatchesReadBack feeds the same records to a Records sink
+// and to a JSONL stream: reading the stream back gives the same Records.
+func TestRecordsSinkMatchesReadBack(t *testing.T) {
+	var got Records
+	var buf bytes.Buffer
+	j := NewJSONL(&buf)
+	for _, sink := range []interface {
+		Sink
+		EventSink
+		RunSink
+	}{&got, j} {
+		for i := 1; i <= 3; i++ {
+			s := StepSample{Step: i, DeliveredTotal: i * 2, InFlight: 10 - i, MaxQueue: i}
+			s.LinkUse[2] = i
+			sink.Step(s)
+		}
+		sink.Span(Span{Name: "basecase", Measured: 4, Formula: 5})
+		sink.Event(Event{Step: 2, Kind: "link-down", Node: 3, Dir: "E"})
+		sink.Run(RunSummary{Router: "dimorder", Makespan: 3, Congestion: 1, Dilation: 2, CDRatio: 1})
 	}
-	m.Span(Span{Name: "basecase"})
-	if got := m.DeliveryCurve(); len(got) != 3 || got[2] != 6 {
-		t.Fatalf("DeliveryCurve = %v", got)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if m.PeakQueue() != 3 {
-		t.Fatalf("PeakQueue = %d", m.PeakQueue())
+	if len(got.Steps) != 3 || got.Steps[2].DeliveredTotal != 6 || len(got.Spans) != 1 || len(got.Events) != 1 || len(got.Runs) != 1 {
+		t.Fatalf("Records kept %+v", got)
 	}
-	if len(m.Spans) != 1 {
-		t.Fatalf("Spans = %v", m.Spans)
+	back, err := ReadJSONLRecords(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, got) {
+		t.Fatalf("read back %+v\nwant %+v", back, got)
 	}
 }
 
 func TestMultiFansOut(t *testing.T) {
-	a, b := &Memory{}, &Memory{}
+	a, b := &Records{}, &Records{}
 	mu := Multi{a, b}
 	mu.Step(StepSample{Step: 1})
 	mu.Span(Span{Name: "march"})

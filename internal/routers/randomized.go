@@ -82,11 +82,12 @@ func (r RandZigZag) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 	return sched
 }
 
-// Accept admits while there is room, plus the occupancy-neutral swap rule.
+// Accept admits while there is room, plus the occupancy-neutral swap rule:
+// an offer is taken when the node's own part (a) decision sends a packet
+// back out the link it comes in on.
 func (r RandZigZag) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
-	sched := r.Schedule(net, n)
 	for i, o := range offers {
-		if sched[o.Travel.Opposite()] >= 0 {
+		if n.Scheduled().Has(o.Travel.Opposite()) {
 			acc[i] = true
 		}
 	}

@@ -72,7 +72,7 @@ type Runner struct {
 	// Sink, when set, receives every executed run's step samples, spans
 	// and fault events, in addition to any Spec.MetricsOut file sink. A
 	// Sink shared by runs on several goroutines must be safe for
-	// concurrent use (obs.Counters is; obs.Memory is not).
+	// concurrent use (obs.Counters is; obs.Records is not).
 	Sink obs.Sink
 }
 

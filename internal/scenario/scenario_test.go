@@ -538,7 +538,7 @@ func TestRunnerMetricsOut(t *testing.T) {
 // TestRunnerSinkAttachment checks that Runner.Sink receives the run's
 // per-step samples without a metrics_out file configured.
 func TestRunnerSinkAttachment(t *testing.T) {
-	mem := &obs.Memory{}
+	mem := &obs.Records{}
 	r := Runner{Sink: mem}
 	res, err := r.Run(context.Background(), &Spec{
 		N: 6, K: 2, Router: "dimorder", Workload: Workload{Kind: KindTranspose},

@@ -141,30 +141,10 @@ func (w *Workload) ApplyOnlineDefaults() {
 	}
 }
 
-// Faults parameterizes the seeded fault schedule of a Spec; it mirrors
-// fault.Config field for field (see internal/fault for semantics).
-type Faults struct {
-	Seed           int64   `json:"seed,omitempty"`
-	Horizon        int     `json:"horizon,omitempty"`
-	LinkFailures   int     `json:"link_failures,omitempty"`
-	MeanDownSteps  int     `json:"mean_down_steps,omitempty"`
-	PermanentFrac  float64 `json:"permanent_frac,omitempty"`
-	NodeStalls     int     `json:"node_stalls,omitempty"`
-	MeanStallSteps int     `json:"mean_stall_steps,omitempty"`
-}
-
-// config converts to the fault package's parameter struct.
-func (f *Faults) config() fault.Config {
-	return fault.Config{
-		Seed:           f.Seed,
-		Horizon:        f.Horizon,
-		LinkFailures:   f.LinkFailures,
-		MeanDownSteps:  f.MeanDownSteps,
-		PermanentFrac:  f.PermanentFrac,
-		NodeStalls:     f.NodeStalls,
-		MeanStallSteps: f.MeanStallSteps,
-	}
-}
+// Faults parameterizes the seeded fault schedule of a Spec: the fault
+// package's own parameters, whose JSON names are the spec's "faults" keys
+// (see internal/fault for semantics).
+type Faults = fault.Config
 
 // Spec is one declarative run description. The zero value is invalid;
 // populate at least N, K, Router and Workload.Kind. JSON field names are
@@ -447,7 +427,7 @@ func (s *Spec) BuildWithFaults(sched *fault.Schedule) (*Run, error) {
 		}
 	} else if s.Faults != nil {
 		var err error
-		if sched, err = fault.Generate(topo, s.Faults.config()); err != nil {
+		if sched, err = fault.Generate(topo, *s.Faults); err != nil {
 			return nil, fmt.Errorf("scenario %s: faults: %w", s.describe(), err)
 		}
 	}
@@ -521,7 +501,7 @@ func (w *Workload) Permutation(topo grid.Topology) *workload.Permutation {
 	case KindRotation:
 		return workload.Rotation(topo, w.DX, w.DY)
 	case KindHH:
-		return &workload.Permutation{Pairs: workload.RandomHH(topo, w.H, w.Seed).Pairs}
+		return workload.RandomHH(topo, w.H, w.Seed)
 	case KindPairs:
 		return &workload.Permutation{Pairs: w.Pairs}
 	}

@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,66 +40,6 @@ func eventsBody(t *testing.T, s *Server, id string) []byte {
 		t.Fatalf("GET events: %d %s", w.Code, w.Body)
 	}
 	return w.Body.Bytes()
-}
-
-// TestSealedEventsMatchScenarios runs every committed scenario spec
-// through an in-process server and through one coordinating a two-worker
-// fleet, two jobs at a time. Once the server has stopped, so every job's
-// log is sealed and packed, each /v1/jobs/{id}/events body must equal the
-// -metrics-out bytes of a direct run, and /metrics must count the logs at
-// exactly those bytes and hold them in at most 40 % of them. Under the
-// race detector the n=256 torus spec, which would take most of a minute
-// there, is left out.
-func TestSealedEventsMatchScenarios(t *testing.T) {
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "scenarios", "*.json"))
-	if err != nil || len(paths) == 0 {
-		t.Fatalf("no scenario specs: %v", err)
-	}
-	if raceDetector {
-		paths = slices.DeleteFunc(paths, func(p string) bool { return strings.Contains(p, "torus-n256") })
-	}
-	specs, want := make([]*scenario.Spec, len(paths)), make([][]byte, len(paths))
-	for i, path := range paths {
-		if specs[i], err = scenario.Load(path); err != nil {
-			t.Fatal(err)
-		}
-		want[i] = runDirect(t, specs[i]).file
-	}
-
-	coord, _ := startFleetWorker(t)
-	second := httptest.NewServer(fleet.NewWorker(fleet.WorkerConfig{}).Handler())
-	t.Cleanup(second.Close)
-	coord.Register(second.URL)
-	for name, cfg := range map[string]Config{
-		"local": {Workers: 2, QueueDepth: len(specs)},
-		"fleet": {Workers: 2, QueueDepth: len(specs), Fleet: coord},
-	} {
-		s := newTestServer(t, cfg)
-		ids := make([]string, len(specs))
-		for i, spec := range specs {
-			ids[i] = submitSpec(t, s, spec).ID
-		}
-		for _, id := range ids {
-			waitDone(t, s, id, StateDone)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		s.Shutdown(ctx)
-		cancel()
-		var raw int64
-		for i, id := range ids {
-			if got := eventsBody(t, s, id); !bytes.Equal(got, want[i]) {
-				t.Errorf("%s, %s: the packed events differ from the metrics file (%d bytes, want %d)", name, paths[i], len(got), len(want[i]))
-			}
-			raw += int64(len(want[i]))
-		}
-		m := getMetrics(t, s)
-		if m.Events.RawBytes != raw {
-			t.Errorf("%s: /metrics counts %d raw event bytes, the jobs stream %d", name, m.Events.RawBytes, raw)
-		}
-		if m.Events.RetainedBytes*10 > m.Events.RawBytes*4 {
-			t.Errorf("%s: the packed logs hold %d bytes for %d, over 40 %%", name, m.Events.RetainedBytes, m.Events.RawBytes)
-		}
-	}
 }
 
 // TestEventMetricsFollowEviction checks /metrics counts a log when it is

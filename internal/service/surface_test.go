@@ -44,8 +44,11 @@ type baseline struct {
 // attempt while both are up. Once every row has run, each server is
 // resubmitted the done row, which must come from the cache and, through
 // the coordinator, dispatch no cell, and the aborted row, which must run
-// again, dispatched as one more cell; then the servers' /metrics must agree
-// and count the logs.
+// again, dispatched as one more cell. Once a server has stopped, so every
+// job's log is sealed and packed, each job's late /events read must equal
+// the row's -metrics-out bytes, and /metrics must count the logs at exactly
+// the sum of those bytes and hold them in at most 40 % of it; the two
+// servers' engine counters must agree.
 func TestSurfaceMatrix(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Minute, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	workers := make([]*httptest.Server, 2)

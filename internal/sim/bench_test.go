@@ -47,7 +47,7 @@ func BenchmarkStepDenseNilSink(b *testing.B) {
 // BenchmarkStepDenseMemSink measures the enabled-sampling overhead: the
 // same dense step loop feeding an in-memory sink.
 func BenchmarkStepDenseMemSink(b *testing.B) {
-	benchStepDense(b, &obs.Memory{})
+	benchStepDense(b, &obs.Records{})
 }
 
 // denseNet is the dense-step workload: a 64×64 mesh, k=4, fully loaded

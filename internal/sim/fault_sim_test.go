@@ -171,7 +171,7 @@ func runWithFaultSink(t *testing.T, seed int64) []obs.Event {
 	for x := 0; x < 8; x++ {
 		net.MustPlace(net.NewPacket(topo.ID(grid.XY(x, 0)), topo.ID(grid.XY(7-x, 7))))
 	}
-	mem := &obs.Memory{}
+	mem := &obs.Records{}
 	net.SetMetricsSink(mem)
 	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {
 		t.Fatal(err)

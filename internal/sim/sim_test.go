@@ -302,7 +302,7 @@ func TestInjectionWaitsForRoom(t *testing.T) {
 
 func TestMetricsBasics(t *testing.T) {
 	net := newTestNet(t, 8, 4)
-	mem := &obs.Memory{}
+	mem := &obs.Records{}
 	net.SetMetricsSink(mem)
 	m := net.Topo
 	net.MustPlace(net.NewPacket(m.ID(grid.XY(0, 0)), m.ID(grid.XY(3, 0))))

@@ -21,7 +21,7 @@ func reversalNet(n, k int) *Network {
 
 func TestMetricsSinkSamples(t *testing.T) {
 	net := reversalNet(8, 4)
-	m := &obs.Memory{}
+	m := &obs.Records{}
 	net.SetMetricsSink(m)
 	if _, err := net.Run(nil, greedyXY{}, 10000, nil); err != nil {
 		t.Fatal(err)
@@ -61,15 +61,23 @@ func TestMetricsSinkSamples(t *testing.T) {
 	if last.InFlight != 0 || last.DeliveredTotal != net.TotalPackets() {
 		t.Errorf("final sample %+v does not show a drained network", last)
 	}
-	if m.PeakQueue() != net.Metrics.MaxQueueLen {
-		t.Errorf("PeakQueue = %d, Metrics.MaxQueueLen = %d", m.PeakQueue(), net.Metrics.MaxQueueLen)
+	if peak := peakQueue(m); peak != net.Metrics.MaxQueueLen {
+		t.Errorf("peak sampled queue = %d, Metrics.MaxQueueLen = %d", peak, net.Metrics.MaxQueueLen)
 	}
-	curve := m.DeliveryCurve()
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
+	for i := 1; i < len(m.Steps); i++ {
+		if m.Steps[i].DeliveredTotal < m.Steps[i-1].DeliveredTotal {
 			t.Fatalf("delivery curve decreases at step %d", i+1)
 		}
 	}
+}
+
+// peakQueue returns the largest per-step MaxQueue recorded.
+func peakQueue(r *obs.Records) int {
+	peak := 0
+	for _, s := range r.Steps {
+		peak = max(peak, s.MaxQueue)
+	}
+	return peak
 }
 
 func TestMetricsSinkPerInlinkQueues(t *testing.T) {
@@ -78,7 +86,7 @@ func TestMetricsSinkPerInlinkQueues(t *testing.T) {
 	for x := 0; x < n; x++ {
 		net.MustPlace(net.NewPacket(net.Topo.ID(grid.XY(x, 0)), net.Topo.ID(grid.XY(x, n-1))))
 	}
-	m := &obs.Memory{}
+	m := &obs.Records{}
 	net.SetMetricsSink(m)
 	if _, err := net.Run(nil, greedyXY{}, 1000, nil); err != nil {
 		t.Fatal(err)
@@ -91,13 +99,13 @@ func TestMetricsSinkPerInlinkQueues(t *testing.T) {
 	if m.Steps[0].InFlight != n {
 		t.Errorf("step 1 InFlight = %d, want %d", m.Steps[0].InFlight, n)
 	}
-	if peak := m.PeakQueue(); peak > net.K {
+	if peak := peakQueue(m); peak > net.K {
 		t.Errorf("sink saw queue occupancy %d over capacity %d", peak, net.K)
 	}
 }
 
 // TestSinkSamplingZeroAlloc proves the sampling path allocates nothing:
-// an identical deterministic run with a preallocated Memory sink must
+// an identical deterministic run with a preallocated Records sink must
 // perform exactly as many allocations as the run with a nil sink (the nil
 // path does strictly less work — it skips emitStepSample entirely).
 func TestSinkSamplingZeroAlloc(t *testing.T) {
@@ -114,7 +122,7 @@ func TestSinkSamplingZeroAlloc(t *testing.T) {
 			t.Fatal("packets undelivered at the step budget")
 		}
 	}
-	m := &obs.Memory{Steps: make([]obs.StepSample, 0, 4096)}
+	m := &obs.Records{Steps: make([]obs.StepSample, 0, 4096)}
 	nilAllocs := testing.AllocsPerRun(5, func() { run(nil) })
 	sinkAllocs := testing.AllocsPerRun(5, func() {
 		m.Steps = m.Steps[:0]

@@ -16,9 +16,11 @@ import (
 	"meshroute/internal/sim"
 )
 
-// Permutation is a partial permutation routing instance: Pairs[i] routes
-// one packet from Src to Dst. Each node appears at most once as a source
-// and at most once as a destination.
+// Permutation is a routing instance as a pair list: Pairs[i] routes one
+// packet from Src to Dst. In a partial permutation each node appears at
+// most once as a source and at most once as a destination, which Validate
+// checks; RandomDestinations and RandomHH return pair lists that are not
+// one-to-one.
 type Permutation struct {
 	// Pairs lists the source/destination pairs.
 	Pairs []Pair
@@ -170,52 +172,15 @@ func BitReversal(topo grid.Topology) *Permutation {
 	return p
 }
 
-// HH is an h-h routing instance (Section 5): each node sends at most h
-// packets and receives at most h packets.
-type HH struct {
-	// H is the per-node send/receive bound.
-	H int
-	// Pairs lists the packets.
-	Pairs []Pair
-}
-
-// RandomHH returns a random h-h instance built from h independent random
-// permutations.
-func RandomHH(topo grid.Topology, h int, seed int64) *HH {
-	out := &HH{H: h}
+// RandomHH returns a random h-h instance (Section 5: each node sends and
+// receives at most h packets) built from h independent random
+// permutations, concatenated. It is a pair list like any other workload;
+// Validate fails on it for h > 1, since it is not one-to-one.
+func RandomHH(topo grid.Topology, h int, seed int64) *Permutation {
+	out := &Permutation{}
 	for i := 0; i < h; i++ {
 		p := Random(topo, seed+int64(i)*7919)
 		out.Pairs = append(out.Pairs, p.Pairs...)
 	}
 	return out
-}
-
-// Validate checks the h-h property.
-func (hh *HH) Validate() error {
-	snd := map[grid.NodeID]int{}
-	rcv := map[grid.NodeID]int{}
-	for _, pr := range hh.Pairs {
-		snd[pr.Src]++
-		rcv[pr.Dst]++
-		if snd[pr.Src] > hh.H {
-			return fmt.Errorf("workload: node %d sends more than %d", pr.Src, hh.H)
-		}
-		if rcv[pr.Dst] > hh.H {
-			return fmt.Errorf("workload: node %d receives more than %d", pr.Dst, hh.H)
-		}
-	}
-	return nil
-}
-
-// Source returns the h-h instance as a step-1 streaming source (the
-// dynamic setting of Section 5, needed when h exceeds the queue capacity k:
-// extra packets wait in the source backlog and enter in FIFO order,
-// independent of destination). Attach it with sim.AdmitRetry to reproduce
-// the historical Inject behavior.
-func (hh *HH) Source() Source { return ReplayAt(hh.Pairs, 1) }
-
-// Place places the h-h instance directly at step 0 (requires k >= h in the
-// central-queue model), via the same Replay source path as Permutation.
-func (hh *HH) Place(net *sim.Network) error {
-	return net.AttachSource(ReplayAt(hh.Pairs, 0), sim.AdmitRetry)
 }

@@ -94,18 +94,31 @@ func TestRotationQuickIsPermutation(t *testing.T) {
 	}
 }
 
+// hhLoad returns the most packets any node sends and receives.
+func hhLoad(pairs []Pair) (send, recv int) {
+	snd, rcv := map[grid.NodeID]int{}, map[grid.NodeID]int{}
+	for _, pr := range pairs {
+		snd[pr.Src]++
+		rcv[pr.Dst]++
+		send, recv = max(send, snd[pr.Src]), max(recv, rcv[pr.Dst])
+	}
+	return send, recv
+}
+
 func TestHHValidate(t *testing.T) {
 	topo := grid.NewSquareMesh(6)
 	hh := RandomHH(topo, 3, 42)
-	if err := hh.Validate(); err != nil {
-		t.Fatal(err)
+	if send, recv := hhLoad(hh.Pairs); send != 3 || recv != 3 {
+		t.Fatalf("a 3-3 instance sends %d and receives %d per node at most", send, recv)
 	}
 	if len(hh.Pairs) != 3*36 {
 		t.Fatalf("len = %d", len(hh.Pairs))
 	}
-	bad := &HH{H: 1, Pairs: []Pair{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("over-sending instance must fail validation")
+	if err := hh.Validate(); err == nil {
+		t.Fatal("a 3-3 instance is not one-to-one and must fail Validate")
+	}
+	if err := RandomHH(topo, 1, 42).Validate(); err != nil {
+		t.Fatalf("a 1-1 instance is a permutation: %v", err)
 	}
 }
 
@@ -136,7 +149,7 @@ func TestHHSourceQueues(t *testing.T) {
 	topo := grid.NewSquareMesh(4)
 	net := sim.MustNew(sim.Config{Topo: topo, K: 1, Queues: sim.CentralQueue})
 	hh := RandomHH(topo, 2, 5)
-	if err := net.AttachSource(hh.Source(), sim.AdmitRetry); err != nil {
+	if err := net.AttachSource(ReplayAt(hh.Pairs, 1), sim.AdmitRetry); err != nil {
 		t.Fatal(err)
 	}
 	if net.TotalPackets() != 0 {

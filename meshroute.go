@@ -62,8 +62,6 @@ type (
 	Permutation = workload.Permutation
 	// Pair is one source/destination pair.
 	Pair = workload.Pair
-	// HHInstance is an h-h routing instance.
-	HHInstance = workload.HH
 	// AdversaryResult is the outcome of a lower-bound construction.
 	AdversaryResult = adversary.Result
 	// CLTResult reports a Section 6 algorithm run.
@@ -125,7 +123,7 @@ var (
 	Reversal = workload.Reversal
 	// BitReversal is the bit-reversal permutation (power-of-two meshes).
 	BitReversal = workload.BitReversal
-	// RandomHH builds a random h-h instance from h permutations.
+	// RandomHH builds a random h-h instance, the pairs of h permutations.
 	RandomHH = workload.RandomHH
 )
 

@@ -90,9 +90,10 @@ func TestWorkloadsViaFacade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A 2-2 instance is a pair list with every node twice a source.
 	hh := RandomHH(topo, 2, 3)
-	if err := hh.Validate(); err != nil {
-		t.Fatal(err)
+	if len(hh.Pairs) != 2*64 || hh.Validate() == nil {
+		t.Fatalf("RandomHH(8×8, h=2): %d pairs, Validate %v; want 128 pairs that are not one-to-one", len(hh.Pairs), hh.Validate())
 	}
 }
 

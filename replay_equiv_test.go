@@ -102,7 +102,7 @@ func TestReplayAtEquivalentToQueueInjection(t *testing.T) {
 	}
 
 	streamed := sim.MustNew(rspec.Config(topo, k))
-	if err := streamed.AttachSource(hh.Source(), sim.AdmitRetry); err != nil {
+	if err := streamed.AttachSource(workload.ReplayAt(hh.Pairs, 1), sim.AdmitRetry); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := streamed.Run(nil, rspec.New(), budget, nil); err != nil {
