@@ -57,15 +57,15 @@ func (DimOrderFF) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 }
 
 // Accept admits offers while the central queue has room, farthest first,
-// with the same swap rule as the dex routers: an offer from a neighbor we
-// scheduled a packet toward is accepted unconditionally, because by
-// symmetry that neighbor accepts ours and occupancy is unchanged.
-func (r DimOrderFF) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
+// with the same swap rule as the dex routers: an offer from a neighbor the
+// node's own part (a) decision sends a packet toward is accepted
+// unconditionally, because by symmetry that neighbor accepts ours and
+// occupancy is unchanged.
+func (DimOrderFF) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
 	free := net.K - n.QueueLen(0)
 	here := net.Topo.CoordOf(n.ID)
-	sched := r.Schedule(net, n)
 	for i, o := range offers {
-		if sched[o.Travel.Opposite()] >= 0 {
+		if n.Scheduled().Has(o.Travel.Opposite()) {
 			acc[i] = true
 		}
 	}

@@ -14,7 +14,6 @@ import (
 
 	"meshroute/internal/fleet"
 	"meshroute/internal/obs"
-	"meshroute/internal/scenario"
 )
 
 // startFleetWorker serves one fleet worker over httptest and registers
@@ -69,50 +68,6 @@ func TestEventMetricsFollowEviction(t *testing.T) {
 	want := EventMetrics{RetainedBytes: int64(log.Retained()), RawBytes: int64(log.Len())}
 	if got := events(); got != want || want.RetainedBytes >= want.RawBytes {
 		t.Errorf("after the worker packed the last log, /metrics counts %+v, want its packed %+v", got, want)
-	}
-}
-
-// TestFleetMetricsMatchLocal pins that /metrics cannot tell where a cell
-// ran: after the same N jobs — static, analyzed, online with refusals, and
-// faulted — every engine counter of a coordinator that dispatched them all
-// equals a fleetless server's. The coordinator adds the totals each worker
-// counted (it does not decode the event lines), so this is the check that
-// nothing a local sink sees is missing from a cell's totals.
-func TestFleetMetricsMatchLocal(t *testing.T) {
-	coord, _ := startFleetWorker(t)
-	remote := newTestServer(t, Config{Workers: 2, QueueDepth: 8, Fleet: coord})
-	local := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
-
-	analyzed := quickSpec("analyzed", 5)
-	analyzed.Analysis = true
-	online := &scenario.Spec{
-		Name: "online", N: 8, K: 1, Router: "dimorder", Analysis: true,
-		Workload: scenario.Workload{Kind: scenario.KindOnline, Process: "bernoulli", Rate: 0.3, Horizon: 40, Seed: 3, Admission: "retry"},
-	}
-	faulted := &scenario.Spec{
-		Name: "faulted", N: 8, K: 3, Router: "zigzag", FaultAware: true, MaxSteps: 2000,
-		Workload: scenario.Workload{Kind: scenario.KindRandom, Seed: 3},
-		Faults:   &scenario.Faults{Seed: 11, Horizon: 60, LinkFailures: 12, MeanDownSteps: 5, NodeStalls: 3, MeanStallSteps: 3},
-	}
-	specs := []*scenario.Spec{quickSpec("static-a", 1), quickSpec("static-b", 2), analyzed, online, faulted}
-
-	engine := func(s *Server) EngineMetrics {
-		for _, spec := range specs {
-			waitDone(t, s, submitSpec(t, s, spec).ID, StateDone)
-		}
-		m := getMetrics(t, s).Engine
-		m.StepsPerSec = 0 // a rate over wall time, not a counter
-		return m
-	}
-	want, got := engine(local), engine(remote)
-	if got != want {
-		t.Errorf("engine metrics after %d remote cells\n got %+v\nwant %+v", len(specs), got, want)
-	}
-	if want.StepsTotal == 0 || want.FaultEventsTotal == 0 || want.RefusedTotal == 0 || want.AnalyzedRuns != 2 {
-		t.Errorf("the job list does not exercise every counter: %+v", want)
-	}
-	if tot := coord.Stats(); tot.CellsCompleted != int64(len(specs)) {
-		t.Errorf("coordinator completed %d cells, want %d", tot.CellsCompleted, len(specs))
 	}
 }
 

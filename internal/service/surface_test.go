@@ -48,7 +48,11 @@ type baseline struct {
 // job's log is sealed and packed, each job's late /events read must equal
 // the row's -metrics-out bytes, and /metrics must count the logs at exactly
 // the sum of those bytes and hold them in at most 40 % of it; the two
-// servers' engine counters must agree.
+// servers' engine counters must agree, none may be zero, and the analyzed
+// run count must be the number of analyzed rows. The coordinator adds the
+// totals each worker counted (it does not decode the event lines), so the
+// engine check is the one that nothing a local sink sees is missing from a
+// cell's totals.
 func TestSurfaceMatrix(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{HeartbeatTimeout: time.Minute, BackoffBase: time.Millisecond, BackoffCap: 5 * time.Millisecond})
 	workers := make([]*httptest.Server, 2)
@@ -79,10 +83,13 @@ func TestSurfaceMatrix(t *testing.T) {
 			}
 		},
 	}
-	rows, base, ran := surfaceRows(t), map[string]baseline{}, 0
+	rows, base, ran, analyzed := surfaceRows(t), map[string]baseline{}, 0, int64(0)
 	for i, row := range rows {
 		t.Run(row.Name, func(t *testing.T) {
 			ran++
+			if row.Analysis {
+				analyzed++
+			}
 			checks := make([]func(baseline), len(columns))
 			for c, col := range columns {
 				checks[c] = col(t, row)
@@ -147,6 +154,9 @@ func TestSurfaceMatrix(t *testing.T) {
 	}
 	if all && servers[0].engine != servers[1].engine {
 		t.Errorf("engine metrics differ\nin-process %+v\nfleet      %+v", servers[0].engine, servers[1].engine)
+	}
+	if got := servers[0].engine.AnalyzedRuns; all && got != analyzed {
+		t.Errorf("/metrics counts %d analyzed runs, want one per analyzed row, %d", got, analyzed)
 	}
 	for v, f := reflect.ValueOf(servers[0].engine), 0; all && f < v.NumField(); f++ {
 		if name := v.Type().Field(f).Name; name != "StepsPerSec" && v.Field(f).IsZero() {

@@ -54,46 +54,106 @@ func (r *ReplaySource) Next(step int, buf []Injection) []Injection {
 // Exhausted implements Source.
 func (r *ReplaySource) Exhausted(step int) bool { return step >= r.step }
 
-// BernoulliSource is the memoryless arrival process: at every step in
-// [1, horizon], each of the n nodes independently injects a packet with
-// probability rate, toward a uniformly random destination. The per-step,
-// per-node RNG consumption order (one Float64 per node, one Intn on a hit,
-// nodes in ascending id order) is part of the format: it pins the scenario
-// layer's "bernoulli" arrival process bit-exactly.
+// BernoulliSource is the one random arrival process (the Section 5 dynamic
+// extension): at each step of 1..horizon inside an on window, each of the n
+// nodes injects with probability rate. Its window (burst on-steps then gap
+// off-steps from step 1; gap == 0 means always on) and its destination rule
+// (uniform over the n nodes, uniform over a hot set, or the source's
+// transpose) make it each of the scenario layer's four random processes.
+// The RNG consumption order is part of the format and pins every stream:
+// one Float64 per node in ascending id order, tested as u < rate; on a hit
+// one Intn for the destination, none under the transpose rule; nothing at
+// all in an off window.
 type BernoulliSource struct {
-	n       int
-	rate    float64
-	horizon int
-	rng     *rand.Rand
+	n          int
+	rate       float64
+	horizon    int
+	burst, gap int
+	hot        []grid.NodeID // non-nil: destinations drawn from this set
+	transpose  *grid.Grid    // non-nil: each source sends to its transpose
+	rng        *rand.Rand
 }
 
-// NewBernoulli returns a Bernoulli(rate) source over n nodes for steps
-// 1..horizon, seeded deterministically.
+// NewBernoulli returns an always-on Bernoulli(rate) source over n nodes for
+// steps 1..horizon toward uniform destinations, seeded deterministically.
 func NewBernoulli(n int, rate float64, horizon int, seed int64) *BernoulliSource {
 	return &BernoulliSource{n: n, rate: rate, horizon: horizon, rng: rand.New(rand.NewSource(seed))}
 }
 
+// NewOnOff returns the bursty on/off source over n nodes: burst on-steps
+// then gap off-steps, repeating through horizon.
+func NewOnOff(n int, rate float64, burst, gap, horizon int, seed int64) *BernoulliSource {
+	s := NewBernoulli(n, rate, horizon, seed)
+	s.burst, s.gap = burst, gap
+	return s
+}
+
+// NewHotspot returns the adversarial hotspot source on the topology: all
+// traffic converges on h hot nodes (h >= 1, clamped to the side length)
+// spread along the mesh diagonal at x = (2i+1)·side/(2h) — one at the
+// center when h = 1 — concentrating load the way Even–Medina–Patt-Shamir's
+// online adversary does.
+func NewHotspot(topo grid.Topology, h int, rate float64, horizon int, seed int64) *BernoulliSource {
+	side := topo.Width()
+	h = min(max(h, 1), side)
+	s := NewBernoulli(topo.N(), rate, horizon, seed)
+	s.hot = make([]grid.NodeID, h)
+	for i := range s.hot {
+		x := (2*i + 1) * side / (2 * h)
+		s.hot[i] = topo.ID(grid.XY(x, x))
+	}
+	return s
+}
+
+// NewTransposeStream returns the streaming transpose source on a square
+// topology: the classic transpose congestion pattern as a sustained load
+// instead of a one-shot permutation.
+func NewTransposeStream(topo grid.Topology, rate float64, horizon int, seed int64) *BernoulliSource {
+	if topo.Width() != topo.Height() {
+		panic("workload: transpose stream needs a square topology")
+	}
+	s := NewBernoulli(topo.N(), rate, horizon, seed)
+	s.transpose = topo
+	return s
+}
+
 // Next implements Source.
 func (s *BernoulliSource) Next(step int, buf []Injection) []Injection {
-	if step < 1 || step > s.horizon {
-		return buf
+	if step < 1 || step > s.horizon || s.gap > 0 && (step-1)%(s.burst+s.gap) >= s.burst {
+		return buf // outside the horizon or in an off window: no RNG consumed
 	}
 	for id := 0; id < s.n; id++ {
 		if s.rng.Float64() < s.rate {
-			dst := grid.NodeID(s.rng.Intn(s.n))
-			buf = append(buf, Injection{Src: grid.NodeID(id), Dst: dst})
+			buf = append(buf, Injection{Src: grid.NodeID(id), Dst: s.dst(grid.NodeID(id))})
 		}
 	}
 	return buf
 }
 
+// dst applies the destination rule to a hit at node src.
+func (s *BernoulliSource) dst(src grid.NodeID) grid.NodeID {
+	switch {
+	case s.transpose != nil:
+		c := s.transpose.CoordOf(src)
+		return s.transpose.ID(grid.XY(c.Y, c.X))
+	case s.hot != nil:
+		return s.hot[s.rng.Intn(len(s.hot))]
+	}
+	return grid.NodeID(s.rng.Intn(s.n))
+}
+
 // Exhausted implements Source.
 func (s *BernoulliSource) Exhausted(step int) bool { return step >= s.horizon }
 
-// InjectionTrials reports n·horizon trials of probability rate; the engine
-// sizes an online run's packet store from it.
+// InjectionTrials reports n trials of probability rate per on-step of
+// 1..horizon; the engine sizes an online run's packet store from it.
 func (s *BernoulliSource) InjectionTrials() (trials, p float64) {
-	return float64(s.n) * float64(s.horizon), s.rate
+	on := s.horizon
+	if s.gap > 0 {
+		period := s.burst + s.gap
+		on = s.horizon/period*s.burst + min(s.horizon%period, s.burst)
+	}
+	return float64(s.n) * float64(on), s.rate
 }
 
 // BurstSource is the deterministic bursty stream of the scenario layer's
@@ -131,150 +191,4 @@ func (s *BurstSource) Exhausted(step int) bool { return step >= s.horizon }
 // steps: any seven consecutive steps inject exactly n, so within 6.
 func (s *BurstSource) InjectionTrials() (trials, p float64) {
 	return float64(s.n) * float64(s.horizon/2) / 7, 1
-}
-
-// OnOffSource is a bursty on/off modulated Bernoulli process: the stream
-// alternates "on" windows of burst steps (each node injects with
-// probability rate, uniform destination) and "off" windows of gap steps
-// (silence), for steps 1..horizon. The RNG is consumed only during on
-// steps, so the seed pins the stream under the once-per-step contract.
-type OnOffSource struct {
-	n       int
-	rate    float64
-	burst   int
-	gap     int
-	horizon int
-	rng     *rand.Rand
-}
-
-// NewOnOff returns an on/off source over n nodes: burst on-steps then gap
-// off-steps, repeating through horizon.
-func NewOnOff(n int, rate float64, burst, gap, horizon int, seed int64) *OnOffSource {
-	return &OnOffSource{n: n, rate: rate, burst: burst, gap: gap, horizon: horizon,
-		rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Source.
-func (s *OnOffSource) Next(step int, buf []Injection) []Injection {
-	if step < 1 || step > s.horizon {
-		return buf
-	}
-	if (step-1)%(s.burst+s.gap) >= s.burst {
-		return buf // off window: no arrivals, no RNG consumed
-	}
-	for id := 0; id < s.n; id++ {
-		if s.rng.Float64() < s.rate {
-			dst := grid.NodeID(s.rng.Intn(s.n))
-			buf = append(buf, Injection{Src: grid.NodeID(id), Dst: dst})
-		}
-	}
-	return buf
-}
-
-// Exhausted implements Source.
-func (s *OnOffSource) Exhausted(step int) bool { return step >= s.horizon }
-
-// InjectionTrials reports n trials of probability rate per on-step.
-func (s *OnOffSource) InjectionTrials() (trials, p float64) {
-	period := s.burst + s.gap
-	on := s.horizon/period*s.burst + min(s.horizon%period, s.burst)
-	return float64(s.n) * float64(on), s.rate
-}
-
-// HotspotSource is the adversarial hotspot stream: every node injects with
-// probability rate, but all traffic converges on a small set of hot nodes
-// spread along the mesh diagonal, concentrating load the way Even–Medina–
-// Patt-Shamir's online adversary does. One hot node sits at the center;
-// h of them sit at the diagonal points x = (2i+1)·side/(2h).
-type HotspotSource struct {
-	n       int
-	hot     []grid.NodeID
-	rate    float64
-	horizon int
-	rng     *rand.Rand
-}
-
-// NewHotspot returns a hotspot source on the topology with h hot
-// destination nodes (h >= 1, clamped to the side length).
-func NewHotspot(topo grid.Topology, h int, rate float64, horizon int, seed int64) *HotspotSource {
-	side := topo.Width()
-	if h < 1 {
-		h = 1
-	}
-	if h > side {
-		h = side
-	}
-	hot := make([]grid.NodeID, 0, h)
-	for i := 0; i < h; i++ {
-		x := (2*i + 1) * side / (2 * h)
-		hot = append(hot, topo.ID(grid.XY(x, x)))
-	}
-	return &HotspotSource{n: topo.N(), hot: hot, rate: rate, horizon: horizon,
-		rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Source.
-func (s *HotspotSource) Next(step int, buf []Injection) []Injection {
-	if step < 1 || step > s.horizon {
-		return buf
-	}
-	for id := 0; id < s.n; id++ {
-		if s.rng.Float64() < s.rate {
-			dst := s.hot[s.rng.Intn(len(s.hot))]
-			buf = append(buf, Injection{Src: grid.NodeID(id), Dst: dst})
-		}
-	}
-	return buf
-}
-
-// Exhausted implements Source.
-func (s *HotspotSource) Exhausted(step int) bool { return step >= s.horizon }
-
-// InjectionTrials reports n·horizon trials of probability rate.
-func (s *HotspotSource) InjectionTrials() (trials, p float64) {
-	return float64(s.n) * float64(s.horizon), s.rate
-}
-
-// TransposeStreamSource is the adversarial structured stream: every node
-// injects with probability rate toward its transpose (x,y) -> (y,x), so the
-// sustained load reproduces the classic transpose congestion pattern
-// continuously instead of as a one-shot permutation.
-type TransposeStreamSource struct {
-	topo    grid.Topology
-	rate    float64
-	horizon int
-	rng     *rand.Rand
-}
-
-// NewTransposeStream returns a streaming transpose source on a square
-// topology.
-func NewTransposeStream(topo grid.Topology, rate float64, horizon int, seed int64) *TransposeStreamSource {
-	if topo.Width() != topo.Height() {
-		panic("workload: transpose stream needs a square topology")
-	}
-	return &TransposeStreamSource{topo: topo, rate: rate, horizon: horizon,
-		rng: rand.New(rand.NewSource(seed))}
-}
-
-// Next implements Source.
-func (s *TransposeStreamSource) Next(step int, buf []Injection) []Injection {
-	if step < 1 || step > s.horizon {
-		return buf
-	}
-	n := s.topo.N()
-	for id := 0; id < n; id++ {
-		if s.rng.Float64() < s.rate {
-			c := s.topo.CoordOf(grid.NodeID(id))
-			buf = append(buf, Injection{Src: grid.NodeID(id), Dst: s.topo.ID(grid.XY(c.Y, c.X))})
-		}
-	}
-	return buf
-}
-
-// Exhausted implements Source.
-func (s *TransposeStreamSource) Exhausted(step int) bool { return step >= s.horizon }
-
-// InjectionTrials reports n·horizon trials of probability rate.
-func (s *TransposeStreamSource) InjectionTrials() (trials, p float64) {
-	return float64(s.topo.N()) * float64(s.horizon), s.rate
 }
