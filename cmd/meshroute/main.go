@@ -47,39 +47,42 @@ import (
 )
 
 func main() {
-	var (
-		router        = flag.String("router", meshroute.RouterThm15, fmt.Sprintf("router: one of %v or clt", meshroute.RouterNames()))
-		n             = flag.Int("n", 32, "mesh side length")
-		k             = flag.Int("k", 2, "queue capacity per queue")
-		wl            = flag.String("workload", "random", "workload: random|random-dest|transpose|reversal|bitrev|rotation|hh")
-		seed          = flag.Int64("seed", 1, "workload seed")
-		h             = flag.Int("h", 2, "h for the h-h workload")
-		torus         = flag.Bool("torus", false, "use a torus instead of a mesh")
-		maxSteps      = flag.Int("steps", 0, "step budget (0 = automatic)")
-		improved      = flag.Bool("improved-q", false, "clt: use the 564n constant")
-		showViz       = flag.Bool("viz", false, "print occupancy/traffic heatmaps (non-clt routers)")
-		traceFile     = flag.String("trace", "", "write a JSON-lines step trace to this file")
-		metricsOut    = flag.String("metrics-out", "", "write metrics JSONL (per-step samples; clt: phase spans) to this file")
-		cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memprofile    = flag.String("memprofile", "", "write a pprof heap profile to this file")
-		scenarioFile  = flag.String("scenario", "", "run this scenario spec file instead of building one from the flags")
-		dumpScenario  = flag.Bool("dump-scenario", false, "print the run's scenario spec as JSON and exit without running")
-		submitFile    = flag.String("submit", "", "submit this scenario spec file (or sweep array) to a meshrouted server instead of running locally")
-		server        = flag.String("server", "http://127.0.0.1:8421", "meshrouted base URL for -submit")
-		submitTimeout = flag.Duration("submit-timeout", 2*time.Minute, "overall budget for -submit, including retries on transient errors (0 = no limit)")
-		routerSeed    = flag.Uint64("router-seed", 0, "seed for a randomized router's decisions (rand-zigzag; 0 = default stream)")
-		analyze       = flag.Bool("analyze", false, "compute the workload's congestion C and dilation D and report makespan/(C+D) (see docs/ANALYSIS.md)")
+	// The flags that describe the run fill its Spec and fault schedule
+	// directly; o holds the rest.
+	spec := &scenario.Spec{Faults: &scenario.Faults{}}
+	faults := spec.Faults
+	var o cliOptions
+	flag.StringVar(&spec.Router, "router", meshroute.RouterThm15, fmt.Sprintf("router: one of %v or clt", meshroute.RouterNames()))
+	flag.IntVar(&spec.N, "n", 32, "mesh side length")
+	flag.IntVar(&spec.K, "k", 2, "queue capacity per queue")
+	flag.StringVar(&o.wl, "workload", "random", "workload: random|random-dest|transpose|reversal|bitrev|rotation|hh")
+	flag.Int64Var(&o.seed, "seed", 1, "workload seed")
+	flag.IntVar(&o.h, "h", 2, "h for the h-h workload")
+	flag.BoolVar(&o.torus, "torus", false, "use a torus instead of a mesh")
+	flag.IntVar(&spec.MaxSteps, "steps", 0, "step budget (0 = automatic)")
+	flag.BoolVar(&o.improved, "improved-q", false, "clt: use the 564n constant")
+	flag.BoolVar(&o.showViz, "viz", false, "print occupancy/traffic heatmaps (non-clt routers)")
+	flag.StringVar(&o.traceFile, "trace", "", "write a JSON-lines step trace to this file")
+	flag.StringVar(&spec.MetricsOut, "metrics-out", "", "write metrics JSONL (per-step samples; clt: phase spans) to this file")
+	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
+	flag.StringVar(&o.scenarioFile, "scenario", "", "run this scenario spec file instead of building one from the flags")
+	flag.BoolVar(&o.dumpScenario, "dump-scenario", false, "print the run's scenario spec as JSON and exit without running")
+	flag.StringVar(&o.submitFile, "submit", "", "submit this scenario spec file (or sweep array) to a meshrouted server instead of running locally")
+	flag.StringVar(&o.server, "server", "http://127.0.0.1:8421", "meshrouted base URL for -submit")
+	flag.DurationVar(&o.submitTimeout, "submit-timeout", 2*time.Minute, "overall budget for -submit, including retries on transient errors (0 = no limit)")
+	flag.Uint64Var(&spec.Seed, "router-seed", 0, "seed for a randomized router's decisions (rand-zigzag; 0 = default stream)")
+	flag.BoolVar(&spec.Analysis, "analyze", false, "compute the workload's congestion C and dilation D and report makespan/(C+D) (see docs/ANALYSIS.md)")
 
-		faultSeed   = flag.Int64("fault-seed", 1, "fault schedule seed")
-		faultLinks  = flag.Int("fault-links", 0, "number of link-failure episodes to inject (0 = no link faults)")
-		faultDown   = flag.Int("fault-down", 50, "mean duration of a transient link failure, in steps")
-		faultPerm   = flag.Float64("fault-perm", 0, "fraction of link failures that are permanent (0..1)")
-		faultStalls = flag.Int("fault-stalls", 0, "number of node-stall episodes to inject")
-		faultStall  = flag.Int("fault-stall", 20, "mean duration of a node stall, in steps")
-		faultHoriz  = flag.Int("fault-horizon", 0, "fault onsets are uniform in [1,horizon] (0 = 4n, the traffic timescale)")
-		faultAware  = flag.Bool("fault-aware", false, "use the router's fault-aware variant (zigzag, rand-zigzag)")
-		watchdog    = flag.Int("watchdog", 0, "abort after this many steps without a delivery (0 = off)")
-	)
+	flag.Int64Var(&faults.Seed, "fault-seed", 1, "fault schedule seed")
+	flag.IntVar(&faults.LinkFailures, "fault-links", 0, "number of link-failure episodes to inject (0 = no link faults)")
+	flag.IntVar(&faults.MeanDownSteps, "fault-down", 50, "mean duration of a transient link failure, in steps")
+	flag.Float64Var(&faults.PermanentFrac, "fault-perm", 0, "fraction of link failures that are permanent (0..1)")
+	flag.IntVar(&faults.NodeStalls, "fault-stalls", 0, "number of node-stall episodes to inject")
+	flag.IntVar(&faults.MeanStallSteps, "fault-stall", 20, "mean duration of a node stall, in steps")
+	flag.IntVar(&faults.Horizon, "fault-horizon", 0, "fault onsets are uniform in [1,horizon] (0 = 4n, the traffic timescale)")
+	flag.BoolVar(&spec.FaultAware, "fault-aware", false, "use the router's fault-aware variant (zigzag, rand-zigzag)")
+	flag.IntVar(&spec.Watchdog, "watchdog", 0, "abort after this many steps without a delivery (0 = off)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -96,17 +99,7 @@ func main() {
 		}
 		cpuOut = f
 	}
-	err := run(ctx, cliOptions{
-		router: *router, n: *n, k: *k, wl: *wl, seed: *seed, h: *h, torus: *torus,
-		maxSteps: *maxSteps, improved: *improved, showViz: *showViz,
-		traceFile: *traceFile, metricsOut: *metricsOut,
-		scenarioFile: *scenarioFile, dumpScenario: *dumpScenario,
-		submitFile: *submitFile, server: *server, submitTimeout: *submitTimeout,
-		routerSeed: *routerSeed, analyze: *analyze,
-		faultSeed: *faultSeed, faultLinks: *faultLinks, faultDown: *faultDown,
-		faultPerm: *faultPerm, faultStalls: *faultStalls, faultStall: *faultStall,
-		faultHoriz: *faultHoriz, faultAware: *faultAware, watchdog: *watchdog,
-	})
+	err := run(ctx, spec, o)
 	if cpuOut != nil {
 		pprof.StopCPUProfile()
 		if cerr := cpuOut.Close(); cerr != nil && err == nil {
@@ -138,45 +131,22 @@ func writeHeapProfile(path string) error {
 	return f.Close()
 }
 
-// cliOptions carries the parsed flag values.
+// cliOptions carries the flags that are not Spec or fault.Config fields.
 type cliOptions struct {
-	router                  string
-	n, k                    int
-	wl                      string
-	seed                    int64
-	h                       int
-	torus                   bool
-	maxSteps                int
-	improved, showViz       bool
-	traceFile, metricsOut   string
-	scenarioFile            string
-	dumpScenario            bool
-	submitFile, server      string
-	submitTimeout           time.Duration
-	routerSeed              uint64
-	analyze                 bool
-	faultSeed               int64
-	faultLinks, faultStalls int
-	faultDown, faultStall   int
-	faultHoriz              int
-	faultPerm               float64
-	faultAware              bool
-	watchdog                int
+	wl                       string
+	seed                     int64
+	h                        int
+	torus, improved, showViz bool
+	traceFile, scenarioFile  string
+	dumpScenario             bool
+	submitFile, server       string
+	submitTimeout            time.Duration
 }
 
-// spec assembles the scenario described by the flags.
-func (o cliOptions) spec() (*scenario.Spec, error) {
-	s := &scenario.Spec{
-		N:          o.n,
-		K:          o.k,
-		Router:     o.router,
-		FaultAware: o.faultAware,
-		Seed:       o.routerSeed,
-		Watchdog:   o.watchdog,
-		MaxSteps:   o.maxSteps,
-		MetricsOut: o.metricsOut,
-		Analysis:   o.analyze,
-	}
+// complete fills in what the flags describe outside the flag-bound spec s:
+// the topology, the workload, and the fault schedule's default horizon, or
+// no schedule at all when no episode is asked for.
+func (o cliOptions) complete(s *scenario.Spec) error {
 	if o.torus {
 		s.Topology = scenario.TopoTorus
 	}
@@ -186,63 +156,51 @@ func (o cliOptions) spec() (*scenario.Spec, error) {
 	case scenario.KindTranspose, scenario.KindReversal, scenario.KindBitRev:
 		s.Workload = scenario.Workload{Kind: o.wl}
 	case scenario.KindRotation:
-		s.Workload = scenario.Workload{Kind: o.wl, DX: o.n / 3, DY: o.n / 5}
+		s.Workload = scenario.Workload{Kind: o.wl, DX: s.N / 3, DY: s.N / 5}
 	case scenario.KindHH:
 		s.Workload = scenario.Workload{Kind: o.wl, H: o.h, Seed: o.seed}
 	default:
-		return nil, fmt.Errorf("unknown workload %q", o.wl)
+		return fmt.Errorf("unknown workload %q", o.wl)
 	}
-	if o.faultLinks > 0 || o.faultStalls > 0 {
+	if f := s.Faults; f.LinkFailures > 0 || f.NodeStalls > 0 {
 		// Onsets must land while traffic is still in flight to matter, so
 		// the default horizon is the delivery timescale (4n covers the
 		// ~2n–3n makespan of permutation workloads), not the step budget.
-		horizon := o.faultHoriz
-		if horizon <= 0 {
-			horizon = 4 * o.n
+		if f.Horizon <= 0 {
+			f.Horizon = 4 * s.N
 		}
-		s.Faults = &scenario.Faults{
-			Seed:           o.faultSeed,
-			Horizon:        horizon,
-			LinkFailures:   o.faultLinks,
-			MeanDownSteps:  o.faultDown,
-			PermanentFrac:  o.faultPerm,
-			NodeStalls:     o.faultStalls,
-			MeanStallSteps: o.faultStall,
-		}
+	} else {
+		s.Faults = nil
 	}
-	return s, nil
+	return nil
 }
 
-func run(ctx context.Context, o cliOptions) error {
+// run executes what the flags ask for; spec is the flag-bound Spec.
+func run(ctx context.Context, spec *scenario.Spec, o cliOptions) error {
 	if o.submitFile != "" {
 		return runSubmit(ctx, o)
 	}
-	if o.router == "clt" && o.scenarioFile == "" && !o.dumpScenario {
-		return runCLT(o)
+	if spec.Router == "clt" && o.scenarioFile == "" && !o.dumpScenario {
+		return runCLT(spec, o)
 	}
 
-	var spec *scenario.Spec
-	var err error
 	if o.scenarioFile != "" {
-		spec, err = scenario.Load(o.scenarioFile)
+		loaded, err := scenario.Load(o.scenarioFile)
 		if err != nil {
 			return err
 		}
 		// Presentation and output flags still apply to a loaded scenario.
-		if o.metricsOut != "" {
-			spec.MetricsOut = o.metricsOut
+		if spec.MetricsOut != "" {
+			loaded.MetricsOut = spec.MetricsOut
 		}
-		if o.analyze {
-			spec.Analysis = true
+		if spec.Analysis {
+			loaded.Analysis = true
 		}
-	} else {
-		spec, err = o.spec()
-		if err != nil {
-			return err
-		}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
+		spec = loaded
+	} else if err := o.complete(spec); err != nil {
+		return err
+	} else if err := spec.Validate(); err != nil {
+		return err
 	}
 	if o.dumpScenario {
 		// Materialize the online kind's defaulted knobs so the dumped spec
@@ -328,13 +286,13 @@ func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool, traceFi
 }
 
 // runCLT routes with the Section 6 algorithm, which has its own phase
-// structure and statistics and stays outside the scenario registry.
-func runCLT(o cliOptions) error {
+// structure and statistics and stays outside the scenario registry. s is
+// the flag-bound Spec.
+func runCLT(s *scenario.Spec, o cliOptions) error {
 	if o.torus {
 		return fmt.Errorf("the Section 6 algorithm targets the mesh")
 	}
-	s, err := o.spec()
-	if err != nil {
+	if err := o.complete(s); err != nil {
 		return err
 	}
 	if err := s.ValidateWorkload(); err != nil {
@@ -343,15 +301,15 @@ func runCLT(o cliOptions) error {
 
 	var sink *obs.JSONL
 	var sinkOut *os.File
-	if o.metricsOut != "" {
-		f, err := os.Create(o.metricsOut)
+	if s.MetricsOut != "" {
+		f, err := os.Create(s.MetricsOut)
 		if err != nil {
 			return err
 		}
 		sinkOut = f
 		sink = obs.NewJSONL(f)
 	}
-	cfg := clt.Config{N: o.n, ImprovedQ: o.improved}
+	cfg := clt.Config{N: s.N, ImprovedQ: o.improved}
 	if sink != nil {
 		cfg.Sink = sink
 	}
@@ -359,13 +317,13 @@ func runCLT(o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.Route(s.Workload.Permutation(meshroute.NewMesh(o.n)))
+	res, err := r.Route(s.Workload.Permutation(meshroute.NewMesh(s.N)))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("clt (Section 6, Theorem 34) on %d×%d, %d packets\n", o.n, o.n, res.Packets)
+	fmt.Printf("clt (Section 6, Theorem 34) on %d×%d, %d packets\n", s.N, s.N, res.Packets)
 	fmt.Printf("  synchronized schedule: %d steps (%.1f·n; bound %d·n)\n",
-		res.TimeFormula, float64(res.TimeFormula)/float64(o.n), map[bool]int{false: 972, true: 564}[o.improved])
+		res.TimeFormula, float64(res.TimeFormula)/float64(s.N), map[bool]int{false: 972, true: 564}[o.improved])
 	fmt.Printf("  measured work steps:   %d\n", res.TimeMeasured)
 	fmt.Printf("  peak node occupancy:   %d (bound 834)\n", res.MaxQueue)
 	fmt.Printf("  base case steps:       %d, tile iterations: %d\n", res.BaseCaseSteps, res.Iterations)
@@ -377,7 +335,7 @@ func runCLT(o cliOptions) error {
 			return err
 		}
 		fmt.Printf("metrics: %d step samples, %d spans written to %s\n",
-			sink.StepCount(), sink.SpanCount(), o.metricsOut)
+			sink.StepCount(), sink.SpanCount(), s.MetricsOut)
 	}
 	return nil
 }

@@ -92,7 +92,6 @@ func main() {
 		})
 	}
 	svc := service.New(cfg)
-	srv := &http.Server{Handler: svc.Handler()}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -104,8 +103,31 @@ func main() {
 			*hbTimeout, *cellDeadline, *cellRetries)
 	}
 
+	serve(ln, svc.Handler(), func(context.Context) {}, func() time.Duration {
+		log.Printf("shutdown signal received; draining jobs (budget %s)", *drain)
+		drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+		defer cancel()
+		if err := svc.Shutdown(drainCtx); err != nil {
+			log.Printf("drain: %v", err)
+		}
+		return 5 * time.Second
+	})
+	log.Printf("meshrouted stopped")
+}
+
+// serve serves handler on ln until SIGINT or SIGTERM, then shuts down: it
+// calls drain, which returns how long the HTTP server then gets to finish
+// in-flight requests, and waits for Serve to return. start runs alongside
+// the server with a context the signal cancels, and serve waits for it too.
+func serve(ln net.Listener, handler http.Handler, start func(context.Context), drain func() time.Duration) {
+	srv := &http.Server{Handler: handler}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
+	startDone := make(chan struct{})
+	go func() {
+		defer close(startDone)
+		start(ctx)
+	}()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
@@ -116,17 +138,11 @@ func main() {
 	}
 	stop() // a second signal kills the process the default way
 
-	log.Printf("shutdown signal received; draining jobs (budget %s)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
+	httpCtx, cancel := context.WithTimeout(context.Background(), drain())
 	defer cancel()
-	if err := svc.Shutdown(drainCtx); err != nil {
-		log.Printf("drain: %v", err)
-	}
-	httpCtx, httpCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer httpCancel()
 	if err := srv.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("http shutdown: %v", err)
 	}
 	<-serveErr // Serve has returned ErrServerClosed by now
-	log.Printf("meshrouted stopped")
+	<-startDone
 }

@@ -2,13 +2,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"log"
 	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"meshroute/internal/fleet"
@@ -33,33 +28,12 @@ func runWorker(addr, coordinatorURL, advertise string, slots, eventBuffer int, h
 	log.Printf("meshrouted worker listening on %s (advertising %s, coordinator %s)", ln.Addr(), selfURL, coordinatorURL)
 
 	w := fleet.NewWorker(fleet.WorkerConfig{Slots: slots, EventBuffer: eventBuffer})
-	srv := &http.Server{Handler: w.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	announceDone := make(chan struct{})
-	go func() {
-		defer close(announceDone)
+	serve(ln, w.Handler(), func(ctx context.Context) {
 		fleet.Announce(ctx, nil, coordinatorURL, selfURL, heartbeat, log.Printf)
-	}()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	select {
-	case err := <-serveErr:
-		log.Fatal(err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills the process the default way
-
-	log.Printf("shutdown signal received; finishing in-flight cells (budget %s)", drain)
-	httpCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(httpCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Printf("http shutdown: %v", err)
-	}
-	<-serveErr
-	<-announceDone
+	}, func() time.Duration {
+		log.Printf("shutdown signal received; finishing in-flight cells (budget %s)", drain)
+		return drain
+	})
 	log.Printf("meshrouted worker stopped")
 }
 

@@ -32,9 +32,7 @@ package analysis
 import "meshroute/internal/grid"
 
 // Demand is one packet's endpoints.
-type Demand struct {
-	Src, Dst grid.NodeID
-}
+type Demand = grid.Pair
 
 // Result holds the congestion and dilation of a workload under a
 // concrete minimal-path system.
@@ -57,25 +55,6 @@ func (r Result) Ratio(makespan int) float64 {
 		return float64(makespan) / float64(cd)
 	}
 	return 0
-}
-
-// canonicalDir picks the canonical dimension-order step out of a
-// profitable set: resolve the horizontal displacement first (East before
-// West, so torus wrap ties break deterministically), then the vertical
-// one (North before South). Profitable sets are never empty while
-// src != dst, so NoDir only escapes on a malformed call.
-func canonicalDir(prof grid.DirSet) grid.Dir {
-	switch {
-	case prof.Has(grid.East):
-		return grid.East
-	case prof.Has(grid.West):
-		return grid.West
-	case prof.Has(grid.North):
-		return grid.North
-	case prof.Has(grid.South):
-		return grid.South
-	}
-	return grid.NoDir
 }
 
 // PathSystem is a system of minimal paths for a static demand set,
@@ -131,12 +110,12 @@ func Analyze(topo grid.Topology, demands []Demand) *PathSystem {
 		ps.walkPath(i, dem, -1) // lift the demand's own load off the table
 		seg := ps.dirs[ps.off[i]:ps.off[i+1]]
 		for j, cur := 0, dem.Src; cur != dem.Dst; j++ {
-			prof := ps.topo.Profitable(cur, dem.Dst)
+			// The profitable edges in dimension order, so a tie keeps the
+			// canonical hop.
 			best, bestLoad := grid.NoDir, int32(0)
-			for _, dir := range [...]grid.Dir{grid.East, grid.West, grid.North, grid.South} {
-				if !prof.Has(dir) {
-					continue
-				}
+			for rest := ps.topo.Profitable(cur, dem.Dst); rest != 0; {
+				dir := rest.DimOrder()
+				rest &^= 1 << dir
 				if l := ps.load[grid.EdgeIndex(cur, dir)]; best == grid.NoDir || l < bestLoad {
 					best, bestLoad = dir, l
 				}
@@ -157,7 +136,7 @@ func Analyze(topo grid.Topology, demands []Demand) *PathSystem {
 		for i, dem := range demands {
 			seg := ps.dirs[ps.off[i]:ps.off[i+1]]
 			for j, cur := 0, dem.Src; cur != dem.Dst; j++ {
-				dir := canonicalDir(topo.Profitable(cur, dem.Dst))
+				dir := topo.Profitable(cur, dem.Dst).DimOrder()
 				seg[j] = dir
 				ps.load[grid.EdgeIndex(cur, dir)]++
 				cur, _ = topo.Neighbor(cur, dir)
@@ -195,7 +174,7 @@ func AnalyzeCanonical(topo grid.Topology, demands []Demand) *PathSystem {
 	for i, dem := range demands {
 		ps.off[i] = int32(len(ps.dirs))
 		for cur := dem.Src; cur != dem.Dst; {
-			dir := canonicalDir(topo.Profitable(cur, dem.Dst))
+			dir := topo.Profitable(cur, dem.Dst).DimOrder()
 			ps.dirs = append(ps.dirs, dir)
 			ps.load[grid.EdgeIndex(cur, dir)]++
 			cur, _ = topo.Neighbor(cur, dir)
@@ -247,7 +226,7 @@ func NewAccumulator(topo grid.Topology) *Accumulator {
 // unit of load.
 //
 // The canonical path is a horizontal run along the source's row followed by
-// a vertical run along the destination's column, and canonicalDir gives the
+// a vertical run along the destination's column, and DimOrder gives the
 // same answer at every node of a run: a direction that is profitable stays
 // so until its displacement is used up, and where a torus offers both ways
 // round (the half-ring tie) the first hop East or North leaves that way

@@ -9,14 +9,6 @@ import (
 	"meshroute/internal/workload"
 )
 
-func demandsOf(p *workload.Permutation) []Demand {
-	out := make([]Demand, len(p.Pairs))
-	for i, pr := range p.Pairs {
-		out[i] = Demand{Src: pr.Src, Dst: pr.Dst}
-	}
-	return out
-}
-
 // TestAnalyzerAgainstClosedForms pins C and D for workloads small enough
 // to hand-compute. The canonical system routes x-first with East/West
 // before North/South, so each case below can be verified by walking the
@@ -35,7 +27,7 @@ func TestAnalyzerAgainstClosedForms(t *testing.T) {
 			// Every node shifts one step East with wraparound: each
 			// eastbound edge carries exactly its origin's packet.
 			name: "rotation-torus-4x4", topo: grid.NewSquareTorus(4),
-			demands: demandsOf(workload.Rotation(grid.NewSquareTorus(4), 1, 0)),
+			demands: workload.Rotation(grid.NewSquareTorus(4), 1, 0).Pairs,
 			c:       1, d: 1,
 		},
 		{
@@ -46,7 +38,7 @@ func TestAnalyzerAgainstClosedForms(t *testing.T) {
 			// it — e.g. (0,2)→(2,0) and (1,2)→(2,1) both cross
 			// (1,2)→(2,2) and then (2,2)→(2,1) — so C = 2.
 			name: "transpose-mesh-3x3", topo: grid.NewSquareMesh(3),
-			demands: demandsOf(workload.Transpose(grid.NewSquareMesh(3))),
+			demands: workload.Transpose(grid.NewSquareMesh(3)).Pairs,
 			c:       2, d: 4,
 		},
 		{
@@ -57,7 +49,7 @@ func TestAnalyzerAgainstClosedForms(t *testing.T) {
 			// carries 4 packets vertically whose spans overlap pairwise
 			// on the middle vertical edges (load 2). C = 2.
 			name: "reversal-mesh-4x4", topo: grid.NewSquareMesh(4),
-			demands: demandsOf(workload.Reversal(grid.NewSquareMesh(4))),
+			demands: workload.Reversal(grid.NewSquareMesh(4)).Pairs,
 			c:       2, d: 6,
 		},
 		{
@@ -181,7 +173,7 @@ func TestGreedyLowersCongestion(t *testing.T) {
 
 // TestAccumulatorMatchesCanonical is the differential test of the
 // accumulator's row-and-column walk against the hop-by-hop definition of
-// the canonical path (canonicalDir of a fresh Profitable at every node):
+// the canonical path (DimOrder of a fresh Profitable at every node):
 // random demands — not only permutations — on square and rectangular meshes
 // and on tori of odd and even sides, where an even side makes half-ring
 // ties, which the loop below also forces. The whole load table must agree,
@@ -214,7 +206,7 @@ func TestAccumulatorMatchesCanonical(t *testing.T) {
 			acc.Admit(dem.Src, dem.Dst)
 			d = max(d, topo.Dist(dem.Src, dem.Dst))
 			for cur := dem.Src; cur != dem.Dst; {
-				dir := canonicalDir(topo.Profitable(cur, dem.Dst))
+				dir := topo.Profitable(cur, dem.Dst).DimOrder()
 				e := grid.EdgeIndex(cur, dir)
 				load[e]++
 				c = max(c, int(load[e]))

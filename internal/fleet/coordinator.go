@@ -295,7 +295,6 @@ func (c *Coordinator) Execute(ctx context.Context, spec *scenario.Spec) (*CellRe
 		return nil, err
 	}
 	var lastErr error
-	attempts := 0
 	for attempt := 1; attempt <= c.cfg.MaxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -325,7 +324,6 @@ func (c *Coordinator) Execute(ctx context.Context, spec *scenario.Spec) (*CellRe
 			lastErr = errors.New("fleet: all worker breakers open")
 			continue
 		}
-		attempts++
 		res, err := c.dispatch(ctx, w, body)
 		if err == nil {
 			c.release(w, true)

@@ -85,6 +85,26 @@ func (s DirSet) Has(d Dir) bool { return s&(1<<d) != 0 }
 // Count returns the number of directions in the set.
 func (s DirSet) Count() int { return bits.OnesCount8(uint8(s)) }
 
+// DimOrder returns the outlink a dimension-order (row-first) packet takes
+// out of its profitable set s, the rule of Section 2's dimension-order
+// router: East, else West, else North, else South, else NoDir (s empty).
+// Where a torus offers both ways round a dimension (the half-ring tie),
+// East beats West and North beats South, so the tie breaks the same way at
+// every node.
+func (s DirSet) DimOrder() Dir {
+	switch {
+	case s.Has(East):
+		return East
+	case s.Has(West):
+		return West
+	case s.Has(North):
+		return North
+	case s.Has(South):
+		return South
+	}
+	return NoDir
+}
+
 // Dirs returns the directions in the set in canonical order.
 func (s DirSet) Dirs() []Dir {
 	out := make([]Dir, 0, 4)
@@ -110,6 +130,14 @@ func (s DirSet) String() string {
 
 // NodeID is a dense node identifier in [0, W*H).
 type NodeID int32
+
+// Pair is one packet's source and destination node, whether a workload
+// lists it, a streaming source injects it or the congestion analysis routes
+// it. The JSON names src and dst are the scenario spec's (workload.pairs).
+type Pair struct {
+	Src NodeID `json:"src"`
+	Dst NodeID `json:"dst"`
+}
 
 // Coord is a mesh coordinate: X is the column (0 = westernmost), Y is the
 // row (0 = southernmost).

@@ -84,6 +84,41 @@ func TestDirSet(t *testing.T) {
 	}
 }
 
+// TestDirSetDimOrder holds DimOrder to the row-first priority list on every
+// set, the spot cases spelled out.
+func TestDirSetDimOrder(t *testing.T) {
+	cases := []struct {
+		prof DirSet
+		want Dir
+	}{
+		{0, NoDir},
+		{DirSet(0).Set(East), East},
+		{DirSet(0).Set(West), West},
+		{DirSet(0).Set(North), North},
+		{DirSet(0).Set(South), South},
+		{DirSet(0).Set(North).Set(East), East},
+		{DirSet(0).Set(South).Set(West), West},
+		{DirSet(0).Set(East).Set(West), East},
+		{DirSet(0).Set(North).Set(South), North},
+	}
+	for _, c := range cases {
+		if got := c.prof.DimOrder(); got != c.want {
+			t.Errorf("%v.DimOrder() = %v, want %v", c.prof, got, c.want)
+		}
+	}
+	for s := DirSet(0); s <= AllDirs; s++ {
+		want := NoDir
+		for _, d := range [...]Dir{South, North, West, East} {
+			if s.Has(d) {
+				want = d
+			}
+		}
+		if got := s.DimOrder(); got != want {
+			t.Errorf("%v.DimOrder() = %v, want %v", s, got, want)
+		}
+	}
+}
+
 func TestMeshIDCoordRoundTrip(t *testing.T) {
 	m := NewMesh(7, 5)
 	if m.N() != 35 || m.Width() != 7 || m.Height() != 5 {

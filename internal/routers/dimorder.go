@@ -25,7 +25,7 @@ func (DimOrderFIFO) InitNode(c *dex.NodeCtx) {}
 func (DimOrderFIFO) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	for i := range c.Len() {
-		want := DimOrderWant(c.Profitable(i))
+		want := c.Profitable(i).DimOrder()
 		if want != grid.NoDir && sched[want] < 0 {
 			sched[want] = i
 		}

@@ -43,7 +43,7 @@ func (DimOrderFF) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 	best := [grid.NumDirs]int{}
 	here := net.Topo.CoordOf(n.ID)
 	for i, p := range net.PacketsOf(n) {
-		want := DimOrderWant(net.P.Prof[p])
+		want := net.P.Prof[p].DimOrder()
 		if want == grid.NoDir {
 			continue
 		}

@@ -25,23 +25,6 @@ import (
 	"meshroute/internal/grid"
 )
 
-// DimOrderWant returns the outlink a dimension-order (row-first) packet
-// wants, given only its profitable outlinks: the horizontal profitable
-// direction if one exists, otherwise the vertical one, otherwise NoDir.
-func DimOrderWant(prof grid.DirSet) grid.Dir {
-	switch {
-	case prof.Has(grid.East):
-		return grid.East
-	case prof.Has(grid.West):
-		return grid.West
-	case prof.Has(grid.North):
-		return grid.North
-	case prof.Has(grid.South):
-		return grid.South
-	}
-	return grid.NoDir
-}
-
 // acceptRoundRobin implements the round-robin inqueue policy of Section 2
 // for a single central queue, extended with a "swap" rule that prevents
 // head-on buffer deadlock:

@@ -310,26 +310,6 @@ func TestHotPotatoTakesNonminimalPathsUnderContention(t *testing.T) {
 	}
 }
 
-func TestDimOrderWantTable(t *testing.T) {
-	cases := []struct {
-		prof grid.DirSet
-		want grid.Dir
-	}{
-		{0, grid.NoDir},
-		{grid.DirSet(0).Set(grid.East), grid.East},
-		{grid.DirSet(0).Set(grid.West), grid.West},
-		{grid.DirSet(0).Set(grid.North), grid.North},
-		{grid.DirSet(0).Set(grid.South), grid.South},
-		{grid.DirSet(0).Set(grid.North).Set(grid.East), grid.East},
-		{grid.DirSet(0).Set(grid.South).Set(grid.West), grid.West},
-	}
-	for _, c := range cases {
-		if got := DimOrderWant(c.prof); got != c.want {
-			t.Errorf("DimOrderWant(%v) = %v, want %v", c.prof, got, c.want)
-		}
-	}
-}
-
 // TestRoutersAreDeterministic runs every router twice on one instance, each
 // time on a fresh network with a fresh algorithm value, and requires
 // identical per-packet outcomes.

@@ -93,13 +93,8 @@ func (st *scheduledState) nextDir(net *sim.Network, p sim.PacketID) (grid.Dir, i
 	if st.ps == nil || i >= st.ps.Len() {
 		// Late arrival (dynamic injection the scenario layer should have
 		// rejected): canonical dimension-order, no delay.
-		prof := net.P.Prof[p]
-		for _, d := range [...]grid.Dir{grid.East, grid.West, grid.North, grid.South} {
-			if prof.Has(d) {
-				return d, 0, true
-			}
-		}
-		return grid.NoDir, 0, false
+		d := net.P.Prof[p].DimOrder()
+		return d, 0, d != grid.NoDir
 	}
 	path := st.ps.Path(i)
 	hops := int(net.P.Hops[p])
@@ -131,22 +126,20 @@ func (r *Scheduled) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 	return sched
 }
 
-// Accept implements the inqueue policy: the swap rule shared with the
-// other central-queue routers (an offer from a neighbor we scheduled a
-// packet toward is accepted unconditionally — by symmetry that neighbor
-// accepts ours, so occupancy is unchanged), then admission in frame
-// priority order. Like the dimension-order routers, the last queue slot
-// is reserved for vertically traveling packets: column-phase traffic is
-// monotone per column (head-on pairs resolve by swap), so it always
-// drains, and row-phase packets blocked on the reserved slot eventually
-// find room — the discipline that keeps phased paths deadlock-free at
-// bounded k.
+// Accept implements the inqueue policy: the swap rule shared with the other
+// central-queue routers (an offer from a neighbor the node's own part (a)
+// decision sends a packet toward is accepted unconditionally — by symmetry
+// that neighbor accepts ours, so occupancy is unchanged), then admission in
+// frame priority order. Like the dimension-order routers, the last queue
+// slot is reserved for vertically traveling packets: column-phase traffic is
+// monotone per column (head-on pairs resolve by swap), so it always drains,
+// and row-phase packets blocked on the reserved slot eventually find room —
+// the discipline that keeps phased paths deadlock-free at bounded k.
 func (r *Scheduled) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
 	occ := n.QueueLen(0)
 	st := r.state
-	sched := r.Schedule(net, n)
 	for i, o := range offers {
-		if sched[o.Travel.Opposite()] >= 0 {
+		if n.Scheduled().Has(o.Travel.Opposite()) {
 			acc[i] = true
 		}
 	}

@@ -90,16 +90,12 @@ func TestScheduledMatchesAnalyze(t *testing.T) {
 	perm := workload.Transpose(topo)
 	net, alg := runScheduled(t, topo, 2, perm, 5000)
 	_ = net
-	demands := make([]analysis.Demand, len(perm.Pairs))
-	for i, pr := range perm.Pairs {
-		demands[i] = analysis.Demand{Src: pr.Src, Dst: pr.Dst}
-	}
-	want := analysis.AnalyzeCanonical(topo, demands).Result()
+	want := analysis.AnalyzeCanonical(topo, perm.Pairs).Result()
 	if got := alg.Result(); got != want {
 		t.Fatalf("router system C=%d D=%d != canonical C=%d D=%d",
 			got.Congestion, got.Dilation, want.Congestion, want.Dilation)
 	}
-	improved := analysis.Analyze(topo, demands).Result()
+	improved := analysis.Analyze(topo, perm.Pairs).Result()
 	if improved.Dilation != want.Dilation {
 		t.Fatalf("greedy dilation %d != canonical %d", improved.Dilation, want.Dilation)
 	}

@@ -84,7 +84,7 @@ func (r StrayDimOrder) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	// Primary wants, FIFO.
 	for i := range c.Len() {
-		if w := DimOrderWant(c.Profitable(i)); w != grid.NoDir && sched[w] < 0 {
+		if w := c.Profitable(i).DimOrder(); w != grid.NoDir && sched[w] < 0 {
 			sched[w] = i
 		}
 	}

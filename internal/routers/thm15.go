@@ -35,7 +35,7 @@ func (Thm15) Schedule(c *dex.NodeCtx) [grid.NumDirs]int {
 	sched := [grid.NumDirs]int{-1, -1, -1, -1}
 	straight := [grid.NumDirs]bool{}
 	for i := range c.Len() {
-		want := DimOrderWant(c.Profitable(i))
+		want := c.Profitable(i).DimOrder()
 		if want == grid.NoDir {
 			continue
 		}

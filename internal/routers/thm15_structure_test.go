@@ -108,7 +108,7 @@ func TestThm15TurningQueueDrainsWithinN(t *testing.T) {
 						continue
 					}
 					pkts = append(pkts, p)
-					if DimOrderWant(net.Topo.Profitable(id, net.P.Dst[p])).Horizontal() {
+					if net.Topo.Profitable(id, net.P.Dst[p]).DimOrder().Horizontal() {
 						allTurn = false
 					}
 				}

@@ -559,11 +559,7 @@ func (s *Spec) applyWorkload(net *sim.Network, topo grid.Topology) (int, func() 
 	// up front, so the path system (canonical plus the greedy improvement
 	// pass) is built once here and its C/D read out lazily.
 	if s.Analysis {
-		demands := make([]analysis.Demand, len(perm.Pairs))
-		for i, pr := range perm.Pairs {
-			demands[i] = analysis.Demand{Src: pr.Src, Dst: pr.Dst}
-		}
-		analyze = analysis.Analyze(topo, demands).Result
+		analyze = analysis.Analyze(topo, perm.Pairs).Result
 	}
 	return s.StepBudget(), analyze, nil
 }

@@ -14,12 +14,7 @@ import (
 // engine materializes a packet only when the injection is accepted into the
 // run (immediately for the retry policy, at admission time for the drop
 // policy), so refused offers under AdmitDrop never enter the packet store.
-type Injection struct {
-	// Src is the node requesting the injection.
-	Src grid.NodeID
-	// Dst is the requested destination.
-	Dst grid.NodeID
-}
+type Injection = grid.Pair
 
 // Source is a streaming workload: the generalization of "place everything
 // before step 0" to continuous, online injection. The engine drives an

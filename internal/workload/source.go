@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math/rand"
-	"slices"
 
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
@@ -44,11 +43,7 @@ func (r *ReplaySource) Next(step int, buf []Injection) []Injection {
 	if step != r.step {
 		return buf
 	}
-	buf = slices.Grow(buf, len(r.pairs))
-	for _, pr := range r.pairs {
-		buf = append(buf, Injection{Src: pr.Src, Dst: pr.Dst})
-	}
-	return buf
+	return append(buf, r.pairs...)
 }
 
 // Exhausted implements Source.

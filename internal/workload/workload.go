@@ -28,12 +28,7 @@ type Permutation struct {
 
 // Pair is one packet's endpoints. The JSON names are part of the scenario
 // spec format (internal/scenario).
-type Pair struct {
-	// Src is the source node.
-	Src grid.NodeID `json:"src"`
-	// Dst is the destination node.
-	Dst grid.NodeID `json:"dst"`
-}
+type Pair = grid.Pair
 
 // Len returns the number of packets.
 func (p *Permutation) Len() int { return len(p.Pairs) }

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Diffs the stdout of cmd/lowerbound, of cmd/meshroute on the two dynamic
-# scenario specs and on the smoke spec with -trace -viz, and of three
-# examples against the goldens in this directory; any difference fails. Run from the repository root:
+# scenario specs, on the smoke spec with -trace -viz and on two flag-built
+# runs, the stdout and stderr of five meshroute -dump-scenario runs (the
+# flag-to-spec mapping and its fingerprint), and the stdout of three
+# examples against the goldens in this directory; any difference fails.
+# Run from the repository root:
 # sh testdata/cli/check.sh
 set -eu
 dir=testdata/cli
@@ -26,6 +29,17 @@ smokeviz() {
 	"$bin/meshroute" -scenario testdata/scenarios/smoke.json -trace "$bin/t.jsonl" -viz | sed "s|$bin/|TMP/|"
 }
 check scenario-smoke-viz.txt smokeviz
+# -dump-scenario prints the spec on stdout and its fingerprint on stderr.
+dump() {
+	"$bin/meshroute" "$@" -dump-scenario 2>&1
+}
+check dump-defaults.txt dump
+check dump-zigzag-n24-k3-rotation.txt dump -router zigzag -n 24 -k 3 -workload rotation
+check dump-rand-zigzag-n16-hh-torus.txt dump -router rand-zigzag -n 16 -workload hh -h 3 -seed 9 -router-seed 5 -torus -analyze -watchdog 40 -steps 900 -metrics-out run.jsonl
+check dump-zigzag-n20-fault-aware.txt dump -router zigzag -fault-aware -fault-links 3 -fault-stalls 2 -fault-perm 0.3 -n 20 -workload transpose
+check dump-zigzag-n12-faults.txt dump -router zigzag -fault-links 2 -fault-horizon 33 -fault-seed 4 -fault-down 7 -fault-stall 3 -n 12 -workload reversal
+check clt-n27-transpose.txt "$bin/meshroute" -router clt -n 27 -workload transpose
+check dimorder-n16-k2-random.txt "$bin/meshroute" -router dimorder -n 16 -k 2 -workload random -seed 3
 check example-quickstart.txt "$bin/quickstart"
 check example-adversary.txt "$bin/adversary"
 check example-hhrouting.txt "$bin/hhrouting"
