@@ -61,7 +61,7 @@ func main() {
 	flag.BoolVar(&o.torus, "torus", false, "use a torus instead of a mesh")
 	flag.IntVar(&spec.MaxSteps, "steps", 0, "step budget (0 = automatic)")
 	flag.BoolVar(&o.improved, "improved-q", false, "clt: use the 564n constant")
-	flag.BoolVar(&o.showViz, "viz", false, "print occupancy/traffic heatmaps (non-clt routers)")
+	flag.BoolVar(&o.showViz, "viz", false, "print the occupancy heatmap after n/2 steps; with -trace also the link-traffic map and delivery curve")
 	flag.StringVar(&o.traceFile, "trace", "", "write a JSON-lines step trace to this file")
 	flag.StringVar(&spec.MetricsOut, "metrics-out", "", "write metrics JSONL (per-step samples; clt: phase spans) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -180,7 +180,7 @@ func run(ctx context.Context, spec *scenario.Spec, o cliOptions) error {
 	if o.submitFile != "" {
 		return runSubmit(ctx, o)
 	}
-	if spec.Router == "clt" && o.scenarioFile == "" && !o.dumpScenario {
+	if spec.Router == "clt" && o.scenarioFile == "" {
 		return runCLT(spec, o)
 	}
 
@@ -285,12 +285,26 @@ func runScenario(ctx context.Context, spec *scenario.Spec, showViz bool, traceFi
 	return nil
 }
 
+// cltFlags are the flags a Section 6 run reads; runCLT refuses any other
+// that is set, rather than ignore it.
+var cltFlags = map[string]bool{"router": true, "n": true, "workload": true, "seed": true, "h": true,
+	"improved-q": true, "metrics-out": true, "cpuprofile": true, "memprofile": true}
+
 // runCLT routes with the Section 6 algorithm, which has its own phase
 // structure and statistics and stays outside the scenario registry. s is
 // the flag-bound Spec.
 func runCLT(s *scenario.Spec, o cliOptions) error {
-	if o.torus {
-		return fmt.Errorf("the Section 6 algorithm targets the mesh")
+	if o.dumpScenario {
+		return fmt.Errorf("-dump-scenario: the Section 6 router (clt) has no scenario spec form yet (ROADMAP item 13)")
+	}
+	var unused string
+	flag.Visit(func(f *flag.Flag) {
+		if !cltFlags[f.Name] {
+			unused += " -" + f.Name
+		}
+	})
+	if unused != "" {
+		return fmt.Errorf("-router clt does not take%s", unused)
 	}
 	if err := o.complete(s); err != nil {
 		return err

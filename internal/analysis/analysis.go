@@ -130,18 +130,7 @@ func Analyze(topo grid.Topology, demands []Demand) *PathSystem {
 	} else {
 		// Revert: rebuild the canonical system so the retained paths
 		// match the reported congestion.
-		for i := range ps.load {
-			ps.load[i] = 0
-		}
-		for i, dem := range demands {
-			seg := ps.dirs[ps.off[i]:ps.off[i+1]]
-			for j, cur := 0, dem.Src; cur != dem.Dst; j++ {
-				dir := topo.Profitable(cur, dem.Dst).DimOrder()
-				seg[j] = dir
-				ps.load[grid.EdgeIndex(cur, dir)]++
-				cur, _ = topo.Neighbor(cur, dir)
-			}
-		}
+		ps.fillCanonical()
 		ps.res.Congestion = canonC
 	}
 	return ps
@@ -161,28 +150,33 @@ func AnalyzeCanonical(topo grid.Topology, demands []Demand) *PathSystem {
 		off:     make([]int32, len(demands)+1),
 		load:    make([]int32, grid.NumDirs*topo.N()),
 	}
-	total, d := 0, 0
-	for _, dem := range demands {
-		dist := topo.Dist(dem.Src, dem.Dst)
-		total += dist
-		if dist > d {
-			d = dist
-		}
-	}
-	ps.res.Dilation = d
-	ps.dirs = make([]grid.Dir, 0, total)
+	total := 0
 	for i, dem := range demands {
-		ps.off[i] = int32(len(ps.dirs))
-		for cur := dem.Src; cur != dem.Dst; {
-			dir := topo.Profitable(cur, dem.Dst).DimOrder()
-			ps.dirs = append(ps.dirs, dir)
-			ps.load[grid.EdgeIndex(cur, dir)]++
-			cur, _ = topo.Neighbor(cur, dir)
-		}
+		dist := topo.Dist(dem.Src, dem.Dst)
+		ps.off[i] = int32(total)
+		total += dist
+		ps.res.Dilation = max(ps.res.Dilation, dist)
 	}
-	ps.off[len(demands)] = int32(len(ps.dirs))
+	ps.off[len(demands)] = int32(total)
+	ps.dirs = make([]grid.Dir, total)
+	ps.fillCanonical()
 	ps.res.Congestion = ps.maxLoad()
 	return ps
+}
+
+// fillCanonical writes every demand's canonical path into its window of
+// ps.dirs and counts the paths' edges into ps.load, from zero.
+func (ps *PathSystem) fillCanonical() {
+	clear(ps.load)
+	for i, dem := range ps.demands {
+		seg := ps.dirs[ps.off[i]:ps.off[i+1]]
+		for j, cur := 0, dem.Src; cur != dem.Dst; j++ {
+			dir := ps.topo.Profitable(cur, dem.Dst).DimOrder()
+			seg[j] = dir
+			ps.load[grid.EdgeIndex(cur, dir)]++
+			cur, _ = ps.topo.Neighbor(cur, dir)
+		}
+	}
 }
 
 // walkPath replays demand i's stored path, adding delta to every edge it

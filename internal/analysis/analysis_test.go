@@ -53,6 +53,16 @@ func TestAnalyzerAgainstClosedForms(t *testing.T) {
 			c:       2, d: 6,
 		},
 		{
+			// Reversal on the 6×6 mesh, by the same count: the three
+			// eastbound packets of a row all cross its middle edge, and
+			// likewise in each column, so C = 3; D = 5 + 5. The greedy
+			// pass finds other paths but no lower C, so Analyze must
+			// return the canonical ones.
+			name: "reversal-mesh-6x6", topo: grid.NewSquareMesh(6),
+			demands: workload.Reversal(grid.NewSquareMesh(6)).Pairs,
+			c:       3, d: 10,
+		},
+		{
 			// Hotspot: all 24 other nodes send to the center (2,2) of
 			// the 5×5 mesh. x-first paths funnel every packet with
 			// y != 2 through column 2: the 10 packets born with y > 2
@@ -83,6 +93,14 @@ func TestAnalyzerAgainstClosedForms(t *testing.T) {
 			}
 			if res.Congestion < 1 && len(tc.demands) > 0 {
 				t.Fatalf("Analyze C=%d: some edge must carry load", res.Congestion)
+			}
+			if res.Congestion == tc.c { // unimproved: the canonical system is kept
+				can := AnalyzeCanonical(tc.topo, tc.demands)
+				for i := range tc.demands {
+					if !slices.Equal(ps.Path(i), can.Path(i)) {
+						t.Fatalf("demand %d: unimproved Analyze keeps %v, not the canonical path %v", i, ps.Path(i), can.Path(i))
+					}
+				}
 			}
 			verifyPathSystem(t, ps, tc.demands)
 		})

@@ -67,6 +67,8 @@ type digestSink struct {
 }
 
 func (s *digestSink) Step(obs.StepSample) {}
+func (s *digestSink) Event(obs.Event)     {}
+func (s *digestSink) Run(obs.RunSummary)  {}
 
 func (s *digestSink) Span(sp obs.Span) {
 	fmt.Fprintf(s.spans, "%s/%s/%s/", sp.Name, sp.Class, sp.Axis)

@@ -87,10 +87,10 @@ func TestCountersTotalsAdd(t *testing.T) {
 	}
 }
 
-// TestLineEncodersMatchJSONLSink checks the event log writes
-// byte-identical lines to the JSONL sink for every record type, so the
-// streams the service and the fleet assemble stay readable by
-// ReadJSONLRecords.
+// TestLineEncodersMatchJSONLSink checks the event log and the JSONL sink
+// write the documented line of every record type (docs/OBSERVABILITY.md;
+// the golden file holds step lines only), and that ReadJSONLRecords reads
+// them back.
 func TestLineEncodersMatchJSONLSink(t *testing.T) {
 	sample := StepSample{Step: 3, Moves: 4, Delivered: 1, DeliveredTotal: 2, InFlight: 7, MaxQueue: 2}
 	span := Span{Name: "march", Class: "NE", Iteration: 1, Measured: 9, Formula: 12}
@@ -100,11 +100,7 @@ func TestLineEncodersMatchJSONLSink(t *testing.T) {
 	var buf bytes.Buffer
 	sink := NewJSONL(&buf)
 	log := NewEventLog(4)
-	for _, s := range []interface {
-		Sink
-		EventSink
-		RunSink
-	}{sink, log} {
+	for _, s := range []Sink{sink, log} {
 		s.Step(sample)
 		s.Span(span)
 		s.Event(event)
@@ -116,6 +112,14 @@ func TestLineEncodersMatchJSONLSink(t *testing.T) {
 	lines := log.Bytes()
 	if !bytes.Equal(lines, buf.Bytes()) {
 		t.Fatalf("event log diverges from JSONL sink\n got: %q\nwant: %q", lines, buf.Bytes())
+	}
+	want := `{"t":"step","s":3,"mv":4,"lu":[0,0,0,0],"dv":1,"dt":2,"if":7,"on":0,"mq":2,"qh":[0,0,0,0,0,0,0,0]}
+{"t":"span","name":"march","class":"NE","iter":1,"tau":0,"start":0,"measured":9,"formula":12}
+{"t":"fault","s":5,"k":"link-down","n":11,"d":"E","msg":"permanent"}
+{"t":"run","scenario":"s","router":"thm15","makespan":30,"congestion":8,"dilation":14,"cd_ratio":1.3636363636363635}
+`
+	if string(lines) != want {
+		t.Fatalf("lines differ from the documented wire format\n got: %q\nwant: %q", lines, want)
 	}
 
 	rec, err := ReadJSONLRecords(bytes.NewReader(lines))

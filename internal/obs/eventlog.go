@@ -10,10 +10,11 @@ import (
 
 // EventLog is a bounded metrics-JSONL stream held in memory as one
 // contiguous byte slice: the NDJSON event log of one service job or fleet
-// cell. It implements Sink, EventSink and RunSink and writes exactly the
-// bytes the JSONL sink would for the same records, up to its limit;
-// every record past the limit is counted in Dropped instead. Step lines
-// are encoded in place, so a log with room allocates nothing per step.
+// cell. It implements Sink, and its lines are the bytes the JSONL sink
+// writes for the same records (JSONL writes out a private, unbounded
+// log's), up to its limit; every record past the limit is counted in
+// Dropped instead. Step lines are encoded in place, so a log with room
+// allocates nothing per step.
 //
 // A finished log is sealed: it refuses every later record, counting it as
 // dropped, and is packed, keeping its bytes flate-compressed (see Seal and

@@ -6,35 +6,28 @@ import (
 	"testing"
 )
 
-// allSink is every sink interface an event log implements.
-type allSink interface {
-	Sink
-	EventSink
-	RunSink
-}
-
 // fuzzRecords decodes ops into a sequence of step, span, fault and run
 // records, one per byte: the low two bits pick the type, and the rest of
 // the byte and the bytes after it fill the fields (strings included, so
 // invalid UTF-8 and characters JSON escapes occur).
-func fuzzRecords(ops []byte) []func(allSink) {
-	recs := make([]func(allSink), 0, len(ops))
+func fuzzRecords(ops []byte) []func(Sink) {
+	recs := make([]func(Sink), 0, len(ops))
 	for i, b := range ops {
 		v, tail := int(b>>2), string(ops[i:min(i+int(b%7), len(ops))])
 		switch b & 3 {
 		case 0:
 			s := StepSample{Step: i + 1, Moves: v, Delivered: v / 3, DeliveredTotal: i * v, InFlight: v ^ i, MaxQueue: v % 5, Offered: v % 2, Backlog: -v % 3}
 			s.LinkUse[v%4], s.QueueHist[v%NumQueueBuckets] = v, i
-			recs = append(recs, func(k allSink) { k.Step(s) })
+			recs = append(recs, func(k Sink) { k.Step(s) })
 		case 1:
 			sp := Span{Name: tail, Class: "NE"[:v%3], Iteration: v, Tiling: i % 3, Axis: "v", Start: i, Measured: v, Formula: 2 * v}
-			recs = append(recs, func(k allSink) { k.Span(sp) })
+			recs = append(recs, func(k Sink) { k.Span(sp) })
 		case 2:
 			e := Event{Step: i, Kind: "link-down", Node: v - 1, Dir: "EN"[:v%3], Detail: tail}
-			recs = append(recs, func(k allSink) { k.Event(e) })
+			recs = append(recs, func(k Sink) { k.Event(e) })
 		default:
 			r := RunSummary{Scenario: tail, Router: "thm15", Makespan: i, Congestion: v, Dilation: v + i, CDRatio: float64(v) / 7}
-			recs = append(recs, func(k allSink) { k.Run(r) })
+			recs = append(recs, func(k Sink) { k.Run(r) })
 		}
 	}
 	return recs

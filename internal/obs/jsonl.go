@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -91,92 +91,62 @@ func appendIntsField(dst []byte, key string, vs []int) []byte {
 	return append(dst, ']')
 }
 
-// JSONL is a Sink that streams samples and spans to a writer as JSON
-// lines. Writes are buffered; call Close to flush and surface the first
-// write error. After an error the sink drops further records, so a run
-// never fails mid-flight because its metrics file did.
+// JSONL is a Sink that streams records to a writer as JSON lines: the
+// lines of a private, unbounded EventLog, so a file holds exactly the
+// bytes an event log of the same records holds. It writes them out once
+// they reach jsonlChunk bytes, and the rest at Close, which surfaces the
+// first write error; after an error the sink drops further records, so a
+// run never fails mid-flight because its metrics file did.
 type JSONL struct {
-	w      *bufio.Writer
-	enc    *json.Encoder
-	line   []byte // reused step-line buffer
-	err    error
-	steps  int
-	spans  int
-	events int
+	w            io.Writer
+	log          EventLog
+	err          error
+	steps, spans int
 }
 
-// NewJSONL creates a JSONL sink writing to w, in chunks of 32 KiB: a step
-// line is 110–140 bytes, so bufio's 4 KiB default put a write call on every
-// 29th step, and on a metrics file that call (20–30 µs here) was more than
-// half of what the sink cost per step.
-func NewJSONL(w io.Writer) *JSONL {
-	bw := bufio.NewWriterSize(w, 32<<10)
-	return &JSONL{w: bw, enc: json.NewEncoder(bw)}
-}
+// jsonlChunk is the least a JSONL sink writes at once before Close: with
+// step lines of 110–140 bytes and 20–30 µs per write call to a metrics
+// file, 4 KiB writes were more than half of the sink's cost per step.
+const jsonlChunk = 32 << 10
+
+// NewJSONL creates a JSONL sink writing to w.
+func NewJSONL(w io.Writer) *JSONL { return &JSONL{w: w, log: EventLog{limit: math.MaxInt}} }
 
 // Step writes one step line.
-func (j *JSONL) Step(s StepSample) {
-	if j.err != nil {
-		return
-	}
-	j.line = AppendStepLine(j.line[:0], s)
-	if _, err := j.w.Write(j.line); err != nil {
-		j.err = err
-		return
-	}
-	j.steps++
-}
+func (j *JSONL) Step(s StepSample) { j.steps++; j.log.Step(s); j.write(jsonlChunk) }
 
 // Span writes one span line.
-func (j *JSONL) Span(sp Span) {
-	if j.err != nil {
-		return
-	}
-	if err := j.enc.Encode(spanLine{T: LineSpan, Span: sp}); err != nil {
-		j.err = err
-		return
-	}
-	j.spans++
-}
+func (j *JSONL) Span(sp Span) { j.spans++; j.log.Span(sp); j.write(jsonlChunk) }
 
 // Event writes one fault line.
-func (j *JSONL) Event(e Event) {
-	if j.err != nil {
-		return
-	}
-	if err := j.enc.Encode(faultLine{T: LineFault, Event: e}); err != nil {
-		j.err = err
-		return
-	}
-	j.events++
-}
+func (j *JSONL) Event(e Event) { j.log.Event(e); j.write(jsonlChunk) }
 
 // Run writes one run-summary line.
-func (j *JSONL) Run(r RunSummary) {
-	if j.err != nil {
-		return
-	}
-	if err := j.enc.Encode(runLine{T: LineRun, RunSummary: r}); err != nil {
-		j.err = err
+func (j *JSONL) Run(r RunSummary) { j.log.Run(r); j.write(jsonlChunk) }
+
+// write writes the buffered lines out, and empties the buffer, once they
+// reach least bytes (and are not empty). A failed write seals the log, so
+// it refuses every later record.
+func (j *JSONL) write(least int) {
+	if b := j.log.buf; len(b) >= max(least, 1) {
+		if _, err := j.w.Write(b); err != nil {
+			j.err = err
+			j.log.Seal()
+		}
+		j.log.buf = b[:0]
 	}
 }
 
-// StepCount returns the number of step lines written.
+// StepCount returns the number of step lines taken: all of them written
+// once Close returns nil.
 func (j *JSONL) StepCount() int { return j.steps }
 
-// SpanCount returns the number of span lines written.
+// SpanCount returns the number of span lines taken, likewise.
 func (j *JSONL) SpanCount() int { return j.spans }
 
-// EventCount returns the number of fault lines written.
-func (j *JSONL) EventCount() int { return j.events }
-
-// Close flushes the buffer and returns the first write error, if any.
-func (j *JSONL) Close() error {
-	if j.err != nil {
-		return j.err
-	}
-	return j.w.Flush()
-}
+// Close writes the buffered lines out and returns the first write error,
+// if any.
+func (j *JSONL) Close() error { j.write(1); return j.err }
 
 // ReadJSONLRecords parses a metrics JSONL stream back into its records
 // (the inverse of the JSONL sink, for tests and offline analysis). Lines

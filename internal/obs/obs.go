@@ -12,11 +12,12 @@
 // emission with a nil check, so the disabled case costs one predictable
 // branch and zero allocations on the hot step loop.
 //
-// The sinks: JSONL streams records as JSON lines (the wire format of
-// docs/OBSERVABILITY.md), EventLog keeps those bytes in memory up to a
-// record limit, Records collects them (the type ReadJSONLRecords parses a
-// stream back into), Counters totals them, and Multi fans out to several
-// sinks at once.
+// Every sink implements the one Sink interface, all four record kinds.
+// EventLog encodes records as the JSON lines of docs/OBSERVABILITY.md and
+// keeps them in memory up to a record limit, JSONL writes an unbounded
+// log's lines to a writer, Records collects records (the type
+// ReadJSONLRecords parses a stream back into), Counters totals them, and
+// Multi fans out to several sinks at once.
 package obs
 
 import (
@@ -191,38 +192,26 @@ type RunSummary struct {
 	CDRatio float64 `json:"cd_ratio"`
 }
 
-// Sink receives metrics. Implementations must tolerate being called once
-// per engine step on hot loops; producers guard calls with a nil check so
-// a nil Sink costs nothing.
+// Sink receives metrics: one StepSample per engine step, one Span per
+// phase, fault and watchdog Events, and the RunSummary of an analyzed run.
+// Implementations must tolerate being called once per engine step on hot
+// loops; producers guard calls with a nil check so a nil Sink costs
+// nothing.
 type Sink interface {
 	// Step records one step's time-series sample.
 	Step(s StepSample)
 	// Span records one completed phase span.
 	Span(sp Span)
-}
-
-// EventSink is the optional extension of Sink for fault and watchdog
-// events. Producers check for it once with a type assertion; sinks that do
-// not implement it simply never see events. Records, JSONL and Multi all
-// implement it.
-type EventSink interface {
 	// Event records one fault/watchdog event.
 	Event(e Event)
-}
-
-// RunSink is the optional extension of Sink for terminal run summaries
-// (emitted once per analyzed run by the scenario runner). Producers check
-// for it with a type assertion, like EventSink; Records, JSONL, Counters
-// and Multi all implement it.
-type RunSink interface {
 	// Run records one analyzed run's terminal summary.
 	Run(r RunSummary)
 }
 
 // Records holds records grouped by line type, in emission order. It is
 // what ReadJSONLRecords parses a metrics stream into and, as a pointer, a
-// Sink that appends what it is given (EventSink and RunSink too), so a
-// test collects records in the same type it reads a file back into.
+// Sink that appends what it is given, so a test collects records in the
+// same type it reads a file back into.
 type Records struct {
 	Steps  []StepSample
 	Spans  []Span
@@ -242,7 +231,7 @@ func (r *Records) Event(e Event) { r.Events = append(r.Events, e) }
 // Run appends the run summary.
 func (r *Records) Run(ru RunSummary) { r.Runs = append(r.Runs, ru) }
 
-// Multi fans every sample and span out to each member sink in order.
+// Multi fans every record out to each member sink in order.
 type Multi []Sink
 
 // Step forwards the sample to every member.
@@ -259,20 +248,16 @@ func (m Multi) Span(sp Span) {
 	}
 }
 
-// Event forwards the event to every member that implements EventSink.
+// Event forwards the event to every member.
 func (m Multi) Event(e Event) {
 	for _, sink := range m {
-		if es, ok := sink.(EventSink); ok {
-			es.Event(e)
-		}
+		sink.Event(e)
 	}
 }
 
-// Run forwards the run summary to every member that implements RunSink.
+// Run forwards the run summary to every member.
 func (m Multi) Run(r RunSummary) {
 	for _, sink := range m {
-		if rs, ok := sink.(RunSink); ok {
-			rs.Run(r)
-		}
+		sink.Run(r)
 	}
 }

@@ -50,8 +50,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if j.StepCount() != 2 || j.SpanCount() != 1 || j.EventCount() != 1 {
-		t.Fatalf("counts = %d steps, %d spans, %d events", j.StepCount(), j.SpanCount(), j.EventCount())
+	if j.StepCount() != 2 || j.SpanCount() != 1 {
+		t.Fatalf("counts = %d steps, %d spans", j.StepCount(), j.SpanCount())
 	}
 	if got := strings.Count(buf.String(), "\n"); got != 4 {
 		t.Fatalf("want 4 lines, got %d:\n%s", got, buf.String())
@@ -88,11 +88,7 @@ func TestRecordsSinkMatchesReadBack(t *testing.T) {
 	var got Records
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)
-	for _, sink := range []interface {
-		Sink
-		EventSink
-		RunSink
-	}{&got, j} {
+	for _, sink := range []Sink{&got, j} {
 		for i := 1; i <= 3; i++ {
 			s := StepSample{Step: i, DeliveredTotal: i * 2, InFlight: 10 - i, MaxQueue: i}
 			s.LinkUse[2] = i

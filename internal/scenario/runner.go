@@ -159,8 +159,8 @@ func (r *Runner) RunBuilt(ctx context.Context, run *Run) (*Result, error) {
 		st.Analyzed = true
 		st.Congestion, st.Dilation = ar.Congestion, ar.Dilation
 		st.CDRatio = ar.Ratio(st.Makespan)
-		if rs, ok := sink.(obs.RunSink); ok {
-			rs.Run(obs.RunSummary{
+		if sink != nil {
+			sink.Run(obs.RunSummary{
 				Scenario:   s.Name,
 				Router:     s.Router,
 				Makespan:   st.Makespan,

@@ -28,19 +28,13 @@ func newStream(limit int) *stream {
 	return s
 }
 
-// The sink methods append under the lock and wake the followers.
+// Step, Span, Event and Run implement obs.Sink: each appends under the
+// lock and wakes the followers.
 
-// Step implements obs.Sink.
 func (s *stream) Step(x obs.StepSample) { s.mu.Lock(); s.log.Step(x); s.unlock() }
-
-// Span implements obs.Sink.
-func (s *stream) Span(sp obs.Span) { s.mu.Lock(); s.log.Span(sp); s.unlock() }
-
-// Event implements obs.EventSink.
-func (s *stream) Event(e obs.Event) { s.mu.Lock(); s.log.Event(e); s.unlock() }
-
-// Run implements obs.RunSink.
-func (s *stream) Run(r obs.RunSummary) { s.mu.Lock(); s.log.Run(r); s.unlock() }
+func (s *stream) Span(sp obs.Span)      { s.mu.Lock(); s.log.Span(sp); s.unlock() }
+func (s *stream) Event(e obs.Event)     { s.mu.Lock(); s.log.Event(e); s.unlock() }
+func (s *stream) Run(r obs.RunSummary)  { s.mu.Lock(); s.log.Run(r); s.unlock() }
 
 // commit appends a block of lines a fleet worker encoded, verbatim (byte
 // identity with a local run), with the drops of the worker's own bound.

@@ -35,7 +35,7 @@ func (net *Network) applyFaults(t int) {
 				net.stalledCnt[e.Node]--
 			}
 		}
-		if net.eventSink != nil {
+		if net.sink != nil {
 			oe := obs.Event{Step: e.Step, Kind: e.Kind.String(), Node: int(e.Node)}
 			if e.Kind == fault.LinkDown || e.Kind == fault.LinkUp {
 				oe.Dir = e.Dir.String()
@@ -43,7 +43,7 @@ func (net *Network) applyFaults(t int) {
 			if e.Permanent {
 				oe.Detail = "permanent"
 			}
-			net.eventSink.Event(oe)
+			net.sink.Event(oe)
 		}
 	}
 }

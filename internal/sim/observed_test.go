@@ -40,7 +40,9 @@ type rescanSink struct {
 	n   int
 }
 
-func (r *rescanSink) Span(obs.Span) {}
+func (r *rescanSink) Span(obs.Span)      {}
+func (r *rescanSink) Event(obs.Event)    {}
+func (r *rescanSink) Run(obs.RunSummary) {}
 
 func (r *rescanSink) Step(s obs.StepSample) {
 	r.n++

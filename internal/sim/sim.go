@@ -495,10 +495,9 @@ type Network struct {
 	stepRefused  int
 	stepDropped  int
 
-	exchange  ExchangeFn
-	observer  ObserverFn
-	sink      obs.Sink
-	eventSink obs.EventSink // sink, if it also records fault events
+	exchange ExchangeFn
+	observer ObserverFn
+	sink     obs.Sink
 
 	// Conservation counters for the invariant checker.
 	pendingTotal int // packets queued for injection, not yet backlogged
@@ -699,16 +698,13 @@ type ObserverFn func(rec StepRecord)
 func (net *Network) SetObserver(fn ObserverFn) { net.observer = fn }
 
 // SetMetricsSink installs a metrics sink that receives one obs.StepSample
-// at the end of every step: per-direction link utilization, the delivery
+// at the end of every step (per-direction link utilization, the delivery
 // curve, in-flight packet counts, and the end-of-step queue-occupancy
-// histogram. A nil sink (the default) disables sampling entirely; the
-// step loop then pays one branch and allocates nothing extra. Pass an
-// untyped nil to disable — a nil *obs.JSONL stored in the interface is
-// not nil and will be called.
-func (net *Network) SetMetricsSink(s obs.Sink) {
-	net.sink = s
-	net.eventSink, _ = s.(obs.EventSink)
-}
+// histogram) and one obs.Event per fault or watchdog occurrence. A nil
+// sink (the default) disables sampling entirely; the step loop then pays
+// one branch and allocates nothing extra. Pass an untyped nil to disable —
+// a nil *obs.JSONL stored in the interface is not nil and will be called.
+func (net *Network) SetMetricsSink(s obs.Sink) { net.sink = s }
 
 // LinkUp reports whether the directed channel (id, d) is currently up.
 // Without a fault schedule every link is always up.
@@ -740,11 +736,10 @@ func (net *Network) Stalled(id grid.NodeID) bool {
 	return net.hasFaults && net.stalledCnt[id] > 0
 }
 
-// emitEvent forwards a fault/watchdog event to the metrics sink, if the
-// sink records events.
+// emitEvent forwards a fault/watchdog event to the metrics sink, if any.
 func (net *Network) emitEvent(e obs.Event) {
-	if net.eventSink != nil {
-		net.eventSink.Event(e)
+	if net.sink != nil {
+		net.sink.Event(e)
 	}
 }
 
