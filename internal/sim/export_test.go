@@ -26,3 +26,7 @@ func ReservedCaps(net *Network) [6]int {
 // share one, and of the placement list, for the external tests of this
 // package.
 func StoreCaps(net *Network) (store, placed int) { return cap(net.P.Src), cap(net.placed) }
+
+// NumQueueTags is the number of queue tags a node's residents can carry,
+// for the external tests of this package.
+const NumQueueTags = numTags

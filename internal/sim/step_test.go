@@ -96,3 +96,26 @@ func TestSteadyStateStepAllocs(t *testing.T) {
 	}
 	requireZeroAllocSteps(t, 20, func() error { return net.StepOnce(alg) })
 }
+
+// TestDepartRefusesStaleSlot holds depart to the queue's live length: a
+// packet whose slot index names the position one past the node's last
+// resident is not at its sender, even where the slot array, inside the
+// node's region, still holds a stale copy of it.
+func TestDepartRefusesStaleSlot(t *testing.T) {
+	net := MustNew(Config{Topo: grid.NewSquareMesh(4), K: 4, Queues: CentralQueue, RequireMinimal: true})
+	net.MustPlace(net.NewPacket(0, 5))
+	p := net.NewPacket(0, 10)
+	net.MustPlace(p)
+	node := &net.nodes[0]
+	node.qLen-- // p leaves the queue; its copy stays in the slot array
+	net.P.slot[p] = int32(node.qLen)
+	if node.qLen >= node.qCap || net.slots[node.qStart+node.qLen] != p {
+		t.Fatalf("setup: want a stale copy of %d at slot %d inside a region of %d", p, node.qLen, node.qCap)
+	}
+	if net.depart(p, 0) {
+		t.Fatal("depart accepted a packet one slot past the queue's end")
+	}
+	if net.P.departing[p] || node.flags&nodeSent != 0 || len(net.scratch.senders) != 0 {
+		t.Fatal("a refused depart left a mark")
+	}
+}
