@@ -131,7 +131,7 @@ func (c *NodeCtx) Outlinks() grid.DirSet { return c.net.Topo.Outlinks(c.ID) }
 func (c *NodeCtx) Up() grid.DirSet { return c.Outlinks() &^ c.net.DownOutlinks(c.ID) }
 
 // QueueLen returns the current occupancy of the queue with the given tag.
-func (c *NodeCtx) QueueLen(tag uint8) int { return c.node.QueueLen(tag) }
+func (c *NodeCtx) QueueLen(tag uint8) int { return c.net.QueueLen(c.node, tag) }
 
 // Scheduled returns the outlinks this node's own Schedule put a packet on in
 // part (a) of the current step (empty outside a step and for a node that

@@ -62,8 +62,14 @@ func (r *roundtripPolicy) verify(c *NodeCtx) {
 		r.t.Fatalf("step %d node %v: node header accessors diverged from topology/fault state", c.Step, c.Coord())
 	}
 	for tag := uint8(0); tag <= sim.OriginTag; tag++ {
-		if c.QueueLen(tag) != c.node.QueueLen(tag) {
-			r.t.Fatalf("step %d node %v: QueueLen(%d) = %d, node says %d", c.Step, c.Coord(), tag, c.QueueLen(tag), c.node.QueueLen(tag))
+		want := 0
+		for _, p := range c.pids {
+			if st.QTag[p] == tag {
+				want++
+			}
+		}
+		if c.QueueLen(tag) != want {
+			r.t.Fatalf("step %d node %v: QueueLen(%d) = %d, %d residents carry the tag", c.Step, c.Coord(), tag, c.QueueLen(tag), want)
 		}
 	}
 }

@@ -62,7 +62,7 @@ func (DimOrderFF) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 // unconditionally, because by symmetry that neighbor accepts ours and
 // occupancy is unchanged.
 func (DimOrderFF) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
-	free := net.K - n.QueueLen(0)
+	free := net.K - net.QueueLen(n, 0)
 	here := net.Topo.CoordOf(n.ID)
 	for i, o := range offers {
 		if n.Scheduled().Has(o.Travel.Opposite()) {

@@ -91,7 +91,7 @@ func (r RandZigZag) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, ac
 			acc[i] = true
 		}
 	}
-	free := net.K - n.QueueLen(0)
+	free := net.K - net.QueueLen(n, 0)
 	for i := range offers {
 		if acc[i] {
 			continue

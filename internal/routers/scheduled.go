@@ -136,7 +136,7 @@ func (r *Scheduled) Schedule(net *sim.Network, n *sim.Node) [grid.NumDirs]int {
 // and row-phase packets blocked on the reserved slot eventually find room —
 // the discipline that keeps phased paths deadlock-free at bounded k.
 func (r *Scheduled) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc []bool) {
-	occ := n.QueueLen(0)
+	occ := net.QueueLen(n, 0)
 	st := r.state
 	for i, o := range offers {
 		if n.Scheduled().Has(o.Travel.Opposite()) {

@@ -98,7 +98,7 @@ func TestThm15TurningQueueDrainsWithinN(t *testing.T) {
 		for _, id := range net.Occupied() {
 			node := net.Node(id)
 			for _, tag := range []uint8{uint8(grid.East), uint8(grid.West)} {
-				if node.QueueLen(tag) < k {
+				if net.QueueLen(node, tag) < k {
 					continue
 				}
 				allTurn := true

@@ -78,7 +78,7 @@ func (net *Network) CollectDiagnostics() Diagnostics {
 	for _, id := range net.occ {
 		node := &net.nodes[id]
 		for tag := uint8(0); tag < numTags; tag++ {
-			if c := int(node.counts[tag]); c > 0 {
+			if c := net.QueueLen(node, tag); c > 0 {
 				d.TopQueues = append(d.TopQueues, QueueDiag{
 					Node: id, Coord: net.Topo.CoordOf(id), Tag: tag, Len: c,
 				})

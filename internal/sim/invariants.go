@@ -6,11 +6,13 @@ import "fmt"
 // Config.CheckInvariants. Part (e) calls checkNode on every occupied node
 // before that node's Update, and checkConservation after the sweep:
 //
-//   - queue capacity: every queue's occupancy is within capOf(tag) under
-//     either queue model (the origin buffer is unbounded per-inlink);
-//   - count consistency: each node's per-tag counters sum to its resident
-//     packet count, and each resident packet's At/slot index match the
-//     node and its queue position;
+//   - queue capacity: every queue's occupancy is within capOf(tag) — under
+//     a central queue the node's whole resident count, under four inlink
+//     queues each per-tag count (the origin buffer is unbounded);
+//   - count consistency: on a four-inlink network each node's per-tag
+//     counters sum to its resident packet count; under either model each
+//     resident packet's At/slot index match the node and its queue
+//     position;
 //   - profitable-set cache: each resident packet's Prof entry equals a
 //     fresh Topo.Profitable(At, Dst) — the column every router and the
 //     engine's own minimality tests read instead of recomputing;
@@ -30,22 +32,28 @@ import "fmt"
 func (net *Network) checkNode(alg Algorithm, node *Node) error {
 	id := node.ID
 	st := &net.P
-	sum := 0
-	for tag := uint8(0); tag < numTags; tag++ {
-		c := int(node.counts[tag])
-		if c < 0 {
-			return fmt.Errorf("sim: invariant: node %v queue %d has negative count %d after %s step %d",
-				net.Topo.CoordOf(id), tag, c, alg.Name(), net.step)
+	if net.tagLen == nil {
+		if c := node.Len(); c > net.K {
+			return fmt.Errorf("sim: invariant: %s overflowed queue 0 of node %v (%d > %d) at step %d",
+				alg.Name(), net.Topo.CoordOf(id), c, net.K, net.step)
 		}
-		if c > net.capOf(tag) {
-			return fmt.Errorf("sim: invariant: %s overflowed queue %d of node %v (%d > %d) at step %d",
-				alg.Name(), tag, net.Topo.CoordOf(id), c, net.capOf(tag), net.step)
+	} else {
+		sum := 0
+		for tag, c := range net.tagLen[id] {
+			if c < 0 {
+				return fmt.Errorf("sim: invariant: node %v queue %d has negative count %d after %s step %d",
+					net.Topo.CoordOf(id), tag, c, alg.Name(), net.step)
+			}
+			if int(c) > net.capOf(uint8(tag)) {
+				return fmt.Errorf("sim: invariant: %s overflowed queue %d of node %v (%d > %d) at step %d",
+					alg.Name(), tag, net.Topo.CoordOf(id), c, net.capOf(uint8(tag)), net.step)
+			}
+			sum += int(c)
 		}
-		sum += c
-	}
-	if sum != node.Len() {
-		return fmt.Errorf("sim: invariant: node %v queue counters sum to %d but holds %d packets (step %d)",
-			net.Topo.CoordOf(id), sum, node.Len(), net.step)
+		if sum != node.Len() {
+			return fmt.Errorf("sim: invariant: node %v queue counters sum to %d but holds %d packets (step %d)",
+				net.Topo.CoordOf(id), sum, node.Len(), net.step)
+		}
 	}
 	for i, p := range net.PacketsOf(node) {
 		if st.At[p] != id {

@@ -60,7 +60,7 @@ func (r *rescanSink) Step(s obs.StepSample) {
 			if tag == OriginTag && net.Queues == PerInlinkQueues {
 				continue // the unbounded origin buffer is not a queue of the model
 			}
-			if c := int(node.counts[tag]); c > 0 {
+			if c := net.QueueLen(node, tag); c > 0 {
 				hist.Add(c)
 				maxQueue = max(maxQueue, c)
 			}
@@ -191,21 +191,28 @@ func TestPacketStoreGrowsTogether(t *testing.T) {
 }
 
 // TestDenseNodeFootprint pins the per-node budget of docs/SCALING.md: Node
-// is the only node-indexed record New allocates on a fault-free network,
-// and it is 48 bytes. A new node-indexed array would push New past the
-// bound below.
+// is 32 bytes and the only node-indexed record New allocates on a
+// fault-free central-queue network; a four-inlink network adds its 10 B
+// per-tag side table. A new node-indexed array would push New past the
+// bounds below.
 func TestDenseNodeFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 48 {
-		t.Fatalf("sim.Node is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(Node{}); got != 32 {
+		t.Fatalf("sim.Node is %d bytes, want 32", got)
 	}
 	topo := grid.NewSquareMesh(240)
 	n := uint64(topo.N())
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	net := MustNew(Config{Topo: topo, K: 2, Queues: CentralQueue, RequireMinimal: true})
-	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(net)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, 48*n+64<<10; got > limit {
-		t.Fatalf("New on a %d-node mesh allocated %d B (%.1f B/node), want <= %d", n, got, float64(got)/float64(n), limit)
+	for _, c := range []struct {
+		queues  QueueModel
+		perNode uint64
+	}{{CentralQueue, 32}, {PerInlinkQueues, 42}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net := MustNew(Config{Topo: topo, K: 2, Queues: c.queues, RequireMinimal: true})
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(net)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, c.perNode*n+64<<10; got > limit {
+			t.Fatalf("New(queue model %d) on a %d-node mesh allocated %d B (%.1f B/node), want <= %d",
+				c.queues, n, got, float64(got)/float64(n), limit)
+		}
 	}
 }

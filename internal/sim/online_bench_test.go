@@ -48,7 +48,7 @@ type onlineXY struct{ greedyXY }
 
 func (a onlineXY) Accept(net *Network, n *Node, offers []Offer, acc []bool) {
 	sched := a.Schedule(net, n)
-	occ := n.QueueLen(0)
+	occ := net.QueueLen(n, 0)
 	for i, o := range offers {
 		switch {
 		case net.P.Dst[o.P] == n.ID:

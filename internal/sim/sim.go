@@ -256,8 +256,8 @@ func (p Packet) Delivered() bool { return p.DeliverStep >= 0 }
 // Node is one mesh node: its algorithm state, the location of its queue
 // region within the network's flat slot array, and the engine's per-step
 // bookkeeping for it. It is the only node-indexed record a fault-free
-// network allocates up front (48 bytes); queue contents are read with
-// Network.PacketsOf.
+// central-queue network allocates up front (32 bytes); queue contents are
+// read with Network.PacketsOf, queue lengths with Network.QueueLen.
 type Node struct {
 	// ID is the node identifier.
 	ID grid.NodeID
@@ -271,8 +271,6 @@ type Node struct {
 	// the resident packets, in arrival (FIFO) order, are
 	// slots[qStart : qStart+qLen], inside a reserved region of qCap slots.
 	qStart, qLen, qCap uint32
-
-	counts [numTags]int16
 
 	// sched is this step's outqueue decision as a set: direction d is in it
 	// exactly when Schedule returned a packet for outlink d (recorded by
@@ -308,14 +306,6 @@ func (n *Node) Scheduled() grid.DirSet { return n.sched }
 
 // Len returns the number of resident packets (including the origin buffer).
 func (n *Node) Len() int { return int(n.qLen) }
-
-// QueueLen returns the number of packets in the queue with the given tag.
-func (n *Node) QueueLen(tag uint8) int { return int(n.counts[tag]) }
-
-// NetworkLen returns the number of resident packets excluding the origin
-// buffer (i.e. packets that count against queue capacity in the
-// per-inlink-queue model).
-func (n *Node) NetworkLen() int { return n.Len() - n.QueueLen(OriginTag) }
 
 // Offer describes a packet scheduled to enter a node during part (a) of the
 // current step, presented to the target's inqueue policy in part (c).
@@ -437,6 +427,12 @@ type Network struct {
 	cfg   Config
 	nodes []Node
 	step  int
+
+	// tagLen holds each node's per-tag queue lengths on a four-inlink
+	// network, the one model whose residents sit in more than one queue
+	// (10 B/node). It is nil under a central queue, whose one queue (tag
+	// 0) holds every resident: its length is Node.qLen.
+	tagLen [][numTags]int16
 
 	// slots is the flat queue-slot array: every node's queue is a
 	// contiguous region of it (see Node.qStart/qLen/qCap). Regions grow by
@@ -573,6 +569,9 @@ func New(cfg Config) (*Network, error) {
 	for i := range net.nodes {
 		net.nodes[i].ID = grid.NodeID(i)
 	}
+	if cfg.Queues == PerInlinkQueues {
+		net.tagLen = make([][numTags]int16, n)
+	}
 	// Index 0 of the packet store is the reserved sentinel: never a live
 	// packet, so the zero PacketID always means "no packet".
 	net.P.add(0, 0)
@@ -608,6 +607,23 @@ func (net *Network) Node(id grid.NodeID) *Node { return &net.nodes[id] }
 func (net *Network) PacketsOf(n *Node) []PacketID {
 	return net.slots[n.qStart : n.qStart+n.qLen : n.qStart+n.qCap]
 }
+
+// QueueLen returns the number of packets in the node's queue with the given
+// tag: under a central queue, every resident is in queue 0.
+func (net *Network) QueueLen(n *Node, tag uint8) int {
+	switch {
+	case net.tagLen != nil:
+		return int(net.tagLen[n.ID][tag])
+	case tag == 0:
+		return int(n.qLen)
+	}
+	return 0
+}
+
+// NetworkLen returns the number of the node's resident packets excluding
+// the origin buffer (i.e. packets that count against queue capacity in the
+// per-inlink-queue model).
+func (net *Network) NetworkLen(n *Node) int { return n.Len() - net.QueueLen(n, OriginTag) }
 
 // PacketSnapshot materializes one packet's current store fields as a Packet
 // value.
@@ -796,7 +812,7 @@ func (net *Network) Place(p PacketID) error {
 	tag := OriginTag
 	if net.Queues == CentralQueue {
 		tag = 0
-		if node.QueueLen(0) >= net.K {
+		if int(node.qLen) >= net.K {
 			return fmt.Errorf("sim: node %v over capacity at placement (K=%d)", net.Topo.CoordOf(st.Src[p]), net.K)
 		}
 	}
@@ -868,7 +884,9 @@ func (net *Network) attach(node *Node, p PacketID, tag uint8) {
 	st.slot[p] = int32(node.qLen)
 	net.slots[node.qStart+node.qLen] = p
 	node.qLen++
-	node.counts[tag]++
+	if net.tagLen != nil {
+		net.tagLen[node.ID][tag]++
+	}
 	if node.flags&nodeOccupied == 0 {
 		node.flags |= nodeOccupied
 		net.occ = append(net.occ, node.ID)

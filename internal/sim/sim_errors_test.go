@@ -129,7 +129,7 @@ func requireSoundOccupiedList(t *testing.T, net *Network) {
 		}
 		want = append(want, grid.NodeID(id))
 		for tag := uint8(0); tag < numTags; tag++ {
-			if c := node.QueueLen(tag); c > 0 {
+			if c := net.QueueLen(node, tag); c > 0 {
 				queues = append(queues, QueueDiag{Node: grid.NodeID(id), Coord: net.Topo.CoordOf(grid.NodeID(id)), Tag: tag, Len: c})
 			}
 		}

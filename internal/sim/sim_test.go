@@ -43,7 +43,7 @@ func (greedyXY) Schedule(net *Network, n *Node) [grid.NumDirs]int {
 }
 
 func (greedyXY) Accept(net *Network, n *Node, offers []Offer, acc []bool) {
-	free := net.K - n.QueueLen(0)
+	free := net.K - net.QueueLen(n, 0)
 	for i, o := range offers {
 		if net.P.Dst[o.P] == n.ID {
 			acc[i] = true // delivery consumes no space
@@ -355,7 +355,7 @@ func TestPerInlinkQueueTags(t *testing.T) {
 		t.Fatalf("after eastward hop, tag = %d, want West", net.P.QTag[p])
 	}
 	node := net.Node(m.ID(grid.XY(1, 0)))
-	if node.QueueLen(uint8(grid.West)) != 1 || node.NetworkLen() != 1 {
+	if net.QueueLen(node, uint8(grid.West)) != 1 || net.NetworkLen(node) != 1 {
 		t.Fatal("queue accounting wrong")
 	}
 }

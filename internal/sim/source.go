@@ -137,7 +137,7 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 			if err := net.checkInjection(0, inj); err != nil {
 				return err // under AdmitRetry, Place refuses it
 			}
-			if inj.Src != inj.Dst && net.Queues == CentralQueue && net.nodes[inj.Src].QueueLen(0) >= net.K {
+			if inj.Src != inj.Dst && net.Queues == CentralQueue && int(net.nodes[inj.Src].qLen) >= net.K {
 				net.Metrics.Refused++
 				net.Metrics.Dropped++
 				continue
@@ -236,7 +236,7 @@ func (net *Network) pullSource(t int) {
 			}
 			node := &net.nodes[inj.Src]
 			if (net.hasFaults && net.stalledCnt[inj.Src] > 0) ||
-				(net.Queues == CentralQueue && node.QueueLen(0) >= net.K) {
+				(net.Queues == CentralQueue && int(node.qLen) >= net.K) {
 				net.stepDropped++
 				continue
 			}

@@ -329,9 +329,9 @@ func (net *Network) abortDepartures(p PacketID, arrivals []Move, targets []grid.
 
 // compactSenders starts part (d): it removes departing packets from each
 // sender's queue region, preserving FIFO order of the packets that stay, in
-// one O(qLen) pass per sender. The per-tag count decrement reads the
-// departing packet's old QTag, so compaction must complete before
-// applyArrivals re-tags any packet.
+// one O(qLen) pass per sender. On a four-inlink network the per-tag count
+// decrement reads the departing packet's old QTag, so compaction must
+// complete before applyArrivals re-tags any packet.
 func (net *Network) compactSenders() {
 	st := &net.P
 	for _, id := range net.scratch.senders {
@@ -341,7 +341,9 @@ func (net *Network) compactSenders() {
 		w := uint32(0)
 		for _, p := range q {
 			if st.departing[p] {
-				node.counts[st.QTag[p]]--
+				if net.tagLen != nil {
+					net.tagLen[id][st.QTag[p]]--
+				}
 				continue
 			}
 			st.slot[p] = int32(w)
@@ -407,13 +409,6 @@ type occupancy struct {
 func (net *Network) updateNodes(alg Algorithm) (o occupancy, err error) {
 	sampled := net.sink != nil
 	check := net.cfg.CheckInvariants
-	// The queues the model bounds by k: the central queue is tag 0, the four
-	// inlink queues tags 0..3. The origin buffer (per-inlink only, and
-	// unbounded) is not one of them, and no other tag is ever used.
-	queues := uint8(1)
-	if net.Queues == PerInlinkQueues {
-		queues = OriginTag
-	}
 	maxQueue, maxNodeLoad, inFlight := 0, 0, 0
 	for _, id := range net.occ {
 		node := &net.nodes[id]
@@ -426,13 +421,20 @@ func (net *Network) updateNodes(alg Algorithm) (o occupancy, err error) {
 			l := int(node.qLen)
 			maxNodeLoad = max(maxNodeLoad, l)
 			inFlight += l
-			for tag := uint8(0); tag < queues; tag++ {
-				l := int(node.counts[tag])
-				if l > maxQueue {
-					maxQueue = l
-				}
-				if sampled && l > 0 {
+			if net.tagLen == nil {
+				// The central queue holds every resident.
+				maxQueue = max(maxQueue, l)
+				if sampled {
 					o.hist[obs.BucketOf(l)]++
+				}
+			} else {
+				// The four inlink queues, tags 0..3; the unbounded origin
+				// buffer is not a queue of the model.
+				for _, l := range net.tagLen[id][:OriginTag] {
+					maxQueue = max(maxQueue, int(l))
+					if sampled && l > 0 {
+						o.hist[obs.BucketOf(int(l))]++
+					}
 				}
 			}
 			o.nodes++
@@ -527,7 +529,7 @@ func (net *Network) injectPending(t int) {
 				tag = OriginTag
 			} else {
 				tag = 0
-				if node.QueueLen(0) >= net.K {
+				if int(node.qLen) >= net.K {
 					break
 				}
 			}
