@@ -312,6 +312,10 @@ func runCLT(s *scenario.Spec, o cliOptions) error {
 	if err := s.ValidateWorkload(); err != nil {
 		return err
 	}
+	perm := s.Workload.Permutation(meshroute.NewMesh(s.N))
+	if err := perm.Validate(); err != nil {
+		return fmt.Errorf("-router clt -workload %s: the Section 6 router routes permutations only: %w", s.Workload.Kind, err)
+	}
 
 	var sink *obs.JSONL
 	var sinkOut *os.File
@@ -331,7 +335,7 @@ func runCLT(s *scenario.Spec, o cliOptions) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.Route(s.Workload.Permutation(meshroute.NewMesh(s.N)))
+	res, err := r.Route(perm)
 	if err != nil {
 		return err
 	}
