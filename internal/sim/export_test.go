@@ -30,3 +30,22 @@ func StoreCaps(net *Network) (store, placed int) { return cap(net.P.Src), cap(ne
 // NumQueueTags is the number of queue tags a node's residents can carry,
 // for the external tests of this package.
 const NumQueueTags = numTags
+
+// WrapSource replaces the attached source, if any, with wrap(source) and
+// reports the admission policy, for the external tests of this package:
+// the wrapper sees every pull after AttachSource's step-0 one.
+func WrapSource(net *Network, wrap func(Source) Source) AdmissionPolicy {
+	if net.source != nil {
+		net.source = wrap(net.source)
+	}
+	return net.admit
+}
+
+// Backlog reports the packets waiting in the node's admission backlog, in
+// FIFO order, for the external tests of this package.
+func Backlog(net *Network, id grid.NodeID) []PacketID {
+	if net.backlog == nil {
+		return nil
+	}
+	return net.backlog[id][net.backlogHead[id]:]
+}

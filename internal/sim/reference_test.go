@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"meshroute/internal/dex"
+	"meshroute/internal/fault"
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
 	"meshroute/internal/routers"
@@ -19,11 +20,12 @@ import (
 // The reference engine: a map-and-slice model of Section 2's five-part step
 // that re-applies, step by step, the decisions the routing algorithm gave
 // the engine, and is compared with the engine after every StepOnce. It has
-// no packet store, offer chain or profitable-set cache: its queues are one
-// FIFO list per node, its packets one record each, its geometry coordinate
-// arithmetic.
-// It covers static, fault-free runs without an exchange hook, under both
-// queue models.
+// no packet store, offer chain or profitable-set cache: its queues and
+// admission backlogs are one FIFO list per node, its packets one record
+// each, its geometry coordinate arithmetic, and its faults the schedule's
+// own events.
+// It covers both queue models, both admission policies and fault schedules
+// without permanent link failures, without an exchange hook.
 
 // schedCall is one outqueue decision: the node and Schedule's answer.
 type schedCall struct {
@@ -66,20 +68,35 @@ func (r *decisionRecorder) reset() {
 	r.scheds, r.accepts, r.offers, r.accepted = r.scheds[:0], r.accepts[:0], r.offers[:0], r.accepted[:0]
 }
 
+// injectionRecorder wraps the network's source and keeps what its pulls
+// returned since the last reset, so the model admits exactly the
+// injections the engine was offered.
+type injectionRecorder struct {
+	sim.Source
+	injs []sim.Injection
+}
+
+func (r *injectionRecorder) Next(step int, buf []sim.Injection) []sim.Injection {
+	n := len(buf)
+	buf = r.Source.Next(step, buf)
+	r.injs = append(r.injs, buf[n:]...)
+	return buf
+}
+
 // refPacket is the model's record of one packet.
 type refPacket struct {
 	src, dst, at             grid.NodeID
 	qtag                     uint8
 	arrived                  grid.Dir
 	arrivedStep, deliverStep int
+	injectStep               int
 	hops                     int
 }
 
-// refMove is one scheduled or applied transmission.
-type refMove struct {
-	p        sim.PacketID
-	from, to grid.NodeID
-	travel   grid.Dir
+// refLink is one directed link: a node and an outlink.
+type refLink struct {
+	node grid.NodeID
+	dir  grid.Dir
 }
 
 // refModel is the reference engine's state.
@@ -90,16 +107,35 @@ type refModel struct {
 	perInlink bool
 	minimal   bool
 	maxStray  int
+	drop      bool // AdmitDrop: an injection that cannot enter is discarded
 
-	queues [][]sim.PacketID // per node, FIFO
-	pkts   []refPacket      // by PacketID; 0 is no packet
-	step   int
+	queues  [][]sim.PacketID // per node, FIFO
+	backlog [][]sim.PacketID // per node, FIFO: packets waiting to enter
+	pkts    []refPacket      // by PacketID; 0 is no packet
+	step    int
+
+	// The fault schedule and its effect so far: open transient failures
+	// per link, permanently failed links, open stalls per node.
+	events  []fault.Event
+	applied int
+	down    map[refLink]int
+	perm    map[refLink]bool
+	stalls  map[grid.NodeID]int
+
+	// Run totals of scheduled moves dropped onto a failed link or into a
+	// stalled node, and of the latter alone.
+	faultDrops, stallDrops int
+	// The last step's admission: offers, entries, refusals (every packet
+	// still waiting plus every discarded offer) and discarded offers.
+	offered, admitted, refused, dropped int
 }
 
-// newRefModel places the network's packets the way Section 2 starts a
-// static run: each at its source, in ID order, in the central queue or the
-// origin buffer; a packet already at its destination is delivered at step 0.
-func newRefModel(net *sim.Network, cfg sim.Config) *refModel {
+// newRefModel starts the model where the engine starts a run: the packets
+// created before step 1 placed in ID order, each delivered if it is at its
+// destination, else queued at its source if there is room and backlogged
+// behind the source's earlier overflow if not.
+func newRefModel(net *sim.Network, cfg sim.Config, policy sim.AdmissionPolicy) *refModel {
+	n := cfg.Topo.N()
 	m := &refModel{
 		side:      cfg.Topo.Width(),
 		torus:     cfg.Topo.Wraparound(),
@@ -107,24 +143,115 @@ func newRefModel(net *sim.Network, cfg sim.Config) *refModel {
 		perInlink: cfg.Queues == sim.PerInlinkQueues,
 		minimal:   cfg.RequireMinimal,
 		maxStray:  cfg.MaxStray,
-		queues:    make([][]sim.PacketID, cfg.Topo.N()),
-		pkts:      make([]refPacket, net.P.Len()+1),
+		drop:      policy == sim.AdmitDrop,
+		queues:    make([][]sim.PacketID, n),
+		backlog:   make([][]sim.PacketID, n),
+		pkts:      make([]refPacket, 1, net.P.Len()+1),
+		down:      map[refLink]int{},
+		perm:      map[refLink]bool{},
+		stalls:    map[grid.NodeID]int{},
+	}
+	if cfg.Faults != nil {
+		m.events = cfg.Faults.Events
 	}
 	for p := sim.PacketID(1); int(p) <= net.P.Len(); p++ {
-		src, dst := net.P.Src[p], net.P.Dst[p]
-		rp := &m.pkts[p]
-		*rp = refPacket{src: src, dst: dst, at: src, arrived: grid.NoDir, deliverStep: -1}
-		if src == dst {
-			rp.deliverStep = 0
-			continue
+		inj := sim.Injection{Src: net.P.Src[p], Dst: net.P.Dst[p]}
+		m.newPacket(inj)
+		if len(m.backlog[inj.Src]) == 0 && m.admits(inj) {
+			m.enter(p, 0)
+		} else {
+			m.backlog[inj.Src] = append(m.backlog[inj.Src], p)
 		}
-		if m.perInlink {
-			rp.qtag = sim.OriginTag
-		}
-		m.queues[src] = append(m.queues[src], p)
 	}
 	return m
 }
+
+// newPacket materializes a packet at its source.
+func (m *refModel) newPacket(inj sim.Injection) sim.PacketID {
+	m.pkts = append(m.pkts, refPacket{src: inj.Src, dst: inj.Dst, at: inj.Src, arrived: grid.NoDir, deliverStep: -1})
+	return sim.PacketID(len(m.pkts) - 1)
+}
+
+// admits is the admission rule: a packet at its destination is delivered
+// in place; any other needs its source awake and, under a central queue, a
+// free slot (the four-inlink origin buffer is unbounded).
+func (m *refModel) admits(inj sim.Injection) bool {
+	return inj.Src == inj.Dst || !m.stalled(inj.Src) && (m.perInlink || len(m.queues[inj.Src]) < m.k)
+}
+
+// enter admits packet p at step t, delivering it if it is at its
+// destination and queueing it at its source otherwise; it returns the
+// number delivered.
+func (m *refModel) enter(p sim.PacketID, t int) int {
+	rp := &m.pkts[p]
+	rp.injectStep = t
+	if rp.src == rp.dst {
+		rp.deliverStep = t
+		return 1
+	}
+	if m.perInlink {
+		rp.qtag = sim.OriginTag
+	}
+	m.queues[rp.src] = append(m.queues[rp.src], p)
+	return 0
+}
+
+// admit runs step t's admission: under retry every injection joins its
+// source's backlog, under drop it enters at once or is discarded; then
+// every backlog drains in FIFO order, in ascending node order, until its
+// head is refused. A stalled node admits nothing from its backlog. It
+// returns the number delivered.
+func (m *refModel) admit(t int, injs []sim.Injection) (delivered int) {
+	m.offered, m.admitted, m.dropped = len(injs), 0, 0
+	for _, inj := range injs {
+		switch {
+		case !m.drop:
+			m.backlog[inj.Src] = append(m.backlog[inj.Src], m.newPacket(inj))
+		case m.admits(inj):
+			delivered += m.enter(m.newPacket(inj), t)
+			m.admitted++
+		default:
+			m.dropped++
+		}
+	}
+	waiting := 0
+	for id, bl := range m.backlog {
+		for len(bl) > 0 && !m.stalled(grid.NodeID(id)) && m.admits(sim.Injection{Src: m.pkts[bl[0]].src, Dst: m.pkts[bl[0]].dst}) {
+			delivered += m.enter(bl[0], t)
+			m.admitted++
+			bl = bl[1:]
+		}
+		m.backlog[id] = bl
+		waiting += len(bl)
+	}
+	m.refused = m.dropped + waiting
+	return delivered
+}
+
+// applyFaults applies every schedule event due at or before step t. A
+// recovery or wake ends one open episode, so overlapping episodes compose.
+func (m *refModel) applyFaults(t int) {
+	for ; m.applied < len(m.events) && m.events[m.applied].Step <= t; m.applied++ {
+		e := m.events[m.applied]
+		l := refLink{e.Node, e.Dir}
+		switch {
+		case e.Kind == fault.LinkDown && e.Permanent:
+			m.perm[l] = true
+		case e.Kind == fault.LinkDown:
+			m.down[l]++
+		case e.Kind == fault.LinkUp && m.down[l] > 0:
+			m.down[l]--
+		case e.Kind == fault.NodeStall:
+			m.stalls[e.Node]++
+		case e.Kind == fault.NodeWake && m.stalls[e.Node] > 0:
+			m.stalls[e.Node]--
+		}
+	}
+}
+
+func (m *refModel) stalled(id grid.NodeID) bool { return m.stalls[id] > 0 }
+
+func (m *refModel) linkUp(l refLink) bool { return !m.perm[l] && m.down[l] == 0 }
 
 func (m *refModel) xy(id grid.NodeID) (int, int) { return int(id) % m.side, int(id) / m.side }
 
@@ -208,19 +335,23 @@ func (m *refModel) tagCounts(id grid.NodeID) (c [sim.NumQueueTags]int) {
 	return c
 }
 
-// apply re-applies one step's recorded decisions and returns the step's
-// delivered count and largest bounded queue.
-func (m *refModel) apply(rec *decisionRecorder) (delivered, maxQueue int, err error) {
+// apply runs one step: the step's faults, the admission of its injections,
+// then the recorded decisions of parts (a)-(d). It returns the step's
+// arrivals, delivered count (admission included) and largest bounded queue.
+func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals []sim.Move, delivered, maxQueue int, err error) {
 	m.step++
 	t := m.step
+	m.applyFaults(t)
+	delivered = m.admit(t, injs)
 
-	// Part (a): every nonempty node decides once; each answer must be legal.
-	var moves []refMove
+	// Part (a): every nonempty node that is not stalled decides once; each
+	// answer must be legal. A legal move onto a failed link is dropped.
+	var moves []sim.Move
 	asked := make([]bool, len(m.queues))
 	for _, sc := range rec.scheds {
 		q := m.queues[sc.node]
-		if len(q) == 0 || asked[sc.node] {
-			return 0, 0, fmt.Errorf("step %d: Schedule asked of node %d (%d residents, asked before: %v)", t, sc.node, len(q), asked[sc.node])
+		if len(q) == 0 || asked[sc.node] || m.stalled(sc.node) {
+			return nil, 0, 0, fmt.Errorf("step %d: Schedule asked of node %d (%d residents, asked before: %v, stalled: %v)", t, sc.node, len(q), asked[sc.node], m.stalled(sc.node))
 		}
 		asked[sc.node] = true
 		for d := grid.Dir(0); d < grid.NumDirs; d++ {
@@ -229,56 +360,63 @@ func (m *refModel) apply(rec *decisionRecorder) (delivered, maxQueue int, err er
 				continue
 			}
 			if i >= len(q) || slices.Contains(sc.sched[:d], i) {
-				return 0, 0, fmt.Errorf("step %d: node %d scheduled index %d of %d on %v twice or out of range", t, sc.node, i, len(q), d)
+				return nil, 0, 0, fmt.Errorf("step %d: node %d scheduled index %d of %d on %v twice or out of range", t, sc.node, i, len(q), d)
 			}
 			p := q[i]
 			rp := &m.pkts[p]
 			to, ok := m.neighbor(sc.node, d)
 			switch {
 			case !ok:
-				return 0, 0, fmt.Errorf("step %d: node %d scheduled packet %d on missing outlink %v", t, sc.node, p, d)
+				return nil, 0, 0, fmt.Errorf("step %d: node %d scheduled packet %d on missing outlink %v", t, sc.node, p, d)
 			case m.minimal && !m.profitable(sc.node, rp.dst).Has(d):
-				return 0, 0, fmt.Errorf("step %d: node %d scheduled packet %d non-minimally on %v", t, sc.node, p, d)
+				return nil, 0, 0, fmt.Errorf("step %d: node %d scheduled packet %d non-minimally on %v", t, sc.node, p, d)
 			case !m.minimal && m.maxStray > 0 && !m.withinStray(rp, to):
-				return 0, 0, fmt.Errorf("step %d: node %d moved packet %d past its stray bound", t, sc.node, p)
+				return nil, 0, 0, fmt.Errorf("step %d: node %d moved packet %d past its stray bound", t, sc.node, p)
+			case !m.linkUp(refLink{sc.node, d}):
+				m.faultDrops++
+				continue
 			}
-			moves = append(moves, refMove{p, sc.node, to, d})
+			moves = append(moves, sim.Move{P: p, From: sc.node, To: to, Travel: d})
 		}
 	}
 	for id, q := range m.queues {
-		if len(q) > 0 && !asked[id] {
-			return 0, 0, fmt.Errorf("step %d: node %d holds %d packets but was never asked to schedule", t, id, len(q))
+		if len(q) > 0 && !asked[id] && !m.stalled(grid.NodeID(id)) {
+			return nil, 0, 0, fmt.Errorf("step %d: node %d holds %d packets but was never asked to schedule", t, id, len(q))
 		}
 	}
 
-	// Part (c): deliveries bypass the inqueue policy and lead the
-	// arrivals; every other target sees its offers in move order, targets
-	// in first-seen order.
-	var arrivals []refMove
+	// Part (c): a stalled node accepts nothing, not even a delivery;
+	// deliveries bypass the inqueue policy and lead the arrivals; every
+	// other target sees its offers in move order, targets in first-seen
+	// order.
 	var order []grid.NodeID
-	offers := map[grid.NodeID][]refMove{}
+	offers := map[grid.NodeID][]sim.Move{}
 	for _, mv := range moves {
-		if mv.to == m.pkts[mv.p].dst {
+		switch {
+		case m.stalled(mv.To):
+			m.faultDrops++
+			m.stallDrops++
+		case mv.To == m.pkts[mv.P].dst:
 			arrivals = append(arrivals, mv)
-			continue
+		default:
+			if _, ok := offers[mv.To]; !ok {
+				order = append(order, mv.To)
+			}
+			offers[mv.To] = append(offers[mv.To], mv)
 		}
-		if _, ok := offers[mv.to]; !ok {
-			order = append(order, mv.to)
-		}
-		offers[mv.to] = append(offers[mv.to], mv)
 	}
 	if len(rec.accepts) != len(order) {
-		return 0, 0, fmt.Errorf("step %d: %d Accept calls, want one for each of %d targets", t, len(rec.accepts), len(order))
+		return nil, 0, 0, fmt.Errorf("step %d: %d Accept calls, want one for each of %d targets", t, len(rec.accepts), len(order))
 	}
 	for i, id := range order {
 		call, offs := rec.accepts[i], offers[id]
 		shown := rec.offers[call.at : call.at+call.n]
 		if call.target != id || len(shown) != len(offs) {
-			return 0, 0, fmt.Errorf("step %d: Accept call %d went to node %d with %d offers, want node %d with %d", t, i, call.target, len(shown), id, len(offs))
+			return nil, 0, 0, fmt.Errorf("step %d: Accept call %d went to node %d with %d offers, want node %d with %d", t, i, call.target, len(shown), id, len(offs))
 		}
 		for j, mv := range offs {
-			if o := shown[j]; o.P != mv.p || o.From != mv.from || o.Travel != mv.travel {
-				return 0, 0, fmt.Errorf("step %d: node %d offer %d is %+v, want %+v", t, id, j, o, mv)
+			if o := shown[j]; o.P != mv.P || o.From != mv.From || o.Travel != mv.Travel {
+				return nil, 0, 0, fmt.Errorf("step %d: node %d offer %d is %+v, want %+v", t, id, j, o, mv)
 			}
 			if rec.accepted[call.at+j] {
 				arrivals = append(arrivals, mv)
@@ -289,26 +427,26 @@ func (m *refModel) apply(rec *decisionRecorder) (delivered, maxQueue int, err er
 	// Part (d): every departure leaves its sender's queue before any
 	// arrival joins one.
 	for _, a := range arrivals {
-		q := m.queues[a.from]
-		i := slices.Index(q, a.p)
+		q := m.queues[a.From]
+		i := slices.Index(q, a.P)
 		if i < 0 {
-			return 0, 0, fmt.Errorf("step %d: packet %d departs node %d, which does not hold it", t, a.p, a.from)
+			return nil, 0, 0, fmt.Errorf("step %d: packet %d departs node %d, which does not hold it", t, a.P, a.From)
 		}
-		m.queues[a.from] = slices.Delete(q, i, i+1)
+		m.queues[a.From] = slices.Delete(q, i, i+1)
 	}
 	for _, a := range arrivals {
-		rp := &m.pkts[a.p]
+		rp := &m.pkts[a.P]
 		rp.hops++
-		rp.arrived = a.travel
+		rp.arrived = a.Travel
 		rp.arrivedStep = t
-		rp.at = a.to
-		if a.to == rp.dst {
+		rp.at = a.To
+		if a.To == rp.dst {
 			rp.deliverStep = t
 			delivered++
 			continue
 		}
-		rp.qtag = m.tagOf(a.travel)
-		m.queues[a.to] = append(m.queues[a.to], a.p)
+		rp.qtag = m.tagOf(a.Travel)
+		m.queues[a.To] = append(m.queues[a.To], a.P)
 	}
 
 	// The policies must not overflow a queue.
@@ -318,22 +456,26 @@ func (m *refModel) apply(rec *decisionRecorder) (delivered, maxQueue int, err er
 				continue
 			}
 			if c > m.k {
-				return 0, 0, fmt.Errorf("step %d: node %d queue %d holds %d > k=%d", t, id, tag, c, m.k)
+				return nil, 0, 0, fmt.Errorf("step %d: node %d queue %d holds %d > k=%d", t, id, tag, c, m.k)
 			}
 			maxQueue = max(maxQueue, c)
 		}
 	}
-	return delivered, maxQueue, nil
+	return arrivals, delivered, maxQueue, nil
 }
 
-// compare holds the engine to the model: every queue's contents in order,
-// every per-tag count and every packet's position and history.
+// compare holds the engine to the model: every queue's and backlog's
+// contents in order, every per-tag count and every packet's position and
+// history.
 func (m *refModel) compare(net *sim.Network) error {
 	t := net.Step()
 	for id, q := range m.queues {
 		node := net.Node(grid.NodeID(id))
 		if got := net.PacketsOf(node); !slices.Equal(got, q) {
 			return fmt.Errorf("step %d: node %d holds %v, model %v", t, id, got, q)
+		}
+		if got := sim.Backlog(net, grid.NodeID(id)); !slices.Equal(got, m.backlog[id]) {
+			return fmt.Errorf("step %d: node %d backlog %v, model %v", t, id, got, m.backlog[id])
 		}
 		for tag, want := range m.tagCounts(grid.NodeID(id)) {
 			if got := net.QueueLen(node, uint8(tag)); got != want {
@@ -349,7 +491,8 @@ func (m *refModel) compare(net *sim.Network) error {
 		got := refPacket{
 			src: net.P.Src[p], dst: net.P.Dst[p], at: net.P.At[p], qtag: net.P.QTag[p],
 			arrived: net.P.Arrived[p], arrivedStep: int(net.P.ArrivedStep[p]),
-			deliverStep: int(net.P.DeliverStep[p]), hops: int(net.P.Hops[p]),
+			deliverStep: int(net.P.DeliverStep[p]), injectStep: int(net.P.InjectStep[p]),
+			hops: int(net.P.Hops[p]),
 		}
 		if got != *rp {
 			return fmt.Errorf("step %d: packet %d is %+v, model %+v", t, p, got, *rp)
@@ -358,65 +501,139 @@ func (m *refModel) compare(net *sim.Network) error {
 	return nil
 }
 
+// resident and waiting count the model's queued and backlogged packets.
+func (m *refModel) resident() (n int) {
+	for _, q := range m.queues {
+		n += len(q)
+	}
+	return n
+}
+
+func (m *refModel) waiting() (n int) {
+	for _, bl := range m.backlog {
+		n += len(bl)
+	}
+	return n
+}
+
 // checkAgainstReference runs net under alg to completion or budget steps,
-// holding it to the reference model after every step.
-func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg sim.Algorithm, budget int) {
+// holding it to the reference model after every step: the model's state,
+// the step's arrivals in order, the step sample, the step's admission
+// counts and the run's fault drops. It returns the model.
+func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg sim.Algorithm, budget int) *refModel {
 	t.Helper()
-	model := newRefModel(net, cfg)
+	src := &injectionRecorder{}
+	policy := sim.WrapSource(net, func(s sim.Source) sim.Source { src.Source = s; return src })
+	model := newRefModel(net, cfg, policy)
 	if err := model.compare(net); err != nil {
 		t.Fatalf("placement: %v", err)
 	}
 	rec := &decisionRecorder{Algorithm: alg}
 	var samples obs.Records
 	net.SetMetricsSink(&samples)
+	var moves []sim.Move
+	net.SetObserver(func(r sim.StepRecord) { moves = append(moves[:0], r.Moves...) })
 	for !net.Done() && net.Step() < budget {
 		rec.reset()
+		src.injs = src.injs[:0]
+		dropped := net.Metrics.Dropped
 		if err := net.StepOnce(rec); err != nil {
 			t.Fatal(err)
 		}
-		delivered, maxQueue, err := model.apply(rec)
+		arrivals, delivered, maxQueue, err := model.apply(rec, src.injs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := model.compare(net); err != nil {
 			t.Fatal(err)
 		}
-		if s := samples.Steps[len(samples.Steps)-1]; s.Step != net.Step() || s.Delivered != delivered || s.MaxQueue != maxQueue {
-			t.Fatalf("step %d: sample says step %d, %d delivered, max queue %d; model %d delivered, max queue %d",
-				net.Step(), s.Step, s.Delivered, s.MaxQueue, delivered, maxQueue)
+		step := net.Step()
+		if !slices.Equal(moves, arrivals) {
+			t.Fatalf("step %d: arrivals\n%v\nmodel\n%v", step, moves, arrivals)
+		}
+		if s := samples.Steps[len(samples.Steps)-1]; s.Step != step || s.Delivered != delivered || s.MaxQueue != maxQueue || s.InFlight != model.resident() {
+			t.Fatalf("step %d: sample says step %d, %d delivered, max queue %d, %d in flight; model %d delivered, max queue %d, %d in flight",
+				step, s.Step, s.Delivered, s.MaxQueue, s.InFlight, delivered, maxQueue, model.resident())
+		}
+		if s := samples.Steps[len(samples.Steps)-1]; s.Offered != model.offered || s.Admitted != model.admitted || s.Refused != model.refused ||
+			s.Backlog != model.waiting() || net.Metrics.Dropped-dropped != model.dropped {
+			t.Fatalf("step %d: offered/admitted/refused/dropped/backlog %d/%d/%d/%d/%d, model %d/%d/%d/%d/%d", step,
+				s.Offered, s.Admitted, s.Refused, net.Metrics.Dropped-dropped, s.Backlog,
+				model.offered, model.admitted, model.refused, model.dropped, model.waiting())
+		}
+		if net.Metrics.FaultDrops != model.faultDrops {
+			t.Fatalf("step %d: %d fault drops, model %d", step, net.Metrics.FaultDrops, model.faultDrops)
+		}
+	}
+	return model
+}
+
+// placePairs places the pairs before step 1 in order, as PacketIDs 1, 2, ….
+func placePairs(t *testing.T, net *sim.Network, pairs []grid.Pair) {
+	t.Helper()
+	for _, pr := range pairs {
+		if err := net.Place(net.NewPacket(pr.Src, pr.Dst)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
 // TestReferenceStep holds the engine to the reference model on every
-// static, fault-free committed scenario (the n=256 torus is left out under
-// the race detector) and on four small instances of both queue models,
-// mesh and torus.
+// committed scenario with a digest (the n=256 torus is left out under the
+// race detector) and on small instances of both queue models, mesh and
+// torus, some with arrivals under each admission policy and a fault
+// schedule.
 func TestReferenceStep(t *testing.T) {
 	central := func(topo grid.Topology) sim.Config {
 		return sim.Config{Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 	}
 	thm15 := func(topo grid.Topology) sim.Config { return routers.Thm15Config(topo, 2) }
+	stalls := &fault.Config{Seed: 11, Horizon: 60, LinkFailures: 16, MeanDownSteps: 3, NodeStalls: 4, MeanStallSteps: 4}
+	busy := &fault.Config{Seed: 4, Horizon: 40, LinkFailures: 20, MeanDownSteps: 3, NodeStalls: 20, MeanStallSteps: 4}
 	for _, tc := range []struct {
 		name   string
 		topo   grid.Topology
 		cfg    func(grid.Topology) sim.Config
 		policy dex.Policy
+		faults *fault.Config
+		rate   float64 // Bernoulli arrivals over steps 1..40 on top of the permutation
+		admit  sim.AdmissionPolicy
 	}{
-		{"dimorder/mesh8", grid.NewSquareMesh(8), central, routers.DimOrderFIFO{}},
-		{"zigzag/torus10", grid.NewSquareTorus(10), central, routers.ZigZag{}},
-		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, routers.Thm15{}},
-		{"thm15/torus8", grid.NewSquareTorus(8), thm15, routers.Thm15{}},
+		{"dimorder/mesh8", grid.NewSquareMesh(8), central, routers.DimOrderFIFO{}, nil, 0, sim.AdmitRetry},
+		{"zigzag/torus10", grid.NewSquareTorus(10), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry},
+		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry},
+		{"thm15/torus8", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry},
+		// Moves into a stalled node are dropped, deliveries included.
+		{"zigzag/torus12-faults", grid.NewSquareTorus(12), central, routers.ZigZag{FaultAware: true}, stalls, 0, sim.AdmitRetry},
+		// Stalled sources meet arrivals under both policies.
+		{"zigzag/mesh10-retry-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitRetry},
+		{"zigzag/mesh10-drop-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitDrop},
+		// The origin buffer never refuses. (Theorem 15's queue bound
+		// presumes reliable links, so thm15 runs without faults.)
+		{"thm15/torus8-retry", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0.1, sim.AdmitRetry},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg(tc.topo)
-			net := sim.MustNew(cfg)
-			if err := workload.Random(tc.topo, 5).Place(net); err != nil {
-				t.Fatal(err)
+			if tc.faults != nil {
+				sched, err := fault.Generate(tc.topo, *tc.faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Faults = sched
 			}
-			checkAgainstReference(t, net, cfg, dex.NewAdapter(tc.policy), 100*tc.topo.N())
+			net := sim.MustNew(cfg)
+			placePairs(t, net, workload.Random(tc.topo, 5).Pairs)
+			if tc.rate > 0 {
+				if err := net.AttachSource(workload.NewBernoulli(tc.topo.N(), tc.rate, 40, 7), tc.admit); err != nil {
+					t.Fatal(err)
+				}
+			}
+			model := checkAgainstReference(t, net, cfg, dex.NewAdapter(tc.policy), 100*tc.topo.N())
 			if !net.Done() {
 				t.Fatalf("not done after %d steps", net.Step())
+			}
+			if tc.faults != nil && model.stallDrops == 0 {
+				t.Fatal("no move was ever scheduled into a stalled node")
 			}
 		})
 	}
@@ -432,8 +649,8 @@ func TestReferenceStep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if spec.Workload.Dynamic() || spec.Faults != nil || spec.Name == "smoke" {
-			continue // the model covers static, fault-free runs; smoke has no digest
+		if spec.Name == "smoke" {
+			continue // smoke has no digest
 		}
 		rows++
 		if raceDetector && spec.N > 64 {
@@ -445,36 +662,54 @@ func TestReferenceStep(t *testing.T) {
 				t.Fatal(err)
 			}
 			rspec, _ := routers.Lookup(spec.Router)
-			checkAgainstReference(t, run.Net, rspec.Config(run.Net.Topo, spec.K), run.NewAlg(), run.Budget)
-			if !run.Net.Done() {
+			cfg := rspec.Config(run.Net.Topo, spec.K)
+			cfg.Faults = run.Faults
+			checkAgainstReference(t, run.Net, cfg, run.NewAlg(), run.Budget)
+			if w := spec.Workload; (!w.Dynamic() || w.Drain) && !run.Net.Done() {
 				t.Fatalf("not done after %d steps", run.Budget)
 			}
 		})
 	}
-	if rows < 10 {
-		t.Fatalf("found %d static, fault-free scenarios, want the 10 committed ones", rows)
+	if rows < 18 {
+		t.Fatalf("found %d scenarios with a digest, want the 18 committed ones", rows)
 	}
 }
 
 // FuzzReferenceStep holds the engine to the reference model on a random
 // permutation under a destination-exchangeable router, on a mesh or torus
-// of side 2–10 with queues of 1–4.
+// of side 2–10 with queues of 1–4, with Bernoulli arrivals of rate 0–0.35
+// over steps 1..30 under either admission policy, and, for a nonzero fault
+// seed, a schedule of transient link failures and node stalls. Only the
+// swap-rule policies keep their queue bound under faults
+// (docs/ROBUSTNESS.md), so a faulted case routes with dimension order or,
+// from k=3, fault-aware zigzag.
 func FuzzReferenceStep(f *testing.F) {
-	f.Add(false, uint8(6), uint8(1), uint8(0), int64(1))
-	f.Add(true, uint8(8), uint8(0), uint8(1), int64(2))
-	f.Add(false, uint8(7), uint8(3), uint8(2), int64(3))
-	f.Add(true, uint8(4), uint8(2), uint8(3), int64(4))
-	f.Add(false, uint8(5), uint8(1), uint8(4), int64(5))
+	f.Add(false, uint8(6), uint8(1), uint8(0), int64(1), uint8(0), false, int64(0))
+	f.Add(true, uint8(8), uint8(0), uint8(1), int64(2), uint8(0), false, int64(0))
+	f.Add(false, uint8(7), uint8(3), uint8(2), int64(3), uint8(0), false, int64(0))
+	f.Add(true, uint8(4), uint8(2), uint8(3), int64(4), uint8(0), false, int64(0))
+	f.Add(false, uint8(5), uint8(1), uint8(4), int64(5), uint8(0), false, int64(0))
+	f.Add(false, uint8(6), uint8(0), uint8(1), int64(6), uint8(3), false, int64(6))
+	f.Add(true, uint8(6), uint8(1), uint8(0), int64(7), uint8(4), true, int64(7))
+	f.Add(false, uint8(5), uint8(0), uint8(3), int64(8), uint8(6), false, int64(0))
+	f.Add(true, uint8(5), uint8(3), uint8(2), int64(9), uint8(5), true, int64(9))
 	var names []string
 	for _, name := range routers.Names() {
 		if rspec, _ := routers.Lookup(name); rspec.DestinationExchangeable() {
 			names = append(names, name)
 		}
 	}
-	f.Fuzz(func(t *testing.T, torus bool, nRaw, kRaw, routerRaw uint8, seed int64) {
+	f.Fuzz(func(t *testing.T, torus bool, nRaw, kRaw, routerRaw uint8, seed int64, rateRaw uint8, drop bool, faultSeed int64) {
 		n := 2 + int(nRaw)%9 // 2..10
 		k := 1 + int(kRaw)%4 // 1..4
-		rspec, _ := routers.Lookup(names[int(routerRaw)%len(names)])
+		name := names[int(routerRaw)%len(names)]
+		if faultSeed != 0 {
+			name = routers.NameDimOrder
+			if routerRaw%2 == 1 {
+				name, k = routers.NameZigZag, max(k, 3)
+			}
+		}
+		rspec, _ := routers.Lookup(name)
 		if rspec.Config(nil, k).MaxStray > 0 {
 			torus = false // the stray bound is a mesh rule
 		}
@@ -483,10 +718,30 @@ func FuzzReferenceStep(f *testing.F) {
 			topo = grid.NewSquareTorus(n)
 		}
 		cfg := rspec.Config(topo, k)
-		net := sim.MustNew(cfg)
-		if err := workload.Random(topo, seed).Place(net); err != nil {
-			t.Fatal(err)
+		alg := rspec.New()
+		if faultSeed != 0 {
+			sched, err := fault.Generate(topo, fault.Config{
+				Seed: faultSeed, Horizon: 30, LinkFailures: n, MeanDownSteps: 3, NodeStalls: n, MeanStallSteps: 3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = sched
+			if rspec.NewFaultAware != nil {
+				alg = rspec.NewFaultAware()
+			}
 		}
-		checkAgainstReference(t, net, cfg, rspec.New(), 20*topo.N()+100)
+		net := sim.MustNew(cfg)
+		placePairs(t, net, workload.Random(topo, seed).Pairs)
+		if rate := float64(rateRaw%8) / 20; rate > 0 {
+			policy := sim.AdmitRetry
+			if drop {
+				policy = sim.AdmitDrop
+			}
+			if err := net.AttachSource(workload.NewBernoulli(topo.N(), rate, 30, seed), policy); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkAgainstReference(t, net, cfg, alg, 20*topo.N()+100)
 	})
 }
