@@ -234,23 +234,16 @@ func (c *Construction) newNet() *sim.Network {
 	})
 }
 
-// place puts pairs on net in order, as PacketIDs 1, 2, ...: the first netK
-// packets of a source fit its queue, the rest enter through the dynamic
-// injection backlog (h-h with h > k). With PadIdentity every node that is
-// neither a source nor a destination then gets a fixed point.
+// place puts pairs on net in order, as PacketIDs 1, 2, ...: Place queues
+// the first netK packets of a source and backlogs the rest (h-h with
+// h > k), which enter from step 1 in FIFO order. With PadIdentity every
+// node that is neither a source nor a destination then gets a fixed point.
 func (c *Construction) place(net *sim.Network, pairs []workload.Pair) error {
-	perSrc := map[grid.NodeID]int{}
 	used := map[grid.NodeID]bool{}
 	for _, pr := range pairs {
-		pk := net.NewPacket(pr.Src, pr.Dst)
-		if perSrc[pr.Src] < c.netK() {
-			if err := net.Place(pk); err != nil {
-				return err
-			}
-		} else {
-			net.QueueInjection(pk, 1)
+		if err := net.Place(net.NewPacket(pr.Src, pr.Dst)); err != nil {
+			return err
 		}
-		perSrc[pr.Src]++
 		used[pr.Src], used[pr.Dst] = true, true
 	}
 	if !c.PadIdentity || c.H != 1 {

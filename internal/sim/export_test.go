@@ -49,3 +49,18 @@ func Backlog(net *Network, id grid.NodeID) []PacketID {
 	}
 	return net.backlog[id][net.backlogHead[id]:]
 }
+
+// TimedSource injects the injections listed for each step and is exhausted
+// after the last listed step, for the tests of this package.
+type TimedSource map[int][]Injection
+
+func (s TimedSource) Next(step int, buf []Injection) []Injection { return append(buf, s[step]...) }
+
+func (s TimedSource) Exhausted(step int) bool {
+	for t := range s {
+		if t > step {
+			return false
+		}
+	}
+	return true
+}

@@ -195,16 +195,20 @@ func TestFaultEventStreamDeterministic(t *testing.T) {
 }
 
 func TestInvariantCheckerAccountsForInjections(t *testing.T) {
-	// QueueInjection plus faults exercises the pending/backlog conservation
-	// counters; the checker must stay silent for a conforming router.
+	// Injections into a stalled node exercise the backlog conservation
+	// counter; the checker must stay silent for a conforming router.
 	topo := grid.NewSquareMesh(6)
 	sched := (&fault.Schedule{N: topo.N(), Events: []fault.Event{
 		{Step: 2, Kind: fault.NodeStall, Node: topo.ID(grid.XY(2, 2)), Dir: grid.NoDir},
 		{Step: 6, Kind: fault.NodeWake, Node: topo.ID(grid.XY(2, 2)), Dir: grid.NoDir},
 	}}).Finalize()
 	net := faultNet(t, 6, 1, true, sched, 0)
+	src := TimedSource{}
 	for i := 0; i < 6; i++ {
-		net.QueueInjection(net.NewPacket(topo.ID(grid.XY(2, 2)), topo.ID(grid.XY(5, 5))), i+1)
+		src[i+1] = []Injection{{Src: topo.ID(grid.XY(2, 2)), Dst: topo.ID(grid.XY(5, 5))}}
+	}
+	if err := net.AttachSource(src, AdmitRetry); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {
 		t.Fatal(err)

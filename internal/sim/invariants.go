@@ -16,9 +16,9 @@ import "fmt"
 //   - profitable-set cache: each resident packet's Prof entry equals a
 //     fresh Topo.Profitable(At, Dst) — the column every router and the
 //     engine's own minimality tests read instead of recomputing;
-//   - packet conservation: delivered + resident + backlogged + pending
-//     equals the number of packets ever placed or queued — packets are
-//     never duplicated or lost by a step.
+//   - packet conservation: delivered + resident + backlogged equals the
+//     number of packets ever placed or injected — packets are never
+//     duplicated or lost by a step.
 //
 // An Update changes no queue, so the clauses read what they would before
 // any Update; a violation returns after the Updates of the nodes before it.
@@ -78,9 +78,9 @@ func (net *Network) checkNode(alg Algorithm, node *Node) error {
 
 // checkConservation checks packet conservation, given the resident count.
 func (net *Network) checkConservation(resident int) error {
-	if got := net.delivered + resident + net.backlogTotal + net.pendingTotal; got != net.total {
-		return fmt.Errorf("sim: invariant: packet conservation violated at step %d: %d delivered + %d resident + %d backlogged + %d pending = %d, want %d",
-			net.step, net.delivered, resident, net.backlogTotal, net.pendingTotal, got, net.total)
+	if got := net.delivered + resident + net.backlogTotal; got != net.total {
+		return fmt.Errorf("sim: invariant: packet conservation violated at step %d: %d delivered + %d resident + %d backlogged = %d, want %d",
+			net.step, net.delivered, resident, net.backlogTotal, got, net.total)
 	}
 	return nil
 }

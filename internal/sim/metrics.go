@@ -25,7 +25,8 @@ type Metrics struct {
 	// link was down or the target node stalled (0 without faults).
 	FaultDrops int
 
-	// Admission accounting (nonzero only for streamed/queued injection).
+	// Admission accounting (nonzero only for a source's injections and
+	// for placements that had to wait).
 	// Offered counts distinct injection requests presented to the
 	// admission phase; Admitted counts those that entered a queue (or were
 	// delivered in place); Refused counts refusal events — one per step a

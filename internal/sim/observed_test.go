@@ -70,7 +70,7 @@ func (r *rescanSink) Step(s obs.StepSample) {
 		r.t.Fatalf("step %d: sample reports on=%d if=%d mq=%d qh=%v, a rescan of occ gives on=%d if=%d mq=%d qh=%v",
 			s.Step, s.OccupiedNodes, s.InFlight, s.MaxQueue, s.QueueHist, nodes, inFlight, maxQueue, hist)
 	}
-	if resident := net.total - net.delivered - net.backlogTotal - net.pendingTotal; inFlight != resident {
+	if resident := net.total - net.delivered - net.backlogTotal; inFlight != resident {
 		r.t.Fatalf("step %d: %d packets in queues, conservation says %d resident", s.Step, inFlight, resident)
 	}
 }
@@ -105,8 +105,12 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 			}
 		}
 		// Late arrivals through the backlog, so nodes fill and empty.
+		src := TimedSource{}
 		for i := 0; i < n*n; i += 3 {
-			net.QueueInjection(net.NewPacket(grid.NodeID(i), grid.NodeID((i*7+5)%(n*n))), 2+i%9)
+			src[2+i%9] = append(src[2+i%9], Injection{Src: grid.NodeID(i), Dst: grid.NodeID((i*7 + 5) % (n * n))})
+		}
+		if err := net.AttachSource(src, AdmitRetry); err != nil {
+			t.Fatal(err)
 		}
 		sink := &rescanSink{t: t, net: net}
 		net.SetMetricsSink(sink)
@@ -119,9 +123,9 @@ func TestStepSampleMatchesRescan(t *testing.T) {
 	}
 }
 
-// TestBacklogAllocatedOnDemand pins that a run whose packets are all placed
-// never allocates the per-node backlog arrays, and that the first queued
-// injection to come due does.
+// TestBacklogAllocatedOnDemand pins that a run whose packets all fit at
+// placement never allocates the per-node backlog arrays, and that the
+// first streamed injection to come due does.
 func TestBacklogAllocatedOnDemand(t *testing.T) {
 	net := buildReversal(t, 8, 2)
 	if _, err := net.Run(nil, greedyXY{}, 30, nil); err != nil {
@@ -138,7 +142,7 @@ func TestBacklogAllocatedOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(net.backlog) != 64 || len(net.inBacklog) != 64 || len(net.backlogHead) != 64 {
-		t.Fatal("backlog state missing after queued injections ran")
+		t.Fatal("backlog state missing after streamed injections ran")
 	}
 }
 

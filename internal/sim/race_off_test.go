@@ -1,7 +1,7 @@
 //go:build !race
 
-package sim_test
+package sim
 
-// raceDetector reports whether the tests run under the race detector, which
-// slows the reference comparison of the n=256 torus about tenfold.
-const raceDetector = false
+// RaceDetector reports whether the tests run under the race detector, which
+// slows a step about tenfold: the largest runs are left out under it.
+const RaceDetector = false

@@ -114,6 +114,12 @@ type refModel struct {
 	pkts    []refPacket      // by PacketID; 0 is no packet
 	step    int
 
+	// occ lists the nodes in the order they became occupied, which is the
+	// order the engine asks them to schedule; a node leaves it when part
+	// (a) finds it empty.
+	occ   []grid.NodeID
+	onOcc []bool
+
 	// The fault schedule and its effect so far: open transient failures
 	// per link, permanently failed links, open stalls per node.
 	events  []fault.Event
@@ -146,6 +152,7 @@ func newRefModel(net *sim.Network, cfg sim.Config, policy sim.AdmissionPolicy) *
 		drop:      policy == sim.AdmitDrop,
 		queues:    make([][]sim.PacketID, n),
 		backlog:   make([][]sim.PacketID, n),
+		onOcc:     make([]bool, n),
 		pkts:      make([]refPacket, 1, net.P.Len()+1),
 		down:      map[refLink]int{},
 		perm:      map[refLink]bool{},
@@ -172,11 +179,11 @@ func (m *refModel) newPacket(inj sim.Injection) sim.PacketID {
 	return sim.PacketID(len(m.pkts) - 1)
 }
 
-// admits is the admission rule: a packet at its destination is delivered
-// in place; any other needs its source awake and, under a central queue, a
-// free slot (the four-inlink origin buffer is unbounded).
+// admits is the admission rule: a stalled source admits nothing; a packet
+// at its destination is delivered in place; any other needs, under a
+// central queue, a free slot (the four-inlink origin buffer is unbounded).
 func (m *refModel) admits(inj sim.Injection) bool {
-	return inj.Src == inj.Dst || !m.stalled(inj.Src) && (m.perInlink || len(m.queues[inj.Src]) < m.k)
+	return !m.stalled(inj.Src) && (inj.Src == inj.Dst || m.perInlink || len(m.queues[inj.Src]) < m.k)
 }
 
 // enter admits packet p at step t, delivering it if it is at its
@@ -192,15 +199,24 @@ func (m *refModel) enter(p sim.PacketID, t int) int {
 	if m.perInlink {
 		rp.qtag = sim.OriginTag
 	}
-	m.queues[rp.src] = append(m.queues[rp.src], p)
+	m.join(rp.src, p)
 	return 0
+}
+
+// join appends p to the node's queue, and the node to occ if it is not on
+// it.
+func (m *refModel) join(id grid.NodeID, p sim.PacketID) {
+	m.queues[id] = append(m.queues[id], p)
+	if !m.onOcc[id] {
+		m.onOcc[id] = true
+		m.occ = append(m.occ, id)
+	}
 }
 
 // admit runs step t's admission: under retry every injection joins its
 // source's backlog, under drop it enters at once or is discarded; then
 // every backlog drains in FIFO order, in ascending node order, until its
-// head is refused. A stalled node admits nothing from its backlog. It
-// returns the number delivered.
+// head is refused. It returns the number delivered.
 func (m *refModel) admit(t int, injs []sim.Injection) (delivered int) {
 	m.offered, m.admitted, m.dropped = len(injs), 0, 0
 	for _, inj := range injs {
@@ -216,7 +232,7 @@ func (m *refModel) admit(t int, injs []sim.Injection) (delivered int) {
 	}
 	waiting := 0
 	for id, bl := range m.backlog {
-		for len(bl) > 0 && !m.stalled(grid.NodeID(id)) && m.admits(sim.Injection{Src: m.pkts[bl[0]].src, Dst: m.pkts[bl[0]].dst}) {
+		for len(bl) > 0 && m.admits(sim.Injection{Src: m.pkts[bl[0]].src, Dst: m.pkts[bl[0]].dst}) {
 			delivered += m.enter(bl[0], t)
 			m.admitted++
 			bl = bl[1:]
@@ -344,16 +360,32 @@ func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals 
 	m.applyFaults(t)
 	delivered = m.admit(t, injs)
 
-	// Part (a): every nonempty node that is not stalled decides once; each
-	// answer must be legal. A legal move onto a failed link is dropped.
-	var moves []sim.Move
-	asked := make([]bool, len(m.queues))
-	for _, sc := range rec.scheds {
-		q := m.queues[sc.node]
-		if len(q) == 0 || asked[sc.node] || m.stalled(sc.node) {
-			return nil, 0, 0, fmt.Errorf("step %d: Schedule asked of node %d (%d residents, asked before: %v, stalled: %v)", t, sc.node, len(q), asked[sc.node], m.stalled(sc.node))
+	// Part (a): every nonempty node that is not stalled decides once, in
+	// occ order; each answer must be legal. A legal move onto a failed link
+	// is dropped.
+	var ask []grid.NodeID
+	w := 0
+	for _, id := range m.occ {
+		if len(m.queues[id]) == 0 {
+			m.onOcc[id] = false
+			continue
 		}
-		asked[sc.node] = true
+		m.occ[w] = id
+		w++
+		if !m.stalled(id) {
+			ask = append(ask, id)
+		}
+	}
+	m.occ = m.occ[:w]
+	if len(rec.scheds) != len(ask) {
+		return nil, 0, 0, fmt.Errorf("step %d: %d nodes asked to schedule, want %d", t, len(rec.scheds), len(ask))
+	}
+	var moves []sim.Move
+	for i, sc := range rec.scheds {
+		q := m.queues[sc.node]
+		if sc.node != ask[i] {
+			return nil, 0, 0, fmt.Errorf("step %d: Schedule call %d asked node %d, want node %d", t, i, sc.node, ask[i])
+		}
 		for d := grid.Dir(0); d < grid.NumDirs; d++ {
 			i := sc.sched[d]
 			if i < 0 {
@@ -377,11 +409,6 @@ func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals 
 				continue
 			}
 			moves = append(moves, sim.Move{P: p, From: sc.node, To: to, Travel: d})
-		}
-	}
-	for id, q := range m.queues {
-		if len(q) > 0 && !asked[id] && !m.stalled(grid.NodeID(id)) {
-			return nil, 0, 0, fmt.Errorf("step %d: node %d holds %d packets but was never asked to schedule", t, id, len(q))
 		}
 	}
 
@@ -446,7 +473,7 @@ func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals 
 			continue
 		}
 		rp.qtag = m.tagOf(a.Travel)
-		m.queues[a.To] = append(m.queues[a.To], a.P)
+		m.join(a.To, a.P)
 	}
 
 	// The policies must not overflow a queue.
@@ -596,21 +623,26 @@ func TestReferenceStep(t *testing.T) {
 		cfg    func(grid.Topology) sim.Config
 		policy dex.Policy
 		faults *fault.Config
-		rate   float64 // Bernoulli arrivals over steps 1..40 on top of the permutation
+		rate   float64 // Bernoulli arrivals over steps 1..40 on top of the placement
 		admit  sim.AdmissionPolicy
+		h      int // place h-h traffic instead of a permutation when > 1
 	}{
-		{"dimorder/mesh8", grid.NewSquareMesh(8), central, routers.DimOrderFIFO{}, nil, 0, sim.AdmitRetry},
-		{"zigzag/torus10", grid.NewSquareTorus(10), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry},
-		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry},
-		{"thm15/torus8", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry},
+		{"dimorder/mesh8", grid.NewSquareMesh(8), central, routers.DimOrderFIFO{}, nil, 0, sim.AdmitRetry, 1},
+		{"zigzag/torus10", grid.NewSquareTorus(10), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry, 1},
+		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry, 1},
+		{"thm15/torus8", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry, 1},
 		// Moves into a stalled node are dropped, deliveries included.
-		{"zigzag/torus12-faults", grid.NewSquareTorus(12), central, routers.ZigZag{FaultAware: true}, stalls, 0, sim.AdmitRetry},
+		{"zigzag/torus12-faults", grid.NewSquareTorus(12), central, routers.ZigZag{FaultAware: true}, stalls, 0, sim.AdmitRetry, 1},
 		// Stalled sources meet arrivals under both policies.
-		{"zigzag/mesh10-retry-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitRetry},
-		{"zigzag/mesh10-drop-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitDrop},
+		{"zigzag/mesh10-retry-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitRetry, 1},
+		{"zigzag/mesh10-drop-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitDrop, 1},
 		// The origin buffer never refuses. (Theorem 15's queue bound
 		// presumes reliable links, so thm15 runs without faults.)
-		{"thm15/torus8-retry", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0.1, sim.AdmitRetry},
+		{"thm15/torus8-retry", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0.1, sim.AdmitRetry, 1},
+		// h-h traffic overflows the central queues at placement: the
+		// overflow waits in the step-0 backlogs, behind stalls too.
+		{"zigzag/mesh8-hh3", grid.NewSquareMesh(8), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry, 3},
+		{"zigzag/mesh8-hh3-faults", grid.NewSquareMesh(8), central, routers.ZigZag{FaultAware: true}, busy, 0, sim.AdmitRetry, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg(tc.topo)
@@ -622,7 +654,7 @@ func TestReferenceStep(t *testing.T) {
 				cfg.Faults = sched
 			}
 			net := sim.MustNew(cfg)
-			placePairs(t, net, workload.Random(tc.topo, 5).Pairs)
+			placePairs(t, net, workload.RandomHH(tc.topo, tc.h, 5).Pairs)
 			if tc.rate > 0 {
 				if err := net.AttachSource(workload.NewBernoulli(tc.topo.N(), tc.rate, 40, 7), tc.admit); err != nil {
 					t.Fatal(err)
@@ -637,6 +669,26 @@ func TestReferenceStep(t *testing.T) {
 			}
 		})
 	}
+
+	// Two backlogs drain in one step into nodes off the occupied list: node
+	// 9's, formed at step 1 behind its stall, and node 3's, formed at step
+	// 3. They enter in ascending node order, whatever order they formed in.
+	t.Run("dimorder/mesh4-wake-order", func(t *testing.T) {
+		topo := grid.NewSquareMesh(4)
+		cfg := central(topo)
+		cfg.Faults = (&fault.Schedule{N: topo.N(), Events: []fault.Event{
+			{Step: 1, Kind: fault.NodeStall, Node: 9, Dir: grid.NoDir},
+			{Step: 3, Kind: fault.NodeWake, Node: 9, Dir: grid.NoDir},
+		}}).Finalize()
+		net := sim.MustNew(cfg)
+		if err := net.AttachSource(sim.TimedSource{1: {{Src: 9, Dst: 0}}, 3: {{Src: 3, Dst: 15}}}, sim.AdmitRetry); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainstReference(t, net, cfg, dex.NewAdapter(routers.DimOrderFIFO{}), 100)
+		if !net.Done() {
+			t.Fatalf("not done after %d steps", net.Step())
+		}
+	})
 
 	paths, err := filepath.Glob("../../testdata/scenarios/*.json")
 	if err != nil {
@@ -653,7 +705,7 @@ func TestReferenceStep(t *testing.T) {
 			continue // smoke has no digest
 		}
 		rows++
-		if raceDetector && spec.N > 64 {
+		if sim.RaceDetector && spec.N > 64 {
 			continue // the n=256 torus takes about a minute under the race detector
 		}
 		t.Run(spec.Name, func(t *testing.T) {
@@ -670,36 +722,37 @@ func TestReferenceStep(t *testing.T) {
 			}
 		})
 	}
-	if rows < 18 {
-		t.Fatalf("found %d scenarios with a digest, want the 18 committed ones", rows)
+	if rows < 19 {
+		t.Fatalf("found %d scenarios with a digest, want the 19 committed ones", rows)
 	}
 }
 
 // FuzzReferenceStep holds the engine to the reference model on a random
 // permutation under a destination-exchangeable router, on a mesh or torus
 // of side 2–10 with queues of 1–4, with Bernoulli arrivals of rate 0–0.35
-// over steps 1..30 under either admission policy, and, for a nonzero fault
-// seed, a schedule of transient link failures and node stalls. Only the
+// over steps 1..30 under either admission policy, h-h placement of up to
+// three packets a node (whose overflow waits in the step-0 backlogs), and,
+// for a nonzero fault seed, a schedule of transient link failures and node stalls. Only the
 // swap-rule policies keep their queue bound under faults
 // (docs/ROBUSTNESS.md), so a faulted case routes with dimension order or,
 // from k=3, fault-aware zigzag.
 func FuzzReferenceStep(f *testing.F) {
-	f.Add(false, uint8(6), uint8(1), uint8(0), int64(1), uint8(0), false, int64(0))
-	f.Add(true, uint8(8), uint8(0), uint8(1), int64(2), uint8(0), false, int64(0))
-	f.Add(false, uint8(7), uint8(3), uint8(2), int64(3), uint8(0), false, int64(0))
-	f.Add(true, uint8(4), uint8(2), uint8(3), int64(4), uint8(0), false, int64(0))
-	f.Add(false, uint8(5), uint8(1), uint8(4), int64(5), uint8(0), false, int64(0))
-	f.Add(false, uint8(6), uint8(0), uint8(1), int64(6), uint8(3), false, int64(6))
-	f.Add(true, uint8(6), uint8(1), uint8(0), int64(7), uint8(4), true, int64(7))
-	f.Add(false, uint8(5), uint8(0), uint8(3), int64(8), uint8(6), false, int64(0))
-	f.Add(true, uint8(5), uint8(3), uint8(2), int64(9), uint8(5), true, int64(9))
+	f.Add(false, uint8(6), uint8(1), uint8(0), int64(1), uint8(0), false, int64(0), uint8(0))
+	f.Add(true, uint8(8), uint8(0), uint8(1), int64(2), uint8(0), false, int64(0), uint8(0))
+	f.Add(false, uint8(7), uint8(3), uint8(2), int64(3), uint8(0), false, int64(0), uint8(0))
+	f.Add(true, uint8(4), uint8(2), uint8(3), int64(4), uint8(0), false, int64(0), uint8(0))
+	f.Add(false, uint8(5), uint8(1), uint8(4), int64(5), uint8(0), false, int64(0), uint8(0))
+	f.Add(false, uint8(6), uint8(0), uint8(1), int64(6), uint8(3), false, int64(6), uint8(2))
+	f.Add(true, uint8(6), uint8(1), uint8(0), int64(7), uint8(4), true, int64(7), uint8(0))
+	f.Add(false, uint8(5), uint8(0), uint8(3), int64(8), uint8(6), false, int64(0), uint8(0))
+	f.Add(true, uint8(5), uint8(3), uint8(2), int64(9), uint8(5), true, int64(9), uint8(1))
 	var names []string
 	for _, name := range routers.Names() {
 		if rspec, _ := routers.Lookup(name); rspec.DestinationExchangeable() {
 			names = append(names, name)
 		}
 	}
-	f.Fuzz(func(t *testing.T, torus bool, nRaw, kRaw, routerRaw uint8, seed int64, rateRaw uint8, drop bool, faultSeed int64) {
+	f.Fuzz(func(t *testing.T, torus bool, nRaw, kRaw, routerRaw uint8, seed int64, rateRaw uint8, drop bool, faultSeed int64, hRaw uint8) {
 		n := 2 + int(nRaw)%9 // 2..10
 		k := 1 + int(kRaw)%4 // 1..4
 		name := names[int(routerRaw)%len(names)]
@@ -732,7 +785,7 @@ func FuzzReferenceStep(f *testing.F) {
 			}
 		}
 		net := sim.MustNew(cfg)
-		placePairs(t, net, workload.Random(topo, seed).Pairs)
+		placePairs(t, net, workload.RandomHH(topo, 1+int(hRaw)%3, seed).Pairs)
 		if rate := float64(rateRaw%8) / 20; rate > 0 {
 			policy := sim.AdmitRetry
 			if drop {

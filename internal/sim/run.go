@@ -14,7 +14,7 @@ import "context"
 // abort ends the run on.
 //
 // Every call opens a fresh watchdog window: steps of an earlier call count
-// as progress. A step that begins with nothing undelivered or pending also
+// as progress. A step that begins with nothing undelivered also
 // counts: an empty network is idle, not livelocked, so the quiet tail of a
 // periodic process before its horizon runs out its steps whatever the
 // watchdog window.
@@ -38,7 +38,7 @@ func (net *Network) Run(ctx context.Context, alg Algorithm, budget int, after fu
 			default:
 			}
 		}
-		if net.delivered == net.total && len(net.pendingInj) == 0 {
+		if net.delivered == net.total {
 			net.lastProgress = net.step + 1
 		}
 		err := net.StepOnce(alg)

@@ -405,13 +405,13 @@ type Config struct {
 	// without a single delivery returns a *LivelockError carrying
 	// structured diagnostics instead of burning the remaining step budget.
 	// Each Run call opens a fresh window, and a step Run begins with
-	// nothing undelivered or pending counts as progress. 0 disables the
+	// nothing undelivered counts as progress. 0 disables the
 	// watchdog.
 	Watchdog int
 }
 
 // Network is a mesh with packets in flight. Create with New, populate with
-// Place/QueueInjection, then drive with Run or StepOnce.
+// Place or AttachSource, then drive with Run or StepOnce.
 type Network struct {
 	// Topo is the topology the network was built on.
 	Topo grid.Topology
@@ -449,13 +449,13 @@ type Network struct {
 	occ       []grid.NodeID
 	total     int
 	delivered int
-	placed    []PacketID // all placed/queued packets, in placement order
+	placed    []PacketID // all placed or injected packets, in placement order
 	snapshot  []Packet   // reused buffer backing Packets()
 
-	pendingInj map[int][]PacketID // injection step -> packets
 	// backlog holds, per node, the packets injected but not yet in a queue.
 	// It, inBacklog and backlogHead are allocated by the first packet that
-	// has to wait (toBacklog): a static run never pays their 29 B/node.
+	// has to wait (toBacklog): a run in which every packet enters at once
+	// never pays their 29 B/node.
 	backlog [][]PacketID
 
 	// Active-backlog tracking: the nodes whose backlog is nonempty, so
@@ -479,9 +479,9 @@ type Network struct {
 	srcErr       error
 
 	// analyzer, when non-nil, observes every packet that materializes in
-	// the run (placements, queued injections, admitted streamed
-	// injections) so congestion/dilation accrue at admission time. Nil
-	// when analysis is off: the hook is one pointer test per admission.
+	// the run (placements and admitted streamed injections) so
+	// congestion/dilation accrue at admission time. Nil when analysis is
+	// off: the hook is one pointer test per admission.
 	analyzer Analyzer
 
 	// Per-step admission counters, reset at the top of the injection
@@ -495,8 +495,6 @@ type Network struct {
 	observer ObserverFn
 	sink     obs.Sink
 
-	// Conservation counters for the invariant checker.
-	pendingTotal int // packets queued for injection, not yet backlogged
 	backlogTotal int // packets in per-source backlogs, not yet in a queue
 
 	// Fault-injection state (allocated only when cfg.Faults is set).
@@ -559,12 +557,11 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := cfg.Topo.N()
 	net := &Network{
-		Topo:       cfg.Topo,
-		K:          cfg.K,
-		Queues:     cfg.Queues,
-		cfg:        cfg,
-		nodes:      make([]Node, n),
-		pendingInj: map[int][]PacketID{},
+		Topo:   cfg.Topo,
+		K:      cfg.K,
+		Queues: cfg.Queues,
+		cfg:    cfg,
+		nodes:  make([]Node, n),
 	}
 	for i := range net.nodes {
 		net.nodes[i].ID = grid.NodeID(i)
@@ -664,21 +661,21 @@ func (net *Network) Packets() []Packet {
 	return out
 }
 
-// TotalPackets returns the number of packets placed or queued for injection.
+// TotalPackets returns the number of packets placed or injected.
 func (net *Network) TotalPackets() int { return net.total }
 
 // DeliveredCount returns the number of packets delivered so far.
 func (net *Network) DeliveredCount() int { return net.delivered }
 
 // Done reports whether the run is quiescent: every materialized packet has
-// been delivered, no injections are still scheduled, and any attached
-// streaming source is exhausted. For open workloads (a live source) Done
+// been delivered (none waits in a backlog) and any attached streaming
+// source is exhausted. For open workloads (a live source) Done
 // stays false until the source dries up and the network drains, so run
 // termination comes from the step budget (the horizon) instead. A source
 // refused by Err never makes the run done.
 func (net *Network) Done() bool {
 	return net.srcErr == nil && (net.source == nil || net.srcExhausted) &&
-		net.delivered == net.total && len(net.pendingInj) == 0
+		net.delivered == net.total
 }
 
 // SetExchange installs the adversary exchange hook.
@@ -760,7 +757,7 @@ func (net *Network) emitEvent(e obs.Event) {
 }
 
 // Analyzer observes every packet that materializes in a run, at the
-// moment it is admitted (placed, queued for injection, or streamed in).
+// moment it is placed or streamed in.
 // internal/analysis.Accumulator implements it to accrue congestion and
 // dilation incrementally; the engine itself never imports the analysis
 // package. Implementations must not allocate if the run is to stay
@@ -776,47 +773,33 @@ func (net *Network) SetAnalyzer(a Analyzer) { net.analyzer = a }
 
 // NewPacket allocates a packet with the next free index, routed from src to
 // dst, in the network's struct-of-arrays store. The packet is not placed;
-// use Place or QueueInjection. The returned PacketID is stable for the life
-// of the network.
+// use Place. The returned PacketID is stable for the life of the network.
 func (net *Network) NewPacket(src, dst grid.NodeID) PacketID {
 	return net.P.add(src, dst)
 }
 
-// Place puts a packet at its source node before the run starts. A packet
-// whose source equals its destination is delivered immediately. Both
-// endpoints must be nodes of the topology, and placement must respect the
-// queue capacity in the central-queue model.
+// Place admits a packet at its source before the run starts, by the rule
+// every later step admits one (admits): a packet at its destination is
+// delivered, any other enters its source's queue if there is room and
+// otherwise waits, FIFO, in the source's backlog, which drains from step 1.
+// Both endpoints must be nodes of the topology.
 func (net *Network) Place(p PacketID) error {
 	if net.step != 0 || net.inited {
 		return errors.New("sim: Place after run started")
 	}
 	st := &net.P
-	for _, v := range [...]grid.NodeID{st.Src[p], st.Dst[p]} {
+	src, dst := st.Src[p], st.Dst[p]
+	for _, v := range [...]grid.NodeID{src, dst} {
 		if v < 0 || int(v) >= len(net.nodes) {
-			return fmt.Errorf("sim: step 0: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, st.Src[p], st.Dst[p], v, len(net.nodes))
+			return fmt.Errorf("sim: step 0: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, src, dst, v, len(net.nodes))
 		}
 	}
-	if net.analyzer != nil {
-		net.analyzer.Admit(st.Src[p], st.Dst[p])
-	}
-	net.placed = append(net.placed, p)
-	net.total++
-	st.At[p] = st.Src[p]
-	if st.Src[p] == st.Dst[p] {
-		st.DeliverStep[p] = 0
-		net.delivered++
-		net.Metrics.noteDelivered(0, 0)
+	net.track(p)
+	if (net.backlog != nil && len(net.backlog[src]) > 0) || !net.admits(src, dst) {
+		net.toBacklog(src, p)
 		return nil
 	}
-	node := &net.nodes[st.Src[p]]
-	tag := OriginTag
-	if net.Queues == CentralQueue {
-		tag = 0
-		if int(node.qLen) >= net.K {
-			return fmt.Errorf("sim: node %v over capacity at placement (K=%d)", net.Topo.CoordOf(st.Src[p]), net.K)
-		}
-	}
-	net.attach(node, p, tag)
+	net.enter(p, 0)
 	return nil
 }
 
@@ -828,24 +811,42 @@ func (net *Network) MustPlace(p PacketID) {
 	}
 }
 
-// QueueInjection schedules a packet to enter the network at the given step
-// (>= 1). The packet waits in an unbounded per-source backlog and enters its
-// source node's queue, in FIFO order, as soon as there is room; the entry
-// time therefore does not depend on the packet's destination, as the
-// dynamic-routing extension in Section 5 requires.
-func (net *Network) QueueInjection(p PacketID, step int) {
-	if step < 1 {
-		step = 1
-	}
-	st := &net.P
+// track enters a materialized packet in the run's books: the analyzer, the
+// placement list and the conservation total.
+func (net *Network) track(p PacketID) {
 	if net.analyzer != nil {
-		net.analyzer.Admit(st.Src[p], st.Dst[p])
+		net.analyzer.Admit(net.P.Src[p], net.P.Dst[p])
 	}
-	st.At[p] = st.Src[p]
 	net.placed = append(net.placed, p)
 	net.total++
-	net.pendingTotal++
-	net.pendingInj[step] = append(net.pendingInj[step], p)
+}
+
+// admits is the one admission rule, for placement, the drop policy and the
+// backlog drain alike: a stalled source admits nothing; otherwise a packet
+// at its destination is delivered in place, and any other needs a free slot
+// in its source's central queue (the four-inlink origin buffer never
+// refuses).
+func (net *Network) admits(src, dst grid.NodeID) bool {
+	return !net.Stalled(src) && (src == dst || net.Queues == PerInlinkQueues || int(net.nodes[src].qLen) < net.K)
+}
+
+// enter admits packet p, which admits allowed, at step t: it is delivered
+// if it is at its destination and otherwise joins its source's central
+// queue or origin buffer.
+func (net *Network) enter(p PacketID, t int) {
+	st := &net.P
+	st.InjectStep[p] = int32(t)
+	if st.Src[p] == st.Dst[p] {
+		st.DeliverStep[p] = int32(t)
+		net.delivered++
+		net.Metrics.noteDelivered(t, t)
+		return
+	}
+	tag := uint8(0)
+	if net.Queues == PerInlinkQueues {
+		tag = OriginTag
+	}
+	net.attach(&net.nodes[st.Src[p]], p, tag)
 }
 
 // minQueueCap is the initial slot-region capacity of a node's queue.

@@ -104,7 +104,7 @@ func TestInjectionFIFO(t *testing.T) {
 	var ps []PacketID
 	for i := 0; i < 4; i++ {
 		p := net.NewPacket(src, topo.ID(grid.XY(7, i)))
-		net.QueueInjection(p, 1)
+		net.MustPlace(p) // k=1: the first enters, the rest wait
 		ps = append(ps, p)
 	}
 	if _, err := net.Run(nil, greedyXY{}, 500, nil); err != nil {

@@ -118,11 +118,23 @@ func TestSelfDeliveredAtPlacement(t *testing.T) {
 	}
 }
 
+// A packet placed at a full central queue does not enter it: it waits in
+// its source's backlog and enters once the queue has room.
 func TestPlacementCapacityEnforced(t *testing.T) {
 	net := newTestNet(t, 4, 1)
 	net.MustPlace(net.NewPacket(0, 5))
-	if err := net.Place(net.NewPacket(0, 6)); err == nil {
-		t.Fatal("placing 2 packets in a k=1 central queue must fail")
+	p := net.NewPacket(0, 6)
+	if err := net.Place(p); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.Node(0).Len(); got != 1 || net.backlogTotal != 1 || net.P.slot[p] != -1 {
+		t.Fatalf("k=1 queue holds %d packets and %d wait; want 1 and 1, the second placed packet waiting", got, net.backlogTotal)
+	}
+	if _, err := net.Run(nil, greedyXY{}, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !net.Done() || net.P.InjectStep[p] < 1 {
+		t.Fatalf("done=%v, second packet entered at step %d; want done and an entry after step 0", net.Done(), net.P.InjectStep[p])
 	}
 }
 
@@ -280,12 +292,12 @@ func TestInjectionWaitsForRoom(t *testing.T) {
 	net := newTestNet(t, 8, 1)
 	m := net.Topo
 	src := m.ID(grid.XY(0, 0))
-	// Occupy the k=1 queue with a resident packet that cannot move North
-	// or East quickly... actually it can; use injections only.
+	// Two packets share a source whose k=1 queue holds one: the second
+	// waits in the backlog.
 	p1 := net.NewPacket(src, m.ID(grid.XY(3, 0)))
 	p2 := net.NewPacket(src, m.ID(grid.XY(0, 3)))
-	net.QueueInjection(p1, 1)
-	net.QueueInjection(p2, 1)
+	net.MustPlace(p1)
+	net.MustPlace(p2)
 	if _, err := net.Run(nil, greedyXY{}, 100, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -69,9 +69,9 @@ const (
 	// AdmitRetry parks refused injections in the node's unbounded FIFO
 	// backlog and retries every step until a slot frees up — the
 	// destination-independent entry discipline of the paper's Section 5
-	// dynamic extension (and of QueueInjection, whose machinery it
-	// reuses). No injection is ever lost; each step a packet waits in the
-	// backlog counts as one refusal.
+	// dynamic extension, which Place applies at step 0. No injection is
+	// ever lost; each step a packet waits in the backlog counts as one
+	// refusal.
 	AdmitRetry AdmissionPolicy = iota
 	// AdmitDrop discards refused injections at arrival time — the
 	// loss-model of the online bounded-buffer setting (Even–Medina–
@@ -84,9 +84,10 @@ const (
 // AttachSource installs a streaming workload on the network, to be pulled
 // once per step by the injection phase, and immediately admits the source's
 // step-0 injections as placements (the degenerate one-shot case): each is
-// placed exactly like Place, so a central-queue overflow at step 0 is an
-// error under AdmitRetry and a counted drop under AdmitDrop. It is an error
-// to attach a source after the run has started or to attach two sources.
+// placed exactly like Place, so an injection that finds no room at step 0
+// waits in its source's backlog under AdmitRetry and is a counted drop
+// under AdmitDrop. It is an error to attach a source after the run has
+// started or to attach two sources.
 //
 // A one-shot source (exhausted at step 0) fixes the whole run before step 1:
 // its buffers are sized once (reserveStatic), and its Next buffer is not
@@ -131,23 +132,24 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	} else {
 		net.injBuf = buf[:0]
 	}
+	waiting := net.backlogTotal
 	for _, inj := range buf {
-		net.Metrics.Offered++
 		if policy == AdmitDrop {
 			if err := net.checkInjection(0, inj); err != nil {
 				return err // under AdmitRetry, Place refuses it
 			}
-			if inj.Src != inj.Dst && net.Queues == CentralQueue && int(net.nodes[inj.Src].qLen) >= net.K {
-				net.Metrics.Refused++
-				net.Metrics.Dropped++
+			if !net.admits(inj.Src, inj.Dst) {
+				net.stepDropped++
 				continue
 			}
 		}
 		if err := net.Place(net.NewPacket(inj.Src, inj.Dst)); err != nil {
 			return err
 		}
-		net.Metrics.Admitted++
 	}
+	net.stepOffered = len(buf)
+	net.stepAdmitted = len(buf) - net.stepDropped - (net.backlogTotal - waiting)
+	net.finishAdmission()
 	return nil
 }
 
@@ -192,28 +194,21 @@ func (net *Network) ReserveInjections(n int) {
 }
 
 // sourcePacket materializes one accepted streamed injection: the packet
-// enters the store, the placement list and the conservation totals, exactly
-// as a QueueInjection packet would.
+// enters the store and the run's books (track).
 func (net *Network) sourcePacket(inj Injection) PacketID {
 	p := net.P.add(inj.Src, inj.Dst)
-	if net.analyzer != nil {
-		net.analyzer.Admit(inj.Src, inj.Dst)
-	}
-	net.placed = append(net.placed, p)
-	net.total++
+	net.track(p)
 	return p
 }
 
 // pullSource asks the attached source for step t's injections and admits
 // them under the configured policy. A pull that names a node outside the
 // topology admits nothing, stops the source and is refused by Run. Under
-// AdmitRetry the injections materialize immediately and join the per-node
-// backlog (behind any QueueInjection packets due this step), to be drained
-// by the normal FIFO admission below; under AdmitDrop each injection is
-// admitted directly if its source queue has room (and the node is not
-// stalled) and discarded — without ever materializing — otherwise.
+// AdmitRetry the injections materialize immediately and join their
+// sources' backlogs, which injectPending then drains in FIFO order; under
+// AdmitDrop each injection the admission rule (admits) lets in enters at
+// once, and any other is discarded without ever materializing.
 func (net *Network) pullSource(t int) {
-	st := &net.P
 	buf := net.source.Next(t, net.injBuf[:0])
 	net.injBuf = buf[:0] // keep the grown capacity for the next pull
 	for _, inj := range buf {
@@ -222,36 +217,16 @@ func (net *Network) pullSource(t int) {
 			return
 		}
 	}
-	net.stepOffered += len(buf)
-	if net.admit == AdmitDrop {
-		for _, inj := range buf {
-			if inj.Src == inj.Dst {
-				p := net.sourcePacket(inj)
-				st.InjectStep[p] = int32(t)
-				st.DeliverStep[p] = int32(t)
-				net.delivered++
-				net.Metrics.noteDelivered(t, t)
-				net.stepAdmitted++
-				continue
-			}
-			node := &net.nodes[inj.Src]
-			if (net.hasFaults && net.stalledCnt[inj.Src] > 0) ||
-				(net.Queues == CentralQueue && int(node.qLen) >= net.K) {
-				net.stepDropped++
-				continue
-			}
-			p := net.sourcePacket(inj)
-			st.InjectStep[p] = int32(t)
-			tag := uint8(0)
-			if net.Queues == PerInlinkQueues {
-				tag = OriginTag
-			}
-			net.attach(node, p, tag)
-			net.stepAdmitted++
-		}
-	} else {
-		for _, inj := range buf {
+	net.stepOffered = len(buf)
+	for _, inj := range buf {
+		switch {
+		case net.admit == AdmitRetry:
 			net.toBacklog(inj.Src, net.sourcePacket(inj))
+		case net.admits(inj.Src, inj.Dst):
+			net.enter(net.sourcePacket(inj), t)
+			net.stepAdmitted++
+		default:
+			net.stepDropped++
 		}
 	}
 	net.srcExhausted = net.source.Exhausted(t)

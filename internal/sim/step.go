@@ -468,23 +468,14 @@ func (net *Network) withinStray(p PacketID, nb grid.NodeID) bool {
 	return c.X >= loX-m && c.X <= hiX+m && c.Y >= loY-m && c.Y <= hiY+m
 }
 
-// injectPending moves due injections into per-node backlogs and drains
-// backlogs into queues where space permits (FIFO, destination-independent).
-// Only nodes on the active-backlog list are visited, so a step on a large
-// mesh with little pending work costs O(active nodes), not O(N). The list
-// is sorted before draining so nodes drain in ascending id order, exactly
-// the order the previous full-scan implementation used.
+// injectPending pulls the step's injections and drains the backlogs into
+// queues by the admission rule (admits), FIFO and destination-independent:
+// a backlog stops at the first packet refused. Only nodes on the
+// active-backlog list are visited, so a step on a large mesh with little
+// pending work costs O(active nodes), not O(N). The list is sorted so that
+// nodes drain in ascending id order.
 func (net *Network) injectPending(t int) {
 	net.stepOffered, net.stepAdmitted, net.stepRefused, net.stepDropped = 0, 0, 0, 0
-	st := &net.P
-	if ps, ok := net.pendingInj[t]; ok {
-		for _, p := range ps {
-			net.toBacklog(st.Src[p], p)
-		}
-		net.pendingTotal -= len(ps)
-		net.stepOffered += len(ps)
-		delete(net.pendingInj, t)
-	}
 	if net.source != nil && !net.srcExhausted {
 		net.pullSource(t)
 	}
@@ -493,52 +484,18 @@ func (net *Network) injectPending(t int) {
 		return
 	}
 	slices.Sort(net.backlogNodes)
+	st := &net.P
 	w := 0
 	for _, id := range net.backlogNodes {
 		bl := net.backlog[id]
-		h := int(net.backlogHead[id])
-		if h >= len(bl) {
-			net.backlog[id] = bl[:0]
-			net.backlogHead[id] = 0
-			net.inBacklog[id] = false
-			continue
-		}
-		// A stalled node admits nothing; its backlog waits with it (and
-		// stays on the active list).
-		if net.hasFaults && net.stalledCnt[id] > 0 {
-			net.backlogNodes[w] = id
-			w++
-			continue
-		}
-		node := &net.nodes[id]
-		for h < len(bl) {
-			p := bl[h]
-			if st.Src[p] == st.Dst[p] {
-				st.At[p] = st.Dst[p]
-				st.InjectStep[p] = int32(t)
-				st.DeliverStep[p] = int32(t)
-				net.delivered++
-				net.Metrics.noteDelivered(t, t)
-				h++
-				net.backlogTotal--
-				net.stepAdmitted++
-				continue
-			}
-			var tag uint8
-			if net.Queues == PerInlinkQueues {
-				tag = OriginTag
-			} else {
-				tag = 0
-				if int(node.qLen) >= net.K {
-					break
-				}
-			}
-			st.InjectStep[p] = int32(t)
-			net.attach(node, p, tag)
+		h0 := int(net.backlogHead[id])
+		h := h0
+		for h < len(bl) && net.admits(id, st.Dst[bl[h]]) {
+			net.enter(bl[h], t)
 			h++
-			net.backlogTotal--
-			net.stepAdmitted++
 		}
+		net.backlogTotal -= h - h0
+		net.stepAdmitted += h - h0
 		if h >= len(bl) {
 			// Fully drained: reset to the slice's base so the retained
 			// capacity is reused by the next refill without allocating.

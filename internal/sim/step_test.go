@@ -37,13 +37,17 @@ func buildDynamic(tb testing.TB, n, k, horizon int) *Network {
 		Queues:         CentralQueue,
 		RequireMinimal: true,
 	})
+	src := TimedSource{}
 	for step := 1; step <= horizon/2; step++ {
 		for id := 0; id < n*n; id++ {
 			if (id+step)%5 == 0 {
 				dst := grid.NodeID((id*17 + step*23) % (n * n))
-				net.QueueInjection(net.NewPacket(grid.NodeID(id), dst), step)
+				src[step] = append(src[step], Injection{Src: grid.NodeID(id), Dst: dst})
 			}
 		}
+	}
+	if err := net.AttachSource(src, AdmitRetry); err != nil {
+		tb.Fatal(err)
 	}
 	return net
 }

@@ -18,7 +18,8 @@ type (
 
 // ReplaySource emits a fixed pair list at one single step — the degenerate
 // streaming workload. At step 0 it reproduces static placement; at a later
-// step it reproduces the one-shot dynamic injection of QueueInjection.
+// step it is a one-shot dynamic injection, whose packets enter through
+// their sources' backlogs.
 type ReplaySource struct {
 	pairs []Pair
 	step  int

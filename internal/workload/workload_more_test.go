@@ -3,33 +3,45 @@ package workload
 import (
 	"testing"
 
+	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 )
 
-func TestHHPlaceRequiresCapacity(t *testing.T) {
+// TestHHPlaceBacklogsOverflow: h-h traffic placed into queues smaller than
+// h does not fail. What does not fit waits in its source's backlog and
+// enters once there is room, so every packet is placed and delivered.
+func TestHHPlaceBacklogsOverflow(t *testing.T) {
 	topo := grid.NewSquareMesh(4)
-	hh := RandomHH(topo, 2, 1)
-	// k=1 central queue cannot hold 2 origin packets per node.
-	small := sim.MustNew(sim.Config{Topo: topo, K: 1, Queues: sim.CentralQueue})
-	if err := hh.Place(small); err == nil {
-		t.Fatal("placing 2-2 traffic into k=1 must fail")
-	}
-	big := sim.MustNew(sim.Config{Topo: topo, K: 2, Queues: sim.CentralQueue})
-	if err := hh.Place(big); err != nil {
-		t.Fatal(err)
-	}
-	if big.TotalPackets() != 32 {
-		t.Fatalf("placed %d", big.TotalPackets())
+	hh := RandomHH(topo, 3, 1)
+	for _, k := range []int{2, 3} {
+		net := sim.MustNew(sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true})
+		if err := hh.Place(net); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if net.TotalPackets() != 48 {
+			t.Fatalf("k=%d: placed %d", k, net.TotalPackets())
+		}
+		waited := net.Metrics.Refused > 0
+		if waited != (k < 3) {
+			t.Fatalf("k=%d: %d packets refused at placement, want some exactly when k < h", k, net.Metrics.Refused)
+		}
+		if _, err := net.Run(nil, dex.NewAdapter(routers.ZigZag{}), 200, nil); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		if !net.Done() {
+			t.Fatalf("k=%d: %d/48 delivered", k, net.DeliveredCount())
+		}
 	}
 }
 
 func TestPlaceErrorPropagates(t *testing.T) {
 	topo := grid.NewSquareMesh(4)
 	net := sim.MustNew(sim.Config{Topo: topo, K: 1, Queues: sim.CentralQueue})
-	p := &Permutation{Pairs: []Pair{{Src: 0, Dst: 5}, {Src: 0, Dst: 6}}}
+	p := &Permutation{Pairs: []Pair{{Src: 0, Dst: 5}, {Src: 0, Dst: 16}}}
 	if err := p.Place(net); err == nil {
-		t.Fatal("double placement on k=1 must fail")
+		t.Fatal("placing a pair outside the topology must fail")
 	}
 }
 

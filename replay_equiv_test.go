@@ -16,26 +16,36 @@ import (
 // admission phase) must reproduce the pre-refactor direct-placement run
 // bit for bit — identical per-packet digests and identical run statistics.
 // The direct net.Place loop below is the raw legacy entry point, unchanged
-// by the refactor, so it is the ground truth.
+// by the refactor, so it is the ground truth. The h-h case (h=4 > k=2)
+// overflows every queue at placement, so its packets wait in the step-0
+// backlog and drain over several steps on both paths.
 func TestReplayEquivalentToDirectPlacement(t *testing.T) {
 	cases := []struct {
-		router string
-		n, k   int
-		seed   int64
+		router  string
+		n, k, h int
+		seed    int64
 	}{
-		{"dimorder", 8, 2, 1},
-		{"dimorder", 12, 4, 7},
-		{"zigzag", 12, 3, 2},
-		{"farthest-first", 8, 2, 3},
+		{"dimorder", 8, 2, 0, 1},
+		{"dimorder", 12, 4, 0, 7},
+		{"zigzag", 12, 3, 0, 2},
+		{"farthest-first", 8, 2, 0, 3},
+		{"dimorder", 8, 2, 4, 9},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s-n%d-k%d-seed%d", tc.router, tc.n, tc.k, tc.seed), func(t *testing.T) {
+		name := fmt.Sprintf("%s-n%d-k%d-seed%d", tc.router, tc.n, tc.k, tc.seed)
+		if tc.h > 0 {
+			name += fmt.Sprintf("-h%d", tc.h)
+		}
+		t.Run(name, func(t *testing.T) {
 			rspec, err := meshroute.LookupRouter(tc.router)
 			if err != nil {
 				t.Fatal(err)
 			}
 			topo := grid.NewSquareMesh(tc.n)
 			perm := workload.Random(topo, tc.seed)
+			if tc.h > 0 {
+				perm = workload.RandomHH(topo, tc.h, tc.seed)
+			}
 			budget := 200 * (tc.n*tc.n/tc.k + 2*tc.n)
 
 			direct := sim.MustNew(rspec.Config(topo, tc.k))
@@ -75,47 +85,5 @@ func TestReplayEquivalentToDirectPlacement(t *testing.T) {
 				t.Errorf("delivered drift: direct %d, replayed %d", a, b)
 			}
 		})
-	}
-}
-
-// TestReplayAtEquivalentToQueueInjection pins the lazy-materialization half
-// of the refactor: a step-1 Replay source must reproduce the legacy
-// QueueInjection path (packets pre-created before the run, drained from the
-// same backlog) exactly, including h-h instances whose load exceeds the
-// queue capacity and therefore exercises multi-step backlog draining.
-func TestReplayAtEquivalentToQueueInjection(t *testing.T) {
-	rspec, err := meshroute.LookupRouter("dimorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n, k = 8, 2
-	topo := grid.NewSquareMesh(n)
-	hh := workload.RandomHH(topo, 4, 9) // h=4 > k=2: forces backlog waits
-	budget := 200 * (n*n/k + 2*n)
-
-	legacy := sim.MustNew(rspec.Config(topo, k))
-	for _, pr := range hh.Pairs {
-		legacy.QueueInjection(legacy.NewPacket(pr.Src, pr.Dst), 1)
-	}
-	if _, err := legacy.Run(nil, rspec.New(), budget, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	streamed := sim.MustNew(rspec.Config(topo, k))
-	if err := streamed.AttachSource(workload.ReplayAt(hh.Pairs, 1), sim.AdmitRetry); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := streamed.Run(nil, rspec.New(), budget, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	if ld, sd := digestNet(legacy), digestNet(streamed); ld != sd {
-		t.Errorf("digest drift: legacy %s, streamed %s", ld, sd)
-	}
-	if a, b := legacy.Metrics.Makespan, streamed.Metrics.Makespan; a != b {
-		t.Errorf("makespan drift: legacy %d, streamed %d", a, b)
-	}
-	if a, b := legacy.DeliveredCount(), streamed.DeliveredCount(); a != b {
-		t.Errorf("delivered drift: legacy %d, streamed %d", a, b)
 	}
 }
