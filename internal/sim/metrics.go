@@ -25,10 +25,9 @@ type Metrics struct {
 	// link was down or the target node stalled (0 without faults).
 	FaultDrops int
 
-	// Admission accounting (nonzero only for a source's injections and
-	// for placements that had to wait).
-	// Offered counts distinct injection requests presented to the
-	// admission phase; Admitted counts those that entered a queue (or were
+	// Admission accounting, over placements (step 0) and a source's
+	// injections. Offered counts distinct injection requests presented to
+	// admission; Admitted counts those that entered a queue (or were
 	// delivered in place); Refused counts refusal events — one per step a
 	// packet waits in a backlog under the retry policy, one per discarded
 	// offer under the drop policy — so Refused/(Admitted+Refused) is the

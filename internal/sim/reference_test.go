@@ -131,8 +131,9 @@ type refModel struct {
 	// Run totals of scheduled moves dropped onto a failed link or into a
 	// stalled node, and of the latter alone.
 	faultDrops, stallDrops int
-	// The last step's admission: offers, entries, refusals (every packet
-	// still waiting plus every discarded offer) and discarded offers.
+	// The last step's admission (before step 1, the placement's): offers,
+	// entries, refusals (every packet still waiting plus every discarded
+	// offer) and discarded offers.
 	offered, admitted, refused, dropped int
 }
 
@@ -164,10 +165,13 @@ func newRefModel(net *sim.Network, cfg sim.Config, policy sim.AdmissionPolicy) *
 	for p := sim.PacketID(1); int(p) <= net.P.Len(); p++ {
 		inj := sim.Injection{Src: net.P.Src[p], Dst: net.P.Dst[p]}
 		m.newPacket(inj)
+		m.offered++
 		if len(m.backlog[inj.Src]) == 0 && m.admits(inj) {
 			m.enter(p, 0)
+			m.admitted++
 		} else {
 			m.backlog[inj.Src] = append(m.backlog[inj.Src], p)
+			m.refused++
 		}
 	}
 	return m
@@ -554,6 +558,9 @@ func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg s
 	model := newRefModel(net, cfg, policy)
 	if err := model.compare(net); err != nil {
 		t.Fatalf("placement: %v", err)
+	}
+	if m := net.Metrics; m.Offered != model.offered || m.Admitted != model.admitted || m.Refused != model.refused {
+		t.Fatalf("placement: offered/admitted/refused %d/%d/%d, model %d/%d/%d", m.Offered, m.Admitted, m.Refused, model.offered, model.admitted, model.refused)
 	}
 	rec := &decisionRecorder{Algorithm: alg}
 	var samples obs.Records

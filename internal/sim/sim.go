@@ -782,7 +782,8 @@ func (net *Network) NewPacket(src, dst grid.NodeID) PacketID {
 // every later step admits one (admits): a packet at its destination is
 // delivered, any other enters its source's queue if there is room and
 // otherwise waits, FIFO, in the source's backlog, which drains from step 1.
-// Both endpoints must be nodes of the topology.
+// Both endpoints must be nodes of the topology. The packet counts as
+// offered, and as admitted or refused, in the step-0 admission metrics.
 func (net *Network) Place(p PacketID) error {
 	if net.step != 0 || net.inited {
 		return errors.New("sim: Place after run started")
@@ -795,11 +796,14 @@ func (net *Network) Place(p PacketID) error {
 		}
 	}
 	net.track(p)
+	net.Metrics.Offered++
 	if (net.backlog != nil && len(net.backlog[src]) > 0) || !net.admits(src, dst) {
 		net.toBacklog(src, p)
+		net.Metrics.Refused++
 		return nil
 	}
 	net.enter(p, 0)
+	net.Metrics.Admitted++
 	return nil
 }
 
@@ -830,9 +834,9 @@ func (net *Network) admits(src, dst grid.NodeID) bool {
 	return !net.Stalled(src) && (src == dst || net.Queues == PerInlinkQueues || int(net.nodes[src].qLen) < net.K)
 }
 
-// enter admits packet p, which admits allowed, at step t: it is delivered
-// if it is at its destination and otherwise joins its source's central
-// queue or origin buffer.
+// enter admits packet p at step t, once admits has allowed it: p is
+// delivered if it is at its destination and otherwise joins its source's
+// central queue or origin buffer.
 func (net *Network) enter(p PacketID, t int) {
 	st := &net.P
 	st.InjectStep[p] = int32(t)

@@ -132,14 +132,16 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 	} else {
 		net.injBuf = buf[:0]
 	}
-	waiting := net.backlogTotal
+	m := &net.Metrics
 	for _, inj := range buf {
 		if policy == AdmitDrop {
 			if err := net.checkInjection(0, inj); err != nil {
 				return err // under AdmitRetry, Place refuses it
 			}
 			if !net.admits(inj.Src, inj.Dst) {
-				net.stepDropped++
+				m.Offered++
+				m.Refused++
+				m.Dropped++
 				continue
 			}
 		}
@@ -147,9 +149,6 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 			return err
 		}
 	}
-	net.stepOffered = len(buf)
-	net.stepAdmitted = len(buf) - net.stepDropped - (net.backlogTotal - waiting)
-	net.finishAdmission()
 	return nil
 }
 
