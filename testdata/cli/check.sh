@@ -2,15 +2,16 @@
 # Diffs the stdout of cmd/lowerbound, of cmd/meshroute on the two dynamic
 # scenario specs, on the smoke spec with -trace -viz and on two flag-built
 # runs, the stdout and stderr of five meshroute -dump-scenario runs (the
-# flag-to-spec mapping and its fingerprint), and the stdout of three
-# examples against the goldens in this directory; any difference fails.
+# flag-to-spec mapping and its fingerprint), and the stdout of cmd/figures
+# and of five examples against the goldens in this directory; any
+# difference fails.
 # Run from the repository root:
 # sh testdata/cli/check.sh
 set -eu
 dir=testdata/cli
 bin=$(mktemp -d)
 trap 'rm -rf "$bin"' EXIT
-go build -o "$bin/" ./cmd/lowerbound ./cmd/meshroute ./examples/quickstart ./examples/adversary ./examples/hhrouting
+go build -o "$bin/" ./cmd/lowerbound ./cmd/meshroute ./cmd/figures ./examples/quickstart ./examples/adversary ./examples/hhrouting ./examples/onalg ./examples/visualize
 check() {
 	golden=$1
 	shift
@@ -43,3 +44,6 @@ check dimorder-n16-k2-random.txt "$bin/meshroute" -router dimorder -n 16 -k 2 -w
 check example-quickstart.txt "$bin/quickstart"
 check example-adversary.txt "$bin/adversary"
 check example-hhrouting.txt "$bin/hhrouting"
+check example-onalg.txt "$bin/onalg"
+check example-visualize.txt "$bin/visualize"
+check figures.txt "$bin/figures"
