@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"meshroute"
+	"meshroute/internal/bounds"
+	"meshroute/internal/grid"
 	"meshroute/internal/scenario"
 )
 
@@ -12,9 +14,10 @@ import (
 // with the analysis knob forced on and checks the congestion+dilation
 // bounds of docs/ANALYSIS.md against the achieved makespan:
 //
-//   - D ≤ makespan always: a delivered packet needs at least its
-//     src→dst distance in steps, and every golden scenario delivers the
-//     packet realizing D.
+//   - D ≤ makespan always (bounds.Distance), D the analyzer's, which must
+//     be the largest src→dst distance of the run's demand: a delivered
+//     packet needs at least that many steps, and the online scenarios
+//     that end with packets in flight run past their farthest one.
 //   - C ≤ makespan for minimal routers on static workloads: every packet
 //     follows some minimal path, and a directed edge carries at most one
 //     packet per step, so the maximum edge load of the realized system —
@@ -57,8 +60,16 @@ func TestGoldenScenariosCDInvariant(t *testing.T) {
 			if st.Congestion <= 0 || st.Dilation <= 0 {
 				t.Fatalf("degenerate analysis C=%d D=%d", st.Congestion, st.Dilation)
 			}
-			if st.Dilation > st.Makespan {
-				t.Fatalf("dilation %d > makespan %d", st.Dilation, st.Makespan)
+			var demand []grid.Pair
+			for _, p := range res.Net.Packets() {
+				demand = append(demand, grid.Pair{Src: p.Src, Dst: p.Dst})
+			}
+			in := bounds.Instance{Topo: res.Net.Topo, Pairs: demand}
+			if lo, _, _ := bounds.Distance.Bound(in); lo != st.Dilation {
+				t.Fatalf("analyzer D=%d, the demand's largest distance %d", st.Dilation, lo)
+			}
+			if err := bounds.Check(in, st.Makespan, bounds.Distance); err != nil {
+				t.Fatal(err)
 			}
 			rspec, rerr := meshroute.LookupRouter(s.Router)
 			if rerr == nil && rspec.Minimal() && !s.Workload.Dynamic() && s.Faults == nil {
@@ -73,15 +84,10 @@ func TestGoldenScenariosCDInvariant(t *testing.T) {
 	}
 }
 
-// scheduledGoldenCDBound pins the constant c of the offline baseline's
-// makespan ≤ c·(C+D) contract over the golden corpus (same constant as
-// the router's own unit tests).
-const scheduledGoldenCDBound = 3
-
 // TestScheduledBoundOnGoldenScenarios replays every static, fault-free
 // golden scenario's workload under the "scheduled" offline baseline and
-// asserts its O(C+D) contract: completion with makespan within
-// scheduledGoldenCDBound·(C+D) of the analyzed workload. Dynamic
+// asserts its O(C+D) contract (bounds.Scheduled): completion with makespan
+// within c·(C+D) of the analyzed workload. Dynamic
 // scenarios are skipped (the router is offline and the scenario layer
 // rejects them); k=1 scenarios run at k=2, the router's minimum for
 // row-phase admission under its reserved-slot rule. For the same reason an
@@ -126,10 +132,9 @@ func TestScheduledBoundOnGoldenScenarios(t *testing.T) {
 			if !st.Done {
 				t.Fatalf("scheduled incomplete: %d/%d delivered in %d steps", st.Delivered, st.Total, st.Steps)
 			}
-			cd := st.Congestion + st.Dilation
-			if st.Makespan > scheduledGoldenCDBound*cd {
-				t.Fatalf("makespan %d > %d·(C+D)=%d (C=%d D=%d)",
-					st.Makespan, scheduledGoldenCDBound, scheduledGoldenCDBound*cd, st.Congestion, st.Dilation)
+			in := bounds.Instance{Topo: res.Net.Topo, K: s.K, H: s.Workload.H, Pairs: res.Net.DeliveredPairs(), Congestion: st.Congestion}
+			if err := bounds.Check(in, st.Makespan, bounds.Scheduled); err != nil {
+				t.Fatalf("%v (C=%d D=%d)", err, st.Congestion, st.Dilation)
 			}
 		})
 	}

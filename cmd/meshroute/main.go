@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"meshroute"
+	"meshroute/internal/bounds"
 	"meshroute/internal/clt"
 	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
@@ -60,7 +61,7 @@ func main() {
 	flag.IntVar(&o.h, "h", 2, "h for the h-h workload")
 	flag.BoolVar(&o.torus, "torus", false, "use a torus instead of a mesh")
 	flag.IntVar(&spec.MaxSteps, "steps", 0, "step budget (0 = automatic)")
-	flag.BoolVar(&o.improved, "improved-q", false, "clt: use the 564n constant")
+	flag.BoolVar(&o.improved, "improved-q", false, fmt.Sprintf("clt: use the %dn constant", bounds.CLTStepsImproved))
 	flag.BoolVar(&o.showViz, "viz", false, "print the occupancy heatmap after n/2 steps; with -trace also the link-traffic map and delivery curve")
 	flag.StringVar(&o.traceFile, "trace", "", "write a JSON-lines step trace to this file")
 	flag.StringVar(&spec.MetricsOut, "metrics-out", "", "write metrics JSONL (per-step samples; clt: phase spans) to this file")
@@ -312,7 +313,8 @@ func runCLT(s *scenario.Spec, o cliOptions) error {
 	if err := s.ValidateWorkload(); err != nil {
 		return err
 	}
-	perm := s.Workload.Permutation(meshroute.NewMesh(s.N))
+	topo := meshroute.NewMesh(s.N)
+	perm := s.Workload.Permutation(topo)
 	if err := perm.Validate(); err != nil {
 		return fmt.Errorf("-router clt -workload %s: the Section 6 router routes permutations only: %w", s.Workload.Kind, err)
 	}
@@ -339,11 +341,12 @@ func runCLT(s *scenario.Spec, o cliOptions) error {
 	if err != nil {
 		return err
 	}
+	_, steps, _ := bounds.Theorem34.Bound(bounds.Instance{Topo: topo, ImprovedQ: o.improved})
 	fmt.Printf("clt (Section 6, Theorem 34) on %d×%d, %d packets\n", s.N, s.N, res.Packets)
 	fmt.Printf("  synchronized schedule: %d steps (%.1f·n; bound %d·n)\n",
-		res.TimeFormula, float64(res.TimeFormula)/float64(s.N), map[bool]int{false: 972, true: 564}[o.improved])
+		res.TimeFormula, float64(res.TimeFormula)/float64(s.N), steps/s.N)
 	fmt.Printf("  measured work steps:   %d\n", res.TimeMeasured)
-	fmt.Printf("  peak node occupancy:   %d (bound 834)\n", res.MaxQueue)
+	fmt.Printf("  peak node occupancy:   %d (bound %d)\n", res.MaxQueue, bounds.CLTQueue)
 	fmt.Printf("  base case steps:       %d, tile iterations: %d\n", res.BaseCaseSteps, res.Iterations)
 	if sink != nil {
 		if err := sink.Close(); err != nil {

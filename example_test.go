@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"meshroute"
+	"meshroute/internal/bounds"
 )
 
 // Route a structured permutation with the Theorem 15 bounded-queue router.
@@ -43,9 +44,12 @@ func ExampleRouteCLT() {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("within972n=%v queueWithin834=%v\n", res.TimeFormula <= 972*n, res.MaxQueue <= 834)
+	in := bounds.Instance{Topo: meshroute.NewMesh(n)}
+	_, steps, _ := bounds.Theorem34.Bound(in)
+	_, queue, _ := bounds.Lemma28.Bound(in)
+	fmt.Printf("schedule within %d: %v, queue within %d: %v\n", steps, res.TimeFormula <= steps, queue, res.MaxQueue <= queue)
 	// Output:
-	// within972n=true queueWithin834=true
+	// schedule within 26244: true, queue within 834: true
 }
 
 // List the built-in routers.

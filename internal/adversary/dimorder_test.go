@@ -3,6 +3,7 @@ package adversary
 import (
 	"testing"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
@@ -135,9 +136,8 @@ func TestDOHardPermutationCompletionThm15(t *testing.T) {
 	if makespan < res.Steps {
 		t.Fatalf("makespan %d below the construction bound %d", makespan, res.Steps)
 	}
-	upper := 20 * (n*n/k + n)
-	if makespan > upper {
-		t.Fatalf("makespan %d way above O(n²/k + n) (sanity cap %d)", makespan, upper)
+	if err := bounds.Check(bounds.Instance{Topo: net.Topo, K: k}, makespan, bounds.Theorem15); err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("n=%d k=%d: lower bound=%d measured=%d upper sanity=%d", n, k, res.Steps, makespan, upper)
+	t.Logf("n=%d k=%d: lower bound=%d measured=%d", n, k, res.Steps, makespan)
 }

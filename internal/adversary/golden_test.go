@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/routers"
@@ -34,7 +35,8 @@ func permChecksum(res *Result) uint64 {
 // construction engine — δ-stray, h-h, identity padding, the torus
 // embedding, the per-inlink queue model — by its permutation checksum and
 // its exchange and undelivered counts. The values were recorded before the
-// three constructions became one engine.
+// three constructions became one engine. The packets a construction run
+// delivers must meet the distance and cut bounds.
 func TestGoldenConstructions(t *testing.T) {
 	thm15 := func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }
 	with := func(c *Construction, err error, set func(*Construction)) (*Construction, error) {
@@ -95,6 +97,10 @@ func TestGoldenConstructions(t *testing.T) {
 			if got := permChecksum(res); got != tc.sum || res.Exchanges != tc.exchanges || res.UndeliveredHard != tc.undeliv {
 				t.Errorf("constructed permutation changed: checksum %#x exchanges %d undelivered %d, recorded %#x %d %d",
 					got, res.Exchanges, res.UndeliveredHard, tc.sum, tc.exchanges, tc.undeliv)
+			}
+			in := bounds.Instance{Topo: res.Net.Topo, Pairs: res.Net.DeliveredPairs()}
+			if err := bounds.Check(in, res.Net.Metrics.Makespan, bounds.Distance, bounds.Cut); err != nil {
+				t.Error(err)
 			}
 		})
 	}

@@ -22,6 +22,8 @@ package adversary
 
 import (
 	"fmt"
+
+	"meshroute/internal/bounds"
 )
 
 // Params holds the integer constants of a construction: Section 4.3's for
@@ -45,8 +47,11 @@ type Params struct {
 
 // Steps returns ⌊l⌋·d·n, the number of steps the construction runs and the
 // lower bound of Theorem 13 on the delivery time of the constructed
-// permutation.
-func (pr Params) Steps() int { return pr.L * pr.DN }
+// permutation (bounds.Theorem13).
+func (pr Params) Steps() int {
+	lo, _, _ := bounds.Theorem13.Bound(bounds.Instance{L: pr.L, DN: pr.DN})
+	return lo
+}
 
 // NewParams computes the constants of Section 4.3 for an n×n mesh with
 // queues of size k. It returns an error when the mesh is too small for the

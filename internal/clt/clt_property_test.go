@@ -32,7 +32,7 @@ func TestQuickPartialPermutations(t *testing.T) {
 			t.Logf("seed %d density %d: %v", seed, density, err)
 			return false
 		}
-		return res.TimeFormula <= 972*n && res.MaxQueue <= 834
+		return withinBounds(n, false, res) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -86,8 +86,8 @@ func TestColumnConvergence(t *testing.T) {
 	}
 	r, res := routePerm(t, n, perm, Config{Verify: true})
 	checkMinimal(t, r)
-	if res.MaxQueue > 834 {
-		t.Fatalf("queue %d", res.MaxQueue)
+	if err := withinBounds(n, false, res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestCornerFlood(t *testing.T) {
 	}
 	r, res := routePerm(t, n, perm, Config{Verify: true})
 	checkMinimal(t, r)
-	if res.TimeFormula > 972*n || res.MaxQueue > 834 {
-		t.Fatalf("bounds violated: %+v", res)
+	if err := withinBounds(n, false, res); err != nil {
+		t.Fatal(err)
 	}
 }

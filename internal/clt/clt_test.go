@@ -2,9 +2,11 @@ package clt
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 	"testing"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/grid"
 	"meshroute/internal/workload"
 )
@@ -21,6 +23,13 @@ func routePerm(t *testing.T, n int, perm *workload.Permutation, cfg Config) (*Ro
 		t.Fatal(err)
 	}
 	return r, res
+}
+
+// withinBounds holds a route on the n×n mesh to Theorem 34's schedule and
+// Lemma 28's queue bound.
+func withinBounds(n int, improved bool, res *Result) error {
+	in := bounds.Instance{Topo: grid.NewSquareMesh(n), ImprovedQ: improved}
+	return errors.Join(bounds.Check(in, res.TimeFormula, bounds.Theorem34), bounds.Check(in, res.MaxQueue, bounds.Lemma28))
 }
 
 // packets returns the packets of r's last Route in id order, gathered from
@@ -142,11 +151,8 @@ func TestRoute27RandomPermutations(t *testing.T) {
 		perm := workload.Random(topo, seed)
 		r, res := routePerm(t, n, perm, Config{Verify: true})
 		checkMinimal(t, r)
-		if res.MaxQueue > 834 {
-			t.Fatalf("queue %d exceeds Lemma 28 bound 834", res.MaxQueue)
-		}
-		if res.TimeFormula > 972*n {
-			t.Fatalf("formula time %d exceeds Theorem 34 bound %d", res.TimeFormula, 972*n)
+		if err := withinBounds(n, false, res); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -176,11 +182,8 @@ func TestRoute81(t *testing.T) {
 	} {
 		r, res := routePerm(t, n, perm, Config{})
 		checkMinimal(t, r)
-		if res.MaxQueue > 834 {
-			t.Fatalf("queue %d exceeds 834", res.MaxQueue)
-		}
-		if res.TimeFormula > 972*n {
-			t.Fatalf("formula time %d exceeds %d", res.TimeFormula, 972*n)
+		if err := withinBounds(n, false, res); err != nil {
+			t.Fatal(err)
 		}
 		if res.Iterations != 2 {
 			t.Fatalf("n=81 should run 2 tile iterations, got %d", res.Iterations)
@@ -192,8 +195,8 @@ func TestImprovedQBound(t *testing.T) {
 	n := 81
 	perm := workload.Random(grid.NewSquareMesh(n), 7)
 	_, res := routePerm(t, n, perm, Config{ImprovedQ: true})
-	if res.TimeFormula > 564*n {
-		t.Fatalf("improved-q formula time %d exceeds 564n = %d", res.TimeFormula, 564*n)
+	if err := withinBounds(n, true, res); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -274,16 +277,9 @@ func assertTheorem34(t *testing.T, n int) {
 	} {
 		for _, improved := range []bool{false, true} {
 			r, res := routePerm(t, n, w.perm, Config{ImprovedQ: improved})
-			bound := 972 * n
-			if improved {
-				bound = 564 * n
-			}
-			if res.TimeFormula > bound || res.TimeMeasured > res.TimeFormula {
-				t.Errorf("n=%d %s improved=%v: schedule %d (measured %d), Theorem 34 allows %d",
-					n, w.name, improved, res.TimeFormula, res.TimeMeasured, bound)
-			}
-			if res.MaxQueue > 834 {
-				t.Errorf("n=%d %s improved=%v: %d packets in one node, Lemma 28 allows 834", n, w.name, improved, res.MaxQueue)
+			if err := withinBounds(n, improved, res); err != nil || res.TimeMeasured > res.TimeFormula {
+				t.Errorf("n=%d %s improved=%v: schedule %d, measured %d: %v",
+					n, w.name, improved, res.TimeFormula, res.TimeMeasured, err)
 			}
 			checkMinimal(t, r)
 			t.Logf("n=%d %s improved=%v: schedule %d (%.1f·n), measured %d, peak queue %d",

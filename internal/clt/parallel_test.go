@@ -162,14 +162,14 @@ func TestScheduleClosedForm(t *testing.T) {
 		}
 		perm := &workload.Permutation{Pairs: []workload.Pair{{Src: 0, Dst: grid.NodeID(n*n - 1)}}}
 		for _, improved := range []bool{false, true} {
-			q1, bound := QBase, 972*n
+			q1 := QBase
 			if improved {
-				q1, bound = QImproved, 564*n
+				q1 = QImproved
 			}
 			_, res := routePerm(t, n, perm, Config{ImprovedQ: improved})
-			if want := schedule(J, QBase, q1); res.TimeFormula != want || want > bound {
-				t.Errorf("n=%d improved=%v: schedule %d, closed form %d, Theorem 34 allows %d",
-					n, improved, res.TimeFormula, want, bound)
+			err := withinBounds(n, improved, res)
+			if want := schedule(J, QBase, q1); res.TimeFormula != want || err != nil {
+				t.Errorf("n=%d improved=%v: schedule %d, closed form %d: %v", n, improved, res.TimeFormula, want, err)
 			}
 		}
 	}

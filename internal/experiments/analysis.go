@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/stats"
@@ -67,6 +68,6 @@ func E16(opts Options) (*Report, error) {
 		}
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"scheduled worst cd_ratio %.2f (its makespan ≤ c·(C+D) contract; pinned c=3 in internal/routers)", worstScheduled))
+		"scheduled worst cd_ratio %.2f (its makespan ≤ c·(C+D) contract; pinned c=%d in internal/routers)", worstScheduled, bounds.ScheduledC))
 	return rep, nil
 }

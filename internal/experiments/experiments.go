@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"meshroute/internal/adversary"
+	"meshroute/internal/bounds"
 	"meshroute/internal/clt"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
@@ -328,8 +329,8 @@ func E4(opts Options) (*Report, error) {
 		if !st.Done {
 			return nil, fmt.Errorf("E4: incomplete n=%d k=%d %s", n, k, s.Workload.Kind)
 		}
-		bound := float64(n*n)/float64(k) + float64(n)
-		return []any{n, k, s.Workload.Kind, st.Makespan, float64(st.Makespan) / bound, st.MaxQueue}, nil
+		_, hi, _ := bounds.Theorem15.Bound(bounds.Instance{Topo: grid.NewSquareMesh(n), K: k})
+		return []any{n, k, s.Workload.Kind, st.Makespan, float64(st.Makespan) / float64(hi/bounds.Theorem15C), st.MaxQueue}, nil
 	})
 }
 
@@ -338,8 +339,10 @@ func E5(opts Options) (*Report, error) {
 	rep := &Report{
 		ID:    "E5",
 		Title: "Theorem 34: Section 6 O(n)-time O(1)-queue minimal adaptive algorithm",
-		Table: stats.NewTable("n", "workload", "schedule", "schedule/n", "972n?", "measured", "maxQ", "Q<=834?"),
-		Notes: []string{"schedule/n is the Theorem 34 constant; the paper proves <= 972 (564 with the improved q, see A2)"},
+		Table: stats.NewTable("n", "workload", "schedule", "schedule/n", fmt.Sprintf("%dn?", bounds.CLTSteps), "measured", "maxQ",
+			fmt.Sprintf("Q<=%d?", bounds.CLTQueue)),
+		Notes: []string{fmt.Sprintf("schedule/n is the Theorem 34 constant; the paper proves <= %d (%d with the improved q, see A2)",
+			bounds.CLTSteps, bounds.CLTStepsImproved)},
 	}
 	ns := []int{27, 81}
 	if !opts.Quick {
@@ -357,17 +360,19 @@ func E5(opts Options) (*Report, error) {
 		}
 	}
 	return table(opts, rep, cells, func(s *scenario.Spec) ([]any, error) {
-		n := s.N
+		n, topo := s.N, grid.NewSquareMesh(s.N)
 		r, err := clt.New(clt.Config{N: n})
 		if err != nil {
 			return nil, err
 		}
-		res, err := r.Route(s.Workload.Permutation(grid.NewSquareMesh(n)))
+		res, err := r.Route(s.Workload.Permutation(topo))
 		if err != nil {
 			return nil, fmt.Errorf("E5 n=%d %s: %w", n, s.Workload.Kind, err)
 		}
+		in := bounds.Instance{Topo: topo}
 		return []any{n, s.Workload.Kind, res.TimeFormula, float64(res.TimeFormula) / float64(n),
-			res.TimeFormula <= 972*n, res.TimeMeasured, res.MaxQueue, res.MaxQueue <= 834}, nil
+			bounds.Check(in, res.TimeFormula, bounds.Theorem34) == nil, res.TimeMeasured, res.MaxQueue,
+			bounds.Check(in, res.MaxQueue, bounds.Lemma28) == nil}, nil
 	})
 }
 
@@ -484,7 +489,8 @@ func E9(opts Options) (*Report, error) {
 		Notes: []string{
 			fmt.Sprintf("Theorem 13 bound = %d steps; the dex minimal router cannot beat it — and in fact wedges far above it", bound),
 			"the escapes are asymptotic: the dex bound grows as n²/k² (E1 fit ≈ 2) while the Section 6 schedule",
-			fmt.Sprintf("grows as 972n (E5); with the paper's constants the crossover sits near n ≈ 972·12(k+2)² ≈ %d, far", 972*12*(k+2)*(k+2)),
+			fmt.Sprintf("grows as %[1]dn (E5); with the paper's constants the crossover sits near n ≈ %[1]d·12(k+2)² ≈ %[2]d, far",
+				bounds.CLTSteps, bounds.CLTSteps*12*(k+2)*(k+2)),
 			"beyond simulable sizes — the paper's own constants, honestly reproduced",
 			"hatch 3 (randomization) is out of scope for this deterministic reproduction",
 		},
@@ -687,7 +693,7 @@ func A1(opts Options) (*Report, error) {
 func A2(opts Options) (*Report, error) {
 	rep := &Report{
 		ID:    "A2",
-		Title: "Ablation: Section 6 March capacity q = 408 vs improved q = 102 (564n variant)",
+		Title: fmt.Sprintf("Ablation: Section 6 March capacity q = 408 vs improved q = 102 (%dn variant)", bounds.CLTStepsImproved),
 		Table: stats.NewTable("n", "q-variant", "schedule", "schedule/n", "maxQ"),
 	}
 	ns := []int{27, 81}
@@ -710,9 +716,9 @@ func A2(opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("A2 n=%d improved=%v: %w", n, cfg.ImprovedQ, err)
 		}
-		name := "q=408 (972n)"
+		name := fmt.Sprintf("q=408 (%dn)", bounds.CLTSteps)
 		if cfg.ImprovedQ {
-			name = "q=102 for j>=1 (564n)"
+			name = fmt.Sprintf("q=102 for j>=1 (%dn)", bounds.CLTStepsImproved)
 		}
 		return []any{n, name, res.TimeFormula, float64(res.TimeFormula) / float64(n), res.MaxQueue}, nil
 	})

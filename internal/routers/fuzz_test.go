@@ -3,6 +3,7 @@ package routers
 import (
 	"testing"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
@@ -11,9 +12,11 @@ import (
 
 // FuzzRouteRandomPermutation routes a seeded random permutation with a
 // fuzz-chosen router and mesh size and asserts the engine invariants:
-// delivery completeness within the step budget for the guaranteed routers,
-// minimality, and queue bounds. Run with `go test -fuzz=FuzzRoute` for a
-// proper fuzzing session; the seed corpus runs under plain `go test`.
+// delivery completeness within the step budget and Theorem 15's makespan
+// for the guaranteed router, minimality, queue bounds, and the distance
+// and cut bounds on the packets delivered. Run with `go test
+// -fuzz=FuzzRoute` for a proper fuzzing session; the seed corpus runs
+// under plain `go test`.
 func FuzzRouteRandomPermutation(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(8), uint8(1))
 	f.Add(int64(2), uint8(1), uint8(12), uint8(2))
@@ -59,8 +62,16 @@ func FuzzRouteRandomPermutation(f *testing.F) {
 		if _, err := net.Run(nil, alg, 500*n*n, nil); err != nil {
 			t.Fatalf("engine invariant violated: %v", err)
 		}
-		if guaranteed && !net.Done() {
-			t.Fatalf("thm15 must deliver: %d/%d", net.DeliveredCount(), net.TotalPackets())
+		in := bounds.Instance{Topo: topo, K: k, Pairs: net.DeliveredPairs()}
+		rows := []*bounds.Row{bounds.Distance, bounds.Cut}
+		if guaranteed {
+			if !net.Done() {
+				t.Fatalf("thm15 must deliver: %d/%d", net.DeliveredCount(), net.TotalPackets())
+			}
+			rows = append(rows, bounds.Theorem15)
+		}
+		if err := bounds.Check(in, net.Metrics.Makespan, rows...); err != nil {
+			t.Fatal(err)
 		}
 		for _, p := range net.Packets() {
 			if p.Delivered() && p.Hops != net.Topo.Dist(p.Src, p.Dst) {

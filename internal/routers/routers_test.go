@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
@@ -169,11 +170,8 @@ func TestThm15RoutesRandomPermutations(t *testing.T) {
 			perm := workload.Random(grid.NewSquareMesh(n), int64(n*10+k))
 			net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), k), dex.NewAdapter(Thm15{}), perm, 200*n*n)
 			checkMinimalPaths(t, net)
-			// Theorem 15 time bound with a generous constant.
-			bound := 20 * (n*n/k + 2*n)
-			if net.Metrics.Makespan > bound {
-				t.Fatalf("n=%d k=%d: makespan %d exceeds O(n^2/k + n) sanity bound %d",
-					n, k, net.Metrics.Makespan, bound)
+			if err := bounds.Check(bounds.Instance{Topo: net.Topo, K: k}, net.Metrics.Makespan, bounds.Theorem15); err != nil {
+				t.Fatalf("n=%d k=%d: %v", n, k, err)
 			}
 		}
 	}

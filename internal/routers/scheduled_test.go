@@ -4,16 +4,11 @@ import (
 	"testing"
 
 	"meshroute/internal/analysis"
+	"meshroute/internal/bounds"
 	"meshroute/internal/grid"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
-
-// scheduledCDBound is the pinned constant c for the offline baseline's
-// makespan ≤ c·(C+D) guarantee on the workloads below (the Rothvoß
-// schedule is O(C+D); this is the observed constant with headroom, and a
-// regression that slows the replay past it fails here).
-const scheduledCDBound = 3
 
 func runScheduled(t *testing.T, topo grid.Topology, k int, perm *workload.Permutation, maxSteps int) (*sim.Network, *Scheduled) {
 	t.Helper()
@@ -36,7 +31,8 @@ func runScheduled(t *testing.T, topo grid.Topology, k int, perm *workload.Permut
 
 // TestScheduledRoutesWithinCDBound routes structured and random
 // workloads to completion and asserts the O(C+D) contract: makespan at
-// most scheduledCDBound·(C+D), minimal paths, queues within k.
+// least the largest distance and at most c·(C+D) (bounds.Distance and
+// bounds.Scheduled), minimal paths, queues within k.
 func TestScheduledRoutesWithinCDBound(t *testing.T) {
 	type tc struct {
 		name string
@@ -68,13 +64,9 @@ func TestScheduledRoutesWithinCDBound(t *testing.T) {
 			if net.Metrics.MaxQueueLen > k {
 				t.Fatalf("%s n=%d k=%d: queue %d > k", c.name, n, k, net.Metrics.MaxQueueLen)
 			}
-			res := alg.Result()
-			if cd := res.CD(); net.Metrics.Makespan > scheduledCDBound*cd {
-				t.Fatalf("%s n=%d k=%d: makespan %d > %d·(C+D)=%d (C=%d D=%d)",
-					c.name, n, k, net.Metrics.Makespan, scheduledCDBound, scheduledCDBound*cd, res.Congestion, res.Dilation)
-			}
-			if net.Metrics.Makespan < res.Dilation {
-				t.Fatalf("%s n=%d k=%d: makespan %d below dilation %d — impossible", c.name, n, k, net.Metrics.Makespan, res.Dilation)
+			in := bounds.Instance{Topo: c.topo, K: k, Pairs: c.perm.Pairs, Congestion: alg.Result().Congestion}
+			if err := bounds.Check(in, net.Metrics.Makespan, bounds.Scheduled, bounds.Distance); err != nil {
+				t.Fatalf("%s n=%d k=%d: %v", c.name, n, k, err)
 			}
 		}
 	}
@@ -125,8 +117,9 @@ func TestScheduledSeedsDiffer(t *testing.T) {
 		if !net.Done() {
 			t.Fatal("packets undelivered at the step budget")
 		}
-		if cd := alg.Result().CD(); net.Metrics.Makespan > scheduledCDBound*cd {
-			t.Fatalf("seed %d: makespan %d > %d·(C+D)", seed, net.Metrics.Makespan, scheduledCDBound)
+		in := bounds.Instance{Topo: topo, K: 2, Pairs: perm.Pairs, Congestion: alg.Result().Congestion}
+		if err := bounds.Check(in, net.Metrics.Makespan, bounds.Scheduled); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"meshroute"
+	"meshroute/internal/bounds"
 	"meshroute/internal/fleet"
 	"meshroute/internal/obs"
 	"meshroute/internal/scenario"
@@ -39,7 +40,8 @@ type baseline struct {
 // again. A column starts a row and returns the check that holds it to the
 // row's baseline: an in-process server, a server coordinating two workers
 // (one is closed after the first row), the facade and the coordinator
-// itself. The servers are POSTed a committed spec's file bytes as they
+// itself. The baseline's delivered packets must meet the distance and cut
+// bounds. The servers are POSTed a committed spec's file bytes as they
 // are; the coordinator must complete a cell on a live worker, on its first
 // attempt while both are up. Once every row has run, each server is
 // resubmitted the done row, which must come from the cache and, through
@@ -210,7 +212,8 @@ func surfaceRows(t *testing.T) (rows []surfaceRow) {
 }
 
 // runDirect is the baseline: spec run by a scenario.Runner writing
-// -metrics-out, with an obs.Counters and an obs.EventLog as its sink.
+// -metrics-out, with an obs.Counters and an obs.EventLog as its sink. The
+// packets the run delivers must meet the distance and cut bounds.
 func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 	direct := *spec
 	direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
@@ -223,6 +226,10 @@ func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 	file, err := os.ReadFile(direct.MetricsOut)
 	if err != nil || !bytes.Equal(events.Bytes(), file) || spec.Analysis && !bytes.Contains(file, []byte(`{"t":"run"`)) {
 		t.Fatalf("metrics file (%v): %d bytes, the event log's %d; an analyzed run must end on a run line", err, len(file), len(events.Bytes()))
+	}
+	in := bounds.Instance{Topo: res.Net.Topo, Pairs: res.Net.DeliveredPairs()}
+	if err := bounds.Check(in, res.Net.Metrics.Makespan, bounds.Distance, bounds.Cut); err != nil {
+		t.Error(err)
 	}
 	return baseline{res.Outcome(), file, counters.Totals()}
 }

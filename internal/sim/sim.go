@@ -661,6 +661,18 @@ func (net *Network) Packets() []Packet {
 	return out
 }
 
+// DeliveredPairs returns the source and destination of every packet
+// delivered so far, in placement order: the demand the run has met.
+func (net *Network) DeliveredPairs() []grid.Pair {
+	var out []grid.Pair
+	for _, p := range net.placed {
+		if net.P.DeliverStep[p] >= 0 {
+			out = append(out, grid.Pair{Src: net.P.Src[p], Dst: net.P.Dst[p]})
+		}
+	}
+	return out
+}
+
 // TotalPackets returns the number of packets placed or injected.
 func (net *Network) TotalPackets() int { return net.total }
 

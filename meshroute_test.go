@@ -1,7 +1,10 @@
 package meshroute
 
 import (
+	"errors"
 	"testing"
+
+	"meshroute/internal/bounds"
 )
 
 func TestRouteAllRoutersRandom(t *testing.T) {
@@ -72,8 +75,9 @@ func TestRouteCLTPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TimeFormula > 972*n || res.MaxQueue > 834 {
-		t.Fatalf("Theorem 34 bounds violated: %+v", res)
+	in := bounds.Instance{Topo: NewMesh(n)}
+	if err := errors.Join(bounds.Check(in, res.TimeFormula, bounds.Theorem34), bounds.Check(in, res.MaxQueue, bounds.Lemma28)); err != nil {
+		t.Fatal(err)
 	}
 }
 
