@@ -185,6 +185,13 @@ func TestValidate(t *testing.T) {
 			s.Router = "scheduled"
 			s.Workload = Workload{Kind: KindOnline, Process: ProcessPeriodic, Horizon: 40}
 		}, "router"},
+		{"scheduled at k = 1", func(s *Spec) { s.Router, s.K = "scheduled", 1 }, "k"},
+		{"scheduled at k = h", func(s *Spec) {
+			s.Router, s.K, s.Workload = "scheduled", 3, Workload{Kind: KindHH, H: 3}
+		}, "k"},
+		{"scheduled at k = a pairs source's count", func(s *Spec) {
+			s.Router, s.Workload = "scheduled", Workload{Kind: KindPairs, Pairs: []workload.Pair{{Src: 5, Dst: 1}, {Src: 5, Dst: 2}}}
+		}, "k"},
 		{"offline router on per-inlink queues", func(s *Spec) {
 			s.Router = "scheduled"
 			s.Queues = QueuesPerInlink

@@ -25,6 +25,7 @@ import (
 	"os"
 
 	"meshroute/internal/analysis"
+	"meshroute/internal/bounds"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
 	"meshroute/internal/routers"
@@ -264,6 +265,22 @@ func (s *Spec) Validate() error {
 	}
 	if rspec.Offline && s.Workload.Dynamic() {
 		return invalid("router", "router %q is offline (precomputes its schedule before step 1) and cannot run the dynamic workload kind %q", s.Router, s.Workload.Kind)
+	}
+	if s.Router == routers.NameScheduled {
+		h := 1 // the most packets the workload places at one source
+		switch w := s.Workload; w.Kind {
+		case KindHH:
+			h = w.H
+		case KindPairs:
+			count := map[grid.NodeID]int{}
+			for _, p := range w.Pairs {
+				count[p.Src]++
+				h = max(h, count[p.Src])
+			}
+		}
+		if _, _, ok := bounds.Scheduled.Bound(bounds.Instance{K: s.K, H: h}); !ok {
+			return invalid("k", "router %q reserves each queue's last slot for vertical traffic, so it needs k > h, the most packets one source places; k=%d, h=%d", s.Router, s.K, h)
+		}
 	}
 	if s.Watchdog < 0 {
 		return invalid("watchdog", "negative window %d", s.Watchdog)
