@@ -12,6 +12,7 @@ import (
 	"meshroute/internal/clt"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
@@ -107,9 +108,9 @@ type cell struct {
 	run  func() (stats, error)
 }
 
-func dimOrder() sim.Algorithm { return dex.NewAdapter(routers.DimOrderFIFO{}) }
-func zigzag() sim.Algorithm   { return dex.NewAdapter(routers.ZigZag{}) }
-func thm15() sim.Algorithm    { return dex.NewAdapter(routers.Thm15{}) }
+func dimOrder() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }
+func zigzag() sim.Algorithm   { return dex.NewAdapter(policies.ZigZag{}) }
+func thm15() sim.Algorithm    { return dex.NewAdapter(policies.Thm15{}) }
 
 // specCell executes a scenario spec and reports makespan and peak queue;
 // sim-engine cells go through the scenario layer, same as the CLIs and the
@@ -285,7 +286,7 @@ func cells() []cell {
 			if err != nil {
 				return stats{}, err
 			}
-			res, err := c.Run(dex.NewAdapter(routers.StrayDimOrder{Delta: 0}))
+			res, err := c.Run(dex.NewAdapter(policies.StrayDimOrder{Delta: 0}))
 			if err != nil {
 				return stats{}, err
 			}

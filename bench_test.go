@@ -20,6 +20,7 @@ import (
 	"meshroute/internal/experiments"
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
@@ -236,7 +237,7 @@ func BenchmarkE10NonminimalDelta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		alg := func() sim.Algorithm { return meshroute.NewDexAdapter(routers.StrayDimOrder{Delta: 1}) }
+		alg := func() sim.Algorithm { return meshroute.NewDexAdapter(policies.StrayDimOrder{Delta: 1}) }
 		res, err := c.Run(alg())
 		if err != nil {
 			b.Fatal(err)

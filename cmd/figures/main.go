@@ -21,9 +21,7 @@ import (
 
 	"meshroute/internal/adversary"
 	"meshroute/internal/clt"
-	"meshroute/internal/dex"
 	"meshroute/internal/routers"
-	"meshroute/internal/sim"
 )
 
 func main() {
@@ -40,7 +38,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err = c.Run(dex.NewAdapter(routers.DimOrderFIFO{}))
+		dimorder, _ := routers.Lookup(routers.NameDimOrder)
+		res, err = c.Run(dimorder.New())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -80,7 +79,6 @@ func main() {
 		fmt.Println("== Figure 7: subphases ==")
 		fmt.Print(clt.SubphaseSequence())
 	}
-	_ = sim.CentralQueue
 }
 
 func figure3() string {

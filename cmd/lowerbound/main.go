@@ -23,7 +23,7 @@ import (
 
 	"meshroute"
 	"meshroute/internal/adversary"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
@@ -64,7 +64,7 @@ func main() {
 		newC = func(n, k int) (*adversary.Construction, error) { return adversary.NewDeltaConstruction(n, k, *delta) }
 		spec, _ = meshroute.LookupRouter(meshroute.RouterStray)
 		d := *delta
-		spec.New = func() sim.Algorithm { return meshroute.NewDexAdapter(routers.StrayDimOrder{Delta: d}) }
+		spec.New = func() sim.Algorithm { return meshroute.NewDexAdapter(policies.StrayDimOrder{Delta: d}) }
 	case "ff":
 		newC = adversary.NewFFConstruction
 		spec, _ = meshroute.LookupRouter(meshroute.RouterFarthestFirst)

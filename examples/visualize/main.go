@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"meshroute"
-	"meshroute/internal/dex"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/trace"
@@ -44,14 +43,15 @@ func main() {
 
 func run(title string, topo meshroute.Topology, k int, perm *meshroute.Permutation) {
 	n := topo.Width()
-	net := sim.MustNew(routers.Thm15Config(topo, k))
+	thm15, _ := routers.Lookup(routers.NameThm15)
+	net := sim.MustNew(thm15.Config(topo, k))
 	if err := perm.Place(net); err != nil {
 		log.Fatal(err)
 	}
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
 	rec.Attach(net)
-	alg := dex.NewAdapter(routers.Thm15{})
+	alg := thm15.New()
 
 	fmt.Printf("=== %s ===\n", title)
 	snapshot := func(net *sim.Network, step int) {

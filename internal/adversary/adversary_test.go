@@ -5,7 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -119,8 +119,8 @@ func TestRosterIsValidPartialPermutation(t *testing.T) {
 	}
 }
 
-func dimOrderFactory() sim.Algorithm { return dex.NewAdapter(routers.DimOrderFIFO{}) }
-func zigzagFactory() sim.Algorithm   { return dex.NewAdapter(routers.ZigZag{}) }
+func dimOrderFactory() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }
+func zigzagFactory() sim.Algorithm   { return dex.NewAdapter(policies.ZigZag{}) }
 
 // The construction must run to its full length with every lemma holding,
 // and leave hard packets undelivered (Corollary 9).

@@ -4,12 +4,12 @@ import (
 	"testing"
 
 	"meshroute/internal/dex"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
 func strayFactory(delta int) func() sim.Algorithm {
-	return func() sim.Algorithm { return dex.NewAdapter(routers.StrayDimOrder{Delta: delta}) }
+	return func() sim.Algorithm { return dex.NewAdapter(policies.StrayDimOrder{Delta: delta}) }
 }
 
 func TestDeltaParams(t *testing.T) {

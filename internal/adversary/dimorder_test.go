@@ -5,7 +5,7 @@ import (
 
 	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -85,7 +85,7 @@ func TestDOReplayEquivalence(t *testing.T) {
 // The Theorem 15 router is destination-exchangeable dimension order, so the
 // Section 5 construction applies to it too (with four queues of size k).
 func TestDOConstructionAgainstThm15(t *testing.T) {
-	thm15 := func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }
+	thm15 := func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }
 	// Four incoming queues of size k behave like a central queue of size
 	// 4k (Section 5, "Other Queue Types"), plus one origin packet.
 	c, err := NewDOConstruction(90, 4*1+1)
@@ -111,7 +111,7 @@ func TestDOConstructionAgainstThm15(t *testing.T) {
 // small multiple of n²/k.
 func TestDOHardPermutationCompletionThm15(t *testing.T) {
 	n, k := 90, 1
-	thm15 := func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }
+	thm15 := func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }
 	c, err := NewDOConstruction(n, 4*k+1)
 	if err != nil {
 		t.Fatal(err)

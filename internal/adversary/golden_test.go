@@ -7,7 +7,7 @@ import (
 	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
@@ -38,7 +38,7 @@ func permChecksum(res *Result) uint64 {
 // three constructions became one engine. The packets a construction run
 // delivers must meet the distance and cut bounds.
 func TestGoldenConstructions(t *testing.T) {
-	thm15 := func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }
+	thm15 := func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }
 	with := func(c *Construction, err error, set func(*Construction)) (*Construction, error) {
 		if err == nil {
 			set(c)

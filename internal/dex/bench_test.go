@@ -5,7 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
@@ -28,7 +28,7 @@ func nodeStep() func() {
 	for _, o := range offers {
 		net.MustPlace(o.P)
 	}
-	a, n, acc := dex.NewAdapter(routers.ZigZag{}), net.Node(at), make([]bool, len(offers))
+	a, n, acc := dex.NewAdapter(policies.ZigZag{}), net.Node(at), make([]bool, len(offers))
 	a.InitNode(net, n)
 	return func() {
 		a.Schedule(net, n)

@@ -68,6 +68,6 @@ func E16(opts Options) (*Report, error) {
 		}
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"scheduled worst cd_ratio %.2f (its makespan ≤ c·(C+D) contract; pinned c=%d in internal/routers)", worstScheduled, bounds.ScheduledC))
+		"scheduled worst cd_ratio %.2f (its makespan ≤ c·(C+D) contract; c=%d is bounds.ScheduledC)", worstScheduled, bounds.ScheduledC))
 	return rep, nil
 }

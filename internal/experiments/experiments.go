@@ -20,6 +20,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/par"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
@@ -569,7 +570,7 @@ func E10(opts Options) (*Report, error) {
 			return []any{tc.n, tc.k, tc.delta, "-", "-", fmt.Sprintf("(%v)", err)}, nil
 		}
 		// The registry's stray-dimorder has δ = 1; each row needs its own.
-		alg := func() sim.Algorithm { return dex.NewAdapter(routers.StrayDimOrder{Delta: tc.delta}) }
+		alg := func() sim.Algorithm { return dex.NewAdapter(policies.StrayDimOrder{Delta: tc.delta}) }
 		res, err := c.Pipeline(opts.ctx(), alg, 0)
 		if err != nil {
 			return nil, fmt.Errorf("E10 n=%d delta=%d: %w", tc.n, tc.delta, err)

@@ -10,7 +10,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -33,7 +33,7 @@ func TestGoldenJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
 	net.SetMetricsSink(sink)
-	if _, err := net.Run(nil, dex.NewAdapter(routers.DimOrderFIFO{}), 10000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.DimOrderFIFO{}), 10000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

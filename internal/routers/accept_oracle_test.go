@@ -7,6 +7,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -129,22 +130,19 @@ func TestOnePassAcceptMatchesReference(t *testing.T) {
 		cfg    func(topo grid.Topology, k int) sim.Config
 		faults bool
 	}
-	central := func(topo grid.Topology, k int) sim.Config {
-		return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
-	}
 	// The engine's stray bound is a mesh rectangle, which the overshoot rule
 	// does not keep across a torus seam; the inqueue policy is under test.
 	stray := func(topo grid.Topology, k int) sim.Config {
 		return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, MaxStray: 2 * n, CheckInvariants: true}
 	}
-	policies := []policyCase{
-		{DimOrderFIFO{}, refAcceptDimOrderReserving, central, false},
-		{ZigZag{}, refAcceptRoundRobin, central, false},
-		{ZigZag{FaultAware: true}, refAcceptRoundRobin, central, true},
-		{StrayDimOrder{Delta: 1}, refAcceptRoundRobin, stray, false},
-		{Thm15{}, refThm15Accept, Thm15Config, false},
+	cases := []policyCase{
+		{policies.DimOrderFIFO{}, refAcceptDimOrderReserving, minimalCentral, false},
+		{policies.ZigZag{}, refAcceptRoundRobin, minimalCentral, false},
+		{policies.ZigZag{FaultAware: true}, refAcceptRoundRobin, minimalCentral, true},
+		{policies.StrayDimOrder{Delta: 1}, refAcceptRoundRobin, stray, false},
+		{policies.Thm15{}, refThm15Accept, Thm15Config, false},
 	}
-	for _, pc := range policies {
+	for _, pc := range cases {
 		var seen acceptTally
 		for _, topo := range []grid.Topology{grid.NewSquareMesh(n), grid.NewSquareTorus(n)} {
 			for _, k := range []int{1, 2, 4} {

@@ -71,7 +71,7 @@ func (DimOrderFF) Accept(net *sim.Network, n *sim.Node, offers []sim.Offer, acc 
 	}
 	// Select remaining offers by decreasing remaining distance in their
 	// travel dimension, reserving one slot for column-phase packets as in
-	// acceptDimOrderReserving.
+	// the dex dimension-order routers (package policies).
 	for free > 0 {
 		bi, br := -1, -1
 		for i, o := range offers {

@@ -7,6 +7,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -42,13 +43,13 @@ func FuzzRouteUnderFaults(f *testing.F) {
 		var cfg sim.Config
 		switch routerRaw % 3 {
 		case 0:
-			alg = dex.NewAdapter(DimOrderFIFO{})
+			alg = dex.NewAdapter(policies.DimOrderFIFO{})
 			cfg = sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 		case 1:
 			if k < 3 {
 				k = 3
 			}
-			alg = dex.NewAdapter(ZigZag{FaultAware: true})
+			alg = dex.NewAdapter(policies.ZigZag{FaultAware: true})
 			cfg = sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 		default:
 			alg = RandZigZag{Seed: uint64(seed), FaultAware: true}

@@ -7,6 +7,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -52,7 +53,7 @@ func TestZigZagFaultAwareAvoidsDownLink(t *testing.T) {
 		return net, steps
 	}
 
-	aware, awareSteps := run(ZigZag{FaultAware: true})
+	aware, awareSteps := run(policies.ZigZag{FaultAware: true})
 	if aware.Metrics.FaultDrops != 0 {
 		t.Fatalf("fault-aware zigzag scheduled a down link %d times", aware.Metrics.FaultDrops)
 	}
@@ -60,7 +61,7 @@ func TestZigZagFaultAwareAvoidsDownLink(t *testing.T) {
 		t.Fatalf("fault-aware zigzag took %d steps, want %d (no wasted step)", awareSteps, topo.Dist(src, dst))
 	}
 
-	oblivious, _ := run(ZigZag{})
+	oblivious, _ := run(policies.ZigZag{})
 	if oblivious.Metrics.FaultDrops == 0 {
 		t.Fatal("oblivious zigzag never hit the down link; the scenario is not exercising faults")
 	}
@@ -116,7 +117,7 @@ func TestThm15QueueBoundNotFaultTolerant(t *testing.T) {
 	if err := workload.Random(topo, 454).Place(net); err != nil {
 		t.Fatal(err)
 	}
-	_, err = net.Run(nil, dex.NewAdapter(Thm15{}), 500*n*n, nil)
+	_, err = net.Run(nil, dex.NewAdapter(policies.Thm15{}), 500*n*n, nil)
 	if err == nil || !strings.Contains(err.Error(), "overflowed") {
 		t.Fatalf("want the invariant checker to catch the thm15 queue overflow, got %v", err)
 	}
@@ -142,7 +143,7 @@ func TestFaultAwareMatchesObliviousWithoutFaults(t *testing.T) {
 		m := net.Metrics
 		return [4]int{m.Makespan, m.TotalHops, m.SumDelay, m.MaxQueueLen}
 	}
-	if a, b := run(dex.NewAdapter(ZigZag{})), run(dex.NewAdapter(ZigZag{FaultAware: true})); a != b {
+	if a, b := run(dex.NewAdapter(policies.ZigZag{})), run(dex.NewAdapter(policies.ZigZag{FaultAware: true})); a != b {
 		t.Fatalf("zigzag metrics diverged without faults:\n%+v\nvs\n%+v", a, b)
 	}
 	if a, b := run(RandZigZag{Seed: 9}), run(RandZigZag{Seed: 9, FaultAware: true}); a != b {
@@ -175,7 +176,7 @@ func TestHotPotatoOverfullNodeUnderFaults(t *testing.T) {
 		net.MustPlace(net.NewPacket(c, step(step(c, out), out)))
 		net.MustPlace(net.NewPacket(step(c, out), step(step(c, in), in)))
 	}
-	alg := dex.NewAdapter(HotPotato{})
+	alg := dex.NewAdapter(policies.HotPotato{})
 	if err := net.StepOnce(alg); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -33,20 +34,20 @@ func FuzzRouteRandomPermutation(f *testing.F) {
 		guaranteed := false
 		switch routerRaw % 4 {
 		case 0:
-			alg = dex.NewAdapter(Thm15{})
+			alg = dex.NewAdapter(policies.Thm15{})
 			cfg = Thm15Config(topo, k)
 			guaranteed = true
 		case 1:
 			if k < 2 {
 				k = 2 // central-queue dimension order needs the reserved slot
 			}
-			alg = dex.NewAdapter(DimOrderFIFO{})
+			alg = dex.NewAdapter(policies.DimOrderFIFO{})
 			cfg = sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 		case 2:
 			if k < 3 {
 				k = 3
 			}
-			alg = dex.NewAdapter(ZigZag{})
+			alg = dex.NewAdapter(policies.ZigZag{})
 			cfg = sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 		default:
 			alg = DimOrderFF{}

@@ -1,3 +1,12 @@
+// Package routers is the registry of the built-in routing algorithms
+// (Lookup, Names) and the network configuration each one needs. The
+// destination-exchangeable routers are dex.Policy values of package
+// policies; the three that are not implement sim.Algorithm here:
+//
+//   - DimOrderFF: dimension order with the farthest-first outqueue policy,
+//     which reads destination distances (Section 5 lower-bounds it anyway).
+//   - RandZigZag: ZigZag with seeded random preferences (Section 7).
+//   - Scheduled: the offline path-scheduled O(C+D) baseline.
 package routers
 
 import (
@@ -5,6 +14,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
@@ -69,24 +79,43 @@ func minimalCentral(topo grid.Topology, k int) sim.Config {
 	return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 }
 
+// Thm15Config returns the network configuration the Theorem 15 router
+// requires: four incoming queues of capacity k per node.
+func Thm15Config(topo grid.Topology, k int) sim.Config {
+	return sim.Config{
+		Topo:            topo,
+		K:               k,
+		Queues:          sim.PerInlinkQueues,
+		RequireMinimal:  true,
+		CheckInvariants: true,
+	}
+}
+
+// HotPotatoConfig returns a network configuration suitable for the
+// deflection router: central queue with room for one packet per inlink and
+// no minimality requirement.
+func HotPotatoConfig(topo grid.Topology) sim.Config {
+	return sim.Config{Topo: topo, K: grid.NumDirs, Queues: sim.CentralQueue, CheckInvariants: true}
+}
+
 var registry = map[string]Spec{
 	NameDimOrder: {
 		Name:    NameDimOrder,
 		Summary: "dimension order, FIFO outqueue, round-robin inqueue, central queue",
-		New:     func() sim.Algorithm { return dex.NewAdapter(DimOrderFIFO{}) },
+		New:     func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) },
 		Config:  minimalCentral,
 	},
 	NameZigZag: {
 		Name:          NameZigZag,
 		Summary:       "minimal adaptive alternation (Section 2 example), central queue",
-		New:           func() sim.Algorithm { return dex.NewAdapter(ZigZag{}) },
-		NewFaultAware: func() sim.Algorithm { return dex.NewAdapter(ZigZag{FaultAware: true}) },
+		New:           func() sim.Algorithm { return dex.NewAdapter(policies.ZigZag{}) },
+		NewFaultAware: func() sim.Algorithm { return dex.NewAdapter(policies.ZigZag{FaultAware: true}) },
 		Config:        minimalCentral,
 	},
 	NameThm15: {
 		Name:    NameThm15,
 		Summary: "Theorem 15: four inlink queues of size k, straight priority, O(n²/k+n)",
-		New:     func() sim.Algorithm { return dex.NewAdapter(Thm15{}) },
+		New:     func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) },
 		Config:  Thm15Config,
 	},
 	NameFarthestFirst: {
@@ -118,7 +147,7 @@ var registry = map[string]Spec{
 	NameStrayDimOrder: {
 		Name:    NameStrayDimOrder,
 		Summary: "dimension order with a 1-column overshoot budget (Section 5 nonminimal extension)",
-		New:     func() sim.Algorithm { return dex.NewAdapter(StrayDimOrder{Delta: 1}) },
+		New:     func() sim.Algorithm { return dex.NewAdapter(policies.StrayDimOrder{Delta: 1}) },
 		Config: func(topo grid.Topology, k int) sim.Config {
 			return sim.Config{Topo: topo, K: k, Queues: sim.CentralQueue, MaxStray: 1, CheckInvariants: true}
 		},
@@ -126,7 +155,7 @@ var registry = map[string]Spec{
 	NameHotPotato: {
 		Name:    NameHotPotato,
 		Summary: "deterministic deflection baseline (nonminimal)",
-		New:     func() sim.Algorithm { return dex.NewAdapter(HotPotato{}) },
+		New:     func() sim.Algorithm { return dex.NewAdapter(policies.HotPotato{}) },
 		Config:  func(topo grid.Topology, k int) sim.Config { return HotPotatoConfig(topo) },
 	},
 }

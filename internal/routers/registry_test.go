@@ -1,11 +1,7 @@
 package routers
 
 import (
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
+	"reflect"
 	"testing"
 
 	"meshroute/internal/dex"
@@ -15,10 +11,12 @@ import (
 
 // TestRegistryFacts holds each registry entry's derived facts to the
 // router's own code: every constructor a router has builds it on the dex
-// adapter exactly when the entry is destination-exchangeable, and its
-// Config sets RequireMinimal and the queue model as Config(nil, 1) does on
-// every topology and k. Only stray-dimorder carries a MaxStray budget.
-// ExampleRouterNames pins the classification itself.
+// adapter exactly when the entry is destination-exchangeable, and then on
+// a policy of package policies (so TestPoliciesArePlainData covers every
+// destination-exchangeable router); its Config sets RequireMinimal and the
+// queue model as Config(nil, 1) does on every topology and k. Only
+// stray-dimorder carries a MaxStray budget. ExampleRouterNames pins the
+// classification itself.
 func TestRegistryFacts(t *testing.T) {
 	topos := []grid.Topology{grid.NewSquareMesh(6), grid.NewSquareTorus(6), grid.NewMesh(3, 5)}
 	for _, name := range Names() {
@@ -34,8 +32,12 @@ func TestRegistryFacts(t *testing.T) {
 			variants = append(variants, s.NewSeeded(7, false))
 		}
 		for _, a := range variants {
-			if _, ok := a.(*dex.Adapter); ok != s.DestinationExchangeable() {
+			ad, ok := a.(*dex.Adapter)
+			if ok != s.DestinationExchangeable() {
 				t.Errorf("%s: variant %T is an adapter: %v, dex=%v", name, a, ok, s.DestinationExchangeable())
+			}
+			if ok && reflect.TypeOf(ad.P).PkgPath() != "meshroute/internal/policies" {
+				t.Errorf("%s: adapter runs %T, not a policy of package policies", name, ad.P)
 			}
 		}
 		for _, topo := range topos {
@@ -51,110 +53,4 @@ func TestRegistryFacts(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPoliciesCaptureNoNetwork closes the one way around the dex boundary
-// that the NodeCtx accessors leave open: a policy value holding the engine
-// itself. No type of this package that implements dex.Policy may have a
-// field whose type reaches *sim.Network or sim.PacketStore (through
-// pointers, containers, structs, function signatures or interface
-// methods). A type declared in a test source checks the walker.
-func TestPoliciesCaptureNoNetwork(t *testing.T) {
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	pkg, err := imp.Import("meshroute/internal/routers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dexPkg, err := imp.Import("meshroute/internal/dex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	policy := dexPkg.Scope().Lookup("Policy").Type().Underlying().(*types.Interface)
-
-	checked := 0
-	for _, name := range pkg.Scope().Names() {
-		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok || types.IsInterface(tn.Type()) {
-			continue
-		}
-		if !types.Implements(tn.Type(), policy) && !types.Implements(types.NewPointer(tn.Type()), policy) {
-			continue
-		}
-		checked++
-		if path := capture(tn.Type().Underlying(), map[types.Type]bool{}); path != "" {
-			t.Errorf("policy %s reaches %s", name, path)
-		}
-	}
-	t.Logf("%d policies checked", checked)
-	if checked < 5 {
-		t.Fatalf("found %d policies, want at least the five registry ones", checked)
-	}
-
-	const leaky = `package leak
-import "meshroute/internal/sim"
-type hidden struct{ cache map[int][]func() *sim.PacketStore }
-type Leaky struct{ h *hidden }`
-	f, err := parser.ParseFile(fset, "leak.go", leaky, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conf := types.Config{Importer: imp.(types.ImporterFrom)}
-	lp, err := conf.Check("leak", fset, []*ast.File{f}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if capture(lp.Scope().Lookup("Leaky").Type().Underlying(), map[types.Type]bool{}) == "" {
-		t.Fatal("the checker misses a PacketStore behind a map of functions")
-	}
-}
-
-// capture returns the name of the engine type t reaches, or "".
-func capture(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	switch t := t.(type) {
-	case *types.Named:
-		if o := t.Obj(); o.Pkg() != nil && o.Pkg().Path() == "meshroute/internal/sim" &&
-			(o.Name() == "Network" || o.Name() == "PacketStore") {
-			return "sim." + o.Name()
-		}
-		return capture(t.Underlying(), seen)
-	case *types.Pointer:
-		return capture(t.Elem(), seen)
-	case *types.Slice:
-		return capture(t.Elem(), seen)
-	case *types.Array:
-		return capture(t.Elem(), seen)
-	case *types.Chan:
-		return capture(t.Elem(), seen)
-	case *types.Map:
-		if p := capture(t.Key(), seen); p != "" {
-			return p
-		}
-		return capture(t.Elem(), seen)
-	case *types.Struct:
-		for i := range t.NumFields() {
-			if p := capture(t.Field(i).Type(), seen); p != "" {
-				return p
-			}
-		}
-	case *types.Signature:
-		for _, tup := range []*types.Tuple{t.Params(), t.Results()} {
-			for i := range tup.Len() {
-				if p := capture(tup.At(i).Type(), seen); p != "" {
-					return p
-				}
-			}
-		}
-	case *types.Interface:
-		for i := range t.NumMethods() {
-			if p := capture(t.Method(i).Type(), seen); p != "" {
-				return p
-			}
-		}
-	}
-	return ""
 }

@@ -5,6 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -15,8 +16,8 @@ func TestRectangularMesh(t *testing.T) {
 	perm := workload.Random(topo, 5)
 	cfg := sim.Config{Topo: topo, K: 4, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 	for _, alg := range []sim.Algorithm{
-		dex.NewAdapter(DimOrderFIFO{}),
-		dex.NewAdapter(ZigZag{}),
+		dex.NewAdapter(policies.DimOrderFIFO{}),
+		dex.NewAdapter(policies.ZigZag{}),
 		DimOrderFF{},
 	} {
 		net := sim.MustNew(cfg)
@@ -34,7 +35,7 @@ func TestRectangularMesh(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 10000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 10000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -50,7 +51,7 @@ func TestThm15Torus(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 5000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 5000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -72,28 +73,11 @@ func TestHotPotatoTorus(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 20000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.HotPotato{}), 20000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
 		t.Fatal("packets undelivered at the step budget")
-	}
-}
-
-// ZigZag state encoding helpers.
-func TestZigZagStateEncoding(t *testing.T) {
-	s := zzSetPref(0, grid.West)
-	if zzPref(s) != grid.West {
-		t.Fatalf("pref = %v", zzPref(s))
-	}
-	s = zzSetPref(s, grid.North)
-	if zzPref(s) != grid.North {
-		t.Fatalf("pref = %v", zzPref(s))
-	}
-	// Upper state bits are preserved.
-	s = zzSetPref(0xFF00, grid.East)
-	if s&0xFF00 != 0xFF00 || zzPref(s) != grid.East {
-		t.Fatalf("state clobbered: %x", s)
 	}
 }
 
@@ -103,7 +87,7 @@ func TestZigZagSingleProfitableStable(t *testing.T) {
 	topo := net.Topo
 	p := net.NewPacket(topo.ID(grid.XY(0, 3)), topo.ID(grid.XY(6, 3))) // due east
 	net.MustPlace(p)
-	steps, err := net.Run(nil, dex.NewAdapter(ZigZag{}), 100, nil)
+	steps, err := net.Run(nil, dex.NewAdapter(policies.ZigZag{}), 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +109,7 @@ func TestThm15TurnerEventuallyTurns(t *testing.T) {
 	// One turner entering column 4 from the west, destination up top.
 	turner := net.NewPacket(topo.ID(grid.XY(0, 4)), topo.ID(grid.XY(4, 6)))
 	net.MustPlace(turner)
-	if _, err := net.Run(nil, dex.NewAdapter(Thm15{}), 500, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 500, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -152,7 +136,7 @@ func TestSwapRuleBreaksHeadOnDeadlock(t *testing.T) {
 	w := net.NewPacket(topo.ID(grid.XY(4, 0)), topo.ID(grid.XY(1, 0)))
 	net.MustPlace(e)
 	net.MustPlace(w)
-	if _, err := net.Run(nil, dex.NewAdapter(ZigZag{}), 100, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.ZigZag{}), 100, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

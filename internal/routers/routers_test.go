@@ -7,19 +7,12 @@ import (
 	"meshroute/internal/bounds"
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
 
-func centralConfig(n, k int) sim.Config {
-	return sim.Config{
-		Topo:            grid.NewSquareMesh(n),
-		K:               k,
-		Queues:          sim.CentralQueue,
-		RequireMinimal:  true,
-		CheckInvariants: true,
-	}
-}
+func centralConfig(n, k int) sim.Config { return minimalCentral(grid.NewSquareMesh(n), k) }
 
 // runPerm routes a permutation to completion and returns the makespan.
 func runPerm(t *testing.T, cfg sim.Config, alg sim.Algorithm, p *workload.Permutation, maxSteps int) *sim.Network {
@@ -51,7 +44,7 @@ func TestDimOrderFIFORoutesRandomPermutations(t *testing.T) {
 		for _, k := range []int{2, 4} {
 			for seed := int64(0); seed < 3; seed++ {
 				perm := workload.Random(grid.NewSquareMesh(n), seed)
-				net := runPerm(t, centralConfig(n, k), dex.NewAdapter(DimOrderFIFO{}), perm, 50*n*n)
+				net := runPerm(t, centralConfig(n, k), dex.NewAdapter(policies.DimOrderFIFO{}), perm, 50*n*n)
 				checkMinimalPaths(t, net)
 				if net.Metrics.MaxQueueLen > k {
 					t.Fatalf("n=%d k=%d: queue %d > k", n, k, net.Metrics.MaxQueueLen)
@@ -68,7 +61,7 @@ func TestDimOrderFIFORoutesStructured(t *testing.T) {
 		"transpose": workload.Transpose(topo),
 		"rotation":  workload.Rotation(topo, 3, 2),
 	} {
-		net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(DimOrderFIFO{}), perm, 100*n*n)
+		net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(policies.DimOrderFIFO{}), perm, 100*n*n)
 		checkMinimalPaths(t, net)
 		if net.DeliveredCount() != n*n {
 			t.Fatalf("%s: %d delivered", name, net.DeliveredCount())
@@ -84,7 +77,7 @@ func TestDimOrderFIFOFollowsXYOrder(t *testing.T) {
 	topo := net.Topo
 	p := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(5, 5)))
 	net.MustPlace(p)
-	alg := dex.NewAdapter(DimOrderFIFO{})
+	alg := dex.NewAdapter(policies.DimOrderFIFO{})
 	for i := 0; i < 5; i++ {
 		if err := net.StepOnce(alg); err != nil {
 			t.Fatal(err)
@@ -123,7 +116,7 @@ func TestZigZagRoutesRandomPermutations(t *testing.T) {
 	for _, n := range []int{4, 8, 12} {
 		for seed := int64(0); seed < 3; seed++ {
 			perm := workload.Random(grid.NewSquareMesh(n), seed)
-			net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(ZigZag{}), perm, 100*n*n)
+			net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(policies.ZigZag{}), perm, 100*n*n)
 			checkMinimalPaths(t, net)
 		}
 	}
@@ -143,7 +136,7 @@ func TestZigZagAlternatesWhenBlocked(t *testing.T) {
 	// Mover at (0,0) wants (2,2): both East and North profitable.
 	mover := net.NewPacket(topo.ID(grid.XY(0, 0)), topo.ID(grid.XY(2, 2)))
 	net.MustPlace(mover)
-	alg := dex.NewAdapter(ZigZag{})
+	alg := dex.NewAdapter(policies.ZigZag{})
 	if _, err := net.Run(nil, alg, 100, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +153,7 @@ func TestZigZagMixedWithBlockageStillMinimal(t *testing.T) {
 	n := 8
 	topo := grid.NewSquareMesh(n)
 	perm := workload.Reversal(topo)
-	net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(ZigZag{}), perm, 200*n*n)
+	net := runPerm(t, centralConfig(n, 4), dex.NewAdapter(policies.ZigZag{}), perm, 200*n*n)
 	checkMinimalPaths(t, net)
 }
 
@@ -168,7 +161,7 @@ func TestThm15RoutesRandomPermutations(t *testing.T) {
 	for _, n := range []int{4, 8, 16} {
 		for _, k := range []int{1, 2, 4} {
 			perm := workload.Random(grid.NewSquareMesh(n), int64(n*10+k))
-			net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), k), dex.NewAdapter(Thm15{}), perm, 200*n*n)
+			net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), k), dex.NewAdapter(policies.Thm15{}), perm, 200*n*n)
 			checkMinimalPaths(t, net)
 			if err := bounds.Check(bounds.Instance{Topo: net.Topo, K: k}, net.Metrics.Makespan, bounds.Theorem15); err != nil {
 				t.Fatalf("n=%d k=%d: %v", n, k, err)
@@ -185,7 +178,7 @@ func TestThm15RoutesHardStructured(t *testing.T) {
 		"transpose":   workload.Transpose(topo),
 		"bitreversal": workload.BitReversal(topo),
 	} {
-		net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), 1), dex.NewAdapter(Thm15{}), perm, 500*n*n)
+		net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), 1), dex.NewAdapter(policies.Thm15{}), perm, 500*n*n)
 		checkMinimalPaths(t, net)
 		if net.DeliveredCount() != n*n {
 			t.Fatalf("%s: %d delivered", name, net.DeliveredCount())
@@ -199,7 +192,7 @@ func TestThm15RoutesHardStructured(t *testing.T) {
 func TestThm15VerticalQueuesNeverOverflow(t *testing.T) {
 	n := 12
 	perm := workload.Reversal(grid.NewSquareMesh(n))
-	net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), 1), dex.NewAdapter(Thm15{}), perm, 500*n*n)
+	net := runPerm(t, Thm15Config(grid.NewSquareMesh(n), 1), dex.NewAdapter(policies.Thm15{}), perm, 500*n*n)
 	if net.Metrics.MaxQueueLen > 1 {
 		t.Fatalf("k=1 run saw queue length %d", net.Metrics.MaxQueueLen)
 	}
@@ -221,7 +214,7 @@ func TestThm15StraightPriority(t *testing.T) {
 	// different column-top destination.
 	net.P.Dst[turner] = topo.ID(grid.XY(2, 4))
 	net.MustPlace(turner)
-	alg := dex.NewAdapter(Thm15{})
+	alg := dex.NewAdapter(policies.Thm15{})
 	if _, err := net.Run(nil, alg, 200, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +267,7 @@ func TestHotPotatoDeliversPermutations(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 1000*n, nil); err != nil {
+		if _, err := net.Run(nil, dex.NewAdapter(policies.HotPotato{}), 1000*n, nil); err != nil {
 			t.Fatal(err)
 		}
 		if !net.Done() {
@@ -293,7 +286,7 @@ func TestHotPotatoTakesNonminimalPathsUnderContention(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(HotPotato{}), 5000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.HotPotato{}), 5000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -331,13 +324,13 @@ func TestRoutersAreDeterministic(t *testing.T) {
 		mk   func() sim.Algorithm
 		cfg  sim.Config
 	}{
-		{"dimorder", func() sim.Algorithm { return dex.NewAdapter(DimOrderFIFO{}) }, centralConfig(8, 4)},
-		{"zigzag", func() sim.Algorithm { return dex.NewAdapter(ZigZag{}) }, centralConfig(8, 4)},
-		{"thm15", func() sim.Algorithm { return dex.NewAdapter(Thm15{}) }, Thm15Config(grid.NewSquareMesh(8), 2)},
-		{"stray", func() sim.Algorithm { return dex.NewAdapter(StrayDimOrder{Delta: 2}) }, strayConfig(8, 3, 2)},
+		{"dimorder", func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }, centralConfig(8, 4)},
+		{"zigzag", func() sim.Algorithm { return dex.NewAdapter(policies.ZigZag{}) }, centralConfig(8, 4)},
+		{"thm15", func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }, Thm15Config(grid.NewSquareMesh(8), 2)},
+		{"stray", func() sim.Algorithm { return dex.NewAdapter(policies.StrayDimOrder{Delta: 2}) }, strayConfig(8, 3, 2)},
 		{"ff", func() sim.Algorithm { return DimOrderFF{} }, centralConfig(8, 4)},
 		{"randzz", func() sim.Algorithm { return RandZigZag{Seed: 7} }, centralConfig(8, 4)},
-		{"hotpotato", func() sim.Algorithm { return dex.NewAdapter(HotPotato{}) }, HotPotatoConfig(grid.NewSquareMesh(8))},
+		{"hotpotato", func() sim.Algorithm { return dex.NewAdapter(policies.HotPotato{}) }, HotPotatoConfig(grid.NewSquareMesh(8))},
 		{"scheduled", func() sim.Algorithm { return NewScheduled(0) }, centralConfig(8, 2)},
 	}
 	for _, a := range algs {

@@ -7,7 +7,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -50,12 +50,12 @@ func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	policies := []dex.Policy{
-		routers.DimOrderFIFO{}, routers.ZigZag{}, routers.ZigZag{FaultAware: true}, routers.StrayDimOrder{Delta: 2},
+	swapRule := []dex.Policy{
+		policies.DimOrderFIFO{}, policies.ZigZag{}, policies.ZigZag{FaultAware: true}, policies.StrayDimOrder{Delta: 2},
 	}
-	for _, p := range policies {
+	for _, p := range swapRule {
 		for _, faults := range []*fault.Schedule{nil, sched} {
-			_, stray := p.(routers.StrayDimOrder)
+			_, stray := p.(policies.StrayDimOrder)
 			net := sim.MustNew(sim.Config{
 				Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: !stray,
 				CheckInvariants: true, Faults: faults,
@@ -74,7 +74,7 @@ func TestScheduledMaskIsPolicyDecision(t *testing.T) {
 	}
 
 	// The adversary exchanges destinations between Schedule and Accept.
-	for _, p := range []dex.Policy{routers.DimOrderFIFO{}, routers.ZigZag{}} {
+	for _, p := range []dex.Policy{policies.DimOrderFIFO{}, policies.ZigZag{}} {
 		c, err := adversary.NewConstruction(60, 1)
 		if err != nil {
 			t.Fatal(err)

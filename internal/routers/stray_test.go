@@ -5,6 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -20,20 +21,6 @@ func strayConfig(n, k, delta int) sim.Config {
 	}
 }
 
-func TestStrayStateEncoding(t *testing.T) {
-	s := straySet(0, 3, grid.West)
-	if strayCount(s) != 3 || strayOrient(s) != grid.West {
-		t.Fatalf("cnt=%d orient=%v", strayCount(s), strayOrient(s))
-	}
-	s = straySet(s, 0, grid.East)
-	if strayCount(s) != 0 || strayOrient(s) != grid.East {
-		t.Fatal("update failed")
-	}
-	if strayOrient(0) != grid.NoDir {
-		t.Fatal("zero state must have no orientation")
-	}
-}
-
 func TestStrayRoutesRandomPermutations(t *testing.T) {
 	for _, n := range []int{8, 16} {
 		for _, delta := range []int{1, 2} {
@@ -42,7 +29,7 @@ func TestStrayRoutesRandomPermutations(t *testing.T) {
 			if err := perm.Place(net); err != nil {
 				t.Fatal(err)
 			}
-			alg := dex.NewAdapter(StrayDimOrder{Delta: delta})
+			alg := dex.NewAdapter(policies.StrayDimOrder{Delta: delta})
 			if _, err := net.Run(nil, alg, 200*n*n, nil); err != nil {
 				t.Fatalf("n=%d delta=%d: %v", n, delta, err)
 			}
@@ -67,7 +54,7 @@ func TestStrayActuallyStrays(t *testing.T) {
 	}
 	turner := net.NewPacket(topo.ID(grid.XY(0, 2)), topo.ID(grid.XY(4, 8)))
 	net.MustPlace(turner)
-	alg := dex.NewAdapter(StrayDimOrder{Delta: delta})
+	alg := dex.NewAdapter(policies.StrayDimOrder{Delta: delta})
 	maxX := 0
 	for i := 0; i < 400 && !net.Done(); i++ {
 		if err := net.StepOnce(alg); err != nil {
@@ -99,7 +86,7 @@ func TestStrayZeroBudgetNeverStrays(t *testing.T) {
 	if err := perm.Place(net); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(nil, dex.NewAdapter(StrayDimOrder{Delta: 0}), 200*n*n, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.StrayDimOrder{Delta: 0}), 200*n*n, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -164,11 +151,11 @@ func TestDexSteadyStateStepAllocs(t *testing.T) {
 		cfg sim.Config
 		pol dex.Policy
 	}{
-		{centralConfig(n, 2), DimOrderFIFO{}},
-		{centralConfig(n, 2), ZigZag{}},
-		{Thm15Config(grid.NewSquareMesh(n), 2), Thm15{}},
-		{strayConfig(n, 3, 2), StrayDimOrder{Delta: 2}},
-		{HotPotatoConfig(grid.NewSquareMesh(n)), HotPotato{}},
+		{centralConfig(n, 2), policies.DimOrderFIFO{}},
+		{centralConfig(n, 2), policies.ZigZag{}},
+		{Thm15Config(grid.NewSquareMesh(n), 2), policies.Thm15{}},
+		{strayConfig(n, 3, 2), policies.StrayDimOrder{Delta: 2}},
+		{HotPotatoConfig(grid.NewSquareMesh(n)), policies.HotPotato{}},
 	}
 	for _, c := range cases {
 		net := sim.MustNew(c.cfg)

@@ -5,6 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
 )
@@ -28,7 +29,7 @@ func TestThm15VerticalQueuesAlwaysEject(t *testing.T) {
 		if err := perm.Place(net); err != nil {
 			t.Fatal(err)
 		}
-		alg := dex.NewAdapter(Thm15{})
+		alg := dex.NewAdapter(policies.Thm15{})
 		vertTags := []uint8{uint8(grid.North), uint8(grid.South)}
 		for step := 0; step < 100*n && !net.Done(); step++ {
 			// Snapshot: vertical-queue contents per node.
@@ -83,7 +84,7 @@ func TestThm15TurningQueueDrainsWithinN(t *testing.T) {
 	if err := workload.Transpose(topo).Place(net); err != nil {
 		t.Fatal(err)
 	}
-	alg := dex.NewAdapter(Thm15{})
+	alg := dex.NewAdapter(policies.Thm15{})
 	// waiting[node] = consecutive steps some horizontal queue has stayed
 	// full of turners without draining.
 	type sat struct {

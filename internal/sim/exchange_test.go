@@ -6,6 +6,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 )
@@ -33,11 +34,11 @@ func FuzzExchangeDst(f *testing.F) {
 		var policy dex.Policy
 		switch {
 		case perInlink:
-			cfg, policy = routers.Thm15Config(topo, k), routers.Thm15{}
+			cfg, policy = routers.Thm15Config(topo, k), policies.Thm15{}
 		case routerRaw%2 == 0:
-			cfg, policy = sim.Config{Topo: topo, K: max(k, 2), RequireMinimal: true, CheckInvariants: true}, routers.DimOrderFIFO{}
+			cfg, policy = sim.Config{Topo: topo, K: max(k, 2), RequireMinimal: true, CheckInvariants: true}, policies.DimOrderFIFO{}
 		default:
-			cfg, policy = sim.Config{Topo: topo, K: max(k, 3), RequireMinimal: true, CheckInvariants: true}, routers.ZigZag{}
+			cfg, policy = sim.Config{Topo: topo, K: max(k, 3), RequireMinimal: true, CheckInvariants: true}, policies.ZigZag{}
 		}
 		net := sim.MustNew(cfg)
 		rng := rand.New(rand.NewSource(seed))

@@ -7,6 +7,7 @@ import (
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
@@ -30,12 +31,12 @@ func TestNoStaleNodeMarks(t *testing.T) {
 		alg    func() sim.Algorithm
 		faults bool
 	}{
-		{"dimorder/mesh", grid.NewSquareMesh(n), central, func() sim.Algorithm { return dex.NewAdapter(routers.DimOrderFIFO{}) }, false},
-		{"dimorder/torus", grid.NewSquareTorus(n), central, func() sim.Algorithm { return dex.NewAdapter(routers.DimOrderFIFO{}) }, false},
-		{"zigzag/mesh", grid.NewSquareMesh(n), central, func() sim.Algorithm { return dex.NewAdapter(routers.ZigZag{}) }, false},
-		{"zigzag/torus-faults", grid.NewSquareTorus(n), central, func() sim.Algorithm { return dex.NewAdapter(routers.ZigZag{FaultAware: true}) }, true},
-		{"thm15/mesh", grid.NewSquareMesh(n), thm15, func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }, false},
-		{"thm15/torus", grid.NewSquareTorus(n), thm15, func() sim.Algorithm { return dex.NewAdapter(routers.Thm15{}) }, false},
+		{"dimorder/mesh", grid.NewSquareMesh(n), central, func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }, false},
+		{"dimorder/torus", grid.NewSquareTorus(n), central, func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }, false},
+		{"zigzag/mesh", grid.NewSquareMesh(n), central, func() sim.Algorithm { return dex.NewAdapter(policies.ZigZag{}) }, false},
+		{"zigzag/torus-faults", grid.NewSquareTorus(n), central, func() sim.Algorithm { return dex.NewAdapter(policies.ZigZag{FaultAware: true}) }, true},
+		{"thm15/mesh", grid.NewSquareMesh(n), thm15, func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }, false},
+		{"thm15/torus", grid.NewSquareTorus(n), thm15, func() sim.Algorithm { return dex.NewAdapter(policies.Thm15{}) }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,7 +83,7 @@ func TestNoStaleNodeMarks(t *testing.T) {
 		if err := workload.Random(topo, 3).Place(net); err != nil {
 			t.Fatal(err)
 		}
-		alg := &misplacingAccept{Algorithm: dex.NewAdapter(routers.DimOrderFIFO{}), step: 2, call: 3}
+		alg := &misplacingAccept{Algorithm: dex.NewAdapter(policies.DimOrderFIFO{}), step: 2, call: 3}
 		if err := net.StepOnce(alg); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func (s *streamSource) Next(step int, buf []Injection) []Injection {
 func (s *streamSource) Exhausted(int) bool { return false }
 
 // onlineXY extends the greedyXY test algorithm with the two admission rules
-// every production router uses (see acceptDimOrderReserving in the routers
+// every production router uses (see acceptDimOrderReserving in the policies
 // package): the swap rule — an offer arriving on an inlink we scheduled a
 // packet back along is accepted unconditionally, since by symmetry the
 // neighbor accepts ours and occupancy is unchanged — and a reserved queue

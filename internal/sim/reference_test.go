@@ -11,6 +11,7 @@ import (
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
 	"meshroute/internal/obs"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/scenario"
 	"meshroute/internal/sim"
@@ -634,22 +635,22 @@ func TestReferenceStep(t *testing.T) {
 		admit  sim.AdmissionPolicy
 		h      int // place h-h traffic instead of a permutation when > 1
 	}{
-		{"dimorder/mesh8", grid.NewSquareMesh(8), central, routers.DimOrderFIFO{}, nil, 0, sim.AdmitRetry, 1},
-		{"zigzag/torus10", grid.NewSquareTorus(10), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry, 1},
-		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry, 1},
-		{"thm15/torus8", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0, sim.AdmitRetry, 1},
+		{"dimorder/mesh8", grid.NewSquareMesh(8), central, policies.DimOrderFIFO{}, nil, 0, sim.AdmitRetry, 1},
+		{"zigzag/torus10", grid.NewSquareTorus(10), central, policies.ZigZag{}, nil, 0, sim.AdmitRetry, 1},
+		{"thm15/mesh12", grid.NewSquareMesh(12), thm15, policies.Thm15{}, nil, 0, sim.AdmitRetry, 1},
+		{"thm15/torus8", grid.NewSquareTorus(8), thm15, policies.Thm15{}, nil, 0, sim.AdmitRetry, 1},
 		// Moves into a stalled node are dropped, deliveries included.
-		{"zigzag/torus12-faults", grid.NewSquareTorus(12), central, routers.ZigZag{FaultAware: true}, stalls, 0, sim.AdmitRetry, 1},
+		{"zigzag/torus12-faults", grid.NewSquareTorus(12), central, policies.ZigZag{FaultAware: true}, stalls, 0, sim.AdmitRetry, 1},
 		// Stalled sources meet arrivals under both policies.
-		{"zigzag/mesh10-retry-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitRetry, 1},
-		{"zigzag/mesh10-drop-faults", grid.NewSquareMesh(10), central, routers.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitDrop, 1},
+		{"zigzag/mesh10-retry-faults", grid.NewSquareMesh(10), central, policies.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitRetry, 1},
+		{"zigzag/mesh10-drop-faults", grid.NewSquareMesh(10), central, policies.ZigZag{FaultAware: true}, busy, 0.1, sim.AdmitDrop, 1},
 		// The origin buffer never refuses. (Theorem 15's queue bound
 		// presumes reliable links, so thm15 runs without faults.)
-		{"thm15/torus8-retry", grid.NewSquareTorus(8), thm15, routers.Thm15{}, nil, 0.1, sim.AdmitRetry, 1},
+		{"thm15/torus8-retry", grid.NewSquareTorus(8), thm15, policies.Thm15{}, nil, 0.1, sim.AdmitRetry, 1},
 		// h-h traffic overflows the central queues at placement: the
 		// overflow waits in the step-0 backlogs, behind stalls too.
-		{"zigzag/mesh8-hh3", grid.NewSquareMesh(8), central, routers.ZigZag{}, nil, 0, sim.AdmitRetry, 3},
-		{"zigzag/mesh8-hh3-faults", grid.NewSquareMesh(8), central, routers.ZigZag{FaultAware: true}, busy, 0, sim.AdmitRetry, 3},
+		{"zigzag/mesh8-hh3", grid.NewSquareMesh(8), central, policies.ZigZag{}, nil, 0, sim.AdmitRetry, 3},
+		{"zigzag/mesh8-hh3-faults", grid.NewSquareMesh(8), central, policies.ZigZag{FaultAware: true}, busy, 0, sim.AdmitRetry, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg(tc.topo)
@@ -691,7 +692,7 @@ func TestReferenceStep(t *testing.T) {
 		if err := net.AttachSource(sim.TimedSource{1: {{Src: 9, Dst: 0}}, 3: {{Src: 3, Dst: 15}}}, sim.AdmitRetry); err != nil {
 			t.Fatal(err)
 		}
-		checkAgainstReference(t, net, cfg, dex.NewAdapter(routers.DimOrderFIFO{}), 100)
+		checkAgainstReference(t, net, cfg, dex.NewAdapter(policies.DimOrderFIFO{}), 100)
 		if !net.Done() {
 			t.Fatalf("not done after %d steps", net.Step())
 		}

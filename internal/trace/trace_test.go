@@ -7,6 +7,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/workload"
@@ -23,7 +24,7 @@ func recordRun(t *testing.T, n int) ([]StepTrace, *sim.Network) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 100*n, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 100*n, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {
@@ -124,7 +125,7 @@ func TestTraceShowsCornerConcentration(t *testing.T) {
 	var buf bytes.Buffer
 	rec := NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 2000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 2000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

@@ -9,6 +9,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
+	"meshroute/internal/policies"
 	"meshroute/internal/routers"
 	"meshroute/internal/sim"
 	"meshroute/internal/trace"
@@ -82,7 +83,7 @@ func TestLinkTrafficAndDeliveryCurve(t *testing.T) {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(&buf)
 	rec.Attach(net)
-	if _, err := net.Run(nil, dex.NewAdapter(routers.Thm15{}), 1000, nil); err != nil {
+	if _, err := net.Run(nil, dex.NewAdapter(policies.Thm15{}), 1000, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !net.Done() {

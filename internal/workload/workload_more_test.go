@@ -5,7 +5,7 @@ import (
 
 	"meshroute/internal/dex"
 	"meshroute/internal/grid"
-	"meshroute/internal/routers"
+	"meshroute/internal/policies"
 	"meshroute/internal/sim"
 )
 
@@ -27,7 +27,7 @@ func TestHHPlaceBacklogsOverflow(t *testing.T) {
 		if waited != (k < 3) {
 			t.Fatalf("k=%d: %d packets refused at placement, want some exactly when k < h", k, net.Metrics.Refused)
 		}
-		if _, err := net.Run(nil, dex.NewAdapter(routers.ZigZag{}), 200, nil); err != nil {
+		if _, err := net.Run(nil, dex.NewAdapter(policies.ZigZag{}), 200, nil); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
 		if !net.Done() {

@@ -39,7 +39,7 @@ const (
 	// RouterStray is the Section 5 "Nonminimal extensions" router:
 	// dimension order that may overshoot its turning column by up to
 	// δ = 1 columns when blocked (destination-exchangeable, bounded
-	// stray). Use routers.StrayDimOrder directly for other δ.
+	// stray). Use policies.StrayDimOrder directly for other δ.
 	RouterStray = routers.NameStrayDimOrder
 )
 
