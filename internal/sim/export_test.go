@@ -64,3 +64,7 @@ func (s TimedSource) Exhausted(step int) bool {
 	}
 	return true
 }
+
+// ExchangeHook reports the installed exchange hook, for the external tests
+// of this package.
+func ExchangeHook(net *Network) ExchangeFn { return net.exchange }

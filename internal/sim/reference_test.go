@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"meshroute/internal/adversary"
 	"meshroute/internal/dex"
 	"meshroute/internal/fault"
 	"meshroute/internal/grid"
@@ -25,8 +26,10 @@ import (
 // admission backlogs are one FIFO list per node, its packets one record
 // each, its geometry coordinate arithmetic, and its faults the schedule's
 // own events.
-// It covers both queue models, both admission policies and fault schedules
-// without permanent link failures, without an exchange hook.
+// It covers both queue models, both admission policies, fault schedules
+// without permanent link failures, and part (b): a network with an exchange
+// hook (the adversary constructions) has each step's exchanges read off the
+// hook and replayed on the model as swaps of destination, Class and Tag.
 
 // schedCall is one outqueue decision: the node and Schedule's answer.
 type schedCall struct {
@@ -84,7 +87,9 @@ func (r *injectionRecorder) Next(step int, buf []sim.Injection) []sim.Injection 
 	return buf
 }
 
-// refPacket is the model's record of one packet.
+// refPacket is the model's record of one packet. prof is the model's own
+// profitable set, recomputed where the packet joins a queue and where an
+// exchange gives it a new destination.
 type refPacket struct {
 	src, dst, at             grid.NodeID
 	qtag                     uint8
@@ -92,6 +97,9 @@ type refPacket struct {
 	arrivedStep, deliverStep int
 	injectStep               int
 	hops                     int
+	class                    uint8
+	tag                      int32
+	prof                     grid.DirSet
 }
 
 // refLink is one directed link: a node and an outlink.
@@ -166,6 +174,7 @@ func newRefModel(net *sim.Network, cfg sim.Config, policy sim.AdmissionPolicy) *
 	for p := sim.PacketID(1); int(p) <= net.P.Len(); p++ {
 		inj := sim.Injection{Src: net.P.Src[p], Dst: net.P.Dst[p]}
 		m.newPacket(inj)
+		m.pkts[p].class, m.pkts[p].tag = net.P.Class[p], net.P.Tag[p] // an adversary's roles
 		m.offered++
 		if len(m.backlog[inj.Src]) == 0 && m.admits(inj) {
 			m.enter(p, 0)
@@ -209,8 +218,9 @@ func (m *refModel) enter(p sim.PacketID, t int) int {
 }
 
 // join appends p to the node's queue, and the node to occ if it is not on
-// it.
+// it, and computes p's profitable set there.
 func (m *refModel) join(id grid.NodeID, p sim.PacketID) {
+	m.pkts[p].prof = m.profitable(id, m.pkts[p].dst)
 	m.queues[id] = append(m.queues[id], p)
 	if !m.onOcc[id] {
 		m.onOcc[id] = true
@@ -337,6 +347,17 @@ func (m *refModel) withinStray(rp *refPacket, c grid.NodeID) bool {
 		cy >= min(sy, dy)-m.maxStray && cy <= max(sy, dy)+m.maxStray
 }
 
+// exchange is part (b)'s one operation: packets p and q swap destinations
+// and the roles an adversary keeps in Class and Tag, and each gets the
+// profitable set of its new destination from where it is.
+func (m *refModel) exchange(p, q sim.PacketID) {
+	a, b := &m.pkts[p], &m.pkts[q]
+	a.dst, b.dst = b.dst, a.dst
+	a.class, b.class = b.class, a.class
+	a.tag, b.tag = b.tag, a.tag
+	a.prof, b.prof = m.profitable(a.at, a.dst), m.profitable(b.at, b.dst)
+}
+
 // tagOf is the queue an arrival travelling d joins.
 func (m *refModel) tagOf(d grid.Dir) uint8 {
 	if m.perInlink {
@@ -357,9 +378,10 @@ func (m *refModel) tagCounts(id grid.NodeID) (c [sim.NumQueueTags]int) {
 }
 
 // apply runs one step: the step's faults, the admission of its injections,
-// then the recorded decisions of parts (a)-(d). It returns the step's
-// arrivals, delivered count (admission included) and largest bounded queue.
-func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals []sim.Move, delivered, maxQueue int, err error) {
+// then the recorded decisions of parts (a)-(d), with the step's exchanges
+// in part (b). It returns the step's arrivals, delivered count (admission
+// included) and largest bounded queue.
+func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection, swaps [][2]sim.PacketID) (arrivals []sim.Move, delivered, maxQueue int, err error) {
 	m.step++
 	t := m.step
 	m.applyFaults(t)
@@ -414,6 +436,18 @@ func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection) (arrivals 
 				continue
 			}
 			moves = append(moves, sim.Move{P: p, From: sc.node, To: to, Travel: d})
+		}
+	}
+
+	// Part (b): the exchanges, in order; every scheduled move must stay
+	// legal under its packet's new destination.
+	for _, sw := range swaps {
+		m.exchange(sw[0], sw[1])
+	}
+	for _, mv := range moves {
+		rp := &m.pkts[mv.P]
+		if m.minimal && !m.profitable(mv.From, rp.dst).Has(mv.Travel) || !m.minimal && m.maxStray > 0 && !m.withinStray(rp, mv.To) {
+			return nil, 0, 0, fmt.Errorf("step %d: an exchange made packet %d's move %v illegal", t, mv.P, mv.Travel)
 		}
 	}
 
@@ -524,7 +558,7 @@ func (m *refModel) compare(net *sim.Network) error {
 			src: net.P.Src[p], dst: net.P.Dst[p], at: net.P.At[p], qtag: net.P.QTag[p],
 			arrived: net.P.Arrived[p], arrivedStep: int(net.P.ArrivedStep[p]),
 			deliverStep: int(net.P.DeliverStep[p]), injectStep: int(net.P.InjectStep[p]),
-			hops: int(net.P.Hops[p]),
+			hops: int(net.P.Hops[p]), class: net.P.Class[p], tag: net.P.Tag[p], prof: net.P.Prof[p],
 		}
 		if got != *rp {
 			return fmt.Errorf("step %d: packet %d is %+v, model %+v", t, p, got, *rp)
@@ -548,34 +582,68 @@ func (m *refModel) waiting() (n int) {
 	return n
 }
 
-// checkAgainstReference runs net under alg to completion or budget steps,
-// holding it to the reference model after every step: the model's state,
-// the step's arrivals in order, the step sample, the step's admission
-// counts and the run's fault drops. It returns the model.
-func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg sim.Algorithm, budget int) *refModel {
+// refRun drives a network step by step and holds it to the reference model
+// after every step.
+type refRun struct {
+	t       *testing.T
+	net     *sim.Network
+	model   *refModel
+	rec     *decisionRecorder
+	src     *injectionRecorder
+	samples obs.Records
+	moves   []sim.Move        // the step's arrivals, as the observer saw them
+	swaps   [][2]sim.PacketID // the step's exchanges, read off the hook
+	// exchanged counts the exchanges replayed so far.
+	exchanged int
+}
+
+// startReference builds the model of net as placed, checks the placement
+// against it, and installs the recorders: the algorithm's decisions, the
+// source's pulls, the observer's arrivals, the sink's samples and, if net
+// has an exchange hook, the exchanges it makes.
+func startReference(t *testing.T, net *sim.Network, cfg sim.Config, alg sim.Algorithm) *refRun {
 	t.Helper()
-	src := &injectionRecorder{}
-	policy := sim.WrapSource(net, func(s sim.Source) sim.Source { src.Source = s; return src })
-	model := newRefModel(net, cfg, policy)
-	if err := model.compare(net); err != nil {
+	r := &refRun{t: t, net: net, rec: &decisionRecorder{Algorithm: alg}, src: &injectionRecorder{}}
+	policy := sim.WrapSource(net, func(s sim.Source) sim.Source { r.src.Source = s; return r.src })
+	r.model = newRefModel(net, cfg, policy)
+	if err := r.model.compare(net); err != nil {
 		t.Fatalf("placement: %v", err)
 	}
-	if m := net.Metrics; m.Offered != model.offered || m.Admitted != model.admitted || m.Refused != model.refused {
+	if m, model := net.Metrics, r.model; m.Offered != model.offered || m.Admitted != model.admitted || m.Refused != model.refused {
 		t.Fatalf("placement: offered/admitted/refused %d/%d/%d, model %d/%d/%d", m.Offered, m.Admitted, m.Refused, model.offered, model.admitted, model.refused)
 	}
-	rec := &decisionRecorder{Algorithm: alg}
-	var samples obs.Records
-	net.SetMetricsSink(&samples)
-	var moves []sim.Move
-	net.SetObserver(func(r sim.StepRecord) { moves = append(moves[:0], r.Moves...) })
+	net.SetMetricsSink(&r.samples)
+	net.SetObserver(func(rec sim.StepRecord) { r.moves = append(r.moves[:0], rec.Moves...) })
+	if hook := sim.ExchangeHook(net); hook != nil {
+		net.SetExchange(func(net *sim.Network, step int, moves []sim.Move) {
+			before := roleSnapshot(net)
+			hook(net, step, moves)
+			var err error
+			if r.swaps, err = swapsBetween(before, roleSnapshot(net)); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		})
+	}
+	return r
+}
+
+// run steps the network until it is done or has run budget steps in all,
+// comparing it with the model after every step: the model's state, the
+// step's arrivals in order, the step sample, the step's admission counts
+// and the run's fault drops.
+func (r *refRun) run(budget int) {
+	t, net, model, rec := r.t, r.net, r.model, r.rec
+	t.Helper()
 	for !net.Done() && net.Step() < budget {
 		rec.reset()
-		src.injs = src.injs[:0]
+		r.src.injs = r.src.injs[:0]
+		r.swaps = r.swaps[:0]
 		dropped := net.Metrics.Dropped
 		if err := net.StepOnce(rec); err != nil {
 			t.Fatal(err)
 		}
-		arrivals, delivered, maxQueue, err := model.apply(rec, src.injs)
+		r.exchanged += len(r.swaps)
+		arrivals, delivered, maxQueue, err := model.apply(rec, r.src.injs, r.swaps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -583,14 +651,14 @@ func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg s
 			t.Fatal(err)
 		}
 		step := net.Step()
-		if !slices.Equal(moves, arrivals) {
-			t.Fatalf("step %d: arrivals\n%v\nmodel\n%v", step, moves, arrivals)
+		if !slices.Equal(r.moves, arrivals) {
+			t.Fatalf("step %d: arrivals\n%v\nmodel\n%v", step, r.moves, arrivals)
 		}
-		if s := samples.Steps[len(samples.Steps)-1]; s.Step != step || s.Delivered != delivered || s.MaxQueue != maxQueue || s.InFlight != model.resident() {
+		if s := r.samples.Steps[len(r.samples.Steps)-1]; s.Step != step || s.Delivered != delivered || s.MaxQueue != maxQueue || s.InFlight != model.resident() {
 			t.Fatalf("step %d: sample says step %d, %d delivered, max queue %d, %d in flight; model %d delivered, max queue %d, %d in flight",
 				step, s.Step, s.Delivered, s.MaxQueue, s.InFlight, delivered, maxQueue, model.resident())
 		}
-		if s := samples.Steps[len(samples.Steps)-1]; s.Offered != model.offered || s.Admitted != model.admitted || s.Refused != model.refused ||
+		if s := r.samples.Steps[len(r.samples.Steps)-1]; s.Offered != model.offered || s.Admitted != model.admitted || s.Refused != model.refused ||
 			s.Backlog != model.waiting() || net.Metrics.Dropped-dropped != model.dropped {
 			t.Fatalf("step %d: offered/admitted/refused/dropped/backlog %d/%d/%d/%d/%d, model %d/%d/%d/%d/%d", step,
 				s.Offered, s.Admitted, s.Refused, net.Metrics.Dropped-dropped, s.Backlog,
@@ -600,7 +668,96 @@ func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg s
 			t.Fatalf("step %d: %d fault drops, model %d", step, net.Metrics.FaultDrops, model.faultDrops)
 		}
 	}
-	return model
+}
+
+// checkAgainstReference runs net under alg to completion or budget steps,
+// holding it to the reference model after every step, and returns the
+// model.
+func checkAgainstReference(t *testing.T, net *sim.Network, cfg sim.Config, alg sim.Algorithm, budget int) *refModel {
+	t.Helper()
+	r := startReference(t, net, cfg, alg)
+	r.run(budget)
+	return r.model
+}
+
+// stopAtInit is an algorithm whose InitNode ends the run that calls it by
+// panicking with itself, keeping the network: a construction's Run places
+// its packets, sets their roles and installs its exchange hook before the
+// first step, whose first act is InitNode.
+type stopAtInit struct {
+	sim.Algorithm
+	net *sim.Network
+}
+
+func (s *stopAtInit) InitNode(net *sim.Network, _ *sim.Node) {
+	s.net = net
+	panic(s)
+}
+
+// constructionNet returns the network c builds for alg, as it stands before
+// step 1.
+func constructionNet(t *testing.T, c *adversary.Construction, alg sim.Algorithm) *sim.Network {
+	t.Helper()
+	stop := &stopAtInit{Algorithm: alg}
+	var err error
+	func() {
+		defer func() {
+			if r := recover(); r != nil && r != stop {
+				panic(r)
+			}
+		}()
+		_, err = c.Run(stop)
+	}()
+	if stop.net == nil || stop.net.Step() != 0 {
+		t.Fatalf("the construction did not reach its first step: %v", err)
+	}
+	return stop.net
+}
+
+// role is what an exchange moves between two packets: the destination and
+// the adversary's Class and Tag.
+type role struct {
+	dst   grid.NodeID
+	class uint8
+	tag   int32
+}
+
+// roleSnapshot copies every packet's role, indexed by PacketID.
+func roleSnapshot(net *sim.Network) []role {
+	out := make([]role, net.P.Len()+1)
+	for p := range out {
+		out[p] = role{net.P.Dst[p], net.P.Class[p], net.P.Tag[p]}
+	}
+	return out
+}
+
+// swapsBetween returns a sequence of exchanges that turns the roles before
+// into the roles after, or an error if no sequence does: the packets whose
+// role changed must have traded roles among themselves. Fixing the changed
+// packets in ascending order, each with the first later one that holds its
+// new role, always succeeds when they did.
+func swapsBetween(before, after []role) ([][2]sim.PacketID, error) {
+	var changed []sim.PacketID
+	for p := range before {
+		if before[p] != after[p] {
+			changed = append(changed, sim.PacketID(p))
+		}
+	}
+	cur := slices.Clone(before)
+	var swaps [][2]sim.PacketID
+	for i, p := range changed {
+		if cur[p] == after[p] {
+			continue
+		}
+		j := slices.IndexFunc(changed[i+1:], func(q sim.PacketID) bool { return cur[q] == after[p] })
+		if j < 0 {
+			return nil, fmt.Errorf("packet %d took role %+v, which no other packet gave up", p, after[p])
+		}
+		q := changed[i+1+j]
+		cur[p], cur[q] = cur[q], cur[p]
+		swaps = append(swaps, [2]sim.PacketID{p, q})
+	}
+	return swaps, nil
 }
 
 // placePairs places the pairs before step 1 in order, as PacketIDs 1, 2, ….
@@ -615,9 +772,9 @@ func placePairs(t *testing.T, net *sim.Network, pairs []grid.Pair) {
 
 // TestReferenceStep holds the engine to the reference model on every
 // committed scenario with a digest (the n=256 torus is left out under the
-// race detector) and on small instances of both queue models, mesh and
-// torus, some with arrivals under each admission policy and a fault
-// schedule.
+// race detector), on small instances of both queue models, mesh and torus,
+// some with arrivals under each admission policy and a fault schedule, and
+// on the adversary constructions, exchanges and completion included.
 func TestReferenceStep(t *testing.T) {
 	central := func(topo grid.Topology) sim.Config {
 		return sim.Config{Topo: topo, K: 2, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
@@ -697,6 +854,55 @@ func TestReferenceStep(t *testing.T) {
 			t.Fatalf("not done after %d steps", net.Step())
 		}
 	})
+
+	// The adversary constructions at the smallest side each accepts: a
+	// mesh the packets leave mostly empty, and an exchange hook that
+	// rewrites destinations in part (b). The model starts from the network
+	// the construction placed, roles and hook installed; after the
+	// construction's steps that network must equal the one its Run builds,
+	// and it routes on without the hook for forty times as many steps (the
+	// k = 1 rows deadlock under their routers: lowerbound -complete's cap).
+	dimorder := func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }
+	for _, tc := range []struct {
+		name  string
+		build func() (*adversary.Construction, error)
+		alg   func() sim.Algorithm
+	}{
+		{"construction/general-n60-k1", func() (*adversary.Construction, error) { return adversary.NewConstruction(60, 1) }, dimorder},
+		{"construction/general-n104-k2", func() (*adversary.Construction, error) { return adversary.NewConstruction(104, 2) }, dimorder},
+		{"construction/dimorder-n12-k1", func() (*adversary.Construction, error) { return adversary.NewDOConstruction(12, 1) }, dimorder},
+		{"construction/farthest-first-n16-k1", func() (*adversary.Construction, error) { return adversary.NewFFConstruction(16, 1) },
+			func() sim.Algorithm { return routers.DimOrderFF{} }},
+		// h = 2 > k: the second packet of every source waits in its backlog.
+		{"construction/hh-n54-k1-h2", func() (*adversary.Construction, error) { return adversary.NewHHConstruction(54, 1, 2) }, dimorder},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			net := constructionNet(t, c, tc.alg())
+			cfg := sim.Config{Topo: c.Topo, K: c.Par.K, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
+			r := startReference(t, net, cfg, tc.alg())
+			r.run(c.Par.Steps())
+			c, err = tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run(tc.alg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := adversary.ConfigsEqual(res.Net, net); err != nil {
+				t.Fatalf("after the construction's %d steps: %v", res.Steps, err)
+			}
+			if (r.exchanged > 0) != (res.Exchanges > 0) {
+				t.Fatalf("the model replayed %d exchanges, the construction made %d", r.exchanged, res.Exchanges)
+			}
+			net.SetExchange(nil)
+			r.run(41 * res.Steps)
+		})
+	}
 
 	paths, err := filepath.Glob("../../testdata/scenarios/*.json")
 	if err != nil {
