@@ -108,9 +108,8 @@ func ConfigsEqual(a, b *sim.Network) error {
 		}
 	}
 	for id := grid.NodeID(0); int(id) < a.Topo.N(); id++ {
-		if a.Node(id).State != b.Node(id).State {
-			return fmt.Errorf("node %v state differs: %d vs %d",
-				a.Topo.CoordOf(id), a.Node(id).State, b.Node(id).State)
+		if sa, sb := a.NodeState(id), b.NodeState(id); sa != sb {
+			return fmt.Errorf("node %v state differs: %d vs %d", a.Topo.CoordOf(id), sa, sb)
 		}
 	}
 	return nil

@@ -76,7 +76,7 @@ func (net *Network) CollectDiagnostics() Diagnostics {
 		FaultDrops:       net.Metrics.FaultDrops,
 	}
 	for _, id := range net.occ {
-		node := &net.nodes[id]
+		node := net.node(id)
 		for tag := uint8(0); tag < numTags; tag++ {
 			if c := net.QueueLen(node, tag); c > 0 {
 				d.TopQueues = append(d.TopQueues, QueueDiag{

@@ -6,13 +6,43 @@ import "meshroute/internal/grid"
 // resident at the node carries the departing mark, for the external tests
 // of this package.
 func NodeMarks(net *Network, id grid.NodeID) (occupied, offered, sent, departing bool) {
-	node := &net.nodes[id]
+	node := net.peek(id)
+	if node == nil {
+		return false, false, false, false
+	}
 	for _, p := range net.PacketsOf(node) {
 		departing = departing || net.P.departing[p]
 	}
 	f := node.flags
 	return f&nodeOccupied != 0, f&nodeOffered != 0, f&nodeSent != 0, departing
 }
+
+// peek returns the record of node id without paging it in: nil for a node
+// whose page is not allocated.
+func (net *Network) peek(id grid.NodeID) *Node {
+	if net.flat == nil && net.pages[id>>pageShift] == nil {
+		return nil
+	}
+	return net.node(id)
+}
+
+// Resident reports the node's resident packets, in FIFO order, and its
+// per-tag queue lengths without paging the node in, for the external tests
+// of this package.
+func Resident(net *Network, id grid.NodeID) (q []PacketID, tagLen [numTags]int) {
+	node := net.peek(id)
+	if node == nil {
+		return nil, tagLen
+	}
+	for tag := range tagLen {
+		tagLen[tag] = net.QueueLen(node, uint8(tag))
+	}
+	return net.PacketsOf(node), tagLen
+}
+
+// Paged reports whether the network holds its node records in pages, and
+// how many pages it has allocated, for the external tests of this package.
+func Paged(net *Network) (paged bool, pagesIn int) { return net.flat == nil, net.pagesIn }
 
 // ReservedCaps reports the capacities of the step buffers (moves,
 // arrivals, next, targets, senders) and of the slot arena, for the

@@ -50,7 +50,7 @@ func (r *rescanSink) Step(s obs.StepSample) {
 	var nodes, inFlight, maxQueue int
 	var hist obs.QueueHist
 	for _, id := range net.occ {
-		node := &net.nodes[id]
+		node := net.node(id)
 		if node.qLen == 0 {
 			continue
 		}
@@ -195,28 +195,56 @@ func TestPacketStoreGrowsTogether(t *testing.T) {
 }
 
 // TestDenseNodeFootprint pins the per-node budget of docs/SCALING.md: Node
-// is 32 bytes and the only node-indexed record New allocates on a
-// fault-free central-queue network; a four-inlink network adds its 10 B
-// per-tag side table. A new node-indexed array would push New past the
-// bounds below.
+// is 32 bytes; New allocates only the page table (0.5 B/node) and, on a
+// four-inlink network, its 10 B per-tag side table; and a network that
+// places a full 240×240 permutation holds its records flat — one Node a
+// node, the page table dropped — so that the records and the side table
+// cost 32 B/node (42 B four-inlink), allocated once. A new node-indexed
+// array would push New or the flat records past the bounds below.
 func TestDenseNodeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(Node{}); got != 32 {
 		t.Fatalf("sim.Node is %d bytes, want 32", got)
 	}
 	topo := grid.NewSquareMesh(240)
 	n := uint64(topo.N())
+	var perm []Injection
+	for i := range grid.NodeID(n) {
+		perm = append(perm, Injection{Src: i, Dst: grid.NodeID(n) - 1 - i})
+	}
 	for _, c := range []struct {
 		queues  QueueModel
 		perNode uint64
 	}{{CentralQueue, 32}, {PerInlinkQueues, 42}} {
+		cfg := Config{Topo: topo, K: 2, Queues: c.queues, RequireMinimal: true}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		net := MustNew(Config{Topo: topo, K: 2, Queues: c.queues, RequireMinimal: true})
+		net := MustNew(cfg)
 		runtime.ReadMemStats(&after)
-		runtime.KeepAlive(net)
-		if got, limit := after.TotalAlloc-before.TotalAlloc, c.perNode*n+64<<10; got > limit {
+		if got, limit := after.TotalAlloc-before.TotalAlloc, (c.perNode-32)*n+n/2+16<<10; got > limit {
 			t.Fatalf("New(queue model %d) on a %d-node mesh allocated %d B (%.1f B/node), want <= %d",
 				c.queues, n, got, float64(got)/float64(n), limit)
+		}
+		runtime.ReadMemStats(&before)
+		net.flatten()
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 32*n+4<<10; got > limit {
+			t.Fatalf("flattening %d nodes allocated %d B (%.1f B/node), want <= %d", n, got, float64(got)/float64(n), limit)
+		}
+
+		net = MustNew(cfg)
+		if err := net.AttachSource(TimedSource{0: perm}, AdmitRetry); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Run(nil, greedyXY{}, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if net.flat == nil || net.pages != nil || uint64(len(net.flat)) != n {
+			t.Fatalf("queue model %d: a full permutation left the records paged (%d of %d pages)", c.queues, net.pagesIn, len(net.pages))
+		}
+		held := uint64(cap(net.flat))*uint64(unsafe.Sizeof(Node{})) + uint64(cap(net.tagLen))*uint64(unsafe.Sizeof([numTags]int16{}))
+		if held != c.perNode*n {
+			t.Fatalf("queue model %d: the node records and side table hold %d B (%.1f B/node), want %d B/node",
+				c.queues, held, float64(held)/float64(n), c.perNode)
 		}
 	}
 }

@@ -536,15 +536,15 @@ func (m *refModel) apply(rec *decisionRecorder, injs []sim.Injection, swaps [][2
 func (m *refModel) compare(net *sim.Network) error {
 	t := net.Step()
 	for id, q := range m.queues {
-		node := net.Node(grid.NodeID(id))
-		if got := net.PacketsOf(node); !slices.Equal(got, q) {
+		got, tagLen := sim.Resident(net, grid.NodeID(id))
+		if !slices.Equal(got, q) {
 			return fmt.Errorf("step %d: node %d holds %v, model %v", t, id, got, q)
 		}
 		if got := sim.Backlog(net, grid.NodeID(id)); !slices.Equal(got, m.backlog[id]) {
 			return fmt.Errorf("step %d: node %d backlog %v, model %v", t, id, got, m.backlog[id])
 		}
 		for tag, want := range m.tagCounts(grid.NodeID(id)) {
-			if got := net.QueueLen(node, uint8(tag)); got != want {
+			if got := tagLen[tag]; got != want {
 				return fmt.Errorf("step %d: node %d QueueLen(%d) = %d, model %d", t, id, tag, got, want)
 			}
 		}
@@ -859,7 +859,8 @@ func TestReferenceStep(t *testing.T) {
 	// mesh the packets leave mostly empty, and an exchange hook that
 	// rewrites destinations in part (b). The model starts from the network
 	// the construction placed, roles and hook installed; after the
-	// construction's steps that network must equal the one its Run builds,
+	// construction's steps, which leave its node records paged, that
+	// network must equal the one its Run builds,
 	// and it routes on without the hook for forty times as many steps (the
 	// k = 1 rows deadlock under their routers: lowerbound -complete's cap).
 	dimorder := func() sim.Algorithm { return dex.NewAdapter(policies.DimOrderFIFO{}) }
@@ -885,6 +886,9 @@ func TestReferenceStep(t *testing.T) {
 			cfg := sim.Config{Topo: c.Topo, K: c.Par.K, Queues: sim.CentralQueue, RequireMinimal: true, CheckInvariants: true}
 			r := startReference(t, net, cfg, tc.alg())
 			r.run(c.Par.Steps())
+			if paged, _ := sim.Paged(net); !paged {
+				t.Fatal("the construction's network went flat: the row no longer checks paged node records")
+			}
 			c, err = tc.build()
 			if err != nil {
 				t.Fatal(err)

@@ -255,9 +255,11 @@ func (p Packet) Delivered() bool { return p.DeliverStep >= 0 }
 
 // Node is one mesh node: its algorithm state, the location of its queue
 // region within the network's flat slot array, and the engine's per-step
-// bookkeeping for it. It is the only node-indexed record a fault-free
-// central-queue network allocates up front (32 bytes); queue contents are
-// read with Network.PacketsOf, queue lengths with Network.QueueLen.
+// bookkeeping for it (32 bytes). The network holds the records in pages
+// that follow the packets, or flat (see Network.flat); queue contents are
+// read with Network.PacketsOf, queue lengths with Network.QueueLen. A *Node
+// is valid until the network's next step or reservation, either of which
+// may move the records.
 type Node struct {
 	// ID is the node identifier.
 	ID grid.NodeID
@@ -424,9 +426,23 @@ type Network struct {
 	// the fields of PacketID p. Index 0 is a reserved sentinel.
 	P PacketStore
 
-	cfg   Config
-	nodes []Node
-	step  int
+	cfg  Config
+	step int
+
+	// The node records, held one of two ways. flat is all N of them, one
+	// array. pages is a page table of pageSize-node pages (8 B a page, so
+	// 0.5 B a node), each allocated, with its IDs written, the first time a
+	// packet is placed at, admitted at or offered to one of its nodes
+	// (touch), so a sparse network pays for the nodes its packets reach.
+	// A network starts paged and becomes flat once (flatten), where no
+	// *Node is live: when it reserves for at least N/2 packets
+	// (ReserveInjections) or finds more than half its pages allocated at
+	// the start of a step. Exactly one of flat and pages is non-nil; node
+	// is the one read of a record.
+	flat    []Node
+	pages   []*[pageSize]Node
+	pagesIn int // allocated pages
+	nodeCnt int // N
 
 	// tagLen holds each node's per-tag queue lengths on a four-inlink
 	// network, the one model whose residents sit in more than one queue
@@ -557,14 +573,12 @@ func New(cfg Config) (*Network, error) {
 	}
 	n := cfg.Topo.N()
 	net := &Network{
-		Topo:   cfg.Topo,
-		K:      cfg.K,
-		Queues: cfg.Queues,
-		cfg:    cfg,
-		nodes:  make([]Node, n),
-	}
-	for i := range net.nodes {
-		net.nodes[i].ID = grid.NodeID(i)
+		Topo:    cfg.Topo,
+		K:       cfg.K,
+		Queues:  cfg.Queues,
+		cfg:     cfg,
+		pages:   make([]*[pageSize]Node, (n+pageMask)>>pageShift),
+		nodeCnt: n,
 	}
 	if cfg.Queues == PerInlinkQueues {
 		net.tagLen = make([][numTags]int16, n)
@@ -594,8 +608,72 @@ func MustNew(cfg Config) *Network {
 // Step returns the number of steps executed so far.
 func (net *Network) Step() int { return net.step }
 
-// Node returns the node with the given identifier.
-func (net *Network) Node(id grid.NodeID) *Node { return &net.nodes[id] }
+// Node returns the node with the given identifier, paging it in.
+func (net *Network) Node(id grid.NodeID) *Node { return net.touch(id) }
+
+// NodeState returns the node's algorithm state word without paging the
+// node in: 0 for a node whose page no packet has reached, as on a flat
+// network, where no policy has written such a node.
+func (net *Network) NodeState(id grid.NodeID) uint64 {
+	if net.flat == nil && net.pages[id>>pageShift] == nil {
+		return 0
+	}
+	return net.node(id).State
+}
+
+// Node record pages: pageSize consecutive node IDs share one.
+const (
+	pageShift = 4
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+// node returns the record of node id, which must be paged in: every node
+// on the occupied list, every sender and every part (c) target is. On a
+// flat network it costs one predictable branch over a slice index.
+func (net *Network) node(id grid.NodeID) *Node {
+	if net.flat != nil {
+		return &net.flat[id]
+	}
+	return &net.pages[id>>pageShift][id&pageMask]
+}
+
+// touch returns the record of node id, paging it in first if need be.
+func (net *Network) touch(id grid.NodeID) *Node {
+	if net.flat == nil && net.pages[id>>pageShift] == nil {
+		net.pageIn(id >> pageShift)
+	}
+	return net.node(id)
+}
+
+// pageIn allocates page i of the page table and writes its node IDs.
+func (net *Network) pageIn(i grid.NodeID) {
+	pg := new([pageSize]Node)
+	for j := range pg {
+		pg[j].ID = i<<pageShift | grid.NodeID(j)
+	}
+	net.pages[i] = pg
+	net.pagesIn++
+}
+
+// flatten moves a paged network's records into one flat array, each
+// allocated page at its nodes' offset and every other record given its ID,
+// and drops the page table. It must run where no *Node is live.
+func (net *Network) flatten() {
+	if net.flat != nil {
+		return
+	}
+	flat := make([]Node, net.nodeCnt)
+	for i := range flat {
+		flat[i].ID = grid.NodeID(i)
+	}
+	for i, pg := range net.pages {
+		if pg != nil {
+			copy(flat[i<<pageShift:], pg[:])
+		}
+	}
+	net.flat, net.pages, net.pagesIn = flat, nil, 0
+}
 
 // PacketsOf returns the node's resident packets in arrival (FIFO) order, as
 // PacketID handles into the store. The slice aliases the engine's flat slot
@@ -803,8 +881,8 @@ func (net *Network) Place(p PacketID) error {
 	st := &net.P
 	src, dst := st.Src[p], st.Dst[p]
 	for _, v := range [...]grid.NodeID{src, dst} {
-		if v < 0 || int(v) >= len(net.nodes) {
-			return fmt.Errorf("sim: step 0: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, src, dst, v, len(net.nodes))
+		if v < 0 || int(v) >= net.nodeCnt {
+			return fmt.Errorf("sim: step 0: packet %d (%d->%d): node %d is not one of the topology's %d nodes", p, src, dst, v, net.nodeCnt)
 		}
 	}
 	net.track(p)
@@ -841,9 +919,10 @@ func (net *Network) track(p PacketID) {
 // backlog drain alike: a stalled source admits nothing; otherwise a packet
 // at its destination is delivered in place, and any other needs a free slot
 // in its source's central queue (the four-inlink origin buffer never
-// refuses).
+// refuses). It reads the source's queue only where the packet would join
+// it, so paging the source in costs nothing enter would not.
 func (net *Network) admits(src, dst grid.NodeID) bool {
-	return !net.Stalled(src) && (src == dst || net.Queues == PerInlinkQueues || int(net.nodes[src].qLen) < net.K)
+	return !net.Stalled(src) && (src == dst || net.Queues == PerInlinkQueues || int(net.touch(src).qLen) < net.K)
 }
 
 // enter admits packet p at step t, once admits has allowed it: p is
@@ -862,7 +941,7 @@ func (net *Network) enter(p PacketID, t int) {
 	if net.Queues == PerInlinkQueues {
 		tag = OriginTag
 	}
-	net.attach(&net.nodes[st.Src[p]], p, tag)
+	net.attach(net.touch(st.Src[p]), p, tag)
 }
 
 // minQueueCap is the initial slot-region capacity of a node's queue.

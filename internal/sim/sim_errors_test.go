@@ -49,7 +49,7 @@ func TestScheduleErrorLeavesOccupiedListSound(t *testing.T) {
 	if err := net.StepOnce(alg); err != nil {
 		t.Fatal(err)
 	}
-	if net.nodes[net.occ[0]].qLen != 0 {
+	if net.node(net.occ[0]).qLen != 0 {
 		t.Fatal("the first listed node did not empty in step 1; the sweep would compact nothing before the error")
 	}
 	err := net.StepOnce(alg)
@@ -79,7 +79,7 @@ func (a *updateCountingAlg) Update(net *Network, n *Node) {
 	i := slices.Index(occ, n.ID)
 	for _, id := range occ[i+1:] {
 		a.updatesBeforeVictim++
-		if q := net.PacketsOf(&net.nodes[id]); len(q) > 0 {
+		if q := net.PacketsOf(net.node(id)); len(q) > 0 {
 			a.victim, a.victimAt = q[0], id
 			net.P.Prof[q[0]] = net.P.Prof[q[0]].Set(grid.North).Set(grid.South)
 			return
@@ -122,9 +122,9 @@ func requireSoundOccupiedList(t *testing.T, net *Network) {
 	t.Helper()
 	var want []grid.NodeID
 	var queues []QueueDiag
-	for id := range net.nodes {
-		node := &net.nodes[id]
-		if node.Len() == 0 {
+	for id := range net.nodeCnt {
+		node := net.peek(grid.NodeID(id))
+		if node == nil || node.Len() == 0 {
 			continue
 		}
 		want = append(want, grid.NodeID(id))

@@ -119,7 +119,7 @@ func (net *Network) AttachSource(src Source, policy AdmissionPolicy) error {
 		// lasts until the source is exhausted, but it is not an online one.
 		net.openSource = trials > 0
 		if net.openSource && policy == AdmitRetry {
-			expected := maxReservedRowsPerNode * len(net.nodes)
+			expected := maxReservedRowsPerNode * net.nodeCnt
 			if want := trials*p + 4*math.Sqrt(trials*p*(1-p)) + minStoreCap; want < float64(expected) {
 				expected = int(want) // a NaN keeps the cap
 			}
@@ -165,7 +165,7 @@ func (net *Network) reserveStatic(n int) {
 	s.moves = make([]Move, 0, n)
 	s.arrivals = make([]Move, 0, n)
 	s.next = make([]int32, 0, n)
-	nodes := len(net.nodes)
+	nodes := net.nodeCnt
 	s.targets = make([]grid.NodeID, 0, min(n, nodes))
 	s.senders = make([]grid.NodeID, 0, min(n, nodes))
 	if n < nodes {
@@ -185,9 +185,14 @@ func (net *Network) OpenWorkload() bool { return net.openSource }
 
 // ReserveInjections makes room in the packet store and placement list for n
 // additional packets. AttachSource calls it once, for the step-0 packets
-// and a sizedSource's expected ones; past that the store doubles. Purely
-// an optimization.
+// and a sizedSource's expected ones; past that the store doubles. A
+// reservation for at least N/2 packets also makes the node records flat
+// (see Network.flat), which moves them: no *Node may be held across it.
+// Purely an optimization.
 func (net *Network) ReserveInjections(n int) {
+	if 2*n >= net.nodeCnt {
+		net.flatten()
+	}
 	net.P.reserve(n)
 	net.placed = slices.Grow(net.placed, n)
 }
@@ -239,8 +244,8 @@ func (net *Network) Err() error { return net.srcErr }
 // the topology, in the words Place uses for a packet.
 func (net *Network) checkInjection(t int, inj Injection) error {
 	for _, v := range [...]grid.NodeID{inj.Src, inj.Dst} {
-		if v < 0 || int(v) >= len(net.nodes) {
-			return fmt.Errorf("sim: step %d: injection (%d->%d): node %d is not one of the topology's %d nodes", t, inj.Src, inj.Dst, v, len(net.nodes))
+		if v < 0 || int(v) >= net.nodeCnt {
+			return fmt.Errorf("sim: step %d: injection (%d->%d): node %d is not one of the topology's %d nodes", t, inj.Src, inj.Dst, v, net.nodeCnt)
 		}
 	}
 	return nil
@@ -250,7 +255,7 @@ func (net *Network) checkInjection(t int, inj Injection) error {
 // active-backlog list. The first call allocates the per-node backlog arrays.
 func (net *Network) toBacklog(src grid.NodeID, p PacketID) {
 	if net.backlog == nil {
-		n := len(net.nodes)
+		n := net.nodeCnt
 		net.backlog = make([][]PacketID, n)
 		net.inBacklog = make([]bool, n)
 		net.backlogHead = make([]int32, n)

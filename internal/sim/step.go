@@ -20,10 +20,13 @@ import (
 // delivery emits a "watchdog" event and returns a *LivelockError, whoever
 // drives the network.
 func (net *Network) StepOnce(alg Algorithm) error {
+	if net.flat == nil && 2*net.pagesIn > len(net.pages) {
+		net.flatten()
+	}
 	if !net.inited {
 		net.compactOcc()
 		for _, id := range net.occ {
-			alg.InitNode(net, &net.nodes[id])
+			alg.InitNode(net, net.node(id))
 		}
 		net.inited = true
 	}
@@ -110,7 +113,7 @@ func (net *Network) scheduleNodes(alg Algorithm) ([]Move, error) {
 	moves := net.scratch.moves[:0]
 	occ, w := net.occ, 0
 	for r, id := range occ {
-		node := &net.nodes[id]
+		node := net.node(id)
 		node.sched = 0
 		if node.qLen == 0 {
 			node.flags &^= nodeOccupied
@@ -259,7 +262,7 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 			arrivals = append(arrivals, *m)
 			continue
 		}
-		to := &net.nodes[m.To]
+		to := net.touch(m.To)
 		if to.flags&nodeOffered == 0 {
 			to.flags |= nodeOffered
 			to.offCount = 0
@@ -271,7 +274,7 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 	}
 	s.targets = targets
 	for _, id := range targets {
-		to := &net.nodes[id]
+		to := net.node(id)
 		to.flags &^= nodeOffered
 		cnt := int(to.offCount)
 		offs, acc := s.offers[:cnt], s.accept[:cnt]
@@ -300,7 +303,7 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 // once in s.senders; otherwise it marks nothing and reports false.
 func (net *Network) depart(p PacketID, src grid.NodeID) bool {
 	st := &net.P
-	node := &net.nodes[src]
+	node := net.node(src)
 	if i := uint32(st.slot[p]); st.At[p] != src || i >= node.qLen || net.slots[node.qStart+i] != p {
 		return false
 	}
@@ -319,10 +322,10 @@ func (net *Network) abortDepartures(p PacketID, arrivals []Move, targets []grid.
 		net.P.departing[a.P] = false
 	}
 	for _, id := range net.scratch.senders {
-		net.nodes[id].flags &^= nodeSent
+		net.node(id).flags &^= nodeSent
 	}
 	for _, id := range targets {
-		net.nodes[id].flags &^= nodeOffered
+		net.node(id).flags &^= nodeOffered
 	}
 	return fmt.Errorf("sim: internal error, packet %d not found at sender", p.ID())
 }
@@ -335,7 +338,7 @@ func (net *Network) abortDepartures(p PacketID, arrivals []Move, targets []grid.
 func (net *Network) compactSenders() {
 	st := &net.P
 	for _, id := range net.scratch.senders {
-		node := &net.nodes[id]
+		node := net.node(id)
 		node.flags &^= nodeSent
 		q := net.slots[node.qStart : node.qStart+node.qLen]
 		w := uint32(0)
@@ -378,7 +381,7 @@ func (net *Network) applyArrivals(arrivals []Move) {
 		if net.Queues == PerInlinkQueues {
 			tag = uint8(a.Travel.Opposite())
 		}
-		net.attach(&net.nodes[a.To], p, tag)
+		net.attach(net.node(a.To), p, tag) // a part (c) target: paged in
 	}
 	net.delivered += delivered
 	net.Metrics.TotalHops += len(arrivals)
@@ -411,7 +414,7 @@ func (net *Network) updateNodes(alg Algorithm) (o occupancy, err error) {
 	check := net.cfg.CheckInvariants
 	maxQueue, maxNodeLoad, inFlight := 0, 0, 0
 	for _, id := range net.occ {
-		node := &net.nodes[id]
+		node := net.node(id)
 		if check {
 			if err := net.checkNode(alg, node); err != nil {
 				return o, err
@@ -537,7 +540,7 @@ func (net *Network) finishAdmission() {
 func (net *Network) compactOcc() {
 	w := 0
 	for _, id := range net.occ {
-		node := &net.nodes[id]
+		node := net.node(id)
 		if node.qLen > 0 {
 			net.occ[w] = id
 			w++

@@ -110,7 +110,7 @@ func TestDepartRefusesStaleSlot(t *testing.T) {
 	net.MustPlace(net.NewPacket(0, 5))
 	p := net.NewPacket(0, 10)
 	net.MustPlace(p)
-	node := &net.nodes[0]
+	node := net.node(0)
 	node.qLen-- // p leaves the queue; its copy stays in the slot array
 	net.P.slot[p] = int32(node.qLen)
 	if node.qLen >= node.qCap || net.slots[node.qStart+node.qLen] != p {
