@@ -239,15 +239,17 @@ func (c *Construction) newNet() *sim.Network {
 // h > k), which enter from step 1 in FIFO order. With PadIdentity every
 // node that is neither a source nor a destination then gets a fixed point.
 func (c *Construction) place(net *sim.Network, pairs []workload.Pair) error {
-	used := map[grid.NodeID]bool{}
 	for _, pr := range pairs {
 		if err := net.Place(net.NewPacket(pr.Src, pr.Dst)); err != nil {
 			return err
 		}
-		used[pr.Src], used[pr.Dst] = true, true
 	}
 	if !c.PadIdentity || c.H != 1 {
 		return nil
+	}
+	used := map[grid.NodeID]bool{}
+	for _, pr := range pairs {
+		used[pr.Src], used[pr.Dst] = true, true
 	}
 	for id := grid.NodeID(0); int(id) < c.Topo.N(); id++ {
 		if !used[id] {
