@@ -17,15 +17,6 @@ func NodeMarks(net *Network, id grid.NodeID) (occupied, offered, sent, departing
 	return f&nodeOccupied != 0, f&nodeOffered != 0, f&nodeSent != 0, departing
 }
 
-// peek returns the record of node id without paging it in: nil for a node
-// whose page is not allocated.
-func (net *Network) peek(id grid.NodeID) *Node {
-	if net.flat == nil && net.pages[id>>pageShift] == nil {
-		return nil
-	}
-	return net.node(id)
-}
-
 // Resident reports the node's resident packets, in FIFO order, and its
 // per-tag queue lengths without paging the node in, for the external tests
 // of this package.

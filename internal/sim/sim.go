@@ -615,10 +615,10 @@ func (net *Network) Node(id grid.NodeID) *Node { return net.touch(id) }
 // node in: 0 for a node whose page no packet has reached, as on a flat
 // network, where no policy has written such a node.
 func (net *Network) NodeState(id grid.NodeID) uint64 {
-	if net.flat == nil && net.pages[id>>pageShift] == nil {
-		return 0
+	if node := net.peek(id); node != nil {
+		return node.State
 	}
-	return net.node(id).State
+	return 0
 }
 
 // Node record pages: pageSize consecutive node IDs share one.
@@ -638,22 +638,41 @@ func (net *Network) node(id grid.NodeID) *Node {
 	return &net.pages[id>>pageShift][id&pageMask]
 }
 
-// touch returns the record of node id, paging it in first if need be.
-func (net *Network) touch(id grid.NodeID) *Node {
-	if net.flat == nil && net.pages[id>>pageShift] == nil {
-		net.pageIn(id >> pageShift)
+// peek returns the record of node id without paging it in: nil for a node
+// whose page is not allocated, which holds no packet and has never been
+// offered one.
+func (net *Network) peek(id grid.NodeID) *Node {
+	if net.flat != nil {
+		return &net.flat[id]
 	}
-	return net.node(id)
+	if pg := net.pages[id>>pageShift]; pg != nil {
+		return &pg[id&pageMask]
+	}
+	return nil
 }
 
-// pageIn allocates page i of the page table and writes its node IDs.
-func (net *Network) pageIn(i grid.NodeID) {
+// touch returns the record of node id, paging it in first if need be.
+func (net *Network) touch(id grid.NodeID) *Node {
+	if net.flat != nil {
+		return &net.flat[id]
+	}
+	pg := net.pages[id>>pageShift]
+	if pg == nil {
+		pg = net.pageIn(id >> pageShift)
+	}
+	return &pg[id&pageMask]
+}
+
+// pageIn allocates page i of the page table, writes its node IDs and
+// returns it.
+func (net *Network) pageIn(i grid.NodeID) *[pageSize]Node {
 	pg := new([pageSize]Node)
 	for j := range pg {
 		pg[j].ID = i<<pageShift | grid.NodeID(j)
 	}
 	net.pages[i] = pg
 	net.pagesIn++
+	return pg
 }
 
 // flatten moves a paged network's records into one flat array, each
@@ -919,10 +938,16 @@ func (net *Network) track(p PacketID) {
 // backlog drain alike: a stalled source admits nothing; otherwise a packet
 // at its destination is delivered in place, and any other needs a free slot
 // in its source's central queue (the four-inlink origin buffer never
-// refuses). It reads the source's queue only where the packet would join
-// it, so paging the source in costs nothing enter would not.
+// refuses). A source not paged in has an empty queue.
 func (net *Network) admits(src, dst grid.NodeID) bool {
-	return !net.Stalled(src) && (src == dst || net.Queues == PerInlinkQueues || int(net.touch(src).qLen) < net.K)
+	if net.Stalled(src) {
+		return false
+	}
+	if src == dst || net.Queues == PerInlinkQueues {
+		return true
+	}
+	node := net.peek(src)
+	return node == nil || int(node.qLen) < net.K
 }
 
 // enter admits packet p at step t, once admits has allowed it: p is

@@ -256,7 +256,7 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 			continue
 		}
 		if m.To == st.Dst[m.P] {
-			if !net.depart(m.P, m.From) {
+			if !net.depart(m.P, net.node(m.From)) {
 				return nil, net.abortDepartures(m.P, arrivals, targets)
 			}
 			arrivals = append(arrivals, *m)
@@ -287,7 +287,7 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 		for j, ok := range acc {
 			if ok {
 				o := &offs[j]
-				if !net.depart(o.P, o.From) {
+				if !net.depart(o.P, net.peek(o.From)) {
 					return nil, net.abortDepartures(o.P, arrivals, targets)
 				}
 				arrivals = append(arrivals, Move{P: o.P, From: o.From, To: id, Travel: o.Travel})
@@ -298,19 +298,19 @@ func (net *Network) acceptOffers(alg Algorithm, moves []Move) ([]Move, error) {
 	return arrivals, nil
 }
 
-// depart checks that packet p still sits at src, at the queue position its
-// slot names, and if so marks p departing and src sent, listing each sender
-// once in s.senders; otherwise it marks nothing and reports false.
-func (net *Network) depart(p PacketID, src grid.NodeID) bool {
+// depart checks that packet p still sits at its sender from, at the queue
+// position its slot names, and if so marks p departing and the sender sent,
+// listing each sender once in s.senders; otherwise it marks nothing and
+// reports false. A nil from, a node not paged in, holds no packet.
+func (net *Network) depart(p PacketID, from *Node) bool {
 	st := &net.P
-	node := net.node(src)
-	if i := uint32(st.slot[p]); st.At[p] != src || i >= node.qLen || net.slots[node.qStart+i] != p {
+	if i := uint32(st.slot[p]); from == nil || st.At[p] != from.ID || i >= from.qLen || net.slots[from.qStart+i] != p {
 		return false
 	}
 	st.departing[p] = true
-	if node.flags&nodeSent == 0 {
-		node.flags |= nodeSent
-		net.scratch.senders = append(net.scratch.senders, src)
+	if from.flags&nodeSent == 0 {
+		from.flags |= nodeSent
+		net.scratch.senders = append(net.scratch.senders, from.ID)
 	}
 	return true
 }

@@ -116,7 +116,7 @@ func TestDepartRefusesStaleSlot(t *testing.T) {
 	if node.qLen >= node.qCap || net.slots[node.qStart+node.qLen] != p {
 		t.Fatalf("setup: want a stale copy of %d at slot %d inside a region of %d", p, node.qLen, node.qCap)
 	}
-	if net.depart(p, 0) {
+	if net.depart(p, node) {
 		t.Fatal("depart accepted a packet one slot past the queue's end")
 	}
 	if net.P.departing[p] || node.flags&nodeSent != 0 || len(net.scratch.senders) != 0 {
