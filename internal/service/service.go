@@ -795,7 +795,8 @@ type CacheMetrics struct {
 // log is counted once its job retires and the log is sealed, with the job
 // that ran it, until that job is evicted.
 type EventMetrics struct {
-	// RetainedBytes is what the logs are held in, mostly flate-compressed.
+	// RetainedBytes is what the logs are held in, mostly packed line
+	// against line (obs.Compress).
 	RetainedBytes int64 `json:"retained_bytes"`
 	// RawBytes is what GET /v1/jobs/{id}/events serves for them.
 	RawBytes int64 `json:"raw_bytes"`
