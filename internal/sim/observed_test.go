@@ -194,6 +194,15 @@ func TestPacketStoreGrowsTogether(t *testing.T) {
 	}
 }
 
+// TestPacketSnapshotSize pins the by-value Packet to 64 bytes: Packets
+// copies one per packet, so a field order that pads it costs every caller
+// that snapshots a large network.
+func TestPacketSnapshotSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 64 {
+		t.Fatalf("sim.Packet is %d bytes, want 64", got)
+	}
+}
+
 // TestDenseNodeFootprint pins the per-node budget of docs/SCALING.md: Node
 // is 32 bytes; New allocates only the page table (0.5 B/node) and, on a
 // four-inlink network, its 10 B per-tag side table; and a network that

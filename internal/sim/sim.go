@@ -215,7 +215,8 @@ func growColumn[T any](col []T, n int) []T {
 }
 
 // Packet is a read-only by-value snapshot of one packet, materialized from
-// the PacketStore by Network.Packets or Network.PacketSnapshot. Routing
+// the PacketStore by Network.Packets or Network.PacketSnapshot; its fields
+// are ordered so that it takes 64 bytes with no padding but the last. Routing
 // algorithms under the destination-exchangeability restriction never see
 // Dst directly; they receive profitable-outlink views computed by the
 // engine (package dex).
@@ -226,11 +227,11 @@ type Packet struct {
 	Src grid.NodeID
 	// Dst is the destination at snapshot time.
 	Dst grid.NodeID
+	// At is the node currently holding the packet (its destination once
+	// delivered).
+	At grid.NodeID
 	// State is the algorithm-owned scratch word.
 	State uint64
-	// Arrived is the direction of travel of the packet's last hop
-	// (NoDir if it has not moved).
-	Arrived grid.Dir
 	// ArrivedStep is the step of the packet's last hop (0 if none).
 	ArrivedStep int
 	// InjectStep is the step at which the packet entered the network.
@@ -239,15 +240,15 @@ type Packet struct {
 	DeliverStep int
 	// Hops counts link traversals.
 	Hops int
-	// At is the node currently holding the packet (its destination once
-	// delivered).
-	At grid.NodeID
+	// Tag is a free integer tag.
+	Tag int32
+	// Arrived is the direction of travel of the packet's last hop
+	// (NoDir if it has not moved).
+	Arrived grid.Dir
 	// QTag is the queue within its current node that holds the packet.
 	QTag uint8
 	// Class is a free tag for algorithms and adversaries.
 	Class uint8
-	// Tag is a free integer tag.
-	Tag int32
 }
 
 // Delivered reports whether the packet has reached its destination.
