@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"compress/flate"
 	"context"
 	"fmt"
 	"io"
@@ -27,9 +28,11 @@ import (
 // baseline is a row's direct scenario.Runner run: its Outcome, its
 // -metrics-out file and what it added to an obs.Counters.
 type baseline struct {
-	want   scenario.Outcome
-	file   []byte
-	totals obs.Totals
+	want     scenario.Outcome
+	file     []byte
+	totals   obs.Totals
+	packed   int // the bytes the file keeps as a sealed, packed event log
+	deflated int // the bytes flate at BestSpeed packs the file to
 }
 
 // TestSurfaceMatrix holds every surface that runs a spec to one Outcome
@@ -41,7 +44,9 @@ type baseline struct {
 // row's baseline: an in-process server, a server coordinating two workers
 // (one is closed after the first row), the facade and the coordinator
 // itself. The baseline's delivered packets must meet the distance and cut
-// bounds. The servers are POSTed a committed spec's file bytes as they
+// bounds, and its event log, sealed and packed, must keep no more bytes
+// than flate at BestSpeed packs it to (the watchdog abort's, which stays
+// raw, excepted). The servers are POSTed a committed spec's file bytes as they
 // are; the coordinator must complete a cell on a live worker, on its first
 // attempt while both are up. Once every row has run, each server is
 // resubmitted the done row, which must come from the cache and, through
@@ -97,6 +102,12 @@ func TestSurfaceMatrix(t *testing.T) {
 				checks[c] = col(t, row)
 			}
 			base[row.Name] = runDirect(t, row.Spec)
+			// Each log packs no worse than flate did. A watchdog abort's,
+			// a step line and a long fault line, has no line to code
+			// against and stays raw: 325 B, which flate packs to 203.
+			if b := base[row.Name]; row.Watchdog == 0 && b.packed > b.deflated {
+				t.Errorf("the sealed event log keeps %d of its %d bytes, flate %d", b.packed, len(b.file), b.deflated)
+			}
 			for _, check := range checks {
 				check(base[row.Name])
 			}
@@ -213,7 +224,9 @@ func surfaceRows(t *testing.T) (rows []surfaceRow) {
 
 // runDirect is the baseline: spec run by a scenario.Runner writing
 // -metrics-out, with an obs.Counters and an obs.EventLog as its sink. The
-// packets the run delivers must meet the distance and cut bounds.
+// packets the run delivers must meet the distance and cut bounds. The
+// baseline counts the bytes the log keeps sealed and packed, as a retired
+// job's is, and the bytes flate at BestSpeed packs the file to.
 func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 	direct := *spec
 	direct.MetricsOut = filepath.Join(t.TempDir(), "metrics.jsonl")
@@ -227,11 +240,18 @@ func runDirect(t *testing.T, spec *scenario.Spec) baseline {
 	if err != nil || !bytes.Equal(events.Bytes(), file) || spec.Analysis && !bytes.Contains(file, []byte(`{"t":"run"`)) {
 		t.Fatalf("metrics file (%v): %d bytes, the event log's %d; an analyzed run must end on a run line", err, len(file), len(events.Bytes()))
 	}
+	events.Seal()
+	events.Pack(obs.Compress(file))
+	var deflated bytes.Buffer
+	w, _ := flate.NewWriter(&deflated, flate.BestSpeed)
+	if _, err := w.Write(file); err != nil || w.Close() != nil {
+		t.Fatal(err)
+	}
 	in := bounds.Instance{Topo: res.Net.Topo, Pairs: res.Net.DeliveredPairs()}
 	if err := bounds.Check(in, res.Net.Metrics.Makespan, bounds.Distance, bounds.Cut); err != nil {
 		t.Error(err)
 	}
-	return baseline{res.Outcome(), file, counters.Totals()}
+	return baseline{res.Outcome(), file, counters.Totals(), events.Retained(), deflated.Len()}
 }
 
 // facadeColumn routes a static, unanalyzed row's placed pairs through
